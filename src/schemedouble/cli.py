@@ -1,7 +1,6 @@
 """Command line surface.
 
-Subcommands: build, verify, double, quotient, lattice, enumerate, blocks,
-appendix.  All outputs are canonical JSON (or DOT for diagrams), so identical
+Subcommands: build, verify, double, quotient, enumerate, blocks, appendix.  All outputs are canonical JSON (or DOT for diagrams), so identical
 inputs give bit-identical artifacts.  Exit codes: 0 success, 1 verification
 failure, 2 schema error, 3 budget exhaustion.
 """
@@ -290,12 +289,11 @@ def make_parser():
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_quotient)
 
-    for nm in ("lattice", "enumerate"):
-        p = sub.add_parser(nm, help="enumerate all triples with Hasse diagram")
-        common(p)
-        p.add_argument("--dot", help="also write the Hasse diagram here")
-        p.add_argument("--budget", type=int, default=500_000)
-        p.set_defaults(func=cmd_enumerate)
+    p = sub.add_parser("enumerate", help="enumerate all triples with Hasse diagram")
+    common(p)
+    p.add_argument("--dot", help="also write the Hasse diagram here")
+    p.add_argument("--budget", type=int, default=500_000)
+    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("blocks", help="block data of a triple (constant groups)")
     p.add_argument("--triple", required=True)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CharZero, NotInvertible, NotPrime, ReduciblePolynomial
+from .errors import CharZero, NotInvertible, NotPrime, ReduciblePolynomial, SchemaError
 
 
 def is_prime(n: int) -> bool:
@@ -379,17 +379,22 @@ def make_field(kind: str, **params) -> Field:
 
 
 def parse_field_token(token: str) -> Field:
-    """Compact field notation used by the CLI: ``q``, ``p7``, ``p2^3``."""
+    """Compact field notation used by the CLI: ``q``, ``p7``, ``p2^3``.
+
+    A token that names no supported field raises SchemaError."""
     t = token.strip().lower()
     if t in ("q", "qq", "rationals"):
         return QQ
-    if t.startswith("p"):
-        body = t[1:]
-        if "^" in body:
-            p_str, k_str = body.split("^")
-            return make_field("extension", p=int(p_str), k=int(k_str))
-        return make_field("prime", p=int(body))
-    raise ValueError(f"cannot parse field token {token!r}")
+    try:
+        if t.startswith("p"):
+            body = t[1:]
+            if "^" in body:
+                p_str, k_str = body.split("^")
+                return make_field("extension", p=int(p_str), k=int(k_str))
+            return make_field("prime", p=int(body))
+    except (ValueError, NotPrime, ReduciblePolynomial) as exc:
+        raise SchemaError(f"bad field token {token!r}: {exc}")
+    raise SchemaError(f"cannot parse field token {token!r}")
 
 
 @dataclass(frozen=True)

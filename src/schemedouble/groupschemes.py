@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
     NoInvertibleSectionFound,
+    NoSection,
     NoSolution,
     NotAGroup,
     NotInvertible,
@@ -28,14 +29,17 @@ from .fields import binomial
 from .hopf import (
     HopfAlgebra,
     LinMap,
+    coinvariants,
     convolution,
     convolution_inverse,
     convolution_unit,
     dual_hopf,
     grouplikes,
+    ideal_closure,
     identity_map,
     is_hopf_morphism,
-    t2_axpy,
+    quotient_by_hopf_ideal,
+    t2_coordinates,
     t2_outer,
     tensor_hopf,
     verify_hopf,
@@ -43,9 +47,9 @@ from .hopf import (
 from .linalg import (
     Echelon,
     annihilator,
-    mat_apply,
     mat_compose,
     mat_identity,
+    mat_rank,
     mat_transpose,
     solve_rows,
     span,
@@ -82,9 +86,6 @@ class GroupScheme:
     @property
     def order(self):
         return self.group_algebra.dim
-
-    def pairing_matrix(self):
-        return mat_identity(self.order, self.field)
 
     def __repr__(self):
         return f"GroupScheme({self.name or 'order %d' % self.order})"
@@ -423,14 +424,6 @@ def coadjoint_matrices(G: GroupScheme):
     return mats
 
 
-def coadjoint_apply(G, coad_mats, u, b_vec):
-    F = G.field
-    out = {}
-    for i, c in u.items():
-        v_axpy(F, out, c, mat_apply(F, coad_mats[i], b_vec))
-    return out
-
-
 # -- subgroup schemes -------------------------------------------------------
 
 
@@ -476,7 +469,7 @@ def _extract_sub_hopf(G: GroupScheme, ech: Echelon, name=""):
     F = G.field
     pivots = ech.pivots()
     m = len(pivots)
-    rows = [ech.rows[p] for p in pivots]
+    rows = ech.basis()
 
     def coords(v):
         c = ech.coordinates(v)
@@ -493,16 +486,8 @@ def _extract_sub_hopf(G: GroupScheme, ech: Echelon, name=""):
     unit = coords(H.unit)
     comult = {}
     for r in range(m):
-        grid = H.coproduct(rows[r])
-        t = {}
-        for (a, b) in itertools.product(pivots, repeat=2):
-            c = grid.get((a, b))
-            if c is not None:
-                t[(pivots.index(a), pivots.index(b))] = c
-        rebuilt = {}
-        for (i, j), c in t.items():
-            t2_axpy(F, rebuilt, c, t2_outer(F, rows[i], rows[j]))
-        if rebuilt != grid:
+        t = t2_coordinates(F, ech, H.coproduct(rows[r]))
+        if t is None:
             raise ClosureNotHopf("span is not a subcoalgebra")
         comult[r] = t
     counit = {}
@@ -680,27 +665,8 @@ def augmentation_ideal_basis(sub: SubgroupScheme):
 
 def coinvariant_subspace(G: GroupScheme, sub: SubgroupScheme) -> Echelon:
     """O(G/L) = {b in O(G) : b_1 (x) q_L(b_2) = b (x) 1} as a subspace of O(G)."""
-    O = G.coordinate_algebra
-    F = G.field
-    n = G.order
-    m = sub.order
-    qmat = sub.q.mat
-    unitL = sub.own.coordinate_algebra.unit
-    coef: dict = {}
-    for i in range(n):
-        for (a, b), c in O.comult[i].items():
-            qb = qmat.get(b)
-            if qb:
-                for l, ql in qb.items():
-                    d = coef.setdefault((a, l), {})
-                    d[i] = F.add(d.get(i, F.zero()), F.mul(c, ql))
-        for l, ul in unitL.items():
-            d = coef.setdefault((i, l), {})
-            d[i] = F.sub(d.get(i, F.zero()), ul)
-    rows = [({i: c for i, c in r.items() if c != F.zero()}, F.zero())
-            for r in coef.values()]
-    _, kernel = solve_rows(F, rows, n)
-    return kernel
+    return coinvariants(G.coordinate_algebra, sub.q.mat,
+                        sub.own.coordinate_algebra.unit)
 
 
 def quotient_by_normal(G: GroupScheme, H_sub: SubgroupScheme) -> Quotient:
@@ -710,73 +676,17 @@ def quotient_by_normal(G: GroupScheme, H_sub: SubgroupScheme) -> Quotient:
     kg = G.group_algebra
     F = G.field
     n = G.order
-    plus = augmentation_ideal_basis(H_sub)
     J = Echelon(F, n)
-    for v in plus:
+    for v in augmentation_ideal_basis(H_sub):
         for j in range(n):
             J.insert(kg.product(v, unit_vec(j, F)))
     # two-sided stability (holds for normal H; verified, not assumed)
-    grew = True
-    while grew:
-        grew = False
-        for row in list(J.basis()):
-            for j in range(n):
-                if J.insert(kg.product(unit_vec(j, F), row)):
-                    grew = True
-                if J.insert(kg.product(row, unit_vec(j, F))):
-                    grew = True
+    ideal_closure(kg, J)
     reps = [i for i in range(n) if i not in J.rows]
-    cls = {i: r for r, i in enumerate(reps)}
     m = len(reps)
     if m * H_sub.order != n:
         raise VerificationFailure("quotient dimension violates Lagrange")
-
-    def project(v):
-        res = J.reduce(v)
-        return {cls[i]: c for i, c in res.items()}
-
-    pi_mat = {}
-    for i in range(n):
-        col = project(unit_vec(i, F))
-        if col:
-            pi_mat[i] = col
-
-    mult = {}
-    for r in range(m):
-        for s in range(m):
-            cell = project(kg.product(unit_vec(reps[r], F), unit_vec(reps[s], F)))
-            if cell:
-                mult[(r, s)] = cell
-    unit = project(kg.unit)
-    comult = {}
-    for r in range(m):
-        t = {}
-        for (a, b), c in kg.comult[reps[r]].items():
-            pa, pb = pi_mat.get(a), pi_mat.get(b)
-            if pa and pb:
-                t2_axpy(F, t, c, t2_outer(F, pa, pb))
-        comult[r] = t
-    counit = {}
-    for r in range(m):
-        c = kg.counit.get(reps[r])
-        if c is not None:
-            counit[r] = c
-    antipode = {}
-    for r in range(m):
-        col = project(kg.antipode_of(unit_vec(reps[r], F)))
-        if col:
-            antipode[r] = col
-    labels = [f"[{kg.labels[i]}]" for i in reps]
-    hopf = HopfAlgebra(F, labels, mult, unit, comult, counit, antipode,
-                       name=f"k[{G.name}/{H_sub.own.name}]")
-    rep = verify_hopf(hopf)
-    if not rep.ok:
-        raise VerificationFailure("quotient violates Hopf axioms: "
-                                  + "; ".join(n_ for n_, _ in rep.failures()))
-    pi = LinMap(kg, hopf, pi_mat)
-    ok, wit = is_hopf_morphism(pi)
-    if not ok:
-        raise VerificationFailure(f"projection is not a Hopf morphism: {wit}")
+    hopf, pi = quotient_by_hopf_ideal(kg, J, name=f"k[{G.name}/{H_sub.own.name}]")
 
     coinv = coinvariant_subspace(G, H_sub)
     if coinv.dim != m:
@@ -784,10 +694,7 @@ def quotient_by_normal(G: GroupScheme, H_sub: SubgroupScheme) -> Quotient:
     # mutual duality: <rep_r, c_s> must be a nondegenerate pairing
     pair_cols = {s: {r: c.get(reps[r]) for r in range(m) if c.get(reps[r])}
                  for s, c in enumerate(coinv.basis())}
-    pair_ech = Echelon(F, m)
-    for s in sorted(pair_cols):
-        pair_ech.insert({r: v for r, v in pair_cols[s].items() if v is not None})
-    if pair_ech.dim != m:
+    if mat_rank(F, pair_cols, m) != m:
         raise VerificationFailure("coinvariants do not pair perfectly with k[G/H]")
     return Quotient(G, H_sub, hopf, pi, reps, coinv)
 
@@ -822,18 +729,9 @@ def _map_solver(F, n_src, n_tgt):
         rows.append((row, rhs))
 
     def solve():
-        part, kern = solve_rows(F, rows, n_tgt * n_src)
-        return part, kern
+        return solve_rows(F, rows, n_tgt * n_src)
 
-    def unflatten(sol):
-        mat: dict = {}
-        for key, c in sol.items():
-            r, col = divmod(key, n_src)
-            if c != F.zero():
-                mat.setdefault(col, {})[r] = c
-        return mat
-
-    return add_equation, solve, unflatten
+    return add_equation, solve
 
 
 def _colinear_section_equations(F, add, src_hopf, tgt_hopf, proj_mat, n_src, n_tgt):
@@ -935,68 +833,49 @@ def section_mu(L: SubgroupScheme, budget=100_000) -> SectionData:
         # delta functions extend by zero along the element inclusion
         cand = LinMap(OL, OG, {r: {p: F.one()}
                                for r, p in enumerate(L.subspace.pivots())})
-    if cand is not None and _section_ok(cand, L):
+    if cand is not None and _colinear_section_ok(cand, L.q):
         try:
             return SectionData(cand, convolution_inverse(cand))
         except NotInvertible:
             pass
 
-    add, solve, unflatten = _map_solver(F, m, n)
+    add, solve = _map_solver(F, m, n)
     _colinear_section_equations(F, add, OL, OG, L.q.mat, m, n)
     try:
         part, kern = solve()
     except NoSolution:
         raise NoSection("colinear section system is inconsistent")
     mu, mu_inv = _search_invertible(F, OL, OG, part, kern, budget)
-    if not _section_ok(mu, L):
+    if not _colinear_section_ok(mu, L.q):
         raise VerificationFailure("solved section fails its defining identities")
     return SectionData(mu, mu_inv)
 
 
-def _section_ok(mu: LinMap, L: SubgroupScheme) -> bool:
-    G = L.ambient
-    F = G.field
-    OG = G.coordinate_algebra
-    OL = L.own.coordinate_algebra
-    if mat_compose(F, L.q.mat, mu.mat) != mat_identity(L.order, F):
-        return False
-    if mu.apply(OL.unit) != OG.unit:
-        return False
-    for s in range(OL.dim):
-        lhs = {}
-        for (u, v), c in OL.comult[s].items():
-            t2_axpy(F, lhs, c, t2_outer(F, mu.apply(unit_vec(u, F)), unit_vec(v, F)))
-        rhs = {}
-        for (x, z), c in OG.coproduct(mu.apply(unit_vec(s, F))).items():
-            qz = L.q.apply(unit_vec(z, F))
-            if qz:
-                t2_axpy(F, rhs, c, t2_outer(F, unit_vec(x, F), qz))
-        if lhs != rhs:
-            return False
-        if OG.counit_of(mu.apply(unit_vec(s, F))) != OL.counit.get(s, F.zero()):
-            return False
-    return True
+def _colinear_section_ok(s: LinMap, proj: LinMap) -> bool:
+    """Whether s: Q -> A is a unit- and counit-preserving section of the Hopf
+    map proj: A -> Q with s(x_1) (x) x_2 = s(x)_1 (x) proj(s(x)_2).
 
-
-def _cleaving_ok(gamma: LinMap, quotient: Quotient) -> bool:
-    G = quotient.G
-    F = G.field
-    kg = G.group_algebra
-    Q = quotient.hopf
-    if mat_compose(F, quotient.pi.mat, gamma.mat) != mat_identity(Q.dim, F):
+    The counit check rejects no s that passes proj o s = id: proj is a Hopf
+    map, so eps o s = eps o proj o s = eps.
+    """
+    Q, A, F = s.source, s.target, s.target.field
+    if mat_compose(F, proj.mat, s.mat) != mat_identity(Q.dim, F):
         return False
-    if gamma.apply(Q.unit) != kg.unit:
+    if s.apply(Q.unit) != A.unit:
         return False
     for j in range(Q.dim):
+        sj = s.apply(unit_vec(j, F))
         lhs = {}
         for (u, v), c in Q.comult[j].items():
-            t2_axpy(F, lhs, c, t2_outer(F, gamma.apply(unit_vec(u, F)), unit_vec(v, F)))
+            v_axpy(F, lhs, c, t2_outer(F, s.apply(unit_vec(u, F)), unit_vec(v, F)))
         rhs = {}
-        for (x, z), c in kg.coproduct(gamma.apply(unit_vec(j, F))).items():
-            pz = quotient.pi.apply(unit_vec(z, F))
+        for (x, z), c in A.coproduct(sj).items():
+            pz = proj.apply(unit_vec(z, F))
             if pz:
-                t2_axpy(F, rhs, c, t2_outer(F, unit_vec(x, F), pz))
+                v_axpy(F, rhs, c, t2_outer(F, unit_vec(x, F), pz))
         if lhs != rhs:
+            return False
+        if A.counit_of(sj) != Q.counit.get(j, F.zero()):
             return False
     return True
 
@@ -1029,21 +908,21 @@ def cleaving_gamma(G: GroupScheme, H_sub: SubgroupScheme, quotient=None,
                     pre[r] = i
         if len(pre) == m:
             cand = LinMap(Q, kg, {r: unit_vec(pre[r], F) for r in range(m)})
-    if cand is not None and _cleaving_ok(cand, quotient):
+    if cand is not None and _colinear_section_ok(cand, quotient.pi):
         try:
             gamma, gamma_inv = cand, convolution_inverse(cand)
             return _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv)
         except NotInvertible:
             pass
 
-    add, solve, unflatten = _map_solver(F, m, G.order)
+    add, solve = _map_solver(F, m, G.order)
     _colinear_section_equations(F, add, Q, kg, quotient.pi.mat, m, G.order)
     try:
         part, kern = solve()
     except NoSolution:
         raise NoInvertibleSectionFound("colinear section system inconsistent")
     gamma, gamma_inv = _search_invertible(F, Q, kg, part, kern, budget)
-    if not _cleaving_ok(gamma, quotient):
+    if not _colinear_section_ok(gamma, quotient.pi):
         raise VerificationFailure("solved cleaving fails its defining identities")
     return _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv)
 

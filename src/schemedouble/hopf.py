@@ -1,7 +1,7 @@
 """Finite dimensional Hopf algebras as labeled bases with sparse structure
 constants, plus brute-force axiom verification, duals, variants, tensor
-products, morphism tests, convolution algebra, and grouplike/primitive
-searches.
+products, morphism tests, convolution algebra, coinvariants, ideal closures
+and quotients by Hopf ideals, and grouplike/primitive searches.
 
 Conventions.  A Hopf algebra of dimension n carries
 
@@ -35,6 +35,7 @@ from .linalg import (
     mat_compose,
     mat_identity,
     mat_inverse,
+    mat_rank,
     mat_transpose,
     solve_rows,
     unit_vec,
@@ -46,20 +47,6 @@ from .linalg import (
 def t2_outer(F, v, w):
     mul = F.mul
     return {(i, j): mul(a, b) for i, a in v.items() for j, b in w.items()}
-
-
-def t2_axpy(F, acc, c, t):
-    zero = F.zero()
-    if c == zero:
-        return acc
-    add, mul = F.add, F.mul
-    for k, v in t.items():
-        s = add(acc.get(k, zero), mul(c, v))
-        if s == zero:
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-    return acc
 
 
 class HopfAlgebra:
@@ -92,35 +79,34 @@ class HopfAlgebra:
                     v_axpy(F, out, mul(a, b), cell)
         return out
 
-    def product_many(self, vecs):
-        out = None
-        for v in vecs:
-            out = v if out is None else self.product(out, v)
-        return out if out is not None else dict(self.unit)
-
     def coproduct(self, v):
         F = self.field
         out = {}
         for i, a in v.items():
-            t2_axpy(F, out, a, self.comult[i])
+            v_axpy(F, out, a, self.comult[i])
         return out
 
-    def delta2(self, v):
-        """(Delta x id)Delta(v) as a Ten3; coassociativity makes the order
-        immaterial for valid inputs."""
+    def delta_leg(self, t, leg):
+        """Delta applied to leg 0 or leg 1 of the Ten2 t, as a Ten3."""
         F = self.field
         out = {}
         zero = F.zero()
         add, mul = F.add, F.mul
-        for (j, k), c in self.coproduct(v).items():
-            for (a, b), d in self.comult[j].items():
-                key = (a, b, k)
+        comult = self.comult
+        for (j, k), c in t.items():
+            for (a, b), d in comult[k if leg else j].items():
+                key = (j, a, b) if leg else (a, b, k)
                 s = add(out.get(key, zero), mul(c, d))
                 if s == zero:
                     out.pop(key, None)
                 else:
                     out[key] = s
         return out
+
+    def delta2(self, v):
+        """(Delta x id)Delta(v) as a Ten3; coassociativity makes the order
+        immaterial for valid inputs."""
+        return self.delta_leg(self.coproduct(v), 0)
 
     def counit_of(self, v):
         F = self.field
@@ -236,25 +222,18 @@ class VerificationReport:
         return out
 
 
-def verify_hopf(H: HopfAlgebra, sample_stride: int = 1) -> VerificationReport:
-    """Check every Hopf axiom on all basis tuples and report witnesses.
-
-    ``sample_stride > 1`` thins the quadratic and cubic sweeps to a
-    deterministic arithmetic-progression subsample (for quick looks at very
-    large algebras); golden checks always run with the full stride 1.
-    """
+def verify_hopf(H: HopfAlgebra) -> VerificationReport:
+    """Check every Hopf axiom on all basis tuples and report witnesses."""
     F = H.field
     n = H.dim
     rep = VerificationReport(H.name or f"hopf(dim {n})")
     mult = H.mult
-    step = max(1, sample_stride)
-    idxs = list(range(0, n, step)) if step > 1 else range(n)
 
     ok, wit = True, ""
-    for i in idxs:
-        for j in idxs:
+    for i in range(n):
+        for j in range(n):
             mij = mult.get((i, j), {})
-            for k in idxs:
+            for k in range(n):
                 lhs = {}
                 for l, c in mij.items():
                     cell = mult.get((l, k))
@@ -284,26 +263,7 @@ def verify_hopf(H: HopfAlgebra, sample_stride: int = 1) -> VerificationReport:
 
     ok, wit = True, ""
     for i in range(n):
-        left = {}
-        right = {}
-        for (j, k), c in H.comult[i].items():
-            for (a, b), d in H.comult[j].items():
-                key = (a, b, k)
-                cur = left.get(key, F.zero())
-                s = F.add(cur, F.mul(c, d))
-                if s == F.zero():
-                    left.pop(key, None)
-                else:
-                    left[key] = s
-            for (a, b), d in H.comult[k].items():
-                key = (j, a, b)
-                cur = right.get(key, F.zero())
-                s = F.add(cur, F.mul(c, d))
-                if s == F.zero():
-                    right.pop(key, None)
-                else:
-                    right[key] = s
-        if left != right:
+        if H.delta_leg(H.comult[i], 0) != H.delta_leg(H.comult[i], 1):
             ok, wit = False, H.labels[i]
             break
     rep.record("coassociativity", ok, wit)
@@ -324,10 +284,10 @@ def verify_hopf(H: HopfAlgebra, sample_stride: int = 1) -> VerificationReport:
     rep.record("counit law", ok, wit)
 
     ok, wit = True, ""
-    for i in idxs:
+    for i in range(n):
         if not ok:
             break
-        for j in idxs:
+        for j in range(n):
             prod = mult.get((i, j), {})
             lhs = H.coproduct(prod)
             rhs = H.tensor_square_product(H.comult[i], H.comult[j])
@@ -337,10 +297,10 @@ def verify_hopf(H: HopfAlgebra, sample_stride: int = 1) -> VerificationReport:
     rep.record("comultiplication multiplicative", ok, wit)
 
     ok, wit = True, ""
-    for i in idxs:
+    for i in range(n):
         if not ok:
             break
-        for j in idxs:
+        for j in range(n):
             lhs = H.counit_of(mult.get((i, j), {}))
             rhs = F.mul(H.counit.get(i, F.zero()), H.counit.get(j, F.zero()))
             if lhs != rhs:
@@ -506,10 +466,7 @@ class LinMap:
         return LinMap(dual_target, dual_source, mat_transpose(self.mat))
 
     def rank(self):
-        e = Echelon(self.target.field, self.target.dim)
-        for j in sorted(self.mat):
-            e.insert(self.mat[j])
-        return e.dim
+        return mat_rank(self.target.field, self.mat, self.target.dim)
 
     def key(self):
         return tuple(
@@ -545,7 +502,7 @@ def is_hopf_morphism(f: LinMap, check_antipode=True):
         lhs = B.coproduct(f.apply(A.basis_vec(i)))
         rhs = {}
         for (j, k), c in A.comult[i].items():
-            t2_axpy(F, rhs, c, t2_outer(F, f.apply(A.basis_vec(j)), f.apply(A.basis_vec(k))))
+            v_axpy(F, rhs, c, t2_outer(F, f.apply(A.basis_vec(j)), f.apply(A.basis_vec(k))))
         if lhs != rhs:
             return False, f"comult at {A.labels[i]}"
         if B.counit_of(f.apply(A.basis_vec(i))) != A.counit.get(i, F.zero()):
@@ -667,7 +624,7 @@ def quotient_by_hopf_ideal(H: HopfAlgebra, ideal: Echelon, name=""):
         for (a, b), c in H.comult[reps[r]].items():
             pa, pb = pi_mat.get(a), pi_mat.get(b)
             if pa and pb:
-                t2_axpy(F, t, c, t2_outer(F, pa, pb))
+                v_axpy(F, t, c, t2_outer(F, pa, pb))
         comult[r] = t
     counit = {}
     for r in range(m):
@@ -692,12 +649,49 @@ def quotient_by_hopf_ideal(H: HopfAlgebra, ideal: Echelon, name=""):
     return Q, pi
 
 
-def primitives(H: HopfAlgebra) -> Echelon:
-    """The subspace of v with Delta(v) = v(x)1 + 1(x)v."""
-    F = H.field
-    n = H.dim
+def coinvariants(A: HopfAlgebra, f_mat, f_unit) -> Echelon:
+    """{v in A : v_1 (x) f(v_2) = v (x) f(1)} for a linear map f out of A,
+    given by its matrix (column -> image) and f(1)."""
+    F = A.field
     coef: dict = {}
-    for i in range(n):
+    for i in range(A.dim):
+        for (a, b), c in A.comult[i].items():
+            for l, fl in f_mat.get(b, {}).items():
+                d = coef.setdefault((a, l), {})
+                d[i] = F.add(d.get(i, F.zero()), F.mul(c, fl))
+        for l, ul in f_unit.items():
+            d = coef.setdefault((i, l), {})
+            d[i] = F.sub(d.get(i, F.zero()), ul)
+    rows = [({i: c for i, c in r.items() if c != F.zero()}, F.zero())
+            for r in coef.values()]
+    _, kernel = solve_rows(F, rows, A.dim)
+    return kernel
+
+
+def ideal_closure(H: HopfAlgebra, ech: Echelon) -> Echelon:
+    """Grow ech, in place, to the two-sided ideal of H its span generates:
+    multiply every basis row by every basis vector on both sides until a
+    round adds nothing."""
+    F = H.field
+    grew = True
+    while grew:
+        grew = False
+        for row in list(ech.basis()):
+            for d in range(H.dim):
+                e = unit_vec(d, F)
+                if ech.insert(H.product(e, row)):
+                    grew = True
+                if ech.insert(H.product(row, e)):
+                    grew = True
+    return ech
+
+
+def _primitive_rows(H: HopfAlgebra):
+    """The coefficients of Delta(z) - z(x)1 - 1(x)z, one row over the
+    coordinates of z per Ten2 key."""
+    F = H.field
+    coef: dict = {}
+    for i in range(H.dim):
         for (j, k), c in H.comult[i].items():
             coef.setdefault((j, k), {})[i] = c
         for k, u in H.unit.items():
@@ -705,8 +699,15 @@ def primitives(H: HopfAlgebra) -> Echelon:
             d[i] = F.sub(d.get(i, F.zero()), u)
             d2 = coef.setdefault((k, i), {})
             d2[i] = F.sub(d2.get(i, F.zero()), u)
-    rows = [( {i: c for i, c in r.items() if c != F.zero()}, F.zero()) for r in coef.values()]
-    _, kernel = solve_rows(F, rows, n)
+    return {key: {i: c for i, c in r.items() if c != F.zero()}
+            for key, r in coef.items()}
+
+
+def primitives(H: HopfAlgebra) -> Echelon:
+    """The subspace of v with Delta(v) = v(x)1 + 1(x)v."""
+    F = H.field
+    rows = [(r, F.zero()) for r in _primitive_rows(H).values()]
+    _, kernel = solve_rows(F, rows, H.dim)
     return kernel
 
 
@@ -769,22 +770,24 @@ def grouplikes(H: HopfAlgebra, budget: int = 10**7):
     return found
 
 
-def _t2_in_span_square(F, ech: Echelon, t2):
-    """Decide T in span(x)span; returns the reduced pivot-coefficient grid or
-    None.  Uses the unit-pivot structure of the echelon basis."""
+def t2_coordinates(F, ech: Echelon, t):
+    """The coefficients of the Ten2 t in the basis row_r (x) row_s of
+    span (x) span, keyed by (r, s); None when t is outside span (x) span.
+
+    Each basis row is 1 at its own pivot and 0 at the others, so the
+    coefficient of row_r (x) row_s is the entry of t at their pivots.
+    """
     pivots = ech.pivots()
-    coefs = {}
-    for (a, b) in itertools.product(pivots, repeat=2):
-        c = t2.get((a, b))
-        if c is not None:
-            coefs[(a, b)] = c
-    rebuilt: dict = {}
     rows = ech.rows
-    for (a, b), c in coefs.items():
-        t2_axpy(F, rebuilt, c, t2_outer(F, rows[a], rows[b]))
-    if rebuilt != t2:
-        return None
-    return coefs
+    grid = {}
+    rebuilt: dict = {}
+    for r, a in enumerate(pivots):
+        for s, b in enumerate(pivots):
+            c = t.get((a, b))
+            if c is not None:
+                grid[(r, s)] = c
+                v_axpy(F, rebuilt, c, t2_outer(F, rows[a], rows[b]))
+    return grid if rebuilt == t else None
 
 
 class _SourceStep:
@@ -843,9 +846,9 @@ def _source_chain(A: HopfAlgebra, src_grouplikes, src_primitives):
             if ech.contains(e):
                 continue
             d = dict(A.comult[i])
-            t2_axpy(F, d, F.neg(F.one()), t2_outer(F, e, A.unit))
-            t2_axpy(F, d, F.neg(F.one()), t2_outer(F, A.unit, e))
-            if _t2_in_span_square(F, ech, d) is not None:
+            v_axpy(F, d, F.neg(F.one()), t2_outer(F, e, A.unit))
+            v_axpy(F, d, F.neg(F.one()), t2_outer(F, A.unit, e))
+            if t2_coordinates(F, ech, d) is not None:
                 found = i
                 break
         if found is None:
@@ -878,6 +881,7 @@ def hopf_algebra_maps(
     glC = tgt_grouplikes if tgt_grouplikes is not None else grouplikes(C)
     prA = primitives(A)
     prC = primitives(C)
+    prim_rows_C = _primitive_rows(C)
     chain = _source_chain(A, glA, prA)
     if chain is None:
         raise BudgetExceeded("source algebra outside the supported generation filtration")
@@ -940,8 +944,8 @@ def hopf_algebra_maps(
         else:
             e = A.basis_vec(step.basis_index)
             d = dict(A.comult[step.basis_index])
-            t2_axpy(F, d, F.neg(F.one()), t2_outer(F, e, A.unit))
-            t2_axpy(F, d, F.neg(F.one()), t2_outer(F, A.unit, e))
+            v_axpy(F, d, F.neg(F.one()), t2_outer(F, e, A.unit))
+            v_axpy(F, d, F.neg(F.one()), t2_outer(F, A.unit, e))
             # push both legs through the partial map
             img: dict = {}
             bad = False
@@ -951,24 +955,12 @@ def hopf_algebra_maps(
                 if xj is None or xk is None:
                     bad = True
                     break
-                t2_axpy(F, img, c, t2_outer(F, xj, xk))
+                v_axpy(F, img, c, t2_outer(F, xj, xk))
             if bad:
                 return
             # solve Delta(z) - z(x)1 - 1(x)z = img, counit(z) = counit(e)
-            rows = []
-            coef: dict = {}
-            for i in range(C.dim):
-                for (j, k), c in C.comult[i].items():
-                    coef.setdefault((j, k), {})[i] = c
-                for k, u in C.unit.items():
-                    dd = coef.setdefault((i, k), {})
-                    dd[i] = F.sub(dd.get(i, F.zero()), u)
-                    dd2 = coef.setdefault((k, i), {})
-                    dd2[i] = F.sub(dd2.get(i, F.zero()), u)
-            keys = set(coef) | set(img)
-            for key in keys:
-                r = {i: c for i, c in coef.get(key, {}).items() if c != F.zero()}
-                rows.append((r, img.get(key, F.zero())))
+            rows = [(prim_rows_C.get(key, {}), img.get(key, F.zero()))
+                    for key in set(prim_rows_C) | set(img)]
             rows.append((dict(C.counit), A.counit_of(e)))
             try:
                 part, kern = solve_rows(F, rows, C.dim)
@@ -986,9 +978,7 @@ def hopf_algebra_maps(
             candidates = [(e, z) for z in cands]
 
         for src_vec, tgt_vec in candidates:
-            branch = ParallelEchelon(F, A.dim, C.dim)
-            branch.src.rows = {p: dict(r) for p, r in pech.src.rows.items()}
-            branch.images = {p: dict(r) for p, r in pech.images.items()}
+            branch = pech.copy()
             st = branch.insert(src_vec, tgt_vec)
             if st == "conflict":
                 continue

@@ -35,18 +35,18 @@ from .groupschemes import (
 )
 from .hopf import (
     LinMap,
+    coinvariants,
     convolution,
     hopf_algebra_maps,
     quotient_by_hopf_ideal,
-    t2_axpy,
     t2_outer,
 )
 from .linalg import (
     Echelon,
     mat_compose,
     mat_kernel,
+    mat_rank,
     mat_transpose,
-    solve_rows,
     unit_vec,
     v_axpy,
 )
@@ -106,7 +106,7 @@ def centralizer_certificate(qp: QuotientPair, qp_bar: QuotientPair,
         tx = theta.apply(unit_vec(x, F))
         ty = theta_bar.apply(unit_vec(y, F))
         if tx and ty:
-            t2_axpy(F, out, c, t2_outer(F, tx, ty))
+            v_axpy(F, out, c, t2_outer(F, tx, ty))
     return out == t2_outer(F, qp.D.unit, qp_bar.D.unit)
 
 
@@ -153,22 +153,7 @@ def agreement_subgroup(t: Triple, t2: Triple) -> SubgroupScheme:
     KK = intersect_subgroup(t.K, t2.K)
     beta = beta_pairing(t, t2)
     kM = KK.own.group_algebra
-    m = kM.dim
-    beta_unit = beta.apply(kM.unit)
-    coef: dict = {}
-    for i in range(m):
-        for (a, b), c in kM.comult[i].items():
-            img = beta.mat.get(b)
-            if img:
-                for out, cb in img.items():
-                    d = coef.setdefault((a, out), {})
-                    d[i] = F.add(d.get(i, F.zero()), F.mul(c, cb))
-        for out, cu in beta_unit.items():
-            d = coef.setdefault((i, out), {})
-            d[i] = F.sub(d.get(i, F.zero()), cu)
-    rows = [({i: c for i, c in r.items() if c != F.zero()}, F.zero())
-            for r in coef.values()]
-    _, kerL = solve_rows(F, rows, m)
+    kerL = coinvariants(kM, beta.mat, beta.apply(kM.unit))
     amb = Echelon(F, G.order)
     for row in kerL.basis():
         out = {}
@@ -252,10 +237,8 @@ def classify(t: Triple, qp: QuotientPair = None) -> dict:
     nondeg = False
     if HK.order == t.G.order:
         beta = beta_pairing(t, tbar)
-        ech = Echelon(F, beta.target.dim)
-        for j in sorted(beta.mat):
-            ech.insert(beta.mat[j])
-        nondeg = (beta.source.dim == beta.target.dim == ech.dim)
+        nondeg = (beta.source.dim == beta.target.dim
+                  == mat_rank(F, beta.mat, beta.target.dim))
 
     lagrangian = (t.K.key() == t.H.key()
                   and t.b_pairing_key() == tbar.b_pairing_key())

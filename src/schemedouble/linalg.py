@@ -17,26 +17,6 @@ Vec = dict
 Mat = dict
 
 
-def v_clean(vec, F):
-    zero = F.zero()
-    for k in [k for k, v in vec.items() if v == zero]:
-        del vec[k]
-    return vec
-
-
-def v_add(F, a, b):
-    out = dict(a)
-    add = F.add
-    zero = F.zero()
-    for k, v in b.items():
-        s = add(out.get(k, zero), v)
-        if s == zero:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
 def v_sub(F, a, b):
     out = dict(a)
     sub = F.sub
@@ -78,22 +58,6 @@ def v_neg(F, a):
     return {k: neg(v) for k, v in a.items()}
 
 
-def v_eq(a, b):
-    return a == b
-
-
-def v_dot(F, a, b):
-    zero = F.zero()
-    acc = zero
-    if len(b) < len(a):
-        a, b = b, a
-    for k, v in a.items():
-        w = b.get(k)
-        if w is not None:
-            acc = F.add(acc, F.mul(v, w))
-    return acc
-
-
 def unit_vec(i, F):
     return {i: F.one()}
 
@@ -131,24 +95,6 @@ def mat_transpose(M):
     return out
 
 
-def mat_eq(A, B):
-    return {j: c for j, c in A.items() if c} == {j: c for j, c in B.items() if c}
-
-
-def mat_scale(F, c, M):
-    return {j: v_scale(F, c, col) for j, col in M.items()}
-
-
-def mat_sub(F, A, B):
-    cols = set(A) | set(B)
-    out = {}
-    for j in cols:
-        col = v_sub(F, A.get(j, {}), B.get(j, {}))
-        if col:
-            out[j] = col
-    return out
-
-
 def contract(tensor, x, y, F):
     """sum_{i,j} x_i y_j T[i][j] for a rank-3 tensor T stored as (i,j) -> Vec."""
     out = {}
@@ -175,43 +121,40 @@ class Echelon:
         self.rows: dict = {}  # pivot column -> row vector
 
     def reduce(self, vec):
-        """The residue of vec modulo the current row space (a fresh dict)."""
+        """The residue of vec modulo the current row space (a fresh dict).
+
+        Every row is zero at the other pivots, so eliminating one pivot adds
+        no pivot key and changes no other pivot entry: one ascending pass over
+        the pivots present in vec is enough.
+        """
         F = self.F
         out = dict(vec)
         rows = self.rows
-        changed = True
-        while changed:
-            changed = False
-            for k in sorted(out):
-                row = rows.get(k)
-                if row is not None:
-                    v_axpy(F, out, F.neg(out[k]), row)
-                    changed = True
-                    break
+        for k in sorted(out):
+            row = rows.get(k)
+            if row is not None:
+                v_axpy(F, out, F.neg(out[k]), row)
         return out
 
-    def insert(self, vec) -> bool:
-        """Add vec to the span; True when the dimension grew."""
+    def add_residue(self, res):
+        """Add a nonzero residue of ``reduce`` as a new row: normalize its
+        leftmost entry to 1 and eliminate that pivot from the other rows."""
         F = self.F
-        res = self.reduce(vec)
-        if not res:
-            return False
         piv = min(res)
-        inv = F.inv(res[piv])
-        row = v_scale(F, inv, res)
-        # back-eliminate the new pivot from existing rows
-        for p, r in self.rows.items():
+        row = v_scale(F, F.inv(res[piv]), res)
+        for r in self.rows.values():
             c = r.get(piv)
             if c is not None:
                 v_axpy(F, r, F.neg(c), row)
         self.rows[piv] = row
-        return True
 
-    def insert_all(self, vecs):
-        grew = False
-        for v in vecs:
-            grew = self.insert(v) or grew
-        return grew
+    def insert(self, vec) -> bool:
+        """Add vec to the span; True when the dimension grew."""
+        res = self.reduce(vec)
+        if not res:
+            return False
+        self.add_residue(res)
+        return True
 
     @property
     def dim(self) -> int:
@@ -305,18 +248,10 @@ def solve_rows(F, rows, n):
         if rhs != F.zero():
             aug[RHS] = rhs
         res = ech.reduce(aug)
-        if not res:
-            continue
-        piv = min(res)
-        if piv == RHS:
-            raise NoSolution("inconsistent linear system")
-        inv = F.inv(res[piv])
-        row = v_scale(F, inv, res)
-        for p, r in ech.rows.items():
-            c = r.get(piv)
-            if c is not None:
-                v_axpy(F, r, F.neg(c), row)
-        ech.rows[piv] = row
+        if res:
+            if min(res) == RHS:
+                raise NoSolution("inconsistent linear system")
+            ech.add_residue(res)
 
     pivots = ech.pivots()
     particular = {}
@@ -433,58 +368,46 @@ def echelon_points_guard(ech: Echelon, F, budget: int):
 class ParallelEchelon:
     """Echelon on source vectors with mirrored images, for consistency checks.
 
-    Inserting a pair (a, c) records that a linear map sends a to c; reduction
-    is applied to both sides in parallel.  ``insert`` reports a contradiction
-    when a dependent source vector arrives with an inconsistent image.
+    Inserting a pair (a, c) records that a linear map sends a to c.  The pair
+    is reduced as one vector of an Echelon whose columns are the source
+    columns followed by the image columns.  A residue whose pivot is an image
+    column is a dependent source vector with an inconsistent image: ``insert``
+    reports it as a conflict and never adds it, so every pivot is a source
+    column.
     """
 
     def __init__(self, F, ambient_src, ambient_dst):
         self.F = F
-        self.src = Echelon(F, ambient_src)
-        self.images: dict = {}  # pivot -> image vector
-
-    def reduce_pair(self, a, c):
-        F = self.F
-        ra, rc = dict(a), dict(c)
-        changed = True
-        while changed:
-            changed = False
-            for k in sorted(ra):
-                row = self.src.rows.get(k)
-                if row is not None:
-                    coef = ra[k]
-                    v_axpy(F, ra, F.neg(coef), row)
-                    v_axpy(F, rc, F.neg(coef), self.images[k])
-                    changed = True
-                    break
-        return ra, rc
+        self.n_src = ambient_src
+        self.ech = Echelon(F, ambient_src + ambient_dst)
 
     def insert(self, a, c):
         """Returns "new", "consistent", or "conflict"."""
-        F = self.F
-        ra, rc = self.reduce_pair(a, c)
-        if not ra:
-            return "consistent" if not rc else "conflict"
-        piv = min(ra)
-        inv = F.inv(ra[piv])
-        row = v_scale(F, inv, ra)
-        img = v_scale(F, inv, rc)
-        for p, r in self.src.rows.items():
-            coef = r.get(piv)
-            if coef is not None:
-                v_axpy(F, r, F.neg(coef), row)
-                v_axpy(F, self.images[p], F.neg(coef), img)
-        self.src.rows[piv] = row
-        self.images[piv] = img
+        n = self.n_src
+        vec = dict(a)
+        for j, v in c.items():
+            vec[n + j] = v
+        res = self.ech.reduce(vec)
+        if not res:
+            return "consistent"
+        if min(res) >= n:
+            return "conflict"
+        self.ech.add_residue(res)
         return "new"
 
     @property
     def dim(self):
-        return self.src.dim
+        return self.ech.dim
+
+    def copy(self):
+        out = ParallelEchelon(self.F, self.n_src, self.ech.ambient - self.n_src)
+        out.ech = self.ech.copy()
+        return out
 
     def image_of(self, vec):
         """Image of vec under the recorded partial map; None if outside span."""
-        ra, rc = self.reduce_pair(vec, {})
-        if ra:
+        n = self.n_src
+        res = self.ech.reduce(vec)
+        if min(res, default=n) < n:
             return None
-        return v_neg(self.F, rc)
+        return v_neg(self.F, {j - n: v for j, v in res.items()})

@@ -32,14 +32,17 @@ from .groupschemes import (
 from .hopf import (
     HopfAlgebra,
     LinMap,
+    coinvariants,
+    ideal_closure,
     is_hopf_morphism,
-    t2_axpy,
+    t2_coordinates,
     t2_outer,
     verify_hopf,
 )
 from .linalg import (
     Echelon,
     ParallelEchelon,
+    annihilator,
     mat_apply,
     mat_kernel,
     unit_vec,
@@ -69,25 +72,6 @@ def to_own_coords(sub: SubgroupScheme, ambient_vec):
         raise VerificationFailure("vector claimed in subgroup span is not")
     F = sub.ambient.field
     return {i: c for i, c in enumerate(coords) if c != F.zero()}
-
-
-def t2_to_own(sub: SubgroupScheme, t2):
-    """Rewrite a Ten2 with both legs in k[L] in subgroup coordinates."""
-    F = sub.ambient.field
-    pivots = sub.subspace.pivots()
-    pos = {p: r for r, p in enumerate(pivots)}
-    rows = sub.subspace.basis()
-    out = {}
-    for (a, b) in ((a, b) for a in pivots for b in pivots):
-        c = t2.get((a, b))
-        if c is not None:
-            out[(pos[a], pos[b])] = c
-    rebuilt = {}
-    for (r, s), c in out.items():
-        t2_axpy(F, rebuilt, c, t2_outer(F, rows[r], rows[s]))
-    if rebuilt != t2:
-        raise VerificationFailure("tensor legs leave the subgroup span")
-    return out
 
 
 class Triple:
@@ -240,14 +224,16 @@ def build_tau(triple: Triple, cleaving: CleavingData):
                 leg1 = kg.product(unit_vec(w1, F), e2)
                 leg2 = kg.product(unit_vec(w2, F), e3)
                 if leg1 and leg2:
-                    t2_axpy(F, acc, F.mul(c, cw), t2_outer(F, leg1, leg2))
-        own = t2_to_own(triple.H, acc)
+                    v_axpy(F, acc, F.mul(c, cw), t2_outer(F, leg1, leg2))
+        own = t2_coordinates(F, triple.H.subspace, acc)
+        if own is None:
+            raise VerificationFailure("tensor legs leave the subgroup span")
         out = {}
         for (i, j), c in own.items():
             bi = triple.B.apply(unit_vec(i, F))
             bj = triple.B.apply(unit_vec(j, F))
             if bi and bj:
-                t2_axpy(F, out, c, t2_outer(F, bi, bj))
+                v_axpy(F, out, c, t2_outer(F, bi, bj))
         if {(b, a): c for (a, b), c in out.items()} != out:
             raise VerificationFailure("tau is not symmetric in its legs")
         tau[r] = out
@@ -424,6 +410,36 @@ def build_quotient(triple: Triple, verify=True, cleaving=None) -> QuotientPair:
     return QuotientPair(triple, cleaving, section, sigma, tau, D, R, V)
 
 
+def _b_eta_pi(triple: Triple, cleaving: CleavingData, dw):
+    """sum B(eta(w_1)) # pi(w_2) in D(K,H,B) for the Ten2 dw = Delta(w) of
+    k[G]; index a * dim k[G/H] + r for e^a # x_r."""
+    F = triple.G.field
+    mQ = cleaving.quotient.hopf.dim
+    out = {}
+    for (x, y), c in dw.items():
+        eta_x = cleaving.eta.apply(unit_vec(x, F))
+        if not eta_x:
+            continue
+        b_val = triple.B.apply(to_own_coords(triple.H, eta_x))
+        pi_y = cleaving.quotient.pi.apply(unit_vec(y, F))
+        if not b_val or not pi_y:
+            continue
+        for o, co in b_val.items():
+            v_axpy(F, out, F.mul(c, co), {o * mQ + r: cr for r, cr in pi_y.items()})
+    return out
+
+
+def _left_mul_o(OK, mQ, b, vec):
+    """(b # 1) vec in D(K,H,B) for b in O(K)."""
+    F = OK.field
+    out = {}
+    for key, c in vec.items():
+        a, r = divmod(key, mQ)
+        prod = OK.product(b, unit_vec(a, F))
+        v_axpy(F, out, c, {o * mQ + r: co for o, co in prod.items()})
+    return out
+
+
 def _closed_form_r_v(triple: Triple, cleaving: CleavingData, D, idx):
     """R(K,H,B) = sum_w (B(eta(w_1)) # pi(w_2)) (x) (e^w # 1) and
     V(K,H,B) = sum_w S(e^w) B(eta(w_1)) # pi(w_2), summing over a basis w of
@@ -437,42 +453,13 @@ def _closed_form_r_v(triple: Triple, cleaving: CleavingData, D, idx):
     V = {}
     for t in range(triple.K.order):
         w_amb = triple.K.iota.apply(unit_vec(t, F))
-        first = {}
-        for (x, y), c in kg.coproduct(w_amb).items():
-            eta_x = cleaving.eta.apply(unit_vec(x, F))
-            if not eta_x:
-                continue
-            b_val = triple.B.apply(to_own_coords(triple.H, eta_x))
-            pi_y = cleaving.quotient.pi.apply(unit_vec(y, F))
-            if not b_val or not pi_y:
-                continue
-            for o, co in b_val.items():
-                for r, cr in pi_y.items():
-                    key = idx(o, r)
-                    cur = first.get(key, F.zero())
-                    sm = F.add(cur, F.mul(c, F.mul(co, cr)))
-                    if sm == F.zero():
-                        first.pop(key, None)
-                    else:
-                        first[key] = sm
+        first = _b_eta_pi(triple, cleaving, kg.coproduct(w_amb))
         second = {}
         for r, cr in Q.unit.items():
             second[idx(t, r)] = cr
-        t2_axpy(F, R, F.one(), t2_outer(F, first, second))
+        v_axpy(F, R, F.one(), t2_outer(F, first, second))
         s_dual = OK.antipode_of(unit_vec(t, F))
-        sv = {}
-        for key, c in first.items():
-            a, r = divmod(key, Q.dim)
-            prod = OK.product(s_dual, unit_vec(a, F))
-            for o, co in prod.items():
-                k2 = idx(o, r)
-                cur = sv.get(k2, F.zero())
-                sm = F.add(cur, F.mul(c, co))
-                if sm == F.zero():
-                    sv.pop(k2, None)
-                else:
-                    sv[k2] = sm
-        v_axpy(F, V, F.one(), sv)
+        v_axpy(F, V, F.one(), _left_mul_o(OK, Q.dim, s_dual, first))
     return R, V
 
 
@@ -482,50 +469,18 @@ def build_theta(qp: QuotientPair, dd: DoubleData, verify=True) -> LinMap:
     G = triple.G
     F = G.field
     kg = G.group_algebra
-    Q = qp.quotient.hopf
     OK = triple.K.own.coordinate_algebra
     n = G.order
-    mQ = Q.dim
-    idx = qp.index
+    mQ = qp.quotient.hopf.dim
 
-    # image of 1 |><| u_i as a list of (O(K) part, quotient part)
-    part_of = []
-    for i in range(n):
-        acc = {}
-        for (x, y), c in kg.comult[i].items():
-            eta_x = qp.cleaving.eta.apply(unit_vec(x, F))
-            if not eta_x:
-                continue
-            b_val = triple.B.apply(to_own_coords(triple.H, eta_x))
-            pi_y = qp.quotient.pi.apply(unit_vec(y, F))
-            if not b_val or not pi_y:
-                continue
-            for o, co in b_val.items():
-                for r, cr in pi_y.items():
-                    key = (o, r)
-                    cur = acc.get(key, F.zero())
-                    sm = F.add(cur, F.mul(c, F.mul(co, cr)))
-                    if sm == F.zero():
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = sm
-        part_of.append(acc)
+    # theta(1 |><| u_i)
+    part_of = [_b_eta_pi(triple, qp.cleaving, kg.comult[i]) for i in range(n)]
 
     mat = {}
     for a in range(n):
         q_col = triple.K.q.apply(unit_vec(a, F))
         for i in range(n):
-            out = {}
-            for (o, r), c in part_of[i].items():
-                prod = OK.product(q_col, unit_vec(o, F))
-                for oo, co in prod.items():
-                    key = idx(oo, r)
-                    cur = out.get(key, F.zero())
-                    sm = F.add(cur, F.mul(c, co))
-                    if sm == F.zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = sm
+            out = _left_mul_o(OK, mQ, q_col, part_of[i])
             if out:
                 mat[dd.index(a, i)] = out
     theta = LinMap(dd.D, qp.D, mat)
@@ -565,17 +520,7 @@ def theta_kernel_matches_ideal(qp: QuotientPair, dd: DoubleData) -> bool:
     ideal = Echelon(F, N)
     for g in gens:
         ideal.insert(g)
-    grew = True
-    while grew:
-        grew = False
-        for row in list(ideal.basis()):
-            for d in range(N):
-                e = unit_vec(d, F)
-                if ideal.insert(D.product(e, row)):
-                    grew = True
-                if ideal.insert(D.product(row, e)):
-                    grew = True
-    return ideal.key() == kernel.key()
+    return ideal_closure(D, ideal).key() == kernel.key()
 
 
 def quotient_r_and_v(qp: QuotientPair, dd: DoubleData = None):
@@ -592,7 +537,7 @@ def quotient_r_and_v(qp: QuotientPair, dd: DoubleData = None):
     for (x, y), c in can.R.items():
         tx = theta.apply(unit_vec(x, F))
         ty = theta.apply(unit_vec(y, F))
-        t2_axpy(F, pushed_R, c, t2_outer(F, tx, ty))
+        v_axpy(F, pushed_R, c, t2_outer(F, tx, ty))
     pushed_V = theta.apply(can.V)
     if pushed_R != qp.qt.R or pushed_V != qp.qt.V:
         raise VerificationFailure(
@@ -632,17 +577,10 @@ def recognize_triple(dd: DoubleData, phi: LinMap):
         raise NotSurjective("phi is not surjective")
 
     from .groupschemes import subgroup_from_subspace
-    from .linalg import annihilator, solve_rows
 
     # K: annihilator in k[G] of ker(phi | O(G))
     restr = {a: phi.apply(dd.embed_O.apply(unit_vec(a, F))) for a in range(n)}
-    ker_O = Echelon(F, n)
-    rows_by_out: dict = {}
-    for a, col in restr.items():
-        for i, c in col.items():
-            rows_by_out.setdefault(i, {})[a] = c
-    _, kerO = solve_rows(F, [(r, F.zero()) for r in rows_by_out.values()], n)
-    K = subgroup_from_subspace(G, annihilator(kerO), name="K")
+    K = subgroup_from_subspace(G, annihilator(mat_kernel(F, restr, n)), name="K")
 
     # H: kernel of u -> class of phi(1 |><| u) modulo the ideal of phi(O)^+
     OG = G.coordinate_algebra
@@ -650,35 +588,12 @@ def recognize_triple(dd: DoubleData, phi: LinMap):
     for a in range(n):
         cplus = v_sub(F, restr[a], v_scale(F, OG.counit.get(a, F.zero()), D_target.unit))
         ideal.insert(cplus)
-    grew = True
-    while grew:
-        grew = False
-        for row in list(ideal.basis()):
-            for d in range(D_target.dim):
-                e = unit_vec(d, F)
-                if ideal.insert(D_target.product(e, row)):
-                    grew = True
-                if ideal.insert(D_target.product(row, e)):
-                    grew = True
-    def reduce_cls(v):
-        return ideal.reduce(v)
-    tau_map = {i: reduce_cls(phi.apply(dd.embed_kG.apply(unit_vec(i, F))))
+    ideal_closure(D_target, ideal)
+    tau_map = {i: ideal.reduce(phi.apply(dd.embed_kG.apply(unit_vec(i, F))))
                for i in range(n)}
-    tau_unit = reduce_cls(phi.apply(dd.embed_kG.apply(G.group_algebra.unit)))
+    tau_unit = ideal.reduce(phi.apply(dd.embed_kG.apply(G.group_algebra.unit)))
     # k[H] = {u : u_1 (x) tau(u_2) = u (x) tau(1)}
-    kg = G.group_algebra
-    coef: dict = {}
-    for i in range(n):
-        for (a, b), c in kg.comult[i].items():
-            for out, cb in tau_map[b].items():
-                d = coef.setdefault((a, out), {})
-                d[i] = F.add(d.get(i, F.zero()), F.mul(c, cb))
-        for out, cu in tau_unit.items():
-            d = coef.setdefault((i, out), {})
-            d[i] = F.sub(d.get(i, F.zero()), cu)
-    rows = [({i: c for i, c in r.items() if c != F.zero()}, F.zero())
-            for r in coef.values()]
-    _, kerH = solve_rows(F, rows, n)
+    kerH = coinvariants(G.group_algebra, tau_map, tau_unit)
     H = subgroup_from_subspace(G, kerH, name="H")
 
     # B: phi(1 |><| v) pulled back through psi(a) = phi(mu_K(a) |><| 1)

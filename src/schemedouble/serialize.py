@@ -218,10 +218,6 @@ def subgroup_from_spec(G: GroupScheme, spec) -> SubgroupScheme:
     raise SchemaError(f"unknown subgroup spec {spec!r}")
 
 
-def report_to_json(rep):
-    return rep.as_dict()
-
-
 def dump(data, path=None):
     text = json.dumps(data, indent=1, sort_keys=True)
     if path:

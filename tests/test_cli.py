@@ -132,6 +132,12 @@ def test_schema_error_exit_code(tmp_path):
     assert main(["build", "--group", missing_field, "--field", "p2"]) == 2
 
 
+@pytest.mark.parametrize("token", ["zz", "px", "p4", "p", "p2^x", "p4^2", "p2^2^2", "p2^9"])
+def test_malformed_field_is_a_schema_error(tmp_path, z2_file, token, capsys):
+    assert main(["build", "--group", z2_file, "--field", token]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
 def test_report_stable_under_key_reordering(tmp_path):
     a = {"constant": {"elements": ["e", "s"], "table": [[0, 1], [1, 0]]}}
     b = {"constant": {"table": [[0, 1], [1, 0]], "elements": ["e", "s"]}}

@@ -20,7 +20,7 @@ from schemedouble.doubles import (
     verify_quasitriangular,
     verify_ribbon,
 )
-from schemedouble.hopf import grouplikes, t2_axpy, t2_outer, verify_hopf
+from schemedouble.hopf import grouplikes, t2_outer, verify_hopf
 from schemedouble.linalg import Echelon, mat_apply, unit_vec, v_axpy
 
 from conftest import make_borel, make_s3, make_z2, make_z3
@@ -75,7 +75,7 @@ def test_r_matrix_counit_law_and_explicit_form():
     for i in range(2):
         left = {dd.index(a, i): one for a in range(2)}
         right = {dd.index(i, 0): one}
-        t2_axpy(QQ, expect, one, t2_outer(QQ, left, right))
+        v_axpy(QQ, expect, one, t2_outer(QQ, left, right))
     assert qt.R == expect
 
 
@@ -166,7 +166,7 @@ def test_monodromy_matches_displayed_formula(p):
                 w = mat_apply(F, coad[x], unit_vec(ut, F))
                 for b, cb in w.items():
                     v_axpy(F, right, F.mul(c, cb), {dd.index(b, y): F.one()})
-            t2_axpy(F, expect, F.one(), t2_outer(F, left, right))
+            v_axpy(F, expect, F.one(), t2_outer(F, left, right))
     assert expect == monodromy(qt)
 
 

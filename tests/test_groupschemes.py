@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
-from schemedouble.errors import ClosureNotHopf, NotAGroup, NotNormal, NotRestrictedLie
+from schemedouble.errors import ClosureNotHopf, NoSection, NotAGroup, NotNormal, NotRestrictedLie
 from schemedouble.fields import QQ, make_field
 from schemedouble.groupschemes import (
     CleavingData,
     _finish_cleaving,
-    _section_ok,
+    _colinear_section_ok,
     ad_l,
     ad_r,
     centralize,
@@ -33,7 +33,6 @@ from schemedouble.hopf import (
     convolution_inverse,
     grouplikes,
     is_hopf_morphism,
-    t2_axpy,
     t2_outer,
     verify_hopf,
 )
@@ -322,7 +321,23 @@ def test_section_closed_forms():
     S3 = make_s3(F7)
     A3 = subgroup_from_generators(S3, [unit_vec(4, F7)])
     secc = section_mu(A3)
-    assert _section_ok(secc.mu, A3)
+    assert _colinear_section_ok(secc.mu, A3.q)
+
+
+def test_inconsistent_section_system_raises_no_section(monkeypatch):
+    """A colinear section system with no solution ends in NoSection."""
+    import schemedouble.groupschemes as gs
+    G = ga_kernel(2, F3)
+    L = subgroup_from_generators(G, [unit_vec(1, F3)])  # no closed form
+    equations = gs._colinear_section_equations
+
+    def inconsistent(F, add, *args):
+        equations(F, add, *args)
+        add({}, F.one())  # 0 = 1
+
+    monkeypatch.setattr(gs, "_colinear_section_equations", inconsistent)
+    with pytest.raises(NoSection):
+        section_mu(L)
 
 
 def test_second_section_gives_same_star_action():
@@ -341,7 +356,7 @@ def test_second_section_gives_same_star_action():
         acc = OG.product(acc, base)
         mu2_mat[i] = dict(acc)
     mu2 = LinMap(A.own.coordinate_algebra, OG, mu2_mat)
-    assert _section_ok(mu2, A)
+    assert _colinear_section_ok(mu2, A.q)
     sec1 = t.section
     from schemedouble.groupschemes import SectionData
     for i in range(G.order):
@@ -454,7 +469,7 @@ def test_smash_decomposition_bijection():
             ea = cl.eta.apply(unit_vec(a, F3))
             pb = cl.quotient.pi.apply(unit_vec(b, F3))
             if ea and pb:
-                t2_axpy(F3, pairs, c, t2_outer(F3, ea, pb))
+                v_axpy(F3, pairs, c, t2_outer(F3, ea, pb))
         # f^{-1}: v gamma(x)
         back = {}
         for (v, x), c in pairs.items():
@@ -523,7 +538,7 @@ def test_constant_groups_have_trivial_cococycle():
         for (a, b), c in kg.comult[i].items():
             ea = cl.eta.apply(unit_vec(a, F7))
             eb = cl.eta.apply(unit_vec(b, F7))
-            t2_axpy(F7, rhs, c, t2_outer(F7, ea, eb))
+            v_axpy(F7, rhs, c, t2_outer(F7, ea, eb))
         assert lhs == rhs
     maps = hopf_algebra_maps(A3.own.group_algebra, A3.own.coordinate_algebra,
                              src_grouplikes=group_elements(A3),
@@ -538,7 +553,7 @@ def test_constant_groups_have_trivial_cococycle():
             eps = Q.counit.get(r, F7.zero())
             expect = {}
             if eps != F7.zero():
-                t2_axpy(F7, expect, eps, t2_outer(F7, OK.unit, OK.unit))
+                v_axpy(F7, expect, eps, t2_outer(F7, OK.unit, OK.unit))
             assert val == expect
 
 

@@ -222,12 +222,6 @@ def test_grouplikes_over_extension_field():
     assert len(gls) == 3
 
 
-def test_sampled_verification_mode():
-    G = ga_kernel(2, F3)
-    rep = verify_hopf(G.group_algebra, sample_stride=3)
-    assert rep.ok  # thinned sweep of a valid algebra still passes
-
-
 @pytest.mark.parametrize("p", [2, 3])
 def test_grouplikes_of_frobenius_kernel_trivial(p):
     F = make_field("prime", p=p)

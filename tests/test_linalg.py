@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +9,7 @@ from schemedouble.fields import QQ, make_field
 from schemedouble.groupschemes import ga_frobenius_subgroup, ga_kernel, quotient_by_normal
 from schemedouble.linalg import (
     Echelon,
+    ParallelEchelon,
     annihilator,
     contract,
     mat_identity,
@@ -16,6 +19,7 @@ from schemedouble.linalg import (
     subspace_intersection,
     subspace_sum,
     unit_vec,
+    v_axpy,
 )
 
 F3 = make_field("prime", p=3)
@@ -67,16 +71,16 @@ def test_frobenius_tower_cleaving_solves_section_system():
                 img[k] = F2.add(img.get(k, F2.zero()), F2.mul(c, v))
         assert {k: v for k, v in img.items() if v} == unit_vec(r, F2)
     # colinearity: gamma(x_1) (x) x_2 = gamma(x)_1 (x) pi(gamma(x)_2)
-    from schemedouble.hopf import t2_axpy, t2_outer
+    from schemedouble.hopf import t2_outer
     for r in range(Q.dim):
         lhs = {}
         for (u, v), c in Q.comult[r].items():
-            t2_axpy(F2, lhs, c, t2_outer(F2, gamma[u], unit_vec(v, F2)))
+            v_axpy(F2, lhs, c, t2_outer(F2, gamma[u], unit_vec(v, F2)))
         rhs = {}
         for (x, z), c in kg.coproduct(gamma[r]).items():
             pz = q.pi.apply(unit_vec(z, F2))
             if pz:
-                t2_axpy(F2, rhs, c, t2_outer(F2, unit_vec(x, F2), pz))
+                v_axpy(F2, rhs, c, t2_outer(F2, unit_vec(x, F2), pz))
         assert lhs == rhs
 
 
@@ -164,3 +168,64 @@ def test_mat_inverse_roundtrip():
     assert mat_compose(F3, inv, M) == mat_identity(2, F3)
     singular = {0: {0: 1}, 1: {0: 2}}
     assert mat_inverse(F3, singular, 2) is None
+
+
+def test_parallel_echelon_outcomes():
+    pe = ParallelEchelon(F3, 3, 2)
+    assert pe.insert({0: 1}, {0: 1}) == "new"
+    assert pe.insert({1: 1}, {1: 2}) == "new"
+    # e0 + e1 is dependent and its image agrees with the recorded map
+    assert pe.insert({0: 1, 1: 1}, {0: 1, 1: 2}) == "consistent"
+    # 2 e0 + e1 must go to {0: 2, 1: 2}
+    assert pe.insert({0: 2, 1: 1}, {0: 1}) == "conflict"
+    assert pe.dim == 2
+    assert pe.image_of({0: 2, 1: 1}) == {0: 2, 1: 2}
+
+
+def test_parallel_echelon_image_of_inside_and_outside_span():
+    pe = ParallelEchelon(F3, 3, 2)
+    assert pe.insert({0: 1, 1: 1}, {0: 1}) == "new"
+    # a non-unit pivot is normalized and back-eliminated from the first row
+    assert pe.insert({1: 2}, {1: 1}) == "new"
+    assert pe.image_of({1: 1}) == {1: 2}
+    assert pe.image_of({0: 1}) == {0: 1, 1: 1}
+    assert pe.image_of({0: 1, 1: 2}) == {0: 1, 1: 2}
+    assert pe.image_of({}) == {}
+    assert pe.image_of({2: 1}) is None
+    assert pe.image_of({0: 1, 2: 2}) is None
+
+
+def _random_scalar(F, rng):
+    if F.size is None:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return rng.choice(list(F.elements()))
+
+
+def _random_vec(F, n, rng):
+    vec = {}
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        c = _random_scalar(F, rng)
+        if c != F.zero():
+            vec[i] = c
+    return vec
+
+
+@pytest.mark.parametrize("F", [F3, make_field("extension", p=2, k=2), QQ],
+                         ids=["GF3", "GF4", "Q"])
+def test_echelon_reduce_properties(F):
+    """The residue has no pivot key, is its own residue, and spans the same
+    space together with the rows as vec does."""
+    rng = random.Random(7)
+    n = 6
+    for _ in range(60):
+        ech = Echelon(F, n)
+        for _ in range(rng.randint(0, 4)):
+            ech.insert(_random_vec(F, n, rng))
+        vec = _random_vec(F, n, rng)
+        res = ech.reduce(vec)
+        assert not set(res) & set(ech.rows)
+        assert ech.reduce(res) == res
+        with_vec, with_res = ech.copy(), ech.copy()
+        with_vec.insert(vec)
+        with_res.insert(res)
+        assert with_vec.key() == with_res.key()

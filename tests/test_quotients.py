@@ -12,7 +12,7 @@ from schemedouble.groupschemes import (
     subgroup_from_generators,
     trivial_subgroup,
 )
-from schemedouble.hopf import LinMap, is_hopf_morphism, t2_axpy, t2_outer, verify_hopf
+from schemedouble.hopf import LinMap, is_hopf_morphism, t2_outer, verify_hopf
 from schemedouble.linalg import unit_vec, v_axpy
 from schemedouble.quotients import (
     Triple,
@@ -127,7 +127,7 @@ def test_trivial_b_gives_trivial_sigma_tau():
         eps = Q.counit.get(r, F3.zero())
         expect = {}
         if eps != F3.zero():
-            t2_axpy(F3, expect, eps, t2_outer(F3, OK.unit, OK.unit))
+            v_axpy(F3, expect, eps, t2_outer(F3, OK.unit, OK.unit))
         assert tau[r] == expect
 
 
@@ -195,7 +195,7 @@ def test_newlemma_identities():
         pu = pi.apply(unit_vec(u, F3))
         lhs = {}
         for r, cr in pu.items():
-            t2_axpy(F3, lhs, cr, tau[r])
+            v_axpy(F3, lhs, cr, tau[r])
         rhs = {}
         for (u1, u2, u3), c in kg.delta2(unit_vec(u, F3)).items():
             w = cl.eta_inv.apply(unit_vec(u1, F3))
@@ -210,7 +210,7 @@ def test_newlemma_identities():
                     own1 = t.B.apply(to_own_coords(t.H, leg1))
                     own2 = t.B.apply(to_own_coords(t.H, leg2))
                     if own1 and own2:
-                        t2_axpy(F3, rhs, F3.mul(c, cw), t2_outer(F3, own1, own2))
+                        v_axpy(F3, rhs, F3.mul(c, cw), t2_outer(F3, own1, own2))
         assert lhs == rhs
 
 
