@@ -29,9 +29,15 @@ from .errors import (
     VerificationFailure,
 )
 from .fields import parse_field_token
-from .hopf import verify_hopf
+from .hopf import LinMap, verify_hopf
 from .lattice import block_data, enumerate_triples, hasse_dot
-from .quotients import Triple, build_quotient, quotient_r_and_v, theta_kernel_matches_ideal
+from .quotients import (
+    Triple,
+    build_quotient,
+    quotient_r_and_v,
+    theta_kernel_matches_ideal,
+    trivial_hopf_map,
+)
 from .serialize import (
     dump,
     field_to_json,
@@ -50,6 +56,22 @@ def _load_group(args):
     spec = load(args.group)
     F = parse_field_token(args.field)
     return group_from_spec(spec, F), F
+
+
+def _load_triple(args):
+    spec = load(args.triple)
+    F = parse_field_token(args.field)
+    if not isinstance(spec, dict) or "group" not in spec:
+        raise SchemaError("triple file needs a 'group' entry")
+    G = group_from_spec(spec["group"], F)
+    K = subgroup_from_spec(G, spec.get("K", "full"))
+    H = subgroup_from_spec(G, spec.get("H", "trivial"))
+    if "B" in spec:
+        B = LinMap(H.own.group_algebra, K.own.coordinate_algebra,
+                   matrix_from_json(F, spec["B"]))
+    else:
+        B = trivial_hopf_map(H, K)
+    return Triple(G, K, H, B)
 
 
 def _emit(args, data):
@@ -120,21 +142,8 @@ def cmd_double(args):
 
 
 def cmd_quotient(args):
-    spec = load(args.triple)
-    F = parse_field_token(args.field)
-    if "group" not in spec:
-        raise SchemaError("triple file needs a 'group' entry")
-    G = group_from_spec(spec["group"], F)
-    K = subgroup_from_spec(G, spec.get("K", "full"))
-    H = subgroup_from_spec(G, spec.get("H", "trivial"))
-    from .hopf import LinMap
-    if "B" in spec:
-        B = LinMap(H.own.group_algebra, K.own.coordinate_algebra,
-                   matrix_from_json(F, spec["B"]))
-    else:
-        from .quotients import trivial_hopf_map
-        B = trivial_hopf_map(H, K)
-    triple = Triple(G, K, H, B)
+    triple = _load_triple(args)
+    F = triple.G.field
     qp = build_quotient(triple)
     qt_rep = verify_quasitriangular(qp.qt)
     rib_rep = verify_ribbon(qp.qt)
@@ -162,7 +171,7 @@ def cmd_quotient(args):
     }
     ok = qt_rep.ok and rib_rep.ok
     if not args.skip_theta:
-        dd = drinfeld_double(G)
+        dd = drinfeld_double(triple.G)
         theta = qp.theta(dd)
         quotient_r_and_v(qp, dd)
         kernel_ok = theta_kernel_matches_ideal(qp, dd)
@@ -179,7 +188,7 @@ def cmd_quotient(args):
 
 def cmd_enumerate(args):
     G, F = _load_group(args)
-    nodes, edges, _ = enumerate_triples(G, budget=args.budget)
+    nodes, edges = enumerate_triples(G, budget=args.budget)
     data = {
         "schema_version": 1,
         "group_order": G.order,
@@ -198,19 +207,7 @@ def cmd_enumerate(args):
 
 
 def cmd_blocks(args):
-    spec = load(args.triple)
-    F = parse_field_token(args.field)
-    G = group_from_spec(spec["group"], F)
-    K = subgroup_from_spec(G, spec.get("K", "full"))
-    H = subgroup_from_spec(G, spec.get("H", "trivial"))
-    from .hopf import LinMap
-    if "B" in spec:
-        B = LinMap(H.own.group_algebra, K.own.coordinate_algebra,
-                   matrix_from_json(F, spec["B"]))
-    else:
-        from .quotients import trivial_hopf_map
-        B = trivial_hopf_map(H, K)
-    triple = Triple(G, K, H, B)
+    triple = _load_triple(args)
     blocks = block_data(triple)
     data = {
         "schema_version": 1,

@@ -15,12 +15,18 @@ from .hopf import (
     HopfAlgebra,
     LinMap,
     VerificationReport,
+    flat_outer,
     is_hopf_morphism,
+    smash_antipode,
+    t2_contract,
+    t2_map,
     t2_outer,
+    t2_swap,
     variant,
 )
 from .linalg import (
     mat_apply,
+    mat_identity,
     mat_rank,
     solve_affine,
     unit_vec,
@@ -41,7 +47,7 @@ class DoubleData:
         return a * self.G.order + i
 
 
-def drinfeld_double(G: GroupScheme, check_embeddings=True) -> DoubleData:
+def drinfeld_double(G: GroupScheme) -> DoubleData:
     """Build D(G) with product (b |><| u)(b' |><| u') = b(u_1 ->> b') |><| u_2 u'
     on the tensor coalgebra of O(G)^cop (x) k[G].
 
@@ -92,10 +98,7 @@ def drinfeld_double(G: GroupScheme, check_embeddings=True) -> DoubleData:
                     if out:
                         mult[(idx(a, i), idx(b, j))] = out
 
-    unit = {}
-    for a, ca in O.unit.items():
-        for i, ci in kg.unit.items():
-            unit[idx(a, i)] = F.mul(ca, ci)
+    unit = flat_outer(F, O.unit, kg.unit, n)
 
     comult = {}
     for a in range(n):
@@ -108,39 +111,16 @@ def drinfeld_double(G: GroupScheme, check_embeddings=True) -> DoubleData:
                     t[(idx(u, x), idx(s, y))] = F.mul(co, ck)
             comult[idx(a, i)] = t
 
-    counit = {}
-    for a, ca in O.counit.items():
-        for i, ci in kg.counit.items():
-            counit[idx(a, i)] = F.mul(ca, ci)
+    counit = flat_outer(F, O.counit, kg.counit, n)
 
     D = HopfAlgebra(F, labels, mult, unit, comult, counit, {},
                     name=f"D({G.name})")
-
-    # antipode: S(b |><| u) = (1 |><| S(u)) (S_O(b) |><| 1)
-    antipode = {}
-    for a in range(n):
-        sb = O.antipode_of(unit_vec(a, F))
-        for i in range(n):
-            su = kg.antipode_of(unit_vec(i, F))
-            left = {}
-            for j, cj in su.items():
-                for o, co in O.unit.items():
-                    left[idx(o, j)] = F.mul(cj, co)
-            right = {}
-            for b, cb in sb.items():
-                for j, cj in kg.unit.items():
-                    right[idx(b, j)] = F.mul(cb, cj)
-            col = D.product(left, right)
-            if col:
-                antipode[idx(a, i)] = col
-    D.antipode = antipode
+    D.antipode = smash_antipode(D, O, kg)
 
     embed_O = LinMap(variant(O, "cop"), D,
-                     {a: {idx(a, j): cj for j, cj in kg.unit.items()}
-                      for a in range(n)})
+                     {a: flat_outer(F, unit_vec(a, F), kg.unit, n) for a in range(n)})
     embed_kG = LinMap(kg, D,
-                      {i: {idx(a, i): ca for a, ca in O.unit.items()}
-                       for i in range(n)})
+                      {i: flat_outer(F, O.unit, unit_vec(i, F), n) for i in range(n)})
     proj_mat = {}
     for a in range(n):
         ea = O.counit.get(a)
@@ -150,26 +130,25 @@ def drinfeld_double(G: GroupScheme, check_embeddings=True) -> DoubleData:
             proj_mat[idx(a, i)] = {i: ea}
     proj_kG = LinMap(D, kg, proj_mat)
 
-    if check_embeddings:
-        for f, nm in ((embed_O, "O(G)^cop embedding"),
-                      (embed_kG, "k[G] embedding"),
-                      (proj_kG, "k[G] projection")):
-            ok, wit = is_hopf_morphism(f)
-            if not ok:
-                raise VerificationFailure(f"{nm} fails: {wit}")
-        # normality of O(G): (1|><|u_1)(b|><|1)(1|><|S(u_2)) = (u ->> b) |><| 1
-        for i in range(n):
-            for b in range(n):
-                acc = {}
-                for (x, y), c in kg.comult[i].items():
-                    lhs = D.product(embed_kG.apply(unit_vec(x, F)),
-                                    embed_O.apply(unit_vec(b, F)))
-                    lhs = D.product(lhs, embed_kG.apply(kg.antipode_of(unit_vec(y, F))))
-                    v_axpy(F, acc, c, lhs)
-                expect = embed_O.apply(mat_apply(F, coad[i], unit_vec(b, F)))
-                if acc != expect:
-                    raise VerificationFailure(
-                        f"O(G) not normal in D(G) at ({i},{b})")
+    for f, nm in ((embed_O, "O(G)^cop embedding"),
+                  (embed_kG, "k[G] embedding"),
+                  (proj_kG, "k[G] projection")):
+        ok, wit = is_hopf_morphism(f)
+        if not ok:
+            raise VerificationFailure(f"{nm} fails: {wit}")
+    # normality of O(G): (1|><|u_1)(b|><|1)(1|><|S(u_2)) = (u ->> b) |><| 1
+    for i in range(n):
+        for b in range(n):
+            acc = {}
+            for (x, y), c in kg.comult[i].items():
+                lhs = D.product(embed_kG.apply(unit_vec(x, F)),
+                                embed_O.apply(unit_vec(b, F)))
+                lhs = D.product(lhs, embed_kG.apply(kg.antipode_of(unit_vec(y, F))))
+                v_axpy(F, acc, c, lhs)
+            expect = embed_O.apply(mat_apply(F, coad[i], unit_vec(b, F)))
+            if acc != expect:
+                raise VerificationFailure(
+                    f"O(G) not normal in D(G) at ({i},{b})")
 
     return DoubleData(G, D, embed_O, embed_kG, proj_kG, coad)
 
@@ -190,28 +169,12 @@ def canonical_r_and_v(dd: DoubleData) -> QuasiHopfData:
     F = G.field
     n = G.order
     O = G.coordinate_algebra
-    kg = G.group_algebra
-    R = {}
-    for i in range(n):
-        left = dd.embed_kG.apply(unit_vec(i, F))
-        right = dd.embed_O.apply(unit_vec(i, F))
-        v_axpy(F, R, F.one(), t2_outer(F, left, right))
+    R = t2_map(F, dd.embed_kG.mat, dd.embed_O.mat,
+               {(i, i): F.one() for i in range(n)})
     V = {}
     for i in range(n):
-        sb = O.antipode_of(unit_vec(i, F))
-        for b, cb in sb.items():
-            key = dd.index(b, i)
-            cur = V.get(key, F.zero())
-            s = F.add(cur, cb)
-            if s == F.zero():
-                V.pop(key, None)
-            else:
-                V[key] = s
+        v_axpy(F, V, F.one(), flat_outer(F, O.antipode.get(i, {}), unit_vec(i, F), n))
     return QuasiHopfData(dd.D, R, V)
-
-
-def t2_swap(t):
-    return {(b, a): c for (a, b), c in t.items()}
 
 
 def monodromy(Q: QuasiHopfData):
@@ -224,11 +187,7 @@ def r_inverse_candidate(Q: QuasiHopfData):
     """(S (x) id)(R), the inverse of any genuine R-matrix."""
     H = Q.algebra
     F = H.field
-    out = {}
-    for (a, b), c in Q.R.items():
-        sa = H.antipode_of(unit_vec(a, F))
-        v_axpy(F, out, c, t2_outer(F, sa, unit_vec(b, F)))
-    return out
+    return t2_map(F, H.antipode, mat_identity(H.dim, F), Q.R)
 
 
 def _t3_mul(H, x, y):
@@ -271,15 +230,7 @@ def verify_quasitriangular(Q: QuasiHopfData) -> VerificationReport:
     n = H.dim
     rep = VerificationReport(f"R on {H.name or 'dim %d' % n}")
 
-    left_counit = {}
-    right_counit = {}
-    for (a, b), c in Q.R.items():
-        ea = H.counit.get(a)
-        if ea is not None:
-            v_axpy(F, left_counit, F.mul(c, ea), unit_vec(b, F))
-        eb = H.counit.get(b)
-        if eb is not None:
-            v_axpy(F, right_counit, F.mul(c, eb), unit_vec(a, F))
+    left_counit, right_counit = t2_contract(F, H.counit, Q.R)
     rep.record("counit law (eps(x)id)R = 1", left_counit == H.unit)
     rep.record("counit law (id(x)eps)R = 1", right_counit == H.unit)
 
@@ -292,8 +243,7 @@ def verify_quasitriangular(Q: QuasiHopfData) -> VerificationReport:
     ok, wit = True, ""
     for h in range(n):
         dh = H.comult[h]
-        dh_cop = {(b, a): c for (a, b), c in dh.items()}
-        if H.tensor_square_product(Q.R, dh) != H.tensor_square_product(dh_cop, Q.R):
+        if H.tensor_square_product(Q.R, dh) != H.tensor_square_product(t2_swap(dh), Q.R):
             ok, wit = False, H.labels[h]
             break
     rep.record("R Delta = Delta^cop R", ok, wit)

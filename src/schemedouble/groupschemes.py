@@ -37,10 +37,11 @@ from .hopf import (
     grouplikes,
     ideal_closure,
     identity_map,
+    induced_hopf,
     is_hopf_morphism,
     quotient_by_hopf_ideal,
     t2_coordinates,
-    t2_outer,
+    t2_map,
     tensor_hopf,
     verify_hopf,
 )
@@ -90,16 +91,16 @@ class GroupScheme:
     def __repr__(self):
         return f"GroupScheme({self.name or 'order %d' % self.order})"
 
-    def points_order(self, budget=10**7):
+    def points_order(self):
         """|G(k)|, structurally when known, else by counting grouplikes of k[G]."""
         if self.order_points is None:
-            self.order_points = len(grouplikes(self.group_algebra, budget))
+            self.order_points = len(grouplikes(self.group_algebra))
             self.order_connected = self.order // self.order_points
         return self.order_points
 
-    def connected_order(self, budget=10**7):
+    def connected_order(self):
         if self.order_connected is None:
-            self.points_order(budget)
+            self.points_order()
         return self.order_connected
 
 
@@ -468,7 +469,6 @@ def _extract_sub_hopf(G: GroupScheme, ech: Echelon, name=""):
     H = G.group_algebra
     F = G.field
     pivots = ech.pivots()
-    m = len(pivots)
     rows = ech.basis()
 
     def coords(v):
@@ -477,39 +477,15 @@ def _extract_sub_hopf(G: GroupScheme, ech: Echelon, name=""):
             raise ClosureNotHopf("span not multiplicatively closed")
         return {r: x for r, x in enumerate(c) if x != F.zero()}
 
-    mult = {}
-    for r in range(m):
-        for s in range(m):
-            cell = coords(H.product(rows[r], rows[s]))
-            if cell:
-                mult[(r, s)] = cell
-    unit = coords(H.unit)
-    comult = {}
-    for r in range(m):
-        t = t2_coordinates(F, ech, H.coproduct(rows[r]))
-        if t is None:
+    def t2_coords(t):
+        grid = t2_coordinates(F, ech, t)
+        if grid is None:
             raise ClosureNotHopf("span is not a subcoalgebra")
-        comult[r] = t
-    counit = {}
-    for r in range(m):
-        c = H.counit_of(rows[r])
-        if c != F.zero():
-            counit[r] = c
-    antipode = {}
-    for r in range(m):
-        col = coords(H.antipode_of(rows[r]))
-        if col:
-            antipode[r] = col
+        return grid
 
-    labels = []
-    for r, p in enumerate(pivots):
-        row = rows[r]
-        if row == unit_vec(p, F):
-            labels.append(H.labels[p])
-        else:
-            labels.append(f"b{r}")
-    return HopfAlgebra(F, labels, mult, unit, comult, counit, antipode,
-                       name=name), pivots, rows
+    labels = [H.labels[p] if row == unit_vec(p, F) else f"b{r}"
+              for r, (p, row) in enumerate(zip(pivots, rows))]
+    return induced_hopf(H, rows, coords, t2_coords, labels, name=name)
 
 
 def _sub_connectivity(G: GroupScheme, dim: int):
@@ -522,12 +498,12 @@ def _sub_connectivity(G: GroupScheme, dim: int):
 
 def subgroup_from_subspace(G: GroupScheme, ech: Echelon, tag=("generic",),
                            name="") -> SubgroupScheme:
-    kL, pivots, rows = _extract_sub_hopf(G, ech, name=f"k[{name}]" if name else "")
+    kL = _extract_sub_hopf(G, ech, name=f"k[{name}]" if name else "")
     rep = verify_hopf(kL)
     if not rep.ok:
         raise ClosureNotHopf("extracted span violates Hopf axioms: "
                              + "; ".join(n for n, _ in rep.failures()))
-    iota = LinMap(kL, G.group_algebra, {r: dict(rows[r]) for r in range(len(rows))})
+    iota = LinMap(kL, G.group_algebra, dict(enumerate(ech.basis())))
     ok, wit = is_hopf_morphism(iota)
     if not ok:
         raise ClosureNotHopf(f"inclusion is not a Hopf morphism: {wit}")
@@ -699,6 +675,10 @@ def quotient_by_normal(G: GroupScheme, H_sub: SubgroupScheme) -> Quotient:
     return Quotient(G, H_sub, hopf, pi, reps, coinv)
 
 
+# Points of the section solution space tried for convolution invertibility.
+_SECTION_BUDGET = 100_000
+
+
 class SectionData:
     def __init__(self, mu: LinMap, mu_inv: LinMap):
         self.mu = mu
@@ -780,9 +760,9 @@ def _colinear_section_equations(F, add, src_hopf, tgt_hopf, proj_mat, n_src, n_t
         add(terms, tgt_hopf.unit.get(x, F.zero()))
 
 
-def _search_invertible(F, src, tgt, part, kern, budget):
+def _search_invertible(F, src, tgt, part, kern):
     """Walk the affine solution space in canonical order until a convolution
-    invertible section appears."""
+    invertible section appears, trying at most _SECTION_BUDGET points."""
 
     def to_map(sol):
         mat: dict = {}
@@ -794,9 +774,9 @@ def _search_invertible(F, src, tgt, part, kern, budget):
         return LinMap(src, tgt, mat)
 
     tried = 0
-    for offset in echelon_points_guard(kern, F, budget):
+    for offset in echelon_points_guard(kern, F, _SECTION_BUDGET):
         tried += 1
-        if tried > budget:
+        if tried > _SECTION_BUDGET:
             break
         sol = dict(part)
         v_axpy(F, sol, F.one(), offset)
@@ -807,10 +787,34 @@ def _search_invertible(F, src, tgt, part, kern, budget):
         except NotInvertible:
             continue
     raise NoInvertibleSectionFound(
-        f"no convolution-invertible section within budget {budget}")
+        f"no convolution-invertible section within budget {_SECTION_BUDGET}")
 
 
-def section_mu(L: SubgroupScheme, budget=100_000) -> SectionData:
+def _invertible_section(cand, proj: LinMap, inconsistent: Exception):
+    """A convolution-invertible colinear section of the Hopf map proj, with
+    its convolution inverse: the closed-form candidate cand when it is one,
+    else the first invertible point of the solved section system, re-checked.
+    Raises ``inconsistent`` when that system has no solution."""
+    if cand is not None and _colinear_section_ok(cand, proj):
+        try:
+            return cand, convolution_inverse(cand)
+        except NotInvertible:
+            pass
+    src, tgt = proj.target, proj.source
+    F = tgt.field
+    add, solve = _map_solver(F, src.dim, tgt.dim)
+    _colinear_section_equations(F, add, src, tgt, proj.mat, src.dim, tgt.dim)
+    try:
+        part, kern = solve()
+    except NoSolution:
+        raise inconsistent
+    s, s_inv = _search_invertible(F, src, tgt, part, kern)
+    if not _colinear_section_ok(s, proj):
+        raise VerificationFailure("solved section fails its defining identities")
+    return s, s_inv
+
+
+def section_mu(L: SubgroupScheme) -> SectionData:
     """A counit- and unit-preserving O(L)-colinear section of q_L, with its
     convolution inverse.  Closed forms cover the builtin families; otherwise
     the canonical affine solution is searched for invertibility."""
@@ -833,22 +837,8 @@ def section_mu(L: SubgroupScheme, budget=100_000) -> SectionData:
         # delta functions extend by zero along the element inclusion
         cand = LinMap(OL, OG, {r: {p: F.one()}
                                for r, p in enumerate(L.subspace.pivots())})
-    if cand is not None and _colinear_section_ok(cand, L.q):
-        try:
-            return SectionData(cand, convolution_inverse(cand))
-        except NotInvertible:
-            pass
-
-    add, solve = _map_solver(F, m, n)
-    _colinear_section_equations(F, add, OL, OG, L.q.mat, m, n)
-    try:
-        part, kern = solve()
-    except NoSolution:
-        raise NoSection("colinear section system is inconsistent")
-    mu, mu_inv = _search_invertible(F, OL, OG, part, kern, budget)
-    if not _colinear_section_ok(mu, L.q):
-        raise VerificationFailure("solved section fails its defining identities")
-    return SectionData(mu, mu_inv)
+    return SectionData(*_invertible_section(
+        cand, L.q, NoSection("colinear section system is inconsistent")))
 
 
 def _colinear_section_ok(s: LinMap, proj: LinMap) -> bool:
@@ -859,29 +849,22 @@ def _colinear_section_ok(s: LinMap, proj: LinMap) -> bool:
     map, so eps o s = eps o proj o s = eps.
     """
     Q, A, F = s.source, s.target, s.target.field
-    if mat_compose(F, proj.mat, s.mat) != mat_identity(Q.dim, F):
+    id_Q, id_A = mat_identity(Q.dim, F), mat_identity(A.dim, F)
+    if mat_compose(F, proj.mat, s.mat) != id_Q:
         return False
     if s.apply(Q.unit) != A.unit:
         return False
     for j in range(Q.dim):
         sj = s.apply(unit_vec(j, F))
-        lhs = {}
-        for (u, v), c in Q.comult[j].items():
-            v_axpy(F, lhs, c, t2_outer(F, s.apply(unit_vec(u, F)), unit_vec(v, F)))
-        rhs = {}
-        for (x, z), c in A.coproduct(sj).items():
-            pz = proj.apply(unit_vec(z, F))
-            if pz:
-                v_axpy(F, rhs, c, t2_outer(F, unit_vec(x, F), pz))
-        if lhs != rhs:
+        if (t2_map(F, s.mat, id_Q, Q.comult[j])
+                != t2_map(F, id_A, proj.mat, A.coproduct(sj))):
             return False
         if A.counit_of(sj) != Q.counit.get(j, F.zero()):
             return False
     return True
 
 
-def cleaving_gamma(G: GroupScheme, H_sub: SubgroupScheme, quotient=None,
-                   budget=100_000) -> CleavingData:
+def cleaving_gamma(G: GroupScheme, H_sub: SubgroupScheme, quotient=None) -> CleavingData:
     """A convolution-invertible colinear section gamma of pi, with the
     retraction eta = id * (gamma^-1 pi) and the closed-form eta^-1."""
     if quotient is None:
@@ -908,22 +891,9 @@ def cleaving_gamma(G: GroupScheme, H_sub: SubgroupScheme, quotient=None,
                     pre[r] = i
         if len(pre) == m:
             cand = LinMap(Q, kg, {r: unit_vec(pre[r], F) for r in range(m)})
-    if cand is not None and _colinear_section_ok(cand, quotient.pi):
-        try:
-            gamma, gamma_inv = cand, convolution_inverse(cand)
-            return _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv)
-        except NotInvertible:
-            pass
-
-    add, solve = _map_solver(F, m, G.order)
-    _colinear_section_equations(F, add, Q, kg, quotient.pi.mat, m, G.order)
-    try:
-        part, kern = solve()
-    except NoSolution:
-        raise NoInvertibleSectionFound("colinear section system inconsistent")
-    gamma, gamma_inv = _search_invertible(F, Q, kg, part, kern, budget)
-    if not _colinear_section_ok(gamma, quotient.pi):
-        raise VerificationFailure("solved cleaving fails its defining identities")
+    gamma, gamma_inv = _invertible_section(
+        cand, quotient.pi,
+        NoInvertibleSectionFound("colinear section system inconsistent"))
     return _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv)
 
 
@@ -992,18 +962,18 @@ def intersect_subgroup(H: SubgroupScheme, K: SubgroupScheme, name="") -> Subgrou
     return subgroup_from_subspace(G, direct, name=name)
 
 
-def characters(K: SubgroupScheme, budget=10**7):
+def characters(K: SubgroupScheme):
     """Grouplikes of O(K): the characters the bicharacter side of an
     equivariant map must hit."""
     own = K.own
     if own.order_points == 1 and own.order_connected == own.order:
         return [dict(own.coordinate_algebra.unit)]
-    return grouplikes(own.coordinate_algebra, budget)
+    return grouplikes(own.coordinate_algebra)
 
 
-def group_elements(K: SubgroupScheme, budget=10**7):
+def group_elements(K: SubgroupScheme):
     """Grouplikes of k[K]."""
     own = K.own
     if own.order_points == 1 and own.order_connected == own.order:
         return [dict(own.group_algebra.unit)]
-    return grouplikes(own.group_algebra, budget)
+    return grouplikes(own.group_algebra)

@@ -49,6 +49,39 @@ def t2_outer(F, v, w):
     return {(i, j): mul(a, b) for i, a in v.items() for j, b in w.items()}
 
 
+def t2_map(F, f, g, t):
+    """(f (x) g)(t) for matrices f, g (column -> image) and a Ten2 t."""
+    out = {}
+    for (a, b), c in t.items():
+        fa, gb = f.get(a), g.get(b)
+        if fa and gb:
+            v_axpy(F, out, c, t2_outer(F, fa, gb))
+    return out
+
+
+def t2_contract(F, f, t):
+    """((f (x) id)(t), (id (x) f)(t)) for a functional f (Vec) and a Ten2 t."""
+    left, right = {}, {}
+    for (a, b), c in t.items():
+        fa = f.get(a)
+        if fa is not None:
+            v_axpy(F, left, F.mul(c, fa), unit_vec(b, F))
+        fb = f.get(b)
+        if fb is not None:
+            v_axpy(F, right, F.mul(c, fb), unit_vec(a, F))
+    return left, right
+
+
+def t2_swap(t):
+    return {(b, a): c for (a, b), c in t.items()}
+
+
+def flat_outer(F, v, w, m):
+    """v (x) w on the product basis, with index a * m + r for e_a (x) e_r."""
+    mul = F.mul
+    return {a * m + r: mul(ca, cr) for a, ca in v.items() for r, cr in w.items()}
+
+
 class HopfAlgebra:
     def __init__(self, field, labels, mult, unit, comult, counit, antipode, name=""):
         self.field = field
@@ -270,14 +303,7 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
 
     ok, wit = True, ""
     for i in range(n):
-        left, right = {}, {}
-        for (j, k), c in H.comult[i].items():
-            ej = H.counit.get(j)
-            if ej is not None:
-                v_axpy(F, left, F.mul(c, ej), unit_vec(k, F))
-            ek = H.counit.get(k)
-            if ek is not None:
-                v_axpy(F, right, F.mul(c, ek), unit_vec(j, F))
+        left, right = t2_contract(F, H.counit, H.comult[i])
         if left != H.basis_vec(i) or right != H.basis_vec(i):
             ok, wit = False, H.labels[i]
             break
@@ -376,9 +402,7 @@ def variant(H: HopfAlgebra, which: str) -> HopfAlgebra:
         comult = H.comult
     elif which == "cop":
         mult = H.mult
-        comult = {
-            i: {(k, j): c for (j, k), c in t.items()} for i, t in H.comult.items()
-        }
+        comult = {i: t2_swap(t) for i, t in H.comult.items()}
     else:
         raise ValueError("variant must be 'op' or 'cop'")
     return HopfAlgebra(
@@ -393,6 +417,21 @@ def variant(H: HopfAlgebra, which: str) -> HopfAlgebra:
     )
 
 
+def smash_antipode(D: HopfAlgebra, A: HopfAlgebra, Q: HopfAlgebra):
+    """The antipode S(a # x) = (1 # S(x)) (S(a) # 1) of D on the product
+    basis a * dim Q + x of A (x) Q."""
+    F = D.field
+    m = Q.dim
+    antipode = {}
+    for a in range(A.dim):
+        right = flat_outer(F, A.antipode.get(a, {}), Q.unit, m)
+        for x in range(m):
+            col = D.product(flat_outer(F, A.unit, Q.antipode.get(x, {}), m), right)
+            if col:
+                antipode[a * m + x] = col
+    return antipode
+
+
 def tensor_hopf(A: HopfAlgebra, B: HopfAlgebra) -> HopfAlgebra:
     """Componentwise Hopf structure on A (x) B, basis index (i, j) -> i*dim(B)+j."""
     if A.field != B.field:
@@ -405,16 +444,10 @@ def tensor_hopf(A: HopfAlgebra, B: HopfAlgebra) -> HopfAlgebra:
     mult = {}
     for (i1, j1), cell1 in A.mult.items():
         for (i2, j2), cell2 in B.mult.items():
-            out = {}
-            for a, ca in cell1.items():
-                for b, cb in cell2.items():
-                    out[idx(a, b)] = F.mul(ca, cb)
+            out = flat_outer(F, cell1, cell2, nb)
             if out:
                 mult[(idx(i1, i2), idx(j1, j2))] = out
-    unit = {}
-    for a, ca in A.unit.items():
-        for b, cb in B.unit.items():
-            unit[idx(a, b)] = F.mul(ca, cb)
+    unit = flat_outer(F, A.unit, B.unit, nb)
     comult = {}
     for i in range(A.dim):
         for j in range(B.dim):
@@ -423,19 +456,12 @@ def tensor_hopf(A: HopfAlgebra, B: HopfAlgebra) -> HopfAlgebra:
                 for (b1, b2), cb in B.comult[j].items():
                     t[(idx(a1, b1), idx(a2, b2))] = F.mul(ca, cb)
             comult[idx(i, j)] = t
-    counit = {}
-    for a, ca in A.counit.items():
-        for b, cb in B.counit.items():
-            counit[idx(a, b)] = F.mul(ca, cb)
+    counit = flat_outer(F, A.counit, B.counit, nb)
     antipode = {}
     for i in range(A.dim):
         sa = A.antipode.get(i, {})
         for j in range(B.dim):
-            sb = B.antipode.get(j, {})
-            col = {}
-            for a, ca in sa.items():
-                for b, cb in sb.items():
-                    col[idx(a, b)] = F.mul(ca, cb)
+            col = flat_outer(F, sa, B.antipode.get(j, {}), nb)
             if col:
                 antipode[idx(i, j)] = col
     name = f"{A.name}(x){B.name}" if A.name and B.name else ""
@@ -484,7 +510,7 @@ def identity_map(H: HopfAlgebra) -> LinMap:
     return LinMap(H, H, mat_identity(H.dim, H.field))
 
 
-def is_hopf_morphism(f: LinMap, check_antipode=True):
+def is_hopf_morphism(f: LinMap):
     """True plus empty witness when f respects mult, unit, comult, counit on
     all basis tuples; otherwise (False, witness).  Antipode compatibility is
     automatic for bialgebra maps between Hopf algebras but is verified anyway.
@@ -499,18 +525,13 @@ def is_hopf_morphism(f: LinMap, check_antipode=True):
     if f.apply(A.unit) != B.unit:
         return False, "unit"
     for i in range(A.dim):
-        lhs = B.coproduct(f.apply(A.basis_vec(i)))
-        rhs = {}
-        for (j, k), c in A.comult[i].items():
-            v_axpy(F, rhs, c, t2_outer(F, f.apply(A.basis_vec(j)), f.apply(A.basis_vec(k))))
-        if lhs != rhs:
+        if B.coproduct(f.apply(A.basis_vec(i))) != t2_map(F, f.mat, f.mat, A.comult[i]):
             return False, f"comult at {A.labels[i]}"
         if B.counit_of(f.apply(A.basis_vec(i))) != A.counit.get(i, F.zero()):
             return False, f"counit at {A.labels[i]}"
-    if check_antipode:
-        for i in range(A.dim):
-            if f.apply(A.antipode.get(i, {})) != B.antipode_of(f.apply(A.basis_vec(i))):
-                return False, f"antipode at {A.labels[i]}"
+    for i in range(A.dim):
+        if f.apply(A.antipode.get(i, {})) != B.antipode_of(f.apply(A.basis_vec(i))):
+            return False, f"antipode at {A.labels[i]}"
     return True, ""
 
 
@@ -590,6 +611,32 @@ def convolution_inverse(f: LinMap) -> LinMap:
     return LinMap(A, B, {j: {k: v for k, v in col.items() if v != F.zero()} for j, col in mat.items()})
 
 
+def induced_hopf(H: HopfAlgebra, basis, coords, t2_coords, labels, name=""):
+    """The Hopf structure H induces on a Hopf subalgebra or quotient with the
+    given basis (elements of H): ``coords`` gives the coordinates of an
+    element of H, ``t2_coords`` those of a Ten2 of H."""
+    F = H.field
+    mult = {}
+    for r, x in enumerate(basis):
+        for s, y in enumerate(basis):
+            cell = coords(H.product(x, y))
+            if cell:
+                mult[(r, s)] = cell
+    unit = coords(H.unit)
+    comult = {r: t2_coords(H.coproduct(x)) for r, x in enumerate(basis)}
+    counit = {}
+    for r, x in enumerate(basis):
+        c = H.counit_of(x)
+        if c != F.zero():
+            counit[r] = c
+    antipode = {}
+    for r, x in enumerate(basis):
+        col = coords(H.antipode_of(x))
+        if col:
+            antipode[r] = col
+    return HopfAlgebra(F, labels, mult, unit, comult, counit, antipode, name=name)
+
+
 def quotient_by_hopf_ideal(H: HopfAlgebra, ideal: Echelon, name=""):
     """The quotient Hopf algebra H/I for a Hopf ideal I, on the canonical
     complement-of-pivots basis, together with the projection.  The quotient is
@@ -597,47 +644,21 @@ def quotient_by_hopf_ideal(H: HopfAlgebra, ideal: Echelon, name=""):
     from .errors import VerificationFailure
 
     F = H.field
-    n = H.dim
-    reps = [i for i in range(n) if i not in ideal.rows]
+    reps = [i for i in range(H.dim) if i not in ideal.rows]
     cls = {i: r for r, i in enumerate(reps)}
-    m = len(reps)
 
     def project(v):
-        res = ideal.reduce(v)
-        return {cls[i]: c for i, c in res.items()}
+        return {cls[i]: c for i, c in ideal.reduce(v).items()}
 
     pi_mat = {}
-    for i in range(n):
+    for i in range(H.dim):
         col = project(unit_vec(i, F))
         if col:
             pi_mat[i] = col
-    mult = {}
-    for r in range(m):
-        for s in range(m):
-            cell = project(H.product(unit_vec(reps[r], F), unit_vec(reps[s], F)))
-            if cell:
-                mult[(r, s)] = cell
-    unit = project(H.unit)
-    comult = {}
-    for r in range(m):
-        t = {}
-        for (a, b), c in H.comult[reps[r]].items():
-            pa, pb = pi_mat.get(a), pi_mat.get(b)
-            if pa and pb:
-                v_axpy(F, t, c, t2_outer(F, pa, pb))
-        comult[r] = t
-    counit = {}
-    for r in range(m):
-        c = H.counit.get(reps[r])
-        if c is not None:
-            counit[r] = c
-    antipode = {}
-    for r in range(m):
-        col = project(H.antipode_of(unit_vec(reps[r], F)))
-        if col:
-            antipode[r] = col
-    Q = HopfAlgebra(F, [f"[{H.labels[i]}]" for i in reps], mult, unit, comult,
-                    counit, antipode, name=name or (f"{H.name}/I" if H.name else ""))
+    Q = induced_hopf(H, [unit_vec(i, F) for i in reps], project,
+                     lambda t: t2_map(F, pi_mat, pi_mat, t),
+                     [f"[{H.labels[i]}]" for i in reps],
+                     name=name or (f"{H.name}/I" if H.name else ""))
     rep = verify_hopf(Q)
     if not rep.ok:
         raise VerificationFailure("ideal quotient violates Hopf axioms: "
@@ -778,16 +799,10 @@ def t2_coordinates(F, ech: Echelon, t):
     coefficient of row_r (x) row_s is the entry of t at their pivots.
     """
     pivots = ech.pivots()
-    rows = ech.rows
-    grid = {}
-    rebuilt: dict = {}
-    for r, a in enumerate(pivots):
-        for s, b in enumerate(pivots):
-            c = t.get((a, b))
-            if c is not None:
-                grid[(r, s)] = c
-                v_axpy(F, rebuilt, c, t2_outer(F, rows[a], rows[b]))
-    return grid if rebuilt == t else None
+    grid = {(r, s): t[(a, b)] for r, a in enumerate(pivots)
+            for s, b in enumerate(pivots) if (a, b) in t}
+    basis = dict(enumerate(ech.basis()))
+    return grid if t2_map(F, basis, basis, grid) == t else None
 
 
 class _SourceStep:
@@ -822,6 +837,16 @@ def _subalgebra_close(H, ech: Echelon, worklist):
     return ech
 
 
+def _primitive_defect(A: HopfAlgebra, i):
+    """Delta(e_i) - e_i (x) 1 - 1 (x) e_i."""
+    F = A.field
+    e = A.basis_vec(i)
+    d = dict(A.comult[i])
+    v_axpy(F, d, F.neg(F.one()), t2_outer(F, e, A.unit))
+    v_axpy(F, d, F.neg(F.one()), t2_outer(F, A.unit, e))
+    return d
+
+
 def _source_chain(A: HopfAlgebra, src_grouplikes, src_primitives):
     """Assignment chain (grouplikes, primitive basis, filtration extensions)
     whose subalgebra closure reaches all of A, or None past the supported
@@ -842,13 +867,9 @@ def _source_chain(A: HopfAlgebra, src_grouplikes, src_primitives):
     while ech.dim < A.dim:
         found = None
         for i in range(A.dim):
-            e = A.basis_vec(i)
-            if ech.contains(e):
+            if ech.contains(A.basis_vec(i)):
                 continue
-            d = dict(A.comult[i])
-            v_axpy(F, d, F.neg(F.one()), t2_outer(F, e, A.unit))
-            v_axpy(F, d, F.neg(F.one()), t2_outer(F, A.unit, e))
-            if t2_coordinates(F, ech, d) is not None:
+            if t2_coordinates(F, ech, _primitive_defect(A, i)) is not None:
                 found = i
                 break
         if found is None:
@@ -943,13 +964,10 @@ def hopf_algebra_maps(
             candidates = [(step.vec, z) for z in prC_points]
         else:
             e = A.basis_vec(step.basis_index)
-            d = dict(A.comult[step.basis_index])
-            v_axpy(F, d, F.neg(F.one()), t2_outer(F, e, A.unit))
-            v_axpy(F, d, F.neg(F.one()), t2_outer(F, A.unit, e))
             # push both legs through the partial map
             img: dict = {}
             bad = False
-            for (j, k), c in d.items():
+            for (j, k), c in _primitive_defect(A, step.basis_index).items():
                 xj = pech.image_of(unit_vec(j, F))
                 xk = pech.image_of(unit_vec(k, F))
                 if xj is None or xk is None:

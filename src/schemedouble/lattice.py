@@ -13,7 +13,6 @@ from .errors import BudgetExceeded, InvalidTriple, NotConstant, VerificationFail
 from .doubles import (
     DoubleData,
     canonical_r_and_v,
-    drinfeld_double,
     is_factorizable,
     is_triangular,
     monodromy,
@@ -39,6 +38,7 @@ from .hopf import (
     convolution,
     hopf_algebra_maps,
     quotient_by_hopf_ideal,
+    t2_map,
     t2_outer,
 )
 from .linalg import (
@@ -99,14 +99,7 @@ def centralizer_certificate(qp: QuotientPair, qp_bar: QuotientPair,
     witness in D(K,H,B) (x) D(H,K,Bbar)."""
     F = dd.D.field
     mono = monodromy(canonical_r_and_v(dd))
-    theta = qp.theta(dd)
-    theta_bar = qp_bar.theta(dd)
-    out = {}
-    for (x, y), c in mono.items():
-        tx = theta.apply(unit_vec(x, F))
-        ty = theta_bar.apply(unit_vec(y, F))
-        if tx and ty:
-            v_axpy(F, out, c, t2_outer(F, tx, ty))
+    out = t2_map(F, qp.theta(dd).mat, qp_bar.theta(dd).mat, mono)
     return out == t2_outer(F, qp.D.unit, qp_bar.D.unit)
 
 
@@ -323,14 +316,13 @@ def equivariant_maps(G: GroupScheme, K: SubgroupScheme, H: SubgroupScheme,
     return out
 
 
-def enumerate_triples(G: GroupScheme, budget=500_000, verify_quotients=True):
+def enumerate_triples(G: GroupScheme, budget=500_000):
     """Every triple (K, H, B) on G: all ordered pairs of normal subgroup
     schemes that centralize each other, with every equivariant B, classified
     and arranged into the containment lattice.
 
-    Returns (nodes, edges, dd) where edges are the Hasse covers of contains.
+    Returns (nodes, edges) where edges are the Hasse covers of contains.
     """
-    dd = drinfeld_double(G)
     subs = normal_subgroups(G, budget=budget)
     triples = []
     for K in subs:
@@ -343,7 +335,7 @@ def enumerate_triples(G: GroupScheme, budget=500_000, verify_quotients=True):
     nodes = []
     by_key = {}
     for i, t in enumerate(triples):
-        qp = build_quotient(t, verify=verify_quotients)
+        qp = build_quotient(t)
         flags = classify(t, qp)
         tbar = centralizer_triple(t)
         node = LatticeNode(i, t, qp, flags, t.fp_dimension(), tbar.key())
@@ -353,7 +345,7 @@ def enumerate_triples(G: GroupScheme, budget=500_000, verify_quotients=True):
         if node.centralizer_key not in by_key:
             raise VerificationFailure("centralizer triple missing from enumeration")
     edges = hasse_edges(nodes)
-    return nodes, edges, dd
+    return nodes, edges
 
 
 def hasse_edges(nodes):

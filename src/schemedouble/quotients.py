@@ -33,10 +33,15 @@ from .hopf import (
     HopfAlgebra,
     LinMap,
     coinvariants,
+    convolution_unit,
+    flat_outer,
     ideal_closure,
     is_hopf_morphism,
+    smash_antipode,
     t2_coordinates,
+    t2_map,
     t2_outer,
+    t2_swap,
     verify_hopf,
 )
 from .linalg import (
@@ -54,15 +59,7 @@ from .linalg import (
 
 def trivial_hopf_map(H_sub: SubgroupScheme, K_sub: SubgroupScheme) -> LinMap:
     """B = 1: v -> counit(v) 1 from k[H] to O(K)."""
-    src = H_sub.own.group_algebra
-    tgt = K_sub.own.coordinate_algebra
-    F = src.field
-    mat = {}
-    for j in range(src.dim):
-        c = src.counit.get(j)
-        if c is not None:
-            mat[j] = v_scale(F, c, tgt.unit)
-    return LinMap(src, tgt, mat)
+    return convolution_unit(H_sub.own.group_algebra, K_sub.own.coordinate_algebra)
 
 
 def to_own_coords(sub: SubgroupScheme, ambient_vec):
@@ -79,15 +76,14 @@ class Triple:
     G-equivariant Hopf algebra map B: k[H] -> O(K)."""
 
     def __init__(self, G: GroupScheme, K: SubgroupScheme, H: SubgroupScheme,
-                 B: LinMap, check=True):
+                 B: LinMap):
         self.G = G
         self.K = K
         self.H = H
         self.B = B
         self._coad = None
         self._section = None
-        if check:
-            self.validate()
+        self.validate()
 
     @property
     def coad(self):
@@ -209,7 +205,6 @@ def build_tau(triple: Triple, cleaving: CleavingData):
     F = G.field
     kg = G.group_algebra
     Q = cleaving.quotient.hopf
-    OK = triple.K.own.coordinate_algebra
     tau = {}
     for r in range(Q.dim):
         g = cleaving.gamma.apply(unit_vec(r, F))
@@ -218,23 +213,14 @@ def build_tau(triple: Triple, cleaving: CleavingData):
             w = cleaving.eta_inv.apply(unit_vec(g1, F))
             e2 = cleaving.eta.apply(unit_vec(g2, F))
             e3 = cleaving.eta.apply(unit_vec(g3, F))
-            if not e2 or not e3:
-                continue
-            for (w1, w2), cw in kg.coproduct(w).items():
-                leg1 = kg.product(unit_vec(w1, F), e2)
-                leg2 = kg.product(unit_vec(w2, F), e3)
-                if leg1 and leg2:
-                    v_axpy(F, acc, F.mul(c, cw), t2_outer(F, leg1, leg2))
+            if e2 and e3:
+                v_axpy(F, acc, c, kg.tensor_square_product(kg.coproduct(w),
+                                                           t2_outer(F, e2, e3)))
         own = t2_coordinates(F, triple.H.subspace, acc)
         if own is None:
             raise VerificationFailure("tensor legs leave the subgroup span")
-        out = {}
-        for (i, j), c in own.items():
-            bi = triple.B.apply(unit_vec(i, F))
-            bj = triple.B.apply(unit_vec(j, F))
-            if bi and bj:
-                v_axpy(F, out, c, t2_outer(F, bi, bj))
-        if {(b, a): c for (a, b), c in out.items()} != out:
+        out = t2_map(F, triple.B.mat, triple.B.mat, own)
+        if t2_swap(out) != out:
             raise VerificationFailure("tau is not symmetric in its legs")
         tau[r] = out
     return tau
@@ -261,12 +247,12 @@ class QuotientPair:
     def index(self, a, r):
         return a * self.quotient.hopf.dim + r
 
-    def theta(self, dd: DoubleData = None, verify=True) -> LinMap:
+    def theta(self, dd: DoubleData = None) -> LinMap:
         if self._theta is None:
             if dd is None:
                 dd = drinfeld_double(self.triple.G)
             self._double = dd
-            self._theta = build_theta(self, dd, verify=verify)
+            self._theta = build_theta(self, dd)
         return self._theta
 
 
@@ -346,10 +332,7 @@ def build_quotient(triple: Triple, verify=True, cleaving=None) -> QuotientPair:
                     if out:
                         mult[(idx(a, r), idx(b, s))] = out
 
-    unit = {}
-    for a, ca in OK.unit.items():
-        for r, cr in Q.unit.items():
-            unit[idx(a, r)] = F.mul(ca, cr)
+    unit = flat_outer(F, OK.unit, Q.unit, mQ)
     comult = {}
     for a in range(mK):
         for r in range(mQ):
@@ -372,30 +355,11 @@ def build_quotient(triple: Triple, verify=True, cleaving=None) -> QuotientPair:
                                 else:
                                     t[key] = sm
             comult[idx(a, r)] = t
-    counit = {}
-    for a, ca in OK.counit.items():
-        for r, cr in Q.counit.items():
-            counit[idx(a, r)] = F.mul(ca, cr)
+    counit = flat_outer(F, OK.counit, Q.counit, mQ)
 
     D = HopfAlgebra(F, labels, mult, unit, comult, counit, {},
                     name=f"D(K{triple.K.order},H{triple.H.order};{G.name})")
-    antipode = {}
-    for a in range(mK):
-        sa = OK.antipode_of(unit_vec(a, F))
-        for r in range(mQ):
-            sr = Q.antipode_of(unit_vec(r, F))
-            left = {}
-            for rr, cr in sr.items():
-                for o, co in OK.unit.items():
-                    left[idx(o, rr)] = F.mul(cr, co)
-            right = {}
-            for b, cb in sa.items():
-                for rr, cr in Q.unit.items():
-                    right[idx(b, rr)] = F.mul(cb, cr)
-            col = D.product(left, right)
-            if col:
-                antipode[idx(a, r)] = col
-    D.antipode = antipode
+    D.antipode = smash_antipode(D, OK, Q)
 
     if D.dim != triple.fp_dimension():
         raise VerificationFailure("dim D(K,H,B) != |K|[G:H]")
@@ -406,7 +370,7 @@ def build_quotient(triple: Triple, verify=True, cleaving=None) -> QuotientPair:
                 "D(K,H,B) violates Hopf axioms: "
                 + "; ".join(f"{n} at {w}" for n, w in rep.failures()))
 
-    R, V = _closed_form_r_v(triple, cleaving, D, idx)
+    R, V = _closed_form_r_v(triple, cleaving)
     return QuotientPair(triple, cleaving, section, sigma, tau, D, R, V)
 
 
@@ -422,10 +386,8 @@ def _b_eta_pi(triple: Triple, cleaving: CleavingData, dw):
             continue
         b_val = triple.B.apply(to_own_coords(triple.H, eta_x))
         pi_y = cleaving.quotient.pi.apply(unit_vec(y, F))
-        if not b_val or not pi_y:
-            continue
-        for o, co in b_val.items():
-            v_axpy(F, out, F.mul(c, co), {o * mQ + r: cr for r, cr in pi_y.items()})
+        if b_val and pi_y:
+            v_axpy(F, out, c, flat_outer(F, b_val, pi_y, mQ))
     return out
 
 
@@ -435,12 +397,11 @@ def _left_mul_o(OK, mQ, b, vec):
     out = {}
     for key, c in vec.items():
         a, r = divmod(key, mQ)
-        prod = OK.product(b, unit_vec(a, F))
-        v_axpy(F, out, c, {o * mQ + r: co for o, co in prod.items()})
+        v_axpy(F, out, c, flat_outer(F, OK.product(b, unit_vec(a, F)), unit_vec(r, F), mQ))
     return out
 
 
-def _closed_form_r_v(triple: Triple, cleaving: CleavingData, D, idx):
+def _closed_form_r_v(triple: Triple, cleaving: CleavingData):
     """R(K,H,B) = sum_w (B(eta(w_1)) # pi(w_2)) (x) (e^w # 1) and
     V(K,H,B) = sum_w S(e^w) B(eta(w_1)) # pi(w_2), summing over a basis w of
     k[K] with dual basis e^w of O(K).  Computed without building D(G)."""
@@ -454,16 +415,14 @@ def _closed_form_r_v(triple: Triple, cleaving: CleavingData, D, idx):
     for t in range(triple.K.order):
         w_amb = triple.K.iota.apply(unit_vec(t, F))
         first = _b_eta_pi(triple, cleaving, kg.coproduct(w_amb))
-        second = {}
-        for r, cr in Q.unit.items():
-            second[idx(t, r)] = cr
+        second = flat_outer(F, unit_vec(t, F), Q.unit, Q.dim)
         v_axpy(F, R, F.one(), t2_outer(F, first, second))
         s_dual = OK.antipode_of(unit_vec(t, F))
         v_axpy(F, V, F.one(), _left_mul_o(OK, Q.dim, s_dual, first))
     return R, V
 
 
-def build_theta(qp: QuotientPair, dd: DoubleData, verify=True) -> LinMap:
+def build_theta(qp: QuotientPair, dd: DoubleData) -> LinMap:
     """theta(b |><| u) = q_K(b) B(eta_H(u_1)) # pi_H(u_2)."""
     triple = qp.triple
     G = triple.G
@@ -484,12 +443,11 @@ def build_theta(qp: QuotientPair, dd: DoubleData, verify=True) -> LinMap:
             if out:
                 mat[dd.index(a, i)] = out
     theta = LinMap(dd.D, qp.D, mat)
-    if verify:
-        ok, wit = is_hopf_morphism(theta)
-        if not ok:
-            raise VerificationFailure(f"theta is not a Hopf morphism: {wit}")
-        if theta.rank() != qp.D.dim:
-            raise VerificationFailure("theta is not surjective")
+    ok, wit = is_hopf_morphism(theta)
+    if not ok:
+        raise VerificationFailure(f"theta is not a Hopf morphism: {wit}")
+    if theta.rank() != qp.D.dim:
+        raise VerificationFailure("theta is not surjective")
     return theta
 
 
@@ -532,12 +490,7 @@ def quotient_r_and_v(qp: QuotientPair, dd: DoubleData = None):
     from .doubles import canonical_r_and_v
     theta = qp.theta(dd)
     can = canonical_r_and_v(dd)
-    F = qp.D.field
-    pushed_R = {}
-    for (x, y), c in can.R.items():
-        tx = theta.apply(unit_vec(x, F))
-        ty = theta.apply(unit_vec(y, F))
-        v_axpy(F, pushed_R, c, t2_outer(F, tx, ty))
+    pushed_R = t2_map(qp.D.field, theta.mat, theta.mat, can.R)
     pushed_V = theta.apply(can.V)
     if pushed_R != qp.qt.R or pushed_V != qp.qt.V:
         raise VerificationFailure(

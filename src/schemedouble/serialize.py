@@ -209,11 +209,20 @@ def subgroup_from_spec(G: GroupScheme, spec) -> SubgroupScheme:
         return full_subgroup(G)
     if isinstance(spec, dict) and "frobenius_sub" in spec:
         body = spec["frobenius_sub"]
-        r = body["r"] if isinstance(body, dict) else body
-        return ga_frobenius_subgroup(G, int(r))
+        try:
+            s = int(body["r"] if isinstance(body, dict) else body)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad frobenius_sub spec {body!r}: {exc}")
+        if G.kind == "ga" and not 0 <= s <= G.payload["r"]:
+            raise SchemaError(f"frobenius_sub order {s} outside 0..{G.payload['r']}")
+        return ga_frobenius_subgroup(G, s)
     if isinstance(spec, dict) and "generators" in spec:
-        F = G.field
-        gens = [tensor_from_json(F, g, 1) for g in spec["generators"]]
+        try:
+            gens = [tensor_from_json(G.field, g, 1) for g in spec["generators"]]
+            if any(not 0 <= i < G.order for g in gens for i in g):
+                raise SchemaError(f"generator index outside 0..{G.order - 1}")
+        except TypeError as exc:
+            raise SchemaError(f"bad generators spec: {exc}")
         return subgroup_from_generators(G, gens)
     raise SchemaError(f"unknown subgroup spec {spec!r}")
 

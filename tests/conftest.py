@@ -78,6 +78,7 @@ def QQ_field():
 def lattice_cache():
     """Session-wide store of enumerated lattices keyed by a group tag, so the
     acceptance criteria share the expensive enumerations."""
+    from schemedouble.doubles import drinfeld_double
     from schemedouble.lattice import enumerate_triples
 
     cache = {}
@@ -85,8 +86,8 @@ def lattice_cache():
     def get(tag, factory):
         if tag not in cache:
             G = factory()
-            nodes, edges, dd = enumerate_triples(G)
-            cache[tag] = (G, nodes, edges, dd)
+            nodes, edges = enumerate_triples(G)
+            cache[tag] = (G, nodes, edges, drinfeld_double(G))
         return cache[tag]
 
     return get

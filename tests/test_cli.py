@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +156,77 @@ def test_runs_are_deterministic(tmp_path, s3_file):
     main(["enumerate", "--group", s3_file, "--field", "p7", "-o", str(out1)])
     main(["enumerate", "--group", s3_file, "--field", "p7", "-o", str(out2)])
     assert out1.read_text() == out2.read_text()
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["double", "--group", "z2.json", "--field", "q"],
+     "c3111568c0cdc73eabe545f7aaadaf67fd61527992d38139c7020a92e51f60d1"),
+    (["double", "--group", "s3.json", "--field", "p7"],
+     "920b3ecaf06134a9228922b6229849cc8f5e224c80bca793e19c77324f812401"),
+    (["quotient", "--triple", "ga2_triple.json", "--field", "p3"],
+     "53529c786aa4447bf211364998817fed68c4b106f0a6d6cfbd923d8b21958dfc"),
+    (["quotient", "--triple", "ga2_triple.json", "--field", "p3", "--format", "text"],
+     "85d005fab0ba894a99d5b4dad7690bc06f6bd423d98072f14db4ce15deda1265"),
+    (["enumerate", "--format", "dot", "--group", "s3.json", "--field", "p7"],
+     "4da5ca281b93165255043eecea49e47c8f0461042f7f22cdc71864c455f64d1f"),
+    (["enumerate", "--group", "z2.json", "--field", "q"],
+     "4b218594200a743c9f49762543502728375876a1030d14da88ccc50abd1e6d07"),
+    (["build", "--group", "borel.json", "--field", "p3"],
+     "28a20ce68226fc87bd2f4f7bd694b1c2925485a7e4d87bd776deec52e0c0ee3c"),
+], ids=["double-z2-q", "double-s3-p7", "quotient-ga2-p3-json",
+        "quotient-ga2-p3-text", "enumerate-dot-s3-p7", "enumerate-z2-q",
+        "build-borel-p3"])
+def test_sample_outputs_are_pinned(argv, digest, capsys):
+    """The stdout bytes of these runs on samples/ are fixed: a refactoring
+    that changes any of them changes the program's output."""
+    args = [str(SAMPLES / a) if a.endswith(".json") else a for a in argv]
+    assert main(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_enumerate_budget_exits_before_building_the_double(monkeypatch, capsys):
+    """enumerate has no use for D(G): an over-budget group exits 3 without
+    building it."""
+    import schemedouble.doubles
+    import schemedouble.lattice
+
+    def no_double(G):
+        raise AssertionError("D(G) built")
+
+    monkeypatch.setattr(schemedouble.doubles, "drinfeld_double", no_double)
+    if hasattr(schemedouble.lattice, "drinfeld_double"):
+        monkeypatch.setattr(schemedouble.lattice, "drinfeld_double", no_double)
+    assert main(["enumerate", "--group", str(SAMPLES / "borel.json"),
+                 "--field", "p5"]) == 3
+    assert "budget exhausted" in capsys.readouterr().err
+
+
+GA2 = {"ga_kernel": {"r": 2}}
+
+
+@pytest.mark.parametrize("command", ["quotient", "blocks"])
+@pytest.mark.parametrize("triple", [
+    {"K": "full"},
+    {"group": GA2, "K": {"frobenius_sub": {}}},
+    {"group": GA2, "K": {"frobenius_sub": {"r": "x"}}},
+    {"group": GA2, "K": {"generators": 5}},
+    {"group": GA2, "K": {"generators": [[{"indices": [99], "value": "1"}]]}},
+    [GA2],
+], ids=["no-group", "frobenius-no-r", "frobenius-r-not-int",
+        "generators-not-list", "generator-index-out-of-range", "triple-is-list"])
+def test_malformed_triple_is_a_schema_error(tmp_path, command, triple, capsys):
+    f = write(tmp_path / "triple.json", triple)
+    assert main([command, "--triple", f, "--field", "p3"]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", [3, -1, 7])
+def test_frobenius_sub_order_outside_ambient_is_a_schema_error(tmp_path, order, capsys):
+    """ga_kernel(2) has Frobenius kernels of order p^s for s = 0, 1, 2 only."""
+    f = write(tmp_path / "triple.json",
+              {"group": GA2, "K": {"frobenius_sub": {"r": order}}})
+    assert main(["quotient", "--triple", f, "--field", "p3"]) == 2
+    assert "schema error" in capsys.readouterr().err

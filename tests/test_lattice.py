@@ -54,7 +54,8 @@ def test_centralizer_swaps_canonical_triples():
 
 def test_centralizer_involution_and_certificate():
     G = ga_kernel(1, F3)
-    nodes, edges, dd = enumerate_triples(G)
+    nodes, edges = enumerate_triples(G)
+    dd = drinfeld_double(G)
     by_key = {n.triple.key(): n for n in nodes}
     for n in nodes:
         tbar = centralizer_triple(n.triple)
@@ -79,7 +80,7 @@ def test_contains_laws():
     G = make_z2(QQ)
     bottom, top, rep = canonical_triples(G)
     b_sign = None
-    nodes, _, _ = enumerate_triples(G)
+    nodes, _ = enumerate_triples(G)
     for n in nodes:
         assert contains(n.triple, bottom.__class__(G, bottom.K, bottom.H, bottom.B))
         assert contains(top, n.triple)
@@ -120,7 +121,8 @@ def test_beta_pairing_doubles_the_parameter():
 
 def test_intersection_laws_exhaustive():
     G = ga_kernel(1, F3)
-    nodes, edges, dd = enumerate_triples(G)
+    nodes, edges = enumerate_triples(G)
+    dd = drinfeld_double(G)
     by_key = {n.triple.key(): n for n in nodes}
     for a in nodes:
         r = intersect(a.triple, a.triple, dd, a.qp, a.qp)
@@ -149,7 +151,7 @@ def test_intersection_laws_exhaustive():
 def test_enumeration_counts_with_oracles():
     # Z/2 over the rationals: oracle = exhaustive sign bicharacter table
     G = make_z2(QQ)
-    nodes, edges, _ = enumerate_triples(G)
+    nodes, edges = enumerate_triples(G)
     assert len(nodes) == 5
     sign_bichars = 0
     for val in (1, -1):
@@ -161,7 +163,7 @@ def test_enumeration_counts_with_oracles():
 
     # height-one kernel over GF(p): p + 3 triples, oracle = the B_lambda family
     for F, p in ((F2, 2), (F3, 3)):
-        nodes, _, _ = enumerate_triples(ga_kernel(1, F))
+        nodes, _ = enumerate_triples(ga_kernel(1, F))
         assert len(nodes) == p + 3
         family = [n for n in nodes
                   if n.triple.K.order == p and n.triple.H.order == p]
@@ -170,7 +172,7 @@ def test_enumeration_counts_with_oracles():
 
 def test_s3_count_with_bicharacter_oracle():
     S3 = make_s3(F7)
-    nodes, edges, _ = enumerate_triples(S3)
+    nodes, edges = enumerate_triples(S3)
     assert len(nodes) == 8
     # oracle: brute force over all 3^4 candidate pairings on the generators
     # of A3 x A3, keeping bicharacters invariant under transposition
@@ -195,8 +197,8 @@ def test_s3_count_with_bicharacter_oracle():
 
 def test_enumeration_is_stable():
     G = ga_kernel(1, F3)
-    nodes1, edges1, _ = enumerate_triples(G)
-    nodes2, edges2, _ = enumerate_triples(G)
+    nodes1, edges1 = enumerate_triples(G)
+    nodes2, edges2 = enumerate_triples(G)
     assert [n.triple.key() for n in nodes1] == [n.triple.key() for n in nodes2]
     assert edges1 == edges2
     dot1 = hasse_dot(nodes1, edges1)
@@ -206,7 +208,7 @@ def test_enumeration_is_stable():
 
 def test_lagrangian_nodes_have_commutative_equal_subgroups():
     for G in (make_z2(QQ), ga_kernel(1, F3), make_s3(F7)):
-        nodes, _, _ = enumerate_triples(G)
+        nodes, _ = enumerate_triples(G)
         for n in nodes:
             if n.flags["lagrangian"]:
                 assert n.triple.K.key() == n.triple.H.key()
@@ -224,15 +226,15 @@ def test_subgroup_enumeration_complete_on_rank_three():
 
 
 def test_borel_lattice_counts():
-    nodes2, _, _ = enumerate_triples(make_borel(F2))
+    nodes2, _ = enumerate_triples(make_borel(F2))
     assert len(nodes2) == 7
-    nodes3, _, _ = enumerate_triples(make_borel(F3))
+    nodes3, _ = enumerate_triples(make_borel(F3))
     assert len(nodes3) == 6
 
 
 def test_hasse_dot_output():
     G = make_z2(QQ)
-    nodes, edges, _ = enumerate_triples(G)
+    nodes, edges = enumerate_triples(G)
     dot = hasse_dot(nodes, edges)
     assert dot.startswith("digraph")
     assert dot.count("label=") == 5
