@@ -121,19 +121,26 @@ class Echelon:
         self.rows: dict = {}  # pivot column -> row vector
 
     def reduce(self, vec):
-        """The residue of vec modulo the current row space (a fresh dict).
+        """The residue of vec modulo the current row space (a fresh dict
+        without zero entries).
 
         Every row is zero at the other pivots, so eliminating one pivot adds
         no pivot key and changes no other pivot entry: one ascending pass over
-        the pivots present in vec is enough.
+        the pivots present in vec is enough.  The same pass drops the zero
+        entries vec may carry, so ``add_residue`` never takes a zero pivot.
         """
         F = self.F
+        zero = F.zero()
         out = dict(vec)
         rows = self.rows
         for k in sorted(out):
-            row = rows.get(k)
-            if row is not None:
-                v_axpy(F, out, F.neg(out[k]), row)
+            c = out.get(k)
+            if c == zero:
+                del out[k]
+            elif c is not None:
+                row = rows.get(k)
+                if row is not None:
+                    v_axpy(F, out, F.neg(c), row)
         return out
 
     def add_residue(self, res):
@@ -233,6 +240,22 @@ def subspace_intersection(U: Echelon, V: Echelon) -> Echelon:
     return annihilator(subspace_sum(annihilator(U), annihilator(V)))
 
 
+def affine_insert(ech: Echelon, coeffs, rhs) -> bool:
+    """Add the equation coeffs . x = rhs to ech, whose last column is the
+    right-hand side; False, leaving ech unchanged, when it is inconsistent
+    with the equations already there."""
+    RHS = ech.ambient - 1
+    aug = dict(coeffs)
+    if rhs != ech.F.zero():
+        aug[RHS] = rhs
+    res = ech.reduce(aug)
+    if res:
+        if min(res) == RHS:
+            return False
+        ech.add_residue(res)
+    return True
+
+
 def solve_rows(F, rows, n):
     """Solve the affine system given as (coefficient vector, rhs) rows.
 
@@ -244,14 +267,8 @@ def solve_rows(F, rows, n):
     RHS = n  # augmented column index
     ech = Echelon(F, n + 1)
     for coeffs, rhs in rows:
-        aug = dict(coeffs)
-        if rhs != F.zero():
-            aug[RHS] = rhs
-        res = ech.reduce(aug)
-        if res:
-            if min(res) == RHS:
-                raise NoSolution("inconsistent linear system")
-            ech.add_residue(res)
+        if not affine_insert(ech, coeffs, rhs):
+            raise NoSolution("inconsistent linear system")
 
     pivots = ech.pivots()
     particular = {}

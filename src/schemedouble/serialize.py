@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import SchemaError
+from .errors import BudgetExceeded, SchemaError
 from .fields import Field, make_field
 from .hopf import HopfAlgebra, LinMap
 from .groupschemes import (
@@ -29,6 +29,11 @@ from .groupschemes import (
 )
 
 SCHEMA_VERSION = 1
+
+# The largest group order a build spec may ask for.  The tests, samples and
+# benchmark use orders up to 16; D(G) of a group of order 256 has dimension
+# 65,536, beyond anything the exact verifiers finish.
+MAX_GROUP_ORDER = 256
 
 
 def scalar_to_json(F: Field, v):
@@ -166,8 +171,20 @@ def matrix_from_json(F: Field, data):
     return mat
 
 
+def _check_order(base, exp, what):
+    """BudgetExceeded when the order base^exp is above MAX_GROUP_ORDER; a
+    huge exp costs nothing, since base >= 2 makes base^bits too large."""
+    if base ** min(exp, MAX_GROUP_ORDER.bit_length()) > MAX_GROUP_ORDER:
+        order = base if exp == 1 else f"{base}^{exp}"
+        raise BudgetExceeded(
+            f"{what} has order {order}, above the ceiling {MAX_GROUP_ORDER}")
+
+
 def group_from_spec(spec, F: Field) -> GroupScheme:
-    """Build a group scheme from its JSON build spec."""
+    """Build a group scheme from its JSON build spec.
+
+    Orders above MAX_GROUP_ORDER raise BudgetExceeded before anything of
+    that size is built."""
     if not isinstance(spec, dict) or len(spec) != 1:
         raise SchemaError("group spec must have exactly one constructor key")
     kind, body = next(iter(spec.items()))
@@ -178,17 +195,22 @@ def group_from_spec(spec, F: Field) -> GroupScheme:
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad constant spec: {exc}")
     if kind == "ga_kernel":
-        try:
-            return ga_kernel(int(body["r"]), F)
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad ga_kernel spec: {exc}")
+        if not isinstance(body, dict) or "r" not in body:
+            raise SchemaError("bad ga_kernel spec: it needs an entry 'r'")
+        r = body["r"]
+        if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+            raise SchemaError(f"ga_kernel 'r' must be a non-negative integer, got {r!r}")
+        _check_order(F.char, r, f"ga_kernel with r = {r}")
+        return ga_kernel(r, F)
     if kind == "mu_p":
+        _check_order(F.char, 1, "mu_p")
         return mu_p_kernel(F)
     if kind == "product":
         if not isinstance(body, list) or len(body) != 2:
             raise SchemaError("product spec needs two factors")
-        return direct_product(group_from_spec(body[0], F),
-                              group_from_spec(body[1], F))
+        G1, G2 = group_from_spec(body[0], F), group_from_spec(body[1], F)
+        _check_order(G1.order * G2.order, 1, "product")
+        return direct_product(G1, G2)
     if kind == "restricted_lie":
         try:
             n = int(body["dim"])
@@ -197,6 +219,9 @@ def group_from_spec(spec, F: Field) -> GroupScheme:
             p_map = [{int(g): c for g, c in cell.items()} for cell in body["p_map"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad restricted_lie spec: {exc}")
+        if n < 0:
+            raise SchemaError(f"restricted_lie 'dim' must be non-negative, got {n}")
+        _check_order(F.char, n, f"restricted_lie with dim = {n}")
         return restricted_enveloping(n, bracket, p_map, F,
                                      name=body.get("name", ""))
     raise SchemaError(f"unknown group constructor {kind!r}")

@@ -176,9 +176,11 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
      "4b218594200a743c9f49762543502728375876a1030d14da88ccc50abd1e6d07"),
     (["build", "--group", "borel.json", "--field", "p3"],
      "28a20ce68226fc87bd2f4f7bd694b1c2925485a7e4d87bd776deec52e0c0ee3c"),
+    (["enumerate", "--group", "s3.json", "--field", "p7"],
+     "49bdb84cfff059450190a206bf3298241a2a9a9d0275e97d579c4b1be368ba51"),
 ], ids=["double-z2-q", "double-s3-p7", "quotient-ga2-p3-json",
         "quotient-ga2-p3-text", "enumerate-dot-s3-p7", "enumerate-z2-q",
-        "build-borel-p3"])
+        "build-borel-p3", "enumerate-s3-p7"])
 def test_sample_outputs_are_pinned(argv, digest, capsys):
     """The stdout bytes of these runs on samples/ are fixed: a refactoring
     that changes any of them changes the program's output."""
@@ -230,3 +232,21 @@ def test_frobenius_sub_order_outside_ambient_is_a_schema_error(tmp_path, order, 
               {"group": GA2, "K": {"frobenius_sub": {"r": order}}})
     assert main(["quotient", "--triple", f, "--field", "p3"]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+def test_ga_kernel_order_above_the_ceiling_exits_3_before_building(tmp_path, capsys):
+    """ga_kernel with r = 40 asks for a group of order 2^40: exit 3 at once."""
+    import time
+    f = write(tmp_path / "g.json", {"ga_kernel": {"r": 40}})
+    start = time.perf_counter()
+    assert main(["build", "--group", f, "--field", "p2"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "2^40" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", [-1, "x", 2.5, True])
+def test_ga_kernel_r_not_a_non_negative_integer_is_a_schema_error(tmp_path, r, capsys):
+    f = write(tmp_path / "g.json", {"ga_kernel": {"r": r}})
+    assert main(["build", "--group", f, "--field", "p2"]) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and "'r'" in err

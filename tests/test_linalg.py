@@ -229,3 +229,20 @@ def test_echelon_reduce_properties(F):
         with_vec.insert(vec)
         with_res.insert(res)
         assert with_vec.key() == with_res.key()
+
+
+@pytest.mark.parametrize("F", [F3, QQ], ids=["GF3", "Q"])
+def test_reduce_and_insert_drop_explicit_zeros(F):
+    """A vector carrying explicit zero entries reduces to a residue without
+    them, so insert never takes a zero pivot (F.inv(0) would raise)."""
+    zero, one = F.zero(), F.one()
+    ech = Echelon(F, 4)
+    ech.insert({1: one, 3: one})
+    vec = {0: zero, 1: one, 2: zero, 3: F.from_int(2)}
+    res = ech.reduce(vec)
+    assert res == {3: one} and zero not in res.values()
+    assert ech.reduce({0: zero, 1: zero}) == {}
+    assert not ech.insert({0: zero, 2: zero})
+    assert ech.insert(vec)
+    assert ech.pivots() == [1, 3]
+    assert all(zero not in row.values() for row in ech.rows.values())
