@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import MissingRibbonElement, NoSolution, VerificationFailure
+from .errors import BudgetExceeded, MissingRibbonElement, NoSolution, VerificationFailure
 from .groupschemes import GroupScheme, coadjoint_matrices
 from .hopf import (
     HopfAlgebra,
@@ -34,6 +34,7 @@ from .linalg import (
     unit_vec,
     v_axpy,
 )
+from .serialize import MAX_DOUBLE_DIM
 
 
 class DoubleData:
@@ -54,13 +55,18 @@ def drinfeld_double(G: GroupScheme) -> DoubleData:
     on the tensor coalgebra of O(G)^cop (x) k[G].
 
     The embeddings of O(G)^cop and k[G], the projection onto k[G], and the
-    normality of O(G) inside D(G) are verified on all basis tuples.
+    normality of O(G) inside D(G) are verified on all basis tuples.  A
+    double of dimension |G|^2 above MAX_DOUBLE_DIM raises BudgetExceeded
+    before anything is built.
     """
+    n = G.order
+    N = n * n
+    if N > MAX_DOUBLE_DIM:
+        raise BudgetExceeded(
+            f"D({G.name}) has dimension {n}^2 = {N}, above the ceiling {MAX_DOUBLE_DIM}")
     kg = G.group_algebra
     O = G.coordinate_algebra
     F = G.field
-    n = G.order
-    N = n * n
     idx = lambda a, i: a * n + i
     coad = coadjoint_matrices(G)
 

@@ -585,23 +585,33 @@ def is_hopf_morphism(f: LinMap):
     """True plus empty witness when f respects mult, unit, comult, counit on
     all basis tuples; otherwise (False, witness).  Antipode compatibility is
     automatic for bialgebra maps between Hopf algebras but is verified anyway.
+
+    The image f(e_i) of each basis vector is formed once; multiplicativity
+    is checked on all n^2 basis pairs, in (i, j) order, so the witness is the
+    first failing pair.  It is not checked on A x basis for a certified
+    generating set A of the source, as ``verify_hopf`` does: that argument
+    (N = {a : f(a y) = f(a) f(y)} is closed under products) needs the source
+    to be associative, and callers such as ``build_theta`` do not certify
+    the associativity of their source; Light's test on D(G) would cost
+    |A| n^2 products, more than the n^2 pairs checked here.
     """
     A, B, F = f.source, f.target, f.target.field
-    for i in range(A.dim):
-        for j in range(A.dim):
+    img = [f.apply(A.basis_vec(i)) for i in range(A.dim)]
+    for i, fi in enumerate(img):
+        for j, fj in enumerate(img):
             lhs = f.apply(A.mult.get((i, j), {}))
-            rhs = B.product(f.apply(A.basis_vec(i)), f.apply(A.basis_vec(j)))
+            rhs = B.product(fi, fj) if fi and fj else {}
             if lhs != rhs:
                 return False, f"mult at ({A.labels[i]},{A.labels[j]})"
     if f.apply(A.unit) != B.unit:
         return False, "unit"
-    for i in range(A.dim):
-        if B.coproduct(f.apply(A.basis_vec(i))) != t2_map(F, f.mat, f.mat, A.comult[i]):
+    for i, fi in enumerate(img):
+        if B.coproduct(fi) != t2_map(F, f.mat, f.mat, A.comult[i]):
             return False, f"comult at {A.labels[i]}"
-        if B.counit_of(f.apply(A.basis_vec(i))) != A.counit.get(i, F.zero()):
+        if B.counit_of(fi) != A.counit.get(i, F.zero()):
             return False, f"counit at {A.labels[i]}"
-    for i in range(A.dim):
-        if f.apply(A.antipode.get(i, {})) != B.antipode_of(f.apply(A.basis_vec(i))):
+    for i, fi in enumerate(img):
+        if f.apply(A.antipode.get(i, {})) != B.antipode_of(fi):
             return False, f"antipode at {A.labels[i]}"
     return True, ""
 
@@ -760,21 +770,25 @@ def coinvariants(A: HopfAlgebra, f_mat, f_unit) -> Echelon:
     return kernel
 
 
-def ideal_closure(H: HopfAlgebra, ech: Echelon) -> Echelon:
-    """Grow ech, in place, to the two-sided ideal of H its span generates.
+def ideal_closure(H: HopfAlgebra, ech: Echelon, multipliers=None) -> Echelon:
+    """Grow ech, in place, to its span closed under left and right
+    multiplication by each of ``multipliers`` (default: the basis of H).
 
     A worklist holds the vectors whose products are still owed: first the
     basis rows of ech, then every product that enlarged the span.  Each is
-    multiplied by every basis vector on both sides exactly once.  The span
-    of the processed vectors is ech, and each processed vector's products
-    lie in ech, so ech is a two-sided ideal once the worklist is empty.
+    multiplied by every multiplier on both sides exactly once.  The span of
+    the processed vectors is ech, and each processed vector's products lie
+    in ech, so ech is closed once the worklist is empty.  With the basis as
+    multipliers, ech is then the two-sided ideal of H its span generates;
+    with a smaller set it is a subspace of that ideal.
     """
     F = H.field
+    if multipliers is None:
+        multipliers = [unit_vec(d, F) for d in range(H.dim)]
     work = [dict(row) for row in ech.basis()]  # rows change as ech grows
     while work:
         row = work.pop()
-        for d in range(H.dim):
-            e = unit_vec(d, F)
+        for e in multipliers:
             for p in (H.product(e, row), H.product(row, e)):
                 if ech.insert(p):
                     work.append(p)

@@ -32,6 +32,7 @@ from .groupschemes import (
 from .hopf import (
     HopfAlgebra,
     LinMap,
+    certified_generators,
     coinvariants,
     convolution_unit,
     flat_outer,
@@ -451,16 +452,39 @@ def build_theta(qp: QuotientPair, dd: DoubleData) -> LinMap:
     return theta
 
 
+def _ideal_multipliers(dd: DoubleData):
+    """embed_O and embed_kG of the certified generators of O(G) and of k[G]:
+    elements that generate D(G) as an algebra, since b |><| u is
+    (b |><| 1)(1 |><| u) and both embeddings are algebra maps."""
+    F = dd.G.field
+    return ([dd.embed_O.apply(unit_vec(a, F))
+             for a in certified_generators(dd.G.coordinate_algebra)]
+            + [dd.embed_kG.apply(unit_vec(i, F))
+               for i in certified_generators(dd.G.group_algebra)])
+
+
 def theta_kernel_matches_ideal(qp: QuotientPair, dd: DoubleData) -> bool:
-    """ker(theta) must equal the ideal generated by O(G/K)^+ |><| 1 and
-    {mu_K(B(v)) |><| 1 - 1 |><| v}, as subspaces of D(G)."""
+    """ker(theta) must equal the ideal I generated by O(G/K)^+ |><| 1 and
+    {mu_K(B(v)) |><| 1 - 1 |><| v}, as subspaces of D(G).
+
+    Certificate.  Every generator is first checked to lie in ker(theta).
+    The span of the generators is then closed under left and right
+    multiplication by the multipliers of ``_ideal_multipliers`` only, giving
+    a subspace S.  ``build_theta`` has checked theta(x y) = theta(x)
+    theta(y) on every basis pair, so ker(theta) is a two-sided ideal of
+    D(G); it contains the generators, so S within I within ker(theta).
+    ``build_theta`` has also checked rank(theta) = dim D(K,H,B), so
+    dim ker(theta) = N - dim D(K,H,B); when dim S reaches it, the three are
+    equal.  No associativity of D(G) is used.  Only when S falls short is
+    the closure continued under the whole basis, which gives I exactly, and
+    compared with the kernel of theta.
+    """
     triple = qp.triple
     G = triple.G
     F = G.field
     D = dd.D
     N = D.dim
     theta = qp.theta(dd)
-    kernel = mat_kernel(F, theta.mat, N)
 
     gens = []
     coinv = coinvariant_subspace(G, triple.K)
@@ -477,8 +501,13 @@ def theta_kernel_matches_ideal(qp: QuotientPair, dd: DoubleData) -> bool:
 
     ideal = Echelon(F, N)
     for g in gens:
+        if theta.apply(g):
+            return False
         ideal.insert(g)
-    return ideal_closure(D, ideal).key() == kernel.key()
+    ideal_closure(D, ideal, _ideal_multipliers(dd))
+    if ideal.dim == N - qp.D.dim:
+        return True
+    return ideal_closure(D, ideal).key() == mat_kernel(F, theta.mat, N).key()
 
 
 def quotient_r_and_v(qp: QuotientPair, dd: DoubleData = None):

@@ -35,6 +35,11 @@ SCHEMA_VERSION = 1
 # 65,536, beyond anything the exact verifiers finish.
 MAX_GROUP_ORDER = 256
 
+# The largest dimension |G|^2 of a D(G) that drinfeld_double builds: 625
+# admits every group of order 25 (Borel and ga_kernel(2) over GF(5)); a
+# group of order 64 would give a D(G) of dimension 4,096.
+MAX_DOUBLE_DIM = 625
+
 
 def scalar_to_json(F: Field, v):
     if F.kind == "extension":

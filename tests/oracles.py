@@ -9,6 +9,8 @@ certified checks of the package.
   basis vectors, as products of Ten3s.
 * ``ideal_closure_rounds``: the two-sided ideal closure that re-sweeps
   every row until a round adds nothing.
+* ``is_hopf_morphism_exhaustive``: every morphism law on every basis tuple,
+  applying the map to both basis vectors of every pair.
 * ``grouplikes_sweep``: the grouplikes of a Hopf algebra over a finite
   field, by testing every vector of F^n.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from schemedouble.hopf import VerificationReport, t2_contract, t2_outer
+from schemedouble.hopf import VerificationReport, t2_contract, t2_map, t2_outer
 from schemedouble.linalg import unit_vec, v_axpy, v_scale
 
 
@@ -182,6 +184,27 @@ def ideal_closure_rounds(H, ech):
                 if ech.insert(H.product(row, e)):
                     grew = True
     return ech
+
+
+def is_hopf_morphism_exhaustive(f):
+    A, B, F = f.source, f.target, f.target.field
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = f.apply(A.mult.get((i, j), {}))
+            rhs = B.product(f.apply(A.basis_vec(i)), f.apply(A.basis_vec(j)))
+            if lhs != rhs:
+                return False, f"mult at ({A.labels[i]},{A.labels[j]})"
+    if f.apply(A.unit) != B.unit:
+        return False, "unit"
+    for i in range(A.dim):
+        if B.coproduct(f.apply(A.basis_vec(i))) != t2_map(F, f.mat, f.mat, A.comult[i]):
+            return False, f"comult at {A.labels[i]}"
+        if B.counit_of(f.apply(A.basis_vec(i))) != A.counit.get(i, F.zero()):
+            return False, f"counit at {A.labels[i]}"
+    for i in range(A.dim):
+        if f.apply(A.antipode.get(i, {})) != B.antipode_of(f.apply(A.basis_vec(i))):
+            return False, f"antipode at {A.labels[i]}"
+    return True, ""
 
 
 def grouplikes_sweep(H):

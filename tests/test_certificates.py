@@ -1,7 +1,8 @@
 """Differential tests of the certified checks against the exhaustive oracles
 in oracles.py: verify_hopf over a certified generating set, grouplikes from
-linear eigen-constraints, the hexagons leg by leg, and the worklist ideal
-closure."""
+linear eigen-constraints, the hexagons leg by leg, the worklist ideal
+closure with the generator-first kernel certificate, and the morphism check
+with its images formed once."""
 
 import itertools
 import random
@@ -25,14 +26,17 @@ from schemedouble.groupschemes import (
     ga_kernel,
     mu_p_kernel,
     subgroup_from_generators,
+    trivial_subgroup,
 )
 from schemedouble.hopf import (
     HopfAlgebra,
+    LinMap,
     certified_generators,
     grouplikes,
+    is_hopf_morphism,
     verify_hopf,
 )
-from schemedouble.linalg import Echelon, unit_vec, v_axpy
+from schemedouble.linalg import Echelon, mat_kernel, span, unit_vec, v_axpy
 from schemedouble.quotients import Triple, build_quotient, theta_kernel_matches_ideal, trivial_hopf_map
 
 from conftest import make_borel, make_s3, make_v4, make_z2, make_z3
@@ -40,6 +44,7 @@ from oracles import (
     grouplikes_sweep,
     hexagon_products_t3,
     ideal_closure_rounds,
+    is_hopf_morphism_exhaustive,
     verify_hopf_exhaustive,
 )
 
@@ -208,23 +213,102 @@ def _ga2_triple():
     return Triple(G, A, A, b_lambda(A, A, F3.one()))
 
 
-@pytest.mark.parametrize("make", [_ga2_triple, lambda: _a4(F5)], ids=["ga2-GF3", "A4-GF5"])
-def test_ideal_closure_worklist_equals_rounds(make, monkeypatch):
-    """The ideals theta_kernel_matches_ideal closes: the worklist closure and
-    the round-based one give the same subspace."""
+def _unit_multipliers(monkeypatch):
+    monkeypatch.setattr(schemedouble.quotients, "_ideal_multipliers", lambda dd: [dd.D.unit])
+    return True
+
+
+def _ga2_pair():
+    """(Ga_1, 1, 1) in ga_kernel(2) over GF(3): O(G/K)^+ |><| 1 alone
+    generates ker theta."""
+    G = ga_kernel(2, F3)
+    A, one = ga_frobenius_subgroup(G, 1), trivial_subgroup(G)
+    return Triple(G, A, one, trivial_hopf_map(one, A))
+
+
+def _fewer_coinvariants(monkeypatch):
+    """O(G/K) without its second canonical basis row."""
+    real = schemedouble.quotients.coinvariant_subspace
+
+    def fewer(G, K):
+        rows = real(G, K).basis()
+        return span(G.field, G.order, rows[:1] + rows[2:])
+
+    monkeypatch.setattr(schemedouble.quotients, "coinvariant_subspace", fewer)
+    return False
+
+
+@pytest.mark.parametrize("make, patch", [
+    (_ga2_triple, None),
+    (lambda: _a4(F5), None),
+    (_ga2_triple, _unit_multipliers),
+    (_ga2_pair, _fewer_coinvariants),
+], ids=["ga2-GF3", "A4-GF5", "ga2-GF3-fallback", "ga2-pair-GF3-too-few-generators"])
+def test_ideal_closure_worklist_equals_rounds(make, patch, monkeypatch):
+    """The ideals theta_kernel_matches_ideal closes: every closure it asks
+    for, generator-first or over the whole basis, gives the same subspace
+    as the round-based closure under the whole basis, and its answer is the
+    exhaustive one (the round-based ideal compared with ker theta).  With
+    the unit as the only multiplier the generator phase falls short and the
+    whole-basis phase still certifies the kernel; with too few generators
+    both answers are False."""
     seen = []
     real = schemedouble.quotients.ideal_closure
 
-    def recording(H, ech):
-        seen.append((H, ech.copy()))
-        return real(H, ech)
+    def recording(H, ech, multipliers=None):
+        seen.append((H, ech.copy(), multipliers))
+        return real(H, ech, multipliers)
 
     monkeypatch.setattr(schemedouble.quotients, "ideal_closure", recording)
+    expected = patch(monkeypatch) if patch else True
     triple = make()
-    assert theta_kernel_matches_ideal(build_quotient(triple), drinfeld_double(triple.G))
+    dd = drinfeld_double(triple.G)
+    qp = build_quotient(triple)
+    assert theta_kernel_matches_ideal(qp, dd) is expected
     assert seen
-    for H, ech in seen:
-        assert real(H, ech.copy()).key() == ideal_closure_rounds(H, ech.copy()).key()
+    assert [m is None for _, _, m in seen] == ([False] if patch is None else [False, True])
+    H, generated, _ = seen[0]
+    ideal = ideal_closure_rounds(H, generated.copy())
+    kernel = mat_kernel(H.field, qp.theta(dd).mat, H.dim)
+    assert (ideal.key() == kernel.key()) is expected
+    for H, ech, multipliers in seen:
+        closed = real(H, ech.copy(), multipliers)
+        if patch is _unit_multipliers and multipliers is not None:
+            assert closed.key() == ech.key()
+            continue
+        assert closed.key() == ideal.key()
+
+
+def _perturbed_maps(f):
+    """f with one added to one matrix entry, for every entry, zero entries
+    included."""
+    F = f.target.field
+    for col, row in itertools.product(range(f.source.dim), range(f.target.dim)):
+        mat = {j: dict(c) for j, c in f.mat.items()}
+        v_axpy(F, mat.setdefault(col, {}), F.one(), {row: F.one()})
+        yield LinMap(f.source, f.target, mat)
+
+
+def _theta_ga2():
+    triple = _ga2_triple()
+    return build_quotient(triple).theta(drinfeld_double(triple.G))
+
+
+@pytest.mark.parametrize("make", [
+    _theta_ga2,
+    lambda: drinfeld_double(make_s3(F3)).proj_kG,
+], ids=["theta-ga2-GF3-B1", "proj_kG-D(S3)-GF3"])
+def test_is_hopf_morphism_agrees_with_the_sweep(make):
+    """On single-entry perturbations of a Hopf morphism, is_hopf_morphism
+    and the exhaustive oracle give the same verdict and the same witness."""
+    f = make()
+    assert is_hopf_morphism(f) == is_hopf_morphism_exhaustive(f) == (True, "")
+    rejected = 0
+    for g in _perturbed_maps(f):
+        verdict = is_hopf_morphism(g)
+        assert verdict == is_hopf_morphism_exhaustive(g)
+        rejected += not verdict[0]
+    assert rejected > 0
 
 
 def test_ideal_closure_is_two_sided():

@@ -250,3 +250,45 @@ def test_ga_kernel_r_not_a_non_negative_integer_is_a_schema_error(tmp_path, r, c
     assert main(["build", "--group", f, "--field", "p2"]) == 2
     err = capsys.readouterr().err
     assert "schema error" in err and "'r'" in err
+
+
+def test_double_above_the_dimension_ceiling_exits_3_before_building(tmp_path, capsys):
+    """ga_kernel(6) over GF(2) has order 64, within MAX_GROUP_ORDER, but its
+    D(G) would have dimension 4,096: exit 3 before the double is built."""
+    import time
+    f = write(tmp_path / "g.json", {"ga_kernel": {"r": 6}})
+    start = time.perf_counter()
+    assert main(["double", "--group", f, "--field", "p2"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "4096" in capsys.readouterr().err
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Fresh processes under three PYTHONHASHSEED values print the same
+    stdout and write the same files, byte for byte."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    jobs = {
+        "quotient": (["quotient", "--triple", str(SAMPLES / "ga2_triple.json"),
+                      "--field", "p3"], []),
+        "enumerate": (["enumerate", "--group", str(SAMPLES / "s3.json"), "--field", "p7",
+                       "--dot", "{dir}/lattice.dot"], ["lattice.dot"]),
+    }
+    for name, (argv, files) in jobs.items():
+        seen = set()
+        for seed in ("0", "1", "2"):
+            d = tmp_path / f"{name}-{seed}"
+            d.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-m", "schemedouble.cli"]
+                                 + [a.format(dir=d) for a in argv],
+                                 env=env, capture_output=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs = (run.stdout,) + tuple((d / f).read_bytes() for f in files)
+            assert all(outputs)
+            seen.add(outputs)
+        assert len(seen) == 1, name
