@@ -54,6 +54,17 @@ def drinfeld_double(G: GroupScheme) -> DoubleData:
     """Build D(G) with product (b |><| u)(b' |><| u') = b(u_1 ->> b') |><| u_2 u'
     on the tensor coalgebra of O(G)^cop (x) k[G].
 
+    With Delta(u_i) = sum c_xy u_x (x) u_y and
+    P[a][x][b] = delta_a (u_x ->> delta_b) in O(G), the structure constants are
+
+        mult[(a, i), (b, j)] = sum_(x, y) c_xy P[a][x][b] |><| u_y u_j,
+
+    with u_y u_j read from the structure constants of k[G].  P is formed
+    once per (a, x, b), one row a at a time, and (a, i, b) is skipped
+    when no term of Delta(u_i) has a non-zero P[a][x][b].  The terms of a
+    cell are summed in the order (x, y), then delta, then u, so every cell
+    has the same keys in the same order as the term-by-term expansion.
+
     The embeddings of O(G)^cop and k[G], the projection onto k[G], and the
     normality of O(G) inside D(G) are verified on all basis tuples.  A
     double of dimension |G|^2 above MAX_DOUBLE_DIM raises BudgetExceeded
@@ -63,43 +74,42 @@ def drinfeld_double(G: GroupScheme) -> DoubleData:
     N = n * n
     if N > MAX_DOUBLE_DIM:
         raise BudgetExceeded(
-            f"D({G.name}) has dimension {n}^2 = {N}, above the ceiling {MAX_DOUBLE_DIM}")
+            f"D({G.name or 'G'}) has dimension {n}^2 = {N}, above the ceiling {MAX_DOUBLE_DIM}")
     kg = G.group_algebra
     O = G.coordinate_algebra
     F = G.field
+    zero = F.zero()
+    add, mul = F.add, F.mul
     idx = lambda a, i: a * n + i
     coad = coadjoint_matrices(G)
 
     labels = [f"{O.labels[a]}><{kg.labels[i]}" for a in range(n) for i in range(n)]
 
+    act = {(x, b): mat_apply(F, coad[x], unit_vec(b, F)) for x in range(n) for b in range(n)}
+    kmult = kg.mult
     mult = {}
     for a in range(n):
+        ea = unit_vec(a, F)
+        P = {xb: O.product(ea, w) for xb, w in act.items() if w}
         for i in range(n):
             di = kg.comult[i]
             for b in range(n):
-                coad_b = [None] * n
+                # (y, [(n * delta index, c_xy * P coefficient)]) per non-zero term
+                terms = [(y, [(oo * n, mul(c, co)) for oo, co in P[(x, b)].items()])
+                         for (x, y), c in di.items() if P.get((x, b))]
+                if not terms:
+                    continue
                 for j in range(n):
                     out = {}
-                    for (x, y), c in di.items():
-                        w = coad_b[x]
-                        if w is None:
-                            w = mat_apply(F, coad[x], unit_vec(b, F))
-                            coad_b[x] = w
-                        if not w:
+                    for y, row in terms:
+                        cell = kmult.get((y, j))
+                        if not cell:
                             continue
-                        o_part = O.product(unit_vec(a, F), w)
-                        if not o_part:
-                            continue
-                        k_part = kg.product(unit_vec(y, F), unit_vec(j, F))
-                        if not k_part:
-                            continue
-                        for oo, co in o_part.items():
-                            coc = F.mul(c, co)
-                            for kk, ck in k_part.items():
-                                key = idx(oo, kk)
-                                cur = out.get(key, F.zero())
-                                s = F.add(cur, F.mul(coc, ck))
-                                if s == F.zero():
+                        for base, coc in row:
+                            for kk, ck in cell.items():
+                                key = base + kk
+                                s = add(out.get(key, zero), mul(coc, ck))
+                                if s == zero:
                                     out.pop(key, None)
                                 else:
                                     out[key] = s

@@ -83,6 +83,7 @@ class GroupScheme:
             group_algebra.name = f"k[{name}]"
             self.coordinate_algebra.name = f"O({name})"
         self.field = group_algebra.field
+        self._coad = None
 
     @property
     def order(self):
@@ -406,7 +407,18 @@ def ad_l(G: GroupScheme, u, w):
 
 def coadjoint_matrices(G: GroupScheme):
     """For each basis u_i of k[G], the matrix of u_i ->> (-) on O(G), where
-    u ->> b = <S(b_1) b_3, u> b_2.  Uses the identity pairing of dual bases."""
+    u ->> b = <S(b_1) b_3, u> b_2.
+
+    Built once per GroupScheme and kept on it: every caller gets the same
+    list, which must not be mutated."""
+    if G._coad is None:
+        G._coad = _coadjoint_columns(G)
+    return G._coad
+
+
+def _coadjoint_columns(G: GroupScheme):
+    """The matrices of ``coadjoint_matrices``, from the identity pairing of
+    dual bases."""
     O = G.coordinate_algebra
     F = G.field
     n = G.order
@@ -440,6 +452,7 @@ class SubgroupScheme:
                         mat_transpose(iota.mat))
         self.subspace = subspace
         self.tag = tag
+        self._normal = None
 
     @property
     def order(self):
@@ -582,6 +595,15 @@ def ga_frobenius_subgroup(G: GroupScheme, s: int) -> SubgroupScheme:
 
 
 def is_normal(L: SubgroupScheme) -> bool:
+    """Whether k[L] is stable under the adjoint action of k[G].  Decided
+    once per SubgroupScheme, which does not change after construction, and
+    kept on it."""
+    if L._normal is None:
+        L._normal = _ad_stable(L)
+    return L._normal
+
+
+def _ad_stable(L: SubgroupScheme) -> bool:
     G = L.ambient
     F = G.field
     for i in range(G.order):

@@ -82,15 +82,12 @@ class Triple:
         self.K = K
         self.H = H
         self.B = B
-        self._coad = None
         self._section = None
         self.validate()
 
     @property
     def coad(self):
-        if self._coad is None:
-            self._coad = coadjoint_matrices(self.G)
-        return self._coad
+        return coadjoint_matrices(self.G)
 
     @property
     def section(self):

@@ -185,6 +185,20 @@ def _check_order(base, exp, what):
             f"{what} has order {order}, above the ceiling {MAX_GROUP_ORDER}")
 
 
+def _lie_coefficients(cell, n, what):
+    """A restricted_lie coefficient dict {"generator": integer} with the
+    generator in 0..n-1, keyed by int."""
+    out = {}
+    for g, c in cell.items():
+        i = int(g)
+        if not 0 <= i < n:
+            raise SchemaError(f"restricted_lie {what!r} generator {g!r} outside 0..{n - 1}")
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise SchemaError(f"restricted_lie {what!r} coefficient must be an integer, got {c!r}")
+        out[i] = c
+    return out
+
+
 def group_from_spec(spec, F: Field) -> GroupScheme:
     """Build a group scheme from its JSON build spec.
 
@@ -194,10 +208,20 @@ def group_from_spec(spec, F: Field) -> GroupScheme:
         raise SchemaError("group spec must have exactly one constructor key")
     kind, body = next(iter(spec.items()))
     if kind == "constant":
+        if not isinstance(body, dict) or not all(
+                isinstance(body.get(k), list) for k in ("elements", "table")):
+            raise SchemaError("bad constant spec: it needs lists 'elements' and 'table'")
+        elements, table = body["elements"], body["table"]
+        name = body.get("name", "")
+        _check_order(len(table), 1, f"constant group {name}".rstrip())
+        if len(elements) != len(table):
+            raise SchemaError(f"constant 'elements' has {len(elements)} entries "
+                              f"but 'table' has {len(table)} rows")
+        if any(not isinstance(row, list) or len(row) != len(table) for row in table):
+            raise SchemaError(f"constant 'table' must be {len(table)} rows of {len(table)} entries")
         try:
-            return constant_group(body["elements"], body["table"], F,
-                                  name=body.get("name", ""))
-        except (KeyError, TypeError) as exc:
+            return constant_group(elements, table, F, name=name)
+        except TypeError as exc:
             raise SchemaError(f"bad constant spec: {exc}")
     if kind == "ga_kernel":
         if not isinstance(body, dict) or "r" not in body:
@@ -219,13 +243,16 @@ def group_from_spec(spec, F: Field) -> GroupScheme:
     if kind == "restricted_lie":
         try:
             n = int(body["dim"])
-            bracket = [[{int(g): c for g, c in cell.items()}
-                        for cell in row] for row in body["bracket"]]
-            p_map = [{int(g): c for g, c in cell.items()} for cell in body["p_map"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            bracket = [[_lie_coefficients(cell, n, "bracket") for cell in row]
+                       for row in body["bracket"]]
+            p_map = [_lie_coefficients(cell, n, "p_map") for cell in body["p_map"]]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"bad restricted_lie spec: {exc}")
         if n < 0:
             raise SchemaError(f"restricted_lie 'dim' must be non-negative, got {n}")
+        if len(bracket) != n or any(len(row) != n for row in bracket) or len(p_map) != n:
+            raise SchemaError(f"restricted_lie 'bracket' must be {n} x {n} "
+                              f"and 'p_map' must have {n} entries")
         _check_order(F.char, n, f"restricted_lie with dim = {n}")
         return restricted_enveloping(n, bracket, p_map, F,
                                      name=body.get("name", ""))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from schemedouble.fields import QQ, make_field
@@ -19,6 +21,27 @@ def s3_cayley():
 
 
 S3_LABELS = ["e", "t12", "t13", "t23", "c123", "c132"]
+
+
+def permutation_table(gens, seed=None):
+    """(labels, Cayley table) of the permutation group generated by gens,
+    its elements in a seeded random order when seed is given."""
+    ident = tuple(range(len(gens[0])))
+    perms, frontier = {ident}, [ident]
+    while frontier:
+        frontier = [c for c in {tuple(a[g[i]] for i in range(len(a)))
+                                for a in frontier for g in gens} if c not in perms]
+        perms.update(frontier)
+    perms = sorted(perms)
+    if seed is not None:
+        random.Random(seed).shuffle(perms)
+    idx = {p: i for i, p in enumerate(perms)}
+    table = [[idx[tuple(p[q[i]] for i in range(len(p)))] for q in perms] for p in perms]
+    return [str(p) for p in perms], table
+
+
+A4_GENS = [(1, 2, 0, 3), (1, 0, 3, 2)]
+D4_GENS = [(1, 2, 3, 0), (3, 2, 1, 0)]
 
 
 def v4_cayley():

@@ -13,14 +13,17 @@ certified checks of the package.
   applying the map to both basis vectors of every pair.
 * ``grouplikes_sweep``: the grouplikes of a Hopf algebra over a finite
   field, by testing every vector of F^n.
+* ``drinfeld_double_mult_loop``: the structure constants of D(G), one
+  product of O(G) and one of k[G] per (x, y) term of every basis pair.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from schemedouble.groupschemes import coadjoint_matrices
 from schemedouble.hopf import VerificationReport, t2_contract, t2_map, t2_outer
-from schemedouble.linalg import unit_vec, v_axpy, v_scale
+from schemedouble.linalg import mat_apply, unit_vec, v_axpy, v_scale
 
 
 def verify_hopf_exhaustive(H) -> VerificationReport:
@@ -217,3 +220,46 @@ def grouplikes_sweep(H):
             found.append(v)
     found.sort(key=lambda v: tuple(sorted(v.items(), key=str)))
     return found
+
+
+def drinfeld_double_mult_loop(G):
+    kg = G.group_algebra
+    O = G.coordinate_algebra
+    F = G.field
+    n = G.order
+    idx = lambda a, i: a * n + i
+    coad = coadjoint_matrices(G)
+    mult = {}
+    for a in range(n):
+        for i in range(n):
+            di = kg.comult[i]
+            for b in range(n):
+                coad_b = [None] * n
+                for j in range(n):
+                    out = {}
+                    for (x, y), c in di.items():
+                        w = coad_b[x]
+                        if w is None:
+                            w = mat_apply(F, coad[x], unit_vec(b, F))
+                            coad_b[x] = w
+                        if not w:
+                            continue
+                        o_part = O.product(unit_vec(a, F), w)
+                        if not o_part:
+                            continue
+                        k_part = kg.product(unit_vec(y, F), unit_vec(j, F))
+                        if not k_part:
+                            continue
+                        for oo, co in o_part.items():
+                            coc = F.mul(c, co)
+                            for kk, ck in k_part.items():
+                                key = idx(oo, kk)
+                                cur = out.get(key, F.zero())
+                                s = F.add(cur, F.mul(coc, ck))
+                                if s == F.zero():
+                                    out.pop(key, None)
+                                else:
+                                    out[key] = s
+                    if out:
+                        mult[(idx(a, i), idx(b, j))] = out
+    return mult

@@ -1,8 +1,9 @@
 """Differential tests of the certified checks against the exhaustive oracles
 in oracles.py: verify_hopf over a certified generating set, grouplikes from
 linear eigen-constraints, the hexagons leg by leg, the worklist ideal
-closure with the generator-first kernel certificate, and the morphism check
-with its images formed once."""
+closure with the generator-first kernel certificate, the morphism check
+with its images formed once, and the D(G) structure constants assembled
+from products formed once per (a, x, b)."""
 
 import itertools
 import random
@@ -18,7 +19,7 @@ from schemedouble.doubles import (
     hexagon_products,
     verify_quasitriangular,
 )
-from schemedouble.fields import make_field
+from schemedouble.fields import QQ, make_field
 from schemedouble.groupschemes import (
     constant_group,
     direct_product,
@@ -39,8 +40,18 @@ from schemedouble.hopf import (
 from schemedouble.linalg import Echelon, mat_kernel, span, unit_vec, v_axpy
 from schemedouble.quotients import Triple, build_quotient, theta_kernel_matches_ideal, trivial_hopf_map
 
-from conftest import make_borel, make_s3, make_v4, make_z2, make_z3
+from conftest import (
+    A4_GENS,
+    D4_GENS,
+    make_borel,
+    make_s3,
+    make_v4,
+    make_z2,
+    make_z3,
+    permutation_table,
+)
 from oracles import (
+    drinfeld_double_mult_loop,
     grouplikes_sweep,
     hexagon_products_t3,
     ideal_closure_rounds,
@@ -53,6 +64,7 @@ F3 = make_field("prime", p=3)
 F4 = make_field("extension", p=2, k=2)
 F5 = make_field("prime", p=5)
 F7 = make_field("prime", p=7)
+F9 = make_field("extension", p=3, k=2)
 
 
 def _mutants(H):
@@ -197,13 +209,10 @@ def test_hexagons_equal_the_ten3_product_on_random_tensors():
 
 
 def _a4(F):
-    perms = [p for p in itertools.permutations(range(4))
-             if sum(p[i] > p[j] for i in range(4) for j in range(i)) % 2 == 0]
-    idx = {p: i for i, p in enumerate(perms)}
-    table = [[idx[tuple(p[q[i]] for i in range(4))] for q in perms] for p in perms]
-    G = constant_group([str(p) for p in perms], table, F, name="A4")
-    V4 = subgroup_from_generators(G, [unit_vec(idx[(1, 0, 3, 2)], F),
-                                      unit_vec(idx[(2, 3, 0, 1)], F)])
+    labels, table = permutation_table(A4_GENS)
+    G = constant_group(labels, table, F, name="A4")
+    V4 = subgroup_from_generators(G, [unit_vec(labels.index(str(g)), F)
+                                      for g in [(1, 0, 3, 2), (2, 3, 0, 1)]])
     return Triple(G, V4, V4, trivial_hopf_map(V4, V4))
 
 
@@ -320,3 +329,23 @@ def test_ideal_closure_is_two_sided():
     closed = schemedouble.quotients.ideal_closure(kg, ech.copy())
     assert closed.dim == 5
     assert closed.key() == ideal_closure_rounds(kg, ech.copy()).key()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_s3(F3),
+    lambda: constant_group(*permutation_table(A4_GENS, seed=1), F5, name="A4"),
+    lambda: constant_group(*permutation_table(D4_GENS), F9, name="D4"),
+    lambda: make_borel(F2),
+    lambda: ga_kernel(2, F3),
+    lambda: make_z2(QQ),
+], ids=["S3-GF3", "A4-relabeled-GF5", "D4-GF9", "Borel-GF2", "ga2-GF3", "Z2-Q"])
+def test_double_structure_constants_equal_the_term_by_term_loop(make):
+    """drinfeld_double assembles the same structure constants as the loop
+    that multiplies in O(G) and k[G] for every term of every basis pair,
+    with the same keys in the same order in the table and in every cell
+    (Borel: a connected group with a non-trivial coadjoint action)."""
+    G = make()
+    mult = drinfeld_double(G).D.mult
+    expected = drinfeld_double_mult_loop(G)
+    assert list(mult) == list(expected)
+    assert all(list(mult[k].items()) == list(cell.items()) for k, cell in expected.items())

@@ -178,9 +178,11 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
      "28a20ce68226fc87bd2f4f7bd694b1c2925485a7e4d87bd776deec52e0c0ee3c"),
     (["enumerate", "--group", "s3.json", "--field", "p7"],
      "49bdb84cfff059450190a206bf3298241a2a9a9d0275e97d579c4b1be368ba51"),
+    (["quotient", "--triple", "ga4_b1_triple.json", "--field", "p2"],
+     "8d637b98b4203a7e4f5ee20b5b7ddaea72d5ea34e5b49b4c9993426796df0508"),
 ], ids=["double-z2-q", "double-s3-p7", "quotient-ga2-p3-json",
         "quotient-ga2-p3-text", "enumerate-dot-s3-p7", "enumerate-z2-q",
-        "build-borel-p3", "enumerate-s3-p7"])
+        "build-borel-p3", "enumerate-s3-p7", "quotient-ga4-b1-p2"])
 def test_sample_outputs_are_pinned(argv, digest, capsys):
     """The stdout bytes of these runs on samples/ are fixed: a refactoring
     that changes any of them changes the program's output."""
@@ -250,6 +252,54 @@ def test_ga_kernel_r_not_a_non_negative_integer_is_a_schema_error(tmp_path, r, c
     assert main(["build", "--group", f, "--field", "p2"]) == 2
     err = capsys.readouterr().err
     assert "schema error" in err and "'r'" in err
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"constant": {"elements": ["a", "b", "c"], "table": [[0, 1], [1, 0]]}}, "'elements'"),
+    ({"constant": {"elements": ["a", "b"], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}},
+     "'table'"),
+    ({"constant": {"elements": "ab", "table": [[0, 1], [1, 0]]}}, "'elements'"),
+    ({"constant": {"elements": ["a", "b"], "table": [[0, 1], [1]]}}, "'table'"),
+    ({"restricted_lie": {"dim": 2, "bracket": [[{}, {"1": 1}], [{"1": -1}, {}]],
+                         "p_map": [{"0": "z"}, {}]}}, "'p_map'"),
+    ({"restricted_lie": {"dim": 2, "bracket": [[{}, {"1": 1.5}], [{"1": -1}, {}]],
+                         "p_map": [{}, {}]}}, "'bracket'"),
+    ({"restricted_lie": {"dim": 2, "bracket": [[{}, {"7": 1}], [{"7": -1}, {}]],
+                         "p_map": [{}, {}]}}, "'bracket'"),
+    ({"restricted_lie": {"dim": 2, "bracket": [[{}]], "p_map": [{}, {}]}}, "'bracket'"),
+], ids=["constant-more-elements", "constant-more-rows", "constant-elements-not-list",
+        "constant-table-not-square",
+        "lie-coefficient-not-number", "lie-coefficient-float", "lie-generator-out-of-range",
+        "lie-bracket-not-square"])
+def test_malformed_group_spec_is_a_schema_error_naming_the_field(tmp_path, spec, field, capsys):
+    f = write(tmp_path / "g.json", spec)
+    assert main(["build", "--group", f, "--field", "p3"]) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and field in err
+
+
+def test_constant_group_above_the_order_ceiling_exits_3_before_the_table_check(tmp_path, capsys):
+    """A cyclic table of order 300 is refused before its n^3 associativity
+    check, and the unnamed group still gets a name in the message."""
+    import time
+    n = 300
+    f = write(tmp_path / "g.json",
+              {"constant": {"elements": [f"g{i}" for i in range(n)],
+                            "table": [[(i + j) % n for j in range(n)] for i in range(n)]}})
+    for command in ("build", "double"):
+        start = time.perf_counter()
+        assert main([command, "--group", f, "--field", "p2"]) == 3
+        assert time.perf_counter() - start < 1
+        assert "constant group has order 300" in capsys.readouterr().err
+
+
+def test_unnamed_double_above_the_dimension_ceiling_names_the_group(tmp_path, capsys):
+    n = 30
+    f = write(tmp_path / "g.json",
+              {"constant": {"elements": [f"g{i}" for i in range(n)],
+                            "table": [[(i + j) % n for j in range(n)] for i in range(n)]}})
+    assert main(["double", "--group", f, "--field", "p2"]) == 3
+    assert "D(G) has dimension 30^2 = 900" in capsys.readouterr().err
 
 
 def test_double_above_the_dimension_ceiling_exits_3_before_building(tmp_path, capsys):

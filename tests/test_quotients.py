@@ -1,5 +1,11 @@
+import contextlib
+import io
+import json
+
 import pytest
 
+import schemedouble.groupschemes
+from schemedouble.cli import main
 from schemedouble.errors import InvalidTriple, NoFactorization
 from schemedouble.fields import QQ, make_field
 from schemedouble.appendix import b_lambda
@@ -9,6 +15,7 @@ from schemedouble.groupschemes import (
     full_subgroup,
     ga_frobenius_subgroup,
     ga_kernel,
+    is_normal,
     subgroup_from_generators,
     trivial_subgroup,
 )
@@ -29,7 +36,7 @@ from schemedouble.quotients import (
     trivial_hopf_map,
 )
 
-from conftest import make_borel, make_s3, make_z2
+from conftest import A4_GENS, make_borel, make_s3, make_z2, permutation_table
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)
@@ -433,3 +440,57 @@ def test_equivariance_guard_rejects_bad_triples():
     y_idx = G2.group_algebra.labels.index("y")
     N2 = subgroup_from_generators(G2, [unit_vec(y_idx, F2)])
     Triple(G2, N2, N2, b_lambda(N2, N2, F2.from_int(1)))
+
+
+# -- computed once per object -------------------------------------------------
+
+
+def _counting(monkeypatch, name):
+    """Replace groupschemes.<name> by a wrapper that records its argument."""
+    seen = []
+    real = getattr(schemedouble.groupschemes, name)
+
+    def wrapper(arg):
+        seen.append(arg)
+        return real(arg)
+
+    monkeypatch.setattr(schemedouble.groupschemes, name, wrapper)
+    return seen
+
+
+def test_quotient_run_builds_the_coadjoint_matrices_once(tmp_path, monkeypatch):
+    """quotient on A4 with K = V4 and H = 1 needs u ->> (-) for Triple.star
+    and for D(G): one build, shared."""
+    seen = _counting(monkeypatch, "_coadjoint_columns")
+    labels, table = permutation_table(A4_GENS)
+    v4 = [[{"indices": [labels.index(str(g))], "value": "1"}]
+          for g in [(1, 0, 3, 2), (2, 3, 0, 1)]]
+    path = tmp_path / "a4.json"
+    path.write_text(json.dumps({"group": {"constant": {"elements": labels, "table": table}},
+                                "K": {"generators": v4}, "H": "trivial"}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["quotient", "--triple", str(path), "--field", "q"]) == 0
+    assert len(seen) == 1
+
+
+def test_triple_and_double_share_the_coadjoint_matrices():
+    triple = ga2_triple(F3, 1)
+    assert triple.coad is drinfeld_double(triple.G).coad
+
+
+def test_appendix_decides_normality_once_per_subgroup(monkeypatch):
+    """appendix --p 5 builds ten triples over two subgroup objects."""
+    seen = _counting(monkeypatch, "_ad_stable")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["appendix", "--p", "5"]) == 0
+    assert seen and len({id(L) for L in seen}) == len(seen)
+
+
+def test_reused_non_normal_subgroup_is_rejected_every_time():
+    G = make_s3(F7)
+    T = subgroup_from_generators(G, [unit_vec(1, F7)])
+    one = trivial_subgroup(G)
+    for _ in range(2):
+        with pytest.raises(InvalidTriple, match="K is not normal"):
+            Triple(G, T, one, trivial_hopf_map(one, T))
+    assert not is_normal(T)
