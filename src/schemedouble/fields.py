@@ -1,10 +1,12 @@
 """Exact scalar arithmetic: prime fields, small extension fields, the rationals.
 
 Scalars are stored in raw canonical form (an ``int`` in ``[0, p)`` for a prime
-field, a coefficient tuple for an extension field, a reduced ``Fraction`` for
-the rationals) and all arithmetic goes through the owning field object.  The
-raw forms are hashable and comparable, which the linear algebra layer relies
-on.  Nothing in this module (or anywhere downstream) ever rounds.
+field, a coefficient tuple for an extension field; for the rationals an
+``int`` when the value is integral and a reduced ``Fraction`` with
+denominator > 1 otherwise) and all arithmetic goes through the owning field
+object.  The raw forms are hashable and comparable, which the linear algebra
+layer relies on.  Nothing in this module (or anywhere downstream) ever
+rounds.
 """
 
 from __future__ import annotations
@@ -294,36 +296,55 @@ class ExtensionField(Field):
         return hash(("ext", self.p, self.k, self.poly))
 
 
+def _q_canon(x: Fraction):
+    """A Fraction in the canonical raw form: its numerator when integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField(Field):
+    """The rationals.  A raw value is an ``int`` when it is integral and a
+    reduced ``Fraction`` with denominator > 1 otherwise, so the common
+    integral structure constants never pay for ``Fraction`` arithmetic.
+
+    The operations accept either type for either argument and always return
+    the canonical form.  An ``int`` and a ``Fraction`` of equal value compare
+    equal and hash alike, so dict equality, sorting and ``to_str`` do not
+    depend on which of the two a caller holds.
+    """
+
     kind = "rationals"
     char = 0
     size = None
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return a + b
+        s = a + b
+        return s if type(s) is int else _q_canon(s)
 
     def sub(self, a, b):
-        return a - b
+        s = a - b
+        return s if type(s) is int else _q_canon(s)
 
     def mul(self, a, b):
-        return a * b
+        s = a * b
+        return s if type(s) is int else _q_canon(s)
 
     def neg(self, a):
-        return -a
+        s = -a
+        return s if type(s) is int else _q_canon(s)
 
     def inv(self, a):
         if a == 0:
             raise NotInvertible("0 has no inverse")
-        return 1 / a
+        return _q_canon(Fraction(1) / a)
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def elements(self):
         raise NotInvertible("the rationals are infinite")
@@ -334,8 +355,10 @@ class RationalField(Field):
     def from_str(self, s):
         if "/" in s:
             num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in {s!r}")
+            return _q_canon(Fraction(int(num), int(den)))
+        return int(s)
 
     def describe(self):
         return {"kind": "rationals"}

@@ -199,13 +199,37 @@ def _lie_coefficients(cell, n, what):
     return out
 
 
+# Constructors of connected group schemes, which exist only in
+# characteristic p > 0.
+_CHAR_P_CONSTRUCTORS = ("ga_kernel", "mu_p", "restricted_lie")
+
+
+def _char_p_constructor(spec):
+    """The first constructor of spec, products included, that needs
+    positive characteristic, or None."""
+    if not isinstance(spec, dict) or len(spec) != 1:
+        return None
+    kind, body = next(iter(spec.items()))
+    if kind in _CHAR_P_CONSTRUCTORS:
+        return kind
+    if kind == "product" and isinstance(body, list):
+        return next(filter(None, map(_char_p_constructor, body)), None)
+    return None
+
+
 def group_from_spec(spec, F: Field) -> GroupScheme:
     """Build a group scheme from its JSON build spec.
 
     Orders above MAX_GROUP_ORDER raise BudgetExceeded before anything of
-    that size is built."""
+    that size is built; a connected constructor over a field of
+    characteristic 0, alone or in a product, raises SchemaError before
+    anything is built."""
     if not isinstance(spec, dict) or len(spec) != 1:
         raise SchemaError("group spec must have exactly one constructor key")
+    if F.char == 0:
+        kind = _char_p_constructor(spec)
+        if kind:
+            raise SchemaError(f"{kind} needs a field of positive characteristic, got {F!r}")
     kind, body = next(iter(spec.items()))
     if kind == "constant":
         if not isinstance(body, dict) or not all(

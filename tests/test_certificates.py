@@ -56,6 +56,7 @@ from oracles import (
     hexagon_products_t3,
     ideal_closure_rounds,
     is_hopf_morphism_exhaustive,
+    light_associativity_dense,
     verify_hopf_exhaustive,
 )
 
@@ -67,19 +68,26 @@ F7 = make_field("prime", p=7)
 F9 = make_field("extension", p=3, k=2)
 
 
-def _mutants(H):
-    """H with one added to one structure constant: every cell of mult, then
-    every cell of comult."""
+def _mult_mutants(H):
+    """H with one added to one structure constant of mult, every cell in
+    turn."""
     F = H.field
     one = F.one()
-    cells = list(itertools.product(range(H.dim), repeat=3))
-    for i, j, k in cells:
+    for i, j, k in itertools.product(range(H.dim), repeat=3):
         mult = {key: dict(cell) for key, cell in H.mult.items()}
         cell = v_axpy(F, mult.setdefault((i, j), {}), one, {k: one})
         if not cell:
             del mult[(i, j)]
         yield HopfAlgebra(F, H.labels, mult, H.unit, H.comult, H.counit, H.antipode)
-    for i, j, k in cells:
+
+
+def _mutants(H):
+    """H with one added to one structure constant: every cell of mult, then
+    every cell of comult."""
+    F = H.field
+    one = F.one()
+    yield from _mult_mutants(H)
+    for i, j, k in itertools.product(range(H.dim), repeat=3):
         comult = {key: dict(t) for key, t in H.comult.items()}
         v_axpy(F, comult[i], one, {(j, k): one})
         yield HopfAlgebra(F, H.labels, H.mult, H.unit, comult, H.counit, H.antipode)
@@ -113,6 +121,45 @@ def test_verify_hopf_rejects_exactly_what_the_sweep_rejects(name):
         rejected += not oracle.ok
     assert count == 2 * H.dim**3
     assert rejected > 0
+
+
+LIGHT = dict(MUTATED, **{
+    "DZ2-Q": lambda: drinfeld_double(make_z2(QQ)).D,
+    "DZ3-GF2": lambda: drinfeld_double(make_z3(F2)).D,
+})
+
+
+def _skipped_triples(H):
+    """The (i, a, k), a in certified_generators(H), where every cell of both
+    sides of Light's test is empty."""
+    mult, n, gens = H.mult, H.dim, certified_generators(H)
+    return sum(
+        not mult.get((j, k)) and not any(mult.get((l, k)) for l in mult.get((i, j), {}))
+        for i in range(n) for j in gens for k in range(n))
+
+
+@pytest.mark.parametrize("name", sorted(LIGHT))
+def test_light_test_on_nonzero_cells_equals_the_dense_loop(name):
+    """On every single-constant mult mutant, the associativity row of
+    verify_hopf, which visits only the k with a non-empty cell, has the
+    (ok, witness) of Light's test over every k."""
+    H = LIGHT[name]()
+    rejected = 0
+    for M in _mult_mutants(H):
+        row, ok, wit = verify_hopf(M).checks[0]
+        assert row == "associativity"
+        oracle = light_associativity_dense(M, certified_generators(M))
+        assert (ok, wit) == oracle
+        rejected += not oracle[0]
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("name", ["DZ2-Q", "DZ3-GF2"])
+def test_light_test_skips_on_constant_group_doubles(name):
+    """D(G) of a constant group is monomial: most triples of Light's test
+    have only empty cells, so the restricted loop skips them."""
+    H = LIGHT[name]()
+    assert 0 < _skipped_triples(H) < H.dim**2 * len(certified_generators(H))
 
 
 def _right_closure_rounds(H, gens):

@@ -56,6 +56,17 @@ def test_verify_detects_corruption(tmp_path, z2_file):
     assert main(["verify", "--hopf", str(bad)]) == 1
 
 
+def test_rational_with_zero_denominator_is_a_schema_error(tmp_path, z2_file, capsys):
+    out = tmp_path / "z2_built.json"
+    main(["build", "--group", z2_file, "--field", "q", "-o", str(out)])
+    doc = json.loads(out.read_text())["group_algebra"]
+    doc["mult"][0]["value"] = "1/0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--hopf", str(bad)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_double_command(tmp_path, z2_file):
     out = tmp_path / "double.json"
     assert main(["double", "--group", z2_file, "--field", "q",
@@ -180,9 +191,14 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
      "49bdb84cfff059450190a206bf3298241a2a9a9d0275e97d579c4b1be368ba51"),
     (["quotient", "--triple", "ga4_b1_triple.json", "--field", "p2"],
      "8d637b98b4203a7e4f5ee20b5b7ddaea72d5ea34e5b49b4c9993426796df0508"),
+    (["double", "--group", "s3.json", "--field", "q"],
+     "49872fd7abc7770e575f2d85ae2a973967302695e1b5a38a53497afd73cb224a"),
+    (["enumerate", "--group", "s3.json", "--field", "q"],
+     "9327a0a9ad7b10b0421746a7f9e10f75c64b77cf80d9a04f3bafe9c5352dcc31"),
 ], ids=["double-z2-q", "double-s3-p7", "quotient-ga2-p3-json",
         "quotient-ga2-p3-text", "enumerate-dot-s3-p7", "enumerate-z2-q",
-        "build-borel-p3", "enumerate-s3-p7", "quotient-ga4-b1-p2"])
+        "build-borel-p3", "enumerate-s3-p7", "quotient-ga4-b1-p2",
+        "double-s3-q", "enumerate-s3-q"])
 def test_sample_outputs_are_pinned(argv, digest, capsys):
     """The stdout bytes of these runs on samples/ are fixed: a refactoring
     that changes any of them changes the program's output."""
@@ -276,6 +292,34 @@ def test_malformed_group_spec_is_a_schema_error_naming_the_field(tmp_path, spec,
     assert main(["build", "--group", f, "--field", "p3"]) == 2
     err = capsys.readouterr().err
     assert "schema error" in err and field in err
+
+
+Z2_SPEC = {"constant": {"elements": ["e", "s"], "table": [[0, 1], [1, 0]]}}
+
+
+@pytest.mark.parametrize("command", ["build", "double"])
+@pytest.mark.parametrize("spec, kind", [
+    ({"ga_kernel": {"r": 3}}, "ga_kernel"),
+    ({"mu_p": {}}, "mu_p"),
+    ({"restricted_lie": {"dim": 1, "bracket": [[{}]], "p_map": [{}]}}, "restricted_lie"),
+    ({"product": [Z2_SPEC, {"mu_p": {}}]}, "mu_p"),
+    ({"product": [Z2_SPEC, {"product": [Z2_SPEC, {"ga_kernel": {"r": 1}}]}]}, "ga_kernel"),
+], ids=["ga_kernel", "mu_p", "restricted_lie", "product-mu_p", "nested-product-ga_kernel"])
+def test_connected_constructor_over_q_is_a_schema_error(tmp_path, monkeypatch, command,
+                                                        spec, kind, capsys):
+    """Connected group schemes need positive characteristic: over Q the
+    spec is refused with exit 2, naming the constructor and the field,
+    before any factor is built."""
+    import schemedouble.serialize
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(schemedouble.serialize, "constant_group", no_build)
+    f = write(tmp_path / "g.json", spec)
+    assert main([command, "--group", f, "--field", "q"]) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and kind in err and "QQ" in err
 
 
 def test_constant_group_above_the_order_ceiling_exits_3_before_the_table_check(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from schemedouble.errors import CharZero, NotInvertible, NotPrime, ReduciblePolynomial
 from schemedouble.fields import (
@@ -79,6 +81,54 @@ def test_f7_multiplicative_group_cyclic_of_order_six():
 def test_rationals_char_zero():
     assert QQ.char == 0
     assert QQ.from_str("3/6") == QQ.from_str("1/2")
+
+
+# Mixed raw inputs: canonical ints, reduced Fractions, and integral
+# Fractions, which are not canonical but must be accepted.
+RATIONALS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=60),
+    st.integers(-60, 60).map(Fraction),
+)
+
+
+def assert_canonical(x, expected):
+    """x equals expected and is an int exactly when it is integral."""
+    assert type(x) in (int, Fraction)
+    assert x == expected
+    assert (type(x) is int) == (Fraction(x).denominator == 1)
+
+
+def test_rational_constants_are_ints():
+    for x in (QQ.zero(), QQ.one(), QQ.from_int(-4), QQ.from_str("4/2"), QQ.from_str("-7")):
+        assert type(x) is int
+    assert QQ.from_str("4/2") == 2 and QQ.from_str("6/-4") == Fraction(-3, 2)
+    with pytest.raises(ValueError):
+        QQ.from_str("1/0")
+
+
+@given(RATIONALS, RATIONALS)
+def test_rational_arithmetic_agrees_with_fraction(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert_canonical(QQ.add(a, b), fa + fb)
+    assert_canonical(QQ.sub(a, b), fa - fb)
+    assert_canonical(QQ.mul(a, b), fa * fb)
+    assert_canonical(QQ.neg(a), -fa)
+    if fb:
+        assert_canonical(QQ.inv(b), 1 / fb)
+        assert_canonical(QQ.div(a, b), fa / fb)
+    else:
+        with pytest.raises(NotInvertible):
+            QQ.inv(b)
+
+
+@given(RATIONALS)
+def test_rational_strings_round_trip(x):
+    s = QQ.to_str(x)
+    assert s == QQ.to_str(Fraction(x))
+    y = QQ.from_str(s)
+    assert_canonical(y, x)
+    assert QQ.to_str(y) == s
 
 
 def test_binomial_trivial_cases():
