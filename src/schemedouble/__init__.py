@@ -58,7 +58,6 @@ from .quotients import (
     induced_surjection,
     quotient_r_and_v,
     recognize_triple,
-    star_action,
     theta_kernel_matches_ideal,
     trivial_hopf_map,
 )

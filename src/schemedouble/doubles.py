@@ -3,6 +3,9 @@ and ribbon element, and generic checkers for quasitriangular, ribbon,
 triangular, and factorizable structures on any Hopf algebra carrying a
 candidate R.
 
+D(G) is built by ``hopf.crossed_product``, the builder of every quotient
+D(K, H, B), as its K = G, H = 1 case with trivial sigma and tau.
+
 Basis order in D(G) is (coordinate index, group index) row-major: the pair
 (a, i) standing for delta_a |><| u_i sits at a * |G| + i.
 """
@@ -17,9 +20,9 @@ from .hopf import (
     HopfAlgebra,
     LinMap,
     VerificationReport,
+    crossed_product,
     flat_outer,
     is_hopf_morphism,
-    smash_antipode,
     t2_contract,
     t2_map,
     t2_outer,
@@ -33,6 +36,7 @@ from .linalg import (
     solve_affine,
     unit_vec,
     v_axpy,
+    v_scale,
 )
 from .serialize import MAX_DOUBLE_DIM
 
@@ -54,16 +58,12 @@ def drinfeld_double(G: GroupScheme) -> DoubleData:
     """Build D(G) with product (b |><| u)(b' |><| u') = b(u_1 ->> b') |><| u_2 u'
     on the tensor coalgebra of O(G)^cop (x) k[G].
 
-    With Delta(u_i) = sum c_xy u_x (x) u_y and
-    P[a][x][b] = delta_a (u_x ->> delta_b) in O(G), the structure constants are
-
-        mult[(a, i), (b, j)] = sum_(x, y) c_xy P[a][x][b] |><| u_y u_j,
-
-    with u_y u_j read from the structure constants of k[G].  P is formed
-    once per (a, x, b), one row a at a time, and (a, i, b) is skipped
-    when no term of Delta(u_i) has a non-zero P[a][x][b].  The terms of a
-    cell are summed in the order (x, y), then delta, then u, so every cell
-    has the same keys in the same order as the term-by-term expansion.
+    This is the K = G, H = 1 case of ``crossed_product``: the dot action is
+    the coadjoint action u ->> b, sigma(x, y) = eps(x) eps(y) 1 and
+    tau(x) = eps(x) 1 (x) 1.  Both are multiples of the unit, so no product
+    with them is formed, and every cell has the same keys in the same order
+    as the term-by-term expansion over (x, y) in Delta(u_i), then delta,
+    then u.
 
     The embeddings of O(G)^cop and k[G], the projection onto k[G], and the
     normality of O(G) inside D(G) are verified on all basis tuples.  A
@@ -78,62 +78,19 @@ def drinfeld_double(G: GroupScheme) -> DoubleData:
     kg = G.group_algebra
     O = G.coordinate_algebra
     F = G.field
-    zero = F.zero()
-    add, mul = F.add, F.mul
     idx = lambda a, i: a * n + i
     coad = coadjoint_matrices(G)
 
     labels = [f"{O.labels[a]}><{kg.labels[i]}" for a in range(n) for i in range(n)]
 
-    act = {(x, b): mat_apply(F, coad[x], unit_vec(b, F)) for x in range(n) for b in range(n)}
-    kmult = kg.mult
-    mult = {}
-    for a in range(n):
-        ea = unit_vec(a, F)
-        P = {xb: O.product(ea, w) for xb, w in act.items() if w}
-        for i in range(n):
-            di = kg.comult[i]
-            for b in range(n):
-                # (y, [(n * delta index, c_xy * P coefficient)]) per non-zero term
-                terms = [(y, [(oo * n, mul(c, co)) for oo, co in P[(x, b)].items()])
-                         for (x, y), c in di.items() if P.get((x, b))]
-                if not terms:
-                    continue
-                for j in range(n):
-                    out = {}
-                    for y, row in terms:
-                        cell = kmult.get((y, j))
-                        if not cell:
-                            continue
-                        for base, coc in row:
-                            for kk, ck in cell.items():
-                                key = base + kk
-                                s = add(out.get(key, zero), mul(coc, ck))
-                                if s == zero:
-                                    out.pop(key, None)
-                                else:
-                                    out[key] = s
-                    if out:
-                        mult[(idx(a, i), idx(b, j))] = out
-
-    unit = flat_outer(F, O.unit, kg.unit, n)
-
-    comult = {}
-    for a in range(n):
-        da = O.comult[a]
-        for i in range(n):
-            t = {}
-            for (s, u), co in da.items():
-                for (x, y), ck in kg.comult[i].items():
-                    # cop on the coordinate side: second leg of Delta_O first
-                    t[(idx(u, x), idx(s, y))] = F.mul(co, ck)
-            comult[idx(a, i)] = t
-
-    counit = flat_outer(F, O.counit, kg.counit, n)
-
-    D = HopfAlgebra(F, labels, mult, unit, comult, counit, {},
-                    name=f"D({G.name})")
-    D.antipode = smash_antipode(D, O, kg)
+    # sigma(x, y) = eps(x) eps(y) 1 and tau(x) = eps(x) 1 (x) 1
+    eps = kg.counit
+    times = lambda c, v: v if c == F.one() else v_scale(F, c, v)
+    sigma = {(r, s): times(F.mul(er, es), O.unit)
+             for r, er in eps.items() for s, es in eps.items()}
+    unit2 = t2_outer(F, O.unit, O.unit)
+    tau = {r: times(er, unit2) for r, er in eps.items()}
+    D = crossed_product(O, kg, coad, sigma, tau, labels, f"D({G.name})")
 
     embed_O = LinMap(variant(O, "cop"), D,
                      {a: flat_outer(F, unit_vec(a, F), kg.unit, n) for a in range(n)})

@@ -502,19 +502,129 @@ def variant(H: HopfAlgebra, which: str) -> HopfAlgebra:
     )
 
 
-def smash_antipode(D: HopfAlgebra, A: HopfAlgebra, Q: HopfAlgebra):
-    """The antipode S(a # x) = (1 # S(x)) (S(a) # 1) of D on the product
-    basis a * dim Q + x of A (x) Q."""
-    F = D.field
-    m = Q.dim
-    antipode = {}
-    for a in range(A.dim):
-        right = flat_outer(F, A.antipode.get(a, {}), Q.unit, m)
-        for x in range(m):
-            col = D.product(flat_outer(F, A.unit, Q.antipode.get(x, {}), m), right)
+def _unit_multiple(F, unit, v):
+    """The scalar c with v = c unit, or None when v is no non-zero multiple."""
+    if v == unit:
+        return F.one()
+    k, u = next(iter(unit.items()))
+    c = F.div(v.get(k, F.zero()), u)
+    return c if c != F.zero() and v == v_scale(F, c, unit) else None
+
+
+def crossed_product(A: HopfAlgebra, Q: HopfAlgebra, dot, sigma, tau, labels, name):
+    """The crossed product A^cop #_sigma^tau Q on the basis a * dim Q + x:
+
+    product   (a # x)(b # y) = a (x_1 . b) sigma(x_2, y_1) # x_3 y_2,
+    coproduct (a # x) -> (a_2 tau(x_1)^1 # x_2) (x) (a_1 tau(x_1)^2 # x_3),
+    antipode  S(a # x) = (1 # S(x)) (S(a) # 1), unit 1 # 1, counit eps # eps.
+
+    ``dot[x]`` is the matrix of x . (-) on A, ``sigma`` maps (x, y) to a
+    vector of A and ``tau`` maps x to a Ten2 over A; a missing entry is 0.
+    The antipode formula drops sigma and tau; it fails the antipode law on
+    the triples whose sigma is not trivial.  Reading (x_1, x_2, x_3) as (x_1, (x_2)_1, (x_2)_2), which
+    coassociativity of Q allows, the product is the sum over Delta(x) of
+    P[a][x_1][b] T(x_2, y) with P[a][x][b] = a (x . b) formed once per
+    (a, x, b) and T(x, y) = sum sigma(x_1, y_1) (x) x_2 y_2 once per (x, y),
+    and the coproduct is the sum over Delta(x) of
+    (a_2 (x) a_1) tau(x_1) (x) Delta(x_2).  Terms are grouped by their sigma
+    or tau value; a value c 1 or c 1 (x) 1 needs no product in A, by the
+    unit law.  So with sigma and tau trivial, as for D(G), every cell has the
+    keys of the term-by-term expansion in its order.
+    """
+    F = A.field
+    zero, one, add, mul = F.zero(), F.one(), F.add, F.mul
+    mA, mQ = A.dim, Q.dim
+
+    sig_unit = {xy: _unit_multiple(F, A.unit, v) for xy, v in sigma.items() if v}
+    # T[x][y]: [(sigma key, or None for the multiples of 1, Q vector)]
+    T = [[None] * mQ for _ in range(mQ)]
+    for x in range(mQ):
+        for y in range(mQ):
+            groups = {}
+            for (x1, x2), cx in Q.comult[x].items():
+                for (y1, y2), cy in Q.comult[y].items():
+                    cell = Q.mult.get((x2, y2))
+                    if (x1, y1) in sig_unit and cell:
+                        c = sig_unit[(x1, y1)]
+                        coef = mul(cx, cy)
+                        key, coef = ((x1, y1), coef) if c is None else (None, mul(coef, c))
+                        v_axpy(F, groups.setdefault(key, {}), coef, cell)
+            T[x][y] = [(key, list(w.items())) for key, w in groups.items() if w]
+
+    mult = {}
+    for a in range(mA):
+        ea = {a: one}
+        P = {(x, b): A.product(ea, w) for x in range(mQ) for b, w in dot[x].items()}
+        for r in range(mQ):
+            for b in range(mA):
+                # per term c x_1 (x) x_2 of Delta(x_r) with p = P[a][x_1][b] != 0:
+                # T[x_2] and the rows [(mQ * index in A, coefficient)] of c p
+                # (key None) and of c p sigma(key), formed when first met
+                terms = [(T[x2], {None: [(o * mQ, mul(c, co)) for o, co in P[(x1, b)].items()]},
+                          c, P[(x1, b)]) for (x1, x2), c in Q.comult[r].items() if P.get((x1, b))]
+                if not terms:
+                    continue
+                for s in range(mQ):
+                    out = {}
+                    for Tx, rows, c, p in terms:
+                        for key, w in Tx[s]:
+                            row = rows.get(key)
+                            if row is None:
+                                row = rows[key] = [(o * mQ, mul(c, co)) for o, co in
+                                                   A.product(p, sigma[key]).items()]
+                            for base, coc in row:
+                                for kk, ck in w:
+                                    k = base + kk
+                                    sm = add(out.get(k, zero), mul(coc, ck))
+                                    if sm == zero:
+                                        out.pop(k, None)
+                                    else:
+                                        out[k] = sm
+                    if out:
+                        mult[(a * mQ + r, b * mQ + s)] = out
+
+    unit2 = t2_outer(F, A.unit, A.unit)
+    tau_unit = {x: _unit_multiple(F, unit2, t) for x, t in tau.items() if t}
+    # U[r]: [(tau key, or None for the multiples of 1 (x) 1, Ten2 over Q)]
+    U = []
+    for r in range(mQ):
+        groups = {}
+        for (x1, x2), c in Q.comult[r].items():
+            if x1 in tau_unit:
+                ct = tau_unit[x1]
+                key, coef = (x1, c) if ct is None else (None, mul(c, ct))
+                v_axpy(F, groups.setdefault(key, {}), coef, Q.comult[x2])
+        U.append([(key, list(w.items())) for key, w in groups.items() if w])
+
+    comult = {}
+    for a in range(mA):
+        # (a_2 (x) a_1) tau(key) in A (x) A, key None standing for 1 (x) 1
+        legs = {None: t2_swap(A.comult[a])}
+        for r in range(mQ):
+            out = {}
+            for key, w in U[r]:
+                if key not in legs:
+                    legs[key] = A.tensor_square_product(legs[None], tau[key])
+                for (o1, o2), c in legs[key].items():
+                    for (x2, x3), cw in w:
+                        k = (o1 * mQ + x2, o2 * mQ + x3)
+                        cur = out.get(k)
+                        sm = mul(c, cw) if cur is None else add(cur, mul(c, cw))
+                        if sm == zero:
+                            out.pop(k, None)
+                        else:
+                            out[k] = sm
+            comult[a * mQ + r] = out
+
+    D = HopfAlgebra(F, labels, mult, flat_outer(F, A.unit, Q.unit, mQ), comult,
+                    flat_outer(F, A.counit, Q.counit, mQ), {}, name=name)
+    for a in range(mA):
+        right = flat_outer(F, A.antipode.get(a, {}), Q.unit, mQ)
+        for x in range(mQ):
+            col = D.product(flat_outer(F, A.unit, Q.antipode.get(x, {}), mQ), right)
             if col:
-                antipode[a * m + x] = col
-    return antipode
+                D.antipode[a * mQ + x] = col
+    return D
 
 
 def tensor_hopf(A: HopfAlgebra, B: HopfAlgebra) -> HopfAlgebra:

@@ -8,6 +8,7 @@ block data over constant groups.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import BudgetExceeded, InvalidTriple, NotConstant, VerificationFailure
 from .doubles import (
@@ -273,12 +274,11 @@ def normal_subgroups(G: GroupScheme, budget=100_000):
         # every subgroup of order m has a generating set of size <= log2(m),
         # so sweeping generator subsets up to log2(n) is complete
         max_gen = max(1, n.bit_length() - 1)
-        count = 0
+        subsets = sum(math.comb(n, size) for size in range(1, max_gen + 1))
+        if subsets > budget:
+            raise BudgetExceeded(f"{subsets} generator subsets exceed budget")
         for size in range(1, max_gen + 1):
             for gens in itertools.combinations(elems, size):
-                count += 1
-                if count > budget:
-                    raise BudgetExceeded("subgroup generator budget exhausted")
                 sub = subgroup_from_generators(
                     G, [unit_vec(g, F) for g in gens])
                 note(sub)

@@ -14,7 +14,7 @@ from .errors import (
     NotSurjective,
     VerificationFailure,
 )
-from .doubles import DoubleData, QuasiHopfData, drinfeld_double
+from .doubles import DoubleData, QuasiHopfData, canonical_r_and_v, drinfeld_double
 from .groupschemes import (
     CleavingData,
     GroupScheme,
@@ -28,17 +28,17 @@ from .groupschemes import (
     is_normal,
     quotient_by_normal,
     section_mu,
+    subgroup_from_subspace,
 )
 from .hopf import (
-    HopfAlgebra,
     LinMap,
     certified_generators,
     coinvariants,
     convolution_unit,
+    crossed_product,
     flat_outer,
     ideal_closure,
     is_hopf_morphism,
-    smash_antipode,
     t2_coordinates,
     t2_map,
     t2_outer,
@@ -159,10 +159,6 @@ class Triple:
         return self.B.mat == trivial_hopf_map(self.H, self.K).mat
 
 
-def star_action(triple: Triple, u_ambient, a_own):
-    return triple.star(u_ambient, a_own)
-
-
 def dot_action(triple: Triple, cleaving: CleavingData, x_quotient, a_own):
     """x . a = gamma_H(x) * a."""
     return triple.star(cleaving.gamma.apply(x_quotient), a_own)
@@ -255,14 +251,18 @@ class QuotientPair:
 
 
 def build_quotient(triple: Triple, verify=True, cleaving=None) -> QuotientPair:
-    """Assemble D(K,H,B) = O(K)^cop #_sigma^tau k[G/H]:
+    """Assemble D(K,H,B) = O(K)^cop #_sigma^tau k[G/H] with ``crossed_product``:
 
     product   (a # x)(b # y) = a (x_1 . b) sigma(x_2, y_1) # x_3 y_2,
     coproduct (a # x) -> (a_2 tau(x_1)^1 # x_2) (x) (a_1 tau(x_1)^2 # x_3),
     antipode  S(a # x) = (1 # S(x)) (S(a) # 1).
 
-    The closed-form R-matrix and ribbon element are attached; with
-    ``verify`` every Hopf axiom is checked on all basis tuples.
+    The antipode formula drops the sigma and tau terms, so it is wrong when
+    sigma is not trivial; ``verify`` then fails on the antipode law.  The
+    closed-form R-matrix and ribbon element are attached.  With ``verify``
+    the result is certified by ``verify_hopf``: associativity by Light's
+    test and multiplicativity of Delta and eps on a certified generating
+    set, every other axiom on all basis tuples.
     """
     G = triple.G
     F = G.field
@@ -272,92 +272,14 @@ def build_quotient(triple: Triple, verify=True, cleaving=None) -> QuotientPair:
     section = triple.section
     Q = cleaving.quotient.hopf
     OK = triple.K.own.coordinate_algebra
-    mK, mQ = OK.dim, Q.dim
-    idx = lambda a, r: a * mQ + r
-
-    # x . b as a matrix per quotient basis vector
-    dot_mats = []
-    for r in range(mQ):
-        g = cleaving.gamma.apply(unit_vec(r, F))
-        cols = {}
-        for b in range(mK):
-            img = triple.star(g, unit_vec(b, F))
-            if img:
-                cols[b] = img
-        dot_mats.append(cols)
-
+    dot = [{b: img for b in range(OK.dim)
+            if (img := dot_action(triple, cleaving, unit_vec(r, F), unit_vec(b, F)))}
+           for r in range(Q.dim)]
     sigma = build_sigma(triple, cleaving)
     tau = build_tau(triple, cleaving)
-    delta2_Q = [Q.delta2(unit_vec(r, F)) for r in range(mQ)]
-
-    labels = [f"{OK.labels[a]}#{Q.labels[r]}" for a in range(mK) for r in range(mQ)]
-    mult = {}
-    for a in range(mK):
-        ea = unit_vec(a, F)
-        for r in range(mQ):
-            d2r = delta2_Q[r]
-            for b in range(mK):
-                for s in range(mQ):
-                    out = {}
-                    for (r1, r2, r3), c1 in d2r.items():
-                        dotted = dot_mats[r1].get(b)
-                        if dotted is None:
-                            continue
-                        part1 = OK.product(ea, dotted)
-                        if not part1:
-                            continue
-                        for (s1, s2), c2 in Q.comult[s].items():
-                            sig = sigma.get((r2, s1))
-                            if sig is None:
-                                continue
-                            o_part = OK.product(part1, sig)
-                            if not o_part:
-                                continue
-                            k_part = Q.product(unit_vec(r3, F), unit_vec(s2, F))
-                            if not k_part:
-                                continue
-                            coef = F.mul(c1, c2)
-                            for oo, co in o_part.items():
-                                cc = F.mul(coef, co)
-                                for kk, ck in k_part.items():
-                                    key = idx(oo, kk)
-                                    cur = out.get(key, F.zero())
-                                    sm = F.add(cur, F.mul(cc, ck))
-                                    if sm == F.zero():
-                                        out.pop(key, None)
-                                    else:
-                                        out[key] = sm
-                    if out:
-                        mult[(idx(a, r), idx(b, s))] = out
-
-    unit = flat_outer(F, OK.unit, Q.unit, mQ)
-    comult = {}
-    for a in range(mK):
-        for r in range(mQ):
-            t = {}
-            for (a1, a2), ca in OK.comult[a].items():
-                for (r1, r2, r3), cr in delta2_Q[r].items():
-                    for (t1, t2), ct in tau[r1].items():
-                        leg1 = OK.product(unit_vec(a2, F), unit_vec(t1, F))
-                        leg2 = OK.product(unit_vec(a1, F), unit_vec(t2, F))
-                        if not leg1 or not leg2:
-                            continue
-                        coef = F.mul(F.mul(ca, cr), ct)
-                        for o1, c1 in leg1.items():
-                            for o2, c2 in leg2.items():
-                                key = (idx(o1, r2), idx(o2, r3))
-                                cur = t.get(key, F.zero())
-                                sm = F.add(cur, F.mul(coef, F.mul(c1, c2)))
-                                if sm == F.zero():
-                                    t.pop(key, None)
-                                else:
-                                    t[key] = sm
-            comult[idx(a, r)] = t
-    counit = flat_outer(F, OK.counit, Q.counit, mQ)
-
-    D = HopfAlgebra(F, labels, mult, unit, comult, counit, {},
-                    name=f"D(K{triple.K.order},H{triple.H.order};{G.name})")
-    D.antipode = smash_antipode(D, OK, Q)
+    labels = [f"{a}#{x}" for a in OK.labels for x in Q.labels]
+    D = crossed_product(OK, Q, dot, sigma, tau, labels,
+                        f"D(K{triple.K.order},H{triple.H.order};{G.name})")
 
     if D.dim != triple.fp_dimension():
         raise VerificationFailure("dim D(K,H,B) != |K|[G:H]")
@@ -513,7 +435,6 @@ def quotient_r_and_v(qp: QuotientPair, dd: DoubleData = None):
     entrywise."""
     if dd is None:
         return qp.qt, None
-    from .doubles import canonical_r_and_v
     theta = qp.theta(dd)
     can = canonical_r_and_v(dd)
     pushed_R = t2_map(qp.D.field, theta.mat, theta.mat, can.R)
@@ -554,8 +475,6 @@ def recognize_triple(dd: DoubleData, phi: LinMap):
         raise NotHopfMorphism(f"phi is not a Hopf morphism: {wit}")
     if phi.rank() != D_target.dim:
         raise NotSurjective("phi is not surjective")
-
-    from .groupschemes import subgroup_from_subspace
 
     # K: annihilator in k[G] of ker(phi | O(G))
     restr = {a: phi.apply(dd.embed_O.apply(unit_vec(a, F))) for a in range(n)}

@@ -17,6 +17,9 @@ certified checks of the package.
   field, by testing every vector of F^n.
 * ``drinfeld_double_mult_loop``: the structure constants of D(G), one
   product of O(G) and one of k[G] per (x, y) term of every basis pair.
+* ``crossed_product_loop``: the product and coproduct of a crossed product
+  O(K)^cop #_sigma^tau Q, two products in O(K) and one in Q per term of
+  Delta^2(x) (x) Delta(y) of every basis pair.
 """
 
 from __future__ import annotations
@@ -269,3 +272,76 @@ def drinfeld_double_mult_loop(G):
                     if out:
                         mult[(idx(a, i), idx(b, j))] = out
     return mult
+
+
+def crossed_product_loop(OK, Q, dot_mats, sigma, tau):
+    """(mult, comult) of O(K)^cop #_sigma^tau Q with
+    (a # x)(b # y) = a (x_1 . b) sigma(x_2, y_1) # x_3 y_2 and
+    (a # x) -> (a_2 tau(x_1)^1 # x_2) (x) (a_1 tau(x_1)^2 # x_3), term by
+    term; ``dot_mats[r]`` is the matrix of x_r . (-) on O(K)."""
+    F = OK.field
+    mK, mQ = OK.dim, Q.dim
+    idx = lambda a, r: a * mQ + r
+    delta2_Q = [Q.delta2(unit_vec(r, F)) for r in range(mQ)]
+    mult = {}
+    for a in range(mK):
+        ea = unit_vec(a, F)
+        for r in range(mQ):
+            d2r = delta2_Q[r]
+            for b in range(mK):
+                for s in range(mQ):
+                    out = {}
+                    for (r1, r2, r3), c1 in d2r.items():
+                        dotted = dot_mats[r1].get(b)
+                        if dotted is None:
+                            continue
+                        part1 = OK.product(ea, dotted)
+                        if not part1:
+                            continue
+                        for (s1, s2), c2 in Q.comult[s].items():
+                            sig = sigma.get((r2, s1))
+                            if sig is None:
+                                continue
+                            o_part = OK.product(part1, sig)
+                            if not o_part:
+                                continue
+                            k_part = Q.product(unit_vec(r3, F), unit_vec(s2, F))
+                            if not k_part:
+                                continue
+                            coef = F.mul(c1, c2)
+                            for oo, co in o_part.items():
+                                cc = F.mul(coef, co)
+                                for kk, ck in k_part.items():
+                                    key = idx(oo, kk)
+                                    cur = out.get(key, F.zero())
+                                    sm = F.add(cur, F.mul(cc, ck))
+                                    if sm == F.zero():
+                                        out.pop(key, None)
+                                    else:
+                                        out[key] = sm
+                    if out:
+                        mult[(idx(a, r), idx(b, s))] = out
+
+    comult = {}
+    for a in range(mK):
+        for r in range(mQ):
+            t = {}
+            for (a1, a2), ca in OK.comult[a].items():
+                for (r1, r2, r3), cr in delta2_Q[r].items():
+                    for (t1, t2), ct in tau[r1].items():
+                        leg1 = OK.product(unit_vec(a2, F), unit_vec(t1, F))
+                        leg2 = OK.product(unit_vec(a1, F), unit_vec(t2, F))
+                        if not leg1 or not leg2:
+                            continue
+                        coef = F.mul(F.mul(ca, cr), ct)
+                        for o1, c1 in leg1.items():
+                            for o2, c2 in leg2.items():
+                                key = (idx(o1, r2), idx(o2, r3))
+                                cur = t.get(key, F.zero())
+                                sm = F.add(cur, F.mul(coef, F.mul(c1, c2)))
+                                if sm == F.zero():
+                                    t.pop(key, None)
+                                else:
+                                    t[key] = sm
+            comult[idx(a, r)] = t
+    return mult, comult

@@ -2,8 +2,9 @@
 in oracles.py: verify_hopf over a certified generating set, grouplikes from
 linear eigen-constraints, the hexagons leg by leg, the worklist ideal
 closure with the generator-first kernel certificate, the morphism check
-with its images formed once, and the D(G) structure constants assembled
-from products formed once per (a, x, b)."""
+with its images formed once, the D(G) structure constants assembled
+from products formed once per (a, x, b), and the crossed product of
+D(K, H, B) with non-trivial sigma or tau against the term-by-term loop."""
 
 import itertools
 import random
@@ -21,6 +22,7 @@ from schemedouble.doubles import (
 )
 from schemedouble.fields import QQ, make_field
 from schemedouble.groupschemes import (
+    centralize,
     constant_group,
     direct_product,
     ga_frobenius_subgroup,
@@ -35,10 +37,18 @@ from schemedouble.hopf import (
     certified_generators,
     grouplikes,
     is_hopf_morphism,
+    t2_outer,
     verify_hopf,
 )
-from schemedouble.linalg import Echelon, mat_kernel, span, unit_vec, v_axpy
-from schemedouble.quotients import Triple, build_quotient, theta_kernel_matches_ideal, trivial_hopf_map
+from schemedouble.lattice import equivariant_maps, normal_subgroups
+from schemedouble.linalg import Echelon, mat_kernel, span, unit_vec, v_axpy, v_scale
+from schemedouble.quotients import (
+    Triple,
+    build_quotient,
+    dot_action,
+    theta_kernel_matches_ideal,
+    trivial_hopf_map,
+)
 
 from conftest import (
     A4_GENS,
@@ -51,6 +61,7 @@ from conftest import (
     permutation_table,
 )
 from oracles import (
+    crossed_product_loop,
     drinfeld_double_mult_loop,
     grouplikes_sweep,
     hexagon_products_t3,
@@ -396,3 +407,55 @@ def test_double_structure_constants_equal_the_term_by_term_loop(make):
     expected = drinfeld_double_mult_loop(G)
     assert list(mult) == list(expected)
     assert all(list(mult[k].items()) == list(cell.items()) for k, cell in expected.items())
+
+
+def _twists(qp):
+    """(sigma is not trivial, tau is not trivial): whether sigma(x, y) differs
+    from eps(x) eps(y) 1, or tau(x) from eps(x) 1 (x) 1, anywhere."""
+    F = qp.triple.G.field
+    OK = qp.triple.K.own.coordinate_algebra
+    Q = qp.quotient.hopf
+    eps = lambda r: Q.counit.get(r, F.zero())
+    unit2 = t2_outer(F, OK.unit, OK.unit)
+    return (any(qp.sigma.get((r, s), {}) != v_scale(F, F.mul(eps(r), eps(s)), OK.unit)
+                for r in range(Q.dim) for s in range(Q.dim)),
+            any(qp.tau.get(r, {}) != v_scale(F, eps(r), unit2) for r in range(Q.dim)))
+
+
+def _sigma_twisted_pairs(G):
+    """D(K,H,B), unverified, for every triple of G whose sigma is not trivial."""
+    subs = normal_subgroups(G)
+    qps = [build_quotient(t, verify=False)
+           for K in subs for H in subs if centralize(K, H)
+           for t in equivariant_maps(G, K, H)]
+    return [qp for qp in qps if _twists(qp)[0]]
+
+
+@pytest.mark.parametrize("make, count, twisted", [
+    (lambda: _sigma_twisted_pairs(
+        constant_group(*permutation_table([(1, 2, 3, 0)]), F5, name="Z4")), 2, 0),
+    (lambda: _sigma_twisted_pairs(
+        constant_group(*permutation_table(D4_GENS), F3, name="D4")), 7, 0),
+    (lambda: [build_quotient(_ga2_triple(), verify=False)], 1, 1),
+], ids=["Z4-GF5-sigma", "D4-GF3-sigma", "ga2-GF3-B1-tau"])
+def test_crossed_product_equals_the_term_by_term_loop(make, count, twisted):
+    """build_quotient assembles the same product and coproduct as the loop
+    that multiplies term by term, on every triple of Z4/GF(5) and D4/GF(3)
+    with sigma not trivial and on B_1 of ga_kernel(2)/GF(3), whose tau is
+    not trivial.  These algebras satisfy every Hopf axiom except the
+    antipode law, whose formula drops sigma and tau."""
+    qps = make()
+    assert len(qps) == count
+    for qp in qps:
+        assert _twists(qp)[twisted]
+        F = qp.triple.G.field
+        OK = qp.triple.K.own.coordinate_algebra
+        Q = qp.quotient.hopf
+        dot = [{b: img for b in range(OK.dim)
+                if (img := dot_action(qp.triple, qp.cleaving, unit_vec(r, F), unit_vec(b, F)))}
+               for r in range(Q.dim)]
+        mult, comult = crossed_product_loop(OK, Q, dot, qp.sigma, qp.tau)
+        assert qp.D.mult == mult
+        assert qp.D.comult == comult
+        rep = verify_hopf(qp.D)
+        assert [name for name, _ in rep.failures() if name != "antipode law"] == []

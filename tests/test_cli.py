@@ -195,10 +195,12 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
      "49872fd7abc7770e575f2d85ae2a973967302695e1b5a38a53497afd73cb224a"),
     (["enumerate", "--group", "s3.json", "--field", "q"],
      "9327a0a9ad7b10b0421746a7f9e10f75c64b77cf80d9a04f3bafe9c5352dcc31"),
+    (["quotient", "--triple", "s3_a3_triple.json", "--field", "p7"],
+     "7d3288cfa6c90d4ca676ac82788bffb8dc492c0728f9fa13beed3d4ffba0060d"),
 ], ids=["double-z2-q", "double-s3-p7", "quotient-ga2-p3-json",
         "quotient-ga2-p3-text", "enumerate-dot-s3-p7", "enumerate-z2-q",
         "build-borel-p3", "enumerate-s3-p7", "quotient-ga4-b1-p2",
-        "double-s3-q", "enumerate-s3-q"])
+        "double-s3-q", "enumerate-s3-q", "quotient-s3-a3-p7"])
 def test_sample_outputs_are_pinned(argv, digest, capsys):
     """The stdout bytes of these runs on samples/ are fixed: a refactoring
     that changes any of them changes the program's output."""
@@ -222,6 +224,25 @@ def test_enumerate_budget_exits_before_building_the_double(monkeypatch, capsys):
     assert main(["enumerate", "--group", str(SAMPLES / "borel.json"),
                  "--field", "p5"]) == 3
     assert "budget exhausted" in capsys.readouterr().err
+
+
+def test_enumerate_refuses_too_many_generator_subsets_before_any_closure(
+        tmp_path, monkeypatch, capsys):
+    """A cyclic group of order 64 has 83,278,000 generator subsets of size at
+    most 6, above the budget: enumerate exits 3 before the first subgroup
+    closure."""
+    import schemedouble.lattice
+
+    def no_closure(G, gens, *args, **kwargs):
+        raise AssertionError("subgroup closure started")
+
+    monkeypatch.setattr(schemedouble.lattice, "subgroup_from_generators", no_closure)
+    n = 64
+    f = write(tmp_path / "z64.json",
+              {"constant": {"elements": [f"g{i}" for i in range(n)],
+                            "table": [[(i + j) % n for j in range(n)] for i in range(n)]}})
+    assert main(["enumerate", "--group", f, "--field", "p3"]) == 3
+    assert "83278000 generator subsets exceed budget" in capsys.readouterr().err
 
 
 GA2 = {"ga_kernel": {"r": 2}}

@@ -30,7 +30,6 @@ from schemedouble.quotients import (
     induced_surjection,
     quotient_r_and_v,
     recognize_triple,
-    star_action,
     theta_kernel_matches_ideal,
     to_own_coords,
     trivial_hopf_map,
@@ -59,7 +58,7 @@ def test_star_action_trivial_for_commutative_ambient():
     for i in range(G.order):
         eps = G.group_algebra.counit.get(i, F3.zero())
         for b in range(t.K.order):
-            out = star_action(t, unit_vec(i, F3), unit_vec(b, F3))
+            out = t.star(unit_vec(i, F3), unit_vec(b, F3))
             expect = {b: eps} if eps != F3.zero() else {}
             assert out == expect
 
@@ -70,7 +69,7 @@ def test_star_action_conjugates_delta_functions():
     t = Triple(S3, A3, A3, trivial_hopf_map(A3, A3))
     # (12) * delta_{(123)} = delta_{(132)}: conjugation permutes the class
     d123 = to_own_coords(A3, unit_vec(4, F7))
-    out = star_action(t, unit_vec(1, F7), d123)
+    out = t.star(unit_vec(1, F7), d123)
     assert out == to_own_coords(A3, unit_vec(5, F7))
 
 
@@ -79,7 +78,7 @@ def test_unit_acts_trivially():
     cl = cleaving_gamma(t.G, t.H)
     Q = cl.quotient.hopf
     for b in range(t.K.order):
-        assert star_action(t, t.G.group_algebra.unit, unit_vec(b, F2)) == unit_vec(b, F2)
+        assert t.star(t.G.group_algebra.unit, unit_vec(b, F2)) == unit_vec(b, F2)
         assert dot_action(t, cl, Q.unit, unit_vec(b, F2)) == unit_vec(b, F2)
 
 
