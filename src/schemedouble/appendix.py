@@ -22,7 +22,6 @@ from .groupschemes import (
     ga_frobenius_subgroup,
     ga_kernel,
     quotient_by_normal,
-    section_mu,
 )
 from .hopf import LinMap, is_hopf_morphism
 from .quotients import Triple, build_quotient
@@ -79,7 +78,7 @@ def appendix_report(p: int) -> dict:
     """All section-by-section golden values for one prime, exact."""
     F = make_field("prime", p=p)
     G, A, quotient, cleaving, quots2 = height_two_quotients(p)
-    sec = section_mu(A)
+    sec = A.section
 
     report = {
         "schema_version": SCHEMA_VERSION,

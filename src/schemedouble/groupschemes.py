@@ -40,6 +40,7 @@ from .hopf import (
     induced_hopf,
     is_hopf_morphism,
     quotient_by_hopf_ideal,
+    span_closure,
     t2_coordinates,
     t2_map,
     tensor_hopf,
@@ -453,10 +454,18 @@ class SubgroupScheme:
         self.subspace = subspace
         self.tag = tag
         self._normal = None
+        self._section = None
 
     @property
     def order(self):
         return self.own.order
+
+    @property
+    def section(self) -> "SectionData":
+        """``section_mu`` of this subgroup, found once and kept on it."""
+        if self._section is None:
+            self._section = section_mu(self)
+        return self._section
 
     def key(self):
         return self.subspace.key()
@@ -511,11 +520,18 @@ def _sub_connectivity(G: GroupScheme, dim: int):
 
 def subgroup_from_subspace(G: GroupScheme, ech: Echelon, tag=("generic",),
                            name="") -> SubgroupScheme:
+    """The subgroup scheme on the span of ech, certified by its inclusion
+    iota alone; a span not closed under the structure maps raises
+    ClosureNotHopf while its structure is extracted.
+
+    Proof.  k[G] is Hopf: by construction for each constructor
+    (``restricted_enveloping`` verifies its own), by this argument for a
+    subgroup scheme.  ``is_hopf_morphism(iota)`` gives that iota respects
+    product, unit, coproduct, counit and antipode, and iota and its tensor
+    powers are injective, so each Hopf axiom of k[L] is the iota-preimage
+    of the same axiom in k[G]: iota((x y) z) = iota(x (y z)), and so on.
+    """
     kL = _extract_sub_hopf(G, ech, name=f"k[{name}]" if name else "")
-    rep = verify_hopf(kL)
-    if not rep.ok:
-        raise ClosureNotHopf("extracted span violates Hopf axioms: "
-                             + "; ".join(n for n, _ in rep.failures()))
     iota = LinMap(kL, G.group_algebra, dict(enumerate(ech.basis())))
     ok, wit = is_hopf_morphism(iota)
     if not ok:
@@ -526,52 +542,49 @@ def subgroup_from_subspace(G: GroupScheme, ech: Echelon, tag=("generic",),
     return SubgroupScheme(G, own, iota, ech, tag=tag)
 
 
-def subgroup_from_generators(G: GroupScheme, generators, name="") -> SubgroupScheme:
-    """Smallest subgroup scheme whose group algebra contains the generators:
-    close the span of {1} + generators under products, antipode, and
-    coproduct slices."""
+def _slices(F, t):
+    """The left slices (e_a* (x) id)(t) and the right slices
+    (id (x) e_b*)(t) of a Ten2 t."""
+    left, right = {}, {}
+    for (a, b), c in t.items():
+        v_axpy(F, left.setdefault(a, {}), c, unit_vec(b, F))
+        v_axpy(F, right.setdefault(b, {}), c, unit_vec(a, F))
+    return list(left.values()) + list(right.values())
+
+
+def hopf_closure(G: GroupScheme, generators, base: Echelon = None) -> Echelon:
+    """The smallest Hopf subalgebra A of k[G] containing the generators and
+    the Hopf subalgebra ``base`` (default: none), as a new Echelon.
+    ``span_closure`` closes base, 1 and the generators under the antipode
+    and the left and right slices of the coproduct (base is closed under
+    both already), giving C, then C under right multiplication by a basis
+    of C, giving A.
+
+    Proof.  For v in C, Delta(v) = sum_a e_a (x) l_a = sum_b r_b (x) e_b
+    with its slices l_a, r_b in C, so Delta(v) is in (k[G] (x) C) meet
+    (C (x) k[G]) = C (x) C: C is an S-stable subcoalgebra holding 1.  k[G]
+    is associative, so A, spanned by the products (...(c_1 c_2)...) c_k in
+    C, is the subalgebra C generates, and a Hopf subalgebra, as Delta is
+    multiplicative and S anti-multiplicative.  A Hopf subalgebra holding
+    base and the generators holds 1, S-images, slices and products, hence C
+    and A.  So do the former rounds, applying all three maps to every member
+    until nothing is added: they end in such a subalgebra, so at A, and
+    reduced row echelon form is unique, so the basis is the same.
+    """
     H = G.group_algebra
     F = G.field
-    n = G.order
-    ech = Echelon(F, n)
-    members = []
+    ech = base.copy() if base is not None else Echelon(F, G.order)
+    span_closure(ech, [H.unit] + list(generators),
+                 lambda v: [H.antipode_of(v)] + _slices(F, H.coproduct(v)))
+    C = [dict(row) for row in ech.basis()]
+    return span_closure(ech, C, lambda v: [H.product(v, c) for c in C])
 
-    def insert(v):
-        if v and ech.insert(v):
-            members.append(dict(v))
-            return True
-        return False
 
-    insert(dict(H.unit))
-    for g in generators:
-        insert(dict(g))
-    grew = True
-    while grew:
-        grew = False
-        snapshot = list(members)
-        for v in snapshot:
-            if insert(H.antipode_of(v)):
-                grew = True
-            grid = H.coproduct(v)
-            left, right = {}, {}
-            for (a, b), c in grid.items():
-                d = left.setdefault(a, {})
-                v_axpy(F, d, c, unit_vec(b, F))
-                d2 = right.setdefault(b, {})
-                v_axpy(F, d2, c, unit_vec(a, F))
-            for sl in list(left.values()) + list(right.values()):
-                if insert(sl):
-                    grew = True
-        snapshot = list(members)
-        for v in snapshot:
-            for w in snapshot:
-                if insert(H.product(v, w)):
-                    grew = True
-    tag = ("generic",)
-    if ech.dim == 1:
-        tag = ("trivial",)
-    elif ech.dim == n:
-        tag = ("full",)
+def subgroup_from_generators(G: GroupScheme, generators, name="") -> SubgroupScheme:
+    """The subgroup scheme on ``hopf_closure(G, generators)``."""
+    ech = hopf_closure(G, generators)
+    tag = (("trivial",) if ech.dim == 1 else ("full",) if ech.dim == G.order
+           else ("generic",))
     return subgroup_from_subspace(G, ech, tag=tag, name=name)
 
 
@@ -674,12 +687,8 @@ def quotient_by_normal(G: GroupScheme, H_sub: SubgroupScheme) -> Quotient:
     kg = G.group_algebra
     F = G.field
     n = G.order
-    J = Echelon(F, n)
-    for v in augmentation_ideal_basis(H_sub):
-        for j in range(n):
-            J.insert(kg.product(v, unit_vec(j, F)))
-    # two-sided stability (holds for normal H; verified, not assumed)
-    ideal_closure(kg, J)
+    # the two-sided ideal k[H]^+ k[G] = k[G] k[H]^+ (H is normal)
+    J = ideal_closure(kg, span(F, n, augmentation_ideal_basis(H_sub)))
     reps = [i for i in range(n) if i not in J.rows]
     m = len(reps)
     if m * H_sub.order != n:
@@ -839,7 +848,8 @@ def _invertible_section(cand, proj: LinMap, inconsistent: Exception):
 def section_mu(L: SubgroupScheme) -> SectionData:
     """A counit- and unit-preserving O(L)-colinear section of q_L, with its
     convolution inverse.  Closed forms cover the builtin families; otherwise
-    the canonical affine solution is searched for invertibility."""
+    the canonical affine solution is searched for invertibility.  Callers
+    use ``L.section``, which keeps it."""
     G = L.ambient
     F = G.field
     OG = G.coordinate_algebra

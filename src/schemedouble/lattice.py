@@ -7,9 +7,6 @@ block data over constant groups.
 
 from __future__ import annotations
 
-import itertools
-import math
-
 from .errors import BudgetExceeded, InvalidTriple, NotConstant, VerificationFailure
 from .doubles import (
     DoubleData,
@@ -26,6 +23,7 @@ from .groupschemes import (
     characters,
     full_subgroup,
     group_elements,
+    hopf_closure,
     intersect_subgroup,
     is_normal,
     product_subgroup,
@@ -58,6 +56,7 @@ from .quotients import (
     recognize_triple,
     to_own_coords,
 )
+from .serialize import MAX_DOUBLE_DIM
 
 
 def _sub_inclusion(inner: SubgroupScheme, outer: SubgroupScheme) -> LinMap:
@@ -86,12 +85,15 @@ def dual_map(B: LinMap, H_sub: SubgroupScheme, K_sub: SubgroupScheme) -> LinMap:
 
 
 def centralizer_triple(t: Triple) -> Triple:
-    """(H, K, Bbar) with Bbar = B^* . S; re-validated on construction."""
-    F = t.G.field
-    bstar = dual_map(t.B, t.H, t.K)
-    bbar_mat = mat_compose(F, bstar.mat, t.K.own.group_algebra.antipode)
-    bbar = LinMap(t.K.own.group_algebra, t.H.own.coordinate_algebra, bbar_mat)
-    return Triple(t.G, t.H, t.K, bbar)
+    """(H, K, Bbar) with Bbar = B^* . S, built and validated once and kept
+    on t."""
+    if t._centralizer is None:
+        F = t.G.field
+        bstar = dual_map(t.B, t.H, t.K)
+        bbar_mat = mat_compose(F, bstar.mat, t.K.own.group_algebra.antipode)
+        bbar = LinMap(t.K.own.group_algebra, t.H.own.coordinate_algebra, bbar_mat)
+        t._centralizer = Triple(t.G, t.H, t.K, bbar)
+    return t._centralizer
 
 
 def centralizer_certificate(qp: QuotientPair, qp_bar: QuotientPair,
@@ -257,42 +259,38 @@ def classify(t: Triple, qp: QuotientPair = None) -> dict:
 
 
 def normal_subgroups(G: GroupScheme, budget=100_000):
-    """All normal subgroup schemes: complete for constant groups via the
-    Cayley table, and for the builtin connected families via closures of sums
-    of basis vectors."""
-    F = G.field
-    found = {}
+    """The normal subgroup schemes, by (order, key); each distinct span
+    (Echelon key) of a closure is built once.
 
-    def note(sub):
-        found.setdefault(sub.key(), sub)
+    Constant groups: each subgroup S found (from 1 on) is closed with each
+    element outside it.  Complete: a subgroup T is reached along
+    1 < <g_1> < <g_1, g_2> < ... <= T, in at most (subgroups) |G| closures.
+    Other groups: closures of the 0/1 sums of basis vectors, refused when
+    2^|G| exceeds the budget.  Not complete: Ga_1 x Ga_1 over GF(3) has the
+    line of d1(x)d0 + 2 d0(x)d1, which no such sum generates.
+    """
+    F, n = G.field, G.order
+    trivial = trivial_subgroup(G)
+    found = {trivial.key(): trivial}
+    full = full_subgroup(G)
+    found.setdefault(full.key(), full)
+    built = [trivial]
 
-    note(trivial_subgroup(G))
-    note(full_subgroup(G))
+    def note(ech):
+        if ech.key() not in found:
+            found[ech.key()] = subgroup_from_subspace(G, ech)
+            built.append(found[ech.key()])
+
     if G.kind == "constant":
-        n = G.order
-        elems = list(range(n))
-        # every subgroup of order m has a generating set of size <= log2(m),
-        # so sweeping generator subsets up to log2(n) is complete
-        max_gen = max(1, n.bit_length() - 1)
-        subsets = sum(math.comb(n, size) for size in range(1, max_gen + 1))
-        if subsets > budget:
-            raise BudgetExceeded(f"{subsets} generator subsets exceed budget")
-        for size in range(1, max_gen + 1):
-            for gens in itertools.combinations(elems, size):
-                sub = subgroup_from_generators(
-                    G, [unit_vec(g, F) for g in gens])
-                note(sub)
+        for S in built:  # grows while it is walked
+            for g in range(n):
+                if not S.subspace.contains(unit_vec(g, F)):
+                    note(hopf_closure(G, [unit_vec(g, F)], base=S.subspace))
     else:
-        n = G.order
         if 2**n > budget:
             raise BudgetExceeded(f"2^{n} generator subsets exceed budget")
         for mask in range(1, 2**n):
-            vec = {}
-            for i in range(n):
-                if mask >> i & 1:
-                    vec[i] = F.one()
-            sub = subgroup_from_generators(G, [vec])
-            note(sub)
+            note(hopf_closure(G, [{i: F.one() for i in range(n) if mask >> i & 1}]))
     subs = [s for s in found.values() if is_normal(s)]
     subs.sort(key=lambda s: (s.order, s.key()))
     return subs
@@ -322,7 +320,13 @@ def enumerate_triples(G: GroupScheme, budget=500_000):
     and arranged into the containment lattice.
 
     Returns (nodes, edges) where edges are the Hasse covers of contains.
+    The node (G, 1, 1) has D(K,H,B) of dimension |G|^2; above
+    MAX_DOUBLE_DIM, BudgetExceeded is raised before any work.
     """
+    N = G.order ** 2
+    if N > MAX_DOUBLE_DIM:
+        raise BudgetExceeded(f"the node (G, 1, 1) has D(K,H,B) of dimension "
+                             f"{G.order}^2 = {N}, above the ceiling {MAX_DOUBLE_DIM}")
     subs = normal_subgroups(G, budget=budget)
     triples = []
     for K in subs:

@@ -27,7 +27,6 @@ from .groupschemes import (
     coinvariant_subspace,
     is_normal,
     quotient_by_normal,
-    section_mu,
     subgroup_from_subspace,
 )
 from .hopf import (
@@ -82,7 +81,7 @@ class Triple:
         self.K = K
         self.H = H
         self.B = B
-        self._section = None
+        self._centralizer = None  # kept by lattice.centralizer_triple
         self.validate()
 
     @property
@@ -91,9 +90,7 @@ class Triple:
 
     @property
     def section(self):
-        if self._section is None:
-            self._section = section_mu(self.K)
-        return self._section
+        return self.K.section
 
     def star(self, u_ambient, a_own):
         """u * a = q_K(u ->> mu_K(a)); independent of the section."""
@@ -495,7 +492,7 @@ def recognize_triple(dd: DoubleData, phi: LinMap):
     H = subgroup_from_subspace(G, kerH, name="H")
 
     # B: phi(1 |><| v) pulled back through psi(a) = phi(mu_K(a) |><| 1)
-    sec = section_mu(K)
+    sec = K.section
     OK = K.own.coordinate_algebra
     psi_cols = {a: phi.apply(dd.embed_O.apply(sec.mu.apply(unit_vec(a, F))))
                 for a in range(K.order)}

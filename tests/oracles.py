@@ -20,15 +20,43 @@ certified checks of the package.
 * ``crossed_product_loop``: the product and coproduct of a crossed product
   O(K)^cop #_sigma^tau Q, two products in O(K) and one in Q per term of
   Delta^2(x) (x) Delta(y) of every basis pair.
+* ``subgroup_closure_rounds``: the span of 1 and the generators closed in
+  rounds, each applying the antipode and the coproduct slices to every
+  member and multiplying every pair of members, until a round adds
+  nothing.
+* ``subgroup_from_subspace_verified``: the subgroup scheme on a span, its
+  structure extracted and certified by ``verify_hopf_exhaustive`` as well
+  as by the inclusion.
+* ``quotient_by_hopf_ideal_verified``: H/I certified by
+  ``verify_hopf_exhaustive`` as well as by the projection.
+* ``normal_subgroups_sweep``: the normal subgroups from the closures of
+  every generator subset of size at most log2 |G| (constant groups) or of
+  every 0/1 sum of basis vectors (other groups).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from schemedouble.groupschemes import coadjoint_matrices
-from schemedouble.hopf import VerificationReport, t2_contract, t2_map, t2_outer
-from schemedouble.linalg import mat_apply, unit_vec, v_axpy, v_scale
+from schemedouble.errors import ClosureNotHopf, VerificationFailure
+from schemedouble.groupschemes import (
+    GroupScheme,
+    SubgroupScheme,
+    _sub_connectivity,
+    coadjoint_matrices,
+    is_normal,
+)
+from schemedouble.hopf import (
+    LinMap,
+    VerificationReport,
+    induced_hopf,
+    is_hopf_morphism,
+    t2_contract,
+    t2_coordinates,
+    t2_map,
+    t2_outer,
+)
+from schemedouble.linalg import Echelon, mat_apply, span, unit_vec, v_axpy, v_scale
 
 
 def verify_hopf_exhaustive(H) -> VerificationReport:
@@ -345,3 +373,128 @@ def crossed_product_loop(OK, Q, dot_mats, sigma, tau):
                                     t[key] = sm
             comult[idx(a, r)] = t
     return mult, comult
+
+
+def subgroup_closure_rounds(G, generators):
+    """The Echelon of the smallest Hopf subalgebra of k[G] containing the
+    generators, closed round by round."""
+    H = G.group_algebra
+    F = G.field
+    ech = Echelon(F, G.order)
+    members = []
+
+    def insert(v):
+        if v and ech.insert(v):
+            members.append(dict(v))
+            return True
+        return False
+
+    insert(dict(H.unit))
+    for g in generators:
+        insert(dict(g))
+    grew = True
+    while grew:
+        grew = False
+        for v in list(members):
+            grew |= insert(H.antipode_of(v))
+            left, right = {}, {}
+            for (a, b), c in H.coproduct(v).items():
+                v_axpy(F, left.setdefault(a, {}), c, unit_vec(b, F))
+                v_axpy(F, right.setdefault(b, {}), c, unit_vec(a, F))
+            for sl in list(left.values()) + list(right.values()):
+                grew |= insert(sl)
+        snapshot = list(members)
+        for v in snapshot:
+            for w in snapshot:
+                grew |= insert(H.product(v, w))
+    return ech
+
+
+def subgroup_from_subspace_verified(G, ech, tag=("generic",), name=""):
+    H = G.group_algebra
+    F = G.field
+    pivots, rows = ech.pivots(), ech.basis()
+
+    def coords(v):
+        c = ech.coordinates(v)
+        if c is None:
+            raise ClosureNotHopf("span not multiplicatively closed")
+        return {r: x for r, x in enumerate(c) if x != F.zero()}
+
+    def t2_coords(t):
+        grid = t2_coordinates(F, ech, t)
+        if grid is None:
+            raise ClosureNotHopf("span is not a subcoalgebra")
+        return grid
+
+    labels = [H.labels[p] if row == unit_vec(p, F) else f"b{r}"
+              for r, (p, row) in enumerate(zip(pivots, rows))]
+    kL = induced_hopf(H, rows, coords, t2_coords, labels,
+                      name=f"k[{name}]" if name else "")
+    rep = verify_hopf_exhaustive(kL)
+    if not rep.ok:
+        raise ClosureNotHopf("extracted span violates Hopf axioms: "
+                             + "; ".join(n for n, _ in rep.failures()))
+    iota = LinMap(kL, H, dict(enumerate(rows)))
+    ok, wit = is_hopf_morphism(iota)
+    if not ok:
+        raise ClosureNotHopf(f"inclusion is not a Hopf morphism: {wit}")
+    oc, op = _sub_connectivity(G, kL.dim)
+    own = GroupScheme(kL, kind="derived", payload={"ambient": G},
+                      order_connected=oc, order_points=op, name=name)
+    return SubgroupScheme(G, own, iota, ech, tag=tag)
+
+
+def quotient_by_hopf_ideal_verified(H, ideal, name=""):
+    F = H.field
+    reps = [i for i in range(H.dim) if i not in ideal.rows]
+    cls = {i: r for r, i in enumerate(reps)}
+
+    def project(v):
+        return {cls[i]: c for i, c in ideal.reduce(v).items()}
+
+    pi_mat = {}
+    for i in range(H.dim):
+        col = project(unit_vec(i, F))
+        if col:
+            pi_mat[i] = col
+    Q = induced_hopf(H, [unit_vec(i, F) for i in reps], project,
+                     lambda t: t2_map(F, pi_mat, pi_mat, t),
+                     [f"[{H.labels[i]}]" for i in reps],
+                     name=name or (f"{H.name}/I" if H.name else ""))
+    rep = verify_hopf_exhaustive(Q)
+    if not rep.ok:
+        raise VerificationFailure("ideal quotient violates Hopf axioms: "
+                                  + "; ".join(n_ for n_, _ in rep.failures()))
+    pi = LinMap(H, Q, pi_mat)
+    ok, wit = is_hopf_morphism(pi)
+    if not ok:
+        raise VerificationFailure(f"ideal projection is not a Hopf morphism: {wit}")
+    return Q, pi
+
+
+def normal_subgroups_sweep(G):
+    """The subgroups of every closure, each distinct span built once (the
+    first one built is kept, as the sweep kept it), normal ones sorted by
+    (order, key)."""
+    F = G.field
+    n = G.order
+    found = {}
+
+    def note(ech, tag=("generic",), name=""):
+        if ech.key() not in found:
+            found[ech.key()] = subgroup_from_subspace_verified(G, ech, tag, name)
+
+    note(subgroup_closure_rounds(G, []), ("trivial",), "1")
+    note(span(F, n, [unit_vec(i, F) for i in range(n)]), ("full",), G.name)
+    if G.kind == "constant":
+        for size in range(1, max(1, n.bit_length() - 1) + 1):
+            for gens in itertools.combinations(range(n), size):
+                note(subgroup_closure_rounds(G, [unit_vec(g, F) for g in gens]))
+    else:
+        for mask in range(1, 2**n):
+            note(subgroup_closure_rounds(
+                G, [{i: F.one() for i in range(n) if mask >> i & 1}]))
+    subs = [s for s in found.values() if is_normal(s)]
+    subs.sort(key=lambda s: (s.order, s.key()))
+    return subs

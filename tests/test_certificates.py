@@ -3,8 +3,12 @@ in oracles.py: verify_hopf over a certified generating set, grouplikes from
 linear eigen-constraints, the hexagons leg by leg, the worklist ideal
 closure with the generator-first kernel certificate, the morphism check
 with its images formed once, the D(G) structure constants assembled
-from products formed once per (a, x, b), and the crossed product of
-D(K, H, B) with non-trivial sigma or tau against the term-by-term loop."""
+from products formed once per (a, x, b), the crossed product of
+D(K, H, B) with non-trivial sigma or tau against the term-by-term loop,
+the two-phase subgroup closure against the rounds, sub- and quotient Hopf
+algebras certified by their inclusion or projection against the builds
+that also run the exhaustive verifier, and normal_subgroups by extension
+against the generator-subset sweep."""
 
 import itertools
 import random
@@ -20,6 +24,7 @@ from schemedouble.doubles import (
     hexagon_products,
     verify_quasitriangular,
 )
+from schemedouble.errors import ClosureNotHopf, VerificationFailure
 from schemedouble.fields import QQ, make_field
 from schemedouble.groupschemes import (
     centralize,
@@ -27,8 +32,10 @@ from schemedouble.groupschemes import (
     direct_product,
     ga_frobenius_subgroup,
     ga_kernel,
+    hopf_closure,
     mu_p_kernel,
     subgroup_from_generators,
+    subgroup_from_subspace,
     trivial_subgroup,
 )
 from schemedouble.hopf import (
@@ -37,6 +44,7 @@ from schemedouble.hopf import (
     certified_generators,
     grouplikes,
     is_hopf_morphism,
+    quotient_by_hopf_ideal,
     t2_outer,
     verify_hopf,
 )
@@ -68,6 +76,10 @@ from oracles import (
     ideal_closure_rounds,
     is_hopf_morphism_exhaustive,
     light_associativity_dense,
+    normal_subgroups_sweep,
+    quotient_by_hopf_ideal_verified,
+    subgroup_closure_rounds,
+    subgroup_from_subspace_verified,
     verify_hopf_exhaustive,
 )
 
@@ -459,3 +471,125 @@ def test_crossed_product_equals_the_term_by_term_loop(make, count, twisted):
         assert qp.D.comult == comult
         rep = verify_hopf(qp.D)
         assert [name for name, _ in rep.failures() if name != "antipode law"] == []
+
+
+def _basis_sets(H, pairs=True):
+    """Every basis vector alone and, with pairs, every two of them."""
+    F = H.field
+    vecs = [unit_vec(i, F) for i in range(H.dim)]
+    return [[v] for v in vecs] + (
+        [list(vw) for vw in itertools.combinations(vecs, 2)] if pairs else [])
+
+
+def _sums(H):
+    """A few sums of basis vectors with coefficients 0/1."""
+    F = H.field
+    return [[{i: F.one() for i in range(H.dim) if mask >> i & 1}]
+            for mask in (3, 6, 12, 21, 170, 2**H.dim - 1)]
+
+
+@pytest.mark.parametrize("make, sets", [
+    (lambda: make_s3(F7), _basis_sets),
+    (lambda: ga_kernel(2, F3), lambda H: _basis_sets(H) + _sums(H)),
+    (lambda: make_borel(F3), lambda H: _basis_sets(H) + _sums(H)),
+    (lambda: direct_product(ga_kernel(1, F3), mu_p_kernel(F3)),
+     lambda H: _basis_sets(H) + _sums(H)),
+], ids=["S3-GF7", "ga2-GF3", "Borel-GF3", "Ga1xmu3-GF3"])
+def test_hopf_closure_equals_the_rounds(make, sets):
+    """The two-phase worklist closure spans the same subspace, with the same
+    canonical basis, as the rounds that apply the antipode, the slices and
+    every product of members until nothing is added."""
+    G = make()
+    for gens in sets(G.group_algebra):
+        assert hopf_closure(G, gens).key() == subgroup_closure_rounds(G, gens).key()
+
+
+def _subspaces(F, n, through=()):
+    """Every subspace of F^n (F = GF(2)) containing the vectors through."""
+    vecs = [{i: F.one() for i in range(n) if m >> i & 1} for m in range(1, 2**n)]
+    found = {}
+    for k in range(n - len(through) + 1):
+        for extra in itertools.combinations(vecs, k):
+            ech = span(F, n, list(through) + list(extra))
+            found.setdefault(ech.key(), ech)
+    return list(found.values())
+
+
+def _structure(H):
+    return (H.labels, H.mult, H.unit, H.comult, H.counit, H.antipode, H.name)
+
+
+@pytest.mark.parametrize("make", [lambda: make_v4(F2), lambda: ga_kernel(2, F2)],
+                         ids=["V4-GF2", "ga2-GF2"])
+def test_subgroup_from_subspace_rejects_what_the_verified_build_rejects(make):
+    """On every subspace through 1, the build certified by its inclusion
+    alone raises ClosureNotHopf exactly when the build that also runs the
+    exhaustive verifier does, and otherwise gives the same structure."""
+    G = make()
+    subspaces = _subspaces(F2, G.order, [G.group_algebra.unit])
+    assert len(subspaces) == 16
+    built = 0
+    for ech in subspaces:
+        try:
+            expected = subgroup_from_subspace_verified(G, ech.copy(), name="L")
+        except ClosureNotHopf:
+            with pytest.raises(ClosureNotHopf):
+                subgroup_from_subspace(G, ech.copy(), name="L")
+            continue
+        sub = subgroup_from_subspace(G, ech.copy(), name="L")
+        built += 1
+        assert _structure(sub.own.group_algebra) == _structure(expected.own.group_algebra)
+        assert sub.iota.mat == expected.iota.mat and sub.key() == expected.key()
+    assert 1 < built < 16
+
+
+@pytest.mark.parametrize("make", [lambda: make_v4(F2).group_algebra,
+                                  lambda: ga_kernel(2, F2).group_algebra],
+                         ids=["kV4-GF2", "kga2-GF2"])
+def test_quotient_by_hopf_ideal_rejects_what_the_verified_quotient_rejects(make):
+    """On every subspace I, the quotient certified by its projection alone
+    raises VerificationFailure exactly when the one that also runs the
+    exhaustive verifier does, and otherwise gives the same H/I and pi."""
+    H = make()
+    subspaces = _subspaces(F2, H.dim)
+    assert len(subspaces) == 67
+    built = 0
+    for ech in subspaces:
+        try:
+            Q0, pi0 = quotient_by_hopf_ideal_verified(H, ech)
+        except VerificationFailure:
+            with pytest.raises(VerificationFailure):
+                quotient_by_hopf_ideal(H, ech)
+            continue
+        Q, pi = quotient_by_hopf_ideal(H, ech)
+        built += 1
+        assert _structure(Q) == _structure(Q0) and pi.mat == pi0.mat
+    assert 1 < built < 67
+
+
+def _relabeled(gens, name):
+    return [lambda seed=seed: constant_group(*permutation_table(gens, seed=seed), F3,
+                                             name=name) for seed in (0, 1, 2)]
+
+
+S3_GENS = [(1, 0, 2), (1, 2, 0)]
+Z6_GENS = [(1, 2, 3, 4, 5, 0)]
+
+
+@pytest.mark.parametrize("make", [
+    *_relabeled(S3_GENS, "S3"), *_relabeled(D4_GENS, "D4"),
+    *_relabeled(A4_GENS, "A4"), *_relabeled(Z6_GENS, "Z6"),
+    lambda: make_borel(F3), lambda: ga_kernel(2, F3),
+], ids=[f"{g}-seed{s}" for g in ("S3", "D4", "A4", "Z6") for s in range(3)]
+    + ["Borel-GF3", "ga2-GF3"])
+def test_normal_subgroups_equals_the_sweep(make):
+    """normal_subgroups, extending each subgroup found by one element at a
+    time and building each span once, finds the same normal subgroups, with
+    the same tags, names and structure, as the closures of every generator
+    subset (constant groups) or of every 0/1 sum (connected groups)."""
+    G = make()
+    mine, oracle = normal_subgroups(G), normal_subgroups_sweep(G)
+    assert [s.key() for s in mine] == [s.key() for s in oracle]
+    for a, b in zip(mine, oracle):
+        assert (a.tag, a.own.name) == (b.tag, b.own.name)
+        assert _structure(a.own.group_algebra) == _structure(b.own.group_algebra)

@@ -228,21 +228,21 @@ def test_enumerate_budget_exits_before_building_the_double(monkeypatch, capsys):
 
 def test_enumerate_refuses_too_many_generator_subsets_before_any_closure(
         tmp_path, monkeypatch, capsys):
-    """A cyclic group of order 64 has 83,278,000 generator subsets of size at
-    most 6, above the budget: enumerate exits 3 before the first subgroup
-    closure."""
+    """A cyclic group of order 64 has the node (G, 1, 1), whose D(K,H,B) has
+    dimension 64^2 = 4096, above MAX_DOUBLE_DIM: enumerate exits 3 before
+    the first subgroup closure."""
     import schemedouble.lattice
 
     def no_closure(G, gens, *args, **kwargs):
         raise AssertionError("subgroup closure started")
 
-    monkeypatch.setattr(schemedouble.lattice, "subgroup_from_generators", no_closure)
+    monkeypatch.setattr(schemedouble.lattice, "hopf_closure", no_closure)
     n = 64
     f = write(tmp_path / "z64.json",
               {"constant": {"elements": [f"g{i}" for i in range(n)],
                             "table": [[(i + j) % n for j in range(n)] for i in range(n)]}})
     assert main(["enumerate", "--group", f, "--field", "p3"]) == 3
-    assert "83278000 generator subsets exceed budget" in capsys.readouterr().err
+    assert "64^2 = 4096, above the ceiling 625" in capsys.readouterr().err
 
 
 GA2 = {"ga_kernel": {"r": 2}}

@@ -362,9 +362,9 @@ def test_second_section_gives_same_star_action():
     for i in range(G.order):
         for b in range(A.order):
             lhs = t.star(unit_vec(i, F3), unit_vec(b, F3))
-            t._section = SectionData(mu2, None)
+            A._section = SectionData(mu2, None)
             rhs = t.star(unit_vec(i, F3), unit_vec(b, F3))
-            t._section = sec1
+            A._section = sec1
             assert lhs == rhs
 
 

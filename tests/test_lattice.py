@@ -260,3 +260,83 @@ def test_block_data_requires_constant():
     t = Triple(G, full, full, b_lambda(full, full, F3.from_int(0)))
     with pytest.raises(NotConstant):
         block_data(t)
+
+
+def test_subgroup_count_of_z2_to_the_fourth(monkeypatch):
+    """(Z/2)^4 over GF(3) has 67 subgroups, 1, 15, 35, 15 and 1 of orders
+    1, 2, 4, 8 and 16 (the Gaussian binomials), all normal.  Extension needs
+    at most 67 * 16 closures, against the 2,516 generator subsets of size at
+    most 4, and builds each subgroup once."""
+    import schemedouble.lattice as lattice
+    from schemedouble.groupschemes import constant_group
+    calls = {"hopf_closure": 0, "subgroup_from_subspace": 0}
+    for name in calls:
+        real = getattr(lattice, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, name, counted)
+    G = constant_group([f"g{i}" for i in range(16)],
+                       [[a ^ b for b in range(16)] for a in range(16)], F3, name="C2^4")
+    subs = lattice.normal_subgroups(G)
+    orders = [s.order for s in subs]
+    assert [orders.count(m) for m in (1, 2, 4, 8, 16)] == [1, 15, 35, 15, 1]
+    assert calls["subgroup_from_subspace"] == 65  # trivial and full built first
+    assert calls["hopf_closure"] <= 67 * 16
+
+
+def test_enumerate_refuses_above_the_double_ceiling_before_any_subgroup(monkeypatch):
+    """A cyclic group of order 26 has the node (G, 1, 1) with D(K,H,B) of
+    dimension 676 > 625: BudgetExceeded before normal_subgroups runs."""
+    import schemedouble.lattice as lattice
+    from schemedouble.errors import BudgetExceeded
+    from schemedouble.groupschemes import constant_group
+
+    def no_subgroups(*args, **kwargs):
+        raise AssertionError("subgroups enumerated")
+
+    monkeypatch.setattr(lattice, "normal_subgroups", no_subgroups)
+    n = 26
+    G = constant_group([f"g{i}" for i in range(n)],
+                       [[(i + j) % n for j in range(n)] for i in range(n)], F3)
+    with pytest.raises(BudgetExceeded, match="26\\^2 = 676"):
+        lattice.enumerate_triples(G)
+
+
+def test_enumerate_builds_sections_centralizers_and_certificates_once(monkeypatch):
+    """On S3/GF(7), enumerate finds one section per normal subgroup, forms
+    and validates the centralizer triple of each node once, and runs the
+    Hopf verifier only on each node's D(K,H,B)."""
+    import schemedouble.groupschemes as gs
+    import schemedouble.hopf as hopf
+    import schemedouble.quotients as quotients
+    calls = {"section_mu": 0, "verify_hopf": 0, "validate": 0}
+    real_section, real_verify = gs.section_mu, quotients.verify_hopf
+    real_validate = quotients.Triple.validate
+
+    def section(L):
+        calls["section_mu"] += 1
+        return real_section(L)
+
+    def verify(H):
+        calls["verify_hopf"] += 1
+        return real_verify(H)
+
+    def validate(self):
+        calls["validate"] += 1
+        return real_validate(self)
+
+    def elsewhere(H):
+        raise AssertionError("verify_hopf outside build_quotient")
+
+    monkeypatch.setattr(gs, "section_mu", section)
+    monkeypatch.setattr(quotients, "verify_hopf", verify)
+    monkeypatch.setattr(quotients.Triple, "validate", validate)
+    monkeypatch.setattr(gs, "verify_hopf", elsewhere)
+    monkeypatch.setattr(hopf, "verify_hopf", elsewhere)
+    nodes, _ = enumerate_triples(make_s3(F7))
+    assert len(nodes) == 8
+    assert calls == {"section_mu": 3, "verify_hopf": 8, "validate": 16}
+    assert all(centralizer_triple(n.triple) is centralizer_triple(n.triple) for n in nodes)
