@@ -16,13 +16,7 @@ from .doubles import (
     verify_ribbon,
 )
 from .fields import factorial_unit, make_field
-from .groupschemes import (
-    cleaving_gamma,
-    full_subgroup,
-    ga_frobenius_subgroup,
-    ga_kernel,
-    quotient_by_normal,
-)
+from .groupschemes import full_subgroup, ga_frobenius_subgroup, ga_kernel
 from .hopf import LinMap, is_hopf_morphism
 from .quotients import Triple, build_quotient
 from .serialize import SCHEMA_VERSION, linmap_to_json, tensor_to_json
@@ -64,26 +58,24 @@ def height_two_quotients(p: int):
     F = make_field("prime", p=p)
     G = ga_kernel(2, F)
     A = ga_frobenius_subgroup(G, 1)
-    quotient = quotient_by_normal(G, A)
-    cleaving = cleaving_gamma(G, A, quotient)
     out = []
     for lam in range(p):
         B = b_lambda(A, A, F.from_int(lam))
-        qp = build_quotient(Triple(G, A, A, B), cleaving=cleaving)
+        qp = build_quotient(Triple(G, A, A, B))
         out.append((lam, qp))
-    return G, A, quotient, cleaving, out
+    return G, A, out
 
 
 def appendix_report(p: int) -> dict:
     """All section-by-section golden values for one prime, exact."""
     F = make_field("prime", p=p)
-    G, A, quotient, cleaving, quots2 = height_two_quotients(p)
-    sec = A.section
+    G, A, quots2 = height_two_quotients(p)
+    sec, cleaving = A.section, A.cleaving
 
     report = {
         "schema_version": SCHEMA_VERSION,
         "p": p,
-        "pi": linmap_to_json(F, quotient.pi),
+        "pi": linmap_to_json(F, cleaving.quotient.pi),
         "gamma": linmap_to_json(F, cleaving.gamma),
         "gamma_inv": linmap_to_json(F, cleaving.gamma_inv),
         "eta": linmap_to_json(F, cleaving.eta),

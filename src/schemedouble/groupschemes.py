@@ -49,6 +49,7 @@ from .hopf import (
 from .linalg import (
     Echelon,
     annihilator,
+    echelon_points,
     mat_compose,
     mat_identity,
     mat_rank,
@@ -60,7 +61,6 @@ from .linalg import (
     v_axpy,
     v_scale,
     v_sub,
-    echelon_points_guard,
 )
 
 
@@ -445,16 +445,16 @@ class SubgroupScheme:
     """A closed subgroup scheme, carried as (iota: k[L] -> k[G], q = iota^T)."""
 
     def __init__(self, ambient: GroupScheme, own: GroupScheme, iota: LinMap,
-                 subspace: Echelon, tag=("generic",)):
+                 subspace: Echelon):
         self.ambient = ambient
         self.own = own
         self.iota = iota
         self.q = LinMap(ambient.coordinate_algebra, own.coordinate_algebra,
                         mat_transpose(iota.mat))
         self.subspace = subspace
-        self.tag = tag
         self._normal = None
         self._section = None
+        self._cleaving = None
 
     @property
     def order(self):
@@ -466,6 +466,14 @@ class SubgroupScheme:
         if self._section is None:
             self._section = section_mu(self)
         return self._section
+
+    @property
+    def cleaving(self) -> "CleavingData":
+        """``cleaving_gamma`` of this (normal) subgroup, with its quotient,
+        found once and kept on it."""
+        if self._cleaving is None:
+            self._cleaving = cleaving_gamma(self.ambient, self)
+        return self._cleaving
 
     def key(self):
         return self.subspace.key()
@@ -518,8 +526,7 @@ def _sub_connectivity(G: GroupScheme, dim: int):
     return None, None
 
 
-def subgroup_from_subspace(G: GroupScheme, ech: Echelon, tag=("generic",),
-                           name="") -> SubgroupScheme:
+def subgroup_from_subspace(G: GroupScheme, ech: Echelon, name="") -> SubgroupScheme:
     """The subgroup scheme on the span of ech, certified by its inclusion
     iota alone; a span not closed under the structure maps raises
     ClosureNotHopf while its structure is extracted.
@@ -539,7 +546,7 @@ def subgroup_from_subspace(G: GroupScheme, ech: Echelon, tag=("generic",),
     oc, op = _sub_connectivity(G, kL.dim)
     own = GroupScheme(kL, kind="derived", payload={"ambient": G},
                       order_connected=oc, order_points=op, name=name)
-    return SubgroupScheme(G, own, iota, ech, tag=tag)
+    return SubgroupScheme(G, own, iota, ech)
 
 
 def _slices(F, t):
@@ -582,10 +589,7 @@ def hopf_closure(G: GroupScheme, generators, base: Echelon = None) -> Echelon:
 
 def subgroup_from_generators(G: GroupScheme, generators, name="") -> SubgroupScheme:
     """The subgroup scheme on ``hopf_closure(G, generators)``."""
-    ech = hopf_closure(G, generators)
-    tag = (("trivial",) if ech.dim == 1 else ("full",) if ech.dim == G.order
-           else ("generic",))
-    return subgroup_from_subspace(G, ech, tag=tag, name=name)
+    return subgroup_from_subspace(G, hopf_closure(G, generators), name=name)
 
 
 def trivial_subgroup(G: GroupScheme) -> SubgroupScheme:
@@ -594,7 +598,7 @@ def trivial_subgroup(G: GroupScheme) -> SubgroupScheme:
 
 def full_subgroup(G: GroupScheme) -> SubgroupScheme:
     e = span(G.field, G.order, [unit_vec(i, G.field) for i in range(G.order)])
-    return subgroup_from_subspace(G, e, tag=("full",), name=G.name)
+    return subgroup_from_subspace(G, e, name=G.name)
 
 
 def ga_frobenius_subgroup(G: GroupScheme, s: int) -> SubgroupScheme:
@@ -603,8 +607,7 @@ def ga_frobenius_subgroup(G: GroupScheme, s: int) -> SubgroupScheme:
         raise DimensionMismatch("frobenius_sub needs a ga_kernel ambient")
     p = G.field.char
     e = span(G.field, G.order, [unit_vec(i, G.field) for i in range(p**s)])
-    sub = subgroup_from_subspace(G, e, tag=("ga_standard", s), name=f"Ga_{s}")
-    return sub
+    return subgroup_from_subspace(G, e, name=f"Ga_{s}")
 
 
 def is_normal(L: SubgroupScheme) -> bool:
@@ -725,96 +728,52 @@ class CleavingData:
         self.quotient = quotient
 
 
-def _map_solver(F, n_src, n_tgt):
-    """Tiny helper collecting linear equations on matrix unknowns (r, c)."""
+def _colinear_section_equations(F, src, tgt, proj_mat):
+    """Rows for ``solve_rows`` in the entries s[y][j] (unknown y * dim src + j)
+    of a map s: src -> tgt with proj(s(x)) = x, s(1) = 1 and
+    s(x_1) (x) x_2 = s(x)_1 (x) proj(s(x)_2)."""
+    n = src.dim
+    zero, one = F.zero(), F.one()
     rows = []
-
-    def flat(r, c):
-        return r * n_src + c
-
-    def add_equation(terms, rhs):
-        row = {}
-        for (r, c), coef in terms.items():
-            if coef != F.zero():
-                row[flat(r, c)] = coef
-        rows.append((row, rhs))
-
-    def solve():
-        return solve_rows(F, rows, n_tgt * n_src)
-
-    return add_equation, solve
-
-
-def _colinear_section_equations(F, add, src_hopf, tgt_hopf, proj_mat, n_src, n_tgt):
-    """Equations for a map s: src -> tgt with proj(s(x)) = x and
-    s(x_1) (x) x_2 = s(x)_1 (x) proj(s(x)_2), plus s(1) = 1."""
     # section: proj . s = id
-    for j in range(n_src):
-        for i in range(n_src):
-            terms = {}
-            for y in range(n_tgt):
-                col = proj_mat.get(y)
-                if col and col.get(i) is not None:
-                    terms[(y, j)] = col[i]
-            add(terms, F.one() if i == j else F.zero())
+    for j in range(n):
+        for i in range(n):
+            rows.append(({y * n + j: col[i] for y, col in proj_mat.items() if i in col},
+                         one if i == j else zero))
     # colinearity, one equation per (source basis j, tgt coord x, src coord v)
-    for j in range(n_src):
-        lhs_grid: dict = {}
-        for (u, v), c in src_hopf.comult[j].items():
-            lhs_grid.setdefault((u, v), c)
-        keys = set()
-        rows_terms: dict = {}
-        for (u, v), c in lhs_grid.items():
-            for x in range(n_tgt):
-                rows_terms.setdefault((x, v), {})[(x, u)] = F.add(
-                    rows_terms.setdefault((x, v), {}).get((x, u), F.zero()), c)
-                keys.add((x, v))
-        rhs_terms: dict = {}
-        for y in range(n_tgt):
-            for (x, z), c in tgt_hopf.comult[y].items():
-                col = proj_mat.get(z)
-                if col:
-                    for v, pv in col.items():
-                        d = rhs_terms.setdefault((x, v), {})
-                        d[(y, j)] = F.add(d.get((y, j), F.zero()), F.mul(c, pv))
-                        keys.add((x, v))
-        for key in keys:
-            terms = dict(rows_terms.get(key, {}))
-            for unk, c in rhs_terms.get(key, {}).items():
-                terms[unk] = F.sub(terms.get(unk, F.zero()), c)
-            add(terms, F.zero())
+    for j in range(n):
+        eqs: dict = {}
+        for (u, v), c in src.comult[j].items():
+            for x in range(tgt.dim):
+                v_axpy(F, eqs.setdefault((x, v), {}), c, {x * n + u: one})
+        for y in range(tgt.dim):
+            for (x, z), c in tgt.comult[y].items():
+                for v, pv in proj_mat.get(z, {}).items():
+                    v_axpy(F, eqs.setdefault((x, v), {}), F.neg(F.mul(c, pv)),
+                           {y * n + j: one})
+        rows.extend((row, zero) for row in eqs.values())
     # unit normalization s(1_src) = 1_tgt
-    for x in range(n_tgt):
-        terms = {}
-        for j, c in src_hopf.unit.items():
-            terms[(x, j)] = c
-        add(terms, tgt_hopf.unit.get(x, F.zero()))
+    for x in range(tgt.dim):
+        rows.append(({x * n + j: c for j, c in src.unit.items()},
+                     tgt.unit.get(x, zero)))
+    return rows
 
 
 def _search_invertible(F, src, tgt, part, kern):
-    """Walk the affine solution space in canonical order until a convolution
-    invertible section appears, trying at most _SECTION_BUDGET points."""
-
-    def to_map(sol):
+    """Walk the affine solution space in canonical order, zero offset first,
+    until a convolution invertible section appears, trying at most
+    _SECTION_BUDGET points; over the rationals only the particular
+    solution."""
+    offsets = (itertools.islice(echelon_points(kern, F), _SECTION_BUDGET)
+               if F.size is not None else [{}])
+    for offset in offsets:
         mat: dict = {}
-        n_src = src.dim
-        for key, c in sol.items():
-            r, col = divmod(key, n_src)
-            if c != F.zero():
-                mat.setdefault(col, {})[r] = c
-        return LinMap(src, tgt, mat)
-
-    tried = 0
-    for offset in echelon_points_guard(kern, F, _SECTION_BUDGET):
-        tried += 1
-        if tried > _SECTION_BUDGET:
-            break
-        sol = dict(part)
-        v_axpy(F, sol, F.one(), offset)
-        cand = to_map(sol)
+        for key, c in v_axpy(F, dict(part), F.one(), offset).items():
+            r, col = divmod(key, src.dim)
+            mat.setdefault(col, {})[r] = c
+        cand = LinMap(src, tgt, mat)
         try:
-            inv = convolution_inverse(cand)
-            return cand, inv
+            return cand, convolution_inverse(cand)
         except NotInvertible:
             continue
     raise NoInvertibleSectionFound(
@@ -833,10 +792,9 @@ def _invertible_section(cand, proj: LinMap, inconsistent: Exception):
             pass
     src, tgt = proj.target, proj.source
     F = tgt.field
-    add, solve = _map_solver(F, src.dim, tgt.dim)
-    _colinear_section_equations(F, add, src, tgt, proj.mat, src.dim, tgt.dim)
     try:
-        part, kern = solve()
+        part, kern = solve_rows(F, _colinear_section_equations(F, src, tgt, proj.mat),
+                                tgt.dim * src.dim)
     except NoSolution:
         raise inconsistent
     s, s_inv = _search_invertible(F, src, tgt, part, kern)
@@ -847,28 +805,27 @@ def _invertible_section(cand, proj: LinMap, inconsistent: Exception):
 
 def section_mu(L: SubgroupScheme) -> SectionData:
     """A counit- and unit-preserving O(L)-colinear section of q_L, with its
-    convolution inverse.  Closed forms cover the builtin families; otherwise
-    the canonical affine solution is searched for invertibility.  Callers
-    use ``L.section``, which keeps it."""
+    convolution inverse.  Callers use ``L.section``, which keeps it.
+
+    The closed-form candidate is read off the span of k[L]: for |L| = 1 the
+    unit of O(G); when every RREF row is a unit vector e_p (the element
+    subgroups of a constant group, the standard Frobenius kernels, all of
+    G), extension by zero along the pivots, which sends the dual basis
+    vector of row r to e^p.  A candidate that is no invertible colinear
+    section, or none at all, leaves the canonical affine solution to be
+    searched for invertibility.
+    """
     G = L.ambient
     F = G.field
     OG = G.coordinate_algebra
     OL = L.own.coordinate_algebra
-    n, m = G.order, L.order
+    pivots = L.subspace.pivots()
 
     cand = None
-    if L.tag[0] == "full":
-        cand = LinMap(OL, OG, mat_identity(n, F))
-    elif L.tag[0] == "trivial":
+    if L.order == 1:
         cand = LinMap(OL, OG, {0: dict(OG.unit)})
-    elif L.tag[0] == "ga_standard":
-        cand = LinMap(OL, OG, {i: {i: F.one()} for i in range(m)})
-    elif G.kind == "constant" and all(
-            row == unit_vec(p, F) for p, row in
-            zip(L.subspace.pivots(), L.subspace.basis())):
-        # delta functions extend by zero along the element inclusion
-        cand = LinMap(OL, OG, {r: {p: F.one()}
-                               for r, p in enumerate(L.subspace.pivots())})
+    elif all(row == unit_vec(p, F) for p, row in zip(pivots, L.subspace.basis())):
+        cand = LinMap(OL, OG, {r: unit_vec(p, F) for r, p in enumerate(pivots)})
     return SectionData(*_invertible_section(
         cand, L.q, NoSection("colinear section system is inconsistent")))
 
@@ -896,33 +853,30 @@ def _colinear_section_ok(s: LinMap, proj: LinMap) -> bool:
     return True
 
 
-def cleaving_gamma(G: GroupScheme, H_sub: SubgroupScheme, quotient=None) -> CleavingData:
-    """A convolution-invertible colinear section gamma of pi, with the
-    retraction eta = id * (gamma^-1 pi) and the closed-form eta^-1."""
-    if quotient is None:
-        quotient = quotient_by_normal(G, H_sub)
+def cleaving_gamma(G: GroupScheme, H_sub: SubgroupScheme) -> CleavingData:
+    """A convolution-invertible colinear section gamma of pi: k[G] -> k[G/H],
+    with the retraction eta = id * (gamma^-1 pi) and the closed-form eta^-1.
+    Callers use ``H.cleaving``, which keeps it with its quotient.
+
+    The closed-form candidate sends each class x_r to the first basis
+    vector e_i with pi(e_i) = x_r (coset representatives of a constant
+    group, the Frobenius-tower lifts, the identity when H = 1); when some
+    class has no such e_i, or the candidate is no invertible colinear
+    section, the section system is solved.
+    """
+    quotient = quotient_by_normal(G, H_sub)
     F = G.field
     kg = G.group_algebra
     Q = quotient.hopf
-    m = Q.dim
 
+    pre = {}
+    for i in range(G.order):
+        img = quotient.pi.apply(unit_vec(i, F))
+        if len(img) == 1 and F.one() in img.values():
+            pre.setdefault(next(iter(img)), i)
     cand = None
-    if H_sub.tag[0] == "trivial":
-        cand = LinMap(Q, kg, {r: unit_vec(i, F)
-                              for r, i in enumerate(quotient.rep_indices)})
-    elif H_sub.tag[0] == "full":
-        cand = LinMap(Q, kg, {0: dict(kg.unit)})
-    else:
-        # unique or minimal basis preimage per class covers the constant and
-        # Frobenius-tower closed forms
-        pre = {}
-        for i in range(G.order):
-            img = quotient.pi.apply(unit_vec(i, F))
-            for r in range(m):
-                if img == unit_vec(r, F) and r not in pre:
-                    pre[r] = i
-        if len(pre) == m:
-            cand = LinMap(Q, kg, {r: unit_vec(pre[r], F) for r in range(m)})
+    if len(pre) == Q.dim:
+        cand = LinMap(Q, kg, {r: unit_vec(i, F) for r, i in pre.items()})
     gamma, gamma_inv = _invertible_section(
         cand, quotient.pi,
         NoInvertibleSectionFound("colinear section system inconsistent"))

@@ -517,12 +517,27 @@ def crossed_product(A: HopfAlgebra, Q: HopfAlgebra, dot, sigma, tau, labels, nam
 
     product   (a # x)(b # y) = a (x_1 . b) sigma(x_2, y_1) # x_3 y_2,
     coproduct (a # x) -> (a_2 tau(x_1)^1 # x_2) (x) (a_1 tau(x_1)^2 # x_3),
-    antipode  S(a # x) = (1 # S(x)) (S(a) # 1), unit 1 # 1, counit eps # eps.
+    antipode  S(a # x) = j^-1(x) (S(a) # 1), unit 1 # 1, counit eps # eps,
+
+    with j: Q -> D, x -> 1 # x and j^-1 its convolution inverse in
+    Hom(Q, D), solved by ``convolution_inverse`` when some sigma(x, y) is no
+    multiple of 1.
 
     ``dot[x]`` is the matrix of x . (-) on A, ``sigma`` maps (x, y) to a
     vector of A and ``tau`` maps x to a Ten2 over A; a missing entry is 0.
-    The antipode formula drops sigma and tau; it fails the antipode law on
-    the triples whose sigma is not trivial.  Reading (x_1, x_2, x_3) as (x_1, (x_2)_1, (x_2)_2), which
+
+    Antipode.  With sigma and tau normalized, a # x = (a # 1)(1 # x) and
+    A^cop # 1 is a Hopf subalgebra, so S(a # x) = S(1 # x) (S(a) # 1), as S
+    is anti-multiplicative.  When tau is trivial, Delta(1 # x) =
+    (1 # x_1) (x) (1 # x_2), so j is a coalgebra map and S o j is a
+    convolution inverse of j, hence j^-1, which is unique.  In every other
+    case the antipode row of ``verify_hopf`` decides.  A multiple c 1 of 1
+    has c = eps(x) eps(y) when eps o sigma = eps (x) eps, as for the sigma
+    of a triple, so when every sigma(x, y) is one, sigma is trivial, j is
+    an algebra map and j^-1(x) = j(S(x)) = 1 # S(x), formed without
+    solving: D(G) and the triples with trivial sigma keep that formula.
+
+    Reading (x_1, x_2, x_3) as (x_1, (x_2)_1, (x_2)_2), which
     coassociativity of Q allows, the product is the sum over Delta(x) of
     P[a][x_1][b] T(x_2, y) with P[a][x][b] = a (x . b) formed once per
     (a, x, b) and T(x, y) = sum sigma(x_1, y_1) (x) x_2 y_2 once per (x, y),
@@ -619,10 +634,15 @@ def crossed_product(A: HopfAlgebra, Q: HopfAlgebra, dot, sigma, tau, labels, nam
 
     D = HopfAlgebra(F, labels, mult, flat_outer(F, A.unit, Q.unit, mQ), comult,
                     flat_outer(F, A.counit, Q.counit, mQ), {}, name=name)
+    if None in sig_unit.values():
+        j = {x: flat_outer(F, A.unit, {x: one}, mQ) for x in range(mQ)}
+        j_inv = convolution_inverse(LinMap(Q, D, j)).mat
+    else:
+        j_inv = {x: flat_outer(F, A.unit, Q.antipode.get(x, {}), mQ) for x in range(mQ)}
     for a in range(mA):
         right = flat_outer(F, A.antipode.get(a, {}), Q.unit, mQ)
         for x in range(mQ):
-            col = D.product(flat_outer(F, A.unit, Q.antipode.get(x, {}), mQ), right)
+            col = D.product(j_inv.get(x, {}), right)
             if col:
                 D.antipode[a * mQ + x] = col
     return D
@@ -957,10 +977,10 @@ def grouplikes(H: HopfAlgebra, budget: int = 10**7):
     """All g != 0 with Delta(g) = g(x)g and counit(g) = 1, sorted.
 
     Over a finite field the search is complete; it is refused up front when
-    |F|^dim exceeds the budget.  Over the rationals only basis vectors and
-    +/-1 coefficient patterns are tried (complete for coordinate and group
-    algebras of constant groups, where every grouplike is a character with
-    values in {1, -1}).
+    its branch bound n^2 |F| (below) exceeds the budget.  Over the rationals
+    only basis vectors and +/-1 coefficient patterns are tried (complete for
+    coordinate and group algebras of constant groups, where every grouplike
+    is a character with values in {1, -1}).
 
     The finite-field search solves linear constraints instead of sweeping
     F^dim.  With T_k = (id (x) e_k*) Delta, Delta(g) = sum_k T_k(g) (x) e_k
@@ -981,7 +1001,8 @@ def grouplikes(H: HopfAlgebra, budget: int = 10**7):
     Common eigenvectors with distinct eigenvalue tuples are linearly
     independent: applying T_j - c_j, at a position j where two tuples of a
     shortest dependency differ, gives a shorter one.  So a level forms at
-    most n |F| branches, instead of the |F|^n candidates of a sweep.
+    most n |F| branches, n^2 |F| over the n levels, instead of the |F|^n
+    candidates of a sweep.
     """
     F = H.field
     n = H.dim
@@ -1004,9 +1025,9 @@ def grouplikes(H: HopfAlgebra, budget: int = 10**7):
             found.append(v)
 
     if F.size is not None:
-        if F.size**n > budget:
+        if n * n * F.size > budget:
             raise FieldTooLargeForEnumeration(
-                f"{F.size}^{n} candidates exceed budget {budget}"
+                f"{n}^2 * {F.size} branches exceed budget {budget}"
             )
         for v in _grouplike_points(H):
             if is_grouplike(v):

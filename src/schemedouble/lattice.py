@@ -159,19 +159,14 @@ def agreement_subgroup(t: Triple, t2: Triple) -> SubgroupScheme:
     return subgroup_from_subspace(G, amb, name="L")
 
 
-def intersect(t: Triple, t2: Triple, dd: DoubleData,
-              qp: QuotientPair = None, qp2: QuotientPair = None) -> Triple:
+def intersect(t: Triple, t2: Triple, dd: DoubleData) -> Triple:
     """The triple of the maximal common quotient pair: quotient D(G) by the
     joint kernel ideal of the two thetas and recognize the result.  The
     agreement subgroup computed from beta and the product HH' are asserted to
     match the recognized components."""
     F = t.G.field
-    if qp is None:
-        qp = build_quotient(t, verify=False)
-    if qp2 is None:
-        qp2 = build_quotient(t2, verify=False)
-    theta = qp.theta(dd)
-    theta2 = qp2.theta(dd)
+    theta = build_quotient(t).theta(dd)
+    theta2 = build_quotient(t2).theta(dd)
     N = dd.D.dim
     joint = mat_kernel(F, theta.mat, N)
     for row in mat_kernel(F, theta2.mat, N).basis():
@@ -213,13 +208,12 @@ class LatticeNode:
         }
 
 
-def classify(t: Triple, qp: QuotientPair = None) -> dict:
+def classify(t: Triple) -> dict:
     """Symmetric / non-degenerate / Lagrangian by the subgroup-and-B criteria,
     with triangular / factorizable computed independently from R(K,H,B); the
     two routes must agree."""
     F = t.G.field
-    if qp is None:
-        qp = build_quotient(t, verify=False)
+    qp = build_quotient(t)
     tbar = centralizer_triple(t)
 
     symmetric = False
@@ -340,7 +334,7 @@ def enumerate_triples(G: GroupScheme, budget=500_000):
     by_key = {}
     for i, t in enumerate(triples):
         qp = build_quotient(t)
-        flags = classify(t, qp)
+        flags = classify(t)
         tbar = centralizer_triple(t)
         node = LatticeNode(i, t, qp, flags, t.fp_dimension(), tbar.key())
         nodes.append(node)
@@ -407,7 +401,7 @@ class BlockData:
         }
 
 
-def block_data(t: Triple, qp: QuotientPair = None):
+def block_data(t: Triple):
     """Per-conjugacy-class block data of a triple over a constant group:
     classes inside K, centralizers, the evaluation character B_g, the twist
     psi_g, and block Frobenius-Perron dimensions summing to |K|[G:H].
@@ -419,8 +413,7 @@ def block_data(t: Triple, qp: QuotientPair = None):
     if G.kind != "constant":
         raise NotConstant("block data needs a constant ambient group")
     F = G.field
-    if qp is None:
-        qp = build_quotient(t, verify=False)
+    qp = build_quotient(t)
     table = G.payload["table"]
     inv = G.payload["inverse"]
     n = G.order

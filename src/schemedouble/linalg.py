@@ -361,27 +361,6 @@ def echelon_points(ech: Echelon, F):
         yield out
 
 
-def echelon_points_guard(ech: Echelon, F, budget: int):
-    """Points of the subspace with the zero vector first, lazily capped at
-    ``budget`` nonzero offsets; over the rationals only the zero offset."""
-    yield {}
-    if F.size is None or ech.dim == 0:
-        return
-    basis = ech.basis()
-    count = 0
-    zero = F.zero()
-    for coeffs in itertools.product(list(F.elements()), repeat=len(basis)):
-        if all(c == zero for c in coeffs):
-            continue
-        out: dict = {}
-        for c, b in zip(coeffs, basis):
-            v_axpy(F, out, c, b)
-        count += 1
-        yield out
-        if count >= budget:
-            return
-
-
 class ParallelEchelon:
     """Echelon on source vectors with mirrored images, for consistency checks.
 

@@ -22,11 +22,9 @@ from .groupschemes import (
     SubgroupScheme,
     ad_l,
     centralize,
-    cleaving_gamma,
     coadjoint_matrices,
     coinvariant_subspace,
     is_normal,
-    quotient_by_normal,
     subgroup_from_subspace,
 )
 from .hopf import (
@@ -82,6 +80,7 @@ class Triple:
         self.H = H
         self.B = B
         self._centralizer = None  # kept by lattice.centralizer_triple
+        self._pair = None  # kept by build_quotient
         self.validate()
 
     @property
@@ -220,10 +219,9 @@ def build_tau(triple: Triple, cleaving: CleavingData):
 class QuotientPair:
     """D(K, H, B) together with everything attached to it."""
 
-    def __init__(self, triple, cleaving, section, sigma, tau, D, R, V):
+    def __init__(self, triple, cleaving, sigma, tau, D, R, V):
         self.triple = triple
         self.cleaving = cleaving
-        self.section = section
         self.sigma = sigma
         self.tau = tau
         self.D = D
@@ -247,26 +245,25 @@ class QuotientPair:
         return self._theta
 
 
-def build_quotient(triple: Triple, verify=True, cleaving=None) -> QuotientPair:
-    """Assemble D(K,H,B) = O(K)^cop #_sigma^tau k[G/H] with ``crossed_product``:
+def build_quotient(triple: Triple) -> QuotientPair:
+    """Assemble D(K,H,B) = O(K)^cop #_sigma^tau k[G/H] with ``crossed_product``
+    from the section of K and the cleaving of H, both kept on their
+    subgroups; built and certified once per triple and kept on it.
 
     product   (a # x)(b # y) = a (x_1 . b) sigma(x_2, y_1) # x_3 y_2,
     coproduct (a # x) -> (a_2 tau(x_1)^1 # x_2) (x) (a_1 tau(x_1)^2 # x_3),
-    antipode  S(a # x) = (1 # S(x)) (S(a) # 1).
+    antipode  as in ``crossed_product``.
 
-    The antipode formula drops the sigma and tau terms, so it is wrong when
-    sigma is not trivial; ``verify`` then fails on the antipode law.  The
-    closed-form R-matrix and ribbon element are attached.  With ``verify``
-    the result is certified by ``verify_hopf``: associativity by Light's
-    test and multiplicativity of Delta and eps on a certified generating
-    set, every other axiom on all basis tuples.
+    The closed-form R-matrix and ribbon element are attached.  The algebra
+    is certified by ``verify_hopf``: associativity by Light's test and
+    multiplicativity of Delta and eps on a certified generating set, every
+    other axiom, the antipode law among them, on all basis tuples.
     """
+    if triple._pair is not None:
+        return triple._pair
     G = triple.G
     F = G.field
-    if cleaving is None:
-        quotient = quotient_by_normal(G, triple.H)
-        cleaving = cleaving_gamma(G, triple.H, quotient)
-    section = triple.section
+    cleaving = triple.H.cleaving
     Q = cleaving.quotient.hopf
     OK = triple.K.own.coordinate_algebra
     dot = [{b: img for b in range(OK.dim)
@@ -280,15 +277,15 @@ def build_quotient(triple: Triple, verify=True, cleaving=None) -> QuotientPair:
 
     if D.dim != triple.fp_dimension():
         raise VerificationFailure("dim D(K,H,B) != |K|[G:H]")
-    if verify:
-        rep = verify_hopf(D)
-        if not rep.ok:
-            raise VerificationFailure(
-                "D(K,H,B) violates Hopf axioms: "
-                + "; ".join(f"{n} at {w}" for n, w in rep.failures()))
+    rep = verify_hopf(D)
+    if not rep.ok:
+        raise VerificationFailure(
+            "D(K,H,B) violates Hopf axioms: "
+            + "; ".join(f"{n} at {w}" for n, w in rep.failures()))
 
     R, V = _closed_form_r_v(triple, cleaving)
-    return QuotientPair(triple, cleaving, section, sigma, tau, D, R, V)
+    triple._pair = QuotientPair(triple, cleaving, sigma, tau, D, R, V)
+    return triple._pair
 
 
 def _b_eta_pi(triple: Triple, cleaving: CleavingData, dw):
@@ -411,7 +408,7 @@ def theta_kernel_matches_ideal(qp: QuotientPair, dd: DoubleData) -> bool:
             gens.append(dd.embed_O.apply(cplus))
     for j in range(triple.H.order):
         bv = triple.B.apply(unit_vec(j, F))
-        lifted = qp.section.mu.apply(bv)
+        lifted = triple.section.mu.apply(bv)
         v_amb = triple.H.iota.apply(unit_vec(j, F))
         gens.append(v_sub(F, dd.embed_O.apply(lifted), dd.embed_kG.apply(v_amb)))
 

@@ -32,19 +32,32 @@ certified checks of the package.
 * ``normal_subgroups_sweep``: the normal subgroups from the closures of
   every generator subset of size at most log2 |G| (constant groups) or of
   every 0/1 sum of basis vectors (other groups).
+* ``section_mu_by_tag`` and ``cleaving_gamma_by_tag``: the section and the
+  cleaving with the closed-form candidate chosen by how the subgroup was
+  built ("trivial", "full", "ga_standard" or "generic"), as the package
+  chose it before reading it off the span.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from schemedouble.errors import ClosureNotHopf, VerificationFailure
+from schemedouble.errors import (
+    ClosureNotHopf,
+    NoInvertibleSectionFound,
+    NoSection,
+    VerificationFailure,
+)
 from schemedouble.groupschemes import (
     GroupScheme,
+    SectionData,
     SubgroupScheme,
+    _finish_cleaving,
+    _invertible_section,
     _sub_connectivity,
     coadjoint_matrices,
     is_normal,
+    quotient_by_normal,
 )
 from schemedouble.hopf import (
     LinMap,
@@ -56,7 +69,15 @@ from schemedouble.hopf import (
     t2_map,
     t2_outer,
 )
-from schemedouble.linalg import Echelon, mat_apply, span, unit_vec, v_axpy, v_scale
+from schemedouble.linalg import (
+    Echelon,
+    mat_apply,
+    mat_identity,
+    span,
+    unit_vec,
+    v_axpy,
+    v_scale,
+)
 
 
 def verify_hopf_exhaustive(H) -> VerificationReport:
@@ -410,7 +431,7 @@ def subgroup_closure_rounds(G, generators):
     return ech
 
 
-def subgroup_from_subspace_verified(G, ech, tag=("generic",), name=""):
+def subgroup_from_subspace_verified(G, ech, name=""):
     H = G.group_algebra
     F = G.field
     pivots, rows = ech.pivots(), ech.basis()
@@ -442,7 +463,7 @@ def subgroup_from_subspace_verified(G, ech, tag=("generic",), name=""):
     oc, op = _sub_connectivity(G, kL.dim)
     own = GroupScheme(kL, kind="derived", payload={"ambient": G},
                       order_connected=oc, order_points=op, name=name)
-    return SubgroupScheme(G, own, iota, ech, tag=tag)
+    return SubgroupScheme(G, own, iota, ech)
 
 
 def quotient_by_hopf_ideal_verified(H, ideal, name=""):
@@ -481,12 +502,12 @@ def normal_subgroups_sweep(G):
     n = G.order
     found = {}
 
-    def note(ech, tag=("generic",), name=""):
+    def note(ech, name=""):
         if ech.key() not in found:
-            found[ech.key()] = subgroup_from_subspace_verified(G, ech, tag, name)
+            found[ech.key()] = subgroup_from_subspace_verified(G, ech, name)
 
-    note(subgroup_closure_rounds(G, []), ("trivial",), "1")
-    note(span(F, n, [unit_vec(i, F) for i in range(n)]), ("full",), G.name)
+    note(subgroup_closure_rounds(G, []), "1")
+    note(span(F, n, [unit_vec(i, F) for i in range(n)]), G.name)
     if G.kind == "constant":
         for size in range(1, max(1, n.bit_length() - 1) + 1):
             for gens in itertools.combinations(range(n), size):
@@ -498,3 +519,49 @@ def normal_subgroups_sweep(G):
     subs = [s for s in found.values() if is_normal(s)]
     subs.sort(key=lambda s: (s.order, s.key()))
     return subs
+
+
+def section_mu_by_tag(L, tag):
+    G = L.ambient
+    F = G.field
+    OG, OL = G.coordinate_algebra, L.own.coordinate_algebra
+    cand = None
+    if tag == "full":
+        cand = LinMap(OL, OG, mat_identity(G.order, F))
+    elif tag == "trivial":
+        cand = LinMap(OL, OG, {0: dict(OG.unit)})
+    elif tag == "ga_standard":
+        cand = LinMap(OL, OG, {i: {i: F.one()} for i in range(L.order)})
+    elif G.kind == "constant" and all(
+            row == unit_vec(p, F) for p, row in
+            zip(L.subspace.pivots(), L.subspace.basis())):
+        cand = LinMap(OL, OG, {r: {p: F.one()}
+                               for r, p in enumerate(L.subspace.pivots())})
+    return SectionData(*_invertible_section(
+        cand, L.q, NoSection("colinear section system is inconsistent")))
+
+
+def cleaving_gamma_by_tag(G, H_sub, tag):
+    quotient = quotient_by_normal(G, H_sub)
+    F = G.field
+    kg = G.group_algebra
+    m = quotient.hopf.dim
+    cand = None
+    if tag == "trivial":
+        cand = LinMap(quotient.hopf, kg, {r: unit_vec(i, F)
+                                          for r, i in enumerate(quotient.rep_indices)})
+    elif tag == "full":
+        cand = LinMap(quotient.hopf, kg, {0: dict(kg.unit)})
+    else:
+        pre = {}
+        for i in range(G.order):
+            img = quotient.pi.apply(unit_vec(i, F))
+            for r in range(m):
+                if img == unit_vec(r, F) and r not in pre:
+                    pre[r] = i
+        if len(pre) == m:
+            cand = LinMap(quotient.hopf, kg, {r: unit_vec(pre[r], F) for r in range(m)})
+    gamma, gamma_inv = _invertible_section(
+        cand, quotient.pi,
+        NoInvertibleSectionFound("colinear section system inconsistent"))
+    return _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv)

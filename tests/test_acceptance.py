@@ -121,10 +121,9 @@ def test_criterion_1_appendix_reproduction(p, F):
     t0 = time.time()
     G = ga_kernel(2, F)
     A = ga_frobenius_subgroup(G, 1)
-    from schemedouble.groupschemes import cleaving_gamma, quotient_by_normal
     from schemedouble.hopf import is_hopf_morphism
-    q = quotient_by_normal(G, A)
-    cl = cleaving_gamma(G, A, q)
+    cl = A.cleaving
+    q = cl.quotient
     one = F.one()
     minus = F.neg(one)
     # pi(d_n) = d_{n/p} when p | n, else 0
@@ -417,18 +416,18 @@ def test_criterion_9_intersection_laws(all_lattices):
                           if n.triple.K.order == 1
                           and n.triple.H.order == G.order).triple.key()
         for a in nodes:
-            r = intersect(a.triple, a.triple, dd, a.qp, a.qp)
+            r = intersect(a.triple, a.triple, dd)
             assert r.key() == a.triple.key()
         for a in nodes:
             for b in nodes:
-                r = intersect(a.triple, b.triple, dd, a.qp, b.qp)
+                r = intersect(a.triple, b.triple, dd)
                 assert contains(a.triple, r) and contains(b.triple, r)
                 for s in nodes:
                     if contains(a.triple, s.triple) and contains(b.triple, s.triple):
                         assert contains(r, s.triple)
         for a in nodes:
             nb = by_key[centralizer_triple(a.triple).key()]
-            r = intersect(a.triple, nb.triple, dd, a.qp, nb.qp)
+            r = intersect(a.triple, nb.triple, dd)
             assert (r.key() == bottom_key) == a.flags["nondegenerate"]
     note("criterion 9", f"intersections are maximum lower bounds; Muger-center "
                         f"triviality matches nondegeneracy ({time.time()-t0:.1f}s)")
@@ -441,7 +440,7 @@ def test_criterion_10_block_data(all_lattices):
         for n in nodes:
             # block_data internally verifies centralizer invariance of B_g and
             # the twisted algebra morphism property of p_g on all basis pairs
-            blocks = block_data(n.triple, n.qp)
+            blocks = block_data(n.triple)
             assert sum(b.fp_dimension for b in blocks) == n.fp_dimension
             total += len(blocks)
     note("criterion 10", f"{total} blocks: dimensions sum to |K|[G:H]; "

@@ -30,10 +30,14 @@ from schemedouble.groupschemes import (
     centralize,
     constant_group,
     direct_product,
+    cleaving_gamma,
+    full_subgroup,
     ga_frobenius_subgroup,
     ga_kernel,
     hopf_closure,
+    is_normal,
     mu_p_kernel,
+    section_mu,
     subgroup_from_generators,
     subgroup_from_subspace,
     trivial_subgroup,
@@ -42,7 +46,9 @@ from schemedouble.hopf import (
     HopfAlgebra,
     LinMap,
     certified_generators,
+    convolution_inverse,
     grouplikes,
+    identity_map,
     is_hopf_morphism,
     quotient_by_hopf_ideal,
     t2_outer,
@@ -69,6 +75,7 @@ from conftest import (
     permutation_table,
 )
 from oracles import (
+    cleaving_gamma_by_tag,
     crossed_product_loop,
     drinfeld_double_mult_loop,
     grouplikes_sweep,
@@ -78,6 +85,7 @@ from oracles import (
     light_associativity_dense,
     normal_subgroups_sweep,
     quotient_by_hopf_ideal_verified,
+    section_mu_by_tag,
     subgroup_closure_rounds,
     subgroup_from_subspace_verified,
     verify_hopf_exhaustive,
@@ -435,9 +443,9 @@ def _twists(qp):
 
 
 def _sigma_twisted_pairs(G):
-    """D(K,H,B), unverified, for every triple of G whose sigma is not trivial."""
+    """D(K,H,B) for every triple of G whose sigma is not trivial."""
     subs = normal_subgroups(G)
-    qps = [build_quotient(t, verify=False)
+    qps = [build_quotient(t)
            for K in subs for H in subs if centralize(K, H)
            for t in equivariant_maps(G, K, H)]
     return [qp for qp in qps if _twists(qp)[0]]
@@ -448,14 +456,15 @@ def _sigma_twisted_pairs(G):
         constant_group(*permutation_table([(1, 2, 3, 0)]), F5, name="Z4")), 2, 0),
     (lambda: _sigma_twisted_pairs(
         constant_group(*permutation_table(D4_GENS), F3, name="D4")), 7, 0),
-    (lambda: [build_quotient(_ga2_triple(), verify=False)], 1, 1),
+    (lambda: [build_quotient(_ga2_triple())], 1, 1),
 ], ids=["Z4-GF5-sigma", "D4-GF3-sigma", "ga2-GF3-B1-tau"])
 def test_crossed_product_equals_the_term_by_term_loop(make, count, twisted):
     """build_quotient assembles the same product and coproduct as the loop
     that multiplies term by term, on every triple of Z4/GF(5) and D4/GF(3)
     with sigma not trivial and on B_1 of ga_kernel(2)/GF(3), whose tau is
-    not trivial.  These algebras satisfy every Hopf axiom except the
-    antipode law, whose formula drops sigma and tau."""
+    not trivial.  These algebras satisfy every Hopf axiom, the antipode law
+    among them, and the antipode is the convolution inverse of the
+    identity."""
     qps = make()
     assert len(qps) == count
     for qp in qps:
@@ -469,8 +478,8 @@ def test_crossed_product_equals_the_term_by_term_loop(make, count, twisted):
         mult, comult = crossed_product_loop(OK, Q, dot, qp.sigma, qp.tau)
         assert qp.D.mult == mult
         assert qp.D.comult == comult
-        rep = verify_hopf(qp.D)
-        assert [name for name, _ in rep.failures() if name != "antipode law"] == []
+        assert verify_hopf(qp.D).ok
+        assert qp.D.antipode == convolution_inverse(identity_map(qp.D)).mat
 
 
 def _basis_sets(H, pairs=True):
@@ -585,11 +594,80 @@ Z6_GENS = [(1, 2, 3, 4, 5, 0)]
 def test_normal_subgroups_equals_the_sweep(make):
     """normal_subgroups, extending each subgroup found by one element at a
     time and building each span once, finds the same normal subgroups, with
-    the same tags, names and structure, as the closures of every generator
-    subset (constant groups) or of every 0/1 sum (connected groups)."""
+    the same names and structure, as the closures of every generator subset
+    (constant groups) or of every 0/1 sum (connected groups)."""
     G = make()
     mine, oracle = normal_subgroups(G), normal_subgroups_sweep(G)
     assert [s.key() for s in mine] == [s.key() for s in oracle]
     for a, b in zip(mine, oracle):
-        assert (a.tag, a.own.name) == (b.tag, b.own.name)
+        assert a.own.name == b.own.name
         assert _structure(a.own.group_algebra) == _structure(b.own.group_algebra)
+
+
+def _tagged_subgroups(G):
+    """(L, tag) for every subgroup the package builds on G, tagged as its
+    builder used to tag it: trivial_subgroup "trivial", full_subgroup
+    "full", ga_frobenius_subgroup "ga_standard", and "generic" for the other
+    closures (from 1 by one element at a time on constant groups, of every
+    0/1 sum on the others up to order 9)."""
+    F, n = G.field, G.order
+    out = [(trivial_subgroup(G), "trivial"), (full_subgroup(G), "full")]
+    if G.kind == "ga":
+        out += [(ga_frobenius_subgroup(G, s), "ga_standard")
+                for s in range(G.payload["r"] + 1)]
+    seen = {L.key() for L, _ in out}
+
+    def note(ech):
+        if ech.key() not in seen:
+            seen.add(ech.key())
+            out.append((subgroup_from_subspace(G, ech), "generic"))
+
+    if G.kind == "constant":
+        for S, _ in out:  # grows while it is walked
+            for g in range(n):
+                if not S.subspace.contains(unit_vec(g, F)):
+                    note(hopf_closure(G, [unit_vec(g, F)], base=S.subspace))
+    elif n <= 9:
+        for mask in range(1, 2**n):
+            note(hopf_closure(G, [{i: F.one() for i in range(n) if mask >> i & 1}]))
+    return out
+
+
+def _span_rule_groups():
+    def relabeled(gens, F, name):
+        return [(f"{name}-GF{F.char}-seed{seed}",
+                 lambda seed=seed: constant_group(*permutation_table(gens, seed=seed), F,
+                                                  name=name)) for seed in (0, 1)]
+
+    yield from relabeled(S3_GENS, F7, "S3")
+    yield from relabeled(A4_GENS, F5, "A4")
+    yield from relabeled(D4_GENS, F3, "D4")
+    yield from relabeled(Z6_GENS, F7, "Z6")
+    yield "S3-Q", lambda: make_s3(QQ)
+    for r, F in ((2, F2), (2, F3), (3, F2), (4, F2)):
+        yield f"ga{r}-GF{F.char}", lambda r=r, F=F: ga_kernel(r, F)
+    yield "Borel-GF3", lambda: make_borel(F3)
+    yield "mu3", lambda: mu_p_kernel(F3)
+    yield "Ga1xmu3", lambda: direct_product(ga_kernel(1, F3), mu_p_kernel(F3))
+    yield "Ga1xGa1-GF3", lambda: direct_product(ga_kernel(1, F3), ga_kernel(1, F3))
+
+
+SPAN_RULE_GROUPS = dict(_span_rule_groups())
+
+
+@pytest.mark.parametrize("name", list(SPAN_RULE_GROUPS))
+def test_span_rule_sections_and_cleavings_equal_the_tag_rule(name):
+    """section_mu and cleaving_gamma, which read their closed-form
+    candidates off the span, give the same mu, mu^-1, gamma and gamma^-1 as
+    the candidates chosen by how the subgroup was built, on every subgroup
+    (every normal one for the cleaving)."""
+    G = SPAN_RULE_GROUPS[name]()
+    cases = _tagged_subgroups(G)
+    assert len(cases) >= 2
+    for L, tag in cases:
+        mine, oracle = section_mu(L), section_mu_by_tag(L, tag)
+        assert (mine.mu.mat, mine.mu_inv.mat) == (oracle.mu.mat, oracle.mu_inv.mat)
+        if is_normal(L):
+            mine, oracle = cleaving_gamma(G, L), cleaving_gamma_by_tag(G, L, tag)
+            assert ((mine.gamma.mat, mine.gamma_inv.mat)
+                    == (oracle.gamma.mat, oracle.gamma_inv.mat))

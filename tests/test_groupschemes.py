@@ -187,11 +187,13 @@ def test_heisenberg_is_local_and_verifies():
         3, [[{}, {2: 1}, {}], [{2: -1}, {}, {}], [{}, {}, {}]],
         [{}, {}, {}], F3, name="Heis")
     assert G.order == 27
-    # connected, so the closed-point count is structural; the raw grouplike
-    # search is out of enumeration range at this dimension and says so
+    # connected: the grouplike search, with at most 27^2 * 3 branches, finds
+    # the unit alone, as the structural count says; a budget below that
+    # bound is refused up front
     assert G.points_order() == 1 and G.connected_order() == 27
+    assert grouplikes(G.group_algebra, budget=10**6) == [G.group_algebra.unit]
     with pytest.raises(FieldTooLargeForEnumeration):
-        grouplikes(G.group_algebra, budget=10**6)
+        grouplikes(G.group_algebra, budget=27**2 * 3 - 1)
 
 
 def test_bad_bracket_rejected():
@@ -327,13 +329,14 @@ def test_section_closed_forms():
 def test_inconsistent_section_system_raises_no_section(monkeypatch):
     """A colinear section system with no solution ends in NoSection."""
     import schemedouble.groupschemes as gs
-    G = ga_kernel(2, F3)
-    L = subgroup_from_generators(G, [unit_vec(1, F3)])  # no closed form
+    G = direct_product(ga_kernel(1, F3), ga_kernel(1, F3))
+    # the line of d0(x)d1 + d1(x)d0: a row that is no unit vector, no closed form
+    L = subgroup_from_generators(G, [{1: F3.one(), 3: F3.one()}])
+    assert L.order == 3 and L.subspace.basis()[1] == {1: F3.one(), 3: F3.one()}
     equations = gs._colinear_section_equations
 
-    def inconsistent(F, add, *args):
-        equations(F, add, *args)
-        add({}, F.one())  # 0 = 1
+    def inconsistent(F, *args):
+        return equations(F, *args) + [({}, F.one())]  # 0 = 1
 
     monkeypatch.setattr(gs, "_colinear_section_equations", inconsistent)
     with pytest.raises(NoSection):
@@ -488,8 +491,8 @@ def test_second_cleaving_same_dot_action_and_kernel():
 
     S3 = make_s3(F7)
     A3 = subgroup_from_generators(S3, [unit_vec(4, F7)])
-    q = quotient_by_normal(S3, A3)
-    cl1 = cleaving_gamma(S3, A3, q)
+    cl1 = A3.cleaving
+    q = cl1.quotient
     # replace the transposition representative by a different one
     gamma2_mat = {}
     for r in range(2):
@@ -512,8 +515,10 @@ def test_second_cleaving_same_dot_action_and_kernel():
             assert lhs == rhs
 
     dd = drinfeld_double(S3)
-    qp1 = build_quotient(t, verify=False, cleaving=cl1)
-    qp2 = build_quotient(t, verify=False, cleaving=cl2)
+    qp1 = build_quotient(t)
+    A3._cleaving = cl2
+    qp2 = build_quotient(Triple(S3, B3, A3, trivial_hopf_map(A3, B3)))
+    assert qp2.cleaving is cl2
     k1 = mat_kernel(F7, qp1.theta(dd).mat, dd.D.dim)
     k2 = mat_kernel(F7, qp2.theta(dd).mat, dd.D.dim)
     assert k1.key() == k2.key()

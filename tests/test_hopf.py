@@ -7,7 +7,6 @@ from schemedouble.groupschemes import (
     direct_product,
     ga_frobenius_subgroup,
     ga_kernel,
-    quotient_by_normal,
     cleaving_gamma,
 )
 from schemedouble.hopf import (
@@ -135,8 +134,7 @@ def test_hopf_morphism_examples():
     A = ga_frobenius_subgroup(G, 1)
     ok, _ = is_hopf_morphism(A.q)  # t -> t restriction
     assert ok
-    q = quotient_by_normal(G, A)
-    cl = cleaving_gamma(G, A, q)
+    cl = A.cleaving
     ok, wit = is_hopf_morphism(cl.gamma)
     assert not ok and "comult" in wit  # cleaving is not a coalgebra map
     ok, _ = is_hopf_morphism(identity_map(G.group_algebra))

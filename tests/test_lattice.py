@@ -28,11 +28,12 @@ from schemedouble.lattice import (
 from schemedouble.linalg import unit_vec
 from schemedouble.quotients import Triple, build_quotient, trivial_hopf_map
 
-from conftest import make_borel, make_s3, make_v4, make_z2
+from conftest import D4_GENS, make_borel, make_s3, make_v4, make_z2, permutation_table
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)
 F7 = make_field("prime", p=7)
+Z6_GENS = [(1, 2, 3, 4, 5, 0)]
 
 
 def canonical_triples(G):
@@ -125,23 +126,23 @@ def test_intersection_laws_exhaustive():
     dd = drinfeld_double(G)
     by_key = {n.triple.key(): n for n in nodes}
     for a in nodes:
-        r = intersect(a.triple, a.triple, dd, a.qp, a.qp)
+        r = intersect(a.triple, a.triple, dd)
         assert r.key() == a.triple.key()
     top = next(n for n in nodes
                if n.triple.K.order == G.order and n.triple.H.order == 1)
     for a in nodes:
-        r = intersect(a.triple, top.triple, dd, a.qp, top.qp)
+        r = intersect(a.triple, top.triple, dd)
         assert r.key() == a.triple.key()
     bottom_key = next(n for n in nodes
                       if n.triple.K.order == 1 and n.triple.H.order == G.order).triple.key()
     for a in nodes:
         tbar = by_key[centralizer_triple(a.triple).key()]
-        r = intersect(a.triple, tbar.triple, dd, a.qp, tbar.qp)
+        r = intersect(a.triple, tbar.triple, dd)
         assert (r.key() == bottom_key) == a.flags["nondegenerate"]
     # maximum lower bound over all pairs
     for a in nodes:
         for b in nodes:
-            r = intersect(a.triple, b.triple, dd, a.qp, b.qp)
+            r = intersect(a.triple, b.triple, dd)
             assert contains(a.triple, r) and contains(b.triple, r)
             for s in nodes:
                 if contains(a.triple, s.triple) and contains(b.triple, s.triple):
@@ -306,19 +307,25 @@ def test_enumerate_refuses_above_the_double_ceiling_before_any_subgroup(monkeypa
 
 
 def test_enumerate_builds_sections_centralizers_and_certificates_once(monkeypatch):
-    """On S3/GF(7), enumerate finds one section per normal subgroup, forms
-    and validates the centralizer triple of each node once, and runs the
-    Hopf verifier only on each node's D(K,H,B)."""
+    """On S3/GF(7), enumerate finds one section per normal subgroup and one
+    quotient and cleaving per normal subgroup H, forms and validates the
+    centralizer triple of each node once, and runs the Hopf verifier only
+    on each node's D(K,H,B), built once and kept on its triple."""
     import schemedouble.groupschemes as gs
     import schemedouble.hopf as hopf
     import schemedouble.quotients as quotients
-    calls = {"section_mu": 0, "verify_hopf": 0, "validate": 0}
-    real_section, real_verify = gs.section_mu, quotients.verify_hopf
+    calls = {"section_mu": 0, "quotient_by_normal": 0, "cleaving_gamma": 0,
+             "verify_hopf": 0, "validate": 0}
+    real_verify = quotients.verify_hopf
     real_validate = quotients.Triple.validate
 
-    def section(L):
-        calls["section_mu"] += 1
-        return real_section(L)
+    def counted(name):
+        real = getattr(gs, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(gs, name, wrapper)
 
     def verify(H):
         calls["verify_hopf"] += 1
@@ -331,12 +338,54 @@ def test_enumerate_builds_sections_centralizers_and_certificates_once(monkeypatc
     def elsewhere(H):
         raise AssertionError("verify_hopf outside build_quotient")
 
-    monkeypatch.setattr(gs, "section_mu", section)
+    for name in ("section_mu", "quotient_by_normal", "cleaving_gamma"):
+        counted(name)
     monkeypatch.setattr(quotients, "verify_hopf", verify)
     monkeypatch.setattr(quotients.Triple, "validate", validate)
     monkeypatch.setattr(gs, "verify_hopf", elsewhere)
     monkeypatch.setattr(hopf, "verify_hopf", elsewhere)
     nodes, _ = enumerate_triples(make_s3(F7))
     assert len(nodes) == 8
-    assert calls == {"section_mu": 3, "verify_hopf": 8, "validate": 16}
+    assert calls == {"section_mu": 3, "quotient_by_normal": 3, "cleaving_gamma": 3,
+                     "verify_hopf": 8, "validate": 16}
     assert all(centralizer_triple(n.triple) is centralizer_triple(n.triple) for n in nodes)
+    assert all(build_quotient(n.triple) is n.qp for n in nodes)
+    assert calls["verify_hopf"] == 8
+
+
+@pytest.mark.parametrize("gens, field, name, count", [
+    (D4_GENS, "p3", "D4", 43), (Z6_GENS, "p7", "Z6", 30),
+], ids=["D4-GF3", "Z6-GF7"])
+def test_enumerate_with_twisted_sigma_exits_0(gens, field, name, count,
+                                              tmp_path, monkeypatch):
+    """enumerate on D4/GF(3) and Z6/GF(7), which have nodes whose sigma is
+    no multiple of 1, exits 0 under three relabelings, and the antipode of
+    every D(K,H,B) is the convolution inverse of the identity."""
+    import json
+    from schemedouble import cli
+    from schemedouble.hopf import _unit_multiple, convolution_inverse, identity_map
+
+    runs = []
+    real = cli.enumerate_triples
+
+    def enumerate_kept(G, budget):
+        runs.append(real(G, budget=budget))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "enumerate_triples", enumerate_kept)
+    twisted = 0
+    for seed in (0, 1, 2):
+        labels, table = permutation_table(gens, seed=seed)
+        spec, out = tmp_path / f"group{seed}.json", tmp_path / f"lattice{seed}.json"
+        spec.write_text(json.dumps({"constant": {"elements": labels, "table": table,
+                                                 "name": name}}))
+        assert cli.main(["enumerate", "--group", str(spec), "--field", field,
+                         "-o", str(out)]) == 0
+        nodes, _ = runs[-1]
+        assert json.loads(out.read_text())["count"] == len(nodes) == count
+        for n in nodes:
+            OK = n.triple.K.own.coordinate_algebra
+            twisted += any(v and _unit_multiple(OK.field, OK.unit, v) is None
+                           for v in n.qp.sigma.values())
+            assert n.qp.D.antipode == convolution_inverse(identity_map(n.qp.D)).mat
+    assert twisted > 0
