@@ -12,7 +12,6 @@ rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CharZero, NotInvertible, NotPrime, ReduciblePolynomial, SchemaError
@@ -420,15 +419,35 @@ def parse_field_token(token: str) -> Field:
     raise SchemaError(f"cannot parse field token {token!r}")
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """A field element in canonical form, tagged with its field.
+    """A field element in canonical form, tagged with its field; immutable,
+    equal and hashed by (field, value).
 
     Used at API boundaries; internal tensors store the raw value.
     """
 
-    field: Field
-    value: object
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: Field, value):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return (self.field, self.value) == (other.field, other.value)
+
+    def __hash__(self):
+        return hash((self.field, self.value))
+
+    def __repr__(self):
+        return f"Scalar(field={self.field!r}, value={self.value!r})"
 
     def __str__(self):
         return self.field.to_str(self.value)

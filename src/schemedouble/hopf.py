@@ -98,6 +98,7 @@ class HopfAlgebra:
         self.antipode = antipode
         self.name = name
         self._flags = {}
+        self._cells = None
 
     def __repr__(self):
         return f"HopfAlgebra({self.name or 'dim %d' % self.dim})"
@@ -108,10 +109,11 @@ class HopfAlgebra:
         F = self.field
         out = {}
         mul = F.mul
-        mult = self.mult
+        by_left = self.cells()[0]
         for i, a in v.items():
+            row = by_left[i]
             for j, b in w.items():
-                cell = mult.get((i, j))
+                cell = row.get(j)
                 if cell:
                     v_axpy(F, out, mul(a, b), cell)
         return out
@@ -157,43 +159,79 @@ class HopfAlgebra:
     def antipode_of(self, v):
         return mat_apply(self.field, self.antipode, v)
 
+    def t2_times(self, x, side):
+        """For a fixed Ten2 x, the map y -> x y (side "left") or y -> y x
+        (side "right") on H (x) H.
+
+        A product of terms (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d
+        is zero unless both cells mult[(a, c)] and mult[(b, d)] are
+        non-empty.  Each term of x is filed once under every basis vector
+        that its first leg meets in a non-empty cell (from ``cells``, on the
+        side of x), with the row of cells of its second leg.  A term of y
+        visits only the terms filed under its first leg, and its second
+        cell is one lookup in that row.  Every skipped pair has an empty
+        cell, so its product is 0, and the result is the sum over all pairs
+        of terms, exactly.  With x on the right, each term of y visits the
+        terms of x in their order, as the loop over pairs (term of y, term
+        of x) does, so the result also has that loop's key order.
+        """
+        F = self.field
+        mul, add, zero = F.mul, F.add, F.zero()
+        cells = self.cells()[0 if side == "left" else 1]
+        index = {}
+        for (a, b), cx in x.items():
+            second = cells[b]
+            for c, cell in cells[a].items():
+                index.setdefault(c, []).append((second, cx, cell))
+
+        def times(y):
+            out = {}
+            for (c, d), cy in y.items():
+                for second, cx, lcell in index.get(c, ()):
+                    rcell = second.get(d)
+                    if not rcell:
+                        continue
+                    coef = mul(cx, cy)
+                    for l, cl in lcell.items():
+                        cc = mul(coef, cl)
+                        for r, cr in rcell.items():
+                            key = (l, r)
+                            sm = add(out.get(key, zero), mul(cc, cr))
+                            if sm == zero:
+                                out.pop(key, None)
+                            else:
+                                out[key] = sm
+            return out
+
+        return times
+
     def tensor_square_product(self, x, y):
         """Product of two elements of H (x) H given as Ten2 dicts."""
-        F = self.field
-        mul = F.mul
-        mult = self.mult
-        out = {}
-        zero = F.zero()
-        add = F.add
-        for (a, b), cx in x.items():
-            for (c, d), cy in y.items():
-                left = mult.get((a, c))
-                if not left:
-                    continue
-                right = mult.get((b, d))
-                if not right:
-                    continue
-                coef = mul(cx, cy)
-                for l, cl in left.items():
-                    cc = mul(coef, cl)
-                    for r, cr in right.items():
-                        key = (l, r)
-                        s = add(out.get(key, zero), mul(cc, cr))
-                        if s == zero:
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
-        return out
+        return self.t2_times(y, "right")(x)
 
     # -- cached global properties ----------------------------------------
 
+    def cells(self):
+        """(by_left, by_right) over the non-empty cells of mult: by_left[i]
+        maps k to mult[(i, k)] and by_right[k] maps i to it.  Built on
+        first use and kept, like the flags below, so mult is not changed
+        after construction."""
+        if self._cells is None:
+            by_left = [{} for _ in range(self.dim)]
+            by_right = [{} for _ in range(self.dim)]
+            for (i, k), cell in self.mult.items():
+                if cell:
+                    by_left[i][k] = cell
+                    by_right[k][i] = cell
+            self._cells = by_left, by_right
+        return self._cells
+
     def is_commutative(self):
+        """mult[(i, k)] = mult[(k, i)] for all i, k, i.e. the non-empty
+        cells with i as left factor are those with i as right factor."""
         if "comm" not in self._flags:
-            self._flags["comm"] = all(
-                self.mult.get((i, j), {}) == self.mult.get((j, i), {})
-                for i in range(self.dim)
-                for j in range(i)
-            )
+            by_left, by_right = self.cells()
+            self._flags["comm"] = by_left == by_right
         return self._flags["comm"]
 
     def is_cocommutative(self):
@@ -329,38 +367,42 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
     the two multiplicativity rows say.
 
     Light's test visits, for each (x, a) = (e_i, e_j), only the k in
-    right[j] and in right[l] for l in supp(e_i e_j), where right[l] lists
-    the k with a non-empty cell mult[(l, k)].  For any other k both sides
-    are sums over empty cells: (e_i e_j) e_k sums the cells mult[(l, k)]
-    for l in supp(e_i e_j), and e_i (e_j e_k) sums over the support of the
-    empty cell mult[(j, k)].  Both are {}, so they agree, and the skipped
-    triples are exactly ones the full loop over k would pass.  The visited
-    k run in ascending order, so the first failing triple, the witness, is
-    the one the full loop finds.
+    by_left[j] and in by_left[l] for l in supp(e_i e_j), where by_left[l]
+    (from ``cells``) holds the k with a non-empty cell mult[(l, k)].  For
+    any other k both sides are sums over empty cells: (e_i e_j) e_k sums
+    the cells mult[(l, k)] for l in supp(e_i e_j), and e_i (e_j e_k) sums
+    over the support of the empty cell mult[(j, k)].  Both are {}, so they
+    agree, and the skipped triples are exactly ones the full loop over k
+    would pass.  The visited k run in ascending order, so the first failing
+    triple, the witness, is the one the full loop finds.
+
+    The Delta row forms each Delta(a) Delta(e_j) with ``t2_times``, its
+    terms indexed once per a and reused over every j; it skips only pairs
+    of terms with an empty cell, whose products are 0, so each product is
+    exact and the pairs (a, j) are checked in the same order.
     """
     F = H.field
     n = H.dim
     rep = VerificationReport(H.name or f"hopf(dim {n})")
     mult = H.mult
     gens = certified_generators(H)
-    right = [set() for _ in range(n)]
-    for (l, k), cell in mult.items():
-        if cell:
-            right[l].add(k)
+    by_left = H.cells()[0]
 
     ok, wit = True, ""
     for i in range(n):
+        row_i = by_left[i]
         for j in gens:
-            mij = mult.get((i, j), {})
-            for k in sorted(right[j].union(*(right[l] for l in mij))):
+            row_j = by_left[j]
+            mij = row_i.get(j, {})
+            for k in sorted(set(row_j).union(*(by_left[l] for l in mij))):
                 lhs = {}
                 for l, c in mij.items():
-                    cell = mult.get((l, k))
+                    cell = by_left[l].get(k)
                     if cell:
                         v_axpy(F, lhs, c, cell)
                 rhs = {}
-                for l, c in mult.get((j, k), {}).items():
-                    cell = mult.get((i, l))
+                for l, c in row_j.get(k, {}).items():
+                    cell = row_i.get(l)
                     if cell:
                         v_axpy(F, rhs, c, cell)
                 if lhs != rhs:
@@ -399,11 +441,10 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
     for i in gens:
         if not ok:
             break
+        times = H.t2_times(H.comult[i], "left")
         for j in range(n):
-            prod = mult.get((i, j), {})
-            lhs = H.coproduct(prod)
-            rhs = H.tensor_square_product(H.comult[i], H.comult[j])
-            if lhs != rhs:
+            lhs = H.coproduct(mult.get((i, j), {}))
+            if lhs != times(H.comult[j]):
                 ok, wit = False, f"({H.labels[i]},{H.labels[j]})"
                 break
     rep.record("comultiplication multiplicative", ok, wit)
@@ -731,21 +772,29 @@ def is_hopf_morphism(f: LinMap):
     all basis tuples; otherwise (False, witness).  Antipode compatibility is
     automatic for bialgebra maps between Hopf algebras but is verified anyway.
 
-    The image f(e_i) of each basis vector is formed once; multiplicativity
-    is checked on all n^2 basis pairs, in (i, j) order, so the witness is the
-    first failing pair.  It is not checked on A x basis for a certified
-    generating set A of the source, as ``verify_hopf`` does: that argument
-    (N = {a : f(a y) = f(a) f(y)} is closed under products) needs the source
-    to be associative, and callers such as ``build_theta`` do not certify
-    the associativity of their source; Light's test on D(G) would cost
-    |A| n^2 products, more than the n^2 pairs checked here.
+    The image f(e_i) of each basis vector is formed once.  Multiplicativity
+    f(e_i e_j) = f(e_i) f(e_j) is checked on the pairs (i, j) whose source
+    cell mult[(i, j)] is non-empty (from ``cells``) or whose images f(e_i)
+    and f(e_j) are both non-zero, in (i, j) order.  On every other pair
+    both sides are 0: e_i e_j = 0, and f(e_i) or f(e_j) is 0.  So the check
+    holds on all n^2 basis pairs exactly when it holds on the visited ones,
+    and the witness is the first failing pair in (i, j) order.
+
+    It is not checked on A x basis for a certified generating set A of the
+    source, as ``verify_hopf`` does: that argument (N = {a : f(a y) =
+    f(a) f(y)} is closed under products) needs the source to be
+    associative, and callers such as ``build_theta`` do not certify the
+    associativity of their source.
     """
     A, B, F = f.source, f.target, f.target.field
     img = [f.apply(A.basis_vec(i)) for i in range(A.dim)]
+    by_left = A.cells()[0]
+    nonzero = [j for j, fj in enumerate(img) if fj]
     for i, fi in enumerate(img):
-        for j, fj in enumerate(img):
-            lhs = f.apply(A.mult.get((i, j), {}))
-            rhs = B.product(fi, fj) if fi and fj else {}
+        row = by_left[i]
+        for j in sorted(row.keys() | nonzero if fi else row):
+            lhs = f.apply(row.get(j, {}))
+            rhs = B.product(fi, img[j]) if fi and img[j] else {}
             if lhs != rhs:
                 return False, f"mult at ({A.labels[i]},{A.labels[j]})"
     if f.apply(A.unit) != B.unit:
@@ -786,11 +835,20 @@ def convolution_unit(source: HopfAlgebra, target: HopfAlgebra) -> LinMap:
 
 
 def convolution_inverse(f: LinMap) -> LinMap:
-    """Solve f * g = unit.counit = g * f exactly; NotInvertible if impossible."""
+    """Solve f * g = unit.counit = g * f exactly; NotInvertible if impossible.
+
+    The unknown g[k][b] enters f(e_j) g(e_k) through the cells mult[(l, b)]
+    of B and g(e_j) f(e_k) through the cells mult[(b, l)], for l in the
+    support of the image of f; only the non-empty ones (from ``cells``) are
+    visited, as the empty ones add nothing to any row.  ``solve_rows``
+    returns the canonical solution of the system, so the order in which the
+    rows and their entries are formed does not change the result.
+    """
     A, B = f.source, f.target
     F = B.field
     nA, nB = A.dim, B.dim
     flat = lambda col, coord: col * nB + coord
+    by_left, by_right = B.cells()
 
     rows = []
     for i in range(nA):
@@ -800,25 +858,21 @@ def convolution_inverse(f: LinMap) -> LinMap:
             fj = f.apply(A.basis_vec(j))
             # f(e_j) * g(e_k): coefficient of unknown g[k][b] in output coord a
             for l, cl in fj.items():
-                for b in range(nB):
-                    cell = B.mult.get((l, b))
-                    if cell:
-                        coef = F.mul(c, cl)
-                        for a, ca in cell.items():
-                            key = flat(k, b)
-                            d = lhs_rows.setdefault(a, {})
-                            d[key] = F.add(d.get(key, F.zero()), F.mul(coef, ca))
+                for b, cell in by_left[l].items():
+                    coef = F.mul(c, cl)
+                    for a, ca in cell.items():
+                        key = flat(k, b)
+                        d = lhs_rows.setdefault(a, {})
+                        d[key] = F.add(d.get(key, F.zero()), F.mul(coef, ca))
             fk = f.apply(A.basis_vec(k))
             # g(e_j) * f(e_k)
             for l, cl in fk.items():
-                for b in range(nB):
-                    cell = B.mult.get((b, l))
-                    if cell:
-                        coef = F.mul(c, cl)
-                        for a, ca in cell.items():
-                            key = flat(j, b)
-                            d = rhs_rows.setdefault(a, {})
-                            d[key] = F.add(d.get(key, F.zero()), F.mul(coef, ca))
+                for b, cell in by_right[l].items():
+                    coef = F.mul(c, cl)
+                    for a, ca in cell.items():
+                        key = flat(j, b)
+                        d = rhs_rows.setdefault(a, {})
+                        d[key] = F.add(d.get(key, F.zero()), F.mul(coef, ca))
         target = v_scale(F, A.counit.get(i, F.zero()), B.unit)
         for a in set(lhs_rows) | set(target):
             rows.append((lhs_rows.get(a, {}), target.get(a, F.zero())))

@@ -459,7 +459,11 @@ def _preimage_solver(theta: LinMap, N: int):
 def recognize_triple(dd: DoubleData, phi: LinMap):
     """Recover (K, H, B) from a surjective Hopf algebra map phi out of D(G),
     together with the isomorphism phibar: D(K,H,B) -> target with
-    phibar . theta = phi."""
+    phibar . theta = phi.
+
+    The pair of a recognized triple is kept on dd by ``Triple.key()``, so a
+    triple equal to one recognized before reuses its pair, already built
+    and certified, and its theta."""
     G = dd.G
     F = G.field
     n = G.order
@@ -509,7 +513,9 @@ def recognize_triple(dd: DoubleData, phi: LinMap):
     B = LinMap(H.own.group_algebra, OK, B_mat)
 
     triple = Triple(G, K, H, B)
-    qp = build_quotient(triple)
+    qp = dd.pairs.get(triple.key())
+    if qp is None:
+        qp = dd.pairs[triple.key()] = build_quotient(triple)
     theta = qp.theta(dd)
     preimage = _preimage_solver(theta, dd.D.dim)
     phibar_mat = {}

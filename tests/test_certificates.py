@@ -52,6 +52,7 @@ from schemedouble.hopf import (
     is_hopf_morphism,
     quotient_by_hopf_ideal,
     t2_outer,
+    t2_swap,
     verify_hopf,
 )
 from schemedouble.lattice import equivariant_maps, normal_subgroups
@@ -88,6 +89,7 @@ from oracles import (
     section_mu_by_tag,
     subgroup_closure_rounds,
     subgroup_from_subspace_verified,
+    tensor_square_product_pairs,
     verify_hopf_exhaustive,
 )
 
@@ -284,6 +286,37 @@ def test_hexagons_equal_the_ten3_product_on_random_tensors():
             v_axpy(F3, R, F3.from_int(rng.randrange(1, 3)),
                    {(rng.randrange(D.dim), rng.randrange(D.dim)): F3.one()})
         assert hexagon_products(D, R) == hexagon_products_t3(D, R)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED))
+def test_t2_times_equals_the_term_pair_loop(name):
+    """On Delta(e_i) Delta(e_j) for every basis pair, the indexed product
+    equals the loop over all pairs of terms, with the fixed factor on
+    either side; tensor_square_product also has the loop's key order."""
+    H = MUTATED[name]()
+    for i in range(H.dim):
+        x = H.comult[i]
+        x_left, x_right = H.t2_times(x, "left"), H.t2_times(x, "right")
+        for j in range(H.dim):
+            y = H.comult[j]
+            xy, yx = tensor_square_product_pairs(H, x, y), tensor_square_product_pairs(H, y, x)
+            assert x_left(y) == xy and x_right(y) == yx
+            assert list(H.tensor_square_product(x, y).items()) == list(xy.items())
+
+
+def test_t2_times_with_r_equals_the_term_pair_loop():
+    """R Delta(h) and Delta^cop(h) R on D(S3) over GF(3), for every basis
+    vector h, with R indexed once on each side."""
+    dd = drinfeld_double(make_s3(F3))
+    D, R = dd.D, canonical_r_and_v(dd).R
+    r_times, times_r = D.t2_times(R, "left"), D.t2_times(R, "right")
+    nonzero = 0
+    for h in range(D.dim):
+        dh, dh_cop = D.comult[h], t2_swap(D.comult[h])
+        assert r_times(dh) == tensor_square_product_pairs(D, R, dh)
+        assert times_r(dh_cop) == tensor_square_product_pairs(D, dh_cop, R)
+        nonzero += bool(r_times(dh))
+    assert nonzero == D.dim
 
 
 def _a4(F):

@@ -197,10 +197,17 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
      "9327a0a9ad7b10b0421746a7f9e10f75c64b77cf80d9a04f3bafe9c5352dcc31"),
     (["quotient", "--triple", "s3_a3_triple.json", "--field", "p7"],
      "7d3288cfa6c90d4ca676ac82788bffb8dc492c0728f9fa13beed3d4ffba0060d"),
+    (["double", "--group", "a4.json", "--field", "p5"],
+     "7b2b3bddd391b9e7c9bd3a531ca81c87d3e125270c03d9bdfd3ebb317c34d45c"),
+    (["double", "--group", "d4.json", "--field", "p3^2"],
+     "d0f5e535a087c31885018a6defe81eaf09611292e5a8ad8dc052492edf7fd645"),
+    (["quotient", "--triple", "a4_v4_triple.json", "--field", "q"],
+     "31e8d49956e7d8ce77ab5104ec17aedb8c65028e1842c390e21ce4d65ffa874f"),
 ], ids=["double-z2-q", "double-s3-p7", "quotient-ga2-p3-json",
         "quotient-ga2-p3-text", "enumerate-dot-s3-p7", "enumerate-z2-q",
         "build-borel-p3", "enumerate-s3-p7", "quotient-ga4-b1-p2",
-        "double-s3-q", "enumerate-s3-q", "quotient-s3-a3-p7"])
+        "double-s3-q", "enumerate-s3-q", "quotient-s3-a3-p7",
+        "double-a4-p5", "double-d4-p3_2", "quotient-a4-v4-q"])
 def test_sample_outputs_are_pinned(argv, digest, capsys):
     """The stdout bytes of these runs on samples/ are fixed: a refactoring
     that changes any of them changes the program's output."""
@@ -376,6 +383,21 @@ def test_double_above_the_dimension_ceiling_exits_3_before_building(tmp_path, ca
     assert main(["double", "--group", f, "--field", "p2"]) == 3
     assert time.perf_counter() - start < 5
     assert "4096" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_dataclasses():
+    """A fresh interpreter, without site, that imports the command line
+    does not load dataclasses (about 11 ms of every process start)."""
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import schemedouble.cli; "
+            "print('dataclasses' in sys.modules)")
+    run = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):

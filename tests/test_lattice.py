@@ -120,6 +120,24 @@ def test_beta_pairing_doubles_the_parameter():
     assert beta.mat == expect.mat
 
 
+def test_intersect_certifies_each_recognized_pair_once(monkeypatch):
+    """Intersecting all 36 ordered pairs of the 6 nodes of Ga_1 over GF(3)
+    builds and certifies each recognized D(K,H,B) once on the same D(G):
+    at most 6 verify_hopf calls, one per distinct result."""
+    import schemedouble.quotients
+
+    G = ga_kernel(1, F3)
+    nodes, _ = enumerate_triples(G)
+    assert len(nodes) == 6
+    dd = drinfeld_double(G)
+    verify = schemedouble.quotients.verify_hopf
+    calls = []
+    monkeypatch.setattr(schemedouble.quotients, "verify_hopf",
+                        lambda D: calls.append(D) or verify(D))
+    results = {intersect(a.triple, b.triple, dd).key() for a in nodes for b in nodes}
+    assert len(calls) <= len(results) <= 6
+
+
 def test_intersection_laws_exhaustive():
     G = ga_kernel(1, F3)
     nodes, edges = enumerate_triples(G)
