@@ -7,12 +7,15 @@ denominator > 1 otherwise) and all arithmetic goes through the owning field
 object.  The raw forms are hashable and comparable, which the linear algebra
 layer relies on.  Nothing in this module (or anywhere downstream) ever
 rounds.
+
+Every field has one accumulate kernel, ``axpy(acc, c, vec)``: the sparse
+acc += c vec that every linear combination of the package goes through.
+``fractions`` is imported only when a non-integral rational is formed.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import CharZero, NotInvertible, NotPrime, ReduciblePolynomial, SchemaError
 
@@ -31,8 +34,9 @@ class Field:
 
     ``char`` is the characteristic, ``size`` the number of elements (``None``
     for the rationals).  Subclasses provide ``add``, ``sub``, ``mul``, ``neg``,
-    ``inv``, ``from_int``, canonical string forms, and (finite case) an
-    ``elements()`` iterator in a fixed enumeration order.
+    ``inv``, ``from_int``, the accumulate kernel ``axpy``, canonical string
+    forms, and (finite case) an ``elements()`` iterator in a fixed
+    enumeration order.
     """
 
     char: int
@@ -62,6 +66,12 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def axpy(self, acc, c, vec):
+        """acc += c * vec in place for sparse vectors (dicts key -> scalar),
+        keys in the order add(acc[k], mul(c, v)) entry by entry would give,
+        dropping the entries that become zero; returns acc."""
+        raise NotImplementedError
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -120,6 +130,16 @@ class PrimeField(Field):
 
     def neg(self, a):
         return (-a) % self.p
+
+    def axpy(self, acc, c, vec):
+        p, get = self.p, acc.get
+        for k, v in vec.items():
+            s = (get(k, 0) + c * v) % p
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+        return acc
 
     def inv(self, a):
         if a % self.p == 0:
@@ -191,8 +211,15 @@ def builtin_irreducible(p: int, k: int) -> tuple[int, ...]:
 class ExtensionField(Field):
     """GF(p^k) as GF(p)[x] modulo a monic irreducible of degree k.
 
-    Elements are coefficient tuples of length k, low degree first.
+    Elements are coefficient tuples of length k, low degree first.  In a
+    field of at most ``TABLE_MAX_SIZE`` elements, ``add`` and ``mul`` keep
+    per-field tables of the pairs met so far, each entry computed by the
+    polynomial arithmetic on first use, so a table never holds more than
+    its size squared pairs (GF(9) has 81 products).  Larger fields compute
+    every sum and product afresh.
     """
+
+    TABLE_MAX_SIZE = 64
 
     kind = "extension"
 
@@ -213,6 +240,9 @@ class ExtensionField(Field):
         self.size = p**k
         # x^k = -(low part of modulus)
         self._xk = tuple((-c) % p for c in poly[:-1])
+        self._tabled = self.size <= self.TABLE_MAX_SIZE
+        self._sums = {}
+        self._products = {}
 
     def zero(self):
         return (0,) * self.k
@@ -221,8 +251,13 @@ class ExtensionField(Field):
         return (1,) + (0,) * (self.k - 1)
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        s = self._sums.get((a, b))
+        if s is None:
+            p = self.p
+            s = tuple((x + y) % p for x, y in zip(a, b))
+            if self._tabled:
+                self._sums[(a, b)] = s
+        return s
 
     def sub(self, a, b):
         p = self.p
@@ -233,6 +268,25 @@ class ExtensionField(Field):
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
+        s = self._products.get((a, b))
+        if s is None:
+            s = self.poly_mul(a, b)
+            if self._tabled:
+                self._products[(a, b)] = s
+        return s
+
+    def axpy(self, acc, c, vec):
+        zero, get, add, mul = self.zero(), acc.get, self.add, self.mul
+        for k, v in vec.items():
+            s = add(get(k, zero), mul(c, v))
+            if s == zero:
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+        return acc
+
+    def poly_mul(self, a, b):
+        """a * b by polynomial multiplication modulo the defining polynomial."""
         p, k = self.p, self.k
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(a):
@@ -295,7 +349,7 @@ class ExtensionField(Field):
         return hash(("ext", self.p, self.k, self.poly))
 
 
-def _q_canon(x: Fraction):
+def _q_canon(x):
     """A Fraction in the canonical raw form: its numerator when integral."""
     return x.numerator if x.denominator == 1 else x
 
@@ -333,6 +387,18 @@ class RationalField(Field):
         s = a * b
         return s if type(s) is int else _q_canon(s)
 
+    def axpy(self, acc, c, vec):
+        get = acc.get
+        for k, v in vec.items():
+            s = get(k, 0) + c * v
+            if type(s) is not int:
+                s = _q_canon(s)
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+        return acc
+
     def neg(self, a):
         s = -a
         return s if type(s) is int else _q_canon(s)
@@ -340,6 +406,9 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise NotInvertible("0 has no inverse")
+        if a == 1 or a == -1:
+            return int(a)
+        from fractions import Fraction
         return _q_canon(Fraction(1) / a)
 
     def from_int(self, n):
@@ -356,6 +425,7 @@ class RationalField(Field):
             num, den = s.split("/")
             if int(den) == 0:
                 raise ValueError(f"zero denominator in {s!r}")
+            from fractions import Fraction
             return _q_canon(Fraction(int(num), int(den)))
         return int(s)
 

@@ -99,6 +99,8 @@ class HopfAlgebra:
         self.name = name
         self._flags = {}
         self._cells = None
+        self._generators = None  # kept by certified_generators
+        self._report = None  # kept by verify_hopf
 
     def __repr__(self):
         return f"HopfAlgebra({self.name or 'dim %d' % self.dim})"
@@ -108,21 +110,21 @@ class HopfAlgebra:
     def product(self, v, w):
         F = self.field
         out = {}
-        mul = F.mul
+        mul, axpy = F.mul, F.axpy
         by_left = self.cells()[0]
         for i, a in v.items():
             row = by_left[i]
             for j, b in w.items():
                 cell = row.get(j)
                 if cell:
-                    v_axpy(F, out, mul(a, b), cell)
+                    axpy(out, mul(a, b), cell)
         return out
 
     def coproduct(self, v):
-        F = self.field
+        axpy = self.field.axpy
         out = {}
         for i, a in v.items():
-            v_axpy(F, out, a, self.comult[i])
+            axpy(out, a, self.comult[i])
         return out
 
     def delta_leg(self, t, leg):
@@ -226,6 +228,11 @@ class HopfAlgebra:
             self._cells = by_left, by_right
         return self._cells
 
+    def certified(self):
+        """True when ``verify_hopf`` has passed on this algebra; its report
+        is kept here, like ``cells``, so evidence is only what was earned."""
+        return self._report is not None and self._report.ok
+
     def is_commutative(self):
         """mult[(i, k)] = mult[(k, i)] for all i, k, i.e. the non-empty
         cells with i as left factor are those with i as right factor."""
@@ -305,8 +312,11 @@ def certified_generators(H: HopfAlgebra):
     worklist that multiplies each newly added vector by every element of A
     (and every earlier vector by the new generator), so products are formed
     once each.  Every e_i ends up in S, so the greedy pass always terminates
-    with S = H; in the worst case A is the whole basis.
+    with S = H; in the worst case A is the whole basis.  Computed once per
+    algebra and kept on it, like ``cells``.
     """
+    if H._generators is not None:
+        return H._generators
     F = H.field
     one = F.one()
     S = Echelon(F, H.dim)
@@ -327,22 +337,79 @@ def certified_generators(H: HopfAlgebra):
             if p and S.insert(p):
                 members.append(p)
                 work.extend((p, b) for b in gens)
+    H._generators = gens
     return gens
 
 
-def verify_hopf(H: HopfAlgebra) -> VerificationReport:
-    """Check every Hopf axiom exactly and report witnesses.
+def first_failure(witnesses):
+    """(False, the first witness) when the iterable yields one, else
+    (True, "").  Yielding is the failure signal, so a witness counts
+    whatever its value (a label read from a document may be 0, "" or
+    None)."""
+    for wit in witnesses:
+        return False, wit
+    return True, ""
 
-    The unit law, coassociativity, the counit law, the unit and counit
-    compatibilities and the antipode law are checked on every basis vector.
-    Associativity and the multiplicativity of the comultiplication and the
-    counit are checked over the generating set A of
-    ``certified_generators`` (Light's associativity test):
+
+def _light_test(H: HopfAlgebra, gens):
+    """(ok, witness) of x (a y) = (x a) y for x, y in the basis and a in
+    gens; the witness is the first failing (i, j, k) in that order.
+
+    For each (x, a) = (e_i, e_j) the rows (e_i e_j) e_k and e_i (e_j e_k)
+    are formed for every k at once: the first sums c cell over c e_l in
+    e_i e_j and the non-empty cells mult[(l, k)] of by_left[l], the second
+    sums c mult[(i, l)] over the terms c e_l of each non-empty cell
+    mult[(j, k)].  A k met by neither sum has both sides {} (every cell
+    involved is empty), so the rows compared are all that can differ, and
+    the smallest differing k is the first failing one of the loop over k.
+    """
+    F = H.field
+    axpy = F.axpy
+    labels = H.labels
+    by_left = H.cells()[0]
+    for i in range(H.dim):
+        row_i = by_left[i]
+        for j in gens:
+            lhs = {}
+            for l, c in row_i.get(j, {}).items():
+                for k, cell in by_left[l].items():
+                    acc = lhs.get(k)
+                    if acc is None:
+                        acc = lhs[k] = {}
+                    axpy(acc, c, cell)
+            rhs = {}
+            for k, cell_jk in by_left[j].items():
+                acc = {}
+                for l, c in cell_jk.items():
+                    cell = row_i.get(l)
+                    if cell:
+                        axpy(acc, c, cell)
+                if acc:
+                    rhs[k] = acc
+            if lhs != rhs:  # perhaps only by rows of lhs that summed to {}
+                bad = [k for k in lhs.keys() | rhs.keys() if lhs.get(k, {}) != rhs.get(k, {})]
+                if bad:
+                    return False, f"({labels[i]},{labels[j]},{labels[min(bad)]})"
+    return True, ""
+
+
+def verify_hopf(H: HopfAlgebra) -> VerificationReport:
+    """Check every Hopf axiom exactly and report witnesses; the report is
+    kept on H (see ``HopfAlgebra.certified``).
+
+    The unit law, the counit law, the unit and counit compatibilities and
+    the antipode law are checked on every basis vector.  Associativity and
+    the multiplicativity of the comultiplication and the counit are checked
+    over the generating set A of ``certified_generators`` (Light's
+    associativity test, see ``_light_test``):
 
     * associativity on the triples x (a y) = (x a) y, for x, y in the basis
       and a in A;
     * Delta(a y) = Delta(a) Delta(y) and eps(a y) = eps(a) eps(y) on
-      A x basis.
+      A x basis;
+    * coassociativity on A when the associativity, "comultiplication
+      multiplicative" and "comultiplication unital" rows of this report
+      passed, and on every basis vector otherwise.
 
     Proof that this certifies the axioms on all of H.  Let
     M = {a : x (a y) = (x a) y for all x, y}.  M is a subspace, by
@@ -366,15 +433,14 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
     associative, the associativity row fails, so the report fails whatever
     the two multiplicativity rows say.
 
-    Light's test visits, for each (x, a) = (e_i, e_j), only the k in
-    by_left[j] and in by_left[l] for l in supp(e_i e_j), where by_left[l]
-    (from ``cells``) holds the k with a non-empty cell mult[(l, k)].  For
-    any other k both sides are sums over empty cells: (e_i e_j) e_k sums
-    the cells mult[(l, k)] for l in supp(e_i e_j), and e_i (e_j e_k) sums
-    over the support of the empty cell mult[(j, k)].  Both are {}, so they
-    agree, and the skipped triples are exactly ones the full loop over k
-    would pass.  The visited k run in ascending order, so the first failing
-    triple, the witness, is the one the full loop finds.
+    Coassociativity.  Once Delta is multiplicative on all of H (the rows
+    above), so is Delta (x) id on H (x) H, as the product there is legwise:
+    (Delta (x) id)(X Y) = sum Delta(x1 y1) (x) x2 y2 = (Delta (x) id)(X)
+    (Delta (x) id)(Y), and likewise id (x) Delta.  So (Delta (x) id) Delta
+    and (id (x) Delta) Delta are multiplicative, the set where they agree
+    is a subspace closed under products, and it contains A, hence S = H.
+    When a premise row fails, the report fails anyway, and coassociativity
+    is checked on every basis vector so the row says what a sweep says.
 
     The Delta row forms each Delta(a) Delta(e_j) with ``t2_times``, its
     terms indexed once per a and reused over every j; it skips only pairs
@@ -383,92 +449,49 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
     """
     F = H.field
     n = H.dim
-    rep = VerificationReport(H.name or f"hopf(dim {n})")
+    zero = F.zero()
+    labels = H.labels
     mult = H.mult
     gens = certified_generators(H)
-    by_left = H.cells()[0]
+    rows = {"associativity": _light_test(H, gens)}
 
-    ok, wit = True, ""
-    for i in range(n):
-        row_i = by_left[i]
-        for j in gens:
-            row_j = by_left[j]
-            mij = row_i.get(j, {})
-            for k in sorted(set(row_j).union(*(by_left[l] for l in mij))):
-                lhs = {}
-                for l, c in mij.items():
-                    cell = by_left[l].get(k)
-                    if cell:
-                        v_axpy(F, lhs, c, cell)
-                rhs = {}
-                for l, c in row_j.get(k, {}).items():
-                    cell = row_i.get(l)
-                    if cell:
-                        v_axpy(F, rhs, c, cell)
-                if lhs != rhs:
-                    ok, wit = False, f"({H.labels[i]},{H.labels[j]},{H.labels[k]})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.record("associativity", ok, wit)
-
-    ok, wit = True, ""
-    for i in range(n):
+    def unit_fails(i):
         e = H.basis_vec(i)
-        if H.product(H.unit, e) != e or H.product(e, H.unit) != e:
-            ok, wit = False, H.labels[i]
-            break
-    rep.record("unit law", ok, wit)
+        return H.product(H.unit, e) != e or H.product(e, H.unit) != e
 
-    ok, wit = True, ""
-    for i in range(n):
-        if H.delta_leg(H.comult[i], 0) != H.delta_leg(H.comult[i], 1):
-            ok, wit = False, H.labels[i]
-            break
-    rep.record("coassociativity", ok, wit)
+    rows["unit law"] = first_failure(labels[i] for i in range(n) if unit_fails(i))
 
-    ok, wit = True, ""
-    for i in range(n):
+    def counit_fails(i):
         left, right = t2_contract(F, H.counit, H.comult[i])
-        if left != H.basis_vec(i) or right != H.basis_vec(i):
-            ok, wit = False, H.labels[i]
-            break
-    rep.record("counit law", ok, wit)
+        return left != H.basis_vec(i) or right != H.basis_vec(i)
 
-    ok, wit = True, ""
-    for i in gens:
-        if not ok:
-            break
+    rows["counit law"] = first_failure(labels[i] for i in range(n) if counit_fails(i))
+
+    def delta_failures(i):
         times = H.t2_times(H.comult[i], "left")
-        for j in range(n):
-            lhs = H.coproduct(mult.get((i, j), {}))
-            if lhs != times(H.comult[j]):
-                ok, wit = False, f"({H.labels[i]},{H.labels[j]})"
-                break
-    rep.record("comultiplication multiplicative", ok, wit)
+        return (j for j in range(n) if H.coproduct(mult.get((i, j), {})) != times(H.comult[j]))
 
-    ok, wit = True, ""
-    for i in gens:
-        if not ok:
-            break
-        for j in range(n):
-            lhs = H.counit_of(mult.get((i, j), {}))
-            rhs = F.mul(H.counit.get(i, F.zero()), H.counit.get(j, F.zero()))
-            if lhs != rhs:
-                ok, wit = False, f"({H.labels[i]},{H.labels[j]})"
-                break
-    rep.record("counit multiplicative", ok, wit)
+    rows["comultiplication multiplicative"] = first_failure(
+        f"({labels[i]},{labels[j]})" for i in gens for j in delta_failures(i))
 
-    rep.record(
-        "comultiplication unital",
-        H.coproduct(H.unit) == t2_outer(F, H.unit, H.unit),
-    )
-    rep.record("counit of unit", H.counit_of(H.unit) == F.one())
+    def eps_failures(i):
+        ei = H.counit.get(i, zero)
+        return (j for j in range(n)
+                if H.counit_of(mult.get((i, j), {})) != F.mul(ei, H.counit.get(j, zero)))
 
-    ok, wit = True, ""
-    for i in range(n):
+    rows["counit multiplicative"] = first_failure(
+        f"({labels[i]},{labels[j]})" for i in gens for j in eps_failures(i))
+    rows["comultiplication unital"] = (
+        H.coproduct(H.unit) == t2_outer(F, H.unit, H.unit), "")
+    rows["counit of unit"] = (H.counit_of(H.unit) == F.one(), "")
+
+    premises = ("associativity", "comultiplication multiplicative", "comultiplication unital")
+    coassoc_on = gens if all(rows[r][0] for r in premises) else range(n)
+    rows["coassociativity"] = first_failure(
+        labels[i] for i in coassoc_on
+        if H.delta_leg(H.comult[i], 0) != H.delta_leg(H.comult[i], 1))
+
+    def antipode_fails(i):
         left, right = {}, {}
         for (j, k), c in H.comult[i].items():
             sj = H.antipode.get(j)
@@ -477,15 +500,20 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
             sk = H.antipode.get(k)
             if sk:
                 v_axpy(F, right, c, H.product(H.basis_vec(j), sk))
-        target = v_scale(F, H.counit.get(i, F.zero()), H.unit)
-        if left != target or right != target:
-            ok, wit = False, H.labels[i]
-            break
-    rep.record("antipode law", ok, wit)
+        target = v_scale(F, H.counit.get(i, zero), H.unit)
+        return left != target or right != target
 
+    rows["antipode law"] = first_failure(labels[i] for i in range(n) if antipode_fails(i))
+
+    rep = VerificationReport(H.name or f"hopf(dim {n})")
+    for name in ("associativity", "unit law", "coassociativity", "counit law",
+                 "comultiplication multiplicative", "counit multiplicative",
+                 "comultiplication unital", "counit of unit", "antipode law"):
+        rep.record(name, *rows[name])
     rep.flags["commutative"] = H.is_commutative()
     rep.flags["cocommutative"] = H.is_cocommutative()
     rep.flags["involutive"] = H.is_involutive()
+    H._report = rep
     return rep
 
 
@@ -593,8 +621,9 @@ def crossed_product(A: HopfAlgebra, Q: HopfAlgebra, dot, sigma, tau, labels, nam
     mA, mQ = A.dim, Q.dim
 
     sig_unit = {xy: _unit_multiple(F, A.unit, v) for xy, v in sigma.items() if v}
-    # T[x][y]: [(sigma key, or None for the multiples of 1, Q vector)]
-    T = [[None] * mQ for _ in range(mQ)]
+    # T[x][y]: [(sigma key, or None for the multiples of 1, Q vector)], for
+    # the y with a non-empty list only, in ascending order
+    T = [{} for _ in range(mQ)]
     for x in range(mQ):
         for y in range(mQ):
             groups = {}
@@ -606,7 +635,9 @@ def crossed_product(A: HopfAlgebra, Q: HopfAlgebra, dot, sigma, tau, labels, nam
                         coef = mul(cx, cy)
                         key, coef = ((x1, y1), coef) if c is None else (None, mul(coef, c))
                         v_axpy(F, groups.setdefault(key, {}), coef, cell)
-            T[x][y] = [(key, list(w.items())) for key, w in groups.items() if w]
+            terms = [(key, list(w.items())) for key, w in groups.items() if w]
+            if terms:
+                T[x][y] = terms
 
     mult = {}
     for a in range(mA):
@@ -619,12 +650,12 @@ def crossed_product(A: HopfAlgebra, Q: HopfAlgebra, dot, sigma, tau, labels, nam
                 # (key None) and of c p sigma(key), formed when first met
                 terms = [(T[x2], {None: [(o * mQ, mul(c, co)) for o, co in P[(x1, b)].items()]},
                           c, P[(x1, b)]) for (x1, x2), c in Q.comult[r].items() if P.get((x1, b))]
-                if not terms:
-                    continue
-                for s in range(mQ):
+                # only the s with a non-empty T[x_2][s] for some term give a
+                # non-empty cell; they run in ascending order, as range(mQ) did
+                for s in sorted(set().union(*(Tx for Tx, _, _, _ in terms))):
                     out = {}
                     for Tx, rows, c, p in terms:
-                        for key, w in Tx[s]:
+                        for key, w in Tx.get(s, ()):
                             row = rows.get(key)
                             if row is None:
                                 row = rows[key] = [(o * mQ, mul(c, co)) for o, co in

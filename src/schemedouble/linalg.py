@@ -39,18 +39,9 @@ def v_scale(F, c, a):
 
 def v_axpy(F, acc, c, a):
     """acc += c * a, in place; acc is mutated and returned."""
-    zero = F.zero()
-    if c == zero:
+    if c == F.zero():
         return acc
-    add = F.add
-    mul = F.mul
-    for k, v in a.items():
-        s = add(acc.get(k, zero), mul(c, v))
-        if s == zero:
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-    return acc
+    return F.axpy(acc, c, a)
 
 
 def v_neg(F, a):
@@ -70,10 +61,11 @@ def mat_identity(n, F):
 def mat_apply(F, M, vec):
     """M applied to vec, with M a dict column -> image vector."""
     out = {}
+    axpy = F.axpy
     for j, c in vec.items():
         col = M.get(j)
         if col:
-            v_axpy(F, out, c, col)
+            axpy(out, c, col)
     return out
 
 
@@ -130,7 +122,7 @@ class Echelon:
         entries vec may carry, so ``add_residue`` never takes a zero pivot.
         """
         F = self.F
-        zero = F.zero()
+        zero, neg, axpy = F.zero(), F.neg, F.axpy
         out = dict(vec)
         rows = self.rows
         for k in sorted(out):
@@ -140,7 +132,7 @@ class Echelon:
             elif c is not None:
                 row = rows.get(k)
                 if row is not None:
-                    v_axpy(F, out, F.neg(c), row)
+                    axpy(out, neg(c), row)
         return out
 
     def add_residue(self, res):

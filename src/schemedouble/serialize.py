@@ -41,12 +41,6 @@ MAX_GROUP_ORDER = 256
 MAX_DOUBLE_DIM = 625
 
 
-def scalar_to_json(F: Field, v):
-    if F.kind == "extension":
-        return list(v)
-    return F.to_str(v)
-
-
 def scalar_from_json(F: Field, data):
     try:
         if F.kind == "extension":
@@ -76,11 +70,16 @@ def field_from_json(data) -> Field:
 
 def tensor_to_json(F: Field, entries):
     """entries: dict mapping index tuples (or ints) to scalars."""
-    out = []
-    for key in sorted(entries, key=lambda k: (k,) if isinstance(k, int) else k):
-        idx = [key] if isinstance(key, int) else list(key)
-        out.append({"indices": idx, "value": scalar_to_json(F, entries[key])})
-    return out
+    return _records(F, ((key, entries[key]) for key in sorted(
+        entries, key=lambda k: (k,) if isinstance(k, int) else k)))
+
+
+def _records(F: Field, items):
+    """{"indices", "value"} records of (index tuple or int, scalar) pairs,
+    in the order given."""
+    value = list if F.kind == "extension" else F.to_str
+    return [{"indices": [key] if isinstance(key, int) else list(key), "value": value(c)}
+            for key, c in items]
 
 
 def tensor_from_json(F: Field, data, arity):
@@ -102,27 +101,22 @@ def tensor_from_json(F: Field, data, arity):
 
 
 def hopf_to_json(H: HopfAlgebra):
+    """The document of H; the records of mult and comult come sorted cell
+    by cell, which is their order sorted by (i, j, k)."""
     F = H.field
-    mult = {}
-    for (i, j), cell in H.mult.items():
-        for k, c in cell.items():
-            mult[(i, j, k)] = c
-    comult = {}
-    for i, t in H.comult.items():
-        for (j, k), c in t.items():
-            comult[(i, j, k)] = c
-    antipode = {}
-    for j, col in H.antipode.items():
-        for i, c in col.items():
-            antipode[(i, j)] = c
+    mult = _records(F, (((i, j, k), c) for i, j in sorted(H.mult)
+                        for k, c in sorted(H.mult[(i, j)].items())))
+    comult = _records(F, (((i, j, k), c) for i in sorted(H.comult)
+                          for (j, k), c in sorted(H.comult[i].items())))
+    antipode = {(i, j): c for j, col in H.antipode.items() for i, c in col.items()}
     return {
         "schema_version": SCHEMA_VERSION,
         "field": field_to_json(F),
         "dim": H.dim,
         "labels": list(H.labels),
-        "mult": tensor_to_json(F, mult),
+        "mult": mult,
         "unit": tensor_to_json(F, H.unit),
-        "comult": tensor_to_json(F, comult),
+        "comult": comult,
         "counit": tensor_to_json(F, H.counit),
         "antipode": tensor_to_json(F, antipode),
         "name": H.name,
@@ -308,8 +302,69 @@ def subgroup_from_spec(G: GroupScheme, spec) -> SubgroupScheme:
     raise SchemaError(f"unknown subgroup spec {spec!r}")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _is_record(r):
+    return (type(r) is dict and len(r) == 2 and type(r.get("indices")) is list
+            and "value" in r and all(type(i) is int for i in r["indices"]))
+
+
+def _encode_records(recs, level):
+    """The list of {"indices", "value"} records recs at indentation level,
+    each record from one template per arity."""
+    pad = ["\n" + " " * (level + d) for d in range(4)]
+    templates = {}
+    parts = []
+    for r in recs:
+        idx = r["indices"]
+        tmpl = templates.get(len(idx))
+        if tmpl is None:
+            body = ("[" + pad[3] + ("," + pad[3]).join(["%d"] * len(idx)) + pad[2] + "]"
+                    if idx else "[]")
+            tmpl = templates[len(idx)] = (
+                "{" + pad[2] + '"indices": ' + body
+                + "," + pad[2] + '"value": %s' + pad[1] + "}")
+        value = r["value"]
+        parts.append(tmpl % (*idx, _encode_str(value) if type(value) is str
+                             else _encode(value, level + 2)))
+    return "[" + pad[1] + ("," + pad[1]).join(parts) + pad[0] + "]"
+
+
+def _encode(data, level):
+    """``json.dumps(data, indent=1, sort_keys=True)`` for a value at the
+    given indentation level."""
+    t = type(data)
+    if t is str:
+        return _encode_str(data)
+    if t is int:
+        return int.__repr__(data)
+    if t is list or t is tuple:
+        if not data:
+            return "[]"
+        if all(map(_is_record, data)):
+            return _encode_records(data, level)
+        pad = "\n" + " " * (level + 1)
+        return ("[" + pad + ("," + pad).join([_encode(v, level + 1) for v in data])
+                + "\n" + " " * level + "]")
+    if t is dict and all(type(k) is str for k in data):
+        if not data:
+            return "{}"
+        pad = "\n" + " " * (level + 1)
+        return ("{" + pad + ("," + pad).join([_encode_str(k) + ": " + _encode(v, level + 1)
+                                             for k, v in sorted(data.items())])
+                + "\n" + " " * level + "}")
+    # bool, None, float, dicts with non-string keys: the standard encoder,
+    # its lines shifted to this level (JSON strings hold no raw newline)
+    return json.dumps(data, indent=1, sort_keys=True).replace("\n", "\n" + " " * level)
+
+
 def dump(data, path=None):
-    text = json.dumps(data, indent=1, sort_keys=True)
+    """The text of ``json.dumps(data, indent=1, sort_keys=True)``, written
+    (with a final newline) to path when given.  Lists of sparse-tensor
+    records are formatted from one template each, instead of one encoder
+    chunk per bracket, key and number."""
+    text = _encode(data, 0)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -38,6 +38,13 @@ certified checks of the package.
   cleaving with the closed-form candidate chosen by how the subgroup was
   built ("trivial", "full", "ga_standard" or "generic"), as the package
   chose it before reading it off the span.
+* ``r_delta_all_basis``, ``v_central_all_basis`` and
+  ``ribbon_coproduct_law_with_check``: the rows R Delta = Delta^cop R and
+  "V central" on every basis vector, and the ribbon coproduct law with
+  (R21 R)(rinv swap(rinv)) = 1 (x) 1 always confirmed.
+* ``triple_validate_all_basis``: the checks of ``Triple.validate`` with
+  equivariance on every basis vector u of k[G].
+* ``field_axpy_loop``: acc += c vec through ``F.add`` and ``F.mul``.
 """
 
 from __future__ import annotations
@@ -57,6 +64,8 @@ from schemedouble.groupschemes import (
     _finish_cleaving,
     _invertible_section,
     _sub_connectivity,
+    ad_l,
+    centralize,
     coadjoint_matrices,
     is_normal,
     quotient_by_normal,
@@ -70,6 +79,7 @@ from schemedouble.hopf import (
     t2_coordinates,
     t2_map,
     t2_outer,
+    t2_swap,
 )
 from schemedouble.linalg import (
     Echelon,
@@ -595,3 +605,73 @@ def cleaving_gamma_by_tag(G, H_sub, tag):
         cand, quotient.pi,
         NoInvertibleSectionFound("colinear section system inconsistent"))
     return _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv)
+
+
+def r_delta_all_basis(H, R):
+    """(ok, witness) of R Delta(h) = Delta^cop(h) R over every basis h."""
+    for h in range(H.dim):
+        dh = H.comult[h]
+        if tensor_square_product_pairs(H, R, dh) != tensor_square_product_pairs(H, t2_swap(dh), R):
+            return False, H.labels[h]
+    return True, ""
+
+
+def v_central_all_basis(H, V):
+    """(ok, witness) of V e_i = e_i V over every basis i."""
+    F = H.field
+    for i in range(H.dim):
+        e = unit_vec(i, F)
+        if H.product(V, e) != H.product(e, V):
+            return False, H.labels[i]
+    return True, ""
+
+
+def ribbon_coproduct_law_with_check(H, R, V):
+    """Delta(V) = (R21 R)^-1 (V (x) V), the candidate inverse always
+    confirmed by (R21 R)(rinv swap(rinv)) = 1 (x) 1."""
+    F = H.field
+    rinv = t2_map(F, H.antipode, mat_identity(H.dim, F), R)
+    mono = tensor_square_product_pairs(H, t2_swap(R), R)
+    mono_inv = tensor_square_product_pairs(H, rinv, t2_swap(rinv))
+    sane = tensor_square_product_pairs(H, mono, mono_inv) == t2_outer(F, H.unit, H.unit)
+    rhs = tensor_square_product_pairs(H, mono_inv, t2_outer(F, V, V))
+    return sane and H.coproduct(V) == rhs
+
+
+def triple_validate_all_basis(G, K, H, B):
+    """The first violated condition of a triple (K, H, B), as the message
+    ``Triple.validate`` raises, with equivariance checked for every basis u
+    of k[G]; None when (K, H, B) is a triple."""
+    F = G.field
+    if not is_normal(K):
+        return "K is not normal"
+    if not is_normal(H):
+        return "H is not normal"
+    if not centralize(K, H):
+        return "K and H do not centralize each other"
+    ok, wit = is_hopf_morphism(B)
+    if not ok:
+        return f"B is not a Hopf algebra map ({wit})"
+    coad = coadjoint_matrices(G)
+    for i in range(G.order):
+        for j in range(H.order):
+            lifted = K.section.mu.apply(B.apply(unit_vec(j, F)))
+            lhs = K.q.apply(mat_apply(F, coad[i], lifted))
+            conj = ad_l(G, unit_vec(i, F), H.iota.apply(unit_vec(j, F)))
+            coords = H.subspace.coordinates(conj)
+            rhs = B.apply({r: c for r, c in enumerate(coords) if c != F.zero()})
+            if lhs != rhs:
+                return (f"B is not equivariant at (u={G.group_algebra.labels[i]},"
+                        f" v={H.own.group_algebra.labels[j]})")
+    return None
+
+
+def field_axpy_loop(F, acc, c, vec):
+    zero = F.zero()
+    for k, v in vec.items():
+        s = F.add(acc.get(k, zero), F.mul(c, v))
+        if s == zero:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc

@@ -23,8 +23,9 @@ from schemedouble.doubles import (
     drinfeld_double,
     hexagon_products,
     verify_quasitriangular,
+    verify_ribbon,
 )
-from schemedouble.errors import ClosureNotHopf, VerificationFailure
+from schemedouble.errors import ClosureNotHopf, InvalidTriple, VerificationFailure
 from schemedouble.fields import QQ, make_field
 from schemedouble.groupschemes import (
     centralize,
@@ -48,6 +49,7 @@ from schemedouble.hopf import (
     certified_generators,
     convolution_inverse,
     grouplikes,
+    hopf_algebra_maps,
     identity_map,
     is_hopf_morphism,
     quotient_by_hopf_ideal,
@@ -86,10 +88,14 @@ from oracles import (
     light_associativity_dense,
     normal_subgroups_sweep,
     quotient_by_hopf_ideal_verified,
+    r_delta_all_basis,
+    ribbon_coproduct_law_with_check,
     section_mu_by_tag,
     subgroup_closure_rounds,
     subgroup_from_subspace_verified,
     tensor_square_product_pairs,
+    triple_validate_all_basis,
+    v_central_all_basis,
     verify_hopf_exhaustive,
 )
 
@@ -704,3 +710,158 @@ def test_span_rule_sections_and_cleavings_equal_the_tag_rule(name):
             mine, oracle = cleaving_gamma(G, L), cleaving_gamma_by_tag(G, L, tag)
             assert ((mine.gamma.mat, mine.gamma_inv.mat)
                     == (oracle.gamma.mat, oracle.gamma_inv.mat))
+
+
+def _candidate_r_v(H):
+    """A candidate (R, V) on any algebra: 1 (x) 1 plus the last basis vector
+    on both legs, and the last basis vector."""
+    F = H.field
+    last = {H.dim - 1: F.one()}
+    R = t2_outer(F, H.unit, H.unit)
+    v_axpy(F, R, F.one(), t2_outer(F, last, last))
+    return R, last
+
+
+def _rows(rep):
+    return {name: ok for name, ok, _ in rep.checks}
+
+
+def _assert_rows_equal_the_oracles(H, R, V):
+    """The rows of verify_quasitriangular and verify_ribbon that run on the
+    certified generators equal the whole-basis oracles; returns whether
+    the generator path was taken."""
+    Q = QuasiHopfData(H, R, V)
+    qt, rib = _rows(verify_quasitriangular(Q)), _rows(verify_ribbon(Q))
+    assert qt["R Delta = Delta^cop R"] == r_delta_all_basis(H, R)[0]
+    assert rib["V central"] == v_central_all_basis(H, V)[0]
+    assert rib["Delta(V) = (R21 R)^-1 (V(x)V)"] == ribbon_coproduct_law_with_check(H, R, V)
+    return H.certified()
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED))
+def test_r_and_v_rows_on_generators_equal_the_sweep_on_mutants(name):
+    """On every MUTATED algebra and each of its single-constant mutants,
+    verified first so that a passing report is kept on it, the rows
+    R Delta = Delta^cop R, "V central" and the ribbon coproduct law equal
+    the whole-basis oracles (with the (R21 R)^-1 check always made)."""
+    H = MUTATED[name]()
+    verify_hopf(H)
+    assert _assert_rows_equal_the_oracles(H, *_candidate_r_v(H))
+    for M in _mutants(H):
+        verify_hopf(M)
+        _assert_rows_equal_the_oracles(M, *_candidate_r_v(M))
+
+
+@pytest.mark.parametrize("G, extra", [(make_s3(F3), 12), (make_borel(F2), 30)],
+                         ids=["D(S3)-GF3", "D(Borel)-GF2"])
+def test_r_and_v_rows_on_generators_equal_the_sweep_on_perturbations(G, extra):
+    """On a certified double, for R and every single-entry perturbation of
+    it, and for V and every V + e_i, the generator rows equal the
+    whole-basis oracles; the perturbations make each row fail somewhere."""
+    dd = drinfeld_double(G)
+    D = dd.D
+    assert verify_hopf(D).ok and len(certified_generators(D)) < D.dim
+    qt = canonical_r_and_v(dd)
+    failing = {"R": 0, "V": 0, "law": 0}
+    for Rp in _perturbations(D, qt.R, extra):
+        assert _assert_rows_equal_the_oracles(D, Rp, qt.V)
+        failing["R"] += not r_delta_all_basis(D, Rp)[0]
+        failing["law"] += not ribbon_coproduct_law_with_check(D, Rp, qt.V)
+    for i in range(D.dim):
+        Vp = v_axpy(D.field, dict(qt.V), D.field.one(), {i: D.field.one()})
+        assert _assert_rows_equal_the_oracles(D, qt.R, Vp)
+        failing["V"] += not v_central_all_basis(D, Vp)[0]
+    assert all(failing.values()), failing
+
+
+def _blank_labels(H, label):
+    return HopfAlgebra(H.field, [label] * H.dim, H.mult, H.unit, H.comult, H.counit,
+                       H.antipode)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED))
+def test_rows_fail_whatever_the_labels(name):
+    """With every label "" or every label None (so every witness is falsy)
+    each row of verify_hopf, of verify_quasitriangular and of verify_ribbon
+    fails exactly where it fails under the real labels, on the algebra and
+    on each of its single-constant mutants, and a failing report does not
+    certify the algebra."""
+    H = MUTATED[name]()
+    failed = 0
+    for M in itertools.chain([H], _mutants(H)):
+        rep = verify_hopf(M)
+        R, V = _candidate_r_v(M)
+        rows = [_rows(verify(QuasiHopfData(M, R, V)))
+                for verify in (verify_quasitriangular, verify_ribbon)]
+        for label in ("", None):
+            blank = _blank_labels(M, label)
+            assert _rows(verify_hopf(blank)) == _rows(rep)
+            assert blank.certified() == rep.ok
+            assert [_rows(verify(QuasiHopfData(blank, R, V)))
+                    for verify in (verify_quasitriangular, verify_ribbon)] == rows
+        failed += not rep.ok
+    assert failed > 0
+
+
+def test_coassociativity_on_generators_rejects_what_the_sweep_rejects():
+    """Among the comult mutants of the MUTATED algebras, those whose
+    associativity, Delta-multiplicative and Delta-unital rows pass have
+    coassociativity checked on the certified generators only; the row
+    equals the whole-basis one on each of them."""
+    on_generators = 0
+    for name in sorted(MUTATED):
+        for M in _mutants(MUTATED[name]()):
+            mine = _rows(verify_hopf(M))
+            if all(mine[r] for r in ("associativity", "comultiplication multiplicative",
+                                     "comultiplication unital")):
+                on_generators += 1
+                assert mine["coassociativity"] == _rows(verify_hopf_exhaustive(M))["coassociativity"]
+    assert on_generators > 0
+
+
+def _b_candidates(G):
+    """(K, H, B) for every pair of normal subgroups of G that centralize
+    each other, B over every Hopf algebra map k[H] -> O(K) and every
+    single-entry perturbation of one."""
+    subs = normal_subgroups(G)
+    for K in subs:
+        for H in subs:
+            if not centralize(K, H):
+                continue
+            maps = hopf_algebra_maps(H.own.group_algebra, K.own.coordinate_algebra)
+            for B in maps:
+                yield K, H, B
+            for B in maps[:1]:
+                for Bp in _perturbed_maps(B):
+                    yield K, H, Bp
+
+
+@pytest.mark.parametrize("make, some_not_equivariant", [
+    (lambda: constant_group(*permutation_table(A4_GENS), F5, name="A4"), True),
+    (lambda: constant_group(*permutation_table(D4_GENS), F3, name="D4"), True),
+    (lambda: ga_kernel(2, F3), False),
+], ids=["A4-GF5", "D4-GF3", "ga2-GF3"])
+def test_triple_equivariance_on_generators_rejects_what_the_sweep_rejects(
+        make, some_not_equivariant):
+    """Triple, which checks equivariance for u in the certified generators
+    of k[G] only, raises exactly when the checks with every basis u do,
+    with the same message unless the failure is equivariance; on A4 and
+    D4 some Hopf maps B fail only equivariance (ga_kernel(2) is
+    commutative, so every B is equivariant)."""
+    G = make()
+    assert len(certified_generators(G.group_algebra)) < G.order
+    equivariance = 0
+    for K, H, B in _b_candidates(G):
+        oracle = triple_validate_all_basis(G, K, H, B)
+        try:
+            Triple(G, K, H, B)
+            mine = None
+        except InvalidTriple as exc:
+            mine = str(exc)
+        assert (mine is None) == (oracle is None), (mine, oracle)
+        if oracle and oracle.startswith("B is not equivariant"):
+            equivariance += 1
+            assert mine.startswith("B is not equivariant")
+        else:
+            assert mine == oracle
+    assert (equivariance > 0) == some_not_equivariant

@@ -56,6 +56,29 @@ def test_verify_detects_corruption(tmp_path, z2_file):
     assert main(["verify", "--hopf", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("labels", [[0, 1], ["", "s"], [None, "s"]],
+                         ids=["int", "empty", "null"])
+def test_verify_fails_at_a_falsy_label(tmp_path, z2_file, labels):
+    """A document whose labels are taken from its JSON as they are, with
+    the antipode law broken only at the basis vector labelled 0, "" or
+    null:
+    `verify` reports that row failed with that label as witness and
+    exits 1."""
+    out = tmp_path / "z2_built.json"
+    main(["build", "--group", z2_file, "--field", "q", "-o", str(out)])
+    doc = json.loads(out.read_text())["group_algebra"]
+    doc["labels"] = labels
+    entry = next(e for e in doc["antipode"] if e["indices"] == [0, 0])
+    entry["value"] = "2"
+    bad, rep = tmp_path / "bad.json", tmp_path / "rep.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--hopf", str(bad), "-o", str(rep)]) == 1
+    report = json.loads(rep.read_text())
+    assert not report["ok"]
+    assert [(c["name"], c["witness"]) for c in report["checks"] if not c["ok"]] == [
+        ("antipode law", labels[0])]
+
+
 def test_rational_with_zero_denominator_is_a_schema_error(tmp_path, z2_file, capsys):
     out = tmp_path / "z2_built.json"
     main(["build", "--group", z2_file, "--field", "q", "-o", str(out)])
@@ -203,11 +226,14 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
      "d0f5e535a087c31885018a6defe81eaf09611292e5a8ad8dc052492edf7fd645"),
     (["quotient", "--triple", "a4_v4_triple.json", "--field", "q"],
      "31e8d49956e7d8ce77ab5104ec17aedb8c65028e1842c390e21ce4d65ffa874f"),
+    (["double", "--group", "ga2.json", "--field", "p5"],
+     "6c958c7620e725044191bd62a4df95a9a7448174b1e0fc3fce71a2e409c24b4e"),
 ], ids=["double-z2-q", "double-s3-p7", "quotient-ga2-p3-json",
         "quotient-ga2-p3-text", "enumerate-dot-s3-p7", "enumerate-z2-q",
         "build-borel-p3", "enumerate-s3-p7", "quotient-ga4-b1-p2",
         "double-s3-q", "enumerate-s3-q", "quotient-s3-a3-p7",
-        "double-a4-p5", "double-d4-p3_2", "quotient-a4-v4-q"])
+        "double-a4-p5", "double-d4-p3_2", "quotient-a4-v4-q",
+        "double-ga2-p5"])
 def test_sample_outputs_are_pinned(argv, digest, capsys):
     """The stdout bytes of these runs on samples/ are fixed: a refactoring
     that changes any of them changes the program's output."""
@@ -387,17 +413,19 @@ def test_double_above_the_dimension_ceiling_exits_3_before_building(tmp_path, ca
 
 def test_cli_import_loads_no_dataclasses():
     """A fresh interpreter, without site, that imports the command line
-    does not load dataclasses (about 11 ms of every process start)."""
+    does not load dataclasses (about 11 ms of every process start), nor
+    fractions and decimal (about 3.6 ms), which load only when a
+    non-integral rational is formed."""
     import subprocess
     import sys
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); import schemedouble.cli; "
-            "print('dataclasses' in sys.modules)")
+            "print([m in sys.modules for m in ('dataclasses', 'fractions', 'decimal')])")
     run = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "[False, False, False]"
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
@@ -429,3 +457,54 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             assert all(outputs)
             seen.add(outputs)
         assert len(seen) == 1, name
+
+
+DUMP_SAMPLES = [
+    {}, [], {"a": [], "b": {}},
+    [{"indices": [], "value": "1"}, {"indices": [0, 12], "value": [0, 2]}],
+    [{"indices": [1], "value": "2"}, {"indices": [True], "value": "2"},
+     {"indices": [2], "value": None}, {"indices": [3], "value": "1", "x": 0}],
+    {"s": "tab\tquote\"slash\\ newline\n é ∂ 𝔽 \u0000", "é": ["ü", {"z": "𝔽"}]},
+    {"flags": [True, False, None, 1.5, -0.0, 10**20], "k": {1: 2, 3: [4]}},
+    [[{"indices": [3, 4, 5], "value": "1/2"}]], {"nested": {"a": {"b": [[], {}, [[]]]}}},
+]
+
+
+@pytest.mark.parametrize("data", DUMP_SAMPLES + [
+    json.loads(p.read_text()) for p in sorted(SAMPLES.glob("*.json"))])
+def test_dump_equals_json_dumps(data):
+    """serialize.dump writes the bytes of json.dumps(indent=1,
+    sort_keys=True): escapes, non-ASCII and astral characters, records
+    that only look like tensor records, and non-string keys included."""
+    from schemedouble.serialize import dump
+
+    assert dump(data) == json.dumps(data, indent=1, sort_keys=True)
+
+
+def test_dump_equals_json_dumps_on_every_benchmark_output(tmp_path, monkeypatch):
+    """Every document the benchmark jobs write (both workloads, seed 0)
+    is dumped as json.dumps(indent=1, sort_keys=True) would dump it."""
+    import sys
+
+    import schemedouble.cli
+
+    sys.path.insert(0, str(SAMPLES.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    real, seen = schemedouble.cli.dump, []
+
+    def checked(data, path=None):
+        text = real(data, path)
+        assert text == json.dumps(data, indent=1, sort_keys=True)
+        seen.append(path)
+        return text
+
+    monkeypatch.setattr(schemedouble.cli, "dump", checked)
+    jobs = [j for w in ("verify", "quotient") for j in workloads.jobs(w, 0)
+            if j.command[0] != "appendix"]
+    workloads.write_inputs(jobs, tmp_path)
+    for job in jobs:
+        assert main(job.argv(tmp_path)) == 0
+    assert len(seen) == len(jobs) == 11

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -196,3 +197,74 @@ def test_parse_field_token():
     assert parse_field_token("q") is QQ
     assert parse_field_token("p7").char == 7
     assert parse_field_token("p2^2").size == 4
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (3, 3)],
+                         ids=["GF4", "GF8", "GF9", "GF27"])
+def test_extension_tables_equal_the_polynomial_arithmetic(p, k):
+    """add and mul, read from the per-field tables, equal the coefficientwise
+    sum and the polynomial product modulo the defining polynomial on every
+    pair, also when a table entry is read a second time."""
+    F = make_field("extension", p=p, k=k)
+    elems = list(F.elements())
+    for _ in range(2):
+        for a in elems:
+            for b in elems:
+                assert F.add(a, b) == tuple((x + y) % p for x, y in zip(a, b))
+                assert F.mul(a, b) == F.poly_mul(a, b)
+    assert len(F._products) == len(F._sums) == len(elems) ** 2
+
+
+def test_extension_tables_are_kept_only_for_small_fields():
+    """GF(49), below the size bound, tables the pairs met, never more than
+    its size squared (the field object is shared); GF(125) and
+    GF(101^3), above it, keep no table and still compute exactly."""
+    F = parse_field_token("p7^2")
+    assert F.size <= F.TABLE_MAX_SIZE
+    a, b = (3, 5), (6, 2)
+    assert F.mul(a, b) == F.poly_mul(a, b)
+    assert (a, b) in F._products and len(F._products) <= F.size ** 2
+    for token, a, b in (("p5^3", (1, 2, 3), (4, 0, 1)),
+                        ("p101^3", (3, 5, 7), (100, 0, 2))):
+        F = parse_field_token(token)
+        assert F.size > F.TABLE_MAX_SIZE
+        assert F.mul(F.mul(a, b), F.inv(b)) == a
+        assert F.mul(a, b) == F.poly_mul(a, b)
+        assert F.add(a, b) == tuple((x + y) % F.p for x, y in zip(a, b))
+        assert F.axpy({0: a}, b, {0: a, 1: b}) == {0: F.add(a, F.mul(b, a)),
+                                                  1: F.mul(b, b)}
+        assert F._products == F._sums == {}
+
+
+def _random_vec(F, rng, n=12):
+    if F.size is None:
+        values = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(n)]
+        values = [int(v) if v.denominator == 1 else v for v in values]
+    else:
+        elems = list(F.elements())
+        values = [rng.choice(elems) for _ in range(n)]
+    return {i: v for i, v in enumerate(values) if v != F.zero()}
+
+
+@pytest.mark.parametrize("F", [make_field("prime", p=2), make_field("prime", p=7),
+                               make_field("extension", p=3, k=2),
+                               make_field("extension", p=5, k=3), QQ],
+                         ids=["GF2", "GF7", "GF9", "GF125", "Q"])
+def test_axpy_equals_the_add_mul_loop(F):
+    """F.axpy gives the same dict, keys in the same order and zero entries
+    dropped, as acc[k] = add(acc[k], mul(c, v)) entry by entry, on random
+    vectors whose sums cancel in places, and keeps rationals canonical."""
+    from oracles import field_axpy_loop
+
+    rng = random.Random(17)
+    cancelled = 0
+    for _ in range(200):
+        acc, vec = _random_vec(F, rng), _random_vec(F, rng)
+        c = rng.choice([v for v in vec.values()] + [F.one(), F.neg(F.one())])
+        expected = field_axpy_loop(F, dict(acc), c, vec)
+        got = F.axpy(dict(acc), c, vec)
+        assert list(got.items()) == list(expected.items())
+        if F is QQ:
+            assert all(type(v) is int or v.denominator > 1 for v in got.values())
+        cancelled += len(got) < len(acc.keys() | vec.keys())
+    assert cancelled > 0
