@@ -18,7 +18,7 @@ from .doubles import (
 from .fields import factorial_unit, make_field
 from .groupschemes import full_subgroup, ga_frobenius_subgroup, ga_kernel
 from .hopf import LinMap, is_hopf_morphism
-from .quotients import Triple, build_quotient
+from .quotients import build_quotient, kept_triple
 from .serialize import SCHEMA_VERSION, linmap_to_json, tensor_to_json
 
 
@@ -47,7 +47,7 @@ def height_one_quotients(p: int):
     out = []
     for lam in range(p):
         B = b_lambda(full, full, F.from_int(lam))
-        qp = build_quotient(Triple(G, full, full, B))
+        qp = build_quotient(kept_triple(G, full, full, B))
         out.append((lam, qp))
     return G, out
 
@@ -61,7 +61,7 @@ def height_two_quotients(p: int):
     out = []
     for lam in range(p):
         B = b_lambda(A, A, F.from_int(lam))
-        qp = build_quotient(Triple(G, A, A, B))
+        qp = build_quotient(kept_triple(G, A, A, B))
         out.append((lam, qp))
     return G, A, out
 

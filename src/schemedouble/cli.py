@@ -32,8 +32,8 @@ from .fields import parse_field_token
 from .hopf import LinMap, verify_hopf
 from .lattice import block_data, enumerate_triples, hasse_dot
 from .quotients import (
-    Triple,
     build_quotient,
+    kept_triple,
     quotient_r_and_v,
     theta_kernel_matches_ideal,
     trivial_hopf_map,
@@ -68,10 +68,10 @@ def _load_triple(args):
     H = subgroup_from_spec(G, spec.get("H", "trivial"))
     if "B" in spec:
         B = LinMap(H.own.group_algebra, K.own.coordinate_algebra,
-                   matrix_from_json(F, spec["B"]))
+                   matrix_from_json(F, spec["B"], (K.order, H.order)))
     else:
         B = trivial_hopf_map(H, K)
-    return Triple(G, K, H, B)
+    return kept_triple(G, K, H, B)
 
 
 def _emit(args, data):
@@ -147,14 +147,8 @@ def cmd_quotient(args):
     qp = build_quotient(triple)
     qt_rep = verify_quasitriangular(qp.qt)
     rib_rep = verify_ribbon(qp.qt)
-    sigma_entries = {}
-    for (r, s), vec in qp.sigma.items():
-        for i, c in vec.items():
-            sigma_entries[(r, s, i)] = c
-    tau_entries = {}
-    for r, t2 in qp.tau.items():
-        for (i, j), c in t2.items():
-            tau_entries[(r, i, j)] = c
+    sigma_entries = {(r, s, i): c for (r, s), vec in qp.sigma.items() for i, c in vec.items()}
+    tau_entries = {(r, i, j): c for r, t2 in qp.tau.items() for (i, j), c in t2.items()}
     data = {
         "schema_version": 1,
         "dim": qp.D.dim,
@@ -239,11 +233,7 @@ def cmd_appendix(args):
     if report == expected:
         print(f"appendix p={args.p}: reproduction matches, diff empty")
         return 0
-    diffs = []
-    keys = sorted(set(report) | set(expected))
-    for k in keys:
-        if report.get(k) != expected.get(k):
-            diffs.append(k)
+    diffs = [k for k in sorted(set(report) | set(expected)) if report.get(k) != expected.get(k)]
     print(f"appendix p={args.p}: MISMATCH in {diffs}", file=sys.stderr)
     return 1
 

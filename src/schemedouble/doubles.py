@@ -49,7 +49,6 @@ class DoubleData:
         self.embed_kG = embed_kG
         self.proj_kG = proj_kG
         self.coad = coad
-        self.pairs = {}  # Triple.key() -> QuotientPair, kept by quotients.recognize_triple
 
     def index(self, a, i):
         return a * self.G.order + i
@@ -97,14 +96,8 @@ def drinfeld_double(G: GroupScheme) -> DoubleData:
                      {a: flat_outer(F, unit_vec(a, F), kg.unit, n) for a in range(n)})
     embed_kG = LinMap(kg, D,
                       {i: flat_outer(F, O.unit, unit_vec(i, F), n) for i in range(n)})
-    proj_mat = {}
-    for a in range(n):
-        ea = O.counit.get(a)
-        if ea is None:
-            continue
-        for i in range(n):
-            proj_mat[idx(a, i)] = {i: ea}
-    proj_kG = LinMap(D, kg, proj_mat)
+    proj_kG = LinMap(D, kg, {idx(a, i): {i: ea} for a, ea in sorted(O.counit.items())
+                             for i in range(n)})
 
     for f, nm in ((embed_O, "O(G)^cop embedding"),
                   (embed_kG, "k[G] embedding"),

@@ -69,6 +69,13 @@ class GroupScheme:
 
     ``order_connected`` and ``order_points`` record |G?| and |G(k)| when the
     constructor knows them structurally (constant, infinitesimal, products).
+
+    G is the one place that keeps what is derived from it, by canonical key:
+    ``subgroups`` maps ``Echelon.key()`` to the SubgroupScheme on that span
+    (``subgroup_from_subspace``), ``triples`` maps ``Triple.key()`` to the
+    validated triple (``quotients.kept_triple``), which carries its quotient
+    pair, and ``inclusions`` maps a pair of subgroups to the inclusion of the
+    first into the second, or None (``inclusion``).
     """
 
     def __init__(self, group_algebra: HopfAlgebra, kind="generic", payload=None,
@@ -85,6 +92,9 @@ class GroupScheme:
             self.coordinate_algebra.name = f"O({name})"
         self.field = group_algebra.field
         self._coad = None
+        self.subgroups = {}
+        self.triples = {}
+        self.inclusions = {}
 
     @property
     def order(self):
@@ -442,7 +452,9 @@ def _coadjoint_columns(G: GroupScheme):
 
 
 class SubgroupScheme:
-    """A closed subgroup scheme, carried as (iota: k[L] -> k[G], q = iota^T)."""
+    """A closed subgroup scheme, carried as (iota: k[L] -> k[G], q = iota^T).
+    Its span does not change after construction, so its key and hash are
+    formed once."""
 
     def __init__(self, ambient: GroupScheme, own: GroupScheme, iota: LinMap,
                  subspace: Echelon):
@@ -452,6 +464,8 @@ class SubgroupScheme:
         self.q = LinMap(ambient.coordinate_algebra, own.coordinate_algebra,
                         mat_transpose(iota.mat))
         self.subspace = subspace
+        self._key = subspace.key()
+        self._hash = hash(self._key)
         self._normal = None
         self._section = None
         self._cleaving = None
@@ -476,7 +490,7 @@ class SubgroupScheme:
         return self._cleaving
 
     def key(self):
-        return self.subspace.key()
+        return self._key
 
     def contains_subgroup(self, other: "SubgroupScheme"):
         return all(self.subspace.contains(r) for r in other.subspace.basis())
@@ -486,7 +500,7 @@ class SubgroupScheme:
             and self.ambient is other.ambient
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return f"SubgroupScheme(order {self.order} in {self.ambient.name})"
@@ -527,9 +541,12 @@ def _sub_connectivity(G: GroupScheme, dim: int):
 
 
 def subgroup_from_subspace(G: GroupScheme, ech: Echelon, name="") -> SubgroupScheme:
-    """The subgroup scheme on the span of ech, certified by its inclusion
-    iota alone; a span not closed under the structure maps raises
-    ClosureNotHopf while its structure is extracted.
+    """The subgroup scheme G keeps on the span of ech, built and certified
+    the first time that span is met, by its inclusion iota alone; a span not
+    closed under the structure maps raises ClosureNotHopf while its
+    structure is extracted, and is not kept.  The kept subgroup carries the
+    name of its first builder, and its normality, section and cleaving once
+    found; ech must not be changed afterwards.
 
     Proof.  k[G] is Hopf: by construction for each constructor
     (``restricted_enveloping`` verifies its own), by this argument for a
@@ -538,15 +555,37 @@ def subgroup_from_subspace(G: GroupScheme, ech: Echelon, name="") -> SubgroupSch
     powers are injective, so each Hopf axiom of k[L] is the iota-preimage
     of the same axiom in k[G]: iota((x y) z) = iota(x (y z)), and so on.
     """
-    kL = _extract_sub_hopf(G, ech, name=f"k[{name}]" if name else "")
-    iota = LinMap(kL, G.group_algebra, dict(enumerate(ech.basis())))
-    ok, wit = is_hopf_morphism(iota)
-    if not ok:
-        raise ClosureNotHopf(f"inclusion is not a Hopf morphism: {wit}")
-    oc, op = _sub_connectivity(G, kL.dim)
-    own = GroupScheme(kL, kind="derived", payload={"ambient": G},
-                      order_connected=oc, order_points=op, name=name)
-    return SubgroupScheme(G, own, iota, ech)
+    sub = G.subgroups.get(ech.key())
+    if sub is None:
+        kL = _extract_sub_hopf(G, ech, name=f"k[{name}]" if name else "")
+        iota = LinMap(kL, G.group_algebra, dict(enumerate(ech.basis())))
+        ok, wit = is_hopf_morphism(iota)
+        if not ok:
+            raise ClosureNotHopf(f"inclusion is not a Hopf morphism: {wit}")
+        oc, op = _sub_connectivity(G, kL.dim)
+        own = GroupScheme(kL, kind="derived", payload={"ambient": G},
+                          order_connected=oc, order_points=op, name=name)
+        sub = G.subgroups[ech.key()] = SubgroupScheme(G, own, iota, ech)
+    return sub
+
+
+def inclusion(inner: SubgroupScheme, outer: SubgroupScheme):
+    """The matrix of the inclusion k[inner] -> k[outer] in the subgroups'
+    own bases, or None when inner is not inside outer; decided once per
+    pair of spans and kept on G.
+
+    Once every row of inner is known to lie in the span of outer, its
+    coordinates are read at the pivots of outer: the rows of outer are in
+    reduced row echelon form, so the row with pivot p is 1 at p and 0 at
+    every other pivot, and v = sum_r c_r row_r has v[p_r] = c_r."""
+    table = inner.ambient.inclusions
+    if (inner, outer) not in table:
+        pivots = outer.subspace.pivots()
+        table[inner, outer] = {
+            j: {r: row[p] for r, p in enumerate(pivots) if p in row}
+            for j, row in enumerate(inner.subspace.basis())
+        } if outer.contains_subgroup(inner) else None
+    return table[inner, outer]
 
 
 def _slices(F, t):
@@ -668,13 +707,7 @@ def augmentation_ideal_basis(sub: SubgroupScheme):
     coeffs = {r: G.group_algebra.counit_of(row) for r, row in enumerate(rows)}
     sys_rows = [({r: c for r, c in coeffs.items() if c != F.zero()}, F.zero())]
     _, kernel = solve_rows(F, sys_rows, len(rows))
-    out = []
-    for k in kernel.basis():
-        v = {}
-        for r, c in k.items():
-            v_axpy(F, v, c, rows[r])
-        out.append(v)
-    return out
+    return [sub.iota.apply(k) for k in kernel.basis()]
 
 
 def coinvariant_subspace(G: GroupScheme, sub: SubgroupScheme) -> Echelon:

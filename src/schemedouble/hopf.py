@@ -39,6 +39,7 @@ from .linalg import (
     mat_compose,
     mat_identity,
     mat_inverse,
+    mat_key,
     mat_rank,
     mat_transpose,
     solve_rows,
@@ -783,9 +784,7 @@ class LinMap:
         return mat_rank(self.target.field, self.mat, self.target.dim)
 
     def key(self):
-        return tuple(
-            (j, tuple(sorted(self.mat[j].items()))) for j in sorted(self.mat)
-        )
+        return mat_key(self.mat)
 
     def __eq__(self, other):
         return isinstance(other, LinMap) and self.key() == other.key()
@@ -856,13 +855,8 @@ def convolution(f: LinMap, g: LinMap) -> LinMap:
 
 
 def convolution_unit(source: HopfAlgebra, target: HopfAlgebra) -> LinMap:
-    F = target.field
-    mat = {}
-    for i in range(source.dim):
-        c = source.counit.get(i)
-        if c is not None:
-            mat[i] = v_scale(F, c, target.unit)
-    return LinMap(source, target, mat)
+    return LinMap(source, target, {i: v_scale(target.field, c, target.unit)
+                                   for i, c in sorted(source.counit.items())})
 
 
 def convolution_inverse(f: LinMap) -> LinMap:
@@ -927,24 +921,12 @@ def induced_hopf(H: HopfAlgebra, basis, coords, t2_coords, labels, name=""):
     given basis (elements of H): ``coords`` gives the coordinates of an
     element of H, ``t2_coords`` those of a Ten2 of H."""
     F = H.field
-    mult = {}
-    for r, x in enumerate(basis):
-        for s, y in enumerate(basis):
-            cell = coords(H.product(x, y))
-            if cell:
-                mult[(r, s)] = cell
+    mult = {(r, s): cell for r, x in enumerate(basis) for s, y in enumerate(basis)
+            if (cell := coords(H.product(x, y)))}
     unit = coords(H.unit)
     comult = {r: t2_coords(H.coproduct(x)) for r, x in enumerate(basis)}
-    counit = {}
-    for r, x in enumerate(basis):
-        c = H.counit_of(x)
-        if c != F.zero():
-            counit[r] = c
-    antipode = {}
-    for r, x in enumerate(basis):
-        col = coords(H.antipode_of(x))
-        if col:
-            antipode[r] = col
+    counit = {r: c for r, x in enumerate(basis) if (c := H.counit_of(x)) != F.zero()}
+    antipode = {r: col for r, x in enumerate(basis) if (col := coords(H.antipode_of(x)))}
     return HopfAlgebra(F, labels, mult, unit, comult, counit, antipode, name=name)
 
 
@@ -967,11 +949,7 @@ def quotient_by_hopf_ideal(H: HopfAlgebra, ideal: Echelon, name=""):
     def project(v):
         return {cls[i]: c for i, c in ideal.reduce(v).items()}
 
-    pi_mat = {}
-    for i in range(H.dim):
-        col = project(unit_vec(i, F))
-        if col:
-            pi_mat[i] = col
+    pi_mat = {i: col for i in range(H.dim) if (col := project(unit_vec(i, F)))}
     Q = induced_hopf(H, [unit_vec(i, F) for i in reps], project,
                      lambda t: t2_map(F, pi_mat, pi_mat, t),
                      [f"[{H.labels[i]}]" for i in reps],

@@ -24,6 +24,7 @@ from .groupschemes import (
     full_subgroup,
     group_elements,
     hopf_closure,
+    inclusion,
     intersect_subgroup,
     is_normal,
     product_subgroup,
@@ -41,59 +42,39 @@ from .hopf import (
     t2_outer,
 )
 from .linalg import (
-    Echelon,
+    mat_apply,
     mat_compose,
     mat_kernel,
+    mat_key,
     mat_rank,
     mat_transpose,
+    span,
     unit_vec,
     v_axpy,
+    v_scale,
 )
 from .quotients import (
     QuotientPair,
     Triple,
     build_quotient,
+    kept_triple,
     recognize_triple,
     to_own_coords,
 )
 from .serialize import MAX_DOUBLE_DIM
 
 
-def _sub_inclusion(inner: SubgroupScheme, outer: SubgroupScheme) -> LinMap:
-    """iota_{inner,outer}: k[inner] -> k[outer] in subgroup coordinates."""
-    F = inner.ambient.field
-    mat = {}
-    for j in range(inner.order):
-        amb = inner.iota.apply(unit_vec(j, F))
-        col = to_own_coords(outer, amb)
-        if col:
-            mat[j] = col
-    return LinMap(inner.own.group_algebra, outer.own.group_algebra, mat)
-
-
-def _restriction(outer: SubgroupScheme, inner: SubgroupScheme) -> LinMap:
-    """iota^sharp_{inner,outer}: O(outer) ->> O(inner)."""
-    inc = _sub_inclusion(inner, outer)
-    return LinMap(outer.own.coordinate_algebra, inner.own.coordinate_algebra,
-                  mat_transpose(inc.mat))
-
-
-def dual_map(B: LinMap, H_sub: SubgroupScheme, K_sub: SubgroupScheme) -> LinMap:
-    """B^*: k[K] -> O(H) for B: k[H] -> O(K); a transpose in the dual bases."""
-    return LinMap(K_sub.own.group_algebra, H_sub.own.coordinate_algebra,
-                  mat_transpose(B.mat))
+def _bbar(t: Triple):
+    """The matrix of Bbar = B^* . S: k[K] -> O(H), where B^*, the dual of
+    B: k[H] -> O(K), is its transpose in the dual bases."""
+    return mat_compose(t.G.field, mat_transpose(t.B.mat), t.K.own.group_algebra.antipode)
 
 
 def centralizer_triple(t: Triple) -> Triple:
-    """(H, K, Bbar) with Bbar = B^* . S, built and validated once and kept
-    on t."""
-    if t._centralizer is None:
-        F = t.G.field
-        bstar = dual_map(t.B, t.H, t.K)
-        bbar_mat = mat_compose(F, bstar.mat, t.K.own.group_algebra.antipode)
-        bbar = LinMap(t.K.own.group_algebra, t.H.own.coordinate_algebra, bbar_mat)
-        t._centralizer = Triple(t.G, t.H, t.K, bbar)
-    return t._centralizer
+    """(H, K, Bbar): the triple G keeps for that key, validated the first
+    time it is met."""
+    return kept_triple(t.G, t.H, t.K, LinMap(t.K.own.group_algebra,
+                                             t.H.own.coordinate_algebra, _bbar(t)))
 
 
 def centralizer_certificate(qp: QuotientPair, qp_bar: QuotientPair,
@@ -108,37 +89,35 @@ def centralizer_certificate(qp: QuotientPair, qp_bar: QuotientPair,
 
 def contains(t: Triple, t2: Triple) -> bool:
     """Whether the subcategory of t2 sits inside that of t: K' inside K,
-    H inside H', and restriction of B along K' matches B' along H."""
-    if not t.K.contains_subgroup(t2.K):
+    H inside H', and restriction of B along K' matches B' along H.  The two
+    subgroup containments are read from the table G keeps (``inclusion``)
+    before B is compared."""
+    k_inc = inclusion(t2.K, t.K)
+    if k_inc is None:
         return False
-    if not t2.H.contains_subgroup(t.H):
+    h_inc = inclusion(t.H, t2.H)
+    if h_inc is None:
         return False
     F = t.G.field
-    lhs = mat_compose(F, _restriction(t.K, t2.K).mat, t.B.mat)
-    rhs = mat_compose(F, t2.B.mat, _sub_inclusion(t.H, t2.H).mat)
-    return lhs == rhs
+    return (mat_compose(F, mat_transpose(k_inc), t.B.mat)
+            == mat_compose(F, t2.B.mat, h_inc))
 
 
 def beta_pairing(t: Triple, t2: Triple) -> LinMap:
     """beta_{B,B'}: k[K meet K'] -> O(H meet H'), the convolution of the
     transported B^* with the transported B'bar.  Its kernel cuts out the
     subgroup where the two bicharacters agree."""
-    G = t.G
-    F = G.field
+    F = t.G.field
     KK = intersect_subgroup(t.K, t2.K)
     HH = intersect_subgroup(t.H, t2.H)
-    first = LinMap(
-        KK.own.group_algebra, HH.own.coordinate_algebra,
-        mat_compose(F, _restriction(t.H, HH).mat,
-                    mat_compose(F, dual_map(t.B, t.H, t.K).mat,
-                                _sub_inclusion(KK, t.K).mat)))
-    bbar2 = mat_compose(F, dual_map(t2.B, t2.H, t2.K).mat,
-                        t2.K.own.group_algebra.antipode)
-    second = LinMap(
-        KK.own.group_algebra, HH.own.coordinate_algebra,
-        mat_compose(F, _restriction(t2.H, HH).mat,
-                    mat_compose(F, bbar2, _sub_inclusion(KK, t2.K).mat)))
-    return convolution(first, second)
+
+    def transported(s, mat):
+        """mat: k[s.K] -> O(s.H) after k[KK] -> k[s.K], before O(s.H) ->> O(HH)."""
+        restrict = mat_transpose(inclusion(HH, s.H))
+        return LinMap(KK.own.group_algebra, HH.own.coordinate_algebra, mat_compose(
+            F, restrict, mat_compose(F, mat, inclusion(KK, s.K))))
+
+    return convolution(transported(t, mat_transpose(t.B.mat)), transported(t2, _bbar(t2)))
 
 
 def agreement_subgroup(t: Triple, t2: Triple) -> SubgroupScheme:
@@ -150,12 +129,7 @@ def agreement_subgroup(t: Triple, t2: Triple) -> SubgroupScheme:
     beta = beta_pairing(t, t2)
     kM = KK.own.group_algebra
     kerL = coinvariants(kM, beta.mat, beta.apply(kM.unit))
-    amb = Echelon(F, G.order)
-    for row in kerL.basis():
-        out = {}
-        for i, c in row.items():
-            v_axpy(F, out, c, KK.iota.apply(unit_vec(i, F)))
-        amb.insert(out)
+    amb = span(F, G.order, [KK.iota.apply(row) for row in kerL.basis()])
     return subgroup_from_subspace(G, amb, name="L")
 
 
@@ -217,10 +191,11 @@ def classify(t: Triple) -> dict:
     tbar = centralizer_triple(t)
 
     symmetric = False
-    if t.H.contains_subgroup(t.K):
+    k_in_h = inclusion(t.K, t.H)
+    if k_in_h is not None:
         # B . iota_{K,H} versus iota^sharp_{K,H} . Bbar, both k[K] -> O(K)
-        lhs = mat_compose(F, t.B.mat, _sub_inclusion(t.K, t.H).mat)
-        rhs = mat_compose(F, _restriction(tbar.K, t.K).mat, tbar.B.mat)
+        lhs = mat_compose(F, t.B.mat, k_in_h)
+        rhs = mat_compose(F, mat_transpose(k_in_h), tbar.B.mat)
         symmetric = lhs == rhs
 
     HK = product_subgroup(t.H, t.K)
@@ -254,7 +229,8 @@ def classify(t: Triple) -> dict:
 
 def normal_subgroups(G: GroupScheme, budget=100_000):
     """The normal subgroup schemes, by (order, key); each distinct span
-    (Echelon key) of a closure is built once.
+    (Echelon key) of a closure is built once, as the subgroup G keeps on it
+    (``subgroup_from_subspace``).
 
     Constant groups: each subgroup S found (from 1 on) is closed with each
     element outside it.  Complete: a subgroup T is reached along
@@ -264,30 +240,23 @@ def normal_subgroups(G: GroupScheme, budget=100_000):
     line of d1(x)d0 + 2 d0(x)d1, which no such sum generates.
     """
     F, n = G.field, G.order
-    trivial = trivial_subgroup(G)
-    found = {trivial.key(): trivial}
-    full = full_subgroup(G)
-    found.setdefault(full.key(), full)
-    built = [trivial]
-
-    def note(ech):
-        if ech.key() not in found:
-            found[ech.key()] = subgroup_from_subspace(G, ech)
-            built.append(found[ech.key()])
-
+    trivial, full = trivial_subgroup(G), full_subgroup(G)
+    subs = [trivial] if full is trivial else [trivial, full]
     if G.kind == "constant":
-        for S in built:  # grows while it is walked
-            for g in range(n):
-                if not S.subspace.contains(unit_vec(g, F)):
-                    note(hopf_closure(G, [unit_vec(g, F)], base=S.subspace))
+        spans = (hopf_closure(G, [unit_vec(g, F)], base=S.subspace)
+                 for S in subs  # grows while it is walked
+                 for g in range(n) if not S.subspace.contains(unit_vec(g, F)))
     else:
         if 2**n > budget:
             raise BudgetExceeded(f"2^{n} generator subsets exceed budget")
-        for mask in range(1, 2**n):
-            note(hopf_closure(G, [{i: F.one() for i in range(n) if mask >> i & 1}]))
-    subs = [s for s in found.values() if is_normal(s)]
-    subs.sort(key=lambda s: (s.order, s.key()))
-    return subs
+        spans = (hopf_closure(G, [{i: F.one() for i in range(n) if mask >> i & 1}])
+                 for mask in range(1, 2**n))
+    keys = {S.key() for S in subs}
+    for ech in spans:
+        if ech.key() not in keys:
+            keys.add(ech.key())
+            subs.append(subgroup_from_subspace(G, ech))
+    return sorted((S for S in subs if is_normal(S)), key=lambda s: (s.order, s.key()))
 
 
 def equivariant_maps(G: GroupScheme, K: SubgroupScheme, H: SubgroupScheme,
@@ -302,7 +271,7 @@ def equivariant_maps(G: GroupScheme, K: SubgroupScheme, H: SubgroupScheme,
     out = []
     for B in maps:
         try:
-            out.append(Triple(G, K, H, B))
+            out.append(kept_triple(G, K, H, B))
         except InvalidTriple:
             continue
     return out
@@ -346,20 +315,48 @@ def enumerate_triples(G: GroupScheme, budget=500_000):
     return nodes, edges
 
 
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def hasse_edges(nodes):
-    """Covers of the containment order (transitive reduction)."""
-    n = len(nodes)
-    leq = [[False] * n for _ in range(n)]
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if i != j and contains(b.triple, a.triple):
-                leq[i][j] = True  # a <= b
+    """Covers of the containment order (transitive reduction), by i, then j.
+
+    Node i lies below node j when ``contains(nodes[j].triple,
+    nodes[i].triple)``.  The subgroup conditions are read once per pair of
+    (K, H) classes from the table G keeps; within a related pair of classes
+    the nodes are bucketed on the key of their side of the B condition, so
+    each restricted B is formed once per class pair, not once per node
+    pair.  above[i] is the bitset of the nodes j != i above node i; j covers
+    i when it is in above[i] and in above[k] for no k in above[i]."""
+    classes = {}
+    for i, node in enumerate(nodes):
+        classes.setdefault((node.triple.K, node.triple.H), []).append(i)
+    above = [0] * len(nodes)
+    for (K, H), lower in classes.items():
+        for (K2, H2), upper in classes.items():
+            k_inc, h_inc = inclusion(K, K2), inclusion(H2, H)
+            if k_inc is None or h_inc is None:
+                continue
+            F, res = K.ambient.field, mat_transpose(k_inc)
+            below = {}
+            for i in lower:
+                side = mat_key(mat_compose(F, nodes[i].triple.B.mat, h_inc))
+                below[side] = below.get(side, 0) | 1 << i
+            for j in upper:
+                side = mat_key(mat_compose(F, res, nodes[j].triple.B.mat))
+                for i in _bits(below.get(side, 0) & ~(1 << j)):
+                    above[i] |= 1 << j
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j]:
-                if not any(leq[i][k] and leq[k][j] for k in range(n)):
-                    edges.append((i, j))
+    for i, up in enumerate(above):
+        higher = 0
+        for k in _bits(up):
+            higher |= above[k]
+        edges.extend((i, j) for j in _bits(up & ~higher))
     return edges
 
 
@@ -401,6 +398,15 @@ class BlockData:
         }
 
 
+def _dot(F, u, w):
+    """sum_i u_i w_i of two sparse vectors."""
+    acc = F.zero()
+    for i, c in u.items():
+        if i in w:
+            acc = F.add(acc, F.mul(c, w[i]))
+    return acc
+
+
 def block_data(t: Triple):
     """Per-conjugacy-class block data of a triple over a constant group:
     classes inside K, centralizers, the evaluation character B_g, the twist
@@ -440,28 +446,14 @@ def block_data(t: Triple):
         if not all(h in set(cent_elems) for h in H_elems):
             raise VerificationFailure("H does not centralize the class point")
         g_own = to_own_coords(t.K, unit_vec(g, F))
-
-        def pair_K(vec_own):
-            acc = F.zero()
-            for i, c in vec_own.items():
-                w = g_own.get(i)
-                if w is not None:
-                    acc = F.add(acc, F.mul(c, w))
-            return acc
-
         # B_g(v) = <B(v), g> as a functional on k[H]
-        character = {j: pair_K(t.B.apply(unit_vec(j, F)))
+        character = {j: _dot(F, t.B.apply(unit_vec(j, F)), g_own)
                      for j in range(t.H.order)}
         # G_g-invariance of B_g
         for f in cent_elems:
-            for j in range(t.H.order):
-                v_amb = t.H.iota.apply(unit_vec(j, F))
+            for j, v_amb in enumerate(t.H.subspace.basis()):
                 conj = ad_l(G, G.group_algebra.antipode_of(unit_vec(f, F)), v_amb)
-                own = to_own_coords(t.H, conj)
-                lhs = F.zero()
-                for jj, c in own.items():
-                    lhs = F.add(lhs, F.mul(c, character.get(jj, F.zero())))
-                if lhs != character.get(j, F.zero()):
+                if _dot(F, to_own_coords(t.H, conj), character) != character[j]:
                     raise VerificationFailure("B_g is not centralizer-invariant")
 
         # twist psi_g(x, y) = <sigma(x, y), g> on the image of k[G_g] classes
@@ -475,11 +467,8 @@ def block_data(t: Triple):
                 raise VerificationFailure("constant quotient class is not a delta")
             cls_of[f] = r
         cls_set = sorted(set(cls_of.values()))
-        twist = {}
-        for r in cls_set:
-            for s in cls_set:
-                sig = qp.sigma.get((r, s), {})
-                twist[(r, s)] = pair_K(sig)
+        twist = {(r, s): _dot(F, qp.sigma.get((r, s), {}), g_own)
+                 for r in cls_set for s in cls_set}
 
         # p_g(u) = B_g(eta(u_1)) pi(u_2): algebra map into the twisted algebra
         def p_g(f):
@@ -488,10 +477,7 @@ def block_data(t: Triple):
                 ex = qp.cleaving.eta.apply(unit_vec(x, F))
                 if not ex:
                     continue
-                own = to_own_coords(t.H, ex)
-                bval = F.zero()
-                for jj, cc in own.items():
-                    bval = F.add(bval, F.mul(cc, character.get(jj, F.zero())))
+                bval = _dot(F, to_own_coords(t.H, ex), character)
                 if bval == F.zero():
                     continue
                 py = pi.apply(unit_vec(y, F))
@@ -509,25 +495,16 @@ def block_data(t: Triple):
                     v_axpy(F, out, F.mul(F.mul(cr, cs), psi), prod)
             return out
 
-        images = Echelon(F, Q.dim)
+        p = {f: p_g(f) for f in cent_elems}  # G_g is closed under products
         for f in cent_elems:
-            images.insert(p_g(f))
             for f2 in cent_elems:
-                lhs = p_g(table[f][f2])
-                rhs = twisted_mul(p_g(f), p_g(f2))
-                if lhs != rhs:
+                if p[table[f][f2]] != twisted_mul(p[f], p[f2]):
                     raise VerificationFailure(
                         "p_g is not an algebra morphism into the twisted algebra")
-        if images.dim != len(cls_set):
+        if span(F, Q.dim, p.values()).dim != len(cls_set):
             raise VerificationFailure("p_g is not surjective onto the classes")
-        for j in range(t.H.order):
-            v_amb = t.H.iota.apply(unit_vec(j, F))
-            expect = {}
-            v_axpy(F, expect, character.get(j, F.zero()), Q.unit)
-            got = {}
-            for f, c in v_amb.items():
-                v_axpy(F, got, c, p_g(f))
-            if got != expect:
+        for j, v_amb in enumerate(t.H.subspace.basis()):  # H inside G_g, checked above
+            if mat_apply(F, p, v_amb) != v_scale(F, character[j], Q.unit):
                 raise VerificationFailure("p_g(v) != B_g(v) 1 on k[H]")
 
         k_conn = t.K.own.connected_order()

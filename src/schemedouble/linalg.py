@@ -87,6 +87,12 @@ def mat_transpose(M):
     return out
 
 
+def mat_key(M):
+    """Canonical hashable form of a sparse matrix (or of rows by pivot):
+    equal matrices give equal keys."""
+    return tuple((j, tuple(sorted(M[j].items()))) for j in sorted(M))
+
+
 def contract(tensor, x, y, F):
     """sum_{i,j} x_i y_j T[i][j] for a rank-3 tensor T stored as (i,j) -> Vec."""
     out = {}
@@ -186,9 +192,7 @@ class Echelon:
 
     def key(self):
         """Canonical hashable form; equal subspaces give equal keys."""
-        return tuple(
-            (p, tuple(sorted(self.rows[p].items()))) for p in self.pivots()
-        )
+        return mat_key(self.rows)
 
     def __eq__(self, other):
         return (

@@ -79,7 +79,6 @@ class Triple:
         self.K = K
         self.H = H
         self.B = B
-        self._centralizer = None  # kept by lattice.centralizer_triple
         self._pair = None  # kept by build_quotient
         self.validate()
 
@@ -142,13 +141,7 @@ class Triple:
                         f" v={self.H.own.group_algebra.labels[j]})")
 
     def b_pairing_key(self):
-        """Canonical key of the bicharacter <B(v), w> over the canonical
-        subgroup bases; identifies B independently of basis bookkeeping."""
-        items = []
-        for j in sorted(self.B.mat):
-            for i, c in sorted(self.B.mat[j].items()):
-                items.append((j, i, str(c)))
-        return tuple(items)
+        return _pairing_key(self.B)
 
     def key(self):
         return (self.K.key(), self.H.key(), self.b_pairing_key())
@@ -168,6 +161,25 @@ class Triple:
 
     def is_trivial_B(self):
         return self.B.mat == trivial_hopf_map(self.H, self.K).mat
+
+
+def _pairing_key(B: LinMap):
+    """Canonical key of the bicharacter <B(v), w> over the canonical
+    subgroup bases; identifies B independently of basis bookkeeping."""
+    return tuple((j, i, str(c)) for j in sorted(B.mat)
+                 for i, c in sorted(B.mat[j].items()))
+
+
+def kept_triple(G: GroupScheme, K: SubgroupScheme, H: SubgroupScheme,
+                B: LinMap) -> Triple:
+    """The triple G keeps for the key of (K, H, B): validated, and kept on
+    G, the first time that key is met, and looked up every time after.  A
+    key that fails validation raises InvalidTriple and is not kept."""
+    key = (K.key(), H.key(), _pairing_key(B))
+    triple = G.triples.get(key)
+    if triple is None:
+        triple = G.triples[key] = Triple(G, K, H, B)
+    return triple
 
 
 def dot_action(triple: Triple, cleaving: CleavingData, x_quotient, a_own):
@@ -263,7 +275,8 @@ class QuotientPair:
 def build_quotient(triple: Triple) -> QuotientPair:
     """Assemble D(K,H,B) = O(K)^cop #_sigma^tau k[G/H] with ``crossed_product``
     from the section of K and the cleaving of H, both kept on their
-    subgroups; built and certified once per triple and kept on it.
+    subgroups; built and certified once per triple and kept on it (the
+    triples of ``kept_triple`` are one per key of G).
 
     product   (a # x)(b # y) = a (x_1 . b) sigma(x_2, y_1) # x_3 y_2,
     coproduct (a # x) -> (a_2 tau(x_1)^1 # x_2) (x) (a_1 tau(x_1)^2 # x_3),
@@ -476,9 +489,10 @@ def recognize_triple(dd: DoubleData, phi: LinMap):
     together with the isomorphism phibar: D(K,H,B) -> target with
     phibar . theta = phi.
 
-    The pair of a recognized triple is kept on dd by ``Triple.key()``, so a
-    triple equal to one recognized before reuses its pair, already built
-    and certified, and its theta."""
+    K and H are the subgroups G keeps on their spans, and the triple the
+    one G keeps for its key (``kept_triple``), so a triple met before, by
+    recognition or enumeration, is not validated again and reuses its
+    pair, already built and certified, and its theta."""
     G = dd.G
     F = G.field
     n = G.order
@@ -527,10 +541,7 @@ def recognize_triple(dd: DoubleData, phi: LinMap):
             B_mat[j] = sol
     B = LinMap(H.own.group_algebra, OK, B_mat)
 
-    triple = Triple(G, K, H, B)
-    qp = dd.pairs.get(triple.key())
-    if qp is None:
-        qp = dd.pairs[triple.key()] = build_quotient(triple)
+    qp = build_quotient(kept_triple(G, K, H, B))
     theta = qp.theta(dd)
     preimage = _preimage_solver(theta, dd.D.dim)
     phibar_mat = {}

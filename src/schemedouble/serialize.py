@@ -82,7 +82,10 @@ def _records(F: Field, items):
             for key, c in items]
 
 
-def tensor_from_json(F: Field, data, arity):
+def tensor_from_json(F: Field, data, shape):
+    """The sparse tensor of a list of records whose indices lie on the axes
+    of the given sizes: each index an int (not a bool) in 0..size-1, else
+    SchemaError."""
     out = {}
     if not isinstance(data, list):
         raise SchemaError("sparse tensor must be a list of records")
@@ -92,10 +95,13 @@ def tensor_from_json(F: Field, data, arity):
             val = scalar_from_json(F, rec["value"])
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad tensor record {rec!r}: {exc}")
-        if len(idx) != arity:
-            raise SchemaError(f"expected {arity} indices, got {idx}")
+        if not isinstance(idx, list) or len(idx) != len(shape):
+            raise SchemaError(f"expected a list of {len(shape)} indices, got {idx!r}")
+        for i, size in zip(idx, shape):
+            if type(i) is not int or not 0 <= i < size:
+                raise SchemaError(f"index {i!r} outside 0..{size - 1} in {idx!r}")
         if val != F.zero():
-            key = idx[0] if arity == 1 else tuple(idx)
+            key = idx[0] if len(shape) == 1 else tuple(idx)
             out[key] = val
     return out
 
@@ -132,24 +138,20 @@ def hopf_from_json(data) -> HopfAlgebra:
         raise SchemaError(f"bad hopf document: {exc}")
     if len(labels) != dim:
         raise SchemaError("label count differs from dim")
-    mult3 = tensor_from_json(F, data.get("mult", []), 3)
+    mult3 = tensor_from_json(F, data.get("mult", []), (dim, dim, dim))
     mult = {}
     for (i, j, k), c in mult3.items():
         mult.setdefault((i, j), {})[k] = c
-    comult3 = tensor_from_json(F, data.get("comult", []), 3)
+    comult3 = tensor_from_json(F, data.get("comult", []), (dim, dim, dim))
     comult = {i: {} for i in range(dim)}
     for (i, j, k), c in comult3.items():
         comult[i][(j, k)] = c
-    anti2 = tensor_from_json(F, data.get("antipode", []), 2)
-    antipode = {}
-    for (i, j), c in anti2.items():
-        antipode.setdefault(j, {})[i] = c
     return HopfAlgebra(
         F, labels, mult,
-        tensor_from_json(F, data.get("unit", []), 1),
+        tensor_from_json(F, data.get("unit", []), (dim,)),
         comult,
-        tensor_from_json(F, data.get("counit", []), 1),
-        antipode,
+        tensor_from_json(F, data.get("counit", []), (dim,)),
+        matrix_from_json(F, data.get("antipode", []), (dim, dim)),
         name=data.get("name", ""),
     )
 
@@ -162,8 +164,9 @@ def linmap_to_json(F: Field, m: LinMap):
     return tensor_to_json(F, entries)
 
 
-def matrix_from_json(F: Field, data):
-    ent = tensor_from_json(F, data, 2)
+def matrix_from_json(F: Field, data, shape):
+    """The columns of a matrix of the given (rows, columns) shape."""
+    ent = tensor_from_json(F, data, shape)
     mat = {}
     for (i, j), c in ent.items():
         mat.setdefault(j, {})[i] = c
@@ -237,6 +240,8 @@ def group_from_spec(spec, F: Field) -> GroupScheme:
                               f"but 'table' has {len(table)} rows")
         if any(not isinstance(row, list) or len(row) != len(table) for row in table):
             raise SchemaError(f"constant 'table' must be {len(table)} rows of {len(table)} entries")
+        if any(type(x) is not int or not 0 <= x < len(table) for row in table for x in row):
+            raise SchemaError(f"constant 'table' entries must be integers in 0..{len(table) - 1}")
         try:
             return constant_group(elements, table, F, name=name)
         except TypeError as exc:
@@ -293,9 +298,7 @@ def subgroup_from_spec(G: GroupScheme, spec) -> SubgroupScheme:
         return ga_frobenius_subgroup(G, s)
     if isinstance(spec, dict) and "generators" in spec:
         try:
-            gens = [tensor_from_json(G.field, g, 1) for g in spec["generators"]]
-            if any(not 0 <= i < G.order for g in gens for i in g):
-                raise SchemaError(f"generator index outside 0..{G.order - 1}")
+            gens = [tensor_from_json(G.field, g, (G.order,)) for g in spec["generators"]]
         except TypeError as exc:
             raise SchemaError(f"bad generators spec: {exc}")
         return subgroup_from_generators(G, gens)

@@ -45,6 +45,12 @@ certified checks of the package.
 * ``triple_validate_all_basis``: the checks of ``Triple.validate`` with
   equivariance on every basis vector u of k[G].
 * ``field_axpy_loop``: acc += c vec through ``F.add`` and ``F.mul``.
+* ``sub_inclusion_reduced``: the inclusion of one subgroup into another,
+  each column the coordinates of an inner basis vector found by reducing
+  it against the outer span.
+* ``hasse_edges_pairwise``: the covers of the containment order from
+  ``contains`` on every ordered pair of nodes, each pair (i, j) kept unless
+  some k lies between them.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ from schemedouble.hopf import (
     t2_outer,
     t2_swap,
 )
+from schemedouble.lattice import contains
 from schemedouble.linalg import (
     Echelon,
     mat_apply,
@@ -675,3 +682,34 @@ def field_axpy_loop(F, acc, c, vec):
         else:
             acc[k] = s
     return acc
+
+
+def sub_inclusion_reduced(inner, outer):
+    """The matrix of k[inner] -> k[outer] in the subgroups' own bases, or
+    None when inner is not inside outer."""
+    F = inner.ambient.field
+    mat = {}
+    for j, row in enumerate(inner.subspace.basis()):
+        coords = outer.subspace.coordinates(row)
+        if coords is None:
+            return None
+        col = {r: c for r, c in enumerate(coords) if c != F.zero()}
+        if col:
+            mat[j] = col
+    return mat
+
+
+def hasse_edges_pairwise(nodes):
+    n = len(nodes)
+    leq = [[False] * n for _ in range(n)]
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            if i != j and contains(b.triple, a.triple):
+                leq[i][j] = True  # a <= b
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if leq[i][j]:
+                if not any(leq[i][k] and leq[k][j] for k in range(n)):
+                    edges.append((i, j))
+    return edges

@@ -51,6 +51,7 @@ from schemedouble.quotients import (
 )
 
 from conftest import make_borel, make_s3, make_v4, make_z2, make_z3
+from oracles import hasse_edges_pairwise
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)
@@ -431,6 +432,14 @@ def test_criterion_9_intersection_laws(all_lattices):
             assert (r.key() == bottom_key) == a.flags["nondegenerate"]
     note("criterion 9", f"intersections are maximum lower bounds; Muger-center "
                         f"triviality matches nondegeneracy ({time.time()-t0:.1f}s)")
+
+
+@pytest.mark.parametrize("name", [name for name, _ in LATTICE_GROUPS])
+def test_hasse_covers_equal_the_pairwise_oracle(all_lattices, name):
+    """The covers enumerate_triples returns equal those of ``contains`` on
+    every ordered pair of nodes, reduced by the O(n^3) loop."""
+    G, nodes, edges, dd = all_lattices(name)
+    assert edges == hasse_edges_pairwise(nodes)
 
 
 def test_criterion_10_block_data(all_lattices):

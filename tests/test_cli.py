@@ -7,7 +7,7 @@ import pytest
 from schemedouble.cli import main
 from schemedouble.serialize import hopf_from_json, hopf_to_json
 from schemedouble.fields import make_field
-from schemedouble.groupschemes import ga_kernel
+from schemedouble.groupschemes import constant_group, ga_kernel
 
 from conftest import s3_cayley, S3_LABELS
 
@@ -228,12 +228,16 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
      "31e8d49956e7d8ce77ab5104ec17aedb8c65028e1842c390e21ce4d65ffa874f"),
     (["double", "--group", "ga2.json", "--field", "p5"],
      "6c958c7620e725044191bd62a4df95a9a7448174b1e0fc3fce71a2e409c24b4e"),
+    (["enumerate", "--group", "d4.json", "--field", "p3"],
+     "89d1b3166c32d143ef4f2736b247b4b50236c4d09c0f7474681e6b20e86841ea"),
+    (["enumerate", "--group", "ga2.json", "--field", "p3"],
+     "a0d037e4485f4e4d3732326656cbc5a2a4aeea0329e13550c421615ba557fb68"),
 ], ids=["double-z2-q", "double-s3-p7", "quotient-ga2-p3-json",
         "quotient-ga2-p3-text", "enumerate-dot-s3-p7", "enumerate-z2-q",
         "build-borel-p3", "enumerate-s3-p7", "quotient-ga4-b1-p2",
         "double-s3-q", "enumerate-s3-q", "quotient-s3-a3-p7",
         "double-a4-p5", "double-d4-p3_2", "quotient-a4-v4-q",
-        "double-ga2-p5"])
+        "double-ga2-p5", "enumerate-d4-p3", "enumerate-ga2-p3"])
 def test_sample_outputs_are_pinned(argv, digest, capsys):
     """The stdout bytes of these runs on samples/ are fixed: a refactoring
     that changes any of them changes the program's output."""
@@ -295,6 +299,45 @@ def test_malformed_triple_is_a_schema_error(tmp_path, command, triple, capsys):
     f = write(tmp_path / "triple.json", triple)
     assert main([command, "--triple", f, "--field", "p3"]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document, indices", [
+    ("triple", 5), ("triple", [0.5, 0]), ("triple", [9, 9]), ("triple", [0, -1]),
+    ("triple", ["a", "b"]), ("triple", [True, 0]), ("hopf", 99),
+], ids=["B-indices-not-a-list", "B-index-float", "B-index-too-large",
+        "B-index-negative", "B-index-string", "B-index-bool", "hopf-mult-index-too-large"])
+def test_tensor_index_outside_its_axis_is_a_schema_error(tmp_path, document, indices, capsys):
+    """Every index of a sparse tensor is an int (not a bool) within the size
+    of its axis: B, a 3 x 3 matrix, of a triple on ga_kernel(2)/GF(3) with
+    K = H = Ga_1, and the mult of k[S3] over GF(7), of size 6 x 6 x 6."""
+    if document == "triple":
+        sub = {"frobenius_sub": {"r": 1}}
+        f = write(tmp_path / "triple.json", {"group": GA2, "K": sub, "H": sub,
+                                             "B": [{"indices": indices, "value": "1"}]})
+        argv = ["quotient", "--triple", f, "--field", "p3"]
+    else:
+        doc = hopf_to_json(constant_group(S3_LABELS, s3_cayley(),
+                                          make_field("prime", p=7)).group_algebra)
+        doc["mult"][0]["indices"][2] = indices
+        f = write(tmp_path / "kg.json", doc)
+        argv = ["verify", "--hopf", f]
+    assert main(argv) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table, code", [
+    ([[0, 1], [1, 2]], 2), ([[0, 1], [1, -1]], 2), ([[0, 1], [1, True]], 2),
+    ([[0, 0], [0, 0]], 1),
+], ids=["entry-too-large", "entry-negative", "entry-bool", "not-a-group"])
+def test_constant_table_entry_outside_the_elements_is_a_schema_error(
+        tmp_path, table, code, capsys):
+    """A table entry that names no element is malformed input (exit 2); a
+    well-formed table that is no group is a verification failure (exit 1)."""
+    f = write(tmp_path / "g.json", {"constant": {"elements": ["e", "s"], "table": table}})
+    assert main(["build", "--group", f, "--field", "p3"]) == code
+    err = capsys.readouterr().err
+    assert ("schema error" in err) == (code == 2)
+    assert ("no identity" in err) == (code == 1)
 
 
 @pytest.mark.parametrize("order", [3, -1, 7])

@@ -7,9 +7,12 @@ from schemedouble.fields import QQ, make_field
 from schemedouble.appendix import b_lambda
 from schemedouble.doubles import drinfeld_double
 from schemedouble.groupschemes import (
+    constant_group,
+    direct_product,
     full_subgroup,
     ga_frobenius_subgroup,
     ga_kernel,
+    inclusion,
     subgroup_from_generators,
     trivial_subgroup,
 )
@@ -24,11 +27,13 @@ from schemedouble.lattice import (
     enumerate_triples,
     hasse_dot,
     intersect,
+    normal_subgroups,
 )
 from schemedouble.linalg import unit_vec
 from schemedouble.quotients import Triple, build_quotient, trivial_hopf_map
 
 from conftest import D4_GENS, make_borel, make_s3, make_v4, make_z2, permutation_table
+from oracles import hasse_edges_pairwise, sub_inclusion_reduced
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)
@@ -326,8 +331,9 @@ def test_enumerate_refuses_above_the_double_ceiling_before_any_subgroup(monkeypa
 
 def test_enumerate_builds_sections_centralizers_and_certificates_once(monkeypatch):
     """On S3/GF(7), enumerate finds one section per normal subgroup and one
-    quotient and cleaving per normal subgroup H, forms and validates the
-    centralizer triple of each node once, and runs the Hopf verifier only
+    quotient and cleaving per normal subgroup H, validates each node once
+    (its centralizer is another node, looked up on G), and runs the Hopf
+    verifier only
     on each node's D(K,H,B), built once and kept on its triple."""
     import schemedouble.groupschemes as gs
     import schemedouble.hopf as hopf
@@ -365,7 +371,7 @@ def test_enumerate_builds_sections_centralizers_and_certificates_once(monkeypatc
     nodes, _ = enumerate_triples(make_s3(F7))
     assert len(nodes) == 8
     assert calls == {"section_mu": 3, "quotient_by_normal": 3, "cleaving_gamma": 3,
-                     "verify_hopf": 8, "validate": 16}
+                     "verify_hopf": 8, "validate": 8}
     assert all(centralizer_triple(n.triple) is centralizer_triple(n.triple) for n in nodes)
     assert all(build_quotient(n.triple) is n.qp for n in nodes)
     assert calls["verify_hopf"] == 8
@@ -407,3 +413,81 @@ def test_enumerate_with_twisted_sigma_exits_0(gens, field, name, count,
                            for v in n.qp.sigma.values())
             assert n.qp.D.antipode == convolution_inverse(identity_map(n.qp.D)).mat
     assert twisted > 0
+
+
+def d4_gf3():
+    labels, table = permutation_table(D4_GENS)
+    return constant_group(labels, table, F3, name="D4")
+
+
+@pytest.mark.parametrize("factory", [
+    d4_gf3, lambda: direct_product(ga_kernel(1, F3), ga_kernel(1, F3)),
+], ids=["D4-GF3", "Ga1xGa1-GF3"])
+def test_hasse_covers_equal_the_pairwise_oracle(factory):
+    """The covers of the bucketed containment order equal those of
+    ``contains`` on every ordered pair of nodes, reduced by the O(n^3)
+    loop, on lattices of 43 and 171 nodes."""
+    nodes, edges = enumerate_triples(factory())
+    assert edges == hasse_edges_pairwise(nodes)
+    assert len(edges) > len(nodes)
+
+
+@pytest.mark.parametrize("factory", [
+    d4_gf3, lambda: ga_kernel(2, F3), lambda: make_borel(F3),
+], ids=["D4-GF3", "Ga2-GF3", "Borel-GF3"])
+def test_inclusion_table_equals_reduced_coordinates(factory):
+    """The inclusion G keeps for each ordered pair of its subgroups, read at
+    the pivots of the outer span, equals the coordinates found by reducing
+    every inner basis vector, and is None exactly when one does not reduce
+    to 0."""
+    G = factory()
+    subs = normal_subgroups(G)
+    for inner in subs:
+        for outer in subs:
+            inc = inclusion(inner, outer)
+            assert inc == sub_inclusion_reduced(inner, outer)
+            assert inclusion(inner, outer) is inc
+
+
+def test_intersections_build_each_span_once(monkeypatch):
+    """Enumerating Ga_1 over GF(3) and intersecting all 36 ordered pairs of
+    its 6 nodes extracts the structure of each span once: every path that
+    asks for a subgroup (normal_subgroups, the K and H of recognition,
+    intersect_subgroup, product_subgroup, agreement_subgroup) gets the one
+    G keeps."""
+    import schemedouble.groupschemes as gs
+    spans = []
+    real = gs._extract_sub_hopf
+
+    def extract(G, ech, name=""):
+        spans.append(ech.key())
+        return real(G, ech, name)
+
+    monkeypatch.setattr(gs, "_extract_sub_hopf", extract)
+    G = ga_kernel(1, F3)
+    nodes, _ = enumerate_triples(G)
+    dd = drinfeld_double(G)
+    for a in nodes:
+        for b in nodes:
+            intersect(a.triple, b.triple, dd)
+    assert len(spans) == len(set(spans)) == len(G.subgroups) == 2
+
+
+def test_enumerate_validates_each_key_once(monkeypatch):
+    """enumerate on D4/GF(3) validates each triple key once, the 43 nodes
+    and the maps that fail equivariance alike: a centralizer is a node
+    already kept on G."""
+    import schemedouble.quotients as quotients
+    keys = []
+    real = quotients.Triple.validate
+
+    def validate(self):
+        keys.append(self.key())
+        return real(self)
+
+    monkeypatch.setattr(quotients.Triple, "validate", validate)
+    G = d4_gf3()
+    nodes, _ = enumerate_triples(G)
+    assert len(nodes) == 43
+    assert len(keys) == len(set(keys)) > len(nodes)
+    assert all(G.triples[n.triple.key()] is n.triple for n in nodes)
