@@ -2,7 +2,7 @@
 Drinfeld doubles, Hopf quotient pairs D(K, H, B), and the lattice of braided
 subcategories these classify."""
 
-from .fields import Scalar, binomial, factorial_unit, make_field, parse_field_token
+from .fields import binomial, factorial_unit, make_field, parse_field_token
 from .hopf import (
     HopfAlgebra,
     LinMap,

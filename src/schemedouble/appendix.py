@@ -32,7 +32,7 @@ def b_lambda(H_sub, K_sub, lam) -> LinMap:
     mat = {}
     for n in range(p):
         _, inv = factorial_unit(n, F)
-        c = F.mul(F.pow(lam, n), inv.value)
+        c = F.mul(F.pow(lam, n), inv)
         if c != F.zero():
             mat[n] = {n: c}
     return LinMap(src, tgt, mat)

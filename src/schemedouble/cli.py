@@ -165,10 +165,9 @@ def cmd_quotient(args):
     }
     ok = qt_rep.ok and rib_rep.ok
     if not args.skip_theta:
-        dd = drinfeld_double(triple.G)
-        theta = qp.theta(dd)
-        quotient_r_and_v(qp, dd)
-        kernel_ok = theta_kernel_matches_ideal(qp, dd)
+        theta = qp.theta()
+        quotient_r_and_v(qp)
+        kernel_ok = theta_kernel_matches_ideal(qp)
         data["theta"] = linmap_to_json(F, theta)
         data["theta_kernel_matches_ideal"] = kernel_ok
         ok = ok and kernel_ok

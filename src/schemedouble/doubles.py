@@ -42,19 +42,32 @@ from .serialize import MAX_DOUBLE_DIM
 
 
 class DoubleData:
-    def __init__(self, G, D, embed_O, embed_kG, proj_kG, coad):
+    """D(G) with the embeddings of O(G)^cop and k[G], the projection onto
+    k[G], and the canonical (R, V) once ``canonical_r_and_v`` has formed it.
+    One per G, kept on it by ``drinfeld_double``."""
+
+    def __init__(self, G, D, embed_O, embed_kG, proj_kG):
         self.G = G
         self.D = D
         self.embed_O = embed_O
         self.embed_kG = embed_kG
         self.proj_kG = proj_kG
-        self.coad = coad
+        self._qt = None
 
     def index(self, a, i):
         return a * self.G.order + i
 
 
 def drinfeld_double(G: GroupScheme) -> DoubleData:
+    """D(G), built the first time it is asked for and kept on G, so every
+    caller gets the same DoubleData (and a kept ``verify_hopf`` report on
+    its algebra is seen by all of them)."""
+    if G._double is None:
+        G._double = _build_double(G)
+    return G._double
+
+
+def _build_double(G: GroupScheme) -> DoubleData:
     """Build D(G) with product (b |><| u)(b' |><| u') = b(u_1 ->> b') |><| u_2 u'
     on the tensor coalgebra of O(G)^cop (x) k[G].
 
@@ -120,7 +133,7 @@ def drinfeld_double(G: GroupScheme) -> DoubleData:
                 raise VerificationFailure(
                     f"O(G) not normal in D(G) at ({i},{b})")
 
-    return DoubleData(G, D, embed_O, embed_kG, proj_kG, coad)
+    return DoubleData(G, D, embed_O, embed_kG, proj_kG)
 
 
 class QuasiHopfData:
@@ -139,7 +152,10 @@ class QuasiHopfData:
 
 
 def canonical_r_and_v(dd: DoubleData) -> QuasiHopfData:
-    """R = sum_u (1 |><| u) (x) (delta_u |><| 1) and V = sum_u S(delta_u) |><| u."""
+    """R = sum_u (1 |><| u) (x) (delta_u |><| 1) and V = sum_u S(delta_u) |><| u,
+    formed once per D(G) and kept on dd with what is derived from them."""
+    if dd._qt is not None:
+        return dd._qt
     G = dd.G
     F = G.field
     n = G.order
@@ -149,7 +165,8 @@ def canonical_r_and_v(dd: DoubleData) -> QuasiHopfData:
     V = {}
     for i in range(n):
         v_axpy(F, V, F.one(), flat_outer(F, O.antipode.get(i, {}), unit_vec(i, F), n))
-    return QuasiHopfData(dd.D, R, V)
+    dd._qt = QuasiHopfData(dd.D, R, V)
+    return dd._qt
 
 
 def monodromy(Q: QuasiHopfData):

@@ -489,65 +489,31 @@ def parse_field_token(token: str) -> Field:
     raise SchemaError(f"cannot parse field token {token!r}")
 
 
-class Scalar:
-    """A field element in canonical form, tagged with its field; immutable,
-    equal and hashed by (field, value).
-
-    Used at API boundaries; internal tensors store the raw value.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Scalar:
-            return NotImplemented
-        return (self.field, self.value) == (other.field, other.value)
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"Scalar(field={self.field!r}, value={self.value!r})"
-
-    def __str__(self):
-        return self.field.to_str(self.value)
-
-
 def binomial(m: int, n: int, field: Field):
-    """binom(m, n) reduced into the field.
+    """binom(m, n) reduced into the field, in raw form.
 
     In characteristic p this is computed digitwise in base p (Lucas), so large
     arguments stay cheap and the p-adic vanishing pattern is exact.
     """
     if n < 0 or n > m:
-        return Scalar(field, field.zero())
+        return field.zero()
     if field.char == 0:
-        return Scalar(field, field.from_int(math.comb(m, n)))
+        return field.from_int(math.comb(m, n))
     p = field.char
     acc = 1
     mm, nn = m, n
     while mm or nn:
         md, nd = mm % p, nn % p
         if nd > md:
-            return Scalar(field, field.zero())
+            return field.zero()
         acc = (acc * math.comb(md, nd)) % p
         mm //= p
         nn //= p
-    return Scalar(field, field.from_int(acc))
+    return field.from_int(acc)
 
 
 def factorial_unit(n: int, field: Field):
-    """The unit n! together with its inverse, for 0 <= n < char(field)."""
+    """The unit n! and its inverse, in raw form, for 0 <= n < char(field)."""
     if field.char == 0:
         raise CharZero("factorial_unit requires positive characteristic")
     if n >= field.char:
@@ -555,4 +521,4 @@ def factorial_unit(n: int, field: Field):
     val = field.one()
     for i in range(2, n + 1):
         val = field.mul(val, field.from_int(i))
-    return Scalar(field, val), Scalar(field, field.inv(val))
+    return val, field.inv(val)

@@ -75,7 +75,10 @@ class GroupScheme:
     (``subgroup_from_subspace``), ``triples`` maps ``Triple.key()`` to the
     validated triple (``quotients.kept_triple``), which carries its quotient
     pair, and ``inclusions`` maps a pair of subgroups to the inclusion of the
-    first into the second, or None (``inclusion``).
+    first into the second, or None (``inclusion``).  ``products`` and
+    ``meets`` map a pair of subgroups to their product and intersection
+    (``product_subgroup``, ``intersect_subgroup``), and ``_double`` holds
+    D(G) once built (``doubles.drinfeld_double``).
     """
 
     def __init__(self, group_algebra: HopfAlgebra, kind="generic", payload=None,
@@ -92,9 +95,12 @@ class GroupScheme:
             self.coordinate_algebra.name = f"O({name})"
         self.field = group_algebra.field
         self._coad = None
+        self._double = None
         self.subgroups = {}
         self.triples = {}
         self.inclusions = {}
+        self.products = {}
+        self.meets = {}
 
     @property
     def order(self):
@@ -182,7 +188,7 @@ def ga_kernel(r: int, field, name="") -> GroupScheme:
     for m in range(q):
         for n_ in range(q):
             if m + n_ < q:
-                c = binomial(m + n_, m, F).value
+                c = binomial(m + n_, m, F)
                 if c != F.zero():
                     mult[(m, n_)] = {m + n_: c}
     unit = {0: one}
@@ -363,7 +369,7 @@ def restricted_enveloping(n: int, bracket, p_map, field, name="") -> GroupScheme
         for sub in itertools.product(*(range(a + 1) for a in e)):
             c = one
             for ai, bi in zip(e, sub):
-                c = F.mul(c, binomial(ai, bi, F).value)
+                c = F.mul(c, binomial(ai, bi, F))
             if c != zero:
                 rest = tuple(a - b for a, b in zip(e, sub))
                 t[(index[sub], index[rest])] = c
@@ -683,20 +689,15 @@ def centralize(H: SubgroupScheme, K: SubgroupScheme) -> bool:
 
 
 class Quotient:
-    """k[G/H] with the canonical projection pi and the coinvariant model of
-    O(G/H) inside O(G)."""
+    """k[G/H] with the canonical projection pi and the basis indices of k[G]
+    that represent its basis."""
 
-    def __init__(self, G, H_sub, hopf, pi, rep_indices, coinvariants):
+    def __init__(self, G, H_sub, hopf, pi, rep_indices):
         self.G = G
         self.H = H_sub
         self.hopf = hopf
         self.pi = pi
         self.rep_indices = rep_indices
-        self.coinvariants = coinvariants
-
-    @property
-    def index(self):
-        return self.hopf.dim
 
 
 def augmentation_ideal_basis(sub: SubgroupScheme):
@@ -739,7 +740,7 @@ def quotient_by_normal(G: GroupScheme, H_sub: SubgroupScheme) -> Quotient:
                  for s, c in enumerate(coinv.basis())}
     if mat_rank(F, pair_cols, m) != m:
         raise VerificationFailure("coinvariants do not pair perfectly with k[G/H]")
-    return Quotient(G, H_sub, hopf, pi, reps, coinv)
+    return Quotient(G, H_sub, hopf, pi, reps)
 
 
 # Points of the section solution space tried for convolution invertibility.
@@ -940,23 +941,31 @@ def _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv) -> CleavingData:
 
 
 def product_subgroup(H: SubgroupScheme, K: SubgroupScheme, name="") -> SubgroupScheme:
+    """The subgroup generated by the products v w, v in k[H], w in k[K];
+    closed once per pair and kept on G."""
     if H.ambient is not K.ambient:
         raise DimensionMismatch("subgroups of different ambient schemes")
     G = H.ambient
-    kg = G.group_algebra
-    gens = []
-    for v in H.subspace.basis():
-        for w in K.subspace.basis():
-            gens.append(kg.product(v, w))
-    return subgroup_from_generators(G, gens, name=name)
+    if (H, K) not in G.products:
+        kg = G.group_algebra
+        gens = [kg.product(v, w) for v in H.subspace.basis() for w in K.subspace.basis()]
+        G.products[H, K] = subgroup_from_generators(G, gens, name=name)
+    return G.products[H, K]
 
 
 def intersect_subgroup(H: SubgroupScheme, K: SubgroupScheme, name="") -> SubgroupScheme:
     """K meet K', computed dually via the ideal sum and cross-checked against
-    the plain subspace intersection.  A mismatch is a hard error."""
+    the plain subspace intersection, once per pair, and kept on G.  A
+    mismatch is a hard error."""
     if H.ambient is not K.ambient:
         raise DimensionMismatch("subgroups of different ambient schemes")
     G = H.ambient
+    if (H, K) not in G.meets:
+        G.meets[H, K] = _checked_meet(G, H, K, name)
+    return G.meets[H, K]
+
+
+def _checked_meet(G, H, K, name):
     F = G.field
     O = G.coordinate_algebra
     n = G.order

@@ -19,8 +19,6 @@ violating tuple found as a witness.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     AntipodeNotInvertible,
     BudgetExceeded,
@@ -1039,24 +1037,29 @@ def primitives(H: HopfAlgebra) -> Echelon:
 def grouplikes(H: HopfAlgebra, budget: int = 10**7):
     """All g != 0 with Delta(g) = g(x)g and counit(g) = 1, sorted.
 
-    Over a finite field the search is complete; it is refused up front when
-    its branch bound n^2 |F| (below) exceeds the budget.  Over the rationals
-    only basis vectors and +/-1 coefficient patterns are tried (complete for
-    coordinate and group algebras of constant groups, where every grouplike
-    is a character with values in {1, -1}).
+    The search runs over the coordinate values V = F over a finite field
+    and V = {0, 1, -1} over the rationals, and is refused up front when its
+    branch bound n^2 |V| (below) exceeds the budget.  It finds every
+    grouplike whose coordinates lie in V, so it is complete over a finite
+    field, and over the rationals wherever every grouplike has coordinates
+    in {0, 1, -1}, as in k[L], O(L) and D(L) of a constant group L: the
+    grouplikes of k[L] are the basis vectors u_g; those of O(L) are the
+    characters chi: L -> Q^x, whose values are roots of unity in Q, hence
+    +/-1; and those of the tensor coalgebra O(L)^cop (x) k[L] of D(L) are
+    the chi |><| u_g, with coordinates chi(a) at (a, g) and 0 elsewhere.
 
-    The finite-field search solves linear constraints instead of sweeping
-    F^dim.  With T_k = (id (x) e_k*) Delta, Delta(g) = sum_k T_k(g) (x) e_k
-    and g (x) g = sum_k g_k g (x) e_k, so g is grouplike iff eps(g) = 1 and
+    The search solves linear constraints instead of sweeping V^n.  With
+    T_k = (id (x) e_k*) Delta, Delta(g) = sum_k T_k(g) (x) e_k and
+    g (x) g = sum_k g_k g (x) e_k, so g is grouplike iff eps(g) = 1 and
     T_k g = g_k g for every k.  The search fixes g_0, g_1, ... in turn: a
     branch at level k is the affine system eps(g) = 1, g_j = c_j and
-    (T_j - c_j) g = 0 for j < k, kept as an Echelon.  Each c in F for g_k
+    (T_j - c_j) g = 0 for j < k, kept as an Echelon.  Each c in V for g_k
     adds the rows g_k = c and (T_k - c) g = 0 to a copy, and a copy whose
-    rows are inconsistent is dropped.  Every grouplike g satisfies the
-    system of the branch (g_0, g_1, ...), so it survives, and a branch that
-    survives level n - 1 has every coordinate fixed, so it is one point,
-    which satisfies the criterion above.  Each point is re-checked with the
-    defining identities all the same.
+    rows are inconsistent is dropped.  Every grouplike g with coordinates
+    in V satisfies the system of the branch (g_0, g_1, ...), so it
+    survives, and a branch that survives level n - 1 has every coordinate
+    fixed, so it is one point, which satisfies the criterion above.  Each
+    point is re-checked with the defining identities all the same.
 
     At most n branches are alive at any level.  A live branch
     (c_0, ..., c_k) has a solution g, which is nonzero (eps(g) = 1) and a
@@ -1064,56 +1067,25 @@ def grouplikes(H: HopfAlgebra, budget: int = 10**7):
     Common eigenvectors with distinct eigenvalue tuples are linearly
     independent: applying T_j - c_j, at a position j where two tuples of a
     shortest dependency differ, gives a shorter one.  So a level forms at
-    most n |F| branches, n^2 |F| over the n levels, instead of the |F|^n
+    most n |V| branches, n^2 |V| over the n levels, instead of the |V|^n
     candidates of a sweep.
     """
     F = H.field
     n = H.dim
     one = F.one()
-
-    def is_grouplike(v):
-        return (
-            v
-            and H.counit_of(v) == one
-            and H.coproduct(v) == t2_outer(F, v, v)
-        )
-
-    found = []
-    seen = set()
-
-    def note(v):
-        key = tuple(sorted(v.items()))
-        if key not in seen:
-            seen.add(key)
-            found.append(v)
-
-    if F.size is not None:
-        if n * n * F.size > budget:
-            raise FieldTooLargeForEnumeration(
-                f"{n}^2 * {F.size} branches exceed budget {budget}"
-            )
-        for v in _grouplike_points(H):
-            if is_grouplike(v):
-                note(v)
-    else:
-        if 2**n > budget:
-            raise FieldTooLargeForEnumeration(f"2^{n} sign patterns exceed budget")
-        for i in range(n):
-            v = {i: one}
-            if is_grouplike(v):
-                note(v)
-        minus = F.neg(one)
-        for signs in itertools.product((one, minus), repeat=n):
-            v = dict(enumerate(signs))
-            if is_grouplike(v):
-                note(v)
+    size = 3 if F.size is None else F.size
+    if n * n * size > budget:
+        raise FieldTooLargeForEnumeration(f"{n}^2 * {size} branches exceed budget {budget}")
+    values = (F.zero(), one, F.neg(one)) if F.size is None else list(F.elements())
+    found = [v for v in _grouplike_points(H, values)
+             if v and H.counit_of(v) == one and H.coproduct(v) == t2_outer(F, v, v)]
     found.sort(key=lambda v: tuple(sorted(v.items(), key=str)))
     return found
 
 
-def _grouplike_points(H: HopfAlgebra):
-    """The solutions of eps(g) = 1, T_k g = g_k g for all k over a finite
-    field, by the branch search described in ``grouplikes``."""
+def _grouplike_points(H: HopfAlgebra, values):
+    """The solutions of eps(g) = 1, T_k g = g_k g for all k with every
+    coordinate in values, by the branch search described in ``grouplikes``."""
     F = H.field
     n = H.dim
     zero, one = F.zero(), F.one()
@@ -1126,7 +1098,7 @@ def _grouplike_points(H: HopfAlgebra):
     for k in range(n):
         grown = []
         for coords, ech in branches:
-            for c in F.elements():
+            for c in values:
                 branch = ech.copy()
                 if not affine_insert(branch, {k: one}, c):
                     continue

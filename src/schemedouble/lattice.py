@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .errors import BudgetExceeded, InvalidTriple, NotConstant, VerificationFailure
 from .doubles import (
-    DoubleData,
     canonical_r_and_v,
+    drinfeld_double,
     is_factorizable,
     is_triangular,
     monodromy,
@@ -77,13 +77,13 @@ def centralizer_triple(t: Triple) -> Triple:
                                              t.H.own.coordinate_algebra, _bbar(t)))
 
 
-def centralizer_certificate(qp: QuotientPair, qp_bar: QuotientPair,
-                            dd: DoubleData) -> bool:
+def centralizer_certificate(qp: QuotientPair, qp_bar: QuotientPair) -> bool:
     """(theta (x) theta_bar)(R21 R) = 1 (x) 1, the exact mutual-centralizing
-    witness in D(K,H,B) (x) D(H,K,Bbar)."""
-    F = dd.D.field
-    mono = monodromy(canonical_r_and_v(dd))
-    out = t2_map(F, qp.theta(dd).mat, qp_bar.theta(dd).mat, mono)
+    witness in D(K,H,B) (x) D(H,K,Bbar); R21 R is the monodromy of the
+    canonical R that G's D(G) keeps."""
+    F = qp.D.field
+    mono = monodromy(canonical_r_and_v(drinfeld_double(qp.triple.G)))
+    out = t2_map(F, qp.theta().mat, qp_bar.theta().mat, mono)
     return out == t2_outer(F, qp.D.unit, qp_bar.D.unit)
 
 
@@ -133,20 +133,20 @@ def agreement_subgroup(t: Triple, t2: Triple) -> SubgroupScheme:
     return subgroup_from_subspace(G, amb, name="L")
 
 
-def intersect(t: Triple, t2: Triple, dd: DoubleData) -> Triple:
+def intersect(t: Triple, t2: Triple) -> Triple:
     """The triple of the maximal common quotient pair: quotient D(G) by the
     joint kernel ideal of the two thetas and recognize the result.  The
     agreement subgroup computed from beta and the product HH' are asserted to
     match the recognized components."""
     F = t.G.field
-    theta = build_quotient(t).theta(dd)
-    theta2 = build_quotient(t2).theta(dd)
-    N = dd.D.dim
-    joint = mat_kernel(F, theta.mat, N)
-    for row in mat_kernel(F, theta2.mat, N).basis():
+    D = drinfeld_double(t.G).D
+    theta = build_quotient(t).theta()
+    theta2 = build_quotient(t2).theta()
+    joint = mat_kernel(F, theta.mat, D.dim)
+    for row in mat_kernel(F, theta2.mat, D.dim).basis():
         joint.insert(row)
-    Q, pi = quotient_by_hopf_ideal(dd.D, joint)
-    qp_int, _ = recognize_triple(dd, pi)
+    Q, pi = quotient_by_hopf_ideal(D, joint)
+    qp_int, _ = recognize_triple(t.G, pi)
     result = qp_int.triple
 
     L = agreement_subgroup(t, t2)

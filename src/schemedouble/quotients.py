@@ -8,13 +8,14 @@ surjection, and induced surjections between quotients.
 from __future__ import annotations
 
 from .errors import (
+    DimensionMismatch,
     InvalidTriple,
     NoFactorization,
     NotHopfMorphism,
     NotSurjective,
     VerificationFailure,
 )
-from .doubles import DoubleData, QuasiHopfData, canonical_r_and_v, drinfeld_double
+from .doubles import QuasiHopfData, canonical_r_and_v, drinfeld_double
 from .groupschemes import (
     CleavingData,
     GroupScheme,
@@ -254,7 +255,6 @@ class QuotientPair:
         self.D = D
         self.qt = QuasiHopfData(D, R, V)
         self._theta = None
-        self._double = None
 
     @property
     def quotient(self) -> Quotient:
@@ -263,12 +263,11 @@ class QuotientPair:
     def index(self, a, r):
         return a * self.quotient.hopf.dim + r
 
-    def theta(self, dd: DoubleData = None) -> LinMap:
+    def theta(self) -> LinMap:
+        """theta: D(G) ->> D(K,H,B) out of the D(G) kept on G; built and
+        certified once (``build_theta``)."""
         if self._theta is None:
-            if dd is None:
-                dd = drinfeld_double(self.triple.G)
-            self._double = dd
-            self._theta = build_theta(self, dd)
+            self._theta = build_theta(self)
         return self._theta
 
 
@@ -364,10 +363,12 @@ def _closed_form_r_v(triple: Triple, cleaving: CleavingData):
     return R, V
 
 
-def build_theta(qp: QuotientPair, dd: DoubleData) -> LinMap:
-    """theta(b |><| u) = q_K(b) B(eta_H(u_1)) # pi_H(u_2)."""
+def build_theta(qp: QuotientPair) -> LinMap:
+    """theta(b |><| u) = q_K(b) B(eta_H(u_1)) # pi_H(u_2), out of the D(G)
+    kept on G."""
     triple = qp.triple
     G = triple.G
+    dd = drinfeld_double(G)
     F = G.field
     kg = G.group_algebra
     OK = triple.K.own.coordinate_algebra
@@ -393,18 +394,19 @@ def build_theta(qp: QuotientPair, dd: DoubleData) -> LinMap:
     return theta
 
 
-def _ideal_multipliers(dd: DoubleData):
+def _ideal_multipliers(G: GroupScheme):
     """embed_O and embed_kG of the certified generators of O(G) and of k[G]:
     elements that generate D(G) as an algebra, since b |><| u is
     (b |><| 1)(1 |><| u) and both embeddings are algebra maps."""
-    F = dd.G.field
+    F = G.field
+    dd = drinfeld_double(G)
     return ([dd.embed_O.apply(unit_vec(a, F))
-             for a in certified_generators(dd.G.coordinate_algebra)]
+             for a in certified_generators(G.coordinate_algebra)]
             + [dd.embed_kG.apply(unit_vec(i, F))
-               for i in certified_generators(dd.G.group_algebra)])
+               for i in certified_generators(G.group_algebra)])
 
 
-def theta_kernel_matches_ideal(qp: QuotientPair, dd: DoubleData) -> bool:
+def theta_kernel_matches_ideal(qp: QuotientPair) -> bool:
     """ker(theta) must equal the ideal I generated by O(G/K)^+ |><| 1 and
     {mu_K(B(v)) |><| 1 - 1 |><| v}, as subspaces of D(G).
 
@@ -423,9 +425,10 @@ def theta_kernel_matches_ideal(qp: QuotientPair, dd: DoubleData) -> bool:
     triple = qp.triple
     G = triple.G
     F = G.field
+    dd = drinfeld_double(G)
     D = dd.D
     N = D.dim
-    theta = qp.theta(dd)
+    theta = qp.theta()
 
     gens = []
     coinv = coinvariant_subspace(G, triple.K)
@@ -445,20 +448,18 @@ def theta_kernel_matches_ideal(qp: QuotientPair, dd: DoubleData) -> bool:
         if theta.apply(g):
             return False
         ideal.insert(g)
-    ideal_closure(D, ideal, _ideal_multipliers(dd))
+    ideal_closure(D, ideal, _ideal_multipliers(G))
     if ideal.dim == N - qp.D.dim:
         return True
     return ideal_closure(D, ideal).key() == mat_kernel(F, theta.mat, N).key()
 
 
-def quotient_r_and_v(qp: QuotientPair, dd: DoubleData = None):
-    """The closed-form (R, V) and, when the double is supplied, the pushed
-    forward (theta (x) theta)(R) and theta(V); the two routes must agree
+def quotient_r_and_v(qp: QuotientPair):
+    """The closed-form (R, V) and the pushed forward (theta (x) theta)(R)
+    and theta(V) of the canonical (R, V) of D(G); the two routes must agree
     entrywise."""
-    if dd is None:
-        return qp.qt, None
-    theta = qp.theta(dd)
-    can = canonical_r_and_v(dd)
+    theta = qp.theta()
+    can = canonical_r_and_v(drinfeld_double(qp.triple.G))
     pushed_R = t2_map(qp.D.field, theta.mat, theta.mat, can.R)
     pushed_V = theta.apply(can.V)
     if pushed_R != qp.qt.R or pushed_V != qp.qt.V:
@@ -484,16 +485,18 @@ def _preimage_solver(theta: LinMap, N: int):
     return preimage
 
 
-def recognize_triple(dd: DoubleData, phi: LinMap):
-    """Recover (K, H, B) from a surjective Hopf algebra map phi out of D(G),
-    together with the isomorphism phibar: D(K,H,B) -> target with
-    phibar . theta = phi.
+def recognize_triple(G: GroupScheme, phi: LinMap):
+    """Recover (K, H, B) from a surjective Hopf algebra map phi out of the
+    D(G) kept on G, together with the isomorphism phibar: D(K,H,B) -> target
+    with phibar . theta = phi.  A phi out of any other algebra is refused.
 
     K and H are the subgroups G keeps on their spans, and the triple the
     one G keeps for its key (``kept_triple``), so a triple met before, by
     recognition or enumeration, is not validated again and reuses its
     pair, already built and certified, and its theta."""
-    G = dd.G
+    dd = drinfeld_double(G)
+    if phi.source is not dd.D:
+        raise DimensionMismatch("phi does not start at the D(G) kept on G")
     F = G.field
     n = G.order
     D_target = phi.target
@@ -542,7 +545,7 @@ def recognize_triple(dd: DoubleData, phi: LinMap):
     B = LinMap(H.own.group_algebra, OK, B_mat)
 
     qp = build_quotient(kept_triple(G, K, H, B))
-    theta = qp.theta(dd)
+    theta = qp.theta()
     preimage = _preimage_solver(theta, dd.D.dim)
     phibar_mat = {}
     for e in range(qp.D.dim):
@@ -562,14 +565,16 @@ def recognize_triple(dd: DoubleData, phi: LinMap):
     return qp, phibar
 
 
-def induced_surjection(qp: QuotientPair, qp_src: QuotientPair, dd: DoubleData) -> LinMap:
+def induced_surjection(qp: QuotientPair, qp_src: QuotientPair) -> LinMap:
     """The unique surjection phi: D(K',H',B') -> D(K,H,B) with
     theta = phi . theta', which exists exactly when ker(theta') is contained
-    in ker(theta)."""
-    theta = qp.theta(dd)
-    theta_src = qp_src.theta(dd)
+    in ker(theta); both pairs must be on the same G."""
+    if qp.triple.G is not qp_src.triple.G:
+        raise DimensionMismatch("quotient pairs of different group schemes")
+    theta = qp.theta()
+    theta_src = qp_src.theta()
     F = qp.D.field
-    N = dd.D.dim
+    N = theta.source.dim
     ker_src = mat_kernel(F, theta_src.mat, N)
     for vec in ker_src.basis():
         if theta.apply(vec):

@@ -15,8 +15,9 @@ certified checks of the package.
   every row until a round adds nothing.
 * ``is_hopf_morphism_exhaustive``: every morphism law on every basis tuple,
   applying the map to both basis vectors of every pair.
-* ``grouplikes_sweep``: the grouplikes of a Hopf algebra over a finite
-  field, by testing every vector of F^n.
+* ``grouplikes_sweep``: the grouplikes of a Hopf algebra with every
+  coordinate in a given set of values (default: a finite field F), by
+  testing every vector of values^n.
 * ``drinfeld_double_mult_loop``: the structure constants of D(G), one
   product of O(G) and one of k[G] per (x, y) term of every basis pair.
 * ``crossed_product_loop``: the product and coproduct of a crossed product
@@ -315,11 +316,11 @@ def is_hopf_morphism_exhaustive(f):
     return True, ""
 
 
-def grouplikes_sweep(H):
+def grouplikes_sweep(H, values=None):
     F = H.field
     zero, one = F.zero(), F.one()
     found = []
-    for coeffs in itertools.product(list(F.elements()), repeat=H.dim):
+    for coeffs in itertools.product(list(values or F.elements()), repeat=H.dim):
         v = {i: c for i, c in enumerate(coeffs) if c != zero}
         if v and H.counit_of(v) == one and H.coproduct(v) == t2_outer(F, v, v):
             found.append(v)

@@ -238,10 +238,10 @@ def double_cache():
         for nm, factory in CRITERION_3_GROUPS:
             if nm == name:
                 if nm not in cache:
-                    G = factory()
-                    dd = drinfeld_double(G)
-                    cache[nm] = (G, dd, canonical_r_and_v(dd))
-                return cache[nm]
+                    cache[nm] = factory()
+                G = cache[nm]
+                dd = drinfeld_double(G)
+                return G, dd, canonical_r_and_v(dd)
         raise KeyError(name)
 
     return get
@@ -308,9 +308,9 @@ def test_criterion_4_quotient_construction(all_lattices):
         for n in nodes:
             t = n.triple
             assert n.qp.D.dim == t.K.order * (G.order // t.H.order), name
-            n.qp.theta(dd)  # verifies Hopf morphism + surjectivity on build
-            assert theta_kernel_matches_ideal(n.qp, dd), (name, n.index)
-            quotient_r_and_v(n.qp, dd)  # closed form == pushforward, exact
+            n.qp.theta()  # verifies Hopf morphism + surjectivity on build
+            assert theta_kernel_matches_ideal(n.qp), (name, n.index)
+            quotient_r_and_v(n.qp)  # closed form == pushforward, exact
             total += 1
     note("criterion 4", f"{total} quotient pairs: dim = |K|[G:H], theta Hopf "
                         f"surjection, kernel = stated ideal, R closed form = "
@@ -335,7 +335,7 @@ def test_criterion_5_canonical_identities(all_lattices):
                 assert n.qp.D.mult == G.group_algebra.mult
                 assert n.qp.D.comult == G.group_algebra.comult
             # recognition round trip fixes the triple exactly
-            qp2, phibar = recognize_triple(dd, n.qp.theta(dd))
+            qp2, phibar = recognize_triple(G, n.qp.theta())
             assert qp2.triple.key() == t.key()
             checked += 1
     note("criterion 5", f"canonical identities + {checked} recognition round trips")
@@ -350,7 +350,7 @@ def test_criterion_6_centralizer_theorem(all_lattices):
         for n in nodes:
             tbar = centralizer_triple(n.triple)
             nb = by_key[tbar.key()]
-            assert centralizer_certificate(n.qp, nb.qp, dd), (name, n.index)
+            assert centralizer_certificate(n.qp, nb.qp), (name, n.index)
             assert centralizer_triple(tbar).key() == n.triple.key()
             assert nb.fp_dimension == n.triple.H.order * (G.order // n.triple.K.order)
             total += 1
@@ -417,18 +417,18 @@ def test_criterion_9_intersection_laws(all_lattices):
                           if n.triple.K.order == 1
                           and n.triple.H.order == G.order).triple.key()
         for a in nodes:
-            r = intersect(a.triple, a.triple, dd)
+            r = intersect(a.triple, a.triple)
             assert r.key() == a.triple.key()
         for a in nodes:
             for b in nodes:
-                r = intersect(a.triple, b.triple, dd)
+                r = intersect(a.triple, b.triple)
                 assert contains(a.triple, r) and contains(b.triple, r)
                 for s in nodes:
                     if contains(a.triple, s.triple) and contains(b.triple, s.triple):
                         assert contains(r, s.triple)
         for a in nodes:
             nb = by_key[centralizer_triple(a.triple).key()]
-            r = intersect(a.triple, nb.triple, dd)
+            r = intersect(a.triple, nb.triple)
             assert (r.key() == bottom_key) == a.flags["nondegenerate"]
     note("criterion 9", f"intersections are maximum lower bounds; Muger-center "
                         f"triviality matches nondegeneracy ({time.time()-t0:.1f}s)")

@@ -253,6 +253,23 @@ def test_grouplikes_equal_the_sweep(name):
     assert grouplikes(H) == grouplikes_sweep(H)
 
 
+@pytest.mark.parametrize("make, count", [(make_z2, 4), (make_z3, 3)], ids=["DZ2-Q", "DZ3-Q"])
+def test_grouplikes_over_q_equal_the_sign_sweep(make, count):
+    """Over Q the branch search over {0, 1, -1} finds what the sweep of
+    {0, 1, -1}^n finds on D(G): chi |><| g for each element g and each
+    rational character chi of G (the trivial one, and the sign of Z2)."""
+    D = drinfeld_double(make(QQ)).D
+    found = grouplikes(D)
+    assert found == grouplikes_sweep(D, [QQ.zero(), QQ.one(), QQ.neg(QQ.one())])
+    assert len(found) == count
+
+
+def test_grouplikes_of_the_s3_double_over_q():
+    """D(S3) over Q has dimension 36, beyond any sweep: its grouplikes are
+    the 6 elements times the 2 characters of S3."""
+    assert len(grouplikes(drinfeld_double(make_s3(QQ)).D)) == 12
+
+
 def _perturbations(D, R, extra):
     """R, then R with one added to each of its entries and to `extra` entries
     outside its support."""
@@ -340,7 +357,8 @@ def _ga2_triple():
 
 
 def _unit_multipliers(monkeypatch):
-    monkeypatch.setattr(schemedouble.quotients, "_ideal_multipliers", lambda dd: [dd.D.unit])
+    monkeypatch.setattr(schemedouble.quotients, "_ideal_multipliers",
+                        lambda G: [drinfeld_double(G).D.unit])
     return True
 
 
@@ -388,14 +406,13 @@ def test_ideal_closure_worklist_equals_rounds(make, patch, monkeypatch):
     monkeypatch.setattr(schemedouble.quotients, "ideal_closure", recording)
     expected = patch(monkeypatch) if patch else True
     triple = make()
-    dd = drinfeld_double(triple.G)
     qp = build_quotient(triple)
-    assert theta_kernel_matches_ideal(qp, dd) is expected
+    assert theta_kernel_matches_ideal(qp) is expected
     assert seen
     assert [m is None for _, _, m in seen] == ([False] if patch is None else [False, True])
     H, generated, _ = seen[0]
     ideal = ideal_closure_rounds(H, generated.copy())
-    kernel = mat_kernel(H.field, qp.theta(dd).mat, H.dim)
+    kernel = mat_kernel(H.field, qp.theta().mat, H.dim)
     assert (ideal.key() == kernel.key()) is expected
     for H, ech, multipliers in seen:
         closed = real(H, ech.copy(), multipliers)
@@ -417,7 +434,7 @@ def _perturbed_maps(f):
 
 def _theta_ga2():
     triple = _ga2_triple()
-    return build_quotient(triple).theta(drinfeld_double(triple.G))
+    return build_quotient(triple).theta()
 
 
 @pytest.mark.parametrize("make", [

@@ -129,6 +129,31 @@ def test_quotient_command(tmp_path):
     assert data["theta_kernel_matches_ideal"] is True
 
 
+def test_quotient_skip_theta_never_builds_the_double(tmp_path, monkeypatch):
+    """quotient --skip-theta writes no theta keys and exits 0 with every
+    binding of drinfeld_double raising: D(G) is built only when theta asks
+    for it."""
+    import importlib
+
+    def no_double(G):
+        raise AssertionError("D(G) built")
+
+    for name in ("doubles", "quotients", "lattice", "cli"):
+        module = importlib.import_module(f"schemedouble.{name}")
+        if hasattr(module, "drinfeld_double"):
+            monkeypatch.setattr(module, "drinfeld_double", no_double)
+    triple = {"group": {"ga_kernel": {"r": 2}}, "K": {"frobenius_sub": {"r": 1}},
+              "H": {"frobenius_sub": {"r": 1}},
+              "B": [{"indices": [0, 0], "value": "1"}, {"indices": [1, 1], "value": "1"}]}
+    f = write(tmp_path / "triple.json", triple)
+    out = tmp_path / "qp.json"
+    assert main(["quotient", "--triple", f, "--field", "p2", "--skip-theta",
+                 "-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["dim"] == 4
+    assert not [key for key in data if key.startswith("theta")]
+
+
 def test_blocks_command(tmp_path, s3_file):
     triple = {
         "group": {"constant": {"elements": S3_LABELS, "table": s3_cayley()}},

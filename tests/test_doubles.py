@@ -192,6 +192,14 @@ def test_r_and_v_are_basis_independent():
     assert moved_V == qt2.V
 
 
+def test_double_and_canonical_r_v_are_kept_on_g():
+    G = make_s3(F7)
+    dd = drinfeld_double(G)
+    assert drinfeld_double(G) is dd
+    assert canonical_r_and_v(drinfeld_double(G)) is canonical_r_and_v(dd)
+    assert drinfeld_double(make_s3(F7)) is not dd
+
+
 def test_nonunimodular_double_twist_versus_ribbon():
     """For the Borel restricted Lie algebra the canonical element satisfies
     every ribbon axiom except self-duality under the antipode; at p=3 the

@@ -519,8 +519,8 @@ def test_second_cleaving_same_dot_action_and_kernel():
     A3._cleaving = cl2
     qp2 = build_quotient(Triple(S3, B3, A3, trivial_hopf_map(A3, B3)))
     assert qp2.cleaving is cl2
-    k1 = mat_kernel(F7, qp1.theta(dd).mat, dd.D.dim)
-    k2 = mat_kernel(F7, qp2.theta(dd).mat, dd.D.dim)
+    k1 = mat_kernel(F7, qp1.theta().mat, dd.D.dim)
+    k2 = mat_kernel(F7, qp2.theta().mat, dd.D.dim)
     assert k1.key() == k2.key()
 
 

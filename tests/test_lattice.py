@@ -5,7 +5,6 @@ import pytest
 from schemedouble.errors import NotConstant
 from schemedouble.fields import QQ, make_field
 from schemedouble.appendix import b_lambda
-from schemedouble.doubles import drinfeld_double
 from schemedouble.groupschemes import (
     constant_group,
     direct_product,
@@ -61,12 +60,11 @@ def test_centralizer_swaps_canonical_triples():
 def test_centralizer_involution_and_certificate():
     G = ga_kernel(1, F3)
     nodes, edges = enumerate_triples(G)
-    dd = drinfeld_double(G)
     by_key = {n.triple.key(): n for n in nodes}
     for n in nodes:
         tbar = centralizer_triple(n.triple)
         assert centralizer_triple(tbar).key() == n.triple.key()
-        assert centralizer_certificate(n.qp, by_key[tbar.key()].qp, dd)
+        assert centralizer_certificate(n.qp, by_key[tbar.key()].qp)
         assert by_key[tbar.key()].fp_dimension == \
             n.triple.H.order * (G.order // n.triple.K.order)
 
@@ -134,38 +132,36 @@ def test_intersect_certifies_each_recognized_pair_once(monkeypatch):
     G = ga_kernel(1, F3)
     nodes, _ = enumerate_triples(G)
     assert len(nodes) == 6
-    dd = drinfeld_double(G)
     verify = schemedouble.quotients.verify_hopf
     calls = []
     monkeypatch.setattr(schemedouble.quotients, "verify_hopf",
                         lambda D: calls.append(D) or verify(D))
-    results = {intersect(a.triple, b.triple, dd).key() for a in nodes for b in nodes}
+    results = {intersect(a.triple, b.triple).key() for a in nodes for b in nodes}
     assert len(calls) <= len(results) <= 6
 
 
 def test_intersection_laws_exhaustive():
     G = ga_kernel(1, F3)
     nodes, edges = enumerate_triples(G)
-    dd = drinfeld_double(G)
     by_key = {n.triple.key(): n for n in nodes}
     for a in nodes:
-        r = intersect(a.triple, a.triple, dd)
+        r = intersect(a.triple, a.triple)
         assert r.key() == a.triple.key()
     top = next(n for n in nodes
                if n.triple.K.order == G.order and n.triple.H.order == 1)
     for a in nodes:
-        r = intersect(a.triple, top.triple, dd)
+        r = intersect(a.triple, top.triple)
         assert r.key() == a.triple.key()
     bottom_key = next(n for n in nodes
                       if n.triple.K.order == 1 and n.triple.H.order == G.order).triple.key()
     for a in nodes:
         tbar = by_key[centralizer_triple(a.triple).key()]
-        r = intersect(a.triple, tbar.triple, dd)
+        r = intersect(a.triple, tbar.triple)
         assert (r.key() == bottom_key) == a.flags["nondegenerate"]
     # maximum lower bound over all pairs
     for a in nodes:
         for b in nodes:
-            r = intersect(a.triple, b.triple, dd)
+            r = intersect(a.triple, b.triple)
             assert contains(a.triple, r) and contains(b.triple, r)
             for s in nodes:
                 if contains(a.triple, s.triple) and contains(b.triple, s.triple):
@@ -466,10 +462,9 @@ def test_intersections_build_each_span_once(monkeypatch):
     monkeypatch.setattr(gs, "_extract_sub_hopf", extract)
     G = ga_kernel(1, F3)
     nodes, _ = enumerate_triples(G)
-    dd = drinfeld_double(G)
     for a in nodes:
         for b in nodes:
-            intersect(a.triple, b.triple, dd)
+            intersect(a.triple, b.triple)
     assert len(spans) == len(set(spans)) == len(G.subgroups) == 2
 
 
@@ -491,3 +486,40 @@ def test_enumerate_validates_each_key_once(monkeypatch):
     assert len(nodes) == 43
     assert len(keys) == len(set(keys)) > len(nodes)
     assert all(G.triples[n.triple.key()] is n.triple for n in nodes)
+
+
+def test_product_and_meet_are_formed_once_per_pair(monkeypatch):
+    """enumerate on Ga1 x Ga1 over GF(4) asks for the product of 25 pairs
+    of subgroups 397 times and for the meet of 15 pairs 756 times; each
+    product is closed once and each meet's dual cross-check runs once,
+    both kept on G."""
+    import schemedouble.groupschemes as gs
+    import schemedouble.lattice as lattice
+    asked = {"product": 0, "meet": 0}
+    closures, checks = [], []
+    inside = []
+
+    def counted(kind, real):
+        def wrapper(*args, **kwargs):
+            asked[kind] += 1
+            inside.append(kind)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    real_closure, real_meet = gs.hopf_closure, gs.subspace_intersection
+    monkeypatch.setattr(lattice, "product_subgroup", counted("product", gs.product_subgroup))
+    monkeypatch.setattr(lattice, "intersect_subgroup", counted("meet", gs.intersect_subgroup))
+    monkeypatch.setattr(gs, "hopf_closure", lambda *a, **k: (
+        closures.append(inside[-1:] == ["product"]) or real_closure(*a, **k)))
+    monkeypatch.setattr(gs, "subspace_intersection", lambda U, V: (
+        checks.append(1) or real_meet(U, V)))
+    F4 = make_field("extension", p=2, k=2)
+    G = direct_product(ga_kernel(1, F4), ga_kernel(1, F4))
+    nodes, _ = enumerate_triples(G)
+    assert len(nodes) == 397
+    assert asked == {"product": 397, "meet": 756}
+    assert sum(closures) == len(G.products) == 25
+    assert len(checks) == len(G.meets) == 15

@@ -6,7 +6,7 @@ import pytest
 
 import schemedouble.groupschemes
 from schemedouble.cli import main
-from schemedouble.errors import InvalidTriple, NoFactorization
+from schemedouble.errors import DimensionMismatch, InvalidTriple, NoFactorization
 from schemedouble.fields import QQ, make_field
 from schemedouble.appendix import b_lambda
 from schemedouble.doubles import canonical_r_and_v, drinfeld_double
@@ -339,7 +339,7 @@ def test_theta_restricts_to_q_and_b():
     t = ga2_triple(F3, 1)
     dd = drinfeld_double(t.G)
     qp = build_quotient(t)
-    theta = qp.theta(dd)
+    theta = qp.theta()
     # theta(b |><| 1) = q_K(b) # 1
     for a in range(t.G.order):
         img = theta.apply(dd.embed_O.apply(unit_vec(a, F3)))
@@ -364,29 +364,26 @@ def test_theta_restricts_to_q_and_b():
 
 def test_theta_rank_for_group_algebra_quotient():
     G = make_z2(QQ)
-    dd = drinfeld_double(G)
     one = trivial_subgroup(G)
     qp = build_quotient(Triple(G, one, one, trivial_hopf_map(one, one)))
-    theta = qp.theta(dd)
+    theta = qp.theta()
     assert theta.rank() == 2
 
 
 @pytest.mark.parametrize("lam", [0, 1, 2])
 def test_kernel_ideal_and_pushforward(lam):
     t = ga2_triple(F3, lam)
-    dd = drinfeld_double(t.G)
     qp = build_quotient(t)
-    assert theta_kernel_matches_ideal(qp, dd)
-    quotient_r_and_v(qp, dd)  # raises on mismatch
+    assert theta_kernel_matches_ideal(qp)
+    quotient_r_and_v(qp)  # raises on mismatch
 
 
 # -- recognition and induced surjections --------------------------------------
 
 def test_recognize_round_trip():
     t = ga2_triple(F3, 2)
-    dd = drinfeld_double(t.G)
     qp = build_quotient(t)
-    qp2, phibar = recognize_triple(dd, qp.theta(dd))
+    qp2, phibar = recognize_triple(t.G, qp.theta())
     assert qp2.triple.key() == t.key()
 
 
@@ -394,35 +391,50 @@ def test_recognize_identity_and_projection():
     G = make_z2(QQ)
     dd = drinfeld_double(G)
     from schemedouble.hopf import identity_map
-    qp, _ = recognize_triple(dd, identity_map(dd.D))
+    qp, _ = recognize_triple(G, identity_map(dd.D))
     assert qp.triple.K.order == 2 and qp.triple.H.order == 1
-    qp2, _ = recognize_triple(dd, dd.proj_kG)
+    qp2, _ = recognize_triple(G, dd.proj_kG)
     assert qp2.triple.K.order == 1 and qp2.triple.H.order == 1
 
 
 def test_induced_surjection_cases():
     G = ga_kernel(1, F3)
-    dd = drinfeld_double(G)
     one = trivial_subgroup(G)
     full = full_subgroup(G)
     top = build_quotient(Triple(G, full, one, trivial_hopf_map(one, full)))
     bot = build_quotient(Triple(G, one, full, trivial_hopf_map(full, one)))
     mid = build_quotient(Triple(G, full, full, b_lambda(full, full, F3.from_int(1))))
     # self: the identity
-    phi = induced_surjection(mid, mid, dd)
+    phi = induced_surjection(mid, mid)
     assert phi.mat == {e: {e: F3.one()} for e in range(mid.D.dim)}
     # from the double: literally theta, since D(G,1,1) carries the same
     # structure constants as D(G) on the same index set
-    phi2 = induced_surjection(mid, top, dd)
+    phi2 = induced_surjection(mid, top)
     assert phi2.rank() == mid.D.dim
-    assert phi2.mat == mid.theta(dd).mat
+    assert phi2.mat == mid.theta().mat
     # everything surjects onto the ground field quotient
-    phi3 = induced_surjection(bot, mid, dd)
+    phi3 = induced_surjection(bot, mid)
     assert phi3.rank() == 1
     # no factorization the other way
     with pytest.raises(NoFactorization) as exc:
-        induced_surjection(mid, bot, dd)
+        induced_surjection(mid, bot)
     assert exc.value.witness is not None
+
+
+def test_theta_starts_at_the_double_kept_on_g():
+    """Every theta, pushforward and recognition on G goes through the one
+    D(G) that G keeps; a map out of the equal D(G) of another copy of G is
+    refused, and so is a pair of quotient pairs on two copies."""
+    t, other = ga2_triple(F3, 1), ga2_triple(F3, 1)
+    qp, qp_other = build_quotient(t), build_quotient(other)
+    assert qp.theta().source is drinfeld_double(t.G).D
+    assert qp_other.theta().source is drinfeld_double(other.G).D is not qp.theta().source
+    closed, pushed = quotient_r_and_v(qp)
+    assert (pushed.R, pushed.V) == (closed.R, closed.V)
+    with pytest.raises(DimensionMismatch):
+        recognize_triple(t.G, qp_other.theta())
+    with pytest.raises(DimensionMismatch):
+        induced_surjection(qp, qp_other)
 
 
 def test_equivariance_guard_rejects_bad_triples():
@@ -472,9 +484,11 @@ def test_quotient_run_builds_the_coadjoint_matrices_once(tmp_path, monkeypatch):
     assert len(seen) == 1
 
 
-def test_triple_and_double_share_the_coadjoint_matrices():
+def test_triple_and_double_share_the_coadjoint_matrices(monkeypatch):
+    seen = _counting(monkeypatch, "_coadjoint_columns")
     triple = ga2_triple(F3, 1)
-    assert triple.coad is drinfeld_double(triple.G).coad
+    drinfeld_double(triple.G)
+    assert len(seen) == 1
 
 
 def test_appendix_decides_normality_once_per_subgroup(monkeypatch):
