@@ -19,10 +19,10 @@ from .hopf import (
     LinMap,
     VerificationReport,
     certified_generators,
+    certify_hopf_map,
     crossed_product,
     first_failure,
     flat_outer,
-    is_hopf_morphism,
     t2_contract,
     t2_map,
     t2_outer,
@@ -115,9 +115,7 @@ def _build_double(G: GroupScheme) -> DoubleData:
     for f, nm in ((embed_O, "O(G)^cop embedding"),
                   (embed_kG, "k[G] embedding"),
                   (proj_kG, "k[G] projection")):
-        ok, wit = is_hopf_morphism(f)
-        if not ok:
-            raise VerificationFailure(f"{nm} fails: {wit}")
+        certify_hopf_map(f, nm)
     # normality of O(G): (1|><|u_1)(b|><|1)(1|><|S(u_2)) = (u ->> b) |><| 1,
     # with the embedded basis vectors and antipodes formed once each
     u_img = [embed_kG.apply(unit_vec(x, F)) for x in range(n)]

@@ -78,9 +78,9 @@ class NotHopfMorphism(SchemeDoubleError):
 
 
 class NoFactorization(SchemeDoubleError):
-    """Raised when one quotient pair does not factor through another.
+    """Raised when a map out of D(G) does not factor through a theta.
 
-    Carries a witness kernel vector when available.
+    Carries a witness: a vector of ker(theta) that the map does not kill.
     """
 
     def __init__(self, message, witness=None):

@@ -29,6 +29,7 @@ from .fields import binomial
 from .hopf import (
     HopfAlgebra,
     LinMap,
+    certify_hopf_map,
     coinvariants,
     convolution,
     convolution_inverse,
@@ -38,7 +39,6 @@ from .hopf import (
     ideal_closure,
     identity_map,
     induced_hopf,
-    is_hopf_morphism,
     quotient_by_hopf_ideal,
     span_closure,
     t2_coordinates,
@@ -77,8 +77,10 @@ class GroupScheme:
     pair, and ``inclusions`` maps a pair of subgroups to the inclusion of the
     first into the second, or None (``inclusion``).  ``products`` and
     ``meets`` map a pair of subgroups to their product and intersection
-    (``product_subgroup``, ``intersect_subgroup``), and ``_double`` holds
-    D(G) once built (``doubles.drinfeld_double``).
+    (``product_subgroup``, ``intersect_subgroup``), ``kernels`` maps the
+    ``Echelon.key()`` of ker(theta) to the triple of that quotient pair
+    (``quotients.QuotientPair.kernel``), and ``_double`` holds D(G) once
+    built (``doubles.drinfeld_double``).
     """
 
     def __init__(self, group_algebra: HopfAlgebra, kind="generic", payload=None,
@@ -101,6 +103,7 @@ class GroupScheme:
         self.inclusions = {}
         self.products = {}
         self.meets = {}
+        self.kernels = {}
 
     @property
     def order(self):
@@ -564,10 +567,8 @@ def subgroup_from_subspace(G: GroupScheme, ech: Echelon, name="") -> SubgroupSch
     sub = G.subgroups.get(ech.key())
     if sub is None:
         kL = _extract_sub_hopf(G, ech, name=f"k[{name}]" if name else "")
-        iota = LinMap(kL, G.group_algebra, dict(enumerate(ech.basis())))
-        ok, wit = is_hopf_morphism(iota)
-        if not ok:
-            raise ClosureNotHopf(f"inclusion is not a Hopf morphism: {wit}")
+        iota = certify_hopf_map(LinMap(kL, G.group_algebra, dict(enumerate(ech.basis()))),
+                                "inclusion", error=ClosureNotHopf)
         oc, op = _sub_connectivity(G, kL.dim)
         own = GroupScheme(kL, kind="derived", payload={"ambient": G},
                           order_connected=oc, order_points=op, name=name)
@@ -584,6 +585,8 @@ def inclusion(inner: SubgroupScheme, outer: SubgroupScheme):
     coordinates are read at the pivots of outer: the rows of outer are in
     reduced row echelon form, so the row with pivot p is 1 at p and 0 at
     every other pivot, and v = sum_r c_r row_r has v[p_r] = c_r."""
+    if inner.ambient is not outer.ambient:
+        raise DimensionMismatch("subgroups of different ambient schemes")
     table = inner.ambient.inclusions
     if (inner, outer) not in table:
         pivots = outer.subspace.pivots()

@@ -838,6 +838,17 @@ def is_hopf_morphism(f: LinMap):
     return True, ""
 
 
+def certify_hopf_map(f: LinMap, name: str, onto=False, error=VerificationFailure):
+    """f, once ``is_hopf_morphism`` passes and, when onto, rank f = dim of
+    its target; otherwise error, naming f and the witness."""
+    ok, wit = is_hopf_morphism(f)
+    if not ok:
+        raise error(f"{name} is not a Hopf morphism: {wit}")
+    if onto and f.rank() != f.target.dim:
+        raise error(f"{name} is not surjective")
+    return f
+
+
 def convolution(f: LinMap, g: LinMap) -> LinMap:
     """(f * g)(c) = f(c_1) g(c_2), using the source coalgebra and target algebra."""
     A, B = f.source, f.target
@@ -952,11 +963,7 @@ def quotient_by_hopf_ideal(H: HopfAlgebra, ideal: Echelon, name=""):
                      lambda t: t2_map(F, pi_mat, pi_mat, t),
                      [f"[{H.labels[i]}]" for i in reps],
                      name=name or (f"{H.name}/I" if H.name else ""))
-    pi = LinMap(H, Q, pi_mat)
-    ok, wit = is_hopf_morphism(pi)
-    if not ok:
-        raise VerificationFailure(f"ideal projection is not a Hopf morphism: {wit}")
-    return Q, pi
+    return Q, certify_hopf_map(LinMap(H, Q, pi_mat), "ideal projection")
 
 
 def coinvariants(A: HopfAlgebra, f_mat, f_unit) -> Echelon:

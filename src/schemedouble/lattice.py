@@ -7,7 +7,13 @@ block data over constant groups.
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded, InvalidTriple, NotConstant, VerificationFailure
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    InvalidTriple,
+    NotConstant,
+    VerificationFailure,
+)
 from .doubles import (
     canonical_r_and_v,
     drinfeld_double,
@@ -44,11 +50,11 @@ from .hopf import (
 from .linalg import (
     mat_apply,
     mat_compose,
-    mat_kernel,
     mat_key,
     mat_rank,
     mat_transpose,
     span,
+    subspace_sum,
     unit_vec,
     v_axpy,
     v_scale,
@@ -134,20 +140,35 @@ def agreement_subgroup(t: Triple, t2: Triple) -> SubgroupScheme:
 
 
 def intersect(t: Triple, t2: Triple) -> Triple:
-    """The triple of the maximal common quotient pair: quotient D(G) by the
-    joint kernel ideal of the two thetas and recognize the result.  The
-    agreement subgroup computed from beta and the product HH' are asserted to
-    match the recognized components."""
-    F = t.G.field
-    D = drinfeld_double(t.G).D
-    theta = build_quotient(t).theta()
-    theta2 = build_quotient(t2).theta()
-    joint = mat_kernel(F, theta.mat, D.dim)
-    for row in mat_kernel(F, theta2.mat, D.dim).basis():
-        joint.insert(row)
-    Q, pi = quotient_by_hopf_ideal(D, joint)
-    qp_int, _ = recognize_triple(t.G, pi)
-    result = qp_int.triple
+    """The triple of the maximal common quotient pair: its kernel is the
+    sum of the two kept kernels (``QuotientPair.kernel``), looked up in
+    ``G.kernels``.  Triples on two group schemes are refused first.
+
+    The lookup.  An entry t0 of ``G.kernels`` has ker(theta_0) = joint, so
+    pi: D(G) ->> D(G)/joint and theta_0, two surjective Hopf maps with one
+    kernel, differ by one Hopf isomorphism alpha of their targets.
+    Recognition reads K from the kernel of phi on O(G), H from
+    phi(1 |><| u) modulo the ideal generated by phi(O(G))^+, and B by
+    solving phi(1 |><| v) = phi(mu_K(b) |><| 1); none of these changes
+    when phi is composed with alpha.  So recognizing pi gives what
+    recognizing theta_0 does, which is t0: theta_0(b |><| 1) = q_K(b) # 1,
+    and theta_0(1 |><| v) = B(v) # 1 for v in k[H].
+
+    On a miss, D(G)/joint is built and recognized; the recognized pair must
+    have kernel joint, and forming it keeps the pair in ``G.kernels``.  The
+    agreement subgroup from beta and the product HH' must match the
+    result, and the result must lie below both triples."""
+    G = t.G
+    if t2.G is not G:
+        raise DimensionMismatch("triples of different group schemes")
+    joint = subspace_sum(build_quotient(t).kernel(), build_quotient(t2).kernel())
+    result = G.kernels.get(joint.key())
+    if result is None:
+        _, pi = quotient_by_hopf_ideal(drinfeld_double(G).D, joint)
+        qp_int, _ = recognize_triple(G, pi)
+        if qp_int.kernel().key() != joint.key():
+            raise VerificationFailure("recognized intersection has another kernel")
+        result = qp_int.triple
 
     L = agreement_subgroup(t, t2)
     if L.key() != result.K.key():

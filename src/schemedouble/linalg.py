@@ -93,18 +93,6 @@ def mat_key(M):
     return tuple((j, tuple(sorted(M[j].items()))) for j in sorted(M))
 
 
-def contract(tensor, x, y, F):
-    """sum_{i,j} x_i y_j T[i][j] for a rank-3 tensor T stored as (i,j) -> Vec."""
-    out = {}
-    mul = F.mul
-    for i, cx in x.items():
-        for j, cy in y.items():
-            cell = tensor.get((i, j))
-            if cell:
-                v_axpy(F, out, mul(cx, cy), cell)
-    return out
-
-
 class Echelon:
     """A reduced-row-echelon spanning set, kept fully reduced incrementally.
 
@@ -296,14 +284,9 @@ def solve_affine(A: Mat, b: Vec, F, nrows: int, ncols: int):
             raise DimensionMismatch("matrix entries out of range")
     if any(i >= nrows for i in b):
         raise DimensionMismatch("rhs out of range")
-    rows_by_i: dict = {}
-    for j, col in A.items():
-        for i, v in col.items():
-            rows_by_i.setdefault(i, {})[j] = v
-    rows = []
+    rows_by_i = mat_transpose(A)
     zero = F.zero()
-    for i in sorted(set(rows_by_i) | set(b)):
-        rows.append((rows_by_i.get(i, {}), b.get(i, zero)))
+    rows = [(rows_by_i.get(i, {}), b.get(i, zero)) for i in sorted(set(rows_by_i) | set(b))]
     return solve_rows(F, rows, ncols)
 
 
@@ -316,11 +299,7 @@ def mat_rank(F, M, nrows=None) -> int:
 
 def mat_kernel(F, M, ncols: int) -> Echelon:
     """Kernel of the linear map given by columns of M (unknowns = columns)."""
-    rows_by_i: dict = {}
-    for j, col in M.items():
-        for i, v in col.items():
-            rows_by_i.setdefault(i, {})[j] = v
-    rows = [(r, F.zero()) for _, r in sorted(rows_by_i.items())]
+    rows = [(r, F.zero()) for _, r in sorted(mat_transpose(M).items())]
     _, kernel = solve_rows(F, rows, ncols)
     return kernel
 

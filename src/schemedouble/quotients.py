@@ -31,6 +31,7 @@ from .groupschemes import (
 from .hopf import (
     LinMap,
     certified_generators,
+    certify_hopf_map,
     coinvariants,
     convolution_unit,
     crossed_product,
@@ -48,6 +49,7 @@ from .linalg import (
     ParallelEchelon,
     annihilator,
     mat_apply,
+    mat_compose,
     mat_kernel,
     unit_vec,
     v_axpy,
@@ -255,6 +257,8 @@ class QuotientPair:
         self.D = D
         self.qt = QuasiHopfData(D, R, V)
         self._theta = None
+        self._kernel = None
+        self._lift = None
 
     @property
     def quotient(self) -> Quotient:
@@ -269,6 +273,47 @@ class QuotientPair:
         if self._theta is None:
             self._theta = build_theta(self)
         return self._theta
+
+    def kernel(self) -> Echelon:
+        """ker(theta), formed once.  Two surjections out of D(G) are
+        equivalent exactly when their kernels are equal, so its key is the
+        canonical key of the pair: the pair's triple is kept under it in
+        ``G.kernels``, which nothing else writes."""
+        if self._kernel is None:
+            theta = self.theta()
+            self._kernel = mat_kernel(self.D.field, theta.mat, theta.source.dim)
+            self.triple.G.kernels[self._kernel.key()] = self.triple
+        return self._kernel
+
+    def factor(self, phi: LinMap) -> LinMap:
+        """The surjective Hopf map psi: D(K,H,B) -> phi.target with
+        psi . theta = phi, for phi out of the D(G) of theta: psi = phi . s
+        for a right inverse s of theta, formed once per pair.
+
+        Certificate.  psi theta(e_d) = phi(e_d), that is phi(k_d) = 0 for
+        k_d = e_d - s(theta(e_d)), on every basis vector e_d of D(G).  The
+        k_d lie in ker(theta) and span it, as every k in ker(theta) is
+        k - s(theta(k)); so the check holds exactly when ker(theta) lies in
+        ker(phi), and otherwise NoFactorization carries the first k_d that
+        phi does not kill.  theta is onto, so psi is then the one linear map
+        with psi . theta = phi; ``certify_hopf_map`` checks that it is a
+        Hopf map of rank dim target.
+        """
+        theta = self.theta()
+        if phi.source is not theta.source:
+            raise DimensionMismatch("phi does not start at the D(G) of theta")
+        F = self.D.field
+        if self._lift is None:
+            pe = ParallelEchelon(F, self.D.dim, theta.source.dim)
+            for d, img in sorted(theta.mat.items()):
+                pe.insert(img, unit_vec(d, F))
+            self._lift = {e: pe.image_of(unit_vec(e, F)) for e in range(self.D.dim)}
+        for d in range(theta.source.dim):
+            k_d = v_sub(F, unit_vec(d, F), mat_apply(F, self._lift, theta.mat.get(d, {})))
+            if phi.apply(k_d):
+                raise NoFactorization("phi does not factor through theta", witness=k_d)
+        psi = LinMap(self.D, phi.target, mat_compose(F, phi.mat, self._lift))
+        return certify_hopf_map(psi, "factor map", onto=True)
 
 
 def build_quotient(triple: Triple) -> QuotientPair:
@@ -385,13 +430,7 @@ def build_theta(qp: QuotientPair) -> LinMap:
             out = _left_mul_o(OK, mQ, q_col, part_of[i])
             if out:
                 mat[dd.index(a, i)] = out
-    theta = LinMap(dd.D, qp.D, mat)
-    ok, wit = is_hopf_morphism(theta)
-    if not ok:
-        raise VerificationFailure(f"theta is not a Hopf morphism: {wit}")
-    if theta.rank() != qp.D.dim:
-        raise VerificationFailure("theta is not surjective")
-    return theta
+    return certify_hopf_map(LinMap(dd.D, qp.D, mat), "theta", onto=True)
 
 
 def _ideal_multipliers(G: GroupScheme):
@@ -451,7 +490,7 @@ def theta_kernel_matches_ideal(qp: QuotientPair) -> bool:
     ideal_closure(D, ideal, _ideal_multipliers(G))
     if ideal.dim == N - qp.D.dim:
         return True
-    return ideal_closure(D, ideal).key() == mat_kernel(F, theta.mat, N).key()
+    return ideal_closure(D, ideal).key() == qp.kernel().key()
 
 
 def quotient_r_and_v(qp: QuotientPair):
@@ -468,23 +507,6 @@ def quotient_r_and_v(qp: QuotientPair):
     return qp.qt, QuasiHopfData(qp.D, pushed_R, pushed_V)
 
 
-def _preimage_solver(theta: LinMap, N: int):
-    """A deterministic right inverse of a surjective map, via a parallel
-    echelon of (image, preimage) pairs."""
-    F = theta.target.field
-    pe = ParallelEchelon(F, theta.target.dim, N)
-    for d in range(N):
-        img = theta.mat.get(d)
-        if img:
-            pe.insert(img, unit_vec(d, F))
-    def preimage(v):
-        out = pe.image_of(v)
-        if out is None:
-            raise NotSurjective("vector outside the image")
-        return out
-    return preimage
-
-
 def recognize_triple(G: GroupScheme, phi: LinMap):
     """Recover (K, H, B) from a surjective Hopf algebra map phi out of the
     D(G) kept on G, together with the isomorphism phibar: D(K,H,B) -> target
@@ -493,7 +515,10 @@ def recognize_triple(G: GroupScheme, phi: LinMap):
     K and H are the subgroups G keeps on their spans, and the triple the
     one G keeps for its key (``kept_triple``), so a triple met before, by
     recognition or enumeration, is not validated again and reuses its
-    pair, already built and certified, and its theta."""
+    pair, already built and certified, and its theta.  phibar is
+    ``qp.factor(phi)``, onto a target of dim D(K,H,B) (checked), so an
+    isomorphism; a phi that does not factor through the recognized theta
+    raises NoFactorization, not VerificationFailure."""
     dd = drinfeld_double(G)
     if phi.source is not dd.D:
         raise DimensionMismatch("phi does not start at the D(G) kept on G")
@@ -540,56 +565,21 @@ def recognize_triple(G: GroupScheme, phi: LinMap):
         sol = pe.image_of(target)
         if sol is None:
             raise VerificationFailure("phi(k[H]) leaves the O(K) image")
-        if sol:
-            B_mat[j] = sol
+        B_mat[j] = sol
     B = LinMap(H.own.group_algebra, OK, B_mat)
 
     qp = build_quotient(kept_triple(G, K, H, B))
-    theta = qp.theta()
-    preimage = _preimage_solver(theta, dd.D.dim)
-    phibar_mat = {}
-    for e in range(qp.D.dim):
-        img = phi.apply(preimage(unit_vec(e, F)))
-        if img:
-            phibar_mat[e] = img
-    phibar = LinMap(qp.D, D_target, phibar_mat)
-    ok, wit = is_hopf_morphism(phibar)
-    if not ok:
-        raise VerificationFailure(f"recognition isomorphism fails: {wit}")
-    if phibar.rank() != D_target.dim or qp.D.dim != D_target.dim:
+    if qp.D.dim != D_target.dim:
         raise VerificationFailure("recognition map is not an isomorphism")
-    for d in range(dd.D.dim):
-        lhs = phibar.apply(theta.apply(unit_vec(d, F)))
-        if lhs != phi.apply(unit_vec(d, F)):
-            raise VerificationFailure("phibar . theta != phi")
-    return qp, phibar
+    return qp, qp.factor(phi)
 
 
 def induced_surjection(qp: QuotientPair, qp_src: QuotientPair) -> LinMap:
     """The unique surjection phi: D(K',H',B') -> D(K,H,B) with
     theta = phi . theta', which exists exactly when ker(theta') is contained
-    in ker(theta); both pairs must be on the same G."""
+    in ker(theta) (``QuotientPair.factor``, whose NoFactorization witness
+    lies in ker(theta') and not in ker(theta)); both pairs must be on the
+    same G."""
     if qp.triple.G is not qp_src.triple.G:
         raise DimensionMismatch("quotient pairs of different group schemes")
-    theta = qp.theta()
-    theta_src = qp_src.theta()
-    F = qp.D.field
-    N = theta.source.dim
-    ker_src = mat_kernel(F, theta_src.mat, N)
-    for vec in ker_src.basis():
-        if theta.apply(vec):
-            raise NoFactorization("theta does not factor through the source pair",
-                                  witness=vec)
-    preimage = _preimage_solver(theta_src, N)
-    mat = {}
-    for e in range(qp_src.D.dim):
-        img = theta.apply(preimage(unit_vec(e, F)))
-        if img:
-            mat[e] = img
-    phi = LinMap(qp_src.D, qp.D, mat)
-    ok, wit = is_hopf_morphism(phi)
-    if not ok:
-        raise VerificationFailure(f"induced map is not a Hopf morphism: {wit}")
-    if phi.rank() != qp.D.dim:
-        raise VerificationFailure("induced map is not surjective")
-    return phi
+    return qp_src.factor(qp.theta())

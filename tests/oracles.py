@@ -52,6 +52,13 @@ certified checks of the package.
 * ``hasse_edges_pairwise``: the covers of the containment order from
   ``contains`` on every ordered pair of nodes, each pair (i, j) kept unless
   some k lies between them.
+* ``intersect_by_recognition``: the triple of the maximal common quotient
+  pair, by quotienting D(G) by the sum of the two kernels of theta, each
+  solved afresh, and recognizing the projection, with no table of kernels.
+* ``induced_surjection_by_kernel``: the surjection phi with
+  theta = phi . theta', or None when a vector of a basis of ker(theta')
+  is not killed by theta; each column phi(e) = theta(x) for x the
+  particular solution of theta'(x) = e.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from schemedouble.errors import (
     NoSection,
     VerificationFailure,
 )
+from schemedouble.doubles import drinfeld_double
 from schemedouble.groupschemes import (
     GroupScheme,
     SectionData,
@@ -82,6 +90,7 @@ from schemedouble.hopf import (
     VerificationReport,
     induced_hopf,
     is_hopf_morphism,
+    quotient_by_hopf_ideal,
     t2_contract,
     t2_coordinates,
     t2_map,
@@ -93,11 +102,14 @@ from schemedouble.linalg import (
     Echelon,
     mat_apply,
     mat_identity,
+    mat_kernel,
+    solve_affine,
     span,
     unit_vec,
     v_axpy,
     v_scale,
 )
+from schemedouble.quotients import build_quotient, recognize_triple
 
 
 def verify_hopf_exhaustive(H) -> VerificationReport:
@@ -714,3 +726,30 @@ def hasse_edges_pairwise(nodes):
                 if not any(leq[i][k] and leq[k][j] for k in range(n)):
                     edges.append((i, j))
     return edges
+
+
+def intersect_by_recognition(t, t2):
+    G = t.G
+    F = G.field
+    D = drinfeld_double(G).D
+    joint = mat_kernel(F, build_quotient(t).theta().mat, D.dim)
+    for row in mat_kernel(F, build_quotient(t2).theta().mat, D.dim).basis():
+        joint.insert(row)
+    _, pi = quotient_by_hopf_ideal(D, joint)
+    qp, _ = recognize_triple(G, pi)
+    return qp.triple
+
+
+def induced_surjection_by_kernel(qp, qp_src):
+    theta, theta_src = qp.theta(), qp_src.theta()
+    F = qp.D.field
+    N = theta.source.dim
+    for vec in mat_kernel(F, theta_src.mat, N).basis():
+        if theta.apply(vec):
+            return None
+    mat = {}
+    for e in range(qp_src.D.dim):
+        x, _ = solve_affine(theta_src.mat, unit_vec(e, F), F, qp_src.D.dim, N)
+        if img := theta.apply(x):
+            mat[e] = img
+    return LinMap(qp_src.D, qp.D, mat)

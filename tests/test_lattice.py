@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from schemedouble.errors import NotConstant
+from schemedouble.errors import DimensionMismatch, NotConstant
 from schemedouble.fields import QQ, make_field
 from schemedouble.appendix import b_lambda
 from schemedouble.groupschemes import (
@@ -32,7 +32,7 @@ from schemedouble.linalg import unit_vec
 from schemedouble.quotients import Triple, build_quotient, trivial_hopf_map
 
 from conftest import D4_GENS, make_borel, make_s3, make_v4, make_z2, permutation_table
-from oracles import hasse_edges_pairwise, sub_inclusion_reduced
+from oracles import hasse_edges_pairwise, intersect_by_recognition, sub_inclusion_reduced
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)
@@ -126,18 +126,71 @@ def test_beta_pairing_doubles_the_parameter():
 def test_intersect_certifies_each_recognized_pair_once(monkeypatch):
     """Intersecting all 36 ordered pairs of the 6 nodes of Ga_1 over GF(3)
     builds and certifies each recognized D(K,H,B) once on the same D(G):
-    at most 6 verify_hopf calls, one per distinct result."""
+    at most 6 verify_hopf calls, one per distinct result.  Each kernel of
+    theta is solved once, at most one per node, and every result is found
+    among the kept kernels, with no recognition."""
+    import schemedouble.lattice
     import schemedouble.quotients
 
     G = ga_kernel(1, F3)
     nodes, _ = enumerate_triples(G)
     assert len(nodes) == 6
     verify = schemedouble.quotients.verify_hopf
-    calls = []
+    kernel = schemedouble.quotients.mat_kernel
+    recognize = schemedouble.lattice.recognize_triple
+    calls, kernels, recognized = [], [], []
     monkeypatch.setattr(schemedouble.quotients, "verify_hopf",
                         lambda D: calls.append(D) or verify(D))
+    monkeypatch.setattr(schemedouble.quotients, "mat_kernel",
+                        lambda *a: kernels.append(1) or kernel(*a))
+    monkeypatch.setattr(schemedouble.lattice, "recognize_triple",
+                        lambda *a: recognized.append(1) or recognize(*a))
     results = {intersect(a.triple, b.triple).key() for a in nodes for b in nodes}
     assert len(calls) <= len(results) <= 6
+    assert len(kernels) <= len(nodes)
+    assert recognized == []
+
+
+def test_intersect_equals_recognition_in_both_orders(monkeypatch):
+    """intersect, which looks the joint kernel up among the kept kernels,
+    returns the triple that quotienting D(G) by the joint kernel and
+    recognizing the projection returns, on every ordered pair of nodes of
+    Ga_1 over GF(3) and S3 over GF(7), visited forwards and backwards on a
+    fresh G, so that both the lookup and the recognition on a miss run."""
+    import schemedouble.lattice
+    recognize = schemedouble.lattice.recognize_triple
+    misses = []
+    monkeypatch.setattr(schemedouble.lattice, "recognize_triple",
+                        lambda *a: misses.append(1) or recognize(*a))
+    pairs = 0
+    for make in (lambda: ga_kernel(1, F3), lambda: make_s3(F7)):
+        for backwards in (False, True):
+            nodes, _ = enumerate_triples(make())
+            order = [(a.triple, b.triple) for a in nodes for b in nodes]
+            for t, t2 in reversed(order) if backwards else order:
+                assert intersect(t, t2).key() == intersect_by_recognition(t, t2).key()
+            pairs += len(order)
+    assert 0 < len(misses) < pairs
+
+
+def test_contains_and_intersect_refuse_two_group_schemes(monkeypatch):
+    """contains and intersect on triples of two copies of Ga_1 over GF(3)
+    raise DimensionMismatch, intersect before any theta is built."""
+    import schemedouble.quotients
+    G1, G2 = ga_kernel(1, F3), ga_kernel(1, F3)
+    _, top1, _ = canonical_triples(G1)
+    bottom2, _, _ = canonical_triples(G2)
+    with pytest.raises(DimensionMismatch):
+        contains(top1, bottom2)
+    with pytest.raises(DimensionMismatch):
+        inclusion(full_subgroup(G1), full_subgroup(G2))
+    built = []
+    build_theta = schemedouble.quotients.build_theta
+    monkeypatch.setattr(schemedouble.quotients, "build_theta",
+                        lambda qp: built.append(qp) or build_theta(qp))
+    with pytest.raises(DimensionMismatch):
+        intersect(top1, bottom2)
+    assert built == []
 
 
 def test_intersection_laws_exhaustive():

@@ -11,7 +11,6 @@ from schemedouble.linalg import (
     Echelon,
     ParallelEchelon,
     annihilator,
-    contract,
     mat_identity,
     mat_inverse,
     solve_affine,
@@ -123,23 +122,24 @@ def test_annihilator_involution():
 def test_contract_group_algebra_multiplication():
     # dual-basis product of the height-one kernel is binomial
     G = ga_kernel(1, F3)
-    tensor = G.group_algebra.mult
-    out = contract(tensor, unit_vec(1, F3), unit_vec(1, F3), F3)
+    kg = G.group_algebra
+    out = kg.product(unit_vec(1, F3), unit_vec(1, F3))
     assert out == {2: 2}  # binom(2,1) = 2
-    out = contract(tensor, unit_vec(2, F3), unit_vec(1, F3), F3)
+    out = kg.product(unit_vec(2, F3), unit_vec(1, F3))
     assert out == {}  # m + n beyond the truncation
 
 
 def test_contract_with_unit_is_identity():
     G = ga_kernel(2, F3)
-    tensor = G.group_algebra.mult
-    unit = G.group_algebra.unit
+    kg = G.group_algebra
+    unit = kg.unit
     for i in range(G.order):
-        assert contract(tensor, unit, unit_vec(i, F3), F3) == unit_vec(i, F3)
-        assert contract(tensor, unit_vec(i, F3), unit, F3) == unit_vec(i, F3)
+        assert kg.product(unit, unit_vec(i, F3)) == unit_vec(i, F3)
+        assert kg.product(unit_vec(i, F3), unit) == unit_vec(i, F3)
 
 
 def test_contract_matches_dense_oracle():
+    """The structure-constant product against the dense triple sum."""
     G = ga_kernel(2, F3)  # dim 9, well under the dense cap
     n = G.order
     tensor = G.group_algebra.mult
@@ -149,7 +149,7 @@ def test_contract_matches_dense_oracle():
             dense[i][j][k] = c
     x = {0: 1, 1: 2, 4: 1}
     y = {2: 2, 3: 1}
-    out = contract(tensor, x, y, F3)
+    out = G.group_algebra.product(x, y)
     expect = [0] * n
     for i in range(n):
         for j in range(n):

@@ -20,6 +20,7 @@ from schemedouble.groupschemes import (
     trivial_subgroup,
 )
 from schemedouble.hopf import LinMap, is_hopf_morphism, t2_outer, verify_hopf
+from schemedouble.lattice import enumerate_triples
 from schemedouble.linalg import unit_vec, v_axpy
 from schemedouble.quotients import (
     Triple,
@@ -36,6 +37,7 @@ from schemedouble.quotients import (
 )
 
 from conftest import A4_GENS, make_borel, make_s3, make_z2, permutation_table
+from oracles import induced_surjection_by_kernel
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)
@@ -415,10 +417,36 @@ def test_induced_surjection_cases():
     # everything surjects onto the ground field quotient
     phi3 = induced_surjection(bot, mid)
     assert phi3.rank() == 1
-    # no factorization the other way
+    # no factorization the other way: the witness lies in ker(theta') and
+    # theta does not kill it
     with pytest.raises(NoFactorization) as exc:
         induced_surjection(mid, bot)
-    assert exc.value.witness is not None
+    witness = exc.value.witness
+    assert witness is not None
+    assert bot.theta().apply(witness) == {}
+    assert mid.theta().apply(witness) != {}
+
+
+def test_induced_surjection_equals_kernel_containment_oracle():
+    """On every ordered pair of nodes of Ga_1 over GF(3), induced_surjection
+    raises NoFactorization exactly when a vector of ker(theta') is not
+    killed by theta, and otherwise returns the map solved column by column
+    by the oracle."""
+    G = ga_kernel(1, F3)
+    nodes, _ = enumerate_triples(G)
+    refused = 0
+    for a in nodes:
+        for b in nodes:
+            expect = induced_surjection_by_kernel(a.qp, b.qp)
+            if expect is None:
+                refused += 1
+                with pytest.raises(NoFactorization) as exc:
+                    induced_surjection(a.qp, b.qp)
+                assert b.qp.theta().apply(exc.value.witness) == {}
+                assert a.qp.theta().apply(exc.value.witness) != {}
+            else:
+                assert induced_surjection(a.qp, b.qp).mat == expect.mat
+    assert 0 < refused < len(nodes) ** 2
 
 
 def test_theta_starts_at_the_double_kept_on_g():
