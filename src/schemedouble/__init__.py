@@ -21,7 +21,6 @@ from .groupschemes import (
     GroupScheme,
     SubgroupScheme,
     ad_l,
-    ad_r,
     centralize,
     cleaving_gamma,
     constant_group,

@@ -75,8 +75,12 @@ def _load_triple(args):
 
 
 def _emit(args, data):
-    text = dump(data, getattr(args, "output", None))
-    if not getattr(args, "output", None):
+    """Write data (a text, or a document as JSON) to the -o path, else print it."""
+    text = data if isinstance(data, str) else dump(data)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text + "\n")
+    else:
         print(text)
 
 
@@ -192,10 +196,7 @@ def cmd_enumerate(args):
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(hasse_dot(nodes, edges) + "\n")
-    if args.format == "dot":
-        print(hasse_dot(nodes, edges))
-    else:
-        _emit(args, data)
+    _emit(args, hasse_dot(nodes, edges) if args.format == "dot" else data)
     return 0
 
 
@@ -220,8 +221,7 @@ def cmd_appendix(args):
     report = appendix_report(args.p)
     if args.regenerate:
         path = _golden_path(args.p)
-        with open(str(path), "w") as fh:
-            fh.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        dump(report, str(path))
         print(f"wrote {path}")
         return 0
     try:
@@ -244,13 +244,13 @@ def make_parser():
                     "Drinfeld doubles, and braided quotient lattices.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True):
-        if group:
-            p.add_argument("--group", required=True, help="group build spec (JSON)")
-            p.add_argument("--field", required=True,
-                           help="field token: q, p2, p3, p2^2, ...")
+    def common(p, formats=None):
+        p.add_argument("--group", required=True, help="group build spec (JSON)")
+        p.add_argument("--field", required=True,
+                       help="field token: q, p2, p3, p2^2, ...")
         p.add_argument("-o", "--output", help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "text", "dot"], default="json")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("build", help="construct a group scheme")
     common(p)
@@ -263,7 +263,7 @@ def make_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("double", help="Drinfeld double with R and V")
-    common(p)
+    common(p, ["json", "text"])
     p.set_defaults(func=cmd_double)
 
     p = sub.add_parser("quotient", help="quotient pair from a triple file")
@@ -276,7 +276,7 @@ def make_parser():
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("enumerate", help="enumerate all triples with Hasse diagram")
-    common(p)
+    common(p, ["json", "dot"])
     p.add_argument("--dot", help="also write the Hasse diagram here")
     p.add_argument("--budget", type=int, default=500_000)
     p.set_defaults(func=cmd_enumerate)

@@ -34,9 +34,10 @@ class Field:
 
     ``char`` is the characteristic, ``size`` the number of elements (``None``
     for the rationals).  Subclasses provide ``add``, ``sub``, ``mul``, ``neg``,
-    ``inv``, ``from_int``, the accumulate kernel ``axpy``, canonical string
-    forms, and (finite case) an ``elements()`` iterator in a fixed
-    enumeration order.
+    ``inv``, ``from_int``, the accumulate kernel ``axpy``, canonical JSON
+    forms ``to_json`` and ``from_json`` (by default the string forms
+    ``to_str`` and ``from_str``), and (finite case) an ``elements()``
+    iterator in a fixed enumeration order.
     """
 
     char: int
@@ -95,6 +96,13 @@ class Field:
 
     def from_str(self, s: str):
         raise NotImplementedError
+
+    def to_json(self, a):
+        return self.to_str(a)
+
+    def from_json(self, data):
+        """The scalar of its JSON form; ValueError or TypeError if malformed."""
+        return self.from_str(str(data))
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -322,14 +330,14 @@ class ExtensionField(Field):
                 c //= p
             yield tuple(out)
 
-    def to_str(self, a):
-        return ",".join(str(c) for c in a)
+    def to_json(self, a):
+        return list(a)
 
-    def from_str(self, s):
-        parts = tuple(int(c) % self.p for c in s.split(","))
-        if len(parts) != self.k:
-            raise ValueError(f"expected {self.k} coefficients")
-        return parts
+    def from_json(self, data):
+        """The scalar of its list of exactly k integers, low degree first."""
+        if type(data) is not list or len(data) != self.k or any(type(c) is not int for c in data):
+            raise ValueError(f"expected a list of {self.k} integer coefficients")
+        return tuple(c % self.p for c in data)
 
     def describe(self):
         return {"kind": "extension", "p": self.p, "k": self.k, "poly": list(self.poly)}

@@ -29,6 +29,7 @@ from .fields import binomial
 from .hopf import (
     HopfAlgebra,
     LinMap,
+    augmentation,
     certify_hopf_map,
     coinvariants,
     convolution,
@@ -60,7 +61,6 @@ from .linalg import (
     unit_vec,
     v_axpy,
     v_scale,
-    v_sub,
 )
 
 
@@ -403,17 +403,6 @@ def restricted_enveloping(n: int, bracket, p_map, field, name="") -> GroupScheme
 # -- adjoint and coadjoint actions ----------------------------------------
 
 
-def ad_r(G: GroupScheme, u, w):
-    """ad_r(u)(w) = S(u_1) w u_2 in k[G]."""
-    H = G.group_algebra
-    F = G.field
-    out = {}
-    for (j, k), c in H.coproduct(u).items():
-        sj = H.antipode_of(unit_vec(j, F))
-        v_axpy(F, out, c, H.product(H.product(sj, w), unit_vec(k, F)))
-    return out
-
-
 def ad_l(G: GroupScheme, u, w):
     """ad_l(u)(w) = u_1 w S(u_2) in k[G]."""
     H = G.group_algebra
@@ -659,23 +648,22 @@ def ga_frobenius_subgroup(G: GroupScheme, s: int) -> SubgroupScheme:
 
 
 def is_normal(L: SubgroupScheme) -> bool:
-    """Whether k[L] is stable under the adjoint action of k[G].  Decided
-    once per SubgroupScheme, which does not change after construction, and
-    kept on it."""
+    """Whether k[L] is stable under ad_l(u) for every basis u of k[G];
+    decided once per SubgroupScheme, which does not change after
+    construction, and kept on it.
+
+    The right action ad_r(u)(w) = S(u_1) w u_2 has the same stable
+    subspaces.  k[G] is cocommutative, so Delta(S(u)) = S(u_1) (x) S(u_2)
+    and S^2 = id, whence ad_r(u) = ad_l(S(u)); and S is bijective."""
     if L._normal is None:
         L._normal = _ad_stable(L)
     return L._normal
 
 
 def _ad_stable(L: SubgroupScheme) -> bool:
-    G = L.ambient
-    F = G.field
-    for i in range(G.order):
-        u = unit_vec(i, F)
-        for row in L.subspace.basis():
-            if not L.subspace.contains(ad_r(G, u, row)):
-                return False
-    return True
+    G, S = L.ambient, L.subspace
+    return all(S.contains(ad_l(G, unit_vec(i, G.field), row))
+               for i in range(G.order) for row in S.basis())
 
 
 def centralize(H: SubgroupScheme, K: SubgroupScheme) -> bool:
@@ -703,17 +691,6 @@ class Quotient:
         self.rep_indices = rep_indices
 
 
-def augmentation_ideal_basis(sub: SubgroupScheme):
-    """Basis of k[H]^+ = k[H] meet ker(counit), inside the ambient algebra."""
-    G = sub.ambient
-    F = G.field
-    rows = sub.subspace.basis()
-    coeffs = {r: G.group_algebra.counit_of(row) for r, row in enumerate(rows)}
-    sys_rows = [({r: c for r, c in coeffs.items() if c != F.zero()}, F.zero())]
-    _, kernel = solve_rows(F, sys_rows, len(rows))
-    return [sub.iota.apply(k) for k in kernel.basis()]
-
-
 def coinvariant_subspace(G: GroupScheme, sub: SubgroupScheme) -> Echelon:
     """O(G/L) = {b in O(G) : b_1 (x) q_L(b_2) = b (x) 1} as a subspace of O(G)."""
     return coinvariants(G.coordinate_algebra, sub.q.mat,
@@ -728,7 +705,7 @@ def quotient_by_normal(G: GroupScheme, H_sub: SubgroupScheme) -> Quotient:
     F = G.field
     n = G.order
     # the two-sided ideal k[H]^+ k[G] = k[G] k[H]^+ (H is normal)
-    J = ideal_closure(kg, span(F, n, augmentation_ideal_basis(H_sub)))
+    J = ideal_closure(kg, span(F, n, augmentation(kg, H_sub.subspace.basis())))
     reps = [i for i in range(n) if i not in J.rows]
     m = len(reps)
     if m * H_sub.order != n:
@@ -976,8 +953,7 @@ def _checked_meet(G, H, K, name):
     def defining_ideal(sub):
         coinv = coinvariant_subspace(G, sub)
         ideal = Echelon(F, n)
-        for c in coinv.basis():
-            cplus = v_sub(F, c, v_scale(F, O.counit_of(c), O.unit))
+        for cplus in augmentation(O, coinv.basis()):
             for j in range(n):
                 ideal.insert(O.product(cplus, unit_vec(j, F)))
         return ideal
@@ -991,20 +967,3 @@ def _checked_meet(G, H, K, name):
         raise VerificationFailure(
             "dual and direct subgroup intersections disagree")
     return subgroup_from_subspace(G, direct, name=name)
-
-
-def characters(K: SubgroupScheme):
-    """Grouplikes of O(K): the characters the bicharacter side of an
-    equivariant map must hit."""
-    own = K.own
-    if own.order_points == 1 and own.order_connected == own.order:
-        return [dict(own.coordinate_algebra.unit)]
-    return grouplikes(own.coordinate_algebra)
-
-
-def group_elements(K: SubgroupScheme):
-    """Grouplikes of k[K]."""
-    own = K.own
-    if own.order_points == 1 and own.order_connected == own.order:
-        return [dict(own.group_algebra.unit)]
-    return grouplikes(own.group_algebra)

@@ -38,6 +38,7 @@ from .linalg import (
     mat_identity,
     mat_inverse,
     mat_key,
+    mat_kernel,
     mat_rank,
     mat_transpose,
     solve_rows,
@@ -939,18 +940,9 @@ def induced_hopf(H: HopfAlgebra, basis, coords, t2_coords, labels, name=""):
     return HopfAlgebra(F, labels, mult, unit, comult, counit, antipode, name=name)
 
 
-def quotient_by_hopf_ideal(H: HopfAlgebra, ideal: Echelon, name=""):
-    """The quotient Hopf algebra H/I of the Hopf algebra H by a Hopf ideal
-    I, on the canonical complement-of-pivots basis, with the projection pi;
-    certified by ``is_hopf_morphism(pi)`` alone.
-
-    Proof.  The check gives that pi respects product, unit, coproduct,
-    counit and antipode, and pi is onto, so each Hopf axiom of H/I is the
-    pi-image of the same axiom in H: (pi(x) pi(y)) pi(z) = pi((x y) z)
-    = pi(x (y z)) = pi(x) (pi(y) pi(z)), S(pi(x)_1) pi(x)_2
-    = pi(S(x_1) x_2) = eps(x) 1, and so on.  If I is not a Hopf ideal, the
-    induced structure disagrees with pi somewhere and the check fails.
-    """
+def ideal_projection(H: HopfAlgebra, ideal: Echelon, name="") -> LinMap:
+    """pi: H ->> H/I onto the induced structure on the complement-of-pivots
+    basis, uncertified: ``quotient_by_hopf_ideal`` says what certifies it."""
     F = H.field
     reps = [i for i in range(H.dim) if i not in ideal.rows]
     cls = {i: r for r, i in enumerate(reps)}
@@ -963,26 +955,45 @@ def quotient_by_hopf_ideal(H: HopfAlgebra, ideal: Echelon, name=""):
                      lambda t: t2_map(F, pi_mat, pi_mat, t),
                      [f"[{H.labels[i]}]" for i in reps],
                      name=name or (f"{H.name}/I" if H.name else ""))
-    return Q, certify_hopf_map(LinMap(H, Q, pi_mat), "ideal projection")
+    return LinMap(H, Q, pi_mat)
+
+
+def quotient_by_hopf_ideal(H: HopfAlgebra, ideal: Echelon, name=""):
+    """The quotient Hopf algebra H/I of the Hopf algebra H by a Hopf ideal
+    I, with the projection pi of ``ideal_projection``; certified by
+    ``is_hopf_morphism(pi)`` alone.
+
+    Proof.  The check gives that pi respects product, unit, coproduct,
+    counit and antipode, and pi is onto, so each Hopf axiom of H/I is the
+    pi-image of the same axiom in H: (pi(x) pi(y)) pi(z) = pi((x y) z)
+    = pi(x (y z)) = pi(x) (pi(y) pi(z)), S(pi(x)_1) pi(x)_2
+    = pi(S(x_1) x_2) = eps(x) 1, and so on.  If I is not a Hopf ideal, the
+    induced structure disagrees with pi somewhere and the check fails.
+    """
+    pi = certify_hopf_map(ideal_projection(H, ideal, name), "ideal projection")
+    return pi.target, pi
 
 
 def coinvariants(A: HopfAlgebra, f_mat, f_unit) -> Echelon:
     """{v in A : v_1 (x) f(v_2) = v (x) f(1)} for a linear map f out of A,
-    given by its matrix (column -> image) and f(1)."""
+    given by its matrix (column -> image) and f(1): the kernel of the map
+    whose column i is (id (x) f)Delta(e_i) - e_i (x) f(1)."""
     F = A.field
-    coef: dict = {}
-    for i in range(A.dim):
-        for (a, b), c in A.comult[i].items():
-            for l, fl in f_mat.get(b, {}).items():
-                d = coef.setdefault((a, l), {})
-                d[i] = F.add(d.get(i, F.zero()), F.mul(c, fl))
-        for l, ul in f_unit.items():
-            d = coef.setdefault((i, l), {})
-            d[i] = F.sub(d.get(i, F.zero()), ul)
-    rows = [({i: c for i, c in r.items() if c != F.zero()}, F.zero())
-            for r in coef.values()]
-    _, kernel = solve_rows(F, rows, A.dim)
-    return kernel
+    ident = mat_identity(A.dim, F)
+    minus_one = F.neg(F.one())
+    cols = {i: v_axpy(F, t2_map(F, ident, f_mat, A.comult[i]), minus_one,
+                      t2_outer(F, ident[i], f_unit))
+            for i in range(A.dim)}
+    return mat_kernel(F, cols, A.dim)
+
+
+def augmentation(H: HopfAlgebra, vecs):
+    """The non-zero v - eps(v) 1 for v in vecs, which span V^+ = V meet
+    ker(eps) for V = span(vecs) when 1 is in V.  Proof: each lies in V and,
+    as eps(1) = 1, in ker(eps); and x = sum c_v v in V^+ has
+    sum c_v eps(v) = eps(x) = 0, so x = sum c_v (v - eps(v) 1)."""
+    F = H.field
+    return [w for v in vecs if (w := v_axpy(F, dict(v), F.neg(H.counit_of(v)), H.unit))]
 
 
 def span_closure(ech: Echelon, seeds, images) -> Echelon:
@@ -1016,29 +1027,10 @@ def ideal_closure(H: HopfAlgebra, ech: Echelon, multipliers=None) -> Echelon:
         p for e in multipliers for p in (H.product(e, row), H.product(row, e))])
 
 
-def _primitive_rows(H: HopfAlgebra):
-    """The coefficients of Delta(z) - z(x)1 - 1(x)z, one row over the
-    coordinates of z per Ten2 key."""
-    F = H.field
-    coef: dict = {}
-    for i in range(H.dim):
-        for (j, k), c in H.comult[i].items():
-            coef.setdefault((j, k), {})[i] = c
-        for k, u in H.unit.items():
-            d = coef.setdefault((i, k), {})
-            d[i] = F.sub(d.get(i, F.zero()), u)
-            d2 = coef.setdefault((k, i), {})
-            d2[i] = F.sub(d2.get(i, F.zero()), u)
-    return {key: {i: c for i, c in r.items() if c != F.zero()}
-            for key, r in coef.items()}
-
-
 def primitives(H: HopfAlgebra) -> Echelon:
-    """The subspace of v with Delta(v) = v(x)1 + 1(x)v."""
-    F = H.field
-    rows = [(r, F.zero()) for r in _primitive_rows(H).values()]
-    _, kernel = solve_rows(F, rows, H.dim)
-    return kernel
+    """The subspace of v with Delta(v) = v(x)1 + 1(x)v: the kernel of the
+    map whose column i is ``_primitive_defect(H, i)``."""
+    return mat_kernel(H.field, {i: _primitive_defect(H, i) for i in range(H.dim)}, H.dim)
 
 
 def grouplikes(H: HopfAlgebra, budget: int = 10**7):
@@ -1189,31 +1181,24 @@ def _source_chain(A: HopfAlgebra, src_grouplikes, src_primitives):
     return chain
 
 
-def hopf_algebra_maps(
-    A: HopfAlgebra,
-    C: HopfAlgebra,
-    src_grouplikes=None,
-    tgt_grouplikes=None,
-    budget: int = 500_000,
-):
+def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra, budget: int = 500_000):
     """All Hopf algebra maps A -> C, by constraint-pruned generator images.
 
-    Candidate images: grouplikes of A map into grouplikes of C, primitives
-    into the primitive subspace, and filtration extensions into the affine
-    solution set of their coproduct constraint.  Complete whenever the chain
-    construction covers A (grouplike/primitively generated algebras and
-    divided-power towers); raises BudgetExceeded otherwise or when the
-    candidate count explodes.
+    Candidate images: grouplikes of A map into grouplikes of C (both found
+    by ``grouplikes``), primitives into the primitive subspace, and
+    filtration extensions into the affine solution set of their coproduct
+    constraint, whose rows are those of the ``_primitive_defect`` columns of
+    C plus the counit row.  Complete whenever the chain construction covers
+    A (grouplike/primitively generated algebras and divided-power towers);
+    raises BudgetExceeded otherwise or when the candidate count explodes.
     """
     if A.field != C.field:
         raise FieldMismatch("source and target over different fields")
     F = A.field
-    glA = src_grouplikes if src_grouplikes is not None else grouplikes(A)
-    glC = tgt_grouplikes if tgt_grouplikes is not None else grouplikes(C)
-    prA = primitives(A)
+    chain = _source_chain(A, grouplikes(A), primitives(A))
+    glC = grouplikes(C)
     prC = primitives(C)
-    prim_rows_C = _primitive_rows(C)
-    chain = _source_chain(A, glA, prA)
+    prim_rows_C = mat_transpose({i: _primitive_defect(C, i) for i in range(C.dim)})
     if chain is None:
         raise BudgetExceeded("source algebra outside the supported generation filtration")
 

@@ -26,9 +26,7 @@ from .groupschemes import (
     SubgroupScheme,
     ad_l,
     centralize,
-    characters,
     full_subgroup,
-    group_elements,
     hopf_closure,
     inclusion,
     intersect_subgroup,
@@ -43,7 +41,7 @@ from .hopf import (
     coinvariants,
     convolution,
     hopf_algebra_maps,
-    quotient_by_hopf_ideal,
+    ideal_projection,
     t2_map,
     t2_outer,
 )
@@ -154,18 +152,19 @@ def intersect(t: Triple, t2: Triple) -> Triple:
     recognizing theta_0 does, which is t0: theta_0(b |><| 1) = q_K(b) # 1,
     and theta_0(1 |><| v) = B(v) # 1 for v in k[H].
 
-    On a miss, D(G)/joint is built and recognized; the recognized pair must
-    have kernel joint, and forming it keeps the pair in ``G.kernels``.  The
-    agreement subgroup from beta and the product HH' must match the
-    result, and the result must lie below both triples."""
+    On a miss, D(G)/joint is built and its projection recognized, which
+    certifies the projection, and with it D(G)/joint, once (see
+    ``quotient_by_hopf_ideal``); the recognized pair must have kernel
+    joint, and forming it keeps the pair in ``G.kernels``.  The agreement
+    subgroup from beta and the product HH' must match the result, and the
+    result must lie below both triples."""
     G = t.G
     if t2.G is not G:
         raise DimensionMismatch("triples of different group schemes")
     joint = subspace_sum(build_quotient(t).kernel(), build_quotient(t2).kernel())
     result = G.kernels.get(joint.key())
     if result is None:
-        _, pi = quotient_by_hopf_ideal(drinfeld_double(G).D, joint)
-        qp_int, _ = recognize_triple(G, pi)
+        qp_int, _ = recognize_triple(G, ideal_projection(drinfeld_double(G).D, joint))
         if qp_int.kernel().key() != joint.key():
             raise VerificationFailure("recognized intersection has another kernel")
         result = qp_int.triple
@@ -284,11 +283,8 @@ def equivariant_maps(G: GroupScheme, K: SubgroupScheme, H: SubgroupScheme,
                      budget=500_000):
     """All G-equivariant Hopf algebra maps B: k[H] -> O(K), enumerated via
     generator images and filtered by the equivariance test."""
-    maps = hopf_algebra_maps(
-        H.own.group_algebra, K.own.coordinate_algebra,
-        src_grouplikes=group_elements(H),
-        tgt_grouplikes=characters(K),
-        budget=budget)
+    maps = hopf_algebra_maps(H.own.group_algebra, K.own.coordinate_algebra,
+                             budget=budget)
     out = []
     for B in maps:
         try:

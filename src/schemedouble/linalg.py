@@ -305,20 +305,15 @@ def mat_kernel(F, M, ncols: int) -> Echelon:
 
 
 def mat_inverse(F, M, n):
-    """Inverse of an n x n matrix given as columns; None when singular."""
-    ech = Echelon(F, 2 * n)
+    """Inverse of an n x n matrix given as columns; None when singular (a
+    pair conflicts).  Column p is the lift of e_p, read from the
+    ``ParallelEchelon`` of the pairs (M e_j, e_j)."""
+    pe = ParallelEchelon(F, n, n)
     for j in range(n):
-        aug = dict(M.get(j, {}))
-        aug[n + j] = F.one()
-        ech.insert(aug)
-    if ech.dim < n or ech.pivots()[:n] != list(range(n)):
+        pe.insert(M.get(j, {}), unit_vec(j, F))
+    if pe.dim < n:
         return None
-    inv = {}
-    for p in range(n):
-        col = {j - n: v for j, v in ech.rows[p].items() if j >= n}
-        if col:
-            inv[p] = col
-    return inv
+    return {p: pe.image_of(unit_vec(p, F)) for p in range(n)}
 
 
 def echelon_points(ech: Echelon, F):

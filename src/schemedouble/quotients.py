@@ -30,6 +30,7 @@ from .groupschemes import (
 )
 from .hopf import (
     LinMap,
+    augmentation,
     certified_generators,
     certify_hopf_map,
     coinvariants,
@@ -51,9 +52,9 @@ from .linalg import (
     mat_apply,
     mat_compose,
     mat_kernel,
+    span,
     unit_vec,
     v_axpy,
-    v_scale,
     v_sub,
 )
 
@@ -469,13 +470,9 @@ def theta_kernel_matches_ideal(qp: QuotientPair) -> bool:
     N = D.dim
     theta = qp.theta()
 
-    gens = []
     coinv = coinvariant_subspace(G, triple.K)
-    OG = G.coordinate_algebra
-    for c in coinv.basis():
-        cplus = v_sub(F, c, v_scale(F, OG.counit_of(c), OG.unit))
-        if cplus:
-            gens.append(dd.embed_O.apply(cplus))
+    gens = [dd.embed_O.apply(c)
+            for c in augmentation(G.coordinate_algebra, coinv.basis())]
     for j in range(triple.H.order):
         bv = triple.B.apply(unit_vec(j, F))
         lifted = triple.section.mu.apply(bv)
@@ -518,7 +515,9 @@ def recognize_triple(G: GroupScheme, phi: LinMap):
     pair, already built and certified, and its theta.  phibar is
     ``qp.factor(phi)``, onto a target of dim D(K,H,B) (checked), so an
     isomorphism; a phi that does not factor through the recognized theta
-    raises NoFactorization, not VerificationFailure."""
+    raises NoFactorization, not VerificationFailure.  phi is certified
+    first, so phi(O(G)) holds phi(1) = 1 and eps(phi(b |><| 1)) = eps(b):
+    ``augmentation`` of the phi(e^a |><| 1) spans phi(O(G))^+."""
     dd = drinfeld_double(G)
     if phi.source is not dd.D:
         raise DimensionMismatch("phi does not start at the D(G) kept on G")
@@ -536,12 +535,8 @@ def recognize_triple(G: GroupScheme, phi: LinMap):
     K = subgroup_from_subspace(G, annihilator(mat_kernel(F, restr, n)), name="K")
 
     # H: kernel of u -> class of phi(1 |><| u) modulo the ideal of phi(O)^+
-    OG = G.coordinate_algebra
-    ideal = Echelon(F, D_target.dim)
-    for a in range(n):
-        cplus = v_sub(F, restr[a], v_scale(F, OG.counit.get(a, F.zero()), D_target.unit))
-        ideal.insert(cplus)
-    ideal_closure(D_target, ideal)
+    ideal = ideal_closure(D_target, span(F, D_target.dim,
+                                         augmentation(D_target, restr.values())))
     tau_map = {i: ideal.reduce(phi.apply(dd.embed_kG.apply(unit_vec(i, F))))
                for i in range(n)}
     tau_unit = ideal.reduce(phi.apply(dd.embed_kG.apply(G.group_algebra.unit)))

@@ -1,10 +1,12 @@
 """JSON interchange: exact scalars, sparse tensors, Hopf algebras, group
 scheme build specs, subgroup specs, and triples.
 
-Scalars serialize as decimal strings (prime fields), coefficient arrays
-(extension fields), or "num/den" strings (rationals).  Sparse tensors are
-arrays of {"indices": [...], "value": ...} records, sorted by indices, so
-emitted documents are canonical and diffable.
+Scalars serialize in the JSON form their field parses and prints
+(``Field.to_json``, ``Field.from_json``): decimal strings (prime fields),
+arrays of exactly k integer coefficients (GF(p^k)), or "num/den" strings
+(rationals).  Sparse tensors are arrays of {"indices": [...], "value": ...}
+records, sorted by indices, so emitted documents are canonical and
+diffable.
 """
 
 from __future__ import annotations
@@ -43,9 +45,7 @@ MAX_DOUBLE_DIM = 625
 
 def scalar_from_json(F: Field, data):
     try:
-        if F.kind == "extension":
-            return tuple(int(c) % F.char for c in data)
-        return F.from_str(str(data))
+        return F.from_json(data)
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"bad scalar {data!r}: {exc}")
 
@@ -77,7 +77,7 @@ def tensor_to_json(F: Field, entries):
 def _records(F: Field, items):
     """{"indices", "value"} records of (index tuple or int, scalar) pairs,
     in the order given."""
-    value = list if F.kind == "extension" else F.to_str
+    value = F.to_json
     return [{"indices": [key] if isinstance(key, int) else list(key), "value": value(c)}
             for key, c in items]
 

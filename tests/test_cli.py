@@ -576,3 +576,99 @@ def test_dump_equals_json_dumps_on_every_benchmark_output(tmp_path, monkeypatch)
     for job in jobs:
         assert main(job.argv(tmp_path)) == 0
     assert len(seen) == len(jobs) == 11
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["build", "--group", "mu_p.json", "--field", "p3"],
+     "2ff016657c1f477d02e27885ed693b0718295504c4bf40c173a90a42bf58813b"),
+    (["build", "--group", "s3.json", "--field", "p2^2"],
+     "6fc1dd06c08dfce1d814182d53228a4df98dde9ca4b6d49114fdc04aab47e08c"),
+    (["build", "--group", "s3.json", "--field", "p2^3"],
+     "2ec048e8bde8c8014233e0842013cd026f51703c461c83dd8991845f878568b2"),
+    (["double", "--group", "z2.json", "--field", "q", "--format", "text"],
+     "a00d83a9931f46b3a1b78dab014328ee637b06c9fe816abf56faad5bc834400a"),
+], ids=["build-mu_p-p3", "build-s3-p2_2", "build-s3-p2_3", "double-z2-q-text"])
+def test_builds_over_gf_pk_mu_p_and_text_reports_are_pinned(tmp_path, argv, digest, capsys):
+    """The mu_p build spec, documents over GF(4) and GF(8), and the text
+    report of `double`: their stdout bytes are fixed."""
+    write(tmp_path / "mu_p.json", {"mu_p": {}})
+    args = [str(tmp_path / a) if a == "mu_p.json" else str(SAMPLES / a)
+            if a.endswith(".json") else a for a in argv]
+    assert main(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _s3_group_algebra(tmp_path, field):
+    out = tmp_path / "s3_built.json"
+    assert main(["build", "--group", str(SAMPLES / "s3.json"), "--field", field,
+                 "-o", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("field", ["p2^2", "p2^3"])
+def test_documents_over_gf_pk_load_and_verify(tmp_path, field):
+    """Both algebras of S3 built over GF(4) and GF(8) load back (the
+    extension branches of field_from_json and scalar_from_json) and pass
+    `verify`."""
+    built = _s3_group_algebra(tmp_path, field)
+    for key in ("group_algebra", "coordinate_algebra"):
+        hopf = write(tmp_path / f"{key}.json", built[key])
+        rep = tmp_path / f"{key}.report.json"
+        assert main(["verify", "--hopf", hopf, "-o", str(rep)]) == 0
+        assert json.loads(rep.read_text())["ok"]
+
+
+def test_verify_text_report_is_pinned(tmp_path, z2_file, capsys):
+    out = tmp_path / "z2_built.json"
+    assert main(["build", "--group", z2_file, "--field", "q", "-o", str(out)]) == 0
+    hopf = write(tmp_path / "hopf.json", json.loads(out.read_text())["group_algebra"])
+    assert main(["verify", "--hopf", hopf, "--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("report: k[Z2]\n  [pass] associativity\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "168b0a4dbd9fdd4b661c86be9612317221b8c61ebfdcf99a4a4b2bc0f55fdea7")
+
+
+@pytest.mark.parametrize("value", [[1], [1, 0, 0], [1, 0.5], ["1", "0"]],
+                         ids=["too-short", "too-long", "float", "strings"])
+def test_extension_scalar_not_k_integers_is_a_schema_error(tmp_path, value, capsys):
+    """A GF(4) scalar is a list of exactly 2 integers: `verify` on a
+    document with any other list exits 2 instead of reading it."""
+    doc = _s3_group_algebra(tmp_path, "p2^2")["group_algebra"]
+    doc["mult"][0]["value"] = value
+    bad = write(tmp_path / "bad.json", doc)
+    assert main(["verify", "--hopf", bad]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--format", "json"], ["build", "--format", "text"],
+    ["build", "--format", "dot"], ["double", "--format", "dot"],
+    ["enumerate", "--format", "text"],
+], ids=["build-json", "build-text", "build-dot", "double-dot", "enumerate-text"])
+def test_format_a_subcommand_does_not_implement_exits_2(z2_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--group", z2_file, "--field", "q"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_enumerate_dot_writes_the_output_path(tmp_path, z2_file, capsys):
+    assert main(["enumerate", "--format", "dot", "--group", z2_file, "--field", "q"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("digraph")
+    out = tmp_path / "lattice.dot"
+    assert main(["enumerate", "--format", "dot", "--group", z2_file, "--field", "q",
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+def test_appendix_regenerate_writes_the_committed_golden(tmp_path, monkeypatch, capsys):
+    import schemedouble.cli
+
+    golden = schemedouble.cli._golden_path(2).read_bytes()
+    monkeypatch.setattr(schemedouble.cli, "_golden_path",
+                        lambda p: tmp_path / f"appendix_p{p}.json")
+    assert main(["appendix", "--p", "2", "--regenerate"]) == 0
+    assert (tmp_path / "appendix_p2.json").read_bytes() == golden

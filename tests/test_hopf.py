@@ -8,6 +8,7 @@ from schemedouble.groupschemes import (
     ga_frobenius_subgroup,
     ga_kernel,
     cleaving_gamma,
+    mu_p_kernel,
 )
 from schemedouble.hopf import (
     LinMap,
@@ -226,6 +227,17 @@ def test_grouplikes_of_frobenius_kernel_trivial(p):
     G = ga_kernel(1, F)
     gls = grouplikes(G.group_algebra)
     assert gls == [{0: F.one()}]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_grouplikes_of_mu_p(p):
+    """O(mu_p) = k[s]/(s^p - 1) has the p grouplikes s^i, one per character
+    of the Cartier dual Z/p; k[mu_p], spanned by p orthogonal idempotents,
+    has only its unit."""
+    F = make_field("prime", p=p)
+    G = mu_p_kernel(F)
+    assert grouplikes(G.coordinate_algebra) == [{i: F.one()} for i in range(p)]
+    assert grouplikes(G.group_algebra) == [{i: F.one() for i in range(p)}]
 
 
 def test_primitives_of_frobenius_kernel():

@@ -1,6 +1,7 @@
 """No module of the package, other than ``__init__`` (which re-exports),
-imports a name it never reads, so an import left behind by a deleted code
-path surfaces here."""
+imports a name it never reads, and no module-level function or class of
+the package goes unread, so an import or a helper left behind by a deleted
+code path surfaces here."""
 
 import ast
 import pathlib
@@ -34,6 +35,45 @@ def unused_imports():
 
 def test_no_module_imports_a_name_it_never_reads():
     assert unused_imports() == []
+
+
+def unread_definitions(sources):
+    """(module, name) for each module-level function or class of the
+    sources (file name -> text) that no module reads: by a name load, an
+    attribute access, or an ``__init__`` re-export."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    read = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif name == "__init__.py" and isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted((name, node.name) for name, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in read)
+
+
+def test_no_module_level_function_or_class_goes_unread():
+    package = pathlib.Path(schemedouble.__file__).parent
+    assert unread_definitions({p.name: p.read_text()
+                               for p in sorted(package.glob("*.py"))}) == []
+
+
+def test_an_unread_definition_is_reported():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("def exported(): pass\n"
+                 "def _helper(): pass\n"
+                 "def called(): return _helper()\n"
+                 "class Attr: pass\n"
+                 "def dead(): pass\n"),
+        "b.py": "from . import a\nx = a.Attr\ncalled()\n",
+    }
+    assert unread_definitions(sources) == [("a.py", "dead")]
 
 
 def test_an_unread_import_is_reported():

@@ -128,7 +128,8 @@ def test_intersect_certifies_each_recognized_pair_once(monkeypatch):
     builds and certifies each recognized D(K,H,B) once on the same D(G):
     at most 6 verify_hopf calls, one per distinct result.  Each kernel of
     theta is solved once, at most one per node, and every result is found
-    among the kept kernels, with no recognition."""
+    among the kept kernels, with no recognition.  On a miss, each map,
+    the projection onto D(G)/joint included, is certified once."""
     import schemedouble.lattice
     import schemedouble.quotients
 
@@ -149,6 +150,25 @@ def test_intersect_certifies_each_recognized_pair_once(monkeypatch):
     assert len(calls) <= len(results) <= 6
     assert len(kernels) <= len(nodes)
     assert recognized == []
+
+    # Visited backwards on Ga_1 over GF(5), the pairs miss once; the
+    # projection onto D(G)/joint is then certified once, as is every other
+    # map: no map object reaches is_hopf_morphism twice.
+    import schemedouble.hopf
+
+    nodes5, _ = enumerate_triples(ga_kernel(1, make_field("prime", p=5)))
+    morphism = schemedouble.hopf.is_hopf_morphism
+    certified = []
+    for module in (schemedouble.hopf, schemedouble.quotients):
+        monkeypatch.setattr(module, "is_hopf_morphism",
+                            lambda f: certified.append(f) or morphism(f))
+    for a in reversed(nodes5):
+        for b in reversed(nodes5):
+            intersect(a.triple, b.triple)
+    assert len(recognized) == 1
+    assert [(f.source.name, f.target.name) for f in certified].count(
+        ("D(Ga_1)", "D(Ga_1)/I")) == 1
+    assert len({id(f) for f in certified}) == len(certified)
 
 
 def test_intersect_equals_recognition_in_both_orders(monkeypatch):
