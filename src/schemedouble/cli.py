@@ -75,13 +75,15 @@ def _load_triple(args):
 
 
 def _emit(args, data):
-    """Write data (a text, or a document as JSON) to the -o path, else print it."""
-    text = data if isinstance(data, str) else dump(data)
-    if args.output:
+    """Write data (a text, or a document streamed as JSON by ``dump``) and
+    a final newline to the -o path, else to stdout."""
+    if not isinstance(data, str):
+        dump(data, args.output or sys.stdout)
+    elif args.output:
         with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(data + "\n")
     else:
-        print(text)
+        print(data)
 
 
 def _report_lines(rep):

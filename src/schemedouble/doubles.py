@@ -215,7 +215,7 @@ def hexagon_products(H, R):
     R grouped by the same leg."""
     F = H.field
     one = F.one()
-    by_left = H.cells()[0]
+    by_left = H.cells()
     legs = {i for ab in R for i in ab}
     left1 = {i: H.product({i: one}, H.unit) for i in legs}
     right1 = {i: H.product(H.unit, {i: one}) for i in legs}

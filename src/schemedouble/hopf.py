@@ -99,6 +99,7 @@ class HopfAlgebra:
         self.name = name
         self._flags = {}
         self._cells = None
+        self._column_cells = None
         self._generators = None  # kept by certified_generators
         self._report = None  # kept by verify_hopf
 
@@ -111,7 +112,7 @@ class HopfAlgebra:
         F = self.field
         out = {}
         mul, axpy = F.mul, F.axpy
-        by_left = self.cells()[0]
+        by_left = self.cells()
         for i, a in v.items():
             row = by_left[i]
             for j, b in w.items():
@@ -168,18 +169,18 @@ class HopfAlgebra:
         A product of terms (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d
         is zero unless both cells mult[(a, c)] and mult[(b, d)] are
         non-empty.  Each term of x is filed once under every basis vector
-        that its first leg meets in a non-empty cell (from ``cells``, on the
-        side of x), with the row of cells of its second leg.  A term of y
-        visits only the terms filed under its first leg, and its second
-        cell is one lookup in that row.  Every skipped pair has an empty
-        cell, so its product is 0, and the result is the sum over all pairs
-        of terms, exactly.  With x on the right, each term of y visits the
+        that its first leg meets in a non-empty cell (from ``cells`` or
+        ``column_cells``, on the side of x), with the row of cells of its
+        second leg.  A term of y visits only the terms filed under its
+        first leg, and its second cell is one lookup in that row.  Every
+        skipped pair has an empty cell, so its product is 0, and the result
+        is the sum over all pairs of terms, exactly.  With x on the right, each term of y visits the
         terms of x in their order, as the loop over pairs (term of y, term
         of x) does, so the result also has that loop's key order.
         """
         F = self.field
         mul, add, zero = F.mul, F.add, F.zero()
-        cells = self.cells()[0 if side == "left" else 1]
+        cells = self.cells() if side == "left" else self.column_cells()
         index = {}
         for (a, b), cx in x.items():
             second = cells[b]
@@ -214,19 +215,29 @@ class HopfAlgebra:
     # -- cached global properties ----------------------------------------
 
     def cells(self):
-        """(by_left, by_right) over the non-empty cells of mult: by_left[i]
-        maps k to mult[(i, k)] and by_right[k] maps i to it.  Built on
-        first use and kept, like the flags below, so mult is not changed
-        after construction."""
+        """The row index of the non-empty cells of mult: cells()[i] maps k
+        to mult[(i, k)].  Built on first use and kept, like the flags
+        below, so mult is not changed after construction."""
         if self._cells is None:
             by_left = [{} for _ in range(self.dim)]
-            by_right = [{} for _ in range(self.dim)]
             for (i, k), cell in self.mult.items():
                 if cell:
                     by_left[i][k] = cell
-                    by_right[k][i] = cell
-            self._cells = by_left, by_right
+            self._cells = by_left
         return self._cells
+
+    def column_cells(self):
+        """The column index of the non-empty cells of mult:
+        column_cells()[k] maps i to mult[(i, k)].  Built on its own first
+        use, since most algebras (D(G) in ``quotient``, for one) are only
+        ever multiplied through the row index, and kept like ``cells``."""
+        if self._column_cells is None:
+            by_right = [{} for _ in range(self.dim)]
+            for (i, k), cell in self.mult.items():
+                if cell:
+                    by_right[k][i] = cell
+            self._column_cells = by_right
+        return self._column_cells
 
     def certified(self):
         """True when ``verify_hopf`` has passed on this algebra; its report
@@ -237,8 +248,7 @@ class HopfAlgebra:
         """mult[(i, k)] = mult[(k, i)] for all i, k, i.e. the non-empty
         cells with i as left factor are those with i as right factor."""
         if "comm" not in self._flags:
-            by_left, by_right = self.cells()
-            self._flags["comm"] = by_left == by_right
+            self._flags["comm"] = self.cells() == self.column_cells()
         return self._flags["comm"]
 
     def is_cocommutative(self):
@@ -366,7 +376,7 @@ def _light_test(H: HopfAlgebra, gens):
     F = H.field
     axpy = F.axpy
     labels = H.labels
-    by_left = H.cells()[0]
+    by_left = H.cells()
     for i in range(H.dim):
         row_i = by_left[i]
         for j in gens:
@@ -817,7 +827,7 @@ def is_hopf_morphism(f: LinMap):
     """
     A, B, F = f.source, f.target, f.target.field
     img = [f.apply(A.basis_vec(i)) for i in range(A.dim)]
-    by_left = A.cells()[0]
+    by_left = A.cells()
     nonzero = [j for j, fj in enumerate(img) if fj]
     for i, fi in enumerate(img):
         row = by_left[i]
@@ -883,7 +893,7 @@ def convolution_inverse(f: LinMap) -> LinMap:
     F = B.field
     nA, nB = A.dim, B.dim
     flat = lambda col, coord: col * nB + coord
-    by_left, by_right = B.cells()
+    by_left, by_right = B.cells(), B.column_cells()
 
     rows = []
     for i in range(nA):

@@ -7,11 +7,19 @@ arrays of exactly k integer coefficients (GF(p^k)), or "num/den" strings
 (rationals).  Sparse tensors are arrays of {"indices": [...], "value": ...}
 records, sorted by indices, so emitted documents are canonical and
 diffable.
+
+The tensors of a document (``tensor_to_json``, ``matrix_to_json``,
+``linmap_to_json`` and the tables of ``hopf_to_json``) are ``Records``:
+lazy views of the algebra's own dicts, read when the document is written.
+``dump`` streams a document to its output chunk by chunk, formatting each
+table straight from its (indices, scalar) pairs, so writing a document
+holds neither a list of record dicts nor the whole text.
 """
 
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .errors import BudgetExceeded, SchemaError
 from .fields import Field, make_field
@@ -68,18 +76,38 @@ def field_from_json(data) -> Field:
     raise SchemaError(f"unknown field kind {data!r}")
 
 
+class Records:
+    """The {"indices", "value"} records of a sparse tensor, formed on demand:
+    ``pairs()`` gives a fresh iterator of (index tuple, scalar) pairs in
+    record order.
+
+    Iterating gives the record dicts, and a table compares equal to a list
+    of records (such as ``json.load`` gives back) exactly when its records
+    are those.  ``dump`` formats the pairs directly.  The dicts the pairs
+    are read from must not change once the table is made."""
+
+    __slots__ = ("field", "pairs")
+
+    def __init__(self, F: Field, pairs):
+        self.field = F
+        self.pairs = pairs
+
+    def __iter__(self):
+        value = self.field.to_json
+        for idx, c in self.pairs():
+            yield {"indices": list(idx), "value": value(c)}
+
+    def __eq__(self, other):
+        if isinstance(other, (Records, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 def tensor_to_json(F: Field, entries):
     """entries: dict mapping index tuples (or ints) to scalars."""
-    return _records(F, ((key, entries[key]) for key in sorted(
-        entries, key=lambda k: (k,) if isinstance(k, int) else k)))
-
-
-def _records(F: Field, items):
-    """{"indices", "value"} records of (index tuple or int, scalar) pairs,
-    in the order given."""
-    value = F.to_json
-    return [{"indices": [key] if isinstance(key, int) else list(key), "value": value(c)}
-            for key, c in items]
+    as_tuple = lambda k: (k,) if isinstance(k, int) else k
+    return Records(F, lambda: ((as_tuple(k), entries[k])
+                               for k in sorted(entries, key=as_tuple)))
 
 
 def tensor_from_json(F: Field, data, shape):
@@ -110,11 +138,10 @@ def hopf_to_json(H: HopfAlgebra):
     """The document of H; the records of mult and comult come sorted cell
     by cell, which is their order sorted by (i, j, k)."""
     F = H.field
-    mult = _records(F, (((i, j, k), c) for i, j in sorted(H.mult)
-                        for k, c in sorted(H.mult[(i, j)].items())))
-    comult = _records(F, (((i, j, k), c) for i in sorted(H.comult)
-                          for (j, k), c in sorted(H.comult[i].items())))
-    antipode = {(i, j): c for j, col in H.antipode.items() for i, c in col.items()}
+    mult = Records(F, lambda: (((i, j, k), c) for i, j in sorted(H.mult)
+                               for k, c in sorted(H.mult[(i, j)].items())))
+    comult = Records(F, lambda: (((i, j, k), c) for i in sorted(H.comult)
+                                 for (j, k), c in sorted(H.comult[i].items())))
     return {
         "schema_version": SCHEMA_VERSION,
         "field": field_to_json(F),
@@ -124,7 +151,7 @@ def hopf_to_json(H: HopfAlgebra):
         "unit": tensor_to_json(F, H.unit),
         "comult": comult,
         "counit": tensor_to_json(F, H.counit),
-        "antipode": tensor_to_json(F, antipode),
+        "antipode": matrix_to_json(F, H.antipode),
         "name": H.name,
     }
 
@@ -156,12 +183,14 @@ def hopf_from_json(data) -> HopfAlgebra:
     )
 
 
+def matrix_to_json(F: Field, mat):
+    """The records of a matrix kept as columns {j: {i: c}}, sorted by (i, j)."""
+    return Records(F, lambda: sorted((((i, j), c) for j, col in mat.items()
+                                      for i, c in col.items()), key=itemgetter(0)))
+
+
 def linmap_to_json(F: Field, m: LinMap):
-    entries = {}
-    for j, col in m.mat.items():
-        for i, c in col.items():
-            entries[(i, j)] = c
-    return tensor_to_json(F, entries)
+    return matrix_to_json(F, m.mat)
 
 
 def matrix_from_json(F: Field, data, shape):
@@ -307,20 +336,21 @@ def subgroup_from_spec(G: GroupScheme, spec) -> SubgroupScheme:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+# Records formatted into one chunk; a chunk of 3-index records is about
+# 9 kB, so a chunk costs little memory and each write carries many records.
+_CHUNK_RECORDS = 128
 
-def _is_record(r):
-    return (type(r) is dict and len(r) == 2 and type(r.get("indices")) is list
-            and "value" in r and all(type(i) is int for i in r["indices"]))
 
-
-def _encode_records(recs, level):
-    """The list of {"indices", "value"} records recs at indentation level,
+def _record_chunks(table, level):
+    """The chunks of the list of records of table at indentation level,
     each record from one template per arity."""
     pad = ["\n" + " " * (level + d) for d in range(4)]
+    value = table.field.to_json
     templates = {}
-    parts = []
-    for r in recs:
-        idx = r["indices"]
+    joiner = "," + pad[1]
+    sep = "[" + pad[1]
+    batch = []
+    for idx, c in table.pairs():
         tmpl = templates.get(len(idx))
         if tmpl is None:
             body = ("[" + pad[3] + ("," + pad[3]).join(["%d"] * len(idx)) + pad[2] + "]"
@@ -328,50 +358,96 @@ def _encode_records(recs, level):
             tmpl = templates[len(idx)] = (
                 "{" + pad[2] + '"indices": ' + body
                 + "," + pad[2] + '"value": %s' + pad[1] + "}")
-        value = r["value"]
-        parts.append(tmpl % (*idx, _encode_str(value) if type(value) is str
-                             else _encode(value, level + 2)))
-    return "[" + pad[1] + ("," + pad[1]).join(parts) + pad[0] + "]"
+        v = value(c)
+        batch.append(tmpl % (*idx, _encode_str(v) if type(v) is str
+                             else "".join(_chunks(v, level + 2))))
+        if len(batch) == _CHUNK_RECORDS:
+            yield sep + joiner.join(batch)
+            sep, batch = joiner, []
+    if batch:
+        yield sep + joiner.join(batch)
+    elif sep is not joiner:  # the table has no record
+        yield "[]"
+        return
+    yield pad[0] + "]"
 
 
-def _encode(data, level):
-    """``json.dumps(data, indent=1, sort_keys=True)`` for a value at the
-    given indentation level."""
+def _chunks(data, level):
+    """The text of ``json.dumps(data, indent=1, sort_keys=True)`` for a
+    value at the given indentation level, in chunks; a ``Records`` table
+    is written as the list of its records."""
     t = type(data)
     if t is str:
-        return _encode_str(data)
-    if t is int:
-        return int.__repr__(data)
-    if t is list or t is tuple:
-        if not data:
-            return "[]"
-        if all(map(_is_record, data)):
-            return _encode_records(data, level)
+        yield _encode_str(data)
+    elif t is int:
+        yield int.__repr__(data)
+    elif t is Records:
+        yield from _record_chunks(data, level)
+    elif (t is list or t is tuple) and data:
         pad = "\n" + " " * (level + 1)
-        return ("[" + pad + ("," + pad).join([_encode(v, level + 1) for v in data])
-                + "\n" + " " * level + "]")
-    if t is dict and all(type(k) is str for k in data):
-        if not data:
-            return "{}"
+        if all(type(v) is int for v in data):  # GF(p^k) scalars, index lists
+            yield "[" + pad + ("," + pad).join(map(int.__repr__, data))
+        else:
+            sep = "[" + pad
+            for v in data:
+                yield sep
+                yield from _chunks(v, level + 1)
+                sep = "," + pad
+        yield "\n" + " " * level + "]"
+    elif t is dict and data and all(type(k) is str for k in data):
         pad = "\n" + " " * (level + 1)
-        return ("{" + pad + ("," + pad).join([_encode_str(k) + ": " + _encode(v, level + 1)
-                                             for k, v in sorted(data.items())])
-                + "\n" + " " * level + "}")
-    # bool, None, float, dicts with non-string keys: the standard encoder,
-    # its lines shifted to this level (JSON strings hold no raw newline)
-    return json.dumps(data, indent=1, sort_keys=True).replace("\n", "\n" + " " * level)
+        sep = "{" + pad
+        for k, v in sorted(data.items()):
+            yield sep + _encode_str(k) + ": "
+            yield from _chunks(v, level + 1)
+            sep = "," + pad
+        yield "\n" + " " * level + "}"
+    else:
+        # empty containers, bool, None, float, dicts with non-string keys:
+        # the standard encoder, with any table inside as its list of
+        # records, its lines shifted to this level (JSON strings hold no
+        # raw newline)
+        yield json.dumps(data, indent=1, sort_keys=True, default=list).replace(
+            "\n", "\n" + " " * level)
 
 
-def dump(data, path=None):
-    """The text of ``json.dumps(data, indent=1, sort_keys=True)``, written
-    (with a final newline) to path when given.  Lists of sparse-tensor
-    records are formatted from one template each, instead of one encoder
-    chunk per bracket, key and number."""
-    text = _encode(data, 0)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+class Written(int):
+    """The number of characters ``dump`` wrote to a stream before the
+    final newline; ``len()`` gives it too, as it gives the length of the
+    text ``dump`` returns without a stream."""
+
+    __slots__ = ()
+
+    def __len__(self):
+        return int(self)
+
+
+def dump(data, out=None):
+    """``json.dumps(data, indent=1, sort_keys=True)``, with ``Records``
+    tables written as their lists of records.
+
+    Without out, the text is returned.  Given out, a writable text stream
+    or a path to create, the text and a final newline are written to it
+    chunk by chunk, and a ``Written`` count of the characters before the
+    newline is returned.  Records are formatted from one template per
+    arity, instead of one encoder chunk per bracket, key and number."""
+    if out is None:
+        return "".join(_chunks(data, 0))
+    if hasattr(out, "write"):
+        return _write(data, out)
+    with open(out, "w") as fh:
+        return _write(data, fh)
+
+
+def _write(data, stream):
+    """Write the chunks of data and a final newline to stream; ``dump``
+    calls this rather than itself, so each document is one call of it."""
+    n = 0
+    for chunk in _chunks(data, 0):
+        n += len(chunk)
+        stream.write(chunk)
+    stream.write("\n")
+    return Written(n)
 
 
 def load(path):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from schemedouble.cli import main
-from schemedouble.serialize import hopf_from_json, hopf_to_json
+from schemedouble.serialize import dump, hopf_from_json, hopf_to_json
 from schemedouble.fields import make_field
 from schemedouble.groupschemes import constant_group, ga_kernel
 
@@ -341,8 +341,8 @@ def test_tensor_index_outside_its_axis_is_a_schema_error(tmp_path, document, ind
                                              "B": [{"indices": indices, "value": "1"}]})
         argv = ["quotient", "--triple", f, "--field", "p3"]
     else:
-        doc = hopf_to_json(constant_group(S3_LABELS, s3_cayley(),
-                                          make_field("prime", p=7)).group_algebra)
+        doc = json.loads(dump(hopf_to_json(constant_group(
+            S3_LABELS, s3_cayley(), make_field("prime", p=7)).group_algebra)))
         doc["mult"][0]["indices"][2] = indices
         f = write(tmp_path / "kg.json", doc)
         argv = ["verify", "--hopf", f]
@@ -550,8 +550,10 @@ def test_dump_equals_json_dumps(data):
 
 
 def test_dump_equals_json_dumps_on_every_benchmark_output(tmp_path, monkeypatch):
-    """Every document the benchmark jobs write (both workloads, seed 0)
-    is dumped as json.dumps(indent=1, sort_keys=True) would dump it."""
+    """Every document the benchmark jobs write (both workloads, seed 0) is
+    written as json.dumps(indent=1, sort_keys=True) would dump it, with
+    its tables materialized as lists of records, and a final newline; dump
+    returns a length of the text without that newline."""
     import sys
 
     import schemedouble.cli
@@ -563,11 +565,13 @@ def test_dump_equals_json_dumps_on_every_benchmark_output(tmp_path, monkeypatch)
         sys.path.pop(0)
     real, seen = schemedouble.cli.dump, []
 
-    def checked(data, path=None):
-        text = real(data, path)
-        assert text == json.dumps(data, indent=1, sort_keys=True)
-        seen.append(path)
-        return text
+    def checked(data, out=None):
+        written = real(data, out)
+        text = Path(out).read_text()
+        assert text == json.dumps(data, indent=1, sort_keys=True, default=list) + "\n"
+        assert len(written) == len(text) - 1
+        seen.append(out)
+        return written
 
     monkeypatch.setattr(schemedouble.cli, "dump", checked)
     jobs = [j for w in ("verify", "quotient") for j in workloads.jobs(w, 0)
