@@ -29,7 +29,6 @@ from .groupschemes import (
     ga_frobenius_subgroup,
     ga_kernel,
     intersect_subgroup,
-    is_normal,
     mu_p_kernel,
     product_subgroup,
     quotient_by_normal,
@@ -40,7 +39,6 @@ from .groupschemes import (
 )
 from .doubles import (
     QuasiHopfData,
-    canonical_r_and_v,
     drinfeld_double,
     is_factorizable,
     is_triangular,

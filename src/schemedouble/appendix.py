@@ -84,10 +84,6 @@ def appendix_report(p: int) -> dict:
     }
 
     lam0_qp = quots2[0][1]
-    sigma_entries = {}
-    for (r, s), vec in lam0_qp.sigma.items():
-        for i, c in vec.items():
-            sigma_entries[(r, s, i)] = c
     # sigma is trivial when sigma(x, y) = eps(x) eps(y) 1 throughout
     Q = lam0_qp.quotient.hopf
     OK = lam0_qp.triple.K.own.coordinate_algebra

@@ -14,7 +14,6 @@ import sys
 
 from .appendix import appendix_report
 from .doubles import (
-    canonical_r_and_v,
     drinfeld_double,
     is_factorizable,
     is_triangular,
@@ -39,6 +38,7 @@ from .quotients import (
     trivial_hopf_map,
 )
 from .serialize import (
+    cells_to_json,
     dump,
     field_to_json,
     group_from_spec,
@@ -121,7 +121,7 @@ def cmd_double(args):
     G, F = _load_group(args)
     dd = drinfeld_double(G)
     hopf_rep = verify_hopf(dd.D)
-    qt = canonical_r_and_v(dd)
+    qt = dd.qt
     qt_rep = verify_quasitriangular(qt)
     rib_rep = verify_ribbon(qt)
     data = {
@@ -153,15 +153,13 @@ def cmd_quotient(args):
     qp = build_quotient(triple)
     qt_rep = verify_quasitriangular(qp.qt)
     rib_rep = verify_ribbon(qp.qt)
-    sigma_entries = {(r, s, i): c for (r, s), vec in qp.sigma.items() for i, c in vec.items()}
-    tau_entries = {(r, i, j): c for r, t2 in qp.tau.items() for (i, j), c in t2.items()}
     data = {
         "schema_version": 1,
         "dim": qp.D.dim,
         "fp_dimension": triple.fp_dimension(),
         "quotient_hopf": hopf_to_json(qp.D),
-        "sigma": tensor_to_json(F, sigma_entries),
-        "tau": tensor_to_json(F, tau_entries),
+        "sigma": cells_to_json(F, qp.sigma),
+        "tau": cells_to_json(F, qp.tau),
         "R": tensor_to_json(F, qp.qt.R),
         "V": tensor_to_json(F, qp.qt.V),
         "reports": {
@@ -171,7 +169,7 @@ def cmd_quotient(args):
     }
     ok = qt_rep.ok and rib_rep.ok
     if not args.skip_theta:
-        theta = qp.theta()
+        theta = qp.theta
         quotient_r_and_v(qp)
         kernel_ok = theta_kernel_matches_ideal(qp)
         data["theta"] = linmap_to_json(F, theta)

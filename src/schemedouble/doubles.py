@@ -12,13 +12,14 @@ Basis order in D(G) is (coordinate index, group index) row-major: the pair
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import BudgetExceeded, MissingRibbonElement, NoSolution, VerificationFailure
-from .groupschemes import GroupScheme, coadjoint_matrices
+from .groupschemes import GroupScheme
 from .hopf import (
     HopfAlgebra,
     LinMap,
     VerificationReport,
-    certified_generators,
     certify_hopf_map,
     crossed_product,
     first_failure,
@@ -43,8 +44,8 @@ from .serialize import MAX_DOUBLE_DIM
 
 class DoubleData:
     """D(G) with the embeddings of O(G)^cop and k[G], the projection onto
-    k[G], and the canonical (R, V) once ``canonical_r_and_v`` has formed it.
-    One per G, kept on it by ``drinfeld_double``."""
+    k[G], and the canonical (R, V) as the cached property ``qt``.  One per
+    G, kept on it by ``drinfeld_double``."""
 
     def __init__(self, G, D, embed_O, embed_kG, proj_kG):
         self.G = G
@@ -52,10 +53,24 @@ class DoubleData:
         self.embed_O = embed_O
         self.embed_kG = embed_kG
         self.proj_kG = proj_kG
-        self._qt = None
 
     def index(self, a, i):
         return a * self.G.order + i
+
+    @cached_property
+    def qt(self) -> "QuasiHopfData":
+        """R = sum_u (1 |><| u) (x) (delta_u |><| 1) and
+        V = sum_u S(delta_u) |><| u, with what is derived from them."""
+        G = self.G
+        F = G.field
+        n = G.order
+        O = G.coordinate_algebra
+        R = t2_map(F, self.embed_kG.mat, self.embed_O.mat,
+                   {(i, i): F.one() for i in range(n)})
+        V = {}
+        for i in range(n):
+            v_axpy(F, V, F.one(), flat_outer(F, O.antipode.get(i, {}), unit_vec(i, F), n))
+        return QuasiHopfData(self.D, R, V)
 
 
 def drinfeld_double(G: GroupScheme) -> DoubleData:
@@ -92,7 +107,7 @@ def _build_double(G: GroupScheme) -> DoubleData:
     O = G.coordinate_algebra
     F = G.field
     idx = lambda a, i: a * n + i
-    coad = coadjoint_matrices(G)
+    coad = G.coadjoint
 
     labels = [f"{O.labels[a]}><{kg.labels[i]}" for a in range(n) for i in range(n)]
 
@@ -136,51 +151,32 @@ def _build_double(G: GroupScheme) -> DoubleData:
 
 class QuasiHopfData:
     """A Hopf algebra with a candidate R-matrix (Ten2) and optional ribbon
-    element (Vec).  R and V are not changed after construction: R21 R and
-    (S (x) id)R are formed once and kept, and so is whether
-    ``verify_quasitriangular`` found R invertible with inverse (S (x) id)R."""
+    element (Vec).  R and V are not changed after construction, so what is
+    derived from them is a cached property."""
 
     def __init__(self, algebra: HopfAlgebra, R, V=None):
         self.algebra = algebra
         self.R = R
         self.V = V
-        self._monodromy = None
-        self._r_inverse = None
-        self._r_invertible = False  # set by verify_quasitriangular
 
+    @cached_property
+    def monodromy(self):
+        """R_21 R, the square-braiding element."""
+        return self.algebra.tensor_square_product(t2_swap(self.R), self.R)
 
-def canonical_r_and_v(dd: DoubleData) -> QuasiHopfData:
-    """R = sum_u (1 |><| u) (x) (delta_u |><| 1) and V = sum_u S(delta_u) |><| u,
-    formed once per D(G) and kept on dd with what is derived from them."""
-    if dd._qt is not None:
-        return dd._qt
-    G = dd.G
-    F = G.field
-    n = G.order
-    O = G.coordinate_algebra
-    R = t2_map(F, dd.embed_kG.mat, dd.embed_O.mat,
-               {(i, i): F.one() for i in range(n)})
-    V = {}
-    for i in range(n):
-        v_axpy(F, V, F.one(), flat_outer(F, O.antipode.get(i, {}), unit_vec(i, F), n))
-    dd._qt = QuasiHopfData(dd.D, R, V)
-    return dd._qt
+    @cached_property
+    def r_inverse(self):
+        """(S (x) id)(R), the inverse of any genuine R-matrix."""
+        H = self.algebra
+        return t2_map(H.field, H.antipode, mat_identity(H.dim, H.field), self.R)
 
-
-def monodromy(Q: QuasiHopfData):
-    """R_21 R, the square-braiding element; formed once per Q."""
-    if Q._monodromy is None:
-        Q._monodromy = Q.algebra.tensor_square_product(t2_swap(Q.R), Q.R)
-    return Q._monodromy
-
-
-def r_inverse_candidate(Q: QuasiHopfData):
-    """(S (x) id)(R), the inverse of any genuine R-matrix; formed once per Q."""
-    if Q._r_inverse is None:
-        H = Q.algebra
-        F = H.field
-        Q._r_inverse = t2_map(F, H.antipode, mat_identity(H.dim, F), Q.R)
-    return Q._r_inverse
+    @cached_property
+    def r_invertible(self) -> bool:
+        """Whether R r_inverse = r_inverse R = 1 (x) 1."""
+        H = self.algebra
+        unit2 = t2_outer(H.field, H.unit, H.unit)
+        return (H.t2_times(self.R, "left")(self.r_inverse) == unit2
+                and H.t2_times(self.R, "right")(self.r_inverse) == unit2)
 
 
 def _leg_sum(H, terms):
@@ -215,7 +211,7 @@ def hexagon_products(H, R):
     R grouped by the same leg."""
     F = H.field
     one = F.one()
-    by_left = H.cells()
+    by_left = H.cells
     legs = {i for ab in R for i in ab}
     left1 = {i: H.product({i: one}, H.unit) for i in legs}
     right1 = {i: H.product(H.unit, {i: one}) for i in legs}
@@ -264,16 +260,16 @@ def verify_quasitriangular(Q: QuasiHopfData) -> VerificationReport:
     with an empty cell, whose products are 0, so every product is exact.
 
     R Delta = Delta^cop R is checked on the certified generators A of H
-    (``certified_generators``) when H carries a passing ``verify_hopf``
-    report (``HopfAlgebra.certified``), and on every basis vector
-    otherwise.  Proof: the report makes H, hence H (x) H, associative and
-    Delta, hence Delta^cop, multiplicative, so
+    (``HopfAlgebra.certified_generators``) when H carries a passing
+    ``verify_hopf`` report (``HopfAlgebra.certified``), and on every basis
+    vector otherwise.  Proof: the report makes H, hence H (x) H,
+    associative and Delta, hence Delta^cop, multiplicative, so
     M = {h : R Delta(h) = Delta^cop(h) R} is a subspace closed under
     products: R Delta(h g) = R Delta(h) Delta(g) = Delta^cop(h) R Delta(g)
     = Delta^cop(h) Delta^cop(g) R = Delta^cop(h g) R.  M contains A, so it
     contains every right product of elements of A, whose span is H.  The
-    witness is then the first failing generator.  Whether R rinv =
-    rinv R = 1 (x) 1 is kept on Q for ``verify_ribbon``.
+    witness is then the first failing generator.  Invertibility is
+    ``Q.r_invertible``, which ``verify_ribbon`` reads too.
     """
     H = Q.algebra
     F = H.field
@@ -284,14 +280,12 @@ def verify_quasitriangular(Q: QuasiHopfData) -> VerificationReport:
     rep.record("counit law (eps(x)id)R = 1", left_counit == H.unit)
     rep.record("counit law (id(x)eps)R = 1", right_counit == H.unit)
 
+    rep.record("R invertible with (S(x)id)R", Q.r_invertible)
+
     r_times = H.t2_times(Q.R, "left")
     times_r = H.t2_times(Q.R, "right")
-    rinv = r_inverse_candidate(Q)
-    unit2 = t2_outer(F, H.unit, H.unit)
-    Q._r_invertible = r_times(rinv) == unit2 and times_r(rinv) == unit2
-    rep.record("R invertible with (S(x)id)R", Q._r_invertible)
 
-    on = certified_generators(H) if H.certified() else range(n)
+    on = H.certified_generators if H.certified() else range(n)
     rep.record("R Delta = Delta^cop R", *first_failure(
         H.labels[h] for h in on if r_times(H.comult[h]) != times_r(t2_swap(H.comult[h]))))
 
@@ -313,8 +307,7 @@ def verify_ribbon(Q: QuasiHopfData) -> VerificationReport:
 
     The coproduct law uses the candidate (R21 R)^-1 = rinv swap(rinv) with
     rinv = (S (x) id)R.  It is confirmed by (R21 R)(rinv swap(rinv)) = 1
-    (x) 1 unless H is certified and ``verify_quasitriangular`` found, on
-    the same Q, R invertible with inverse rinv: then R rinv =
+    (x) 1 unless H is certified and ``Q.r_invertible`` holds: then R rinv =
     rinv R = 1 (x) 1, H (x) H is associative and swap is multiplicative, so
     R21 R rinv rinv21 = R21 rinv21 = swap(R rinv) = 1 (x) 1, exactly."""
     if Q.V is None:
@@ -325,7 +318,7 @@ def verify_ribbon(Q: QuasiHopfData) -> VerificationReport:
     V = Q.V
     rep = VerificationReport(f"V on {H.name or 'dim %d' % n}")
 
-    on = certified_generators(H) if H.certified() else range(n)
+    on = H.certified_generators if H.certified() else range(n)
     rep.record("V central", *first_failure(
         H.labels[i] for i in on if H.product(V, {i: F.one()}) != H.product({i: F.one()}, V)))
 
@@ -341,10 +334,10 @@ def verify_ribbon(Q: QuasiHopfData) -> VerificationReport:
         inv_ok = False
     rep.record("V invertible", inv_ok)
 
-    rinv = r_inverse_candidate(Q)
+    rinv = Q.r_inverse
     mono_inv = H.tensor_square_product(rinv, t2_swap(rinv))
-    sane = ((H.certified() and Q._r_invertible)
-            or H.tensor_square_product(monodromy(Q), mono_inv)
+    sane = ((H.certified() and Q.r_invertible)
+            or H.tensor_square_product(Q.monodromy, mono_inv)
             == t2_outer(F, H.unit, H.unit))
     lhs = H.coproduct(V)
     rhs = H.tensor_square_product(mono_inv, t2_outer(F, V, V))
@@ -354,13 +347,13 @@ def verify_ribbon(Q: QuasiHopfData) -> VerificationReport:
 
 def is_triangular(Q: QuasiHopfData) -> bool:
     H = Q.algebra
-    return monodromy(Q) == t2_outer(H.field, H.unit, H.unit)
+    return Q.monodromy == t2_outer(H.field, H.unit, H.unit)
 
 
 def is_factorizable(Q: QuasiHopfData) -> bool:
     """Full rank of the Drinfeld map f -> (f (x) id)(R21 R)."""
     H = Q.algebra
     cols: dict = {}
-    for (a, b), c in monodromy(Q).items():
+    for (a, b), c in Q.monodromy.items():
         cols.setdefault(a, {})[b] = c
     return mat_rank(H.field, cols, H.dim) == H.dim

@@ -10,6 +10,7 @@ implements duality on maps.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .errors import (
     CharZero,
@@ -67,10 +68,12 @@ from .linalg import (
 class GroupScheme:
     """A finite group scheme: cocommutative k[G] with O(G) its dual.
 
-    ``order_connected`` and ``order_points`` record |G?| and |G(k)| when the
-    constructor knows them structurally (constant, infinitesimal, products).
+    ``order_connected`` and ``order_points`` record |G^0| and |G(k)| when
+    the constructor knows them structurally (constant, infinitesimal,
+    products, subgroups of a constant or connected G); otherwise
+    ``points_order`` counts the grouplikes of k[G] and fills both.
 
-    G is the one place that keeps what is derived from it, by canonical key:
+    G keeps what is derived from it by canonical key:
     ``subgroups`` maps ``Echelon.key()`` to the SubgroupScheme on that span
     (``subgroup_from_subspace``), ``triples`` maps ``Triple.key()`` to the
     validated triple (``quotients.kept_triple``), which carries its quotient
@@ -81,6 +84,14 @@ class GroupScheme:
     ``Echelon.key()`` of ker(theta) to the triple of that quotient pair
     (``quotients.QuotientPair.kernel``), and ``_double`` holds D(G) once
     built (``doubles.drinfeld_double``).
+
+    A value derived from one object is a cached property of that object:
+    ``coadjoint`` of G, and likewise the derived values of a subgroup, an
+    algebra, a quotient pair and an (R, V).  D(G) and D(K, H, B) stay
+    functions, ``doubles.drinfeld_double`` and ``quotients.build_quotient``,
+    which keep their result on G and on the triple.  G keeps one subgroup
+    per span and one triple per key, so kept subgroups and triples are
+    compared by identity.
     """
 
     def __init__(self, group_algebra: HopfAlgebra, kind="generic", payload=None,
@@ -96,7 +107,6 @@ class GroupScheme:
             group_algebra.name = f"k[{name}]"
             self.coordinate_algebra.name = f"O({name})"
         self.field = group_algebra.field
-        self._coad = None
         self._double = None
         self.subgroups = {}
         self.triples = {}
@@ -123,6 +133,29 @@ class GroupScheme:
         if self.order_connected is None:
             self.points_order()
         return self.order_connected
+
+    @cached_property
+    def coadjoint(self):
+        """For each basis u_i of k[G], the matrix of u_i ->> (-) on O(G),
+        where u ->> b = <S(b_1) b_3, u> b_2, read from the identity pairing
+        of dual bases.  Every caller gets the same list, which must not be
+        mutated."""
+        O = self.coordinate_algebra
+        F = self.field
+        n = self.order
+        mats = [dict() for _ in range(n)]
+        for b in range(n):
+            for (x, y, z), c in O.delta2(unit_vec(b, F)).items():
+                w = O.product(O.antipode_of(unit_vec(x, F)), unit_vec(z, F))
+                for i, wi in w.items():
+                    coef = F.mul(c, wi)
+                    if coef != F.zero():
+                        col = mats[i].setdefault(b, {})
+                        v_axpy(F, col, coef, unit_vec(y, F))
+        for m in mats:
+            for b in [b for b, col in m.items() if not col]:
+                del m[b]
+        return mats
 
 
 def _check_group_table(table):
@@ -414,45 +447,15 @@ def ad_l(G: GroupScheme, u, w):
     return out
 
 
-def coadjoint_matrices(G: GroupScheme):
-    """For each basis u_i of k[G], the matrix of u_i ->> (-) on O(G), where
-    u ->> b = <S(b_1) b_3, u> b_2.
-
-    Built once per GroupScheme and kept on it: every caller gets the same
-    list, which must not be mutated."""
-    if G._coad is None:
-        G._coad = _coadjoint_columns(G)
-    return G._coad
-
-
-def _coadjoint_columns(G: GroupScheme):
-    """The matrices of ``coadjoint_matrices``, from the identity pairing of
-    dual bases."""
-    O = G.coordinate_algebra
-    F = G.field
-    n = G.order
-    mats = [dict() for _ in range(n)]
-    for b in range(n):
-        for (x, y, z), c in O.delta2(unit_vec(b, F)).items():
-            w = O.product(O.antipode_of(unit_vec(x, F)), unit_vec(z, F))
-            for i, wi in w.items():
-                coef = F.mul(c, wi)
-                if coef != F.zero():
-                    col = mats[i].setdefault(b, {})
-                    v_axpy(F, col, coef, unit_vec(y, F))
-    for m in mats:
-        for b in [b for b, col in m.items() if not col]:
-            del m[b]
-    return mats
-
-
 # -- subgroup schemes -------------------------------------------------------
 
 
 class SubgroupScheme:
     """A closed subgroup scheme, carried as (iota: k[L] -> k[G], q = iota^T).
-    Its span does not change after construction, so its key and hash are
-    formed once."""
+    Its span does not change after construction, so its key is formed once
+    and its normality, section and cleaving are cached properties.  G keeps
+    one subgroup per span (``subgroup_from_subspace``), so two kept
+    subgroups are equal exactly when they are the same object."""
 
     def __init__(self, ambient: GroupScheme, own: GroupScheme, iota: LinMap,
                  subspace: Echelon):
@@ -463,42 +466,31 @@ class SubgroupScheme:
                         mat_transpose(iota.mat))
         self.subspace = subspace
         self._key = subspace.key()
-        self._hash = hash(self._key)
-        self._normal = None
-        self._section = None
-        self._cleaving = None
 
     @property
     def order(self):
         return self.own.order
 
-    @property
-    def section(self) -> "SectionData":
-        """``section_mu`` of this subgroup, found once and kept on it."""
-        if self._section is None:
-            self._section = section_mu(self)
-        return self._section
+    @cached_property
+    def is_normal(self) -> bool:
+        """``is_normal`` of this subgroup."""
+        return is_normal(self)
 
-    @property
+    @cached_property
+    def section(self) -> "SectionData":
+        """``section_mu`` of this subgroup."""
+        return section_mu(self)
+
+    @cached_property
     def cleaving(self) -> "CleavingData":
-        """``cleaving_gamma`` of this (normal) subgroup, with its quotient,
-        found once and kept on it."""
-        if self._cleaving is None:
-            self._cleaving = cleaving_gamma(self.ambient, self)
-        return self._cleaving
+        """``cleaving_gamma`` of this (normal) subgroup, with its quotient."""
+        return cleaving_gamma(self.ambient, self)
 
     def key(self):
         return self._key
 
     def contains_subgroup(self, other: "SubgroupScheme"):
         return all(self.subspace.contains(r) for r in other.subspace.basis())
-
-    def __eq__(self, other):
-        return isinstance(other, SubgroupScheme) and self.key() == other.key() \
-            and self.ambient is other.ambient
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"SubgroupScheme(order {self.order} in {self.ambient.name})"
@@ -649,18 +641,11 @@ def ga_frobenius_subgroup(G: GroupScheme, s: int) -> SubgroupScheme:
 
 def is_normal(L: SubgroupScheme) -> bool:
     """Whether k[L] is stable under ad_l(u) for every basis u of k[G];
-    decided once per SubgroupScheme, which does not change after
-    construction, and kept on it.
+    callers read ``L.is_normal``, which keeps the answer.
 
     The right action ad_r(u)(w) = S(u_1) w u_2 has the same stable
     subspaces.  k[G] is cocommutative, so Delta(S(u)) = S(u_1) (x) S(u_2)
     and S^2 = id, whence ad_r(u) = ad_l(S(u)); and S is bijective."""
-    if L._normal is None:
-        L._normal = _ad_stable(L)
-    return L._normal
-
-
-def _ad_stable(L: SubgroupScheme) -> bool:
     G, S = L.ambient, L.subspace
     return all(S.contains(ad_l(G, unit_vec(i, G.field), row))
                for i in range(G.order) for row in S.basis())
@@ -699,7 +684,7 @@ def coinvariant_subspace(G: GroupScheme, sub: SubgroupScheme) -> Echelon:
 
 def quotient_by_normal(G: GroupScheme, H_sub: SubgroupScheme) -> Quotient:
     """k[G/H] = k[G]/(k[H]^+ k[G]) with canonical complement-of-pivots basis."""
-    if not is_normal(H_sub):
+    if not H_sub.is_normal:
         raise NotNormal(f"{H_sub} is not normal in {G.name}")
     kg = G.group_algebra
     F = G.field
@@ -819,7 +804,7 @@ def _invertible_section(cand, proj: LinMap, inconsistent: Exception):
 
 def section_mu(L: SubgroupScheme) -> SectionData:
     """A counit- and unit-preserving O(L)-colinear section of q_L, with its
-    convolution inverse.  Callers use ``L.section``, which keeps it.
+    convolution inverse.  Callers read ``L.section``, which keeps it.
 
     The closed-form candidate is read off the span of k[L]: for |L| = 1 the
     unit of O(G); when every RREF row is a unit vector e_p (the element
@@ -870,7 +855,7 @@ def _colinear_section_ok(s: LinMap, proj: LinMap) -> bool:
 def cleaving_gamma(G: GroupScheme, H_sub: SubgroupScheme) -> CleavingData:
     """A convolution-invertible colinear section gamma of pi: k[G] -> k[G/H],
     with the retraction eta = id * (gamma^-1 pi) and the closed-form eta^-1.
-    Callers use ``H.cleaving``, which keeps it with its quotient.
+    Callers read ``H.cleaving``, which keeps it with its quotient.
 
     The closed-form candidate sends each class x_r to the first basis
     vector e_i with pi(e_i) = x_r (coset representatives of a constant

@@ -19,6 +19,8 @@ violating tuple found as a witness.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import (
     AntipodeNotInvertible,
     BudgetExceeded,
@@ -97,10 +99,6 @@ class HopfAlgebra:
         self.counit = counit
         self.antipode = antipode
         self.name = name
-        self._flags = {}
-        self._cells = None
-        self._column_cells = None
-        self._generators = None  # kept by certified_generators
         self._report = None  # kept by verify_hopf
 
     def __repr__(self):
@@ -112,7 +110,7 @@ class HopfAlgebra:
         F = self.field
         out = {}
         mul, axpy = F.mul, F.axpy
-        by_left = self.cells()
+        by_left = self.cells
         for i, a in v.items():
             row = by_left[i]
             for j, b in w.items():
@@ -180,7 +178,7 @@ class HopfAlgebra:
         """
         F = self.field
         mul, add, zero = F.mul, F.add, F.zero()
-        cells = self.cells() if side == "left" else self.column_cells()
+        cells = self.cells if side == "left" else self.column_cells
         index = {}
         for (a, b), cx in x.items():
             second = cells[b]
@@ -212,64 +210,86 @@ class HopfAlgebra:
         """Product of two elements of H (x) H given as Ten2 dicts."""
         return self.t2_times(y, "right")(x)
 
-    # -- cached global properties ----------------------------------------
+    # -- values derived from the structure constants, kept on first use ----
 
+    @cached_property
     def cells(self):
-        """The row index of the non-empty cells of mult: cells()[i] maps k
-        to mult[(i, k)].  Built on first use and kept, like the flags
-        below, so mult is not changed after construction."""
-        if self._cells is None:
-            by_left = [{} for _ in range(self.dim)]
-            for (i, k), cell in self.mult.items():
-                if cell:
-                    by_left[i][k] = cell
-            self._cells = by_left
-        return self._cells
+        """The row index of the non-empty cells of mult: cells[i] maps k to
+        mult[(i, k)].  Like every cached property of H, it is formed on
+        first use and kept, so mult is not changed after construction."""
+        by_left = [{} for _ in range(self.dim)]
+        for (i, k), cell in self.mult.items():
+            if cell:
+                by_left[i][k] = cell
+        return by_left
 
+    @cached_property
     def column_cells(self):
-        """The column index of the non-empty cells of mult:
-        column_cells()[k] maps i to mult[(i, k)].  Built on its own first
-        use, since most algebras (D(G) in ``quotient``, for one) are only
-        ever multiplied through the row index, and kept like ``cells``."""
-        if self._column_cells is None:
-            by_right = [{} for _ in range(self.dim)]
-            for (i, k), cell in self.mult.items():
-                if cell:
-                    by_right[k][i] = cell
-            self._column_cells = by_right
-        return self._column_cells
+        """The column index of the non-empty cells of mult: column_cells[k]
+        maps i to mult[(i, k)].  Formed on its own first use, since most
+        algebras (D(G) in ``quotient``, for one) are only ever multiplied
+        through the row index."""
+        by_right = [{} for _ in range(self.dim)]
+        for (i, k), cell in self.mult.items():
+            if cell:
+                by_right[k][i] = cell
+        return by_right
 
     def certified(self):
         """True when ``verify_hopf`` has passed on this algebra; its report
-        is kept here, like ``cells``, so evidence is only what was earned."""
+        is kept here, so evidence is only what was earned."""
         return self._report is not None and self._report.ok
 
+    @cached_property
     def is_commutative(self):
         """mult[(i, k)] = mult[(k, i)] for all i, k, i.e. the non-empty
         cells with i as left factor are those with i as right factor."""
-        if "comm" not in self._flags:
-            self._flags["comm"] = self.cells() == self.column_cells()
-        return self._flags["comm"]
+        return self.cells == self.column_cells
 
+    @cached_property
     def is_cocommutative(self):
-        if "cocomm" not in self._flags:
-            ok = True
-            for i in range(self.dim):
-                t = self.comult[i]
-                if any(t.get((k, j)) != c for (j, k), c in t.items()):
-                    ok = False
-                    break
-            self._flags["cocomm"] = ok
-        return self._flags["cocomm"]
+        return all(t.get((k, j)) == c for t in self.comult.values()
+                   for (j, k), c in t.items())
 
+    @cached_property
     def is_involutive(self):
-        if "inv" not in self._flags:
-            F = self.field
-            s2 = mat_compose(F, self.antipode, self.antipode)
-            self._flags["inv"] = all(
-                s2.get(i, {}) == unit_vec(i, F) for i in range(self.dim)
-            )
-        return self._flags["inv"]
+        F = self.field
+        s2 = mat_compose(F, self.antipode, self.antipode)
+        return all(s2.get(i, {}) == unit_vec(i, F) for i in range(self.dim))
+
+    @cached_property
+    def certified_generators(self):
+        """Basis indices A, taken greedily in basis order, such that the
+        closure S of span A under right multiplication by A is all of H.
+
+        Index i joins A when e_i is not yet in S; S is then re-closed with a
+        worklist that multiplies each newly added vector by every element
+        of A (and every earlier vector by the new generator), so products
+        are formed once each.  Every e_i ends up in S, so the greedy pass
+        always terminates with S = H; in the worst case A is the whole
+        basis.
+        """
+        F = self.field
+        one = F.one()
+        S = Echelon(F, self.dim)
+        gens, members, work = [], [], []
+        for i in range(self.dim):
+            if S.dim == self.dim:
+                break
+            e = {i: one}
+            if not S.insert(e):
+                continue
+            work.extend((m, i) for m in members)
+            members.append(e)
+            gens.append(i)
+            work.extend((e, a) for a in gens)
+            while work:
+                v, a = work.pop()
+                p = self.product(v, {a: one})
+                if p and S.insert(p):
+                    members.append(p)
+                    work.extend((p, b) for b in gens)
+        return gens
 
     def basis_vec(self, i):
         return {i: self.field.one()}
@@ -314,43 +334,6 @@ class VerificationReport:
         return out
 
 
-def certified_generators(H: HopfAlgebra):
-    """Basis indices A, taken greedily in basis order, such that the closure
-    S of span A under right multiplication by A is all of H.
-
-    Index i joins A when e_i is not yet in S; S is then re-closed with a
-    worklist that multiplies each newly added vector by every element of A
-    (and every earlier vector by the new generator), so products are formed
-    once each.  Every e_i ends up in S, so the greedy pass always terminates
-    with S = H; in the worst case A is the whole basis.  Computed once per
-    algebra and kept on it, like ``cells``.
-    """
-    if H._generators is not None:
-        return H._generators
-    F = H.field
-    one = F.one()
-    S = Echelon(F, H.dim)
-    gens, members, work = [], [], []
-    for i in range(H.dim):
-        if S.dim == H.dim:
-            break
-        e = {i: one}
-        if not S.insert(e):
-            continue
-        work.extend((m, i) for m in members)
-        members.append(e)
-        gens.append(i)
-        work.extend((e, a) for a in gens)
-        while work:
-            v, a = work.pop()
-            p = H.product(v, {a: one})
-            if p and S.insert(p):
-                members.append(p)
-                work.extend((p, b) for b in gens)
-    H._generators = gens
-    return gens
-
-
 def first_failure(witnesses):
     """(False, the first witness) when the iterable yields one, else
     (True, "").  Yielding is the failure signal, so a witness counts
@@ -376,7 +359,7 @@ def _light_test(H: HopfAlgebra, gens):
     F = H.field
     axpy = F.axpy
     labels = H.labels
-    by_left = H.cells()
+    by_left = H.cells
     for i in range(H.dim):
         row_i = by_left[i]
         for j in gens:
@@ -410,8 +393,8 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
     The unit law, the counit law, the unit and counit compatibilities and
     the antipode law are checked on every basis vector.  Associativity and
     the multiplicativity of the comultiplication and the counit are checked
-    over the generating set A of ``certified_generators`` (Light's
-    associativity test, see ``_light_test``):
+    over the generating set A of ``HopfAlgebra.certified_generators``
+    (Light's associativity test, see ``_light_test``):
 
     * associativity on the triples x (a y) = (x a) y, for x, y in the basis
       and a in A;
@@ -462,7 +445,7 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
     zero = F.zero()
     labels = H.labels
     mult = H.mult
-    gens = certified_generators(H)
+    gens = H.certified_generators
     rows = {"associativity": _light_test(H, gens)}
 
     def unit_fails(i):
@@ -520,9 +503,9 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
                  "comultiplication multiplicative", "counit multiplicative",
                  "comultiplication unital", "counit of unit", "antipode law"):
         rep.record(name, *rows[name])
-    rep.flags["commutative"] = H.is_commutative()
-    rep.flags["cocommutative"] = H.is_cocommutative()
-    rep.flags["involutive"] = H.is_involutive()
+    rep.flags["commutative"] = H.is_commutative
+    rep.flags["cocommutative"] = H.is_cocommutative
+    rep.flags["involutive"] = H.is_involutive
     H._report = rep
     return rep
 
@@ -777,29 +760,16 @@ class LinMap:
     def apply(self, v):
         return mat_apply(self.target.field, self.mat, v)
 
-    def __call__(self, v):
-        return self.apply(v)
-
     def compose(self, other: "LinMap") -> "LinMap":
         return LinMap(
             other.source, self.target, mat_compose(self.target.field, self.mat, other.mat)
         )
-
-    def transpose(self, dual_source: HopfAlgebra, dual_target: HopfAlgebra) -> "LinMap":
-        """The dual map between the given dual Hopf algebras."""
-        return LinMap(dual_target, dual_source, mat_transpose(self.mat))
 
     def rank(self):
         return mat_rank(self.target.field, self.mat, self.target.dim)
 
     def key(self):
         return mat_key(self.mat)
-
-    def __eq__(self, other):
-        return isinstance(other, LinMap) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 def identity_map(H: HopfAlgebra) -> LinMap:
@@ -827,7 +797,7 @@ def is_hopf_morphism(f: LinMap):
     """
     A, B, F = f.source, f.target, f.target.field
     img = [f.apply(A.basis_vec(i)) for i in range(A.dim)]
-    by_left = A.cells()
+    by_left = A.cells
     nonzero = [j for j, fj in enumerate(img) if fj]
     for i, fi in enumerate(img):
         row = by_left[i]
@@ -893,7 +863,7 @@ def convolution_inverse(f: LinMap) -> LinMap:
     F = B.field
     nA, nB = A.dim, B.dim
     flat = lambda col, coord: col * nB + coord
-    by_left, by_right = B.cells(), B.column_cells()
+    by_left, by_right = B.cells, B.column_cells
 
     rows = []
     for i in range(nA):

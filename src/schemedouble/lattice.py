@@ -14,13 +14,7 @@ from .errors import (
     NotConstant,
     VerificationFailure,
 )
-from .doubles import (
-    canonical_r_and_v,
-    drinfeld_double,
-    is_factorizable,
-    is_triangular,
-    monodromy,
-)
+from .doubles import drinfeld_double, is_factorizable, is_triangular
 from .groupschemes import (
     GroupScheme,
     SubgroupScheme,
@@ -30,7 +24,6 @@ from .groupschemes import (
     hopf_closure,
     inclusion,
     intersect_subgroup,
-    is_normal,
     product_subgroup,
     subgroup_from_generators,
     subgroup_from_subspace,
@@ -86,8 +79,8 @@ def centralizer_certificate(qp: QuotientPair, qp_bar: QuotientPair) -> bool:
     witness in D(K,H,B) (x) D(H,K,Bbar); R21 R is the monodromy of the
     canonical R that G's D(G) keeps."""
     F = qp.D.field
-    mono = monodromy(canonical_r_and_v(drinfeld_double(qp.triple.G)))
-    out = t2_map(F, qp.theta().mat, qp_bar.theta().mat, mono)
+    mono = drinfeld_double(qp.triple.G).qt.monodromy
+    out = t2_map(F, qp.theta.mat, qp_bar.theta.mat, mono)
     return out == t2_outer(F, qp.D.unit, qp_bar.D.unit)
 
 
@@ -161,20 +154,20 @@ def intersect(t: Triple, t2: Triple) -> Triple:
     G = t.G
     if t2.G is not G:
         raise DimensionMismatch("triples of different group schemes")
-    joint = subspace_sum(build_quotient(t).kernel(), build_quotient(t2).kernel())
+    joint = subspace_sum(build_quotient(t).kernel, build_quotient(t2).kernel)
     result = G.kernels.get(joint.key())
     if result is None:
         qp_int, _ = recognize_triple(G, ideal_projection(drinfeld_double(G).D, joint))
-        if qp_int.kernel().key() != joint.key():
+        if qp_int.kernel.key() != joint.key():
             raise VerificationFailure("recognized intersection has another kernel")
         result = qp_int.triple
 
     L = agreement_subgroup(t, t2)
-    if L.key() != result.K.key():
+    if L is not result.K:
         raise VerificationFailure(
             "agreement subgroup disagrees with recognized intersection")
     HH = product_subgroup(t.H, t2.H, name="HH'")
-    if HH.key() != result.H.key():
+    if HH is not result.H:
         raise VerificationFailure(
             "product subgroup disagrees with recognized intersection")
     if not (contains(t, result) and contains(t2, result)):
@@ -183,13 +176,12 @@ def intersect(t: Triple, t2: Triple) -> Triple:
 
 
 class LatticeNode:
-    def __init__(self, index, triple, qp, flags, fp_dimension, centralizer_key):
+    def __init__(self, index, triple, qp, flags, fp_dimension):
         self.index = index
         self.triple = triple
         self.qp = qp
         self.flags = flags
         self.fp_dimension = fp_dimension
-        self.centralizer_key = centralizer_key
 
     def as_dict(self):
         return {
@@ -225,8 +217,7 @@ def classify(t: Triple) -> dict:
         nondeg = (beta.source.dim == beta.target.dim
                   == mat_rank(F, beta.mat, beta.target.dim))
 
-    lagrangian = (t.K.key() == t.H.key()
-                  and t.b_pairing_key() == tbar.b_pairing_key())
+    lagrangian = t.K is t.H and t.b_pairing_key() == tbar.b_pairing_key()
 
     triangular = is_triangular(qp.qt)
     factorizable = is_factorizable(qp.qt)
@@ -276,7 +267,7 @@ def normal_subgroups(G: GroupScheme, budget=100_000):
         if ech.key() not in keys:
             keys.add(ech.key())
             subs.append(subgroup_from_subspace(G, ech))
-    return sorted((S for S in subs if is_normal(S)), key=lambda s: (s.order, s.key()))
+    return sorted((S for S in subs if S.is_normal), key=lambda s: (s.order, s.key()))
 
 
 def equivariant_maps(G: GroupScheme, K: SubgroupScheme, H: SubgroupScheme,
@@ -316,18 +307,11 @@ def enumerate_triples(G: GroupScheme, budget=500_000):
             triples.extend(equivariant_maps(G, K, H, budget=budget))
     triples.sort(key=lambda t: (t.K.order, t.K.key(), t.H.order, t.H.key(),
                                 t.b_pairing_key()))
-    nodes = []
-    by_key = {}
-    for i, t in enumerate(triples):
-        qp = build_quotient(t)
-        flags = classify(t)
-        tbar = centralizer_triple(t)
-        node = LatticeNode(i, t, qp, flags, t.fp_dimension(), tbar.key())
-        nodes.append(node)
-        by_key[t.key()] = node
-    for node in nodes:
-        if node.centralizer_key not in by_key:
-            raise VerificationFailure("centralizer triple missing from enumeration")
+    nodes = [LatticeNode(i, t, build_quotient(t), classify(t), t.fp_dimension())
+             for i, t in enumerate(triples)]
+    kept = set(triples)  # by identity: G keeps one triple per key
+    if any(centralizer_triple(t) not in kept for t in triples):
+        raise VerificationFailure("centralizer triple missing from enumeration")
     edges = hasse_edges(nodes)
     return nodes, edges
 

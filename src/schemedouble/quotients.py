@@ -7,6 +7,8 @@ surjection, and induced surjections between quotients.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import (
     DimensionMismatch,
     InvalidTriple,
@@ -15,7 +17,7 @@ from .errors import (
     NotSurjective,
     VerificationFailure,
 )
-from .doubles import QuasiHopfData, canonical_r_and_v, drinfeld_double
+from .doubles import QuasiHopfData, drinfeld_double
 from .groupschemes import (
     CleavingData,
     GroupScheme,
@@ -23,15 +25,12 @@ from .groupschemes import (
     SubgroupScheme,
     ad_l,
     centralize,
-    coadjoint_matrices,
     coinvariant_subspace,
-    is_normal,
     subgroup_from_subspace,
 )
 from .hopf import (
     LinMap,
     augmentation,
-    certified_generators,
     certify_hopf_map,
     coinvariants,
     convolution_unit,
@@ -75,7 +74,9 @@ def to_own_coords(sub: SubgroupScheme, ambient_vec):
 
 class Triple:
     """(K, H, B): normal, mutually centralizing subgroup schemes plus a
-    G-equivariant Hopf algebra map B: k[H] -> O(K)."""
+    G-equivariant Hopf algebra map B: k[H] -> O(K).  G keeps one triple per
+    key (``kept_triple``), so two kept triples are equal exactly when they
+    are the same object."""
 
     def __init__(self, G: GroupScheme, K: SubgroupScheme, H: SubgroupScheme,
                  B: LinMap):
@@ -87,10 +88,6 @@ class Triple:
         self.validate()
 
     @property
-    def coad(self):
-        return coadjoint_matrices(self.G)
-
-    @property
     def section(self):
         return self.K.section
 
@@ -99,9 +96,10 @@ class Triple:
         G = self.G
         F = G.field
         lifted = self.section.mu.apply(a_own)
+        coad = G.coadjoint
         out = {}
         for i, c in u_ambient.items():
-            v_axpy(F, out, c, mat_apply(F, self.coad[i], lifted))
+            v_axpy(F, out, c, mat_apply(F, coad[i], lifted))
         return self.K.q.apply(out)
 
     def validate(self):
@@ -118,14 +116,14 @@ class Triple:
         subspace closed under products: (u u') * B(v) = u * (u' * B(v))
         = u * B(ad_l(u')(v)) = B(ad_l(u) ad_l(u')(v)) = B(ad_l(u u')(v)).
         U contains A, so it contains every right product of elements of A,
-        whose span is k[G] (``certified_generators``); the witness is the
-        first failing generator.
+        whose span is k[G] (``HopfAlgebra.certified_generators``); the
+        witness is the first failing generator.
         """
         G = self.G
         F = G.field
-        if not is_normal(self.K):
+        if not self.K.is_normal:
             raise InvalidTriple("K is not normal")
-        if not is_normal(self.H):
+        if not self.H.is_normal:
             raise InvalidTriple("H is not normal")
         if not centralize(self.K, self.H):
             raise InvalidTriple("K and H do not centralize each other")
@@ -134,7 +132,7 @@ class Triple:
             raise InvalidTriple(f"B is not a Hopf algebra map ({wit})")
         pairs = [(self.H.iota.apply(unit_vec(j, F)), self.B.apply(unit_vec(j, F)))
                  for j in range(self.H.order)]
-        for i in certified_generators(G.group_algebra):
+        for i in G.group_algebra.certified_generators:
             u = unit_vec(i, F)
             for j, (v_amb, b_j) in enumerate(pairs):
                 lhs = self.star(u, b_j)
@@ -152,12 +150,6 @@ class Triple:
 
     def fp_dimension(self):
         return self.K.order * (self.G.order // self.H.order)
-
-    def __eq__(self, other):
-        return isinstance(other, Triple) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return (f"Triple(|K|={self.K.order}, |H|={self.H.order}, "
@@ -257,9 +249,6 @@ class QuotientPair:
         self.tau = tau
         self.D = D
         self.qt = QuasiHopfData(D, R, V)
-        self._theta = None
-        self._kernel = None
-        self._lift = None
 
     @property
     def quotient(self) -> Quotient:
@@ -268,28 +257,36 @@ class QuotientPair:
     def index(self, a, r):
         return a * self.quotient.hopf.dim + r
 
+    @cached_property
     def theta(self) -> LinMap:
-        """theta: D(G) ->> D(K,H,B) out of the D(G) kept on G; built and
-        certified once (``build_theta``)."""
-        if self._theta is None:
-            self._theta = build_theta(self)
-        return self._theta
+        """theta: D(G) ->> D(K,H,B) out of the D(G) kept on G, certified
+        (``build_theta``)."""
+        return build_theta(self)
 
+    @cached_property
     def kernel(self) -> Echelon:
-        """ker(theta), formed once.  Two surjections out of D(G) are
-        equivalent exactly when their kernels are equal, so its key is the
-        canonical key of the pair: the pair's triple is kept under it in
-        ``G.kernels``, which nothing else writes."""
-        if self._kernel is None:
-            theta = self.theta()
-            self._kernel = mat_kernel(self.D.field, theta.mat, theta.source.dim)
-            self.triple.G.kernels[self._kernel.key()] = self.triple
-        return self._kernel
+        """ker(theta).  Two surjections out of D(G) are equivalent exactly
+        when their kernels are equal, so its key is the canonical key of the
+        pair: the pair's triple is kept under it in ``G.kernels``, which
+        nothing else writes."""
+        kernel = mat_kernel(self.D.field, self.theta.mat, self.theta.source.dim)
+        self.triple.G.kernels[kernel.key()] = self.triple
+        return kernel
+
+    @cached_property
+    def lift(self):
+        """A right inverse s of theta, as columns: theta(s(e)) = e for each
+        basis vector e of D(K,H,B)."""
+        F = self.D.field
+        pe = ParallelEchelon(F, self.D.dim, self.theta.source.dim)
+        for d, img in sorted(self.theta.mat.items()):
+            pe.insert(img, unit_vec(d, F))
+        return {e: pe.image_of(unit_vec(e, F)) for e in range(self.D.dim)}
 
     def factor(self, phi: LinMap) -> LinMap:
         """The surjective Hopf map psi: D(K,H,B) -> phi.target with
         psi . theta = phi, for phi out of the D(G) of theta: psi = phi . s
-        for a right inverse s of theta, formed once per pair.
+        for the right inverse s = ``lift`` of theta.
 
         Certificate.  psi theta(e_d) = phi(e_d), that is phi(k_d) = 0 for
         k_d = e_d - s(theta(e_d)), on every basis vector e_d of D(G).  The
@@ -300,20 +297,15 @@ class QuotientPair:
         with psi . theta = phi; ``certify_hopf_map`` checks that it is a
         Hopf map of rank dim target.
         """
-        theta = self.theta()
+        theta = self.theta
         if phi.source is not theta.source:
             raise DimensionMismatch("phi does not start at the D(G) of theta")
         F = self.D.field
-        if self._lift is None:
-            pe = ParallelEchelon(F, self.D.dim, theta.source.dim)
-            for d, img in sorted(theta.mat.items()):
-                pe.insert(img, unit_vec(d, F))
-            self._lift = {e: pe.image_of(unit_vec(e, F)) for e in range(self.D.dim)}
         for d in range(theta.source.dim):
-            k_d = v_sub(F, unit_vec(d, F), mat_apply(F, self._lift, theta.mat.get(d, {})))
+            k_d = v_sub(F, unit_vec(d, F), mat_apply(F, self.lift, theta.mat.get(d, {})))
             if phi.apply(k_d):
                 raise NoFactorization("phi does not factor through theta", witness=k_d)
-        psi = LinMap(self.D, phi.target, mat_compose(F, phi.mat, self._lift))
+        psi = LinMap(self.D, phi.target, mat_compose(F, phi.mat, self.lift))
         return certify_hopf_map(psi, "factor map", onto=True)
 
 
@@ -441,9 +433,9 @@ def _ideal_multipliers(G: GroupScheme):
     F = G.field
     dd = drinfeld_double(G)
     return ([dd.embed_O.apply(unit_vec(a, F))
-             for a in certified_generators(G.coordinate_algebra)]
+             for a in G.coordinate_algebra.certified_generators]
             + [dd.embed_kG.apply(unit_vec(i, F))
-               for i in certified_generators(G.group_algebra)])
+               for i in G.group_algebra.certified_generators])
 
 
 def theta_kernel_matches_ideal(qp: QuotientPair) -> bool:
@@ -468,7 +460,7 @@ def theta_kernel_matches_ideal(qp: QuotientPair) -> bool:
     dd = drinfeld_double(G)
     D = dd.D
     N = D.dim
-    theta = qp.theta()
+    theta = qp.theta
 
     coinv = coinvariant_subspace(G, triple.K)
     gens = [dd.embed_O.apply(c)
@@ -487,15 +479,15 @@ def theta_kernel_matches_ideal(qp: QuotientPair) -> bool:
     ideal_closure(D, ideal, _ideal_multipliers(G))
     if ideal.dim == N - qp.D.dim:
         return True
-    return ideal_closure(D, ideal).key() == qp.kernel().key()
+    return ideal_closure(D, ideal).key() == qp.kernel.key()
 
 
 def quotient_r_and_v(qp: QuotientPair):
     """The closed-form (R, V) and the pushed forward (theta (x) theta)(R)
     and theta(V) of the canonical (R, V) of D(G); the two routes must agree
     entrywise."""
-    theta = qp.theta()
-    can = canonical_r_and_v(drinfeld_double(qp.triple.G))
+    theta = qp.theta
+    can = drinfeld_double(qp.triple.G).qt
     pushed_R = t2_map(qp.D.field, theta.mat, theta.mat, can.R)
     pushed_V = theta.apply(can.V)
     if pushed_R != qp.qt.R or pushed_V != qp.qt.V:
@@ -577,4 +569,4 @@ def induced_surjection(qp: QuotientPair, qp_src: QuotientPair) -> LinMap:
     same G."""
     if qp.triple.G is not qp_src.triple.G:
         raise DimensionMismatch("quotient pairs of different group schemes")
-    return qp_src.factor(qp.theta())
+    return qp_src.factor(qp.theta)

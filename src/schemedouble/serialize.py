@@ -8,12 +8,13 @@ arrays of exactly k integer coefficients (GF(p^k)), or "num/den" strings
 records, sorted by indices, so emitted documents are canonical and
 diffable.
 
-The tensors of a document (``tensor_to_json``, ``matrix_to_json``,
-``linmap_to_json`` and the tables of ``hopf_to_json``) are ``Records``:
-lazy views of the algebra's own dicts, read when the document is written.
-``dump`` streams a document to its output chunk by chunk, formatting each
-table straight from its (indices, scalar) pairs, so writing a document
-holds neither a list of record dicts nor the whole text.
+The tensors of a document (``tensor_to_json``, ``cells_to_json``,
+``matrix_to_json``, ``linmap_to_json`` and the tables of ``hopf_to_json``)
+are ``Records``: lazy views of the algebra's own dicts, read when the
+document is written.  ``dump`` streams a document to its output chunk by
+chunk, formatting each table straight from its (indices, scalar) pairs, so
+writing a document holds neither a list of record dicts nor the whole
+text.
 """
 
 from __future__ import annotations
@@ -103,11 +104,27 @@ class Records:
         return NotImplemented
 
 
+def _as_tuple(k):
+    return (k,) if isinstance(k, int) else k
+
+
 def tensor_to_json(F: Field, entries):
     """entries: dict mapping index tuples (or ints) to scalars."""
-    as_tuple = lambda k: (k,) if isinstance(k, int) else k
-    return Records(F, lambda: ((as_tuple(k), entries[k])
-                               for k in sorted(entries, key=as_tuple)))
+    return Records(F, lambda: ((_as_tuple(k), entries[k])
+                               for k in sorted(entries, key=_as_tuple)))
+
+
+def cells_to_json(F: Field, cells):
+    """The records of a dict of sparse tensors {key: {index: scalar}}, each
+    with indices key + index; keys of one arity and indices of one arity
+    make the order by key, then by index, the order sorted by indices."""
+    def pairs():
+        for key in sorted(cells):
+            head = _as_tuple(key)
+            for i, c in sorted(cells[key].items()):
+                yield ((*head, i) if isinstance(i, int) else head + i), c
+
+    return Records(F, pairs)
 
 
 def tensor_from_json(F: Field, data, shape):
@@ -138,18 +155,14 @@ def hopf_to_json(H: HopfAlgebra):
     """The document of H; the records of mult and comult come sorted cell
     by cell, which is their order sorted by (i, j, k)."""
     F = H.field
-    mult = Records(F, lambda: (((i, j, k), c) for i, j in sorted(H.mult)
-                               for k, c in sorted(H.mult[(i, j)].items())))
-    comult = Records(F, lambda: (((i, j, k), c) for i in sorted(H.comult)
-                                 for (j, k), c in sorted(H.comult[i].items())))
     return {
         "schema_version": SCHEMA_VERSION,
         "field": field_to_json(F),
         "dim": H.dim,
         "labels": list(H.labels),
-        "mult": mult,
+        "mult": cells_to_json(F, H.mult),
         "unit": tensor_to_json(F, H.unit),
-        "comult": comult,
+        "comult": cells_to_json(F, H.comult),
         "counit": tensor_to_json(F, H.counit),
         "antipode": matrix_to_json(F, H.antipode),
         "name": H.name,
@@ -343,24 +356,26 @@ _CHUNK_RECORDS = 128
 
 def _record_chunks(table, level):
     """The chunks of the list of records of table at indentation level,
-    each record from one template per arity."""
+    each record from one template per arity.  A value is a JSON string or,
+    over GF(p^k), a list of k ints, written in the layout of the indices."""
     pad = ["\n" + " " * (level + d) for d in range(4)]
     value = table.field.to_json
     templates = {}
     joiner = "," + pad[1]
     sep = "[" + pad[1]
+    open_list, comma, close_list = "[" + pad[3], "," + pad[3], pad[2] + "]"
     batch = []
     for idx, c in table.pairs():
         tmpl = templates.get(len(idx))
         if tmpl is None:
-            body = ("[" + pad[3] + ("," + pad[3]).join(["%d"] * len(idx)) + pad[2] + "]"
-                    if idx else "[]")
+            body = open_list + comma.join(["%d"] * len(idx)) + close_list if idx else "[]"
             tmpl = templates[len(idx)] = (
                 "{" + pad[2] + '"indices": ' + body
                 + "," + pad[2] + '"value": %s' + pad[1] + "}")
         v = value(c)
-        batch.append(tmpl % (*idx, _encode_str(v) if type(v) is str
-                             else "".join(_chunks(v, level + 2))))
+        v = (_encode_str(v) if type(v) is str
+             else open_list + comma.join(map(int.__repr__, v)) + close_list)
+        batch.append(tmpl % (*idx, v))
         if len(batch) == _CHUNK_RECORDS:
             yield sep + joiner.join(batch)
             sep, batch = joiner, []

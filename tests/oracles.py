@@ -81,7 +81,6 @@ from schemedouble.groupschemes import (
     _sub_connectivity,
     ad_l,
     centralize,
-    coadjoint_matrices,
     is_normal,
     quotient_by_normal,
 )
@@ -190,9 +189,9 @@ def verify_hopf_exhaustive(H) -> VerificationReport:
             break
     rep.record("antipode law", ok, wit)
 
-    rep.flags["commutative"] = H.is_commutative()
-    rep.flags["cocommutative"] = H.is_cocommutative()
-    rep.flags["involutive"] = H.is_involutive()
+    rep.flags["commutative"] = H.is_commutative
+    rep.flags["cocommutative"] = H.is_cocommutative
+    rep.flags["involutive"] = H.is_involutive
     return rep
 
 
@@ -346,7 +345,7 @@ def drinfeld_double_mult_loop(G):
     F = G.field
     n = G.order
     idx = lambda a, i: a * n + i
-    coad = coadjoint_matrices(G)
+    coad = G.coadjoint
     mult = {}
     for a in range(n):
         for i in range(n):
@@ -672,7 +671,7 @@ def triple_validate_all_basis(G, K, H, B):
     ok, wit = is_hopf_morphism(B)
     if not ok:
         return f"B is not a Hopf algebra map ({wit})"
-    coad = coadjoint_matrices(G)
+    coad = G.coadjoint
     for i in range(G.order):
         for j in range(H.order):
             lifted = K.section.mu.apply(B.apply(unit_vec(j, F)))
@@ -732,8 +731,8 @@ def intersect_by_recognition(t, t2):
     G = t.G
     F = G.field
     D = drinfeld_double(G).D
-    joint = mat_kernel(F, build_quotient(t).theta().mat, D.dim)
-    for row in mat_kernel(F, build_quotient(t2).theta().mat, D.dim).basis():
+    joint = mat_kernel(F, build_quotient(t).theta.mat, D.dim)
+    for row in mat_kernel(F, build_quotient(t2).theta.mat, D.dim).basis():
         joint.insert(row)
     _, pi = quotient_by_hopf_ideal(D, joint)
     qp, _ = recognize_triple(G, pi)
@@ -741,7 +740,7 @@ def intersect_by_recognition(t, t2):
 
 
 def induced_surjection_by_kernel(qp, qp_src):
-    theta, theta_src = qp.theta(), qp_src.theta()
+    theta, theta_src = qp.theta, qp_src.theta
     F = qp.D.field
     N = theta.source.dim
     for vec in mat_kernel(F, theta_src.mat, N).basis():

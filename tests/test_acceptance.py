@@ -14,11 +14,9 @@ import pytest
 
 from schemedouble.appendix import appendix_report, b_lambda, height_one_quotients
 from schemedouble.doubles import (
-    canonical_r_and_v,
     drinfeld_double,
     is_factorizable,
     is_triangular,
-    monodromy,
     verify_quasitriangular,
     verify_ribbon,
 )
@@ -197,7 +195,7 @@ def test_criterion_2_r_matrix_axioms(p, F):
     for lam, qp in quots1:
         assert verify_quasitriangular(qp.qt).ok
         assert verify_ribbon(qp.qt).ok
-        mono = monodromy(qp.qt)
+        mono = qp.qt.monodromy
         assert is_triangular(qp.qt) == (mono == t2_outer(F, qp.D.unit, qp.D.unit))
         # rz1 explicit form: sum lambda^i / i! (t^i (x) t^i)
         assert qp.qt.R == r_closed_form(F, p, lam)
@@ -222,7 +220,7 @@ def test_criterion_2_factorizable_iff_lambda_nonzero(p):
     F = make_field("prime", p=p)
     _, quots1 = height_one_quotients(p)
     for lam, qp in quots1:
-        assert monodromy(qp.qt) == r_closed_form(F, p, 2 * lam), (p, lam)
+        assert qp.qt.monodromy == r_closed_form(F, p, 2 * lam), (p, lam)
         assert is_factorizable(qp.qt) == ((2 * lam) % p != 0), (p, lam)
     note("criterion 2", f"p={p}: R21 R = R_(2 lambda); factorizable iff "
                         "2 lambda != 0")
@@ -241,7 +239,7 @@ def double_cache():
                     cache[nm] = factory()
                 G = cache[nm]
                 dd = drinfeld_double(G)
-                return G, dd, canonical_r_and_v(dd)
+                return G, dd, dd.qt
         raise KeyError(name)
 
     return get
@@ -308,7 +306,7 @@ def test_criterion_4_quotient_construction(all_lattices):
         for n in nodes:
             t = n.triple
             assert n.qp.D.dim == t.K.order * (G.order // t.H.order), name
-            n.qp.theta()  # verifies Hopf morphism + surjectivity on build
+            n.qp.theta  # verifies Hopf morphism + surjectivity on build
             assert theta_kernel_matches_ideal(n.qp), (name, n.index)
             quotient_r_and_v(n.qp)  # closed form == pushforward, exact
             total += 1
@@ -335,7 +333,7 @@ def test_criterion_5_canonical_identities(all_lattices):
                 assert n.qp.D.mult == G.group_algebra.mult
                 assert n.qp.D.comult == G.group_algebra.comult
             # recognition round trip fixes the triple exactly
-            qp2, phibar = recognize_triple(G, n.qp.theta())
+            qp2, phibar = recognize_triple(G, n.qp.theta)
             assert qp2.triple.key() == t.key()
             checked += 1
     note("criterion 5", f"canonical identities + {checked} recognition round trips")

@@ -19,7 +19,6 @@ import schemedouble.quotients
 from schemedouble.appendix import b_lambda
 from schemedouble.doubles import (
     QuasiHopfData,
-    canonical_r_and_v,
     drinfeld_double,
     hexagon_products,
     verify_quasitriangular,
@@ -36,7 +35,6 @@ from schemedouble.groupschemes import (
     ga_frobenius_subgroup,
     ga_kernel,
     hopf_closure,
-    is_normal,
     mu_p_kernel,
     section_mu,
     subgroup_from_generators,
@@ -46,7 +44,6 @@ from schemedouble.groupschemes import (
 from schemedouble.hopf import (
     HopfAlgebra,
     LinMap,
-    certified_generators,
     convolution_inverse,
     grouplikes,
     hopf_algebra_maps,
@@ -169,9 +166,9 @@ LIGHT = dict(MUTATED, **{
 
 
 def _skipped_triples(H):
-    """The (i, a, k), a in certified_generators(H), where every cell of both
+    """The (i, a, k), a in H.certified_generators, where every cell of both
     sides of Light's test is empty."""
-    mult, n, gens = H.mult, H.dim, certified_generators(H)
+    mult, n, gens = H.mult, H.dim, H.certified_generators
     return sum(
         not mult.get((j, k)) and not any(mult.get((l, k)) for l in mult.get((i, j), {}))
         for i in range(n) for j in gens for k in range(n))
@@ -187,7 +184,7 @@ def test_light_test_on_nonzero_cells_equals_the_dense_loop(name):
     for M in _mult_mutants(H):
         row, ok, wit = verify_hopf(M).checks[0]
         assert row == "associativity"
-        oracle = light_associativity_dense(M, certified_generators(M))
+        oracle = light_associativity_dense(M, M.certified_generators)
         assert (ok, wit) == oracle
         rejected += not oracle[0]
     assert rejected > 0
@@ -198,7 +195,7 @@ def test_light_test_skips_on_constant_group_doubles(name):
     """D(G) of a constant group is monomial: most triples of Light's test
     have only empty cells, so the restricted loop skips them."""
     H = LIGHT[name]()
-    assert 0 < _skipped_triples(H) < H.dim**2 * len(certified_generators(H))
+    assert 0 < _skipped_triples(H) < H.dim**2 * len(H.certified_generators)
 
 
 def _right_closure_rounds(H, gens):
@@ -223,7 +220,7 @@ def test_certified_generators_close_to_the_whole_algebra(G):
     """The generating set's right-multiplication closure is all of D(G), and
     the set is smaller than the basis."""
     D = drinfeld_double(G).D
-    gens = certified_generators(D)
+    gens = D.certified_generators
     assert gens == sorted(set(gens))
     assert _right_closure_rounds(D, gens).dim == D.dim
     assert len(gens) < D.dim
@@ -285,7 +282,7 @@ def _perturbations(D, R, extra):
 def test_hexagons_equal_the_ten3_product(G, extra):
     dd = drinfeld_double(G)
     D = dd.D
-    R = canonical_r_and_v(dd).R
+    R = dd.qt.R
     failing = 0
     for Rp in _perturbations(D, R, extra):
         r13r23, r13r12 = hexagon_products(D, Rp)
@@ -331,7 +328,7 @@ def test_t2_times_with_r_equals_the_term_pair_loop():
     """R Delta(h) and Delta^cop(h) R on D(S3) over GF(3), for every basis
     vector h, with R indexed once on each side."""
     dd = drinfeld_double(make_s3(F3))
-    D, R = dd.D, canonical_r_and_v(dd).R
+    D, R = dd.D, dd.qt.R
     r_times, times_r = D.t2_times(R, "left"), D.t2_times(R, "right")
     nonzero = 0
     for h in range(D.dim):
@@ -412,7 +409,7 @@ def test_ideal_closure_worklist_equals_rounds(make, patch, monkeypatch):
     assert [m is None for _, _, m in seen] == ([False] if patch is None else [False, True])
     H, generated, _ = seen[0]
     ideal = ideal_closure_rounds(H, generated.copy())
-    kernel = mat_kernel(H.field, qp.theta().mat, H.dim)
+    kernel = mat_kernel(H.field, qp.theta.mat, H.dim)
     assert (ideal.key() == kernel.key()) is expected
     for H, ech, multipliers in seen:
         closed = real(H, ech.copy(), multipliers)
@@ -434,7 +431,7 @@ def _perturbed_maps(f):
 
 def _theta_ga2():
     triple = _ga2_triple()
-    return build_quotient(triple).theta()
+    return build_quotient(triple).theta
 
 
 @pytest.mark.parametrize("make", [
@@ -723,7 +720,7 @@ def test_span_rule_sections_and_cleavings_equal_the_tag_rule(name):
     for L, tag in cases:
         mine, oracle = section_mu(L), section_mu_by_tag(L, tag)
         assert (mine.mu.mat, mine.mu_inv.mat) == (oracle.mu.mat, oracle.mu_inv.mat)
-        if is_normal(L):
+        if L.is_normal:
             mine, oracle = cleaving_gamma(G, L), cleaving_gamma_by_tag(G, L, tag)
             assert ((mine.gamma.mat, mine.gamma_inv.mat)
                     == (oracle.gamma.mat, oracle.gamma_inv.mat))
@@ -777,8 +774,8 @@ def test_r_and_v_rows_on_generators_equal_the_sweep_on_perturbations(G, extra):
     whole-basis oracles; the perturbations make each row fail somewhere."""
     dd = drinfeld_double(G)
     D = dd.D
-    assert verify_hopf(D).ok and len(certified_generators(D)) < D.dim
-    qt = canonical_r_and_v(dd)
+    assert verify_hopf(D).ok and len(D.certified_generators) < D.dim
+    qt = dd.qt
     failing = {"R": 0, "V": 0, "law": 0}
     for Rp in _perturbations(D, qt.R, extra):
         assert _assert_rows_equal_the_oracles(D, Rp, qt.V)
@@ -866,7 +863,7 @@ def test_triple_equivariance_on_generators_rejects_what_the_sweep_rejects(
     D4 some Hopf maps B fail only equivariance (ga_kernel(2) is
     commutative, so every B is equivariant)."""
     G = make()
-    assert len(certified_generators(G.group_algebra)) < G.order
+    assert len(G.group_algebra.certified_generators) < G.order
     equivariance = 0
     for K, H, B in _b_candidates(G):
         oracle = triple_validate_all_basis(G, K, H, B)

@@ -2,25 +2,25 @@ import itertools
 
 import pytest
 
+from schemedouble.appendix import b_lambda
 from schemedouble.fields import QQ, make_field
 from schemedouble.groupschemes import (
-    coadjoint_matrices,
     constant_group,
     full_subgroup,
+    ga_frobenius_subgroup,
     ga_kernel,
     mu_p_kernel,
 )
 from schemedouble.doubles import (
     QuasiHopfData,
-    canonical_r_and_v,
     drinfeld_double,
     is_factorizable,
     is_triangular,
-    monodromy,
     verify_quasitriangular,
     verify_ribbon,
 )
 from schemedouble.hopf import grouplikes, t2_outer, verify_hopf
+from schemedouble.quotients import build_quotient, kept_triple
 from schemedouble.linalg import Echelon, mat_apply, unit_vec, v_axpy
 
 from conftest import make_borel, make_s3, make_z2, make_z3
@@ -65,7 +65,7 @@ def test_double_of_commutative_group_is_tensor_product():
 
 def test_r_matrix_counit_law_and_explicit_form():
     dd = drinfeld_double(make_z2(QQ))
-    qt = canonical_r_and_v(dd)
+    qt = dd.qt
     rep = verify_quasitriangular(qt)
     assert rep.ok
     # R = (1|><|e)(x)(delta_e|><|1) + (1|><|s)(x)(delta_s|><|1); the unit of
@@ -81,14 +81,14 @@ def test_r_matrix_counit_law_and_explicit_form():
 
 def test_ribbon_element_height_one_kernel():
     dd = drinfeld_double(ga_kernel(1, F2))
-    qt = canonical_r_and_v(dd)
+    qt = dd.qt
     assert verify_ribbon(qt).ok
     assert dd.D.antipode_of(qt.V) == qt.V
 
 
 def test_quasitriangular_on_symmetric_group_double():
     dd = drinfeld_double(make_s3(F7))
-    qt = canonical_r_and_v(dd)
+    qt = dd.qt
     assert verify_quasitriangular(qt).ok
     assert verify_ribbon(qt).ok
     assert is_factorizable(qt)
@@ -108,7 +108,7 @@ def test_trivial_r_matrix_on_cocommutative_hopf():
 
 def test_ribbon_on_z3_double():
     dd = drinfeld_double(make_z3(F7))
-    qt = canonical_r_and_v(dd)
+    qt = dd.qt
     assert verify_ribbon(qt).ok
 
 
@@ -116,9 +116,9 @@ def test_doubles_are_factorizable_and_involutive():
     for G in (make_z2(QQ), make_z3(F7), ga_kernel(1, F3), mu_p_kernel(F3),
               make_borel(F2)):
         dd = drinfeld_double(G)
-        qt = canonical_r_and_v(dd)
+        qt = dd.qt
         assert is_factorizable(qt)
-        assert dd.D.is_involutive()
+        assert dd.D.is_involutive
 
 
 def test_exact_sequence_kernel_of_projection():
@@ -154,8 +154,8 @@ def test_monodromy_matches_displayed_formula(p):
     G = ga_kernel(1, F) if p == 2 else make_borel(F)
     dd = drinfeld_double(G)
     kg = G.group_algebra
-    coad = coadjoint_matrices(G)
-    qt = canonical_r_and_v(dd)
+    coad = G.coadjoint
+    qt = dd.qt
     n = G.order
     expect = {}
     for u in range(n):
@@ -167,7 +167,7 @@ def test_monodromy_matches_displayed_formula(p):
                 for b, cb in w.items():
                     v_axpy(F, right, F.mul(c, cb), {dd.index(b, y): F.one()})
             v_axpy(F, expect, F.one(), t2_outer(F, left, right))
-    assert expect == monodromy(qt)
+    assert expect == qt.monodromy
 
 
 def test_r_and_v_are_basis_independent():
@@ -180,7 +180,7 @@ def test_r_and_v_are_basis_independent():
               for i in range(3)]
     G2 = constant_group(["x0", "x1", "x2"], ptable, F7)
     dd1, dd2 = drinfeld_double(G1), drinfeld_double(G2)
-    qt1, qt2 = canonical_r_and_v(dd1), canonical_r_and_v(dd2)
+    qt1, qt2 = dd1.qt, dd2.qt
 
     def transport(key):
         a, i = divmod(key, 3)
@@ -196,7 +196,7 @@ def test_double_and_canonical_r_v_are_kept_on_g():
     G = make_s3(F7)
     dd = drinfeld_double(G)
     assert drinfeld_double(G) is dd
-    assert canonical_r_and_v(drinfeld_double(G)) is canonical_r_and_v(dd)
+    assert drinfeld_double(G).qt is dd.qt
     assert drinfeld_double(make_s3(F7)) is not dd
 
 
@@ -208,7 +208,7 @@ def test_nonunimodular_double_twist_versus_ribbon():
     # p = 3: correction by a coordinate character works
     G = make_borel(F3)
     dd = drinfeld_double(G)
-    qt = canonical_r_and_v(dd)
+    qt = dd.qt
     rep = verify_ribbon(qt)
     failed = [n for n, ok, _ in rep.checks if not ok]
     assert failed == ["S(V) = V"]
@@ -222,7 +222,7 @@ def test_nonunimodular_double_twist_versus_ribbon():
     # p = 2: no twist correction is a ribbon element
     G2 = make_borel(F2)
     dd2 = drinfeld_double(G2)
-    qt2 = canonical_r_and_v(dd2)
+    qt2 = dd2.qt
     assert not verify_ribbon(qt2).ok
     any_ribbon = False
     for g in grouplikes(dd2.D, budget=2**16 + 1):
@@ -230,3 +230,33 @@ def test_nonunimodular_double_twist_versus_ribbon():
         if verify_ribbon(QuasiHopfData(dd2.D, qt2.R, cand)).ok:
             any_ribbon = True
     assert not any_ribbon
+
+
+def _s3_double_qt():
+    dd = drinfeld_double(make_s3(F7))
+    assert verify_hopf(dd.D).ok  # certified, so the ribbon check may read r_invertible
+    return dd.qt
+
+
+def _ga2_quotient_qt():
+    G = ga_kernel(2, F3)
+    A = ga_frobenius_subgroup(G, 1)
+    return build_quotient(kept_triple(G, A, A, b_lambda(A, A, F3.one()))).qt
+
+
+@pytest.mark.parametrize("make_qt", [_s3_double_qt, _ga2_quotient_qt],
+                         ids=["D(S3)-GF7", "D(A,A,B1)-ga2-GF3"])
+def test_ribbon_report_does_not_depend_on_a_prior_quasitriangular_check(make_qt):
+    """verify_ribbon on a fresh QuasiHopfData gives the same rows and
+    witnesses whether or not verify_quasitriangular ran on it first, for
+    the canonical V and for V + e_1, which fails some row."""
+    qt = make_qt()
+    H, F = qt.algebra, qt.algebra.field
+    for V in (qt.V, v_axpy(F, dict(qt.V), F.one(), unit_vec(1, F))):
+        alone = QuasiHopfData(H, qt.R, V)
+        after = QuasiHopfData(H, qt.R, V)
+        assert verify_quasitriangular(after).ok
+        rows = verify_ribbon(alone).checks
+        assert rows == verify_ribbon(after).checks
+        assert alone.r_invertible and "r_invertible" in vars(alone)
+    assert not all(ok for _, ok, _ in rows)

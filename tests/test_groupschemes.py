@@ -11,14 +11,12 @@ from schemedouble.groupschemes import (
     ad_l,
     centralize,
     cleaving_gamma,
-    coadjoint_matrices,
     constant_group,
     direct_product,
     full_subgroup,
     ga_frobenius_subgroup,
     ga_kernel,
     intersect_subgroup,
-    is_normal,
     mu_p_kernel,
     product_subgroup,
     quotient_by_normal,
@@ -35,9 +33,10 @@ from schemedouble.hopf import (
     t2_outer,
     verify_hopf,
 )
+from schemedouble.lattice import normal_subgroups
 from schemedouble.linalg import mat_apply, unit_vec, v_axpy
 
-from conftest import S3_LABELS, make_borel, make_s3, make_z2, s3_cayley
+from conftest import S3_LABELS, make_borel, make_s3, make_z2, make_z3, s3_cayley
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)
@@ -68,8 +67,8 @@ def test_constant_s3_idempotents():
 
 def test_abelian_table_gives_commutative_cocommutative():
     G = make_z2(QQ)
-    assert G.group_algebra.is_commutative()
-    assert G.group_algebra.is_cocommutative()
+    assert G.group_algebra.is_commutative
+    assert G.group_algebra.is_cocommutative
 
 
 def test_not_a_group_witness():
@@ -207,6 +206,28 @@ def test_bad_bracket_rejected():
 
 # -- subgroups --------------------------------------------------------------
 
+@pytest.mark.parametrize("factors, expected", [
+    (lambda: (make_z2(F2), mu_p_kernel(F2)),
+     {(1, 1, 1), (2, 1, 2), (2, 2, 1), (4, 2, 2)}),
+    (lambda: (ga_kernel(1, F3), make_z3(F3)),
+     {(1, 1, 1), (3, 1, 3), (3, 3, 1), (9, 3, 3)}),
+], ids=["Z2xmu2-GF2", "Ga1xZ3-GF3"])
+def test_subgroup_orders_of_a_mixed_group_come_from_its_grouplikes(factors, expected):
+    """A subgroup of a group that is neither constant nor connected gets
+    neither |L(k)| nor |L°| from its constructor: ``points_order`` counts
+    the grouplikes of k[L], and ``connected_order`` asks it first.  The
+    (order, |L(k)|, |L°|) of every subgroup scheme of the group (all are
+    normal) are pinned."""
+    G = direct_product(*factors())
+    subs = normal_subgroups(G)
+    assert all(L.own.order_points is None and L.own.order_connected is None for L in subs)
+    got = set()
+    for L in subs:
+        connected = L.own.connected_order()
+        got.add((L.order, L.own.points_order(), connected))
+    assert got == expected and len(subs) == len(expected)
+
+
 def test_subgroup_generated_by_first_deltas():
     G = ga_kernel(2, F3)
     sub = subgroup_from_generators(G, [unit_vec(0, F3), unit_vec(1, F3)])
@@ -227,7 +248,7 @@ def test_trivial_and_full_subgroups():
 def test_adjoint_actions():
     # commutative ambient: coadjoint action is trivial
     G = ga_kernel(2, F3)
-    coad = coadjoint_matrices(G)
+    coad = G.coadjoint
     for i in range(G.order):
         eps = G.group_algebra.counit.get(i, F3.zero())
         for b in range(G.order):
@@ -247,7 +268,7 @@ def test_adjoint_actions():
 def test_coadjoint_duality_on_all_basis_pairs():
     for G in (make_s3(F7), make_borel(F3)):
         F = G.field
-        coad = coadjoint_matrices(G)
+        coad = G.coadjoint
         n = G.order
         for i in range(n):
             for b in range(n):
@@ -278,10 +299,10 @@ def test_normality_examples():
     S3 = make_s3(F7)
     A3 = subgroup_from_generators(S3, [unit_vec(4, F7)])
     T = subgroup_from_generators(S3, [unit_vec(1, F7)])
-    assert is_normal(A3) and not is_normal(T)
+    assert A3.is_normal and not T.is_normal
     G = ga_kernel(2, F3)
     A = ga_frobenius_subgroup(G, 1)
-    assert is_normal(A)
+    assert A.is_normal
     # subgroups of a commutative ambient centralize everything
     assert centralize(A, full_subgroup(G))
 
@@ -380,9 +401,9 @@ def test_second_section_gives_same_star_action():
     for i in range(G.order):
         for b in range(A.order):
             lhs = t.star(unit_vec(i, F3), unit_vec(b, F3))
-            A._section = SectionData(mu2, None)
+            A.section = SectionData(mu2, None)
             rhs = t.star(unit_vec(i, F3), unit_vec(b, F3))
-            A._section = sec1
+            A.section = sec1
             assert lhs == rhs
 
 
@@ -531,11 +552,11 @@ def test_second_cleaving_same_dot_action_and_kernel():
 
     dd = drinfeld_double(S3)
     qp1 = build_quotient(t)
-    A3._cleaving = cl2
+    A3.cleaving = cl2
     qp2 = build_quotient(Triple(S3, B3, A3, trivial_hopf_map(A3, B3)))
     assert qp2.cleaving is cl2
-    k1 = mat_kernel(F7, qp1.theta().mat, dd.D.dim)
-    k2 = mat_kernel(F7, qp2.theta().mat, dd.D.dim)
+    k1 = mat_kernel(F7, qp1.theta.mat, dd.D.dim)
+    k2 = mat_kernel(F7, qp2.theta.mat, dd.D.dim)
     assert k1.key() == k2.key()
 
 

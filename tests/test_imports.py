@@ -1,7 +1,7 @@
 """No module of the package, other than ``__init__`` (which re-exports),
-imports a name it never reads, and no module-level function or class of
-the package goes unread, so an import or a helper left behind by a deleted
-code path surfaces here."""
+imports a name it never reads, and no module-level function or class and
+no method or property of a class of the package goes unread, so an import
+or a helper left behind by a deleted code path surfaces here."""
 
 import ast
 import pathlib
@@ -37,8 +37,22 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unused_imports() == []
 
 
+def _definitions(tree):
+    """(name, node) for each module-level function and class of tree, and
+    ("Class.name", node) for each method and property of such a class other
+    than the dunder methods, which the language calls."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unread_definitions(sources):
-    """(module, name) for each module-level function or class of the
+    """(module, name) for each definition of ``_definitions`` in the
     sources (file name -> text) that no module reads: by a name load, an
     attribute access, or an ``__init__`` re-export."""
     trees = {name: ast.parse(text, name) for name, text in sources.items()}
@@ -51,10 +65,8 @@ def unread_definitions(sources):
                 read.add(node.attr)
             elif name == "__init__.py" and isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    return sorted((name, node.name) for name, tree in trees.items()
-                  for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in read)
+    return sorted((name, qual) for name, tree in trees.items()
+                  for qual, node in _definitions(tree) if node.name not in read)
 
 
 def test_no_module_level_function_or_class_goes_unread():
@@ -70,10 +82,19 @@ def test_an_unread_definition_is_reported():
                  "def _helper(): pass\n"
                  "def called(): return _helper()\n"
                  "class Attr: pass\n"
-                 "def dead(): pass\n"),
-        "b.py": "from . import a\nx = a.Attr\ncalled()\n",
+                 "def dead(): pass\n"
+                 "class Box:\n"
+                 "    def __init__(self): self.kept()\n"
+                 "    def kept(self): pass\n"
+                 "    @property\n"
+                 "    def shown(self): pass\n"
+                 "    def unused(self): pass\n"
+                 "    @property\n"
+                 "    def hidden(self): pass\n"),
+        "b.py": "from . import a\nx = a.Attr\ncalled()\nBox().shown\n",
     }
-    assert unread_definitions(sources) == [("a.py", "dead")]
+    assert unread_definitions(sources) == [
+        ("a.py", "Box.hidden"), ("a.py", "Box.unused"), ("a.py", "dead")]
 
 
 def test_an_unread_import_is_reported():

@@ -305,7 +305,7 @@ def test_lagrangian_nodes_have_commutative_equal_subgroups():
         for n in nodes:
             if n.flags["lagrangian"]:
                 assert n.triple.K.key() == n.triple.H.key()
-                assert n.triple.K.own.group_algebra.is_commutative()
+                assert n.triple.K.own.group_algebra.is_commutative
 
 
 def test_subgroup_enumeration_complete_on_rank_three():

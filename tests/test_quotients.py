@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 
@@ -9,13 +10,13 @@ from schemedouble.cli import main
 from schemedouble.errors import DimensionMismatch, InvalidTriple, NoFactorization
 from schemedouble.fields import QQ, make_field
 from schemedouble.appendix import b_lambda
-from schemedouble.doubles import canonical_r_and_v, drinfeld_double
+from schemedouble.doubles import drinfeld_double
 from schemedouble.groupschemes import (
+    GroupScheme,
     cleaving_gamma,
     full_subgroup,
     ga_frobenius_subgroup,
     ga_kernel,
-    is_normal,
     subgroup_from_generators,
     trivial_subgroup,
 )
@@ -280,7 +281,7 @@ def test_nontrivial_cococycle_not_tensor_coalgebra():
 def test_cocommutative_when_k_commutative():
     t = ga2_triple(F3, 1)
     qp = build_quotient(t)
-    assert qp.D.is_cocommutative()
+    assert qp.D.is_cocommutative
 
 
 def test_coordinate_embedding_into_quotient():
@@ -341,7 +342,7 @@ def test_theta_restricts_to_q_and_b():
     t = ga2_triple(F3, 1)
     dd = drinfeld_double(t.G)
     qp = build_quotient(t)
-    theta = qp.theta()
+    theta = qp.theta
     # theta(b |><| 1) = q_K(b) # 1
     for a in range(t.G.order):
         img = theta.apply(dd.embed_O.apply(unit_vec(a, F3)))
@@ -368,7 +369,7 @@ def test_theta_rank_for_group_algebra_quotient():
     G = make_z2(QQ)
     one = trivial_subgroup(G)
     qp = build_quotient(Triple(G, one, one, trivial_hopf_map(one, one)))
-    theta = qp.theta()
+    theta = qp.theta
     assert theta.rank() == 2
 
 
@@ -385,7 +386,7 @@ def test_kernel_ideal_and_pushforward(lam):
 def test_recognize_round_trip():
     t = ga2_triple(F3, 2)
     qp = build_quotient(t)
-    qp2, phibar = recognize_triple(t.G, qp.theta())
+    qp2, phibar = recognize_triple(t.G, qp.theta)
     assert qp2.triple.key() == t.key()
 
 
@@ -413,7 +414,7 @@ def test_induced_surjection_cases():
     # structure constants as D(G) on the same index set
     phi2 = induced_surjection(mid, top)
     assert phi2.rank() == mid.D.dim
-    assert phi2.mat == mid.theta().mat
+    assert phi2.mat == mid.theta.mat
     # everything surjects onto the ground field quotient
     phi3 = induced_surjection(bot, mid)
     assert phi3.rank() == 1
@@ -423,8 +424,8 @@ def test_induced_surjection_cases():
         induced_surjection(mid, bot)
     witness = exc.value.witness
     assert witness is not None
-    assert bot.theta().apply(witness) == {}
-    assert mid.theta().apply(witness) != {}
+    assert bot.theta.apply(witness) == {}
+    assert mid.theta.apply(witness) != {}
 
 
 def test_induced_surjection_equals_kernel_containment_oracle():
@@ -442,8 +443,8 @@ def test_induced_surjection_equals_kernel_containment_oracle():
                 refused += 1
                 with pytest.raises(NoFactorization) as exc:
                     induced_surjection(a.qp, b.qp)
-                assert b.qp.theta().apply(exc.value.witness) == {}
-                assert a.qp.theta().apply(exc.value.witness) != {}
+                assert b.qp.theta.apply(exc.value.witness) == {}
+                assert a.qp.theta.apply(exc.value.witness) != {}
             else:
                 assert induced_surjection(a.qp, b.qp).mat == expect.mat
     assert 0 < refused < len(nodes) ** 2
@@ -455,12 +456,12 @@ def test_theta_starts_at_the_double_kept_on_g():
     refused, and so is a pair of quotient pairs on two copies."""
     t, other = ga2_triple(F3, 1), ga2_triple(F3, 1)
     qp, qp_other = build_quotient(t), build_quotient(other)
-    assert qp.theta().source is drinfeld_double(t.G).D
-    assert qp_other.theta().source is drinfeld_double(other.G).D is not qp.theta().source
+    assert qp.theta.source is drinfeld_double(t.G).D
+    assert qp_other.theta.source is drinfeld_double(other.G).D is not qp.theta.source
     closed, pushed = quotient_r_and_v(qp)
     assert (pushed.R, pushed.V) == (closed.R, closed.V)
     with pytest.raises(DimensionMismatch):
-        recognize_triple(t.G, qp_other.theta())
+        recognize_triple(t.G, qp_other.theta)
     with pytest.raises(DimensionMismatch):
         induced_surjection(qp, qp_other)
 
@@ -484,23 +485,29 @@ def test_equivariance_guard_rejects_bad_triples():
 # -- computed once per object -------------------------------------------------
 
 
-def _counting(monkeypatch, name):
-    """Replace groupschemes.<name> by a wrapper that records its argument."""
+def _counting(monkeypatch, owner, name):
+    """Replace owner.<name>, a function of a module or a cached property of
+    a class, by a wrapper that records its argument."""
     seen = []
-    real = getattr(schemedouble.groupschemes, name)
+    real = vars(owner)[name]
+    prop = isinstance(real, functools.cached_property)
+    func = real.func if prop else real
 
     def wrapper(arg):
         seen.append(arg)
-        return real(arg)
+        return func(arg)
 
-    monkeypatch.setattr(schemedouble.groupschemes, name, wrapper)
+    if prop:
+        wrapper = functools.cached_property(wrapper)
+        wrapper.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, wrapper)
     return seen
 
 
 def test_quotient_run_builds_the_coadjoint_matrices_once(tmp_path, monkeypatch):
     """quotient on A4 with K = V4 and H = 1 needs u ->> (-) for Triple.star
     and for D(G): one build, shared."""
-    seen = _counting(monkeypatch, "_coadjoint_columns")
+    seen = _counting(monkeypatch, GroupScheme, "coadjoint")
     labels, table = permutation_table(A4_GENS)
     v4 = [[{"indices": [labels.index(str(g))], "value": "1"}]
           for g in [(1, 0, 3, 2), (2, 3, 0, 1)]]
@@ -513,7 +520,7 @@ def test_quotient_run_builds_the_coadjoint_matrices_once(tmp_path, monkeypatch):
 
 
 def test_triple_and_double_share_the_coadjoint_matrices(monkeypatch):
-    seen = _counting(monkeypatch, "_coadjoint_columns")
+    seen = _counting(monkeypatch, GroupScheme, "coadjoint")
     triple = ga2_triple(F3, 1)
     drinfeld_double(triple.G)
     assert len(seen) == 1
@@ -521,7 +528,7 @@ def test_triple_and_double_share_the_coadjoint_matrices(monkeypatch):
 
 def test_appendix_decides_normality_once_per_subgroup(monkeypatch):
     """appendix --p 5 builds ten triples over two subgroup objects."""
-    seen = _counting(monkeypatch, "_ad_stable")
+    seen = _counting(monkeypatch, schemedouble.groupschemes, "is_normal")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["appendix", "--p", "5"]) == 0
     assert seen and len({id(L) for L in seen}) == len(seen)
@@ -534,4 +541,4 @@ def test_reused_non_normal_subgroup_is_rejected_every_time():
     for _ in range(2):
         with pytest.raises(InvalidTriple, match="K is not normal"):
             Triple(G, T, one, trivial_hopf_map(one, T))
-    assert not is_normal(T)
+    assert not T.is_normal

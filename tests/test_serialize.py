@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from schemedouble import serialize
 from schemedouble.doubles import (
-    canonical_r_and_v,
     drinfeld_double,
     is_factorizable,
     is_triangular,
@@ -147,7 +146,7 @@ def test_double_document_is_written_in_a_quarter_of_its_size(tmp_path):
     G = group_from_spec(load(ROOT / "samples" / "borel.json"), F)
     dd = drinfeld_double(G)
     reports = {"hopf": verify_hopf(dd.D)}
-    qt = canonical_r_and_v(dd)
+    qt = dd.qt
     reports["quasitriangular"] = verify_quasitriangular(qt)
     reports["ribbon"] = verify_ribbon(qt)
     triangular, factorizable = is_triangular(qt), is_factorizable(qt)
