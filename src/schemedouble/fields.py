@@ -17,7 +17,14 @@ from __future__ import annotations
 
 import math
 
-from .errors import CharZero, NotInvertible, NotPrime, ReduciblePolynomial, SchemaError
+from .errors import (
+    BudgetExceeded,
+    CharZero,
+    NotInvertible,
+    NotPrime,
+    ReduciblePolynomial,
+    SchemaError,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -454,28 +461,34 @@ QQ = RationalField()
 
 _field_cache: dict = {}
 
+# The largest field order make_field accepts.  Building GF(p) trial-divides
+# p up to sqrt(p), 10^9 divisions for a prime near 10^18, and GF(p^k) tries
+# every root of its modulus; the tests use fields up to GF(101^3).
+MAX_FIELD_SIZE = 2**31
+
 
 def make_field(kind: str, **params) -> Field:
     """Build a validated field.
 
     ``make_field("prime", p=7)``, ``make_field("extension", p=2, k=2)`` with an
     optional ``poly`` (monic coefficient list, low degree first), or
-    ``make_field("rationals")``.
+    ``make_field("rationals")``.  A field of more than MAX_FIELD_SIZE
+    elements raises BudgetExceeded before p is tested for primality; k is
+    capped first, since p >= 2 makes p^bits too large, so a huge k forms no
+    huge power.
     """
     if kind == "rationals":
         return QQ
-    if kind == "prime":
-        key = ("prime", params["p"])
-        if key not in _field_cache:
-            _field_cache[key] = PrimeField(params["p"])
-        return _field_cache[key]
-    if kind == "extension":
-        poly = params.get("poly")
-        key = ("ext", params["p"], params["k"], tuple(poly) if poly else None)
-        if key not in _field_cache:
-            _field_cache[key] = ExtensionField(params["p"], params["k"], poly)
-        return _field_cache[key]
-    raise ValueError(f"unknown field kind {kind!r}")
+    if kind not in ("prime", "extension"):
+        raise ValueError(f"unknown field kind {kind!r}")
+    p, k, poly = params["p"], params.get("k", 1), params.get("poly")
+    if p > 1 and p ** min(k, MAX_FIELD_SIZE.bit_length()) > MAX_FIELD_SIZE:
+        order = p if kind == "prime" else f"{p}^{k}"
+        raise BudgetExceeded(f"field of order {order} is above the ceiling 2^31")
+    key = (kind, p, k, tuple(poly) if poly else None)
+    if key not in _field_cache:
+        _field_cache[key] = PrimeField(p) if kind == "prime" else ExtensionField(p, k, poly)
+    return _field_cache[key]
 
 
 def parse_field_token(token: str) -> Field:

@@ -1009,8 +1009,9 @@ def ideal_closure(H: HopfAlgebra, ech: Echelon, multipliers=None) -> Echelon:
 
 def primitives(H: HopfAlgebra) -> Echelon:
     """The subspace of v with Delta(v) = v(x)1 + 1(x)v: the kernel of the
-    map whose column i is ``_primitive_defect(H, i)``."""
-    return mat_kernel(H.field, {i: _primitive_defect(H, i) for i in range(H.dim)}, H.dim)
+    map whose column i is ``_primitive_defect(H, e_i)``."""
+    return mat_kernel(H.field, {i: _primitive_defect(H, H.basis_vec(i)) for i in range(H.dim)},
+                      H.dim)
 
 
 def grouplikes(H: HopfAlgebra, budget: int = 10**7):
@@ -1107,182 +1108,143 @@ def t2_coordinates(F, ech: Echelon, t):
     return grid if t2_map(F, basis, basis, grid) == t else None
 
 
-class _SourceStep:
-    __slots__ = ("kind", "vec", "basis_index")
-
-    def __init__(self, kind, vec=None, basis_index=None):
-        self.kind = kind
-        self.vec = vec
-        self.basis_index = basis_index
-
-
-def _primitive_defect(A: HopfAlgebra, i):
-    """Delta(e_i) - e_i (x) 1 - 1 (x) e_i."""
+def _primitive_defect(A: HopfAlgebra, v):
+    """Delta(v) - v (x) 1 - 1 (x) v."""
     F = A.field
-    e = A.basis_vec(i)
-    d = dict(A.comult[i])
-    v_axpy(F, d, F.neg(F.one()), t2_outer(F, e, A.unit))
-    v_axpy(F, d, F.neg(F.one()), t2_outer(F, A.unit, e))
+    d = A.coproduct(v)
+    minus_one = F.neg(F.one())
+    v_axpy(F, d, minus_one, t2_outer(F, v, A.unit))
+    v_axpy(F, d, minus_one, t2_outer(F, A.unit, v))
     return d
 
 
 def _source_chain(A: HopfAlgebra, src_grouplikes, src_primitives):
-    """Assignment chain (grouplikes, primitive basis, filtration extensions)
-    whose subalgebra closure reaches all of A, or None past the supported
-    filtration.  A is associative, so the subalgebra generated by 1 and the
+    """Generators (v, is_grouplike) of the algebra A, or None past the
+    supported filtration: the grouplikes outside the subalgebra generated
+    so far, then, while that subalgebra is not A, the first vector of the
+    primitive basis and then of the basis of A that lies outside it and
+    whose primitive defect lies in its tensor square (a primitive's defect
+    is 0).  A is associative, so the subalgebra generated by 1 and the
     chain is their span closed under right multiplication by them."""
     F = A.field
     ech = Echelon(F, A.dim)
     ech.insert(A.unit)
     chain, gens = [], [A.unit]
 
-    def adjoin(step, v):
-        chain.append(step)
+    def adjoin(v, is_grouplike):
+        chain.append((v, is_grouplike))
         gens.append(v)
         span_closure(ech, ech.basis() + [v], lambda w: [A.product(w, g) for g in gens])
 
     for g in src_grouplikes:
         if not ech.contains(g):
-            adjoin(_SourceStep("grouplike", vec=g), g)
-    for b in src_primitives.basis():
-        if not ech.contains(b):
-            adjoin(_SourceStep("primitive", vec=b), b)
+            adjoin(g, True)
+    candidates = src_primitives.basis() + [A.basis_vec(i) for i in range(A.dim)]
     while ech.dim < A.dim:
-        found = None
-        for i in range(A.dim):
-            if ech.contains(A.basis_vec(i)):
-                continue
-            if t2_coordinates(F, ech, _primitive_defect(A, i)) is not None:
-                found = i
-                break
-        if found is None:
+        v = next((v for v in candidates if not ech.contains(v)
+                  and t2_coordinates(F, ech, _primitive_defect(A, v)) is not None), None)
+        if v is None:
             return None
-        adjoin(_SourceStep("extension", basis_index=found), A.basis_vec(found))
+        adjoin(v, False)
     return chain
 
 
 def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra, budget: int = 500_000):
-    """All Hopf algebra maps A -> C, by constraint-pruned generator images.
+    """All Hopf algebra maps A -> C of Hopf algebras A and C, sorted by key.
 
-    Candidate images: grouplikes of A map into grouplikes of C (both found
-    by ``grouplikes``), primitives into the primitive subspace, and
-    filtration extensions into the affine solution set of their coproduct
-    constraint, whose rows are those of the ``_primitive_defect`` columns of
-    C plus the counit row.  Complete whenever the chain construction covers
-    A (grouplike/primitively generated algebras and divided-power towers);
-    raises BudgetExceeded otherwise or when the candidate count explodes.
+    Each generator v of ``_source_chain`` in turn is sent to each grouplike
+    of C when v is grouplike, and otherwise to each solution z of the
+    affine system Delta(z) - z (x) 1 - 1 (x) z = (f (x) f)(Delta(v) - v (x) 1
+    - 1 (x) v), eps(z) = eps(v), f the map so far (for a primitive v, the
+    primitives of C).  The pairs (v, f(v)) are kept in a ParallelEchelon
+    whose span, with (1, 1), is closed under right multiplication by them:
+    by associativity, the subalgebra of A x C they generate.  A branch
+    whose span is no graph of a map (a conflict) is dropped.  Complete
+    whenever the chain covers A (grouplike/primitively generated algebras
+    and divided-power towers); raises BudgetExceeded otherwise or when the
+    branch count exceeds the budget.
+
+    Every map found is a Hopf algebra map, once and only once:
+
+    * The span at a leaf is the graph of f on the subalgebra the chain
+      generates.  That subalgebra is A, so f is an algebra map.
+    * Delta_C f and (f (x) f) Delta_A are algebra maps A -> C (x) C, and
+      they agree on the chain: on a grouplike g as f(g) is grouplike, on
+      any other v by the affine rows, as f(1) = 1.  So they are equal, and
+      likewise eps_C f = eps_A.  A bialgebra map of Hopf algebras respects
+      the antipodes.
+    * Two leaves differ in the image of a generator, as the images tried
+      at one step are distinct, so no map is found twice.
+
+    A and C must be Hopf algebras: k[H] and O(K) of subgroup schemes are,
+    and ``Triple.validate`` checks every map B all the same.
     """
     if A.field != C.field:
         raise FieldMismatch("source and target over different fields")
     F = A.field
     chain = _source_chain(A, grouplikes(A), primitives(A))
     glC = grouplikes(C)
-    prC = primitives(C)
-    prim_rows_C = mat_transpose({i: _primitive_defect(C, i) for i in range(C.dim)})
+    prim_rows_C = mat_transpose({i: _primitive_defect(C, C.basis_vec(i)) for i in range(C.dim)})
     if chain is None:
         raise BudgetExceeded("source algebra outside the supported generation filtration")
 
-    if any(s.kind == "primitive" for s in chain) and F.size is None and prC.dim > 0:
-        raise FieldTooLargeForEnumeration(
-            "cannot enumerate primitive images over the rationals"
-        )
-    prC_points = None
-    if any(s.kind == "primitive" for s in chain):
-        prC_points = list(echelon_points(prC, F)) if prC.dim else [{}]
-
     results = []
-    seen = set()
     counter = [0]
 
-    def emit(pech: ParallelEchelon):
-        mat = {}
-        for i in range(A.dim):
-            img = pech.image_of(A.basis_vec(i))
-            if img is None:
-                return
-            if img:
-                mat[i] = img
-        f = LinMap(A, C, mat)
-        ok, _ = is_hopf_morphism(f)
-        if ok and f.key() not in seen:
-            seen.add(f.key())
-            results.append(f)
+    def affine_images(pech, v):
+        """The solutions z for v, or [] when a leg of its defect has no
+        image yet."""
+        img: dict = {}
+        for (j, k), c in _primitive_defect(A, v).items():
+            xj = pech.image_of(unit_vec(j, F))
+            xk = pech.image_of(unit_vec(k, F))
+            if xj is None or xk is None:
+                return []
+            v_axpy(F, img, c, t2_outer(F, xj, xk))
+        rows = [(prim_rows_C.get(key, {}), img.get(key, F.zero()))
+                for key in set(prim_rows_C) | set(img)]
+        rows.append((dict(C.counit), A.counit_of(v)))
+        try:
+            part, kern = solve_rows(F, rows, C.dim)
+        except NoSolution:
+            return []
+        return [v_axpy(F, dict(part), F.one(), z0) for z0 in echelon_points(kern, F)]
 
-    def close_products(pech, pairs):
-        """Close the recorded pairs under products; False on contradiction."""
-        queue = list(pairs)
-        done = 0
-        while done < len(queue):
-            a1, c1 = queue[done]
-            done += 1
-            for a2, c2 in queue[:done]:
-                for x, y in ((A.product(a1, a2), C.product(c1, c2)),
-                             (A.product(a2, a1), C.product(c2, c1))):
-                    st = pech.insert(x, y)
-                    if st == "conflict":
-                        return None
-                    if st == "new":
-                        queue.append((x, y))
-        return queue
+    def close(pech, span, gens):
+        """A copy of pech with the last pair of gens added and its span
+        closed under right multiplication by gens, and the pairs spanning
+        it; None on a conflict.  The span of span is that of pech, holds
+        (1, 1) and is closed under gens[:-1], so each pair of span is
+        multiplied by the new pair only."""
+        v, z = gens[-1]
+        pech, span = pech.copy(), list(span)
+        work = [(v, z)] + [(A.product(x, v), C.product(y, z)) for x, y in span]
+        while work:
+            x, y = work.pop()
+            st = pech.insert(x, y)
+            if st == "conflict":
+                return None
+            if st == "new":
+                span.append((x, y))
+                work.extend((A.product(x, a), C.product(y, c)) for a, c in gens)
+        return pech, span
 
-    def rec(step_idx, pech, pairs):
+    def rec(pech, span, gens):
         counter[0] += 1
         if counter[0] > budget:
             raise BudgetExceeded(f"candidate budget {budget} exhausted")
-        if step_idx == len(chain):
-            emit(pech)
+        if len(gens) == len(chain):
+            results.append(LinMap(A, C, {i: pech.image_of(A.basis_vec(i))
+                                         for i in range(A.dim)}))
             return
-        step = chain[step_idx]
-        if step.kind == "grouplike":
-            candidates = [(step.vec, g) for g in glC]
-        elif step.kind == "primitive":
-            candidates = [(step.vec, z) for z in prC_points]
-        else:
-            e = A.basis_vec(step.basis_index)
-            # push both legs through the partial map
-            img: dict = {}
-            bad = False
-            for (j, k), c in _primitive_defect(A, step.basis_index).items():
-                xj = pech.image_of(unit_vec(j, F))
-                xk = pech.image_of(unit_vec(k, F))
-                if xj is None or xk is None:
-                    bad = True
-                    break
-                v_axpy(F, img, c, t2_outer(F, xj, xk))
-            if bad:
-                return
-            # solve Delta(z) - z(x)1 - 1(x)z = img, counit(z) = counit(e)
-            rows = [(prim_rows_C.get(key, {}), img.get(key, F.zero()))
-                    for key in set(prim_rows_C) | set(img)]
-            rows.append((dict(C.counit), A.counit_of(e)))
-            try:
-                part, kern = solve_rows(F, rows, C.dim)
-            except NoSolution:
-                return
-            if kern.dim and F.size is None:
-                raise FieldTooLargeForEnumeration(
-                    "cannot enumerate extension images over the rationals"
-                )
-            cands = []
-            for z0 in echelon_points(kern, F) if kern.dim else [{}]:
-                z = dict(part)
-                v_axpy(F, z, F.one(), z0)
-                cands.append(z)
-            candidates = [(e, z) for z in cands]
-
-        for src_vec, tgt_vec in candidates:
-            branch = pech.copy()
-            st = branch.insert(src_vec, tgt_vec)
-            if st == "conflict":
-                continue
-            new_pairs = close_products(branch, pairs + [(src_vec, tgt_vec)])
-            if new_pairs is None:
-                continue
-            rec(step_idx + 1, branch, new_pairs)
+        v, is_grouplike = chain[len(gens)]
+        for z in glC if is_grouplike else affine_images(pech, v):
+            pairs = gens + [(v, z)]
+            if closed := close(pech, span, pairs):
+                rec(*closed, pairs)
 
     root = ParallelEchelon(F, A.dim, C.dim)
     root.insert(dict(A.unit), dict(C.unit))
-    base_pairs = close_products(root, [(dict(A.unit), dict(C.unit))])
-    rec(0, root, base_pairs)
+    rec(root, [(dict(A.unit), dict(C.unit))], [])
     results.sort(key=lambda f: str(f.key()))
     return results

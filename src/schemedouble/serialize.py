@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from operator import itemgetter
 
-from .errors import BudgetExceeded, SchemaError
+from .errors import BudgetExceeded, NotPrime, ReduciblePolynomial, SchemaError
 from .fields import Field, make_field
 from .hopf import HopfAlgebra, LinMap
 from .groupschemes import (
@@ -62,17 +62,32 @@ def scalar_from_json(F: Field, data):
 def field_to_json(F: Field):
     return F.describe()
 
+
+def _int_entry(data, key, what):
+    """data[key], which must be an int and not a bool."""
+    v = data[key]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(f"{what} {key!r} must be an integer, got {v!r}")
+    return v
+
+
 def field_from_json(data) -> Field:
+    """The field of a spec; SchemaError for a spec that names no supported
+    field, BudgetExceeded for one above fields.MAX_FIELD_SIZE."""
     try:
         kind = data["kind"]
         if kind == "prime":
-            return make_field("prime", p=int(data["p"]))
+            return make_field("prime", p=_int_entry(data, "p", "field"))
         if kind == "extension":
-            return make_field("extension", p=int(data["p"]), k=int(data["k"]),
-                              poly=data.get("poly"))
+            poly = data.get("poly")
+            if poly is not None and (not isinstance(poly, list) or any(
+                    isinstance(c, bool) or not isinstance(c, int) for c in poly)):
+                raise SchemaError(f"field 'poly' must be a list of integers, got {poly!r}")
+            return make_field("extension", p=_int_entry(data, "p", "field"),
+                              k=_int_entry(data, "k", "field"), poly=poly)
         if kind == "rationals":
             return make_field("rationals")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, NotPrime, ReduciblePolynomial) as exc:
         raise SchemaError(f"bad field spec: {exc}")
     raise SchemaError(f"unknown field kind {data!r}")
 
@@ -172,7 +187,7 @@ def hopf_to_json(H: HopfAlgebra):
 def hopf_from_json(data) -> HopfAlgebra:
     try:
         F = field_from_json(data["field"])
-        dim = int(data["dim"])
+        dim = _int_entry(data, "dim", "hopf document")
         labels = list(data["labels"])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad hopf document: {exc}")
@@ -311,7 +326,7 @@ def group_from_spec(spec, F: Field) -> GroupScheme:
             bracket = [[_lie_coefficients(cell, n, "bracket") for cell in row]
                        for row in body["bracket"]]
             p_map = [_lie_coefficients(cell, n, "p_map") for cell in body["p_map"]]
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
             raise SchemaError(f"bad restricted_lie spec: {exc}")
         if n < 0:
             raise SchemaError(f"restricted_lie 'dim' must be non-negative, got {n}")
@@ -333,9 +348,11 @@ def subgroup_from_spec(G: GroupScheme, spec) -> SubgroupScheme:
         body = spec["frobenius_sub"]
         try:
             s = int(body["r"] if isinstance(body, dict) else body)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad frobenius_sub spec {body!r}: {exc}")
-        if G.kind == "ga" and not 0 <= s <= G.payload["r"]:
+        if G.kind != "ga":
+            raise SchemaError("frobenius_sub needs a ga_kernel ambient")
+        if not 0 <= s <= G.payload["r"]:
             raise SchemaError(f"frobenius_sub order {s} outside 0..{G.payload['r']}")
         return ga_frobenius_subgroup(G, s)
     if isinstance(spec, dict) and "generators" in spec:

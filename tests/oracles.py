@@ -59,6 +59,12 @@ certified checks of the package.
   theta = phi . theta', or None when a vector of a basis of ker(theta')
   is not killed by theta; each column phi(e) = theta(x) for x the
   particular solution of theta'(x) = e.
+* ``hopf_algebra_maps_all_pairs``: the Hopf algebra maps A -> C by the
+  search with a separate step kind for the primitive generators, whose
+  images run over the points of the primitives of C, that closes the
+  recorded pairs under the products of every ordered pair of them at each
+  step, and checks every map found with ``is_hopf_morphism`` and against
+  the maps already found.
 """
 
 from __future__ import annotations
@@ -66,7 +72,11 @@ from __future__ import annotations
 import itertools
 
 from schemedouble.errors import (
+    BudgetExceeded,
     ClosureNotHopf,
+    FieldMismatch,
+    FieldTooLargeForEnumeration,
+    NoSolution,
     NoInvertibleSectionFound,
     NoSection,
     VerificationFailure,
@@ -87,9 +97,12 @@ from schemedouble.groupschemes import (
 from schemedouble.hopf import (
     LinMap,
     VerificationReport,
+    grouplikes,
     induced_hopf,
     is_hopf_morphism,
+    primitives,
     quotient_by_hopf_ideal,
+    span_closure,
     t2_contract,
     t2_coordinates,
     t2_map,
@@ -99,10 +112,14 @@ from schemedouble.hopf import (
 from schemedouble.lattice import contains
 from schemedouble.linalg import (
     Echelon,
+    ParallelEchelon,
+    echelon_points,
     mat_apply,
     mat_identity,
     mat_kernel,
+    mat_transpose,
     solve_affine,
+    solve_rows,
     span,
     unit_vec,
     v_axpy,
@@ -752,3 +769,166 @@ def induced_surjection_by_kernel(qp, qp_src):
         if img := theta.apply(x):
             mat[e] = img
     return LinMap(qp_src.D, qp.D, mat)
+
+
+class _SourceStep:
+    __slots__ = ("kind", "vec", "basis_index")
+
+    def __init__(self, kind, vec=None, basis_index=None):
+        self.kind = kind
+        self.vec = vec
+        self.basis_index = basis_index
+
+
+def _primitive_defect_at(A, i):
+    F = A.field
+    e = A.basis_vec(i)
+    d = dict(A.comult[i])
+    v_axpy(F, d, F.neg(F.one()), t2_outer(F, e, A.unit))
+    v_axpy(F, d, F.neg(F.one()), t2_outer(F, A.unit, e))
+    return d
+
+
+def _source_chain_by_kind(A, src_grouplikes, src_primitives):
+    F = A.field
+    ech = Echelon(F, A.dim)
+    ech.insert(A.unit)
+    chain, gens = [], [A.unit]
+
+    def adjoin(step, v):
+        chain.append(step)
+        gens.append(v)
+        span_closure(ech, ech.basis() + [v], lambda w: [A.product(w, g) for g in gens])
+
+    for g in src_grouplikes:
+        if not ech.contains(g):
+            adjoin(_SourceStep("grouplike", vec=g), g)
+    for b in src_primitives.basis():
+        if not ech.contains(b):
+            adjoin(_SourceStep("primitive", vec=b), b)
+    while ech.dim < A.dim:
+        found = None
+        for i in range(A.dim):
+            if ech.contains(A.basis_vec(i)):
+                continue
+            if t2_coordinates(F, ech, _primitive_defect_at(A, i)) is not None:
+                found = i
+                break
+        if found is None:
+            return None
+        adjoin(_SourceStep("extension", basis_index=found), A.basis_vec(found))
+    return chain
+
+
+def hopf_algebra_maps_all_pairs(A, C, budget=500_000):
+    if A.field != C.field:
+        raise FieldMismatch("source and target over different fields")
+    F = A.field
+    chain = _source_chain_by_kind(A, grouplikes(A), primitives(A))
+    glC = grouplikes(C)
+    prC = primitives(C)
+    prim_rows_C = mat_transpose({i: _primitive_defect_at(C, i) for i in range(C.dim)})
+    if chain is None:
+        raise BudgetExceeded("source algebra outside the supported generation filtration")
+
+    if any(s.kind == "primitive" for s in chain) and F.size is None and prC.dim > 0:
+        raise FieldTooLargeForEnumeration(
+            "cannot enumerate primitive images over the rationals"
+        )
+    prC_points = None
+    if any(s.kind == "primitive" for s in chain):
+        prC_points = list(echelon_points(prC, F)) if prC.dim else [{}]
+
+    results = []
+    seen = set()
+    counter = [0]
+
+    def emit(pech):
+        mat = {}
+        for i in range(A.dim):
+            img = pech.image_of(A.basis_vec(i))
+            if img is None:
+                return
+            if img:
+                mat[i] = img
+        f = LinMap(A, C, mat)
+        ok, _ = is_hopf_morphism(f)
+        if ok and f.key() not in seen:
+            seen.add(f.key())
+            results.append(f)
+
+    def close_products(pech, pairs):
+        queue = list(pairs)
+        done = 0
+        while done < len(queue):
+            a1, c1 = queue[done]
+            done += 1
+            for a2, c2 in queue[:done]:
+                for x, y in ((A.product(a1, a2), C.product(c1, c2)),
+                             (A.product(a2, a1), C.product(c2, c1))):
+                    st = pech.insert(x, y)
+                    if st == "conflict":
+                        return None
+                    if st == "new":
+                        queue.append((x, y))
+        return queue
+
+    def rec(step_idx, pech, pairs):
+        counter[0] += 1
+        if counter[0] > budget:
+            raise BudgetExceeded(f"candidate budget {budget} exhausted")
+        if step_idx == len(chain):
+            emit(pech)
+            return
+        step = chain[step_idx]
+        if step.kind == "grouplike":
+            candidates = [(step.vec, g) for g in glC]
+        elif step.kind == "primitive":
+            candidates = [(step.vec, z) for z in prC_points]
+        else:
+            e = A.basis_vec(step.basis_index)
+            img = {}
+            bad = False
+            for (j, k), c in _primitive_defect_at(A, step.basis_index).items():
+                xj = pech.image_of(unit_vec(j, F))
+                xk = pech.image_of(unit_vec(k, F))
+                if xj is None or xk is None:
+                    bad = True
+                    break
+                v_axpy(F, img, c, t2_outer(F, xj, xk))
+            if bad:
+                return
+            rows = [(prim_rows_C.get(key, {}), img.get(key, F.zero()))
+                    for key in set(prim_rows_C) | set(img)]
+            rows.append((dict(C.counit), A.counit_of(e)))
+            try:
+                part, kern = solve_rows(F, rows, C.dim)
+            except NoSolution:
+                return
+            if kern.dim and F.size is None:
+                raise FieldTooLargeForEnumeration(
+                    "cannot enumerate extension images over the rationals"
+                )
+            cands = []
+            for z0 in echelon_points(kern, F) if kern.dim else [{}]:
+                z = dict(part)
+                v_axpy(F, z, F.one(), z0)
+                cands.append(z)
+            candidates = [(e, z) for z in cands]
+
+        for src_vec, tgt_vec in candidates:
+            branch = pech.copy()
+            st = branch.insert(src_vec, tgt_vec)
+            if st == "conflict":
+                continue
+            new_pairs = close_products(branch, pairs + [(src_vec, tgt_vec)])
+            if new_pairs is None:
+                continue
+            rec(step_idx + 1, branch, new_pairs)
+
+    root = ParallelEchelon(F, A.dim, C.dim)
+    root.insert(dict(A.unit), dict(C.unit))
+    base_pairs = close_products(root, [(dict(A.unit), dict(C.unit))])
+    rec(0, root, base_pairs)
+    results.sort(key=lambda f: str(f.key()))
+    return results

@@ -7,8 +7,9 @@ from products formed once per (a, x, b), the crossed product of
 D(K, H, B) with non-trivial sigma or tau against the term-by-term loop,
 the two-phase subgroup closure against the rounds, sub- and quotient Hopf
 algebras certified by their inclusion or projection against the builds
-that also run the exhaustive verifier, and normal_subgroups by extension
-against the generator-subset sweep."""
+that also run the exhaustive verifier, normal_subgroups by extension
+against the generator-subset sweep, and hopf_algebra_maps against the
+search that closes every pair of recorded pairs and re-checks every map."""
 
 import itertools
 import random
@@ -24,7 +25,12 @@ from schemedouble.doubles import (
     verify_quasitriangular,
     verify_ribbon,
 )
-from schemedouble.errors import ClosureNotHopf, InvalidTriple, VerificationFailure
+from schemedouble.errors import (
+    ClosureNotHopf,
+    InvalidTriple,
+    SchemeDoubleError,
+    VerificationFailure,
+)
 from schemedouble.fields import QQ, make_field
 from schemedouble.groupschemes import (
     centralize,
@@ -80,6 +86,7 @@ from oracles import (
     drinfeld_double_mult_loop,
     grouplikes_sweep,
     hexagon_products_t3,
+    hopf_algebra_maps_all_pairs,
     ideal_closure_rounds,
     is_hopf_morphism_exhaustive,
     light_associativity_dense,
@@ -449,6 +456,54 @@ def test_is_hopf_morphism_agrees_with_the_sweep(make):
         assert verdict == is_hopf_morphism_exhaustive(g)
         rejected += not verdict[0]
     assert rejected > 0
+
+
+def _frobenius_kernels(G):
+    return [ga_frobenius_subgroup(G, s) for s in range(G.payload["r"] + 1)]
+
+
+MAP_SEARCH_SUBGROUPS = {
+    "S3-GF7": lambda: normal_subgroups(make_s3(F7)),
+    "S3-Q": lambda: normal_subgroups(make_s3(QQ)),
+    "A4-GF5": lambda: normal_subgroups(constant_group(*permutation_table(A4_GENS), F5)),
+    "D4-GF3": lambda: normal_subgroups(constant_group(*permutation_table(D4_GENS), F3)),
+    "Borel-GF3": lambda: normal_subgroups(make_borel(F3)),
+    "mu3": lambda: normal_subgroups(mu_p_kernel(F3)),
+    "Ga1xmu3-GF3": lambda: normal_subgroups(direct_product(ga_kernel(1, F3), mu_p_kernel(F3))),
+    "Ga1xGa1-GF3": lambda: normal_subgroups(direct_product(ga_kernel(1, F3), ga_kernel(1, F3))),
+    "ga2-GF3": lambda: _frobenius_kernels(ga_kernel(2, F3)),
+    "ga4-GF2": lambda: _frobenius_kernels(ga_kernel(4, F2)),
+    "Ga2xmu2-GF2": lambda: normal_subgroups(direct_product(ga_kernel(2, F2), mu_p_kernel(F2))),
+}
+
+
+def _maps_or_error(search, A, C):
+    try:
+        return search(A, C)
+    except SchemeDoubleError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", list(MAP_SEARCH_SUBGROUPS))
+def test_hopf_algebra_maps_equal_the_all_pairs_search(name):
+    """On every ordered pair (K, H) of the subgroups, hopf_algebra_maps
+    k[H] -> O(K) finds the maps the search with a primitive step kind, the
+    all-pairs product closure and a per-map is_hopf_morphism finds, in the
+    same order, or raises the same error; and every map it returns passes
+    is_hopf_morphism.  Only Ga_2 x mu_2 raises (on H = G)."""
+    subs = MAP_SEARCH_SUBGROUPS[name]()
+    raised = 0
+    for K, H in itertools.product(subs, repeat=2):
+        A, C = H.own.group_algebra, K.own.coordinate_algebra
+        mine = _maps_or_error(hopf_algebra_maps, A, C)
+        oracle = _maps_or_error(hopf_algebra_maps_all_pairs, A, C)
+        if isinstance(mine, tuple):
+            raised += 1
+            assert mine == oracle
+            continue
+        assert [f.key() for f in mine] == [f.key() for f in oracle]
+        assert all(is_hopf_morphism(f) == (True, "") for f in mine)
+    assert (raised > 0) == (name == "Ga2xmu2-GF2")
 
 
 def test_ideal_closure_is_two_sided():

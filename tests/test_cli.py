@@ -199,6 +199,59 @@ def test_malformed_field_is_a_schema_error(tmp_path, z2_file, token, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+def _kz2_document():
+    """The document of k[Z2] over GF(3), as json.load gives it back."""
+    G = constant_group(["e", "s"], [[0, 1], [1, 0]], make_field("prime", p=3))
+    return json.loads(dump(hopf_to_json(G.group_algebra)))
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("field", {"kind": "prime", "p": "x"}),
+    ("field", {"kind": "extension", "p": 2, "k": "z"}),
+    ("field", {"kind": "prime", "p": 4}),
+    ("field", {"kind": "prime", "p": 1.5}),
+    ("field", {"kind": "prime", "p": True}),
+    ("field", {"kind": "extension", "p": 3, "k": 2, "poly": [2, 0, 1]}),
+    ("field", {"kind": "extension", "p": 3, "k": 2, "poly": [1, 0, 1.5]}),
+    ("dim", "x"),
+    ("dim", True),
+], ids=["p-string", "k-string", "p-not-prime", "p-float", "p-bool", "poly-reducible",
+        "poly-float", "dim-string", "dim-bool"])
+def test_malformed_document_field_or_dim_is_a_schema_error(tmp_path, entry, value, capsys):
+    """A document field that names no supported field, or a dim that is
+    not an int, exits 2 as a malformed --field token does."""
+    doc = _kz2_document()
+    doc[entry] = value
+    assert main(["verify", "--hopf", write(tmp_path / "kz2.json", doc)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, k", [(10**18 + 3, 1), (2**31 + 11, 1), (46349, 2), (2, 10**11)],
+                         ids=["p-1e18", "p-above-2^31", "p^2-above-2^31", "k-huge"])
+@pytest.mark.parametrize("route", ["token", "document"])
+def test_field_above_the_ceiling_exits_3_before_any_primality_test(
+        tmp_path, z2_file, p, k, route, monkeypatch, capsys):
+    """A field of more than 2^31 elements, from a --field token or from a
+    document, is refused as over budget before p is tested for primality
+    or a modulus for roots."""
+    import schemedouble.fields
+
+    def no_test(*args):
+        raise AssertionError("primality or irreducibility test started")
+
+    monkeypatch.setattr(schemedouble.fields, "is_prime", no_test)
+    monkeypatch.setattr(schemedouble.fields, "_poly_is_irreducible", no_test)
+    if route == "token":
+        argv = ["build", "--group", z2_file, "--field", f"p{p}" if k == 1 else f"p{p}^{k}"]
+    else:
+        doc = _kz2_document()
+        doc["field"] = ({"kind": "prime", "p": p} if k == 1
+                        else {"kind": "extension", "p": p, "k": k})
+        argv = ["verify", "--hopf", write(tmp_path / "kz2.json", doc)]
+    assert main(argv) == 3
+    assert "budget exhausted" in capsys.readouterr().err
+
+
 def test_report_stable_under_key_reordering(tmp_path):
     a = {"constant": {"elements": ["e", "s"], "table": [[0, 1], [1, 0]]}}
     b = {"constant": {"table": [[0, 1], [1, 0]], "elements": ["e", "s"]}}
@@ -307,6 +360,18 @@ def test_enumerate_refuses_too_many_generator_subsets_before_any_closure(
     assert "64^2 = 4096, above the ceiling 625" in capsys.readouterr().err
 
 
+def test_enumerate_exits_3_when_the_source_chain_stops_short(tmp_path, capsys):
+    """The generators of k[Ga_2 x mu_2] over GF(2) that hopf_algebra_maps
+    adjoins (its grouplikes, its primitives, then the basis vectors whose
+    primitive defect lies in the square of the subalgebra so far) generate
+    a proper subalgebra of it: the search refuses k[G] as a source, and
+    enumerate exits 3."""
+    f = write(tmp_path / "ga2_mu2.json", {"product": [GA2, {"mu_p": {}}]})
+    assert main(["enumerate", "--group", f, "--field", "p2"]) == 3
+    assert ("budget exhausted: source algebra outside the supported generation filtration"
+            in capsys.readouterr().err)
+
+
 GA2 = {"ga_kernel": {"r": 2}}
 
 
@@ -315,10 +380,11 @@ GA2 = {"ga_kernel": {"r": 2}}
     {"K": "full"},
     {"group": GA2, "K": {"frobenius_sub": {}}},
     {"group": GA2, "K": {"frobenius_sub": {"r": "x"}}},
+    {"group": {"mu_p": {}}, "K": {"frobenius_sub": {"r": 1}}},
     {"group": GA2, "K": {"generators": 5}},
     {"group": GA2, "K": {"generators": [[{"indices": [99], "value": "1"}]]}},
     [GA2],
-], ids=["no-group", "frobenius-no-r", "frobenius-r-not-int",
+], ids=["no-group", "frobenius-no-r", "frobenius-r-not-int", "frobenius-outside-ga-kernel",
         "generators-not-list", "generator-index-out-of-range", "triple-is-list"])
 def test_malformed_triple_is_a_schema_error(tmp_path, command, triple, capsys):
     f = write(tmp_path / "triple.json", triple)

@@ -1,7 +1,9 @@
 """The streaming writer of serialize: random documents and lazy tables are
 written as json.dumps would write them, Hopf documents round-trip bit for
 bit, a document is written without holding its records or its text, and
-the benchmark tracer's byte counter reads what dump wrote."""
+the benchmark tracer's byte counter reads what dump wrote.  The loaders,
+fed valid documents with one leaf replaced, return or raise a
+SchemeDoubleError."""
 
 import io
 import json
@@ -22,15 +24,18 @@ from schemedouble.doubles import (
     verify_quasitriangular,
     verify_ribbon,
 )
+from schemedouble.errors import SchemeDoubleError
 from schemedouble.fields import QQ, make_field
 from schemedouble.groupschemes import constant_group
 from schemedouble.hopf import verify_hopf
 from schemedouble.serialize import (
     dump,
+    field_from_json,
     group_from_spec,
     hopf_from_json,
     hopf_to_json,
     load,
+    subgroup_from_spec,
     tensor_to_json,
 )
 
@@ -195,3 +200,69 @@ def test_tracer_counts_the_characters_dump_wrote(tmp_path):
         assert code == 0 and report["exit"] == 0
         assert report["functions"]["serialize.dump"]["calls"] == 1
         assert report["counters"]["serialize.dump.bytes"] == size - 1
+
+
+def _loaders():
+    """(name, valid document, loader) for each loader of outside input."""
+    F3, F7 = make_field("prime", p=3), make_field("prime", p=7)
+    samples = ROOT / "samples"
+    ga2, s3a3 = load(samples / "ga2_triple.json"), load(samples / "s3_a3_triple.json")
+    G_ga2, G_s3 = group_from_spec(ga2["group"], F3), group_from_spec(s3a3["group"], F7)
+    z2 = load(samples / "z2.json")
+    kz2 = json.loads(dump(hopf_to_json(group_from_spec(z2, F3).group_algebra)))
+    return [
+        ("prime field", {"kind": "prime", "p": 3}, field_from_json),
+        ("extension field", {"kind": "extension", "p": 3, "k": 2, "poly": [1, 0, 1]},
+         field_from_json),
+        ("hopf k[Z2]", kz2, hopf_from_json),
+        ("group z2", z2, lambda d: group_from_spec(d, F3)),
+        ("group ga2", ga2["group"], lambda d: group_from_spec(d, F3)),
+        ("group borel", load(samples / "borel.json"), lambda d: group_from_spec(d, F3)),
+        ("frobenius_sub", ga2["K"], lambda d: subgroup_from_spec(G_ga2, d)),
+        ("generators", s3a3["K"], lambda d: subgroup_from_spec(G_s3, d)),
+    ]
+
+
+LOADERS = _loaders()
+
+
+def _leaf_paths(doc, path=()):
+    """The key paths of the values of doc that are no non-empty list or
+    dict."""
+    items = (enumerate(doc) if isinstance(doc, list)
+             else doc.items() if isinstance(doc, dict) else ())
+    paths = [p for k, v in items for p in _leaf_paths(v, path + (k,))]
+    return paths or [path]
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = list(doc) if isinstance(doc, list) else dict(doc)
+    out[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return out
+
+
+# JSON values as json.load gives them back, NaN and Infinity included;
+# one in two is a scalar.
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+                         st.floats(), st.text())
+JSON_VALUES = st.one_of(JSON_SCALARS, st.recursive(
+    JSON_SCALARS, lambda children: st.one_of(
+        st.lists(children, max_size=3), st.dictionaries(st.text(), children, max_size=3)),
+    max_leaves=8))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(LOADERS), st.data())
+def test_loaders_raise_only_scheme_double_errors_on_one_replaced_leaf(loader, data):
+    """field_from_json, hopf_from_json, group_from_spec and
+    subgroup_from_spec, given a valid document with one leaf replaced by a
+    JSON value, return or raise a SchemeDoubleError, never another
+    exception."""
+    _, doc, load_doc = loader
+    path = data.draw(st.sampled_from(_leaf_paths(doc)))
+    try:
+        load_doc(_replaced(doc, path, data.draw(JSON_VALUES)))
+    except SchemeDoubleError:
+        pass
