@@ -185,7 +185,7 @@ def cmd_quotient(args):
 
 def cmd_enumerate(args):
     G, F = _load_group(args)
-    nodes, edges = enumerate_triples(G, budget=args.budget)
+    nodes, edges = enumerate_triples(G)
     data = {
         "schema_version": 1,
         "group_order": G.order,
@@ -278,7 +278,6 @@ def make_parser():
     p = sub.add_parser("enumerate", help="enumerate all triples with Hasse diagram")
     common(p, ["json", "dot"])
     p.add_argument("--dot", help="also write the Hasse diagram here")
-    p.add_argument("--budget", type=int, default=500_000)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("blocks", help="block data of a triple (constant groups)")

@@ -71,7 +71,7 @@ class GroupScheme:
     ``order_connected`` and ``order_points`` record |G^0| and |G(k)| when
     the constructor knows them structurally (constant, infinitesimal,
     products, subgroups of a constant or connected G); otherwise
-    ``points_order`` counts the grouplikes of k[G] and fills both.
+    ``points_order`` counts ``grouplikes``, those of k[G], and fills both.
 
     G keeps what is derived from it by canonical key:
     ``subgroups`` maps ``Echelon.key()`` to the SubgroupScheme on that span
@@ -86,12 +86,12 @@ class GroupScheme:
     built (``doubles.drinfeld_double``).
 
     A value derived from one object is a cached property of that object:
-    ``coadjoint`` of G, and likewise the derived values of a subgroup, an
-    algebra, a quotient pair and an (R, V).  D(G) and D(K, H, B) stay
-    functions, ``doubles.drinfeld_double`` and ``quotients.build_quotient``,
-    which keep their result on G and on the triple.  G keeps one subgroup
-    per span and one triple per key, so kept subgroups and triples are
-    compared by identity.
+    ``coadjoint`` and ``grouplikes`` of G, and likewise the derived values
+    of a subgroup, an algebra, a quotient pair and an (R, V).  D(G) and
+    D(K, H, B) stay functions, ``doubles.drinfeld_double`` and
+    ``quotients.build_quotient``, which keep their result on G and on the
+    triple.  G keeps one subgroup per span and one triple per key, so kept
+    subgroups and triples are compared by identity.
     """
 
     def __init__(self, group_algebra: HopfAlgebra, kind="generic", payload=None,
@@ -122,10 +122,15 @@ class GroupScheme:
     def __repr__(self):
         return f"GroupScheme({self.name or 'order %d' % self.order})"
 
+    @cached_property
+    def grouplikes(self):
+        """The grouplikes of k[G], its points G(k) (``hopf.grouplikes``)."""
+        return grouplikes(self.group_algebra)
+
     def points_order(self):
-        """|G(k)|, structurally when known, else by counting grouplikes of k[G]."""
+        """|G(k)|, structurally when known, else by counting ``grouplikes``."""
         if self.order_points is None:
-            self.order_points = len(grouplikes(self.group_algebra))
+            self.order_points = len(self.grouplikes)
             self.order_connected = self.order // self.order_points
         return self.order_points
 

@@ -1118,6 +1118,19 @@ def _primitive_defect(A: HopfAlgebra, v):
     return d
 
 
+def defect_space(H: HopfAlgebra, S: Echelon) -> Echelon:
+    """W_S = {v : Delta(v) - v (x) 1 - 1 (x) v in S (x) S} for a
+    subcoalgebra S of a cocommutative H: the kernel of v -> (pi (x) id)
+    of that defect, pi the reduction modulo S.  One leg is enough: the
+    defect d is symmetric, so d in S (x) H gives d in (H (x) S) meet
+    (S (x) H) = S (x) S."""
+    F, n = H.field, H.dim
+    pi = {i: S.reduce(H.basis_vec(i)) for i in range(n)}
+    ident = mat_identity(n, F)
+    return mat_kernel(F, {i: t2_map(F, pi, ident, _primitive_defect(H, H.basis_vec(i)))
+                          for i in range(n)}, n)
+
+
 def _source_chain(A: HopfAlgebra, src_grouplikes, src_primitives):
     """Generators (v, is_grouplike) of the algebra A, or None past the
     supported filtration: the grouplikes outside the subalgebra generated

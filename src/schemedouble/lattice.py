@@ -33,12 +33,14 @@ from .hopf import (
     LinMap,
     coinvariants,
     convolution,
+    defect_space,
     hopf_algebra_maps,
     ideal_projection,
     t2_map,
     t2_outer,
 )
 from .linalg import (
+    echelon_points,
     mat_apply,
     mat_compose,
     mat_key,
@@ -238,30 +240,47 @@ def classify(t: Triple) -> dict:
     }
 
 
-def normal_subgroups(G: GroupScheme, budget=100_000):
-    """The normal subgroup schemes, by (order, key); each distinct span
-    (Echelon key) of a closure is built once, as the subgroup G keeps on it
-    (``subgroup_from_subspace``).
+def normal_subgroups(G: GroupScheme):
+    """The normal subgroup schemes, by (order, key).  From 1 and G, each
+    subgroup S found is closed (``hopf_closure`` over S) with each of
+    ``G.grouplikes`` outside S and with each non-zero vector of a
+    complement of S in W_S = ``defect_space(k[G], S)``; each distinct span
+    of a closure is built once, as the subgroup G keeps on it
+    (``subgroup_from_subspace``), and walked in turn.
 
-    Constant groups: each subgroup S found (from 1 on) is closed with each
-    element outside it.  Complete: a subgroup T is reached along
-    1 < <g_1> < <g_1, g_2> < ... <= T, in at most (subgroups) |G| closures.
-    Other groups: closures of the 0/1 sums of basis vectors, refused when
-    2^|G| exceeds the budget.  Not complete: Ga_1 x Ga_1 over GF(3) has the
-    line of d1(x)d0 + 2 d0(x)d1, which no such sum generates.
+    Proof that every subgroup scheme L is found.  k[L] is pointed for
+    every G this tool builds (the points of constant and infinitesimal
+    groups, and of their products, subgroups and quotients, are rational
+    over k, and ``grouplikes`` finds them all), so k[L] = k[L0] k[L(k)]
+    with k[L0] the irreducible component of 1 (Cartier-Gabriel-Kostant;
+    Montgomery, Hopf Algebras and Their Actions on Rings, Ch. 5).  Let S
+    be a subgroup found, S strictly inside k[L].  If a grouplike of L lies
+    outside S, its closure with S lies in k[L] and grows S.  Otherwise
+    k[L(k)] lies in S and k[L0] does not: take v in k[L0] outside S, in
+    the augmentation ideal (1 is in S), of least coradical degree m.  By
+    the Taft-Wilson theorem Delta(v) - v (x) 1 - 1 (x) v lies in
+    k[L0]_{m-1} (x) k[L0]_{m-1}, inside S (x) S by the choice of m, so v
+    is in W_S but not in S.  The complement vector congruent to v modulo
+    S is tried, and its closure with S, that of v, lies in k[L] and grows
+    S.  So from 1 a chain of closures reaches L.
+
+    On an etale G, W_S = S: reduced modulo S, which its grouplikes span,
+    a v outside S has a coefficient c != 0 on a grouplike g outside S,
+    and the term c g (x) g of its defect lies outside S (x) S.  So a
+    constant group runs the closures by its elements outside S alone.
     """
     F, n = G.field, G.order
     trivial, full = trivial_subgroup(G), full_subgroup(G)
     subs = [trivial] if full is trivial else [trivial, full]
-    if G.kind == "constant":
-        spans = (hopf_closure(G, [unit_vec(g, F)], base=S.subspace)
-                 for S in subs  # grows while it is walked
-                 for g in range(n) if not S.subspace.contains(unit_vec(g, F)))
-    else:
-        if 2**n > budget:
-            raise BudgetExceeded(f"2^{n} generator subsets exceed budget")
-        spans = (hopf_closure(G, [{i: F.one() for i in range(n) if mask >> i & 1}])
-                 for mask in range(1, 2**n))
+
+    def generators(S):
+        yield from (g for g in G.grouplikes if not S.subspace.contains(g))
+        W = defect_space(G.group_algebra, S.subspace)
+        complement = span(F, n, [S.subspace.reduce(w) for w in W.basis()])
+        yield from (c for c in echelon_points(complement, F) if c)
+
+    spans = (hopf_closure(G, [v], base=S.subspace)
+             for S in subs for v in generators(S))  # subs grows while it is walked
     keys = {S.key() for S in subs}
     for ech in spans:
         if ech.key() not in keys:
@@ -270,12 +289,10 @@ def normal_subgroups(G: GroupScheme, budget=100_000):
     return sorted((S for S in subs if S.is_normal), key=lambda s: (s.order, s.key()))
 
 
-def equivariant_maps(G: GroupScheme, K: SubgroupScheme, H: SubgroupScheme,
-                     budget=500_000):
+def equivariant_maps(G: GroupScheme, K: SubgroupScheme, H: SubgroupScheme):
     """All G-equivariant Hopf algebra maps B: k[H] -> O(K), enumerated via
     generator images and filtered by the equivariance test."""
-    maps = hopf_algebra_maps(H.own.group_algebra, K.own.coordinate_algebra,
-                             budget=budget)
+    maps = hopf_algebra_maps(H.own.group_algebra, K.own.coordinate_algebra)
     out = []
     for B in maps:
         try:
@@ -285,7 +302,7 @@ def equivariant_maps(G: GroupScheme, K: SubgroupScheme, H: SubgroupScheme,
     return out
 
 
-def enumerate_triples(G: GroupScheme, budget=500_000):
+def enumerate_triples(G: GroupScheme):
     """Every triple (K, H, B) on G: all ordered pairs of normal subgroup
     schemes that centralize each other, with every equivariant B, classified
     and arranged into the containment lattice.
@@ -298,13 +315,13 @@ def enumerate_triples(G: GroupScheme, budget=500_000):
     if N > MAX_DOUBLE_DIM:
         raise BudgetExceeded(f"the node (G, 1, 1) has D(K,H,B) of dimension "
                              f"{G.order}^2 = {N}, above the ceiling {MAX_DOUBLE_DIM}")
-    subs = normal_subgroups(G, budget=budget)
+    subs = normal_subgroups(G)
     triples = []
     for K in subs:
         for H in subs:
             if not centralize(K, H):
                 continue
-            triples.extend(equivariant_maps(G, K, H, budget=budget))
+            triples.extend(equivariant_maps(G, K, H))
     triples.sort(key=lambda t: (t.K.order, t.K.key(), t.H.order, t.H.key(),
                                 t.b_pairing_key()))
     nodes = [LatticeNode(i, t, build_quotient(t), classify(t), t.fp_dimension())

@@ -346,10 +346,9 @@ def subgroup_from_spec(G: GroupScheme, spec) -> SubgroupScheme:
         return full_subgroup(G)
     if isinstance(spec, dict) and "frobenius_sub" in spec:
         body = spec["frobenius_sub"]
-        try:
-            s = int(body["r"] if isinstance(body, dict) else body)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"bad frobenius_sub spec {body!r}: {exc}")
+        s = body.get("r") if isinstance(body, dict) else body
+        if isinstance(s, bool) or not isinstance(s, int):
+            raise SchemaError(f"frobenius_sub 'r' must be an integer, got {s!r}")
         if G.kind != "ga":
             raise SchemaError("frobenius_sub needs a ga_kernel ambient")
         if not 0 <= s <= G.payload["r"]:

@@ -34,7 +34,12 @@ certified checks of the package.
   ``verify_hopf_exhaustive`` as well as by the projection.
 * ``normal_subgroups_sweep``: the normal subgroups from the closures of
   every generator subset of size at most log2 |G| (constant groups) or of
-  every 0/1 sum of basis vectors (other groups).
+  every 0/1 sum of basis vectors (other groups); complete on constant
+  groups, not on connected ones (Ga_1 x Ga_1 over GF(3) has the line of
+  d1(x)d0 + 2 d0(x)d1, which no 0/1 sum generates).
+* ``normal_subgroups_from_primitive_pairs``: the normal subgroups from
+  the closures of every primitive vector and of every pair of them;
+  complete on height-one groups whose Lie algebra has dimension at most 2.
 * ``section_mu_by_tag`` and ``cleaving_gamma_by_tag``: the section and the
   cleaving with the closed-form candidate chosen by how the subgroup was
   built ("trivial", "full", "ga_standard" or "generic"), as the package
@@ -570,10 +575,10 @@ def quotient_by_hopf_ideal_verified(H, ideal, name=""):
     return Q, pi
 
 
-def normal_subgroups_sweep(G):
-    """The subgroups of every closure, each distinct span built once (the
-    first one built is kept, as the sweep kept it), normal ones sorted by
-    (order, key)."""
+def _normal_closures(G, generator_lists):
+    """The subgroups of 1, G and the closure of each generator list, each
+    distinct span built once (the first one built is kept), normal ones
+    sorted by (order, key)."""
     F = G.field
     n = G.order
     found = {}
@@ -584,17 +589,38 @@ def normal_subgroups_sweep(G):
 
     note(subgroup_closure_rounds(G, []), "1")
     note(span(F, n, [unit_vec(i, F) for i in range(n)]), G.name)
-    if G.kind == "constant":
-        for size in range(1, max(1, n.bit_length() - 1) + 1):
-            for gens in itertools.combinations(range(n), size):
-                note(subgroup_closure_rounds(G, [unit_vec(g, F) for g in gens]))
-    else:
-        for mask in range(1, 2**n):
-            note(subgroup_closure_rounds(
-                G, [{i: F.one() for i in range(n) if mask >> i & 1}]))
+    for gens in generator_lists:
+        note(subgroup_closure_rounds(G, gens))
     subs = [s for s in found.values() if is_normal(s)]
     subs.sort(key=lambda s: (s.order, s.key()))
     return subs
+
+
+def normal_subgroups_sweep(G):
+    """The normal subgroups from the closures of every generator subset of
+    size at most log2 |G| (constant groups) or of every 0/1 sum of basis
+    vectors (other groups)."""
+    F = G.field
+    n = G.order
+    if G.kind == "constant":
+        lists = ([unit_vec(g, F) for g in gens]
+                 for size in range(1, max(1, n.bit_length() - 1) + 1)
+                 for gens in itertools.combinations(range(n), size))
+    else:
+        lists = ([{i: F.one() for i in range(n) if mask >> i & 1}]
+                 for mask in range(1, 2**n))
+    return _normal_closures(G, lists)
+
+
+def normal_subgroups_from_primitive_pairs(G):
+    """The normal subgroups from the closures of every non-zero primitive
+    vector and of every pair of them.  Complete for a height-one G whose
+    Lie algebra g = primitives(k[G]) has dimension at most 2: its subgroup
+    schemes are the u(h) of the restricted Lie subalgebras h of g, and h
+    is spanned by at most two vectors."""
+    prims = [v for v in echelon_points(primitives(G.group_algebra), G.field) if v]
+    return _normal_closures(G, itertools.chain(
+        ([u] for u in prims), itertools.combinations(prims, 2)))
 
 
 def section_mu_by_tag(L, tag):

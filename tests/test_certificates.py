@@ -90,6 +90,7 @@ from oracles import (
     ideal_closure_rounds,
     is_hopf_morphism_exhaustive,
     light_associativity_dense,
+    normal_subgroups_from_primitive_pairs,
     normal_subgroups_sweep,
     quotient_by_hopf_ideal_verified,
     r_delta_all_basis,
@@ -700,12 +701,32 @@ Z6_GENS = [(1, 2, 3, 4, 5, 0)]
 ], ids=[f"{g}-seed{s}" for g in ("S3", "D4", "A4", "Z6") for s in range(3)]
     + ["Borel-GF3", "ga2-GF3"])
 def test_normal_subgroups_equals_the_sweep(make):
-    """normal_subgroups, extending each subgroup found by one element at a
-    time and building each span once, finds the same normal subgroups, with
-    the same names and structure, as the closures of every generator subset
-    (constant groups) or of every 0/1 sum (connected groups)."""
+    """normal_subgroups, extending each subgroup found by one grouplike or
+    defect vector at a time and building each span once, finds the same
+    normal subgroups, with the same names and structure, as the closures of
+    every generator subset (constant groups) or of every 0/1 sum (the
+    connected groups here, where that sweep is complete)."""
     G = make()
     mine, oracle = normal_subgroups(G), normal_subgroups_sweep(G)
+    assert [s.key() for s in mine] == [s.key() for s in oracle]
+    for a, b in zip(mine, oracle):
+        assert a.own.name == b.own.name
+        assert _structure(a.own.group_algebra) == _structure(b.own.group_algebra)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: direct_product(ga_kernel(1, F3), ga_kernel(1, F3)),
+    lambda: direct_product(ga_kernel(1, F3), mu_p_kernel(F3)),
+    lambda: direct_product(mu_p_kernel(F3), mu_p_kernel(F3)),
+    lambda: make_borel(F3),
+], ids=["Ga1xGa1-GF3", "Ga1xmu3-GF3", "mu3xmu3-GF3", "Borel-GF3"])
+def test_normal_subgroups_equals_the_primitive_pairs(make):
+    """On height-one groups with a Lie algebra of dimension 2, where the
+    0/1 sweep misses subgroups, normal_subgroups finds the same normal
+    subgroups, with the same names and structure, as the closures of every
+    primitive vector and of every pair of them."""
+    G = make()
+    mine, oracle = normal_subgroups(G), normal_subgroups_from_primitive_pairs(G)
     assert [s.key() for s in mine] == [s.key() for s in oracle]
     for a, b in zip(mine, oracle):
         assert a.own.name == b.own.name

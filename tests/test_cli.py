@@ -324,21 +324,34 @@ def test_sample_outputs_are_pinned(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def test_enumerate_budget_exits_before_building_the_double(monkeypatch, capsys):
-    """enumerate has no use for D(G): an over-budget group exits 3 without
-    building it."""
+def test_enumerate_budget_exits_before_building_the_double(tmp_path, monkeypatch, capsys):
+    """enumerate has no use for D(G): a group it refuses (Ga_2 x mu_2 over
+    GF(2), whose k[G] the source chain of hopf_algebra_maps does not cover)
+    exits 3 without building D(G) or any quotient pair."""
     import schemedouble.doubles
     import schemedouble.lattice
 
-    def no_double(G):
-        raise AssertionError("D(G) built")
+    def no_double(*args):
+        raise AssertionError("D(G) or a quotient pair built")
 
     monkeypatch.setattr(schemedouble.doubles, "drinfeld_double", no_double)
-    if hasattr(schemedouble.lattice, "drinfeld_double"):
-        monkeypatch.setattr(schemedouble.lattice, "drinfeld_double", no_double)
-    assert main(["enumerate", "--group", str(SAMPLES / "borel.json"),
-                 "--field", "p5"]) == 3
+    for name in ("drinfeld_double", "build_quotient"):
+        monkeypatch.setattr(schemedouble.lattice, name, no_double)
+    f = write(tmp_path / "ga2_mu2.json", {"product": [GA2, {"mu_p": {}}]})
+    assert main(["enumerate", "--group", f, "--field", "p2"]) == 3
     assert "budget exhausted" in capsys.readouterr().err
+
+
+def test_enumerate_borel_gf5_is_complete_and_pinned(capsys):
+    """Borel over GF(5), of order 25, has the 3 normal subgroups 1, the
+    line of y and G: enumerate exits 0 with 6 nodes and 6 covers, and its
+    stdout bytes are fixed."""
+    assert main(["enumerate", "--group", str(SAMPLES / "borel.json"), "--field", "p5"]) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert data["count"] == len(data["nodes"]) == 6 and len(data["edges"]) == 6
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "4d6738b6b96cf4eb7e4f6b5e6e6f9ce67fa64df011ac454fa99d0bf4a2d405f7")
 
 
 def test_enumerate_refuses_too_many_generator_subsets_before_any_closure(
@@ -380,11 +393,15 @@ GA2 = {"ga_kernel": {"r": 2}}
     {"K": "full"},
     {"group": GA2, "K": {"frobenius_sub": {}}},
     {"group": GA2, "K": {"frobenius_sub": {"r": "x"}}},
+    {"group": GA2, "K": {"frobenius_sub": {"r": 1.9}}},
+    {"group": GA2, "K": {"frobenius_sub": {"r": "1"}}},
+    {"group": GA2, "K": {"frobenius_sub": {"r": True}}},
     {"group": {"mu_p": {}}, "K": {"frobenius_sub": {"r": 1}}},
     {"group": GA2, "K": {"generators": 5}},
     {"group": GA2, "K": {"generators": [[{"indices": [99], "value": "1"}]]}},
     [GA2],
-], ids=["no-group", "frobenius-no-r", "frobenius-r-not-int", "frobenius-outside-ga-kernel",
+], ids=["no-group", "frobenius-no-r", "frobenius-r-not-int", "frobenius-r-float",
+        "frobenius-r-int-string", "frobenius-r-bool", "frobenius-outside-ga-kernel",
         "generators-not-list", "generator-index-out-of-range", "triple-is-list"])
 def test_malformed_triple_is_a_schema_error(tmp_path, command, triple, capsys):
     f = write(tmp_path / "triple.json", triple)

@@ -12,6 +12,7 @@ from schemedouble.groupschemes import (
     ga_frobenius_subgroup,
     ga_kernel,
     inclusion,
+    mu_p_kernel,
     subgroup_from_generators,
     trivial_subgroup,
 )
@@ -318,6 +319,38 @@ def test_subgroup_enumeration_complete_on_rank_three():
     assert len(normal_subgroups(G)) == 16
 
 
+F4 = make_field("extension", p=2, k=2)
+F5 = make_field("prime", p=5)
+F9 = make_field("extension", p=3, k=2)
+
+
+@pytest.mark.parametrize("make, count", [
+    *[(lambda F=F: direct_product(ga_kernel(1, F), ga_kernel(1, F)), F.size + 3)
+      for F in (F2, F3, F4, F9)],
+    (lambda: direct_product(mu_p_kernel(F3), mu_p_kernel(F3)), 6),
+    (lambda: direct_product(ga_kernel(1, F3), mu_p_kernel(F3)), 4),
+    (lambda: make_borel(F5), 3),
+], ids=["Ga1xGa1-GF2", "Ga1xGa1-GF3", "Ga1xGa1-GF4", "Ga1xGa1-GF9", "mu3xmu3", "Ga1xmu3",
+        "Borel-GF5"])
+def test_normal_subgroup_counts(make, count):
+    """Ga1 x Ga1 over GF(q) has q + 3 normal subgroups: 1, G and the q + 1
+    lines of its Lie algebra.  mu3 x mu3 has 6 (its 4 lines are all
+    restricted), Ga1 x mu3 has 4 (its only restricted lines are the two
+    factors) and Borel over GF(5) has 3 (1, the line of y, G)."""
+    assert len(normal_subgroups(make())) == count
+
+
+def test_ga_kernel_4_has_its_frobenius_kernels_in_under_a_second():
+    """ga_kernel(4) over GF(2) has the 5 Frobenius kernels Ga_0, ..., Ga_4,
+    found by the closures of grouplikes and defect vectors alone."""
+    import time
+    G = ga_kernel(4, F2)
+    start = time.perf_counter()
+    subs = normal_subgroups(G)
+    assert time.perf_counter() - start < 1.0
+    assert [s.order for s in subs] == [1, 2, 4, 8, 16]
+
+
 def test_borel_lattice_counts():
     nodes2, _ = enumerate_triples(make_borel(F2))
     assert len(nodes2) == 7
@@ -461,8 +494,8 @@ def test_enumerate_with_twisted_sigma_exits_0(gens, field, name, count,
     runs = []
     real = cli.enumerate_triples
 
-    def enumerate_kept(G, budget):
-        runs.append(real(G, budget=budget))
+    def enumerate_kept(G):
+        runs.append(real(G))
         return runs[-1]
 
     monkeypatch.setattr(cli, "enumerate_triples", enumerate_kept)
@@ -495,7 +528,7 @@ def d4_gf3():
 def test_hasse_covers_equal_the_pairwise_oracle(factory):
     """The covers of the bucketed containment order equal those of
     ``contains`` on every ordered pair of nodes, reduced by the O(n^3)
-    loop, on lattices of 43 and 171 nodes."""
+    loop, on lattices of 43 and 212 nodes."""
     nodes, edges = enumerate_triples(factory())
     assert edges == hasse_edges_pairwise(nodes)
     assert len(edges) > len(nodes)
@@ -562,8 +595,8 @@ def test_enumerate_validates_each_key_once(monkeypatch):
 
 
 def test_product_and_meet_are_formed_once_per_pair(monkeypatch):
-    """enumerate on Ga1 x Ga1 over GF(4) asks for the product of 25 pairs
-    of subgroups 397 times and for the meet of 15 pairs 756 times; each
+    """enumerate on Ga1 x Ga1 over GF(4) asks for the product of 49 pairs
+    of subgroups 529 times and for the meet of 33 pairs 996 times; each
     product is closed once and each meet's dual cross-check runs once,
     both kept on G."""
     import schemedouble.groupschemes as gs
@@ -592,7 +625,7 @@ def test_product_and_meet_are_formed_once_per_pair(monkeypatch):
     F4 = make_field("extension", p=2, k=2)
     G = direct_product(ga_kernel(1, F4), ga_kernel(1, F4))
     nodes, _ = enumerate_triples(G)
-    assert len(nodes) == 397
-    assert asked == {"product": 397, "meet": 756}
-    assert sum(closures) == len(G.products) == 25
-    assert len(checks) == len(G.meets) == 15
+    assert len(nodes) == 529
+    assert asked == {"product": 529, "meet": 996}
+    assert sum(closures) == len(G.products) == 49
+    assert len(checks) == len(G.meets) == 33
