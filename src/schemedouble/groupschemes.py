@@ -41,6 +41,7 @@ from .hopf import (
     ideal_closure,
     identity_map,
     induced_hopf,
+    pair_rows,
     quotient_by_hopf_ideal,
     span_closure,
     t2_coordinates,
@@ -200,12 +201,13 @@ def constant_group(elements, table, field, name="") -> GroupScheme:
     n = len(elements)
     F = field
     one = F.one()
-    mult = {(i, j): {table[i][j]: one} for i in range(n) for j in range(n)}
+    point = [{k: one} for k in range(n)]  # one cell per element, shared
+    cells = [{j: point[k] for j, k in enumerate(row)} for row in table]
     unit = {ident: one}
     comult = {i: {(i, i): one} for i in range(n)}
     counit = {i: one for i in range(n)}
     antipode = {i: {inv[i]: one} for i in range(n)}
-    kG = HopfAlgebra(F, list(elements), mult, unit, comult, counit, antipode,
+    kG = HopfAlgebra(F, list(elements), cells, unit, comult, counit, antipode,
                      name=f"k[{name}]" if name else "")
     return GroupScheme(kG, kind="constant",
                        payload={"table": [list(r) for r in table],
@@ -225,13 +227,8 @@ def ga_kernel(r: int, field, name="") -> GroupScheme:
     q = p**r
     F = field
     one = F.one()
-    mult = {}
-    for m in range(q):
-        for n_ in range(q):
-            if m + n_ < q:
-                c = binomial(m + n_, m, F)
-                if c != F.zero():
-                    mult[(m, n_)] = {m + n_: c}
+    cells = pair_rows(q, (((m, n_), {m + n_: c}) for m in range(q) for n_ in range(q - m)
+                          if (c := binomial(m + n_, m, F)) != F.zero()))
     unit = {0: one}
     comult = {n_: {(a, n_ - a): one for a in range(n_ + 1)} for n_ in range(q)}
     counit = {0: one}
@@ -241,7 +238,7 @@ def ga_kernel(r: int, field, name="") -> GroupScheme:
         antipode[n_] = {n_: c}
     labels = [f"d{n_}" for n_ in range(q)]
     nm = name or f"Ga_{r}"
-    kG = HopfAlgebra(F, labels, mult, unit, comult, counit, antipode, name=f"k[{nm}]")
+    kG = HopfAlgebra(F, labels, cells, unit, comult, counit, antipode, name=f"k[{nm}]")
     return GroupScheme(kG, kind="ga", payload={"r": r},
                        order_connected=q, order_points=1, name=nm)
 
@@ -258,14 +255,14 @@ def mu_p_kernel(field, name="") -> GroupScheme:
     F = field
     one = F.one()
     # group algebra side: dual of k[s]/(s^p - 1); e_i are idempotents
-    mult = {(i, j): {i: one} for i in range(p) for j in range(p) if i == j}
+    cells = [{i: {i: one}} for i in range(p)]
     unit = {i: one for i in range(p)}
     comult = {i: {(j, (i - j) % p): one for j in range(p)} for i in range(p)}
     counit = {0: one}
     antipode = {i: {(-i) % p: one} for i in range(p)}
     labels = [f"e{i}" for i in range(p)]
     nm = name or "mu_p"
-    kG = HopfAlgebra(F, labels, mult, unit, comult, counit, antipode, name=f"k[{nm}]")
+    kG = HopfAlgebra(F, labels, cells, unit, comult, counit, antipode, name=f"k[{nm}]")
     return GroupScheme(kG, kind="mu_p", payload={},
                        order_connected=p, order_points=1, name=nm)
 
@@ -386,12 +383,8 @@ def restricted_enveloping(n: int, bracket, p_map, field, name="") -> GroupScheme
         memo[word] = out
         return out
 
-    mult = {}
-    for e1 in exponents:
-        for e2 in exponents:
-            prod = normalize(word_of(e1) + word_of(e2))
-            if prod:
-                mult[(index[e1], index[e2])] = prod
+    cells = pair_rows(dim, (((index[e1], index[e2]), normalize(word_of(e1) + word_of(e2)))
+                            for e1 in exponents for e2 in exponents))
 
     glabels = _gen_labels(n)
 
@@ -425,7 +418,7 @@ def restricted_enveloping(n: int, bracket, p_map, field, name="") -> GroupScheme
             antipode[index[e]] = col
 
     nm = name or f"u(g{n})"
-    kG = HopfAlgebra(F, [label(e) for e in exponents], mult, unit, comult,
+    kG = HopfAlgebra(F, [label(e) for e in exponents], cells, unit, comult,
                      counit, antipode, name=f"k[{nm}]")
     rep = verify_hopf(kG)
     if not rep.ok:

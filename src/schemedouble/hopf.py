@@ -5,7 +5,9 @@ and quotients by Hopf ideals, and grouplike/primitive searches.
 
 Conventions.  A Hopf algebra of dimension n carries
 
-* ``mult``:     dict (i, j) -> Vec, the product of basis vectors i and j,
+* ``cells``:    list of n rows, cells[i] a dict j -> Vec holding the
+                non-empty products e_i e_j, the one stored product table,
+* ``mult``:     the same table read by pairs, a view (i, j) -> Vec,
 * ``unit``:     Vec, the coordinates of 1,
 * ``comult``:   dict i -> Ten2 (dict (j, k) -> scalar),
 * ``counit``:   Vec viewed as a functional,
@@ -19,6 +21,7 @@ violating tuple found as a witness.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 
 from .errors import (
@@ -88,12 +91,56 @@ def flat_outer(F, v, w, m):
     return {a * m + r: mul(ca, cr) for a, ca in v.items() for r, cr in w.items()}
 
 
+def pair_rows(dim, pairs):
+    """The row table of a product given as ((i, j), cell) pairs:
+    rows[i][j] = cell for each non-empty cell, in the order of pairs."""
+    rows = [{} for _ in range(dim)]
+    for (i, j), cell in pairs:
+        if cell:
+            rows[i][j] = cell
+    return rows
+
+
+class PairView(Mapping):
+    """A row table read by pairs: view[(i, j)] is rows[i][j].  It keeps
+    only a reference to the rows, and iterates over them row by row, each
+    row in its own order."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __getitem__(self, key):
+        i, j = key
+        if 0 <= i < len(self.rows):
+            return self.rows[i][j]
+        raise KeyError(key)
+
+    def __iter__(self):
+        for i, row in enumerate(self.rows):
+            for j in row:
+                yield i, j
+
+    def __len__(self):
+        return sum(map(len, self.rows))
+
+
 class HopfAlgebra:
-    def __init__(self, field, labels, mult, unit, comult, counit, antipode, name=""):
+    """A Hopf algebra on a labeled basis (see the module conventions).
+
+    ``cells`` is the one stored product table, and ``mult`` reads it by
+    pairs.  Cells are shared: an algebra may hold one dict for many equal
+    cells (``crossed_product``), ``variant`` hands on the rows of its
+    source, and ``column_cells`` holds the same dicts as ``cells``.  So no
+    cell, row or table of an algebra is changed after construction; a
+    caller that needs a changed table copies it first.
+    """
+
+    def __init__(self, field, labels, cells, unit, comult, counit, antipode, name=""):
         self.field = field
         self.labels = list(labels)
         self.dim = len(self.labels)
-        self.mult = mult
+        self.cells = cells
+        self.mult = PairView(cells)
         self.unit = unit
         self.comult = comult
         self.counit = counit
@@ -213,25 +260,14 @@ class HopfAlgebra:
     # -- values derived from the structure constants, kept on first use ----
 
     @cached_property
-    def cells(self):
-        """The row index of the non-empty cells of mult: cells[i] maps k to
-        mult[(i, k)].  Like every cached property of H, it is formed on
-        first use and kept, so mult is not changed after construction."""
-        by_left = [{} for _ in range(self.dim)]
-        for (i, k), cell in self.mult.items():
-            if cell:
-                by_left[i][k] = cell
-        return by_left
-
-    @cached_property
     def column_cells(self):
-        """The column index of the non-empty cells of mult: column_cells[k]
-        maps i to mult[(i, k)].  Formed on its own first use, since most
+        """The column index of the cells: column_cells[k] maps i to
+        cells[i][k], the same dict.  Formed on its own first use, since most
         algebras (D(G) in ``quotient``, for one) are only ever multiplied
-        through the row index."""
+        through the rows."""
         by_right = [{} for _ in range(self.dim)]
-        for (i, k), cell in self.mult.items():
-            if cell:
+        for i, row in enumerate(self.cells):
+            for k, cell in row.items():
                 by_right[k][i] = cell
         return by_right
 
@@ -444,7 +480,7 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
     n = H.dim
     zero = F.zero()
     labels = H.labels
-    mult = H.mult
+    by_left = H.cells
     gens = H.certified_generators
     rows = {"associativity": _light_test(H, gens)}
 
@@ -462,15 +498,16 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
 
     def delta_failures(i):
         times = H.t2_times(H.comult[i], "left")
-        return (j for j in range(n) if H.coproduct(mult.get((i, j), {})) != times(H.comult[j]))
+        row = by_left[i]
+        return (j for j in range(n) if H.coproduct(row.get(j, {})) != times(H.comult[j]))
 
     rows["comultiplication multiplicative"] = first_failure(
         f"({labels[i]},{labels[j]})" for i in gens for j in delta_failures(i))
 
     def eps_failures(i):
-        ei = H.counit.get(i, zero)
+        ei, row = H.counit.get(i, zero), by_left[i]
         return (j for j in range(n)
-                if H.counit_of(mult.get((i, j), {})) != F.mul(ei, H.counit.get(j, zero)))
+                if H.counit_of(row.get(j, {})) != F.mul(ei, H.counit.get(j, zero)))
 
     rows["counit multiplicative"] = first_failure(
         f"({labels[i]},{labels[j]})" for i in gens for j in eps_failures(i))
@@ -518,18 +555,19 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
     """
     F = H.field
     n = H.dim
-    mult = {}
+    cells = [{} for _ in range(n)]
     for k in range(n):
         for (i, j), c in H.comult[k].items():
-            mult.setdefault((i, j), {})[k] = c
+            cells[i].setdefault(j, {})[k] = c
     comult = {k: {} for k in range(n)}
-    for (i, j), cell in H.mult.items():
-        for k, c in cell.items():
-            comult[k][(i, j)] = c
+    for i, row in enumerate(H.cells):
+        for j, cell in row.items():
+            for k, c in cell.items():
+                comult[k][(i, j)] = c
     return HopfAlgebra(
         field=F,
         labels=[lab + "*" for lab in H.labels],
-        mult=mult,
+        cells=cells,
         unit=dict(H.counit),
         comult=comult,
         counit=dict(H.unit),
@@ -546,17 +584,17 @@ def variant(H: HopfAlgebra, which: str) -> HopfAlgebra:
     if s_inv is None:
         raise AntipodeNotInvertible("antipode matrix is singular")
     if which == "op":
-        mult = {(j, i): cell for (i, j), cell in H.mult.items()}
+        cells = H.column_cells
         comult = H.comult
     elif which == "cop":
-        mult = H.mult
+        cells = H.cells
         comult = {i: t2_swap(t) for i, t in H.comult.items()}
     else:
         raise ValueError("variant must be 'op' or 'cop'")
     return HopfAlgebra(
         field=F,
         labels=list(H.labels),
-        mult=mult,
+        cells=cells,
         unit=dict(H.unit),
         comult=comult,
         counit=dict(H.counit),
@@ -622,7 +660,7 @@ def crossed_product(A: HopfAlgebra, Q: HopfAlgebra, dot, sigma, tau, labels, nam
             groups = {}
             for (x1, x2), cx in Q.comult[x].items():
                 for (y1, y2), cy in Q.comult[y].items():
-                    cell = Q.mult.get((x2, y2))
+                    cell = Q.cells[x2].get(y2)
                     if (x1, y1) in sig_unit and cell:
                         c = sig_unit[(x1, y1)]
                         coef = mul(cx, cy)
@@ -632,7 +670,9 @@ def crossed_product(A: HopfAlgebra, Q: HopfAlgebra, dot, sigma, tau, labels, nam
             if terms:
                 T[x][y] = terms
 
-    mult = {}
+    # one dict per distinct cell value, keyed by its items in order: most
+    # cells repeat (D(ga_kernel(4)) has 11,016 cells of 256 values)
+    cells, shared = [{} for _ in range(mA * mQ)], {}
     for a in range(mA):
         ea = {a: one}
         P = {(x, b): A.product(ea, w) for x in range(mQ) for b, w in dot[x].items()}
@@ -662,7 +702,8 @@ def crossed_product(A: HopfAlgebra, Q: HopfAlgebra, dot, sigma, tau, labels, nam
                                     else:
                                         out[k] = sm
                     if out:
-                        mult[(a * mQ + r, b * mQ + s)] = out
+                        cells[a * mQ + r][b * mQ + s] = shared.setdefault(
+                            tuple(out.items()), out)
 
     unit2 = t2_outer(F, A.unit, A.unit)
     tau_unit = {x: _unit_multiple(F, unit2, t) for x, t in tau.items() if t}
@@ -697,7 +738,7 @@ def crossed_product(A: HopfAlgebra, Q: HopfAlgebra, dot, sigma, tau, labels, nam
                             out[k] = sm
             comult[a * mQ + r] = out
 
-    D = HopfAlgebra(F, labels, mult, flat_outer(F, A.unit, Q.unit, mQ), comult,
+    D = HopfAlgebra(F, labels, cells, flat_outer(F, A.unit, Q.unit, mQ), comult,
                     flat_outer(F, A.counit, Q.counit, mQ), {}, name=name)
     if None in sig_unit.values():
         j = {x: flat_outer(F, A.unit, {x: one}, mQ) for x in range(mQ)}
@@ -722,12 +763,12 @@ def tensor_hopf(A: HopfAlgebra, B: HopfAlgebra) -> HopfAlgebra:
     idx = lambda i, j: i * nb + j
 
     labels = [f"{a}(x){b}" for a in A.labels for b in B.labels]
-    mult = {}
-    for (i1, j1), cell1 in A.mult.items():
-        for (i2, j2), cell2 in B.mult.items():
-            out = flat_outer(F, cell1, cell2, nb)
-            if out:
-                mult[(idx(i1, i2), idx(j1, j2))] = out
+    cells = []
+    for row1 in A.cells:
+        for row2 in B.cells:
+            cells.append({idx(j1, j2): out for j1, cell1 in row1.items()
+                          for j2, cell2 in row2.items()
+                          if (out := flat_outer(F, cell1, cell2, nb))})
     unit = flat_outer(F, A.unit, B.unit, nb)
     comult = {}
     for i in range(A.dim):
@@ -746,7 +787,7 @@ def tensor_hopf(A: HopfAlgebra, B: HopfAlgebra) -> HopfAlgebra:
             if col:
                 antipode[idx(i, j)] = col
     name = f"{A.name}(x){B.name}" if A.name and B.name else ""
-    return HopfAlgebra(F, labels, mult, unit, comult, counit, antipode, name=name)
+    return HopfAlgebra(F, labels, cells, unit, comult, counit, antipode, name=name)
 
 
 class LinMap:
@@ -911,13 +952,13 @@ def induced_hopf(H: HopfAlgebra, basis, coords, t2_coords, labels, name=""):
     given basis (elements of H): ``coords`` gives the coordinates of an
     element of H, ``t2_coords`` those of a Ten2 of H."""
     F = H.field
-    mult = {(r, s): cell for r, x in enumerate(basis) for s, y in enumerate(basis)
-            if (cell := coords(H.product(x, y)))}
+    cells = [{s: cell for s, y in enumerate(basis) if (cell := coords(H.product(x, y)))}
+             for x in basis]
     unit = coords(H.unit)
     comult = {r: t2_coords(H.coproduct(x)) for r, x in enumerate(basis)}
     counit = {r: c for r, x in enumerate(basis) if (c := H.counit_of(x)) != F.zero()}
     antipode = {r: col for r, x in enumerate(basis) if (col := coords(H.antipode_of(x)))}
-    return HopfAlgebra(F, labels, mult, unit, comult, counit, antipode, name=name)
+    return HopfAlgebra(F, labels, cells, unit, comult, counit, antipode, name=name)
 
 
 def ideal_projection(H: HopfAlgebra, ideal: Echelon, name="") -> LinMap:

@@ -167,15 +167,18 @@ def tensor_from_json(F: Field, data, shape):
 
 
 def hopf_to_json(H: HopfAlgebra):
-    """The document of H; the records of mult and comult come sorted cell
-    by cell, which is their order sorted by (i, j, k)."""
+    """The document of H; the records of mult (read row by row from
+    ``H.cells``) and of comult come sorted cell by cell, which is their
+    order sorted by (i, j, k)."""
     F = H.field
+    mult = lambda: (((i, j, k), c) for i, row in enumerate(H.cells)
+                    for j in sorted(row) for k, c in sorted(row[j].items()))
     return {
         "schema_version": SCHEMA_VERSION,
         "field": field_to_json(F),
         "dim": H.dim,
         "labels": list(H.labels),
-        "mult": cells_to_json(F, H.mult),
+        "mult": Records(F, mult),
         "unit": tensor_to_json(F, H.unit),
         "comult": cells_to_json(F, H.comult),
         "counit": tensor_to_json(F, H.counit),
@@ -194,15 +197,15 @@ def hopf_from_json(data) -> HopfAlgebra:
     if len(labels) != dim:
         raise SchemaError("label count differs from dim")
     mult3 = tensor_from_json(F, data.get("mult", []), (dim, dim, dim))
-    mult = {}
+    cells = [{} for _ in range(dim)]
     for (i, j, k), c in mult3.items():
-        mult.setdefault((i, j), {})[k] = c
+        cells[i].setdefault(j, {})[k] = c
     comult3 = tensor_from_json(F, data.get("comult", []), (dim, dim, dim))
     comult = {i: {} for i in range(dim)}
     for (i, j, k), c in comult3.items():
         comult[i][(j, k)] = c
     return HopfAlgebra(
-        F, labels, mult,
+        F, labels, cells,
         tensor_from_json(F, data.get("unit", []), (dim,)),
         comult,
         tensor_from_json(F, data.get("counit", []), (dim,)),
@@ -316,7 +319,8 @@ def group_from_spec(spec, F: Field) -> GroupScheme:
         return mu_p_kernel(F)
     if kind == "product":
         if not isinstance(body, list) or len(body) != 2:
-            raise SchemaError("product spec needs two factors")
+            raise SchemaError("product spec needs two factors; nest products for more, "
+                              "as in {\"product\": [a, {\"product\": [b, c]}]}")
         G1, G2 = group_from_spec(body[0], F), group_from_spec(body[1], F)
         _check_order(G1.order * G2.order, 1, "product")
         return direct_product(G1, G2)

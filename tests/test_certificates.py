@@ -5,12 +5,14 @@ closure with the generator-first kernel certificate, the morphism check
 with its images formed once, the D(G) structure constants assembled
 from products formed once per (a, x, b), the crossed product of
 D(K, H, B) with non-trivial sigma or tau against the term-by-term loop,
+its equal cells kept once and left unchanged, the pair view of the rows,
 the two-phase subgroup closure against the rounds, sub- and quotient Hopf
 algebras certified by their inclusion or projection against the builds
 that also run the exhaustive verifier, normal_subgroups by extension
 against the generator-subset sweep, and hopf_algebra_maps against the
 search that closes every pair of recorded pairs and re-checks every map."""
 
+import copy
 import itertools
 import random
 
@@ -55,6 +57,7 @@ from schemedouble.hopf import (
     hopf_algebra_maps,
     identity_map,
     is_hopf_morphism,
+    pair_rows,
     quotient_by_hopf_ideal,
     t2_outer,
     t2_swap,
@@ -66,6 +69,7 @@ from schemedouble.quotients import (
     Triple,
     build_quotient,
     dot_action,
+    quotient_r_and_v,
     theta_kernel_matches_ideal,
     trivial_hopf_map,
 )
@@ -122,7 +126,8 @@ def _mult_mutants(H):
         cell = v_axpy(F, mult.setdefault((i, j), {}), one, {k: one})
         if not cell:
             del mult[(i, j)]
-        yield HopfAlgebra(F, H.labels, mult, H.unit, H.comult, H.counit, H.antipode)
+        yield HopfAlgebra(F, H.labels, pair_rows(H.dim, mult.items()), H.unit, H.comult,
+                          H.counit, H.antipode)
 
 
 def _mutants(H):
@@ -134,7 +139,8 @@ def _mutants(H):
     for i, j, k in itertools.product(range(H.dim), repeat=3):
         comult = {key: dict(t) for key, t in H.comult.items()}
         v_axpy(F, comult[i], one, {(j, k): one})
-        yield HopfAlgebra(F, H.labels, H.mult, H.unit, comult, H.counit, H.antipode)
+        yield HopfAlgebra(F, H.labels, pair_rows(H.dim, H.mult.items()), H.unit, comult,
+                          H.counit, H.antipode)
 
 
 MUTATED = {
@@ -591,6 +597,57 @@ def test_crossed_product_equals_the_term_by_term_loop(make, count, twisted):
         assert qp.D.antipode == convolution_inverse(identity_map(qp.D)).mat
 
 
+def test_double_keeps_one_dict_per_distinct_cell():
+    """D(ga_kernel(4))/GF(2) has 11,016 non-empty cells of 256 distinct
+    values, and crossed_product keeps one dict per value."""
+    D = drinfeld_double(ga_kernel(4, F2)).D
+    cells = [cell for row in D.cells for cell in row.values()]
+    assert len(cells) == 11016
+    assert len({id(cell) for cell in cells}) == len(
+        {frozenset(cell.items()) for cell in cells}) == 256
+
+
+def test_shared_cells_are_left_unchanged():
+    """Building a quotient pair, its theta, its (R, V) and its kernel check,
+    and verifying D(G), leave every cell of D(G) as it was: a shared cell
+    changed in place would change every product that reads it."""
+    triple = _ga2_triple()
+    D = drinfeld_double(triple.G).D
+    assert len({id(c) for row in D.cells for c in row.values()}) < len(D.mult)
+    before = copy.deepcopy(D.cells)
+    qp = build_quotient(triple)
+    assert qp.theta.rank() == qp.D.dim
+    quotient_r_and_v(qp)
+    assert theta_kernel_matches_ideal(qp)
+    assert verify_hopf(D).ok
+    assert D.cells == before
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_s3(F3).group_algebra,
+    lambda: make_s3(F3).coordinate_algebra,
+    lambda: drinfeld_double(make_s3(F7)).D,
+    lambda: _sigma_twisted_pairs(
+        constant_group(*permutation_table(D4_GENS), F3, name="D4"))[-1].D,
+], ids=["kS3", "OS3", "DS3-GF7", "D4-GF3-sigma"])
+def test_mult_reads_the_rows_by_pairs(make):
+    """H.mult agrees with the rows on get, [], len, in and items, and on
+    the empty cells too."""
+    H = make()
+    pairs = {(i, j): cell for i, row in enumerate(H.cells) for j, cell in row.items()}
+    assert len(H.mult) == len(pairs) and dict(H.mult.items()) == pairs
+    assert list(H.mult) == list(pairs) and H.mult == pairs
+    for i, j in itertools.product(range(H.dim), repeat=2):
+        cell = H.cells[i].get(j)
+        assert H.mult.get((i, j)) is cell and ((i, j) in H.mult) == (cell is not None)
+        if cell is None:
+            with pytest.raises(KeyError):
+                H.mult[(i, j)]
+        else:
+            assert H.mult[(i, j)] is cell
+    assert (H.dim, 0) not in H.mult and (-1, 0) not in H.mult
+
+
 def _basis_sets(H, pairs=True):
     """Every basis vector alone and, with pairs, every two of them."""
     F = H.field
@@ -865,8 +922,8 @@ def test_r_and_v_rows_on_generators_equal_the_sweep_on_perturbations(G, extra):
 
 
 def _blank_labels(H, label):
-    return HopfAlgebra(H.field, [label] * H.dim, H.mult, H.unit, H.comult, H.counit,
-                       H.antipode)
+    return HopfAlgebra(H.field, [label] * H.dim, pair_rows(H.dim, H.mult.items()), H.unit,
+                       H.comult, H.counit, H.antipode)
 
 
 @pytest.mark.parametrize("name", sorted(MUTATED))

@@ -47,8 +47,8 @@ def test_fault_injection_reports_witness():
     import copy
     bad_mult = {k: dict(v) for k, v in H.mult.items()}
     bad_mult[(1, 1)] = {2: F3.one()}  # should be 2*d2
-    from schemedouble.hopf import HopfAlgebra
-    bad = HopfAlgebra(F3, H.labels, bad_mult, dict(H.unit), H.comult,
+    from schemedouble.hopf import HopfAlgebra, pair_rows
+    bad = HopfAlgebra(F3, H.labels, pair_rows(H.dim, bad_mult.items()), dict(H.unit), H.comult,
                       dict(H.counit), H.antipode)
     rep = verify_hopf(bad)
     assert not rep.ok
