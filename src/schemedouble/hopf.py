@@ -47,6 +47,7 @@ from .linalg import (
     mat_rank,
     mat_transpose,
     solve_rows,
+    span,
     unit_vec,
     v_axpy,
     v_scale,
@@ -1159,47 +1160,52 @@ def _primitive_defect(A: HopfAlgebra, v):
     return d
 
 
-def defect_space(H: HopfAlgebra, S: Echelon) -> Echelon:
-    """W_S = {v : Delta(v) - v (x) 1 - 1 (x) v in S (x) S} for a
-    subcoalgebra S of a cocommutative H: the kernel of v -> (pi (x) id)
-    of that defect, pi the reduction modulo S.  One leg is enough: the
-    defect d is symmetric, so d in S (x) H gives d in (H (x) S) meet
-    (S (x) H) = S (x) S."""
+def defect_complement(H: HopfAlgebra, S: Echelon) -> Echelon:
+    """A complement of S in W_S = {v : Delta(v) - v (x) 1 - 1 (x) v in
+    S (x) S}, rows reduced modulo S, for a subcoalgebra S holding 1 of a
+    cocommutative H: the next generators after S of ``_source_chain`` and
+    ``lattice.normal_subgroups``.  W_S is the kernel of v -> (pi (x) id)
+    of that defect, pi the reduction modulo S: the defect d is symmetric,
+    so d in S (x) H gives d in (H (x) S) meet (S (x) H) = S (x) S.  S lies
+    in W_S, so the residues of a basis of W_S span a complement."""
     F, n = H.field, H.dim
     pi = {i: S.reduce(H.basis_vec(i)) for i in range(n)}
     ident = mat_identity(n, F)
-    return mat_kernel(F, {i: t2_map(F, pi, ident, _primitive_defect(H, H.basis_vec(i)))
-                          for i in range(n)}, n)
+    W = mat_kernel(F, {i: t2_map(F, pi, ident, _primitive_defect(H, H.basis_vec(i)))
+                       for i in range(n)}, n)
+    return span(F, n, [S.reduce(w) for w in W.basis()])
 
 
-def _source_chain(A: HopfAlgebra, src_grouplikes, src_primitives):
-    """Generators (v, is_grouplike) of the algebra A, or None past the
-    supported filtration: the grouplikes outside the subalgebra generated
-    so far, then, while that subalgebra is not A, the first vector of the
-    primitive basis and then of the basis of A that lies outside it and
-    whose primitive defect lies in its tensor square (a primitive's defect
-    is 0).  A is associative, so the subalgebra generated by 1 and the
-    chain is their span closed under right multiplication by them."""
+def _source_chain(A: HopfAlgebra):
+    """Generators (v, defect) of a cocommutative A.  First the grouplikes
+    outside the subalgebra S generated so far, with defect None; then,
+    while S is not A, the first row v of ``defect_complement(A, S)``, with
+    defect the basis rows of S and the coordinates of v's primitive defect
+    in their square.  For a pointed A the complement is non-zero while S
+    is not A (the proof of ``lattice.normal_subgroups``), so a zero one
+    means A is not pointed, and BudgetExceeded is raised.  A is
+    associative, so the subalgebra generated by 1 and the chain is their
+    span closed under right multiplication by them."""
     F = A.field
     ech = Echelon(F, A.dim)
     ech.insert(A.unit)
     chain, gens = [], [A.unit]
 
-    def adjoin(v, is_grouplike):
-        chain.append((v, is_grouplike))
+    def adjoin(v, defect):
+        chain.append((v, defect))
         gens.append(v)
         span_closure(ech, ech.basis() + [v], lambda w: [A.product(w, g) for g in gens])
 
-    for g in src_grouplikes:
+    for g in grouplikes(A):
         if not ech.contains(g):
-            adjoin(g, True)
-    candidates = src_primitives.basis() + [A.basis_vec(i) for i in range(A.dim)]
+            adjoin(g, None)
     while ech.dim < A.dim:
-        v = next((v for v in candidates if not ech.contains(v)
-                  and t2_coordinates(F, ech, _primitive_defect(A, v)) is not None), None)
-        if v is None:
-            return None
-        adjoin(v, False)
+        complement = defect_complement(A, ech)
+        if not complement.dim:
+            raise BudgetExceeded("source algebra is not pointed: W_S lies in S, "
+                                 "a proper subalgebra")
+        v, S = complement.basis()[0], ech.copy()
+        adjoin(v, (dict(enumerate(S.basis())), t2_coordinates(F, S, _primitive_defect(A, v))))
     return chain
 
 
@@ -1213,10 +1219,11 @@ def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra, budget: int = 500_000):
     primitives of C).  The pairs (v, f(v)) are kept in a ParallelEchelon
     whose span, with (1, 1), is closed under right multiplication by them:
     by associativity, the subalgebra of A x C they generate.  A branch
-    whose span is no graph of a map (a conflict) is dropped.  Complete
-    whenever the chain covers A (grouplike/primitively generated algebras
-    and divided-power towers); raises BudgetExceeded otherwise or when the
-    branch count exceeds the budget.
+    whose span is no graph of a map (a conflict) is dropped.  Complete: a
+    Hopf map g sends each generator to an image tried for it (with f = g
+    on the subalgebra before it), and for a pointed A the chain generates
+    A (``_source_chain``); raises BudgetExceeded if the chain stops short
+    there (A is not pointed) or the branch count exceeds the budget.
 
     Every map found is a Hopf algebra map, once and only once:
 
@@ -1230,31 +1237,24 @@ def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra, budget: int = 500_000):
     * Two leaves differ in the image of a generator, as the images tried
       at one step are distinct, so no map is found twice.
 
-    A and C must be Hopf algebras: k[H] and O(K) of subgroup schemes are,
-    and ``Triple.validate`` checks every map B all the same.
+    A and C must be Hopf algebras, A cocommutative: k[H] and O(K) of
+    subgroup schemes are, and ``Triple.validate`` checks every B all the same.
     """
     if A.field != C.field:
         raise FieldMismatch("source and target over different fields")
     F = A.field
-    chain = _source_chain(A, grouplikes(A), primitives(A))
+    chain = _source_chain(A)
     glC = grouplikes(C)
     prim_rows_C = mat_transpose({i: _primitive_defect(C, C.basis_vec(i)) for i in range(C.dim)})
-    if chain is None:
-        raise BudgetExceeded("source algebra outside the supported generation filtration")
 
     results = []
     counter = [0]
 
-    def affine_images(pech, v):
-        """The solutions z for v, or [] when a leg of its defect has no
-        image yet."""
-        img: dict = {}
-        for (j, k), c in _primitive_defect(A, v).items():
-            xj = pech.image_of(unit_vec(j, F))
-            xk = pech.image_of(unit_vec(k, F))
-            if xj is None or xk is None:
-                return []
-            v_axpy(F, img, c, t2_outer(F, xj, xk))
+    def affine_images(pech, v, defect):
+        """The solutions z for v, its defect mapped by f from S (x) S."""
+        basis, coords = defect
+        f = {r: pech.image_of(row) for r, row in basis.items()}
+        img = t2_map(F, f, f, coords)
         rows = [(prim_rows_C.get(key, {}), img.get(key, F.zero()))
                 for key in set(prim_rows_C) | set(img)]
         rows.append((dict(C.counit), A.counit_of(v)))
@@ -1291,8 +1291,8 @@ def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra, budget: int = 500_000):
             results.append(LinMap(A, C, {i: pech.image_of(A.basis_vec(i))
                                          for i in range(A.dim)}))
             return
-        v, is_grouplike = chain[len(gens)]
-        for z in glC if is_grouplike else affine_images(pech, v):
+        v, defect = chain[len(gens)]
+        for z in glC if defect is None else affine_images(pech, v, defect):
             pairs = gens + [(v, z)]
             if closed := close(pech, span, pairs):
                 rec(*closed, pairs)

@@ -33,7 +33,7 @@ from .hopf import (
     LinMap,
     coinvariants,
     convolution,
-    defect_space,
+    defect_complement,
     hopf_algebra_maps,
     ideal_projection,
     t2_map,
@@ -244,7 +244,7 @@ def normal_subgroups(G: GroupScheme):
     """The normal subgroup schemes, by (order, key).  From 1 and G, each
     subgroup S found is closed (``hopf_closure`` over S) with each of
     ``G.grouplikes`` outside S and with each non-zero vector of a
-    complement of S in W_S = ``defect_space(k[G], S)``; each distinct span
+    complement of S in W_S (``defect_complement(k[G], S)``); each distinct span
     of a closure is built once, as the subgroup G keeps on it
     (``subgroup_from_subspace``), and walked in turn.
 
@@ -269,15 +269,14 @@ def normal_subgroups(G: GroupScheme):
     and the term c g (x) g of its defect lies outside S (x) S.  So a
     constant group runs the closures by its elements outside S alone.
     """
-    F, n = G.field, G.order
+    F = G.field
     trivial, full = trivial_subgroup(G), full_subgroup(G)
     subs = [trivial] if full is trivial else [trivial, full]
 
     def generators(S):
         yield from (g for g in G.grouplikes if not S.subspace.contains(g))
-        W = defect_space(G.group_algebra, S.subspace)
-        complement = span(F, n, [S.subspace.reduce(w) for w in W.basis()])
-        yield from (c for c in echelon_points(complement, F) if c)
+        yield from (c for c in echelon_points(defect_complement(G.group_algebra, S.subspace), F)
+                    if c)
 
     spans = (hopf_closure(G, [v], base=S.subspace)
              for S in subs for v in generators(S))  # subs grows while it is walked

@@ -325,9 +325,9 @@ def test_sample_outputs_are_pinned(argv, digest, capsys):
 
 
 def test_enumerate_budget_exits_before_building_the_double(tmp_path, monkeypatch, capsys):
-    """enumerate has no use for D(G): a group it refuses (Ga_2 x mu_2 over
-    GF(2), whose k[G] the source chain of hopf_algebra_maps does not cover)
-    exits 3 without building D(G) or any quotient pair."""
+    """enumerate has no use for D(G): a group it refuses (Z2 over
+    GF(2500009), whose grouplike search has 2^2 * 2500009 branches, above
+    its budget of 10^7) exits 3 without building D(G) or any quotient pair."""
     import schemedouble.doubles
     import schemedouble.lattice
 
@@ -337,8 +337,9 @@ def test_enumerate_budget_exits_before_building_the_double(tmp_path, monkeypatch
     monkeypatch.setattr(schemedouble.doubles, "drinfeld_double", no_double)
     for name in ("drinfeld_double", "build_quotient"):
         monkeypatch.setattr(schemedouble.lattice, name, no_double)
-    f = write(tmp_path / "ga2_mu2.json", {"product": [GA2, {"mu_p": {}}]})
-    assert main(["enumerate", "--group", f, "--field", "p2"]) == 3
+    f = write(tmp_path / "z2.json", {"constant": {"elements": ["e", "s"],
+                                                  "table": [[0, 1], [1, 0]]}})
+    assert main(["enumerate", "--group", f, "--field", "p2500009"]) == 3
     assert "budget exhausted" in capsys.readouterr().err
 
 
@@ -373,16 +374,18 @@ def test_enumerate_refuses_too_many_generator_subsets_before_any_closure(
     assert "64^2 = 4096, above the ceiling 625" in capsys.readouterr().err
 
 
-def test_enumerate_exits_3_when_the_source_chain_stops_short(tmp_path, capsys):
-    """The generators of k[Ga_2 x mu_2] over GF(2) that hopf_algebra_maps
-    adjoins (its grouplikes, its primitives, then the basis vectors whose
-    primitive defect lies in the square of the subalgebra so far) generate
-    a proper subalgebra of it: the search refuses k[G] as a source, and
-    enumerate exits 3."""
+def test_enumerate_ga2_mu2_gf2_is_complete_and_pinned(tmp_path, capsys):
+    """Ga_2 x mu_2 over GF(2): the source chain of hopf_algebra_maps takes
+    its generators from the defect-space complement, so it covers every
+    (pointed) k[H] of G, and enumerate exits 0 with 52 nodes and 132
+    covers, its stdout bytes fixed."""
     f = write(tmp_path / "ga2_mu2.json", {"product": [GA2, {"mu_p": {}}]})
-    assert main(["enumerate", "--group", f, "--field", "p2"]) == 3
-    assert ("budget exhausted: source algebra outside the supported generation filtration"
-            in capsys.readouterr().err)
+    assert main(["enumerate", "--group", f, "--field", "p2"]) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert data["count"] == len(data["nodes"]) == 52 and len(data["edges"]) == 132
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "0c4c6370de90329db4e76eca19cb0f3a788836ae2270d4f1377506ae43594ab9")
 
 
 GA2 = {"ga_kernel": {"r": 2}}

@@ -6,6 +6,7 @@ from schemedouble.errors import DimensionMismatch, NotConstant
 from schemedouble.fields import QQ, make_field
 from schemedouble.appendix import b_lambda
 from schemedouble.groupschemes import (
+    GroupScheme,
     constant_group,
     direct_product,
     full_subgroup,
@@ -411,6 +412,33 @@ def test_subgroup_count_of_z2_to_the_fourth(monkeypatch):
     assert [orders.count(m) for m in (1, 2, 4, 8, 16)] == [1, 15, 35, 15, 1]
     assert calls["subgroup_from_subspace"] == 65  # trivial and full built first
     assert calls["hopf_closure"] <= 67 * 16
+
+
+def _lattice_invariants(G):
+    nodes, edges = enumerate_triples(G)
+    return len(nodes), len(edges), sorted(
+        (n.fp_dimension, n.flags["symmetric"], n.flags["nondegenerate"], n.flags["lagrangian"])
+        for n in nodes)
+
+
+@pytest.mark.parametrize("make, nodes, covers", [
+    (lambda: constant_group([f"g{i}" for i in range(4)],
+                            [[(i + j) % 4 for j in range(4)] for i in range(4)], F2), 9, 12),
+    (lambda: direct_product(ga_kernel(2, F2), mu_p_kernel(F2)), 52, 132),
+], ids=["Z4-GF2", "Ga2xmu2-GF2"])
+def test_cartier_dual_has_the_same_lattice(make, nodes, covers):
+    """For a commutative G, O(G) is cocommutative and GroupScheme(O(G)) is
+    the Cartier dual G^D.  Rep(G^D) is the dual of Rep(G) with respect to
+    Vec, so Z(G) and Z(G^D) are braided equivalent (Etingof-Gelaki-
+    Nikshych-Ostrik, Tensor Categories, Ch. 7-8): the two lattices have
+    the same node and cover counts and the same (fp_dimension, symmetric,
+    nondegenerate, lagrangian) multiset.  k[mu_4] and k[Ga_2 x mu_2] need
+    generators from the defect-space complement that are neither primitive
+    nor basis vectors."""
+    G = make()
+    mine = _lattice_invariants(G)
+    assert mine[:2] == (nodes, covers)
+    assert _lattice_invariants(GroupScheme(G.coordinate_algebra)) == mine
 
 
 def test_enumerate_refuses_above_the_double_ceiling_before_any_subgroup(monkeypatch):
