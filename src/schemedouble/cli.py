@@ -2,7 +2,7 @@
 
 Subcommands: build, verify, double, quotient, enumerate, blocks, appendix.  All outputs are canonical JSON (or DOT for diagrams), so identical
 inputs give bit-identical artifacts.  Exit codes: 0 success, 1 verification
-failure, 2 schema error, 3 budget exhaustion.
+failure or a closed standard output, 2 schema error, 3 budget exhaustion.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import os
 import sys
 
 from .appendix import appendix_report
@@ -299,6 +300,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:  # stdout to devnull, so the shutdown flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the output was written", file=sys.stderr)
+        return 1
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

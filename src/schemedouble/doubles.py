@@ -43,16 +43,15 @@ from .serialize import MAX_DOUBLE_DIM
 
 
 class DoubleData:
-    """D(G) with the embeddings of O(G)^cop and k[G], the projection onto
-    k[G], and the canonical (R, V) as the cached property ``qt``.  One per
-    G, kept on it by ``drinfeld_double``."""
+    """D(G) with the embeddings of O(G)^cop and k[G], and the canonical
+    (R, V) as the cached property ``qt``.  One per G, kept on it by
+    ``drinfeld_double``."""
 
-    def __init__(self, G, D, embed_O, embed_kG, proj_kG):
+    def __init__(self, G, D, embed_O, embed_kG):
         self.G = G
         self.D = D
         self.embed_O = embed_O
         self.embed_kG = embed_kG
-        self.proj_kG = proj_kG
 
     def index(self, a, i):
         return a * self.G.order + i
@@ -93,9 +92,9 @@ def _build_double(G: GroupScheme) -> DoubleData:
     as the term-by-term expansion over (x, y) in Delta(u_i), then delta,
     then u.
 
-    The embeddings of O(G)^cop and k[G], the projection onto k[G], and the
-    normality of O(G) inside D(G) are verified on all basis tuples.  A
-    double of dimension |G|^2 above MAX_DOUBLE_DIM raises BudgetExceeded
+    D(G) is certified by the two Hopf embeddings and the normality of O(G)
+    inside D(G), on all basis tuples (``double`` also runs ``verify_hopf``).
+    A double of dimension |G|^2 above MAX_DOUBLE_DIM raises BudgetExceeded
     before anything is built.
     """
     n = G.order
@@ -106,7 +105,6 @@ def _build_double(G: GroupScheme) -> DoubleData:
     kg = G.group_algebra
     O = G.coordinate_algebra
     F = G.field
-    idx = lambda a, i: a * n + i
     coad = G.coadjoint
 
     labels = [f"{O.labels[a]}><{kg.labels[i]}" for a in range(n) for i in range(n)]
@@ -124,13 +122,8 @@ def _build_double(G: GroupScheme) -> DoubleData:
                      {a: flat_outer(F, unit_vec(a, F), kg.unit, n) for a in range(n)})
     embed_kG = LinMap(kg, D,
                       {i: flat_outer(F, O.unit, unit_vec(i, F), n) for i in range(n)})
-    proj_kG = LinMap(D, kg, {idx(a, i): {i: ea} for a, ea in sorted(O.counit.items())
-                             for i in range(n)})
-
-    for f, nm in ((embed_O, "O(G)^cop embedding"),
-                  (embed_kG, "k[G] embedding"),
-                  (proj_kG, "k[G] projection")):
-        certify_hopf_map(f, nm)
+    certify_hopf_map(embed_O, "O(G)^cop embedding")
+    certify_hopf_map(embed_kG, "k[G] embedding")
     # normality of O(G): (1|><|u_1)(b|><|1)(1|><|S(u_2)) = (u ->> b) |><| 1,
     # with the embedded basis vectors and antipodes formed once each
     u_img = [embed_kG.apply(unit_vec(x, F)) for x in range(n)]
@@ -146,7 +139,7 @@ def _build_double(G: GroupScheme) -> DoubleData:
                 raise VerificationFailure(
                     f"O(G) not normal in D(G) at ({i},{b})")
 
-    return DoubleData(G, D, embed_O, embed_kG, proj_kG)
+    return DoubleData(G, D, embed_O, embed_kG)
 
 
 class QuasiHopfData:

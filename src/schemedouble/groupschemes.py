@@ -37,7 +37,6 @@ from .hopf import (
     convolution_inverse,
     convolution_unit,
     dual_hopf,
-    grouplikes,
     ideal_closure,
     identity_map,
     induced_hopf,
@@ -72,7 +71,7 @@ class GroupScheme:
     ``order_connected`` and ``order_points`` record |G^0| and |G(k)| when
     the constructor knows them structurally (constant, infinitesimal,
     products, subgroups of a constant or connected G); otherwise
-    ``points_order`` counts ``grouplikes``, those of k[G], and fills both.
+    ``points_order`` counts the grouplikes of k[G] and fills both.
 
     G keeps what is derived from it by canonical key:
     ``subgroups`` maps ``Echelon.key()`` to the SubgroupScheme on that span
@@ -87,9 +86,9 @@ class GroupScheme:
     built (``doubles.drinfeld_double``).
 
     A value derived from one object is a cached property of that object:
-    ``coadjoint`` and ``grouplikes`` of G, and likewise the derived values
-    of a subgroup, an algebra, a quotient pair and an (R, V).  D(G) and
-    D(K, H, B) stay functions, ``doubles.drinfeld_double`` and
+    ``coadjoint`` of G, and likewise the derived values of a subgroup, an
+    algebra (its ``grouplikes`` among them), a quotient pair and an (R, V).
+    D(G) and D(K, H, B) stay functions, ``doubles.drinfeld_double`` and
     ``quotients.build_quotient``, which keep their result on G and on the
     triple.  G keeps one subgroup per span and one triple per key, so kept
     subgroups and triples are compared by identity.
@@ -123,15 +122,10 @@ class GroupScheme:
     def __repr__(self):
         return f"GroupScheme({self.name or 'order %d' % self.order})"
 
-    @cached_property
-    def grouplikes(self):
-        """The grouplikes of k[G], its points G(k) (``hopf.grouplikes``)."""
-        return grouplikes(self.group_algebra)
-
     def points_order(self):
-        """|G(k)|, structurally when known, else by counting ``grouplikes``."""
+        """|G(k)|, structurally when known, else by counting those of k[G]."""
         if self.order_points is None:
-            self.order_points = len(self.grouplikes)
+            self.order_points = len(self.group_algebra.grouplikes)
             self.order_connected = self.order // self.order_points
         return self.order_points
 
@@ -210,8 +204,7 @@ def constant_group(elements, table, field, name="") -> GroupScheme:
     kG = HopfAlgebra(F, list(elements), cells, unit, comult, counit, antipode,
                      name=f"k[{name}]" if name else "")
     return GroupScheme(kG, kind="constant",
-                       payload={"table": [list(r) for r in table],
-                                "identity": ident, "inverse": inv},
+                       payload={"table": [list(r) for r in table], "inverse": inv},
                        order_connected=1, order_points=n, name=name)
 
 
@@ -263,8 +256,7 @@ def mu_p_kernel(field, name="") -> GroupScheme:
     labels = [f"e{i}" for i in range(p)]
     nm = name or "mu_p"
     kG = HopfAlgebra(F, labels, cells, unit, comult, counit, antipode, name=f"k[{nm}]")
-    return GroupScheme(kG, kind="mu_p", payload={},
-                       order_connected=p, order_points=1, name=nm)
+    return GroupScheme(kG, kind="mu_p", order_connected=p, order_points=1, name=nm)
 
 
 def direct_product(G1: GroupScheme, G2: GroupScheme, name="") -> GroupScheme:
@@ -277,8 +269,7 @@ def direct_product(G1: GroupScheme, G2: GroupScheme, name="") -> GroupScheme:
         op = G1.order_points * G2.order_points
     nm = name or f"{G1.name}x{G2.name}"
     kG.name = f"k[{nm}]"
-    return GroupScheme(kG, kind="product", payload={"factors": (G1, G2)},
-                       order_connected=oc, order_points=op, name=nm)
+    return GroupScheme(kG, kind="product", order_connected=oc, order_points=op, name=nm)
 
 
 def _gen_labels(n):
@@ -426,9 +417,8 @@ def restricted_enveloping(n: int, bracket, p_map, field, name="") -> GroupScheme
             "p-map incompatible with bracket: " + "; ".join(
                 f"{nm_} at {w}" for nm_, w in rep.failures())
         )
-    return GroupScheme(kG, kind="restricted_lie",
-                       payload={"n": n, "bracket": bracket, "p_map": p_map},
-                       order_connected=dim, order_points=1, name=nm)
+    return GroupScheme(kG, kind="restricted_lie", order_connected=dim, order_points=1,
+                       name=nm)
 
 
 # -- adjoint and coadjoint actions ----------------------------------------
@@ -549,8 +539,7 @@ def subgroup_from_subspace(G: GroupScheme, ech: Echelon, name="") -> SubgroupSch
         iota = certify_hopf_map(LinMap(kL, G.group_algebra, dict(enumerate(ech.basis()))),
                                 "inclusion", error=ClosureNotHopf)
         oc, op = _sub_connectivity(G, kL.dim)
-        own = GroupScheme(kL, kind="derived", payload={"ambient": G},
-                          order_connected=oc, order_points=op, name=name)
+        own = GroupScheme(kL, kind="derived", order_connected=oc, order_points=op, name=name)
         sub = G.subgroups[ech.key()] = SubgroupScheme(G, own, iota, ech)
     return sub
 
@@ -638,15 +627,18 @@ def ga_frobenius_subgroup(G: GroupScheme, s: int) -> SubgroupScheme:
 
 
 def is_normal(L: SubgroupScheme) -> bool:
-    """Whether k[L] is stable under ad_l(u) for every basis u of k[G];
-    callers read ``L.is_normal``, which keeps the answer.
+    """Whether k[L] is stable under ad_l(u) for every u of k[G]; callers
+    read ``L.is_normal``, which keeps the answer.  k[G] is Hopf by
+    construction, so u -> ad_l(u) is an algebra map and the u that keep
+    k[L] form a subalgebra: u is tested on the certified generators of k[G]
+    (``HopfAlgebra.certified_generators``) only, which generate it.
 
     The right action ad_r(u)(w) = S(u_1) w u_2 has the same stable
     subspaces.  k[G] is cocommutative, so Delta(S(u)) = S(u_1) (x) S(u_2)
     and S^2 = id, whence ad_r(u) = ad_l(S(u)); and S is bijective."""
     G, S = L.ambient, L.subspace
     return all(S.contains(ad_l(G, unit_vec(i, G.field), row))
-               for i in range(G.order) for row in S.basis())
+               for i in G.group_algebra.certified_generators for row in S.basis())
 
 
 def centralize(H: SubgroupScheme, K: SubgroupScheme) -> bool:

@@ -295,6 +295,16 @@ class HopfAlgebra:
         return all(s2.get(i, {}) == unit_vec(i, F) for i in range(self.dim))
 
     @cached_property
+    def grouplikes(self):
+        """``grouplikes`` of this algebra, searched once."""
+        return grouplikes(self)
+
+    @cached_property
+    def source_chain(self):
+        """``_source_chain`` of this (cocommutative) algebra, formed once."""
+        return _source_chain(self)
+
+    @cached_property
     def certified_generators(self):
         """Basis indices A, taken greedily in basis order, such that the
         closure S of span A under right multiplication by A is all of H.
@@ -1196,7 +1206,7 @@ def _source_chain(A: HopfAlgebra):
         gens.append(v)
         span_closure(ech, ech.basis() + [v], lambda w: [A.product(w, g) for g in gens])
 
-    for g in grouplikes(A):
+    for g in A.grouplikes:
         if not ech.contains(g):
             adjoin(g, None)
     while ech.dim < A.dim:
@@ -1243,8 +1253,8 @@ def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra, budget: int = 500_000):
     if A.field != C.field:
         raise FieldMismatch("source and target over different fields")
     F = A.field
-    chain = _source_chain(A)
-    glC = grouplikes(C)
+    chain = A.source_chain
+    glC = C.grouplikes
     prim_rows_C = mat_transpose({i: _primitive_defect(C, C.basis_vec(i)) for i in range(C.dim)})
 
     results = []

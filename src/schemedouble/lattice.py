@@ -178,10 +178,9 @@ def intersect(t: Triple, t2: Triple) -> Triple:
 
 
 class LatticeNode:
-    def __init__(self, index, triple, qp, flags, fp_dimension):
+    def __init__(self, index, triple, flags, fp_dimension):
         self.index = index
         self.triple = triple
-        self.qp = qp
         self.flags = flags
         self.fp_dimension = fp_dimension
 
@@ -242,11 +241,11 @@ def classify(t: Triple) -> dict:
 
 def normal_subgroups(G: GroupScheme):
     """The normal subgroup schemes, by (order, key).  From 1 and G, each
-    subgroup S found is closed (``hopf_closure`` over S) with each of
-    ``G.grouplikes`` outside S and with each non-zero vector of a
-    complement of S in W_S (``defect_complement(k[G], S)``); each distinct span
-    of a closure is built once, as the subgroup G keeps on it
-    (``subgroup_from_subspace``), and walked in turn.
+    subgroup S found is closed (``hopf_closure`` over S) with each
+    grouplike of k[G] (``HopfAlgebra.grouplikes``) outside S and with each
+    non-zero vector of a complement of S in W_S (``defect_complement(k[G],
+    S)``); each distinct span of a closure is built once, as the subgroup G
+    keeps on it (``subgroup_from_subspace``), and walked in turn.
 
     Proof that every subgroup scheme L is found.  k[L] is pointed for
     every G this tool builds (the points of constant and infinitesimal
@@ -274,7 +273,7 @@ def normal_subgroups(G: GroupScheme):
     subs = [trivial] if full is trivial else [trivial, full]
 
     def generators(S):
-        yield from (g for g in G.grouplikes if not S.subspace.contains(g))
+        yield from (g for g in G.group_algebra.grouplikes if not S.subspace.contains(g))
         yield from (c for c in echelon_points(defect_complement(G.group_algebra, S.subspace), F)
                     if c)
 
@@ -323,7 +322,7 @@ def enumerate_triples(G: GroupScheme):
             triples.extend(equivariant_maps(G, K, H))
     triples.sort(key=lambda t: (t.K.order, t.K.key(), t.H.order, t.H.key(),
                                 t.b_pairing_key()))
-    nodes = [LatticeNode(i, t, build_quotient(t), classify(t), t.fp_dimension())
+    nodes = [LatticeNode(i, t, classify(t), t.fp_dimension())
              for i, t in enumerate(triples)]
     kept = set(triples)  # by identity: G keeps one triple per key
     if any(centralizer_triple(t) not in kept for t in triples):
@@ -397,13 +396,10 @@ def hasse_dot(nodes, edges, title="lattice"):
 
 
 class BlockData:
-    def __init__(self, representative, class_points, centralizer_order,
-                 character, twist, fp_dimension):
+    def __init__(self, representative, class_points, centralizer_order, fp_dimension):
         self.representative = representative
         self.class_points = class_points
         self.centralizer_order = centralizer_order
-        self.character = character
-        self.twist = twist
         self.fp_dimension = fp_dimension
 
     def as_dict(self):
@@ -426,11 +422,11 @@ def _dot(F, u, w):
 
 def block_data(t: Triple):
     """Per-conjugacy-class block data of a triple over a constant group:
-    classes inside K, centralizers, the evaluation character B_g, the twist
-    psi_g, and block Frobenius-Perron dimensions summing to |K|[G:H].
+    classes inside K, centralizers, FP dimensions summing to |K|[G:H].
 
-    The algebra-morphism property of p_g(u) = B_g(eta(u_1)) pi(u_2) into the
-    psi_g-twisted quotient algebra is verified on all basis pairs.
+    The evaluation character B_g and the twist psi_g serve the checks only:
+    p_g(u) = B_g(eta(u_1)) pi(u_2) is an algebra morphism into the
+    psi_g-twisted quotient algebra on all basis pairs.
     """
     G = t.G
     if G.kind != "constant":
@@ -527,7 +523,7 @@ def block_data(t: Triple):
         k_conn = t.K.own.connected_order()
         fp = k_conn * len(orbit) * index_GH
         total += fp
-        blocks.append(BlockData(g, orbit, Gg.order, character, twist, fp))
+        blocks.append(BlockData(g, orbit, Gg.order, fp))
     if total != t.fp_dimension():
         raise VerificationFailure("block dimensions do not sum to |K|[G:H]")
     return blocks

@@ -60,6 +60,11 @@ certified checks of the package.
 * ``intersect_by_recognition``: the triple of the maximal common quotient
   pair, by quotienting D(G) by the sum of the two kernels of theta, each
   solved afresh, and recognizing the projection, with no table of kernels.
+* ``projection_to_group_algebra``: the Hopf surjection D(G) ->> k[G],
+  delta_a |><| u_i -> eps(delta_a) u_i, certified by ``certify_hopf_map``
+  (a Hopf map, onto) before it is returned.
+* ``is_normal_all_basis``: whether k[L] is stable under ad_l(u) for every
+  basis vector u of k[G].
 * ``induced_surjection_by_kernel``: the surjection phi with
   theta = phi . theta', or None when a vector of a basis of ker(theta')
   is not killed by theta; each column phi(e) = theta(x) for x the
@@ -102,6 +107,7 @@ from schemedouble.groupschemes import (
 from schemedouble.hopf import (
     LinMap,
     VerificationReport,
+    certify_hopf_map,
     grouplikes,
     induced_hopf,
     is_hopf_morphism,
@@ -780,6 +786,20 @@ def intersect_by_recognition(t, t2):
     _, pi = quotient_by_hopf_ideal(D, joint)
     qp, _ = recognize_triple(G, pi)
     return qp.triple
+
+
+def projection_to_group_algebra(G):
+    dd = drinfeld_double(G)
+    counit = sorted(G.coordinate_algebra.counit.items())
+    proj = LinMap(dd.D, G.group_algebra, {dd.index(a, i): {i: ea} for a, ea in counit
+                                          for i in range(G.order)})
+    return certify_hopf_map(proj, "k[G] projection", onto=True)
+
+
+def is_normal_all_basis(L):
+    G, S = L.ambient, L.subspace
+    return all(S.contains(ad_l(G, unit_vec(i, G.field), row))
+               for i in range(G.order) for row in S.basis())
 
 
 def induced_surjection_by_kernel(qp, qp_src):

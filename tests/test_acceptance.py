@@ -305,10 +305,11 @@ def test_criterion_4_quotient_construction(all_lattices):
         G, nodes, edges, dd = all_lattices(name)
         for n in nodes:
             t = n.triple
-            assert n.qp.D.dim == t.K.order * (G.order // t.H.order), name
-            n.qp.theta  # verifies Hopf morphism + surjectivity on build
-            assert theta_kernel_matches_ideal(n.qp), (name, n.index)
-            quotient_r_and_v(n.qp)  # closed form == pushforward, exact
+            qp = build_quotient(t)
+            assert qp.D.dim == t.K.order * (G.order // t.H.order), name
+            qp.theta  # verifies Hopf morphism + surjectivity on build
+            assert theta_kernel_matches_ideal(qp), (name, n.index)
+            quotient_r_and_v(qp)  # closed form == pushforward, exact
             total += 1
     note("criterion 4", f"{total} quotient pairs: dim = |K|[G:H], theta Hopf "
                         f"surjection, kernel = stated ideal, R closed form = "
@@ -323,17 +324,18 @@ def test_criterion_5_canonical_identities(all_lattices):
         one_key = None
         for n in nodes:
             t = n.triple
+            qp = build_quotient(t)
             if t.K.order == 1 and t.H.order == G.order:
-                assert n.qp.D.dim == 1  # D(1,G,1) = k
+                assert qp.D.dim == 1  # D(1,G,1) = k
             if t.K.order == G.order and t.H.order == 1:
-                assert n.qp.D.mult == dd.D.mult
-                assert n.qp.D.comult == dd.D.comult
-                assert n.qp.D.antipode == dd.D.antipode
+                assert qp.D.mult == dd.D.mult
+                assert qp.D.comult == dd.D.comult
+                assert qp.D.antipode == dd.D.antipode
             if t.K.order == 1 and t.H.order == 1:
-                assert n.qp.D.mult == G.group_algebra.mult
-                assert n.qp.D.comult == G.group_algebra.comult
+                assert qp.D.mult == G.group_algebra.mult
+                assert qp.D.comult == G.group_algebra.comult
             # recognition round trip fixes the triple exactly
-            qp2, phibar = recognize_triple(G, n.qp.theta)
+            qp2, phibar = recognize_triple(G, qp.theta)
             assert qp2.triple.key() == t.key()
             checked += 1
     note("criterion 5", f"canonical identities + {checked} recognition round trips")
@@ -348,7 +350,8 @@ def test_criterion_6_centralizer_theorem(all_lattices):
         for n in nodes:
             tbar = centralizer_triple(n.triple)
             nb = by_key[tbar.key()]
-            assert centralizer_certificate(n.qp, nb.qp), (name, n.index)
+            assert centralizer_certificate(build_quotient(n.triple),
+                                           build_quotient(nb.triple)), (name, n.index)
             assert centralizer_triple(tbar).key() == n.triple.key()
             assert nb.fp_dimension == n.triple.H.order * (G.order // n.triple.K.order)
             total += 1

@@ -45,6 +45,7 @@ from schemedouble.groupschemes import (
     ga_frobenius_subgroup,
     ga_kernel,
     hopf_closure,
+    is_normal,
     mu_p_kernel,
     section_mu,
     subgroup_from_generators,
@@ -104,9 +105,11 @@ from oracles import (
     hopf_algebra_maps_all_pairs,
     ideal_closure_rounds,
     is_hopf_morphism_exhaustive,
+    is_normal_all_basis,
     light_associativity_dense,
     normal_subgroups_from_primitive_pairs,
     normal_subgroups_sweep,
+    projection_to_group_algebra,
     quotient_by_hopf_ideal_verified,
     r_delta_all_basis,
     ribbon_coproduct_law_with_check,
@@ -461,7 +464,7 @@ def _theta_ga2():
 
 @pytest.mark.parametrize("make", [
     _theta_ga2,
-    lambda: drinfeld_double(make_s3(F3)).proj_kG,
+    lambda: projection_to_group_algebra(make_s3(F3)),
 ], ids=["theta-ga2-GF3-B1", "proj_kG-D(S3)-GF3"])
 def test_is_hopf_morphism_agrees_with_the_sweep(make):
     """On single-entry perturbations of a Hopf morphism, is_hopf_morphism
@@ -534,6 +537,30 @@ def test_hopf_algebra_maps_equal_the_all_pairs_search(name):
             continue
         assert [f.key() for f in mine] == [f.key() for f in oracle]
     assert (refused > 0) == (name == "Ga2xmu2-GF2")
+
+
+NORMALITY_GROUPS = {
+    "S3-GF7": lambda: make_s3(F7),
+    "A4-GF5": lambda: constant_group(*permutation_table(A4_GENS), F5),
+    "D4-GF3": lambda: constant_group(*permutation_table(D4_GENS), F3),
+    "ga4-GF2": lambda: ga_kernel(4, F2),
+    "Ga1xGa1-GF3": lambda: direct_product(ga_kernel(1, F3), ga_kernel(1, F3)),
+    "Ga2xmu2-GF2": lambda: direct_product(ga_kernel(2, F2), mu_p_kernel(F2)),
+}
+
+
+@pytest.mark.parametrize("name", list(NORMALITY_GROUPS))
+def test_is_normal_on_the_generators_equals_the_basis_sweep(name):
+    """is_normal tests ad_l(u) for u in the certified generators of k[G]
+    only.  On every subgroup the search builds, normal or not, its verdict
+    is that of the sweep over every basis vector u; the non-commutative
+    groups have subgroups that are not normal."""
+    G = NORMALITY_GROUPS[name]()
+    normal_subgroups(G)
+    subs = list(G.subgroups.values())
+    verdicts = [is_normal(L) for L in subs]
+    assert verdicts == [is_normal_all_basis(L) for L in subs]
+    assert all(verdicts) == G.group_algebra.is_commutative
 
 
 @pytest.mark.parametrize("make, count", [

@@ -763,3 +763,28 @@ def test_appendix_regenerate_writes_the_committed_golden(tmp_path, monkeypatch, 
                         lambda p: tmp_path / f"appendix_p{p}.json")
     assert main(["appendix", "--p", "2", "--regenerate"]) == 0
     assert (tmp_path / "appendix_p2.json").read_bytes() == golden
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    """A reader that takes 100 bytes and closes the pipe, as ``| head -c
+    100`` does, ends the run with exit 1 and one stderr line.  The output
+    of ``double`` D4/GF(3), 92 kB, is more than the pipe and the stream
+    buffer hold, so the run is still writing when the pipe closes."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "schemedouble.cli", "double", "--group",
+                             str(SAMPLES / "d4.json"), "--field", "p3"], env=env, bufsize=0,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = b""
+    while len(head) < 100 and (chunk := proc.stdout.read(100 - len(head))):
+        head += chunk
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1 and len(head) == 100
+    assert "Traceback" not in err
+    assert err == "error: standard output closed before the output was written\n"

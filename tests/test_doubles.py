@@ -24,6 +24,7 @@ from schemedouble.quotients import build_quotient, kept_triple
 from schemedouble.linalg import Echelon, mat_apply, unit_vec, v_axpy
 
 from conftest import make_borel, make_s3, make_z2, make_z3
+from oracles import projection_to_group_algebra
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)
@@ -129,7 +130,7 @@ def test_exact_sequence_kernel_of_projection():
     F = F7
     N = dd.D.dim
     from schemedouble.linalg import mat_kernel, v_scale, v_sub
-    kernel = mat_kernel(F, dd.proj_kG.mat, N)
+    kernel = mat_kernel(F, projection_to_group_algebra(G).mat, N)
     O = G.coordinate_algebra
     ideal = Echelon(F, N)
     for a in range(G.order):

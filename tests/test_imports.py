@@ -100,3 +100,34 @@ def test_an_unread_definition_is_reported():
 def test_an_unread_import_is_reported():
     tree = ast.parse("import os\nfrom a.b import c as d, e\nprint(e)\n")
     assert sorted(_imported(tree)) == [("d", 2), ("e", 2), ("os", 1)]
+
+
+def unread_attributes(sources, readers):
+    """(module, name) for each ``self.<name> = ...`` in the sources (file
+    name -> text) that no text of readers reads as ``.<name>``."""
+    read = {node.attr for text in readers for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted({(name, node.attr) for name, text in sources.items()
+                   for node in ast.walk(ast.parse(text, name))
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name) and node.value.id == "self"
+                   and node.attr not in read})
+
+
+def test_no_instance_attribute_goes_unread():
+    package = pathlib.Path(schemedouble.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    tests = [p.read_text() for p in sorted(pathlib.Path(__file__).parent.glob("*.py"))]
+    assert unread_attributes(sources, list(sources.values()) + tests) == []
+
+
+def test_an_unread_attribute_is_reported():
+    sources = {"a.py": ("class Box:\n"
+                        "    def __init__(self, x):\n"
+                        "        self.kept = x\n"
+                        "        self.stored = x\n"
+                        "        self.counted = 0\n"
+                        "    def bump(self):\n"
+                        "        self.counted += 1\n")}
+    readers = list(sources.values()) + ["box.kept\n"]
+    assert unread_attributes(sources, readers) == [("a.py", "counted"), ("a.py", "stored")]

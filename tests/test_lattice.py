@@ -66,7 +66,7 @@ def test_centralizer_involution_and_certificate():
     for n in nodes:
         tbar = centralizer_triple(n.triple)
         assert centralizer_triple(tbar).key() == n.triple.key()
-        assert centralizer_certificate(n.qp, by_key[tbar.key()].qp)
+        assert centralizer_certificate(build_quotient(n.triple), build_quotient(tbar))
         assert by_key[tbar.key()].fp_dimension == \
             n.triple.H.order * (G.order // n.triple.K.order)
 
@@ -463,15 +463,16 @@ def test_enumerate_builds_sections_centralizers_and_certificates_once(monkeypatc
     """On S3/GF(7), enumerate finds one section per normal subgroup and one
     quotient and cleaving per normal subgroup H, validates each node once
     (its centralizer is another node, looked up on G), and runs the Hopf
-    verifier only
-    on each node's D(K,H,B), built once and kept on its triple."""
+    verifier only on each node's D(K,H,B), built once (one
+    ``crossed_product`` per node) and kept on its triple."""
     import schemedouble.groupschemes as gs
     import schemedouble.hopf as hopf
     import schemedouble.quotients as quotients
     calls = {"section_mu": 0, "quotient_by_normal": 0, "cleaving_gamma": 0,
-             "verify_hopf": 0, "validate": 0}
+             "verify_hopf": 0, "validate": 0, "crossed_product": 0}
     real_verify = quotients.verify_hopf
     real_validate = quotients.Triple.validate
+    real_crossed = quotients.crossed_product
 
     def counted(name):
         real = getattr(gs, name)
@@ -489,6 +490,10 @@ def test_enumerate_builds_sections_centralizers_and_certificates_once(monkeypatc
         calls["validate"] += 1
         return real_validate(self)
 
+    def crossed(*args):
+        calls["crossed_product"] += 1
+        return real_crossed(*args)
+
     def elsewhere(H):
         raise AssertionError("verify_hopf outside build_quotient")
 
@@ -496,15 +501,16 @@ def test_enumerate_builds_sections_centralizers_and_certificates_once(monkeypatc
         counted(name)
     monkeypatch.setattr(quotients, "verify_hopf", verify)
     monkeypatch.setattr(quotients.Triple, "validate", validate)
+    monkeypatch.setattr(quotients, "crossed_product", crossed)
     monkeypatch.setattr(gs, "verify_hopf", elsewhere)
     monkeypatch.setattr(hopf, "verify_hopf", elsewhere)
     nodes, _ = enumerate_triples(make_s3(F7))
     assert len(nodes) == 8
     assert calls == {"section_mu": 3, "quotient_by_normal": 3, "cleaving_gamma": 3,
-                     "verify_hopf": 8, "validate": 8}
+                     "verify_hopf": 8, "validate": 8, "crossed_product": 8}
     assert all(centralizer_triple(n.triple) is centralizer_triple(n.triple) for n in nodes)
-    assert all(build_quotient(n.triple) is n.qp for n in nodes)
-    assert calls["verify_hopf"] == 8
+    assert all(build_quotient(n.triple) is build_quotient(n.triple) for n in nodes)
+    assert calls["verify_hopf"] == calls["crossed_product"] == 8
 
 
 @pytest.mark.parametrize("gens, field, name, count", [
@@ -539,9 +545,10 @@ def test_enumerate_with_twisted_sigma_exits_0(gens, field, name, count,
         assert json.loads(out.read_text())["count"] == len(nodes) == count
         for n in nodes:
             OK = n.triple.K.own.coordinate_algebra
+            qp = build_quotient(n.triple)
             twisted += any(v and _unit_multiple(OK.field, OK.unit, v) is None
-                           for v in n.qp.sigma.values())
-            assert n.qp.D.antipode == convolution_inverse(identity_map(n.qp.D)).mat
+                           for v in qp.sigma.values())
+            assert qp.D.antipode == convolution_inverse(identity_map(qp.D)).mat
     assert twisted > 0
 
 
@@ -560,6 +567,30 @@ def test_hasse_covers_equal_the_pairwise_oracle(factory):
     nodes, edges = enumerate_triples(factory())
     assert edges == hasse_edges_pairwise(nodes)
     assert len(edges) > len(nodes)
+
+
+def test_grouplikes_and_source_chains_are_searched_once_per_algebra(monkeypatch):
+    """enumerate on Ga_1 x Ga_1 over GF(3) searches the grouplikes of each
+    of its 13 algebras (k[G], and k[H] and O(K) of its 6 normal subgroups)
+    once, and the source chain of each k[H] once, however many pairs
+    (K, H) read them; the lattice keeps its 212 nodes and 1,120 covers."""
+    import schemedouble.hopf as hopf
+    calls = {"grouplikes": [], "_source_chain": []}
+
+    def counted(name):
+        real = getattr(hopf, name)
+
+        def wrapper(A, *args):
+            calls[name].append(A)
+            return real(A, *args)
+        monkeypatch.setattr(hopf, name, wrapper)
+
+    counted("grouplikes")
+    counted("_source_chain")
+    nodes, edges = enumerate_triples(direct_product(ga_kernel(1, F3), ga_kernel(1, F3)))
+    assert (len(nodes), len(edges)) == (212, 1120)
+    assert len(calls["grouplikes"]) == len(set(map(id, calls["grouplikes"]))) == 13
+    assert len(calls["_source_chain"]) == len(set(map(id, calls["_source_chain"]))) == 6
 
 
 @pytest.mark.parametrize("factory", [
