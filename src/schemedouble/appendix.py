@@ -70,7 +70,7 @@ def appendix_report(p: int) -> dict:
     """All section-by-section golden values for one prime, exact."""
     F = make_field("prime", p=p)
     G, A, quots2 = height_two_quotients(p)
-    sec, cleaving = A.section, A.cleaving
+    cleaving = A.cleaving
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -80,7 +80,7 @@ def appendix_report(p: int) -> dict:
         "gamma_inv": linmap_to_json(F, cleaving.gamma_inv),
         "eta": linmap_to_json(F, cleaving.eta),
         "eta_inv": linmap_to_json(F, cleaving.eta_inv),
-        "mu": linmap_to_json(F, sec.mu),
+        "mu": linmap_to_json(F, A.section),
     }
 
     lam0_qp = quots2[0][1]

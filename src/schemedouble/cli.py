@@ -2,7 +2,8 @@
 
 Subcommands: build, verify, double, quotient, enumerate, blocks, appendix.  All outputs are canonical JSON (or DOT for diagrams), so identical
 inputs give bit-identical artifacts.  Exit codes: 0 success, 1 verification
-failure or a closed standard output, 2 schema error, 3 budget exhaustion.
+failure or an output that cannot be written, 2 schema error, 3 budget
+exhaustion.
 """
 
 from __future__ import annotations
@@ -75,22 +76,28 @@ def _load_triple(args):
     return kept_triple(G, K, H, B)
 
 
+def _stdout():
+    """sys.stdout; Python sets it to None when the process starts with it
+    closed, and writing there then fails as on a closed pipe."""
+    if sys.stdout is None:
+        raise BrokenPipeError("standard output is closed")
+    return sys.stdout
+
+
 def _emit(args, data):
     """Write data (a text, or a document streamed as JSON by ``dump``) and
     a final newline to the -o path, else to stdout."""
     if not isinstance(data, str):
-        dump(data, args.output or sys.stdout)
+        dump(data, args.output or _stdout())
     elif args.output:
         with open(args.output, "w") as fh:
             fh.write(data + "\n")
     else:
-        print(data)
+        print(data, file=_stdout())
 
 
 def _report_lines(rep):
-    print(f"report: {rep.subject}")
-    for line in rep.lines():
-        print(line)
+    print(f"report: {rep.subject}", *rep.lines(), sep="\n", file=_stdout())
 
 
 def cmd_build(args):
@@ -141,8 +148,8 @@ def cmd_double(args):
     if args.format == "text":
         for rep in (hopf_rep, qt_rep, rib_rep):
             _report_lines(rep)
-        print(f"triangular = {data['triangular']}")
-        print(f"factorizable = {data['factorizable']}")
+        print(f"triangular = {data['triangular']}",
+              f"factorizable = {data['factorizable']}", sep="\n", file=_stdout())
     else:
         _emit(args, data)
     return 0 if hopf_rep.ok and qt_rep.ok and rib_rep.ok else 1
@@ -223,7 +230,7 @@ def cmd_appendix(args):
     if args.regenerate:
         path = _golden_path(args.p)
         dump(report, str(path))
-        print(f"wrote {path}")
+        print(f"wrote {path}", file=_stdout())
         return 0
     try:
         expected = json.loads(_golden_path(args.p).read_text())
@@ -231,7 +238,7 @@ def cmd_appendix(args):
         print(f"no golden file for p={args.p}", file=sys.stderr)
         return 1
     if report == expected:
-        print(f"appendix p={args.p}: reproduction matches, diff empty")
+        print(f"appendix p={args.p}: reproduction matches, diff empty", file=_stdout())
         return 0
     diffs = [k for k in sorted(set(report) | set(expected)) if report.get(k) != expected.get(k)]
     print(f"appendix p={args.p}: MISMATCH in {diffs}", file=sys.stderr)
@@ -302,9 +309,13 @@ def main(argv=None):
         code = args.func(args)
         if sys.stdout is not None:
             sys.stdout.flush()  # a closed pipe raises here, not at shutdown
-    except BrokenPipeError:  # stdout to devnull, so the shutdown flush is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:
+        if sys.stdout is not None:  # stdout to devnull, so the shutdown flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output closed before the output was written", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an -o or --dot path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

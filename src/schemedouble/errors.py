@@ -57,10 +57,6 @@ class NotNormal(SchemeDoubleError):
     pass
 
 
-class NoSection(SchemeDoubleError):
-    pass
-
-
 class NoInvertibleSectionFound(SchemeDoubleError):
     pass
 

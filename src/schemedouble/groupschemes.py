@@ -1,6 +1,8 @@
 """Finite group schemes as dual pairs (k[G], O(G)) plus the subgroup-scheme
-machinery: normality, centralizing, quotients, colinear sections, cleaving
-maps, adjoint actions, and products/intersections of subgroups.
+machinery: normality, centralizing, quotients, the section mu_K of q_K read
+off the pivots (any linear section gives the same outputs; proof in
+``section_mu``), the colinear, convolution-invertible cleaving maps gamma_H,
+adjoint actions, and products/intersections of subgroups.
 
 The coordinate algebra is always the literal dual of the group algebra in the
 dual basis, so the perfect pairing is the identity matrix and transposition
@@ -18,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
     NoInvertibleSectionFound,
-    NoSection,
     NoSolution,
     NotAGroup,
     NotInvertible,
@@ -465,7 +466,7 @@ class SubgroupScheme:
         return is_normal(self)
 
     @cached_property
-    def section(self) -> "SectionData":
+    def section(self) -> LinMap:
         """``section_mu`` of this subgroup."""
         return section_mu(self)
 
@@ -702,12 +703,6 @@ def quotient_by_normal(G: GroupScheme, H_sub: SubgroupScheme) -> Quotient:
 _SECTION_BUDGET = 100_000
 
 
-class SectionData:
-    def __init__(self, mu: LinMap, mu_inv: LinMap):
-        self.mu = mu
-        self.mu_inv = mu_inv
-
-
 class CleavingData:
     def __init__(self, gamma, gamma_inv, eta, eta_inv, quotient: Quotient):
         self.gamma = gamma
@@ -748,32 +743,13 @@ def _colinear_section_equations(F, src, tgt, proj_mat):
     return rows
 
 
-def _search_invertible(F, src, tgt, part, kern):
-    """Walk the affine solution space in canonical order, zero offset first,
-    until a convolution invertible section appears, trying at most
-    _SECTION_BUDGET points; over the rationals only the particular
-    solution."""
-    offsets = (itertools.islice(echelon_points(kern, F), _SECTION_BUDGET)
-               if F.size is not None else [{}])
-    for offset in offsets:
-        mat: dict = {}
-        for key, c in v_axpy(F, dict(part), F.one(), offset).items():
-            r, col = divmod(key, src.dim)
-            mat.setdefault(col, {})[r] = c
-        cand = LinMap(src, tgt, mat)
-        try:
-            return cand, convolution_inverse(cand)
-        except NotInvertible:
-            continue
-    raise NoInvertibleSectionFound(
-        f"no convolution-invertible section within budget {_SECTION_BUDGET}")
-
-
-def _invertible_section(cand, proj: LinMap, inconsistent: Exception):
+def _invertible_section(cand, proj: LinMap):
     """A convolution-invertible colinear section of the Hopf map proj, with
     its convolution inverse: the closed-form candidate cand when it is one,
-    else the first invertible point of the solved section system, re-checked.
-    Raises ``inconsistent`` when that system has no solution."""
+    else the first invertible point of the solved section system, walked in
+    canonical order from the zero offset (at most _SECTION_BUDGET points;
+    over the rationals only the particular solution) and re-checked.
+    Raises NoInvertibleSectionFound when that system has no solution."""
     if cand is not None and _colinear_section_ok(cand, proj):
         try:
             return cand, convolution_inverse(cand)
@@ -785,38 +761,53 @@ def _invertible_section(cand, proj: LinMap, inconsistent: Exception):
         part, kern = solve_rows(F, _colinear_section_equations(F, src, tgt, proj.mat),
                                 tgt.dim * src.dim)
     except NoSolution:
-        raise inconsistent
-    s, s_inv = _search_invertible(F, src, tgt, part, kern)
-    if not _colinear_section_ok(s, proj):
-        raise VerificationFailure("solved section fails its defining identities")
-    return s, s_inv
+        raise NoInvertibleSectionFound("colinear section system inconsistent")
+    offsets = (itertools.islice(echelon_points(kern, F), _SECTION_BUDGET)
+               if F.size is not None else [{}])
+    for offset in offsets:
+        mat: dict = {}
+        for key, c in v_axpy(F, dict(part), F.one(), offset).items():
+            r, col = divmod(key, src.dim)
+            mat.setdefault(col, {})[r] = c
+        s = LinMap(src, tgt, mat)
+        try:
+            s_inv = convolution_inverse(s)
+        except NotInvertible:
+            continue
+        if not _colinear_section_ok(s, proj):
+            raise VerificationFailure("solved section fails its defining identities")
+        return s, s_inv
+    raise NoInvertibleSectionFound(
+        f"no convolution-invertible section within budget {_SECTION_BUDGET}")
 
 
-def section_mu(L: SubgroupScheme) -> SectionData:
-    """A counit- and unit-preserving O(L)-colinear section of q_L, with its
-    convolution inverse.  Callers read ``L.section``, which keeps it.
+def section_mu(L: SubgroupScheme) -> LinMap:
+    """A linear section mu of q_L: O(G) -> O(L), read off the pivots: the
+    dual basis vector e^r of RREF row r of k[L] goes to e^p, p that row's
+    pivot, and q_L(e^p) = sum_s row_s[p] e^s = e^r, as row r is 1 at p and
+    every other row is 0 there.  Callers read ``L.section``, which keeps it.
 
-    The closed-form candidate is read off the span of k[L]: for |L| = 1 the
-    unit of O(G); when every RREF row is a unit vector e_p (the element
-    subgroups of a constant group, the standard Frobenius kernels, all of
-    G), extension by zero along the pivots, which sends the dual basis
-    vector of row r to e^p.  A candidate that is no invertible colinear
-    section, or none at all, leaves the canonical affine solution to be
-    searched for invertibility.
+    Every linear section gives the same outputs.  Two differ by a map into
+    ker q_K = k[K]^perp, K the normal subgroup of a triple, which each
+    reader kills:
+    * u * a = q_K(u ->> mu(a)) (``quotients.Triple.star``, so ``dot_action``
+      and ``build_quotient``): <u ->> b, w> = <b, ad_r(u)(w)> and ad_r(u)
+      keeps k[K] (``is_normal``), so u ->> (-) keeps k[K]^perp.
+    * the generators mu(B(v)) |><| 1 - 1 |><| v of ker theta
+      (``quotients.theta_kernel_matches_ideal``): theta(b |><| 1) = q_K(b) # 1
+      kills k[K]^perp |><| 1, which lies in the ideal of the generators
+      O(G/K)^+ |><| 1: the normal Hopf ideal k[K]^perp of O(G) is
+      O(G) O(G/K)^+ (Takeuchi, Manuscripta Math. 7, 1972).
+    * psi(a) = phi(mu(a) |><| 1) (``quotients.recognize_triple``): K is read
+      as the annihilator of ker(phi on O(G) |><| 1), which is k[K]^perp.
+    * the appendix's ``mu``, of Ga_1 in ga_kernel(2), is extension by zero
+      (the rows are unit vectors); it is also unit-preserving, colinear and
+      convolution invertible, which only the cleaving needs of its section
+      (Montgomery, Hopf Algebras and Their Actions on Rings, CBMS 82, Ch. 7).
     """
-    G = L.ambient
-    F = G.field
-    OG = G.coordinate_algebra
-    OL = L.own.coordinate_algebra
     pivots = L.subspace.pivots()
-
-    cand = None
-    if L.order == 1:
-        cand = LinMap(OL, OG, {0: dict(OG.unit)})
-    elif all(row == unit_vec(p, F) for p, row in zip(pivots, L.subspace.basis())):
-        cand = LinMap(OL, OG, {r: unit_vec(p, F) for r, p in enumerate(pivots)})
-    return SectionData(*_invertible_section(
-        cand, L.q, NoSection("colinear section system is inconsistent")))
+    return LinMap(L.own.coordinate_algebra, L.ambient.coordinate_algebra,
+                  {r: unit_vec(p, L.ambient.field) for r, p in enumerate(pivots)})
 
 
 def _colinear_section_ok(s: LinMap, proj: LinMap) -> bool:
@@ -866,9 +857,7 @@ def cleaving_gamma(G: GroupScheme, H_sub: SubgroupScheme) -> CleavingData:
     cand = None
     if len(pre) == Q.dim:
         cand = LinMap(Q, kg, {r: unit_vec(i, F) for r, i in pre.items()})
-    gamma, gamma_inv = _invertible_section(
-        cand, quotient.pi,
-        NoInvertibleSectionFound("colinear section system inconsistent"))
+    gamma, gamma_inv = _invertible_section(cand, quotient.pi)
     return _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv)
 
 

@@ -53,6 +53,9 @@ from .linalg import (
     v_scale,
 )
 
+_GROUPLIKE_BUDGET = 10**7  # branches the grouplike search may form (n^2 |V|)
+_MAP_BUDGET = 500_000  # branches the Hopf algebra map search may visit
+
 
 def t2_outer(F, v, w):
     mul = F.mul
@@ -1066,12 +1069,12 @@ def primitives(H: HopfAlgebra) -> Echelon:
                       H.dim)
 
 
-def grouplikes(H: HopfAlgebra, budget: int = 10**7):
+def grouplikes(H: HopfAlgebra):
     """All g != 0 with Delta(g) = g(x)g and counit(g) = 1, sorted.
 
     The search runs over the coordinate values V = F over a finite field
     and V = {0, 1, -1} over the rationals, and is refused up front when its
-    branch bound n^2 |V| (below) exceeds the budget.  It finds every
+    branch bound n^2 |V| (below) exceeds _GROUPLIKE_BUDGET.  It finds every
     grouplike whose coordinates lie in V, so it is complete over a finite
     field, and over the rationals wherever every grouplike has coordinates
     in {0, 1, -1}, as in k[L], O(L) and D(L) of a constant group L: the
@@ -1106,8 +1109,9 @@ def grouplikes(H: HopfAlgebra, budget: int = 10**7):
     n = H.dim
     one = F.one()
     size = 3 if F.size is None else F.size
-    if n * n * size > budget:
-        raise FieldTooLargeForEnumeration(f"{n}^2 * {size} branches exceed budget {budget}")
+    if n * n * size > _GROUPLIKE_BUDGET:
+        raise FieldTooLargeForEnumeration(
+            f"{n}^2 * {size} branches exceed budget {_GROUPLIKE_BUDGET}")
     values = (F.zero(), one, F.neg(one)) if F.size is None else list(F.elements())
     found = [v for v in _grouplike_points(H, values)
              if v and H.counit_of(v) == one and H.coproduct(v) == t2_outer(F, v, v)]
@@ -1219,7 +1223,7 @@ def _source_chain(A: HopfAlgebra):
     return chain
 
 
-def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra, budget: int = 500_000):
+def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra):
     """All Hopf algebra maps A -> C of Hopf algebras A and C, sorted by key.
 
     Each generator v of ``_source_chain`` in turn is sent to each grouplike
@@ -1233,7 +1237,7 @@ def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra, budget: int = 500_000):
     Hopf map g sends each generator to an image tried for it (with f = g
     on the subalgebra before it), and for a pointed A the chain generates
     A (``_source_chain``); raises BudgetExceeded if the chain stops short
-    there (A is not pointed) or the branch count exceeds the budget.
+    there (A is not pointed) or the branch count exceeds _MAP_BUDGET.
 
     Every map found is a Hopf algebra map, once and only once:
 
@@ -1295,8 +1299,8 @@ def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra, budget: int = 500_000):
 
     def rec(pech, span, gens):
         counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceeded(f"candidate budget {budget} exhausted")
+        if counter[0] > _MAP_BUDGET:
+            raise BudgetExceeded(f"candidate budget {_MAP_BUDGET} exhausted")
         if len(gens) == len(chain):
             results.append(LinMap(A, C, {i: pech.image_of(A.basis_vec(i))
                                          for i in range(A.dim)}))

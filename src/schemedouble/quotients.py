@@ -87,15 +87,12 @@ class Triple:
         self._pair = None  # kept by build_quotient
         self.validate()
 
-    @property
-    def section(self):
-        return self.K.section
-
     def star(self, u_ambient, a_own):
-        """u * a = q_K(u ->> mu_K(a)); independent of the section."""
+        """u * a = q_K(u ->> mu_K(a)); the same for every linear section
+        mu_K of q_K (proof in ``groupschemes.section_mu``)."""
         G = self.G
         F = G.field
-        lifted = self.section.mu.apply(a_own)
+        lifted = self.K.section.apply(a_own)
         coad = G.coadjoint
         out = {}
         for i, c in u_ambient.items():
@@ -467,7 +464,7 @@ def theta_kernel_matches_ideal(qp: QuotientPair) -> bool:
             for c in augmentation(G.coordinate_algebra, coinv.basis())]
     for j in range(triple.H.order):
         bv = triple.B.apply(unit_vec(j, F))
-        lifted = triple.section.mu.apply(bv)
+        lifted = triple.K.section.apply(bv)
         v_amb = triple.H.iota.apply(unit_vec(j, F))
         gens.append(v_sub(F, dd.embed_O.apply(lifted), dd.embed_kG.apply(v_amb)))
 
@@ -537,9 +534,8 @@ def recognize_triple(G: GroupScheme, phi: LinMap):
     H = subgroup_from_subspace(G, kerH, name="H")
 
     # B: phi(1 |><| v) pulled back through psi(a) = phi(mu_K(a) |><| 1)
-    sec = K.section
     OK = K.own.coordinate_algebra
-    psi_cols = {a: phi.apply(dd.embed_O.apply(sec.mu.apply(unit_vec(a, F))))
+    psi_cols = {a: phi.apply(dd.embed_O.apply(K.section.apply(unit_vec(a, F))))
                 for a in range(K.order)}
     pe = ParallelEchelon(F, D_target.dim, K.order)
     for a in range(K.order):

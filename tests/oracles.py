@@ -40,16 +40,23 @@ certified checks of the package.
 * ``normal_subgroups_from_primitive_pairs``: the normal subgroups from
   the closures of every primitive vector and of every pair of them;
   complete on height-one groups whose Lie algebra has dimension at most 2.
-* ``section_mu_by_tag`` and ``cleaving_gamma_by_tag``: the section and the
-  cleaving with the closed-form candidate chosen by how the subgroup was
-  built ("trivial", "full", "ga_standard" or "generic"), as the package
-  chose it before reading it off the span.
+* ``colinear_section_mu``: a unit-preserving, O(L)-colinear,
+  convolution-invertible section of q_L with its convolution inverse, the
+  closed-form candidate read off the span (the unit of O(G) when |L| = 1,
+  extension by zero when every RREF row is a unit vector) or else the first
+  invertible point of the solved section system; the package chose mu_L
+  this way before it read a linear section off the pivots.
+* ``section_mu_by_tag`` and ``cleaving_gamma_by_tag``: the colinear section
+  and the cleaving with the closed-form candidate chosen by how the
+  subgroup was built ("trivial", "full", "ga_standard" or "generic"), as
+  the package chose it before reading it off the span.
 * ``r_delta_all_basis``, ``v_central_all_basis`` and
   ``ribbon_coproduct_law_with_check``: the rows R Delta = Delta^cop R and
   "V central" on every basis vector, and the ribbon coproduct law with
   (R21 R)(rinv swap(rinv)) = 1 (x) 1 always confirmed.
 * ``triple_validate_all_basis``: the checks of ``Triple.validate`` with
-  equivariance on every basis vector u of k[G].
+  equivariance on every basis vector u of k[G], u * a formed through
+  ``colinear_section_mu``.
 * ``field_axpy_loop``: acc += c vec through ``F.add`` and ``F.mul``.
 * ``sub_inclusion_reduced``: the inclusion of one subgroup into another,
   each column the coordinates of an inner basis vector found by reducing
@@ -87,14 +94,11 @@ from schemedouble.errors import (
     FieldMismatch,
     FieldTooLargeForEnumeration,
     NoSolution,
-    NoInvertibleSectionFound,
-    NoSection,
     VerificationFailure,
 )
 from schemedouble.doubles import drinfeld_double
 from schemedouble.groupschemes import (
     GroupScheme,
-    SectionData,
     SubgroupScheme,
     _finish_cleaving,
     _invertible_section,
@@ -629,6 +633,21 @@ def normal_subgroups_from_primitive_pairs(G):
         ([u] for u in prims), itertools.combinations(prims, 2)))
 
 
+def colinear_section_mu(L):
+    """(mu, mu^-1): a unit-preserving, O(L)-colinear, convolution-invertible
+    section mu of q_L and its convolution inverse."""
+    G = L.ambient
+    F = G.field
+    OG, OL = G.coordinate_algebra, L.own.coordinate_algebra
+    pivots = L.subspace.pivots()
+    cand = None
+    if L.order == 1:
+        cand = LinMap(OL, OG, {0: dict(OG.unit)})
+    elif all(row == unit_vec(p, F) for p, row in zip(pivots, L.subspace.basis())):
+        cand = LinMap(OL, OG, {r: unit_vec(p, F) for r, p in enumerate(pivots)})
+    return _invertible_section(cand, L.q)
+
+
 def section_mu_by_tag(L, tag):
     G = L.ambient
     F = G.field
@@ -645,8 +664,7 @@ def section_mu_by_tag(L, tag):
             zip(L.subspace.pivots(), L.subspace.basis())):
         cand = LinMap(OL, OG, {r: {p: F.one()}
                                for r, p in enumerate(L.subspace.pivots())})
-    return SectionData(*_invertible_section(
-        cand, L.q, NoSection("colinear section system is inconsistent")))
+    return _invertible_section(cand, L.q)
 
 
 def cleaving_gamma_by_tag(G, H_sub, tag):
@@ -669,9 +687,7 @@ def cleaving_gamma_by_tag(G, H_sub, tag):
                     pre[r] = i
         if len(pre) == m:
             cand = LinMap(quotient.hopf, kg, {r: unit_vec(pre[r], F) for r in range(m)})
-    gamma, gamma_inv = _invertible_section(
-        cand, quotient.pi,
-        NoInvertibleSectionFound("colinear section system inconsistent"))
+    gamma, gamma_inv = _invertible_section(cand, quotient.pi)
     return _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv)
 
 
@@ -721,9 +737,10 @@ def triple_validate_all_basis(G, K, H, B):
     if not ok:
         return f"B is not a Hopf algebra map ({wit})"
     coad = G.coadjoint
+    mu = colinear_section_mu(K)[0]
     for i in range(G.order):
         for j in range(H.order):
-            lifted = K.section.mu.apply(B.apply(unit_vec(j, F)))
+            lifted = mu.apply(B.apply(unit_vec(j, F)))
             lhs = K.q.apply(mat_apply(F, coad[i], lifted))
             conj = ad_l(G, unit_vec(i, F), H.iota.apply(unit_vec(j, F)))
             coords = H.subspace.coordinates(conj)

@@ -18,6 +18,9 @@ import random
 
 import pytest
 
+import schemedouble.groupschemes
+import schemedouble.hopf
+import schemedouble.linalg
 import schemedouble.quotients
 from schemedouble.appendix import b_lambda
 from schemedouble.doubles import (
@@ -41,6 +44,7 @@ from schemedouble.groupschemes import (
     constant_group,
     direct_product,
     cleaving_gamma,
+    coinvariant_subspace,
     full_subgroup,
     ga_frobenius_subgroup,
     ga_kernel,
@@ -55,6 +59,7 @@ from schemedouble.groupschemes import (
 from schemedouble.hopf import (
     HopfAlgebra,
     LinMap,
+    augmentation,
     convolution_inverse,
     grouplikes,
     hopf_algebra_maps,
@@ -69,6 +74,9 @@ from schemedouble.hopf import (
 from schemedouble.lattice import equivariant_maps, normal_subgroups
 from schemedouble.linalg import (
     Echelon,
+    mat_apply,
+    mat_compose,
+    mat_identity,
     mat_key,
     mat_kernel,
     mat_transpose,
@@ -98,6 +106,7 @@ from conftest import (
 )
 from oracles import (
     cleaving_gamma_by_tag,
+    colinear_section_mu,
     crossed_product_loop,
     drinfeld_double_mult_loop,
     grouplikes_sweep,
@@ -920,7 +929,7 @@ SPAN_RULE_GROUPS = dict(_span_rule_groups())
 
 @pytest.mark.parametrize("name", list(SPAN_RULE_GROUPS))
 def test_span_rule_sections_and_cleavings_equal_the_tag_rule(name):
-    """section_mu and cleaving_gamma, which read their closed-form
+    """The colinear section and cleaving_gamma, which read their closed-form
     candidates off the span, give the same mu, mu^-1, gamma and gamma^-1 as
     the candidates chosen by how the subgroup was built, on every subgroup
     (every normal one for the cleaving)."""
@@ -928,12 +937,65 @@ def test_span_rule_sections_and_cleavings_equal_the_tag_rule(name):
     cases = _tagged_subgroups(G)
     assert len(cases) >= 2
     for L, tag in cases:
-        mine, oracle = section_mu(L), section_mu_by_tag(L, tag)
-        assert (mine.mu.mat, mine.mu_inv.mat) == (oracle.mu.mat, oracle.mu_inv.mat)
+        mine, oracle = colinear_section_mu(L), section_mu_by_tag(L, tag)
+        assert (mine[0].mat, mine[1].mat) == (oracle[0].mat, oracle[1].mat)
         if L.is_normal:
             mine, oracle = cleaving_gamma(G, L), cleaving_gamma_by_tag(G, L, tag)
             assert ((mine.gamma.mat, mine.gamma_inv.mat)
                     == (oracle.gamma.mat, oracle.gamma_inv.mat))
+
+
+@pytest.mark.parametrize("name", list(SPAN_RULE_GROUPS))
+def test_section_read_off_the_pivots_gives_the_star_of_the_colinear_section(
+        name, monkeypatch):
+    """section_mu solves nothing (solve_rows and convolution_inverse raise),
+    q_L o mu = id on every subgroup, and on every normal K the measuring
+    action u * a = q_K(u ->> mu(a)) through it equals the one through the
+    colinear, convolution-invertible oracle section, for every basis u of
+    k[G] and a of O(K)."""
+    G = SPAN_RULE_GROUPS[name]()
+    F = G.field
+    subgroups = [L for L, _ in _tagged_subgroups(G)]
+    normal = [K for K in subgroups if K.is_normal]
+    oracles = [colinear_section_mu(K)[0] for K in normal]
+
+    def no_solving(*args, **kwargs):
+        raise AssertionError("section_mu solved a system")
+
+    for module in (schemedouble.groupschemes, schemedouble.hopf, schemedouble.linalg):
+        for fn in ("solve_rows", "convolution_inverse"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, no_solving)
+    mus = {L: section_mu(L) for L in subgroups}
+    monkeypatch.undo()
+    for L, mu in mus.items():
+        assert mat_compose(F, L.q.mat, mu.mat) == mat_identity(L.order, F)
+    coad = G.coadjoint
+
+    def star(K, mu, i, a):
+        return K.q.apply(mat_apply(F, coad[i], mu.apply(unit_vec(a, F))))
+
+    assert normal
+    for K, oracle in zip(normal, oracles):
+        for i in range(G.order):
+            for a in range(K.order):
+                assert star(K, mus[K], i, a) == star(K, oracle, i, a)
+
+
+@pytest.mark.parametrize("name", ["S3-GF7-seed0", "A4-GF5-seed1", "Ga1xGa1-GF3"])
+def test_o_g_mod_k_generates_the_kernel_of_q_k(name):
+    """k[K]^perp = O(G) O(G/K)^+ for every normal K, the fact that puts the
+    difference of two sections inside the ideal of theta_kernel_matches_ideal
+    (``section_mu``)."""
+    G = SPAN_RULE_GROUPS[name]()
+    F, O = G.field, G.coordinate_algebra
+    for K, _ in _tagged_subgroups(G):
+        if K.is_normal:
+            ideal = span(F, G.order, [O.product(c, unit_vec(j, F))
+                                       for c in augmentation(
+                                           O, coinvariant_subspace(G, K).basis())
+                                       for j in range(G.order)])
+            assert ideal.key() == mat_kernel(F, K.q.mat, G.order).key()
 
 
 def _candidate_r_v(H):

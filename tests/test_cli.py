@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -788,3 +789,50 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
     assert proc.wait(timeout=120) == 1 and len(head) == 100
     assert "Traceback" not in err
     assert err == "error: standard output closed before the output was written\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["double"], ["double", "--format", "text"], ["enumerate", "--format", "dot"],
+], ids=["json", "text", "dot"])
+def test_a_stdout_closed_at_start_exits_1(z2_file, capsys, monkeypatch, argv):
+    """Python sets sys.stdout to None when the process starts with its
+    standard output closed (``>&-``): a run that writes there exits 1 with
+    one stderr line, as on a closed pipe, and one with -o writes its file
+    and exits 0."""
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv + ["--group", z2_file, "--field", "p3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: standard output closed before the output was written\n")
+
+
+def test_a_stdout_closed_at_start_does_not_stop_an_output_file(tmp_path, z2_file, capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    out = tmp_path / "d.json"
+    assert main(["double", "--group", z2_file, "--field", "p3", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["triangular"] is False
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("-o", ["double"]), ("-o", ["enumerate", "--format", "dot"]), ("--dot", ["enumerate"]),
+], ids=["o-json", "o-dot", "dot"])
+def test_an_output_path_in_a_missing_directory_exits_1(tmp_path, z2_file, capsys, flag, argv):
+    """An -o or --dot path that cannot be opened ends in one stderr line and
+    exit 1, not a traceback."""
+    path = tmp_path / "missing" / "out"
+    assert main(argv + ["--group", z2_file, "--field", "p3", flag, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{path}'\n")
+
+
+def test_hopf_map_search_over_its_candidate_budget_exits_3(monkeypatch, capsys):
+    """enumerate exits 3 when a search of Hopf algebra maps B: k[H] -> O(K)
+    visits more branches than hopf._MAP_BUDGET: on S3 over GF(7), a budget
+    of 1 lets the search for H = 1 (a single branch) through and refuses
+    the first non-trivial H."""
+    import schemedouble.hopf
+
+    monkeypatch.setattr(schemedouble.hopf, "_MAP_BUDGET", 1)
+    assert main(["enumerate", "--group", str(SAMPLES / "s3.json"), "--field", "p7"]) == 3
+    assert capsys.readouterr().err == "budget exhausted: candidate budget 1 exhausted\n"

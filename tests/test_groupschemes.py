@@ -2,7 +2,14 @@ import itertools
 
 import pytest
 
-from schemedouble.errors import ClosureNotHopf, NoSection, NotAGroup, NotNormal, NotRestrictedLie
+import schemedouble.hopf
+from schemedouble.errors import (
+    ClosureNotHopf,
+    NoInvertibleSectionFound,
+    NotAGroup,
+    NotNormal,
+    NotRestrictedLie,
+)
 from schemedouble.fields import QQ, make_field
 from schemedouble.groupschemes import (
     CleavingData,
@@ -37,6 +44,7 @@ from schemedouble.lattice import normal_subgroups
 from schemedouble.linalg import mat_apply, unit_vec, v_axpy
 
 from conftest import S3_LABELS, make_borel, make_s3, make_z2, make_z3, s3_cayley
+from oracles import colinear_section_mu
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)
@@ -179,7 +187,7 @@ def _d1_to_x_matrix(F):
     return mat
 
 
-def test_heisenberg_is_local_and_verifies():
+def test_heisenberg_is_local_and_verifies(monkeypatch):
     from schemedouble.errors import FieldTooLargeForEnumeration
     G = restricted_enveloping(
         3, [[{}, {2: 1}, {}], [{2: -1}, {}, {}], [{}, {}, {}]],
@@ -189,9 +197,11 @@ def test_heisenberg_is_local_and_verifies():
     # the unit alone, as the structural count says; a budget below that
     # bound is refused up front
     assert G.points_order() == 1 and G.connected_order() == 27
-    assert grouplikes(G.group_algebra, budget=10**6) == [G.group_algebra.unit]
+    monkeypatch.setattr(schemedouble.hopf, "_GROUPLIKE_BUDGET", 10**6)
+    assert grouplikes(G.group_algebra) == [G.group_algebra.unit]
+    monkeypatch.setattr(schemedouble.hopf, "_GROUPLIKE_BUDGET", 27**2 * 3 - 1)
     with pytest.raises(FieldTooLargeForEnumeration):
-        grouplikes(G.group_algebra, budget=27**2 * 3 - 1)
+        grouplikes(G.group_algebra)
 
 
 def test_bad_bracket_rejected():
@@ -347,26 +357,34 @@ def test_quotient_by_non_normal_raises():
 
 
 def test_section_closed_forms():
+    """The section read off the pivots is extension by zero when the rows
+    are unit vectors: for Ga_1 in ga_kernel(2), whose mu the appendix
+    prints and which is colinear, and for G itself.  On A3 in S3 it sends
+    the unit of O(A3) to the delta function of A3, no unit of O(S3), and
+    the colinear oracle section is solved."""
     G = ga_kernel(2, F3)
     A = ga_frobenius_subgroup(G, 1)
-    sec = section_mu(A)
+    mu = section_mu(A)
     for i in range(3):
-        assert sec.mu.mat.get(i) == {i: F3.one()}
+        assert mu.mat.get(i) == {i: F3.one()}
+    assert _colinear_section_ok(mu, A.q)
     # L = G: identity section
-    sec_full = section_mu(full_subgroup(G))
-    assert sec_full.mu.mat == {i: {i: F3.one()} for i in range(9)}
-    # constant: extension by zero, colinearity re-verified
+    assert section_mu(full_subgroup(G)).mat == {i: {i: F3.one()} for i in range(9)}
     S3 = make_s3(F7)
     A3 = subgroup_from_generators(S3, [unit_vec(4, F7)])
-    secc = section_mu(A3)
-    assert _colinear_section_ok(secc.mu, A3.q)
+    mu = section_mu(A3)
+    assert mu.mat == {r: {p: F7.one()} for r, p in enumerate(A3.subspace.pivots())}
+    assert not _colinear_section_ok(mu, A3.q)
+    assert _colinear_section_ok(colinear_section_mu(A3)[0], A3.q)
 
 
 def test_inconsistent_section_system_raises_no_section(monkeypatch):
-    """A colinear section system with no solution ends in NoSection."""
+    """A colinear section system with no solution ends in
+    NoInvertibleSectionFound: the cleaving of the line of d0(x)d1 + d1(x)d0,
+    whose closed-form candidate is no invertible colinear section, so the
+    system is solved."""
     import schemedouble.groupschemes as gs
     G = direct_product(ga_kernel(1, F3), ga_kernel(1, F3))
-    # the line of d0(x)d1 + d1(x)d0: a row that is no unit vector, no closed form
     L = subgroup_from_generators(G, [{1: F3.one(), 3: F3.one()}])
     assert L.order == 3 and L.subspace.basis()[1] == {1: F3.one(), 3: F3.one()}
     equations = gs._colinear_section_equations
@@ -375,8 +393,8 @@ def test_inconsistent_section_system_raises_no_section(monkeypatch):
         return equations(F, *args) + [({}, F.one())]  # 0 = 1
 
     monkeypatch.setattr(gs, "_colinear_section_equations", inconsistent)
-    with pytest.raises(NoSection):
-        section_mu(L)
+    with pytest.raises(NoInvertibleSectionFound):
+        gs.cleaving_gamma(G, L)
 
 
 def test_second_section_gives_same_star_action():
@@ -396,14 +414,13 @@ def test_second_section_gives_same_star_action():
         mu2_mat[i] = dict(acc)
     mu2 = LinMap(A.own.coordinate_algebra, OG, mu2_mat)
     assert _colinear_section_ok(mu2, A.q)
-    sec1 = t.section
-    from schemedouble.groupschemes import SectionData
+    mu1 = A.section
     for i in range(G.order):
         for b in range(A.order):
             lhs = t.star(unit_vec(i, F3), unit_vec(b, F3))
-            A.section = SectionData(mu2, None)
+            A.section = mu2
             rhs = t.star(unit_vec(i, F3), unit_vec(b, F3))
-            A.section = sec1
+            A.section = mu1
             assert lhs == rhs
 
 

@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from schemedouble.errors import DimensionMismatch, NotConstant
 from schemedouble.fields import QQ, make_field
 from schemedouble.appendix import b_lambda
+from schemedouble.doubles import drinfeld_double
 from schemedouble.groupschemes import (
     GroupScheme,
     constant_group,
@@ -30,6 +32,7 @@ from schemedouble.lattice import (
     intersect,
     normal_subgroups,
 )
+from schemedouble.hopf import verify_hopf
 from schemedouble.linalg import unit_vec
 from schemedouble.quotients import Triple, build_quotient, trivial_hopf_map
 
@@ -688,3 +691,33 @@ def test_product_and_meet_are_formed_once_per_pair(monkeypatch):
     assert asked == {"product": 529, "meet": 996}
     assert sum(closures) == len(G.products) == 49
     assert len(checks) == len(G.meets) == 33
+
+
+# Every group of order at most 6, as a permutation group.
+SMALL_GROUPS = {
+    "1": [(0,)], "Z2": [(1, 0)], "Z3": [(1, 2, 0)], "Z4": [(1, 2, 3, 0)],
+    "V4": [(1, 0, 3, 2), (2, 3, 0, 1)], "Z5": [(1, 2, 3, 4, 0)],
+    "Z6": [(1, 2, 3, 4, 5, 0)], "S3": [(1, 0, 2), (1, 2, 0)],
+}
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(SMALL_GROUPS)), st.sampled_from([F7, QQ]),
+       st.integers(0, 1000), st.data())
+def test_lattice_laws_on_relabeled_small_groups(name, F, seed, data):
+    """On a relabeled Cayley table of a group of order at most 6, over GF(7)
+    or Q: D(G) passes verify_hopf; every node t has C(C(t)) = t and
+    FPdim(t) FPdim(C(t)) = |G|^2; and for two nodes, intersect(t, t2) is
+    intersect(t2, t) and lies below both."""
+    G = constant_group(*permutation_table(SMALL_GROUPS[name], seed=seed), F, name=name)
+    assert verify_hopf(drinfeld_double(G).D).ok
+    nodes, _ = enumerate_triples(G)
+    for n in nodes:
+        tbar = centralizer_triple(n.triple)
+        assert centralizer_triple(tbar) is n.triple
+        assert n.triple.fp_dimension() * tbar.fp_dimension() == G.order ** 2
+    pick = st.sampled_from(nodes)
+    t, t2 = data.draw(pick).triple, data.draw(pick).triple
+    meet = intersect(t, t2)
+    assert intersect(t2, t) is meet
+    assert contains(t, meet) and contains(t2, meet)
