@@ -24,7 +24,6 @@ from .doubles import (
 )
 from .errors import (
     BudgetExceeded,
-    FieldTooLargeForEnumeration,
     SchemaError,
     SchemeDoubleError,
     VerificationFailure,
@@ -320,7 +319,7 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, FieldTooLargeForEnumeration) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except VerificationFailure as exc:

@@ -34,7 +34,8 @@ from .linalg import (
     mat_apply,
     mat_identity,
     mat_rank,
-    solve_affine,
+    mat_transpose,
+    solve_rows,
     unit_vec,
     v_axpy,
     v_scale,
@@ -319,9 +320,10 @@ def verify_ribbon(Q: QuasiHopfData) -> VerificationReport:
     rep.record("S(V) = V", H.antipode_of(V) == V)
 
     # invertibility: solve V x = 1, then confirm x V = 1
-    cols = {j: H.product(V, unit_vec(j, F)) for j in range(n)}
+    rows = mat_transpose({j: H.product(V, unit_vec(j, F)) for j in range(n)})
     try:
-        vinv, _ = solve_affine(cols, H.unit, F, n, n)
+        vinv, _ = solve_rows(F, [(rows.get(i, {}), H.unit.get(i, F.zero()))
+                                 for i in range(n)], n)
         inv_ok = H.product(vinv, V) == H.unit and H.product(V, vinv) == H.unit
     except NoSolution:
         inv_ok = False

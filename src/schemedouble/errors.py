@@ -33,10 +33,6 @@ class AntipodeNotInvertible(SchemeDoubleError):
     pass
 
 
-class FieldTooLargeForEnumeration(SchemeDoubleError):
-    pass
-
-
 class NotAGroup(SchemeDoubleError):
     pass
 
@@ -85,6 +81,10 @@ class NoFactorization(SchemeDoubleError):
 
 
 class BudgetExceeded(SchemeDoubleError):
+    pass
+
+
+class FieldTooLargeForEnumeration(BudgetExceeded):
     pass
 
 

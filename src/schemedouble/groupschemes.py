@@ -1,8 +1,10 @@
 """Finite group schemes as dual pairs (k[G], O(G)) plus the subgroup-scheme
 machinery: normality, centralizing, quotients, the section mu_K of q_K read
 off the pivots (any linear section gives the same outputs; proof in
-``section_mu``), the colinear, convolution-invertible cleaving maps gamma_H,
-adjoint actions, and products/intersections of subgroups.
+``section_mu``), the colinear, convolution-invertible cleaving maps gamma_H
+(a closed form, else one solve with the grouplike lifts fixed; invertible by
+Takeuchi's criterion, proof in ``cleaving_gamma``), adjoint actions, and
+products/intersections of subgroups.
 
 The coordinate algebra is always the literal dual of the group algebra in the
 dual basis, so the perfect pairing is the identity matrix and transposition
@@ -52,7 +54,6 @@ from .hopf import (
 from .linalg import (
     Echelon,
     annihilator,
-    echelon_points,
     mat_compose,
     mat_identity,
     mat_rank,
@@ -699,10 +700,6 @@ def quotient_by_normal(G: GroupScheme, H_sub: SubgroupScheme) -> Quotient:
     return Quotient(G, H_sub, hopf, pi, reps)
 
 
-# Points of the section solution space tried for convolution invertibility.
-_SECTION_BUDGET = 100_000
-
-
 class CleavingData:
     def __init__(self, gamma, gamma_inv, eta, eta_inv, quotient: Quotient):
         self.gamma = gamma
@@ -741,44 +738,6 @@ def _colinear_section_equations(F, src, tgt, proj_mat):
         rows.append(({x * n + j: c for j, c in src.unit.items()},
                      tgt.unit.get(x, zero)))
     return rows
-
-
-def _invertible_section(cand, proj: LinMap):
-    """A convolution-invertible colinear section of the Hopf map proj, with
-    its convolution inverse: the closed-form candidate cand when it is one,
-    else the first invertible point of the solved section system, walked in
-    canonical order from the zero offset (at most _SECTION_BUDGET points;
-    over the rationals only the particular solution) and re-checked.
-    Raises NoInvertibleSectionFound when that system has no solution."""
-    if cand is not None and _colinear_section_ok(cand, proj):
-        try:
-            return cand, convolution_inverse(cand)
-        except NotInvertible:
-            pass
-    src, tgt = proj.target, proj.source
-    F = tgt.field
-    try:
-        part, kern = solve_rows(F, _colinear_section_equations(F, src, tgt, proj.mat),
-                                tgt.dim * src.dim)
-    except NoSolution:
-        raise NoInvertibleSectionFound("colinear section system inconsistent")
-    offsets = (itertools.islice(echelon_points(kern, F), _SECTION_BUDGET)
-               if F.size is not None else [{}])
-    for offset in offsets:
-        mat: dict = {}
-        for key, c in v_axpy(F, dict(part), F.one(), offset).items():
-            r, col = divmod(key, src.dim)
-            mat.setdefault(col, {})[r] = c
-        s = LinMap(src, tgt, mat)
-        try:
-            s_inv = convolution_inverse(s)
-        except NotInvertible:
-            continue
-        if not _colinear_section_ok(s, proj):
-            raise VerificationFailure("solved section fails its defining identities")
-        return s, s_inv
-    raise NoInvertibleSectionFound(
-        f"no convolution-invertible section within budget {_SECTION_BUDGET}")
 
 
 def section_mu(L: SubgroupScheme) -> LinMap:
@@ -834,30 +793,74 @@ def _colinear_section_ok(s: LinMap, proj: LinMap) -> bool:
 
 
 def cleaving_gamma(G: GroupScheme, H_sub: SubgroupScheme) -> CleavingData:
-    """A convolution-invertible colinear section gamma of pi: k[G] -> k[G/H],
-    with the retraction eta = id * (gamma^-1 pi) and the closed-form eta^-1.
-    Callers read ``H.cleaving``, which keeps it with its quotient.
+    """A convolution-invertible colinear section gamma of pi: k[G] -> k[G/H]
+    with gamma(1) = 1, its convolution inverse, the retraction
+    eta = id * (gamma^-1 pi) and the closed-form eta^-1.  Callers read
+    ``H.cleaving``, which keeps it with its quotient.
 
-    The closed-form candidate sends each class x_r to the first basis
-    vector e_i with pi(e_i) = x_r (coset representatives of a constant
-    group, the Frobenius-tower lifts, the identity when H = 1); when some
-    class has no such e_i, or the candidate is no invertible colinear
-    section, the section system is solved.
+    The closed form sends each class x_r to the first of 1, e_0, e_1, ...
+    that pi sends to x_r (coset representatives of a constant group, the
+    Frobenius-tower lifts, the identity when H = 1).  When some class has
+    none, or that map is no invertible colinear section, gamma is the
+    particular solution of the section system with the rows gamma(pi(g)) =
+    g, for g = 1 and, when G(k) is not trivial, the first grouplike g of
+    k[G] of each class pi(g), re-checked.  NoInvertibleSectionFound is
+    raised when that system is inconsistent or its solution not invertible;
+    neither happens when k[G] is pointed, as for constant and infinitesimal
+    G, their products and subgroups, which are all the constructors build.
+
+    Proof.  Invertible: a coalgebra surjection maps the coradical onto a
+    space holding the coradical of its image (Montgomery, Hopf Algebras and
+    Their Actions on Rings, CBMS 82, Cor. 5.3.5), so k[G/H] is pointed with
+    grouplikes the pi(g).  gamma sends them to grouplikes, which are
+    invertible, and a map out of a pointed coalgebra invertible on its
+    grouplikes is convolution invertible (Takeuchi; Montgomery, Lemma
+    5.2.10).  Consistent: k[G] is cleft over k[G/H] for normal H
+    (Schneider, J. Algebra 152, 1992), by some colinear gamma_0 with
+    pi gamma_0 = id and gamma_0(1) = 1 after normalizing.  By colinearity
+    gamma_0(pi(g)) g^-1 is coinvariant, so gamma_0(pi(g)) = h_g g with h_g
+    in k[H], invertible and of counit 1.  A unital lambda: k[G/H] -> k[H]
+    with lambda(pi(g)) = h_g^-1, and 1 eps on a complement of the
+    grouplikes, is invertible by the same criterion, and lambda * gamma_0,
+    x -> lambda(x_1) gamma_0(x_2), solves the system.
     """
     quotient = quotient_by_normal(G, H_sub)
     F = G.field
     kg = G.group_algebra
-    Q = quotient.hopf
+    Q, pi, n = quotient.hopf, quotient.pi, quotient.hopf.dim
 
     pre = {}
-    for i in range(G.order):
-        img = quotient.pi.apply(unit_vec(i, F))
+    for v in [kg.unit] + [unit_vec(i, F) for i in range(G.order)]:
+        img = pi.apply(v)
         if len(img) == 1 and F.one() in img.values():
-            pre.setdefault(next(iter(img)), i)
-    cand = None
-    if len(pre) == Q.dim:
-        cand = LinMap(Q, kg, {r: unit_vec(i, F) for r, i in pre.items()})
-    gamma, gamma_inv = _invertible_section(cand, quotient.pi)
+            pre.setdefault(next(iter(img)), v)
+    gamma = LinMap(Q, kg, {r: dict(v) for r, v in pre.items()})
+    gamma_inv = None
+    if len(pre) == n and _colinear_section_ok(gamma, pi):
+        try:
+            gamma_inv = convolution_inverse(gamma)
+        except NotInvertible:
+            pass
+    if gamma_inv is None:
+        rows = _colinear_section_equations(F, Q, kg, pi.mat)
+        seen = {tuple(sorted(Q.unit.items()))}  # gamma(1) = 1 is a row already
+        for g in kg.grouplikes if G.points_order() > 1 else []:
+            x = pi.apply(g)
+            if (key := tuple(sorted(x.items()))) not in seen:
+                seen.add(key)
+                rows.extend(({y * n + j: c for j, c in x.items()}, g.get(y, F.zero()))
+                            for y in range(G.order))
+        try:
+            part, _ = solve_rows(F, rows, G.order * n)
+            mat: dict = {}
+            for key, c in part.items():
+                mat.setdefault(key % n, {})[key // n] = c
+            gamma = LinMap(Q, kg, mat)
+            gamma_inv = convolution_inverse(gamma)
+        except (NoSolution, NotInvertible) as exc:
+            raise NoInvertibleSectionFound(f"no invertible colinear section: {exc}")
+        if not _colinear_section_ok(gamma, pi):
+            raise VerificationFailure("solved section fails its defining identities")
     return _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv)
 
 

@@ -341,9 +341,6 @@ class HopfAlgebra:
                     work.extend((p, b) for b in gens)
         return gens
 
-    def basis_vec(self, i):
-        return {i: self.field.one()}
-
 
 class VerificationReport:
     """Outcome of an exact axiom check: one (name, ok, witness) row per
@@ -499,14 +496,14 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
     rows = {"associativity": _light_test(H, gens)}
 
     def unit_fails(i):
-        e = H.basis_vec(i)
+        e = unit_vec(i, F)
         return H.product(H.unit, e) != e or H.product(e, H.unit) != e
 
     rows["unit law"] = first_failure(labels[i] for i in range(n) if unit_fails(i))
 
     def counit_fails(i):
         left, right = t2_contract(F, H.counit, H.comult[i])
-        return left != H.basis_vec(i) or right != H.basis_vec(i)
+        return left != unit_vec(i, F) or right != unit_vec(i, F)
 
     rows["counit law"] = first_failure(labels[i] for i in range(n) if counit_fails(i))
 
@@ -540,10 +537,10 @@ def verify_hopf(H: HopfAlgebra) -> VerificationReport:
         for (j, k), c in H.comult[i].items():
             sj = H.antipode.get(j)
             if sj:
-                v_axpy(F, left, c, H.product(sj, H.basis_vec(k)))
+                v_axpy(F, left, c, H.product(sj, unit_vec(k, F)))
             sk = H.antipode.get(k)
             if sk:
-                v_axpy(F, right, c, H.product(H.basis_vec(j), sk))
+                v_axpy(F, right, c, H.product(unit_vec(j, F), sk))
         target = v_scale(F, H.counit.get(i, zero), H.unit)
         return left != target or right != target
 
@@ -851,7 +848,7 @@ def is_hopf_morphism(f: LinMap):
     associativity of their source.
     """
     A, B, F = f.source, f.target, f.target.field
-    img = [f.apply(A.basis_vec(i)) for i in range(A.dim)]
+    img = [f.apply(unit_vec(i, F)) for i in range(A.dim)]
     by_left = A.cells
     nonzero = [j for j, fj in enumerate(img) if fj]
     for i, fi in enumerate(img):
@@ -893,7 +890,7 @@ def convolution(f: LinMap, g: LinMap) -> LinMap:
     for i in range(A.dim):
         out = {}
         for (j, k), c in A.comult[i].items():
-            v_axpy(F, out, c, B.product(f.apply(A.basis_vec(j)), g.apply(A.basis_vec(k))))
+            v_axpy(F, out, c, B.product(f.apply(unit_vec(j, F)), g.apply(unit_vec(k, F))))
         if out:
             mat[i] = out
     return LinMap(A, B, mat)
@@ -925,7 +922,7 @@ def convolution_inverse(f: LinMap) -> LinMap:
         lhs_rows: dict = {}
         rhs_rows: dict = {}
         for (j, k), c in A.comult[i].items():
-            fj = f.apply(A.basis_vec(j))
+            fj = f.apply(unit_vec(j, F))
             # f(e_j) * g(e_k): coefficient of unknown g[k][b] in output coord a
             for l, cl in fj.items():
                 for b, cell in by_left[l].items():
@@ -934,7 +931,7 @@ def convolution_inverse(f: LinMap) -> LinMap:
                         key = flat(k, b)
                         d = lhs_rows.setdefault(a, {})
                         d[key] = F.add(d.get(key, F.zero()), F.mul(coef, ca))
-            fk = f.apply(A.basis_vec(k))
+            fk = f.apply(unit_vec(k, F))
             # g(e_j) * f(e_k)
             for l, cl in fk.items():
                 for b, cell in by_right[l].items():
@@ -1065,8 +1062,8 @@ def ideal_closure(H: HopfAlgebra, ech: Echelon, multipliers=None) -> Echelon:
 def primitives(H: HopfAlgebra) -> Echelon:
     """The subspace of v with Delta(v) = v(x)1 + 1(x)v: the kernel of the
     map whose column i is ``_primitive_defect(H, e_i)``."""
-    return mat_kernel(H.field, {i: _primitive_defect(H, H.basis_vec(i)) for i in range(H.dim)},
-                      H.dim)
+    F = H.field
+    return mat_kernel(F, {i: _primitive_defect(H, unit_vec(i, F)) for i in range(H.dim)}, H.dim)
 
 
 def grouplikes(H: HopfAlgebra):
@@ -1183,9 +1180,9 @@ def defect_complement(H: HopfAlgebra, S: Echelon) -> Echelon:
     so d in S (x) H gives d in (H (x) S) meet (S (x) H) = S (x) S.  S lies
     in W_S, so the residues of a basis of W_S span a complement."""
     F, n = H.field, H.dim
-    pi = {i: S.reduce(H.basis_vec(i)) for i in range(n)}
+    pi = {i: S.reduce(unit_vec(i, F)) for i in range(n)}
     ident = mat_identity(n, F)
-    W = mat_kernel(F, {i: t2_map(F, pi, ident, _primitive_defect(H, H.basis_vec(i)))
+    W = mat_kernel(F, {i: t2_map(F, pi, ident, _primitive_defect(H, unit_vec(i, F)))
                        for i in range(n)}, n)
     return span(F, n, [S.reduce(w) for w in W.basis()])
 
@@ -1259,7 +1256,7 @@ def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra):
     F = A.field
     chain = A.source_chain
     glC = C.grouplikes
-    prim_rows_C = mat_transpose({i: _primitive_defect(C, C.basis_vec(i)) for i in range(C.dim)})
+    prim_rows_C = mat_transpose({i: _primitive_defect(C, unit_vec(i, F)) for i in range(C.dim)})
 
     results = []
     counter = [0]
@@ -1302,7 +1299,7 @@ def hopf_algebra_maps(A: HopfAlgebra, C: HopfAlgebra):
         if counter[0] > _MAP_BUDGET:
             raise BudgetExceeded(f"candidate budget {_MAP_BUDGET} exhausted")
         if len(gens) == len(chain):
-            results.append(LinMap(A, C, {i: pech.image_of(A.basis_vec(i))
+            results.append(LinMap(A, C, {i: pech.image_of(unit_vec(i, F))
                                          for i in range(A.dim)}))
             return
         v, defect = chain[len(gens)]

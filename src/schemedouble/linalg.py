@@ -13,9 +13,6 @@ import itertools
 
 from .errors import DimensionMismatch, FieldTooLargeForEnumeration, NoSolution
 
-Vec = dict
-Mat = dict
-
 
 def v_sub(F, a, b):
     out = dict(a)
@@ -271,23 +268,6 @@ def solve_rows(F, rows, n):
                 vec[p] = F.neg(c)
         kernel.insert(vec)
     return particular, kernel
-
-
-def solve_affine(A: Mat, b: Vec, F, nrows: int, ncols: int):
-    """Solve A x = b with A given as column -> image vector.
-
-    Returns (particular, kernel).  Raises NoSolution when inconsistent and
-    DimensionMismatch on shape violations.
-    """
-    for j, col in A.items():
-        if j >= ncols or any(i >= nrows for i in col):
-            raise DimensionMismatch("matrix entries out of range")
-    if any(i >= nrows for i in b):
-        raise DimensionMismatch("rhs out of range")
-    rows_by_i = mat_transpose(A)
-    zero = F.zero()
-    rows = [(rows_by_i.get(i, {}), b.get(i, zero)) for i in sorted(set(rows_by_i) | set(b))]
-    return solve_rows(F, rows, ncols)
 
 
 def mat_rank(F, M, nrows=None) -> int:

@@ -46,6 +46,15 @@ certified checks of the package.
   extension by zero when every RREF row is a unit vector) or else the first
   invertible point of the solved section system; the package chose mu_L
   this way before it read a linear section off the pivots.
+* ``_invertible_section``: a convolution-invertible colinear section of a
+  Hopf map, the closed-form candidate when it is one, else the first
+  invertible point of the solved section system, walked in canonical order
+  over at most ``_SECTION_BUDGET`` points; the package's search before it
+  cleaved by Takeuchi's criterion.
+* ``cleaving_gamma_walked``: the cleaving through ``_invertible_section``,
+  each class sent to its first basis preimage, as the package found it
+  before the unit class went to 1 and the solved section fixed its
+  grouplike lifts.
 * ``section_mu_by_tag`` and ``cleaving_gamma_by_tag``: the colinear section
   and the cleaving with the closed-form candidate chosen by how the
   subgroup was built ("trivial", "full", "ga_standard" or "generic"), as
@@ -93,15 +102,18 @@ from schemedouble.errors import (
     ClosureNotHopf,
     FieldMismatch,
     FieldTooLargeForEnumeration,
+    NoInvertibleSectionFound,
     NoSolution,
+    NotInvertible,
     VerificationFailure,
 )
 from schemedouble.doubles import drinfeld_double
 from schemedouble.groupschemes import (
     GroupScheme,
     SubgroupScheme,
+    _colinear_section_equations,
+    _colinear_section_ok,
     _finish_cleaving,
-    _invertible_section,
     _sub_connectivity,
     ad_l,
     centralize,
@@ -112,6 +124,7 @@ from schemedouble.hopf import (
     LinMap,
     VerificationReport,
     certify_hopf_map,
+    convolution_inverse,
     grouplikes,
     induced_hopf,
     is_hopf_morphism,
@@ -133,7 +146,6 @@ from schemedouble.linalg import (
     mat_identity,
     mat_kernel,
     mat_transpose,
-    solve_affine,
     solve_rows,
     span,
     unit_vec,
@@ -154,7 +166,7 @@ def verify_hopf_exhaustive(H) -> VerificationReport:
 
     ok, wit = True, ""
     for i in range(n):
-        e = H.basis_vec(i)
+        e = unit_vec(i, F)
         if H.product(H.unit, e) != e or H.product(e, H.unit) != e:
             ok, wit = False, H.labels[i]
             break
@@ -170,7 +182,7 @@ def verify_hopf_exhaustive(H) -> VerificationReport:
     ok, wit = True, ""
     for i in range(n):
         left, right = t2_contract(F, H.counit, H.comult[i])
-        if left != H.basis_vec(i) or right != H.basis_vec(i):
+        if left != unit_vec(i, F) or right != unit_vec(i, F):
             ok, wit = False, H.labels[i]
             break
     rep.record("counit law", ok, wit)
@@ -211,10 +223,10 @@ def verify_hopf_exhaustive(H) -> VerificationReport:
         for (j, k), c in H.comult[i].items():
             sj = H.antipode.get(j)
             if sj:
-                v_axpy(F, left, c, H.product(sj, H.basis_vec(k)))
+                v_axpy(F, left, c, H.product(sj, unit_vec(k, F)))
             sk = H.antipode.get(k)
             if sk:
-                v_axpy(F, right, c, H.product(H.basis_vec(j), sk))
+                v_axpy(F, right, c, H.product(unit_vec(j, F), sk))
         target = v_scale(F, H.counit.get(i, F.zero()), H.unit)
         if left != target or right != target:
             ok, wit = False, H.labels[i]
@@ -343,18 +355,18 @@ def is_hopf_morphism_exhaustive(f):
     for i in range(A.dim):
         for j in range(A.dim):
             lhs = f.apply(A.mult.get((i, j), {}))
-            rhs = B.product(f.apply(A.basis_vec(i)), f.apply(A.basis_vec(j)))
+            rhs = B.product(f.apply(unit_vec(i, F)), f.apply(unit_vec(j, F)))
             if lhs != rhs:
                 return False, f"mult at ({A.labels[i]},{A.labels[j]})"
     if f.apply(A.unit) != B.unit:
         return False, "unit"
     for i in range(A.dim):
-        if B.coproduct(f.apply(A.basis_vec(i))) != t2_map(F, f.mat, f.mat, A.comult[i]):
+        if B.coproduct(f.apply(unit_vec(i, F))) != t2_map(F, f.mat, f.mat, A.comult[i]):
             return False, f"comult at {A.labels[i]}"
-        if B.counit_of(f.apply(A.basis_vec(i))) != A.counit.get(i, F.zero()):
+        if B.counit_of(f.apply(unit_vec(i, F))) != A.counit.get(i, F.zero()):
             return False, f"counit at {A.labels[i]}"
     for i in range(A.dim):
-        if f.apply(A.antipode.get(i, {})) != B.antipode_of(f.apply(A.basis_vec(i))):
+        if f.apply(A.antipode.get(i, {})) != B.antipode_of(f.apply(unit_vec(i, F))):
             return False, f"antipode at {A.labels[i]}"
     return True, ""
 
@@ -633,6 +645,48 @@ def normal_subgroups_from_primitive_pairs(G):
         ([u] for u in prims), itertools.combinations(prims, 2)))
 
 
+# Points of the section solution space tried for convolution invertibility.
+_SECTION_BUDGET = 100_000
+
+
+def _invertible_section(cand, proj: LinMap):
+    """A convolution-invertible colinear section of the Hopf map proj, with
+    its convolution inverse: the closed-form candidate cand when it is one,
+    else the first invertible point of the solved section system, walked in
+    canonical order from the zero offset (at most _SECTION_BUDGET points;
+    over the rationals only the particular solution) and re-checked.
+    Raises NoInvertibleSectionFound when that system has no solution."""
+    if cand is not None and _colinear_section_ok(cand, proj):
+        try:
+            return cand, convolution_inverse(cand)
+        except NotInvertible:
+            pass
+    src, tgt = proj.target, proj.source
+    F = tgt.field
+    try:
+        part, kern = solve_rows(F, _colinear_section_equations(F, src, tgt, proj.mat),
+                                tgt.dim * src.dim)
+    except NoSolution:
+        raise NoInvertibleSectionFound("colinear section system inconsistent")
+    offsets = (itertools.islice(echelon_points(kern, F), _SECTION_BUDGET)
+               if F.size is not None else [{}])
+    for offset in offsets:
+        mat: dict = {}
+        for key, c in v_axpy(F, dict(part), F.one(), offset).items():
+            r, col = divmod(key, src.dim)
+            mat.setdefault(col, {})[r] = c
+        s = LinMap(src, tgt, mat)
+        try:
+            s_inv = convolution_inverse(s)
+        except NotInvertible:
+            continue
+        if not _colinear_section_ok(s, proj):
+            raise VerificationFailure("solved section fails its defining identities")
+        return s, s_inv
+    raise NoInvertibleSectionFound(
+        f"no convolution-invertible section within budget {_SECTION_BUDGET}")
+
+
 def colinear_section_mu(L):
     """(mu, mu^-1): a unit-preserving, O(L)-colinear, convolution-invertible
     section mu of q_L and its convolution inverse."""
@@ -687,6 +741,25 @@ def cleaving_gamma_by_tag(G, H_sub, tag):
                     pre[r] = i
         if len(pre) == m:
             cand = LinMap(quotient.hopf, kg, {r: unit_vec(pre[r], F) for r in range(m)})
+    gamma, gamma_inv = _invertible_section(cand, quotient.pi)
+    return _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv)
+
+
+def cleaving_gamma_walked(G, H_sub):
+    """The cleaving as the package found it before it cleaved by theorem:
+    each class x_r sent to the first basis vector e_i with pi(e_i) = x_r,
+    else the first invertible point of the walked section system."""
+    quotient = quotient_by_normal(G, H_sub)
+    F = G.field
+    kg = G.group_algebra
+    pre = {}
+    for i in range(G.order):
+        img = quotient.pi.apply(unit_vec(i, F))
+        if len(img) == 1 and F.one() in img.values():
+            pre.setdefault(next(iter(img)), i)
+    cand = None
+    if len(pre) == quotient.hopf.dim:
+        cand = LinMap(quotient.hopf, kg, {r: unit_vec(i, F) for r, i in pre.items()})
     gamma, gamma_inv = _invertible_section(cand, quotient.pi)
     return _finish_cleaving(G, H_sub, quotient, gamma, gamma_inv)
 
@@ -827,8 +900,10 @@ def induced_surjection_by_kernel(qp, qp_src):
         if theta.apply(vec):
             return None
     mat = {}
+    rows = mat_transpose(theta_src.mat)
     for e in range(qp_src.D.dim):
-        x, _ = solve_affine(theta_src.mat, unit_vec(e, F), F, qp_src.D.dim, N)
+        x, _ = solve_rows(F, [(rows.get(i, {}), F.one() if i == e else F.zero())
+                              for i in range(qp_src.D.dim)], N)
         if img := theta.apply(x):
             mat[e] = img
     return LinMap(qp_src.D, qp.D, mat)
@@ -845,7 +920,7 @@ class _SourceStep:
 
 def _primitive_defect_at(A, i):
     F = A.field
-    e = A.basis_vec(i)
+    e = unit_vec(i, F)
     d = dict(A.comult[i])
     v_axpy(F, d, F.neg(F.one()), t2_outer(F, e, A.unit))
     v_axpy(F, d, F.neg(F.one()), t2_outer(F, A.unit, e))
@@ -872,14 +947,14 @@ def _source_chain_by_kind(A, src_grouplikes, src_primitives):
     while ech.dim < A.dim:
         found = None
         for i in range(A.dim):
-            if ech.contains(A.basis_vec(i)):
+            if ech.contains(unit_vec(i, F)):
                 continue
             if t2_coordinates(F, ech, _primitive_defect_at(A, i)) is not None:
                 found = i
                 break
         if found is None:
             return None
-        adjoin(_SourceStep("extension", basis_index=found), A.basis_vec(found))
+        adjoin(_SourceStep("extension", basis_index=found), unit_vec(found, F))
     return chain
 
 
@@ -909,7 +984,7 @@ def hopf_algebra_maps_all_pairs(A, C, budget=500_000):
     def emit(pech):
         mat = {}
         for i in range(A.dim):
-            img = pech.image_of(A.basis_vec(i))
+            img = pech.image_of(unit_vec(i, F))
             if img is None:
                 return
             if img:
@@ -949,7 +1024,7 @@ def hopf_algebra_maps_all_pairs(A, C, budget=500_000):
         elif step.kind == "primitive":
             candidates = [(step.vec, z) for z in prC_points]
         else:
-            e = A.basis_vec(step.basis_index)
+            e = unit_vec(step.basis_index, F)
             img = {}
             bad = False
             for (j, k), c in _primitive_defect_at(A, step.basis_index).items():

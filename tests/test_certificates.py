@@ -34,11 +34,14 @@ from schemedouble.errors import (
     BudgetExceeded,
     ClosureNotHopf,
     InvalidTriple,
+    NotInvertible,
     SchemeDoubleError,
     VerificationFailure,
 )
 from schemedouble.fields import QQ, make_field
 from schemedouble.groupschemes import (
+    _colinear_section_equations,
+    _colinear_section_ok,
     GroupScheme,
     centralize,
     constant_group,
@@ -51,6 +54,7 @@ from schemedouble.groupschemes import (
     hopf_closure,
     is_normal,
     mu_p_kernel,
+    quotient_by_normal,
     section_mu,
     subgroup_from_generators,
     subgroup_from_subspace,
@@ -60,7 +64,9 @@ from schemedouble.hopf import (
     HopfAlgebra,
     LinMap,
     augmentation,
+    convolution,
     convolution_inverse,
+    convolution_unit,
     grouplikes,
     hopf_algebra_maps,
     identity_map,
@@ -80,6 +86,7 @@ from schemedouble.linalg import (
     mat_key,
     mat_kernel,
     mat_transpose,
+    solve_rows,
     span,
     unit_vec,
     v_axpy,
@@ -106,6 +113,7 @@ from conftest import (
 )
 from oracles import (
     cleaving_gamma_by_tag,
+    cleaving_gamma_walked,
     colinear_section_mu,
     crossed_product_loop,
     drinfeld_double_mult_loop,
@@ -996,6 +1004,93 @@ def test_o_g_mod_k_generates_the_kernel_of_q_k(name):
                                            O, coinvariant_subspace(G, K).basis())
                                        for j in range(G.order)])
             assert ideal.key() == mat_kernel(F, K.q.mat, G.order).key()
+
+
+# Groups whose first solved section point has no convolution inverse, so
+# that the walked search had to go past it.
+POINTED_PRODUCTS = {
+    "Z2xmu2-GF2": lambda: direct_product(make_z2(F2), mu_p_kernel(F2)),
+    "mu2xZ2-GF2": lambda: direct_product(mu_p_kernel(F2), make_z2(F2)),
+    "Z3xmu3-GF3": lambda: direct_product(make_z3(F3), mu_p_kernel(F3)),
+}
+
+
+def _normal_subgroups_of(name):
+    if name in POINTED_PRODUCTS:
+        G = POINTED_PRODUCTS[name]()
+        return G, normal_subgroups(G)
+    G = SPAN_RULE_GROUPS[name]()
+    return G, [L for L, _ in _tagged_subgroups(G) if L.is_normal]
+
+
+@pytest.mark.parametrize("name", list(SPAN_RULE_GROUPS) + list(POINTED_PRODUCTS))
+def test_cleaving_equals_the_walked_section(name):
+    """cleaving_gamma, which sends the unit class to 1 and else solves once
+    with its grouplike lifts fixed, gives the same gamma and gamma^-1 as the
+    closed form from the first basis preimages and the walk over the solved
+    section system, on every normal subgroup."""
+    G, normal = _normal_subgroups_of(name)
+    assert normal
+    for H in normal:
+        mine, oracle = cleaving_gamma(G, H), cleaving_gamma_walked(G, H)
+        assert ((mine.gamma.mat, mine.gamma_inv.mat)
+                == (oracle.gamma.mat, oracle.gamma_inv.mat))
+
+
+def test_grouplike_lifts_make_the_solved_section_invertible(monkeypatch):
+    """On Z2 x mu2 over GF(2) modulo the mu2 factor, the particular solution
+    of the plain section system has no convolution inverse, while
+    cleaving_gamma solves once, with gamma(pi(g)) = g on the grouplikes,
+    and returns a colinear section with its convolution inverse."""
+    G = POINTED_PRODUCTS["Z2xmu2-GF2"]()
+    F = G.field
+    H = subgroup_from_generators(G, [unit_vec(0, F)])
+    assert H.order == 2 and H.is_normal
+    quotient = quotient_by_normal(G, H)
+    Q, kg, n = quotient.hopf, G.group_algebra, quotient.hopf.dim
+    part, _ = solve_rows(F, _colinear_section_equations(F, Q, kg, quotient.pi.mat),
+                         kg.dim * n)
+    plain: dict = {}
+    for key, c in part.items():
+        plain.setdefault(key % n, {})[key // n] = c
+    plain = LinMap(Q, kg, plain)
+    assert _colinear_section_ok(plain, quotient.pi)
+    with pytest.raises(NotInvertible):
+        convolution_inverse(plain)
+
+    calls = []
+    real = schemedouble.groupschemes.solve_rows
+    monkeypatch.setattr(schemedouble.groupschemes, "solve_rows",
+                        lambda *a: calls.append(1) or real(*a))
+    cl = cleaving_gamma(G, H)
+    assert len(calls) == 1
+    assert _colinear_section_ok(cl.gamma, cl.quotient.pi)
+    assert convolution(cl.gamma, cl.gamma_inv).mat == convolution_unit(Q, kg).mat
+    for g in kg.grouplikes:  # gamma sends the grouplikes pi(g) to grouplikes
+        x = cl.gamma.apply(quotient.pi.apply(g))
+        assert kg.coproduct(x) == t2_outer(F, x, x) and kg.counit_of(x) == F.one()
+
+
+def test_cleaving_solves_two_systems_over_the_span_rule_groups(monkeypatch):
+    """cleaving_gamma calls solve_rows on none of the normal subgroups of a
+    constant group of SPAN_RULE_GROUPS and on 2 of all 72: the closed form
+    sends the unit class to 1."""
+    calls = []
+    real = schemedouble.groupschemes.solve_rows
+    monkeypatch.setattr(schemedouble.groupschemes, "solve_rows",
+                        lambda *a: calls.append(1) or real(*a))
+    solves = {}
+    count = 0
+    for name in SPAN_RULE_GROUPS:
+        G, normal = _normal_subgroups_of(name)
+        before = len(calls)
+        for H in normal:
+            cleaving_gamma(G, H)
+        count += len(normal)
+        solves[name] = (G.kind, len(calls) - before)
+    assert count == 72
+    assert all(n == 0 for kind, n in solves.values() if kind == "constant")
+    assert sum(n for _, n in solves.values()) == 2
 
 
 def _candidate_r_v(H):

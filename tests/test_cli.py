@@ -311,12 +311,19 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
      "89d1b3166c32d143ef4f2736b247b4b50236c4d09c0f7474681e6b20e86841ea"),
     (["enumerate", "--group", "ga2.json", "--field", "p3"],
      "a0d037e4485f4e4d3732326656cbc5a2a4aeea0329e13550c421615ba557fb68"),
+    # Z2 x mu2 over GF(2): the cleaving of k[G] over k[G/mu2] has no closed
+    # form and is solved with the grouplike-lift rows of cleaving_gamma.
+    (["enumerate", "--group", "z2_mu2.json", "--field", "p2"],
+     "82d422ea31e64b1474f76f5ed43dba86b7b6c6f5cd2e47b058ed6789a529f0cf"),
+    (["quotient", "--triple", "z2_mu2_triple.json", "--field", "p2"],
+     "6cafc940a774af7f66d08ff5ed5483812289fcb0a4b3dc26c30492e8e388b2ca"),
 ], ids=["double-z2-q", "double-s3-p7", "quotient-ga2-p3-json",
         "quotient-ga2-p3-text", "enumerate-dot-s3-p7", "enumerate-z2-q",
         "build-borel-p3", "enumerate-s3-p7", "quotient-ga4-b1-p2",
         "double-s3-q", "enumerate-s3-q", "quotient-s3-a3-p7",
         "double-a4-p5", "double-d4-p3_2", "quotient-a4-v4-q",
-        "double-ga2-p5", "enumerate-d4-p3", "enumerate-ga2-p3"])
+        "double-ga2-p5", "enumerate-d4-p3", "enumerate-ga2-p3",
+        "enumerate-z2-mu2-p2", "quotient-z2-mu2-p2"])
 def test_sample_outputs_are_pinned(argv, digest, capsys):
     """The stdout bytes of these runs on samples/ are fixed: a refactoring
     that changes any of them changes the program's output."""
@@ -328,9 +335,14 @@ def test_sample_outputs_are_pinned(argv, digest, capsys):
 def test_enumerate_budget_exits_before_building_the_double(tmp_path, monkeypatch, capsys):
     """enumerate has no use for D(G): a group it refuses (Z2 over
     GF(2500009), whose grouplike search has 2^2 * 2500009 branches, above
-    its budget of 10^7) exits 3 without building D(G) or any quotient pair."""
+    its budget of 10^7) exits 3 without building D(G) or any quotient pair.
+    The refusal is a FieldTooLargeForEnumeration, which is a BudgetExceeded,
+    the one exception main turns into exit 3."""
     import schemedouble.doubles
     import schemedouble.lattice
+    from schemedouble.errors import BudgetExceeded, FieldTooLargeForEnumeration
+
+    assert issubclass(FieldTooLargeForEnumeration, BudgetExceeded)
 
     def no_double(*args):
         raise AssertionError("D(G) or a quotient pair built")

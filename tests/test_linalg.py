@@ -13,7 +13,8 @@ from schemedouble.linalg import (
     annihilator,
     mat_identity,
     mat_inverse,
-    solve_affine,
+    mat_transpose,
+    solve_rows,
     span,
     subspace_intersection,
     subspace_sum,
@@ -26,14 +27,15 @@ F2 = make_field("prime", p=2)
 
 
 def test_solve_identity_system():
-    A = mat_identity(3, F3)
-    part, kern = solve_affine(A, {0: 1, 2: 2}, F3, 3, 3)
+    rows = [(row, {0: 1, 2: 2}.get(i, 0))
+            for i, row in sorted(mat_transpose(mat_identity(3, F3)).items())]
+    part, kern = solve_rows(F3, rows, 3)
     assert part == {0: 1, 2: 2}
     assert kern.dim == 0
 
 
 def test_solve_zero_system_full_kernel():
-    part, kern = solve_affine({}, {}, F3, 3, 3)
+    part, kern = solve_rows(F3, [], 3)
     assert part == {}
     assert kern.dim == 3
 
@@ -41,13 +43,14 @@ def test_solve_zero_system_full_kernel():
 def test_solve_inconsistent_raises():
     # 0 * x = 1
     with pytest.raises(NoSolution):
-        solve_affine({0: {}}, {0: QQ.one()}, QQ, 1, 1)
+        solve_rows(QQ, [({}, QQ.one())], 1)
 
 
 def test_solver_is_deterministic():
     A = {0: {0: 1, 1: 2}, 1: {0: 2, 1: 1}, 2: {0: 1, 1: 1}}
-    out1 = solve_affine(A, {0: 1, 1: 1}, F3, 2, 3)
-    out2 = solve_affine(A, {0: 1, 1: 1}, F3, 2, 3)
+    rows = [(row, 1) for _, row in sorted(mat_transpose(A).items())]
+    out1 = solve_rows(F3, rows, 3)
+    out2 = solve_rows(F3, rows, 3)
     assert out1[0] == out2[0]
     assert out1[1].key() == out2[1].key()
 
