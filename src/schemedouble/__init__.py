@@ -12,7 +12,6 @@ from .hopf import (
     grouplikes,
     hopf_algebra_maps,
     is_hopf_morphism,
-    primitives,
     tensor_hopf,
     variant,
     verify_hopf,
@@ -52,7 +51,6 @@ from .quotients import (
     build_sigma,
     build_tau,
     dot_action,
-    induced_surjection,
     quotient_r_and_v,
     recognize_triple,
     theta_kernel_matches_ideal,
@@ -60,13 +58,11 @@ from .quotients import (
 )
 from .lattice import (
     block_data,
-    centralizer_certificate,
     centralizer_triple,
     classify,
     contains,
     enumerate_triples,
     hasse_dot,
-    intersect,
 )
 
 __version__ = "0.1.0"

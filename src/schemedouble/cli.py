@@ -225,10 +225,11 @@ def _golden_path(p):
 
 
 def cmd_appendix(args):
-    report = appendix_report(args.p)
+    """Without --regenerate the golden is read first, so a p with none
+    exits 1 before the report is computed."""
     if args.regenerate:
         path = _golden_path(args.p)
-        dump(report, str(path))
+        dump(appendix_report(args.p), str(path))
         print(f"wrote {path}", file=_stdout())
         return 0
     try:
@@ -236,6 +237,7 @@ def cmd_appendix(args):
     except FileNotFoundError:
         print(f"no golden file for p={args.p}", file=sys.stderr)
         return 1
+    report = appendix_report(args.p)
     if report == expected:
         print(f"appendix p={args.p}: reproduction matches, diff empty", file=_stdout())
         return 0

@@ -82,10 +82,8 @@ class GroupScheme:
     pair, and ``inclusions`` maps a pair of subgroups to the inclusion of the
     first into the second, or None (``inclusion``).  ``products`` and
     ``meets`` map a pair of subgroups to their product and intersection
-    (``product_subgroup``, ``intersect_subgroup``), ``kernels`` maps the
-    ``Echelon.key()`` of ker(theta) to the triple of that quotient pair
-    (``quotients.QuotientPair.kernel``), and ``_double`` holds D(G) once
-    built (``doubles.drinfeld_double``).
+    (``product_subgroup``, ``intersect_subgroup``), and ``_double`` holds
+    D(G) once built (``doubles.drinfeld_double``).
 
     A value derived from one object is a cached property of that object:
     ``coadjoint`` of G, and likewise the derived values of a subgroup, an
@@ -115,7 +113,6 @@ class GroupScheme:
         self.inclusions = {}
         self.products = {}
         self.meets = {}
-        self.kernels = {}
 
     @property
     def order(self):

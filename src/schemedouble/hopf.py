@@ -1,7 +1,7 @@
 """Finite dimensional Hopf algebras as labeled bases with sparse structure
 constants, plus exact axiom verification, duals, variants, tensor
 products, morphism tests, convolution algebra, coinvariants, ideal closures
-and quotients by Hopf ideals, and grouplike/primitive searches.
+and quotients by Hopf ideals, the grouplike search and defect complements.
 
 Conventions.  A Hopf algebra of dimension n carries
 
@@ -1057,13 +1057,6 @@ def ideal_closure(H: HopfAlgebra, ech: Echelon, multipliers=None) -> Echelon:
         multipliers = [unit_vec(d, F) for d in range(H.dim)]
     return span_closure(ech, ech.basis(), lambda row: [
         p for e in multipliers for p in (H.product(e, row), H.product(row, e))])
-
-
-def primitives(H: HopfAlgebra) -> Echelon:
-    """The subspace of v with Delta(v) = v(x)1 + 1(x)v: the kernel of the
-    map whose column i is ``_primitive_defect(H, e_i)``."""
-    F = H.field
-    return mat_kernel(F, {i: _primitive_defect(H, unit_vec(i, F)) for i in range(H.dim)}, H.dim)
 
 
 def grouplikes(H: HopfAlgebra):

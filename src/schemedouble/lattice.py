@@ -1,5 +1,5 @@
-"""The subcategory calculus on triples: centralizers with their braiding
-certificate, containment, intersection as the maximal common quotient,
+"""The subcategory calculus on triples: centralizers, containment, the
+pairing beta whose kernel cuts out where two bicharacters agree,
 symmetric/non-degenerate/Lagrangian predicates cross-checked against direct
 R-matrix computations, exhaustive triple enumeration with Hasse diagram, and
 block data over constant groups.
@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from .errors import (
     BudgetExceeded,
-    DimensionMismatch,
     InvalidTriple,
     NotConstant,
     VerificationFailure,
 )
-from .doubles import drinfeld_double, is_factorizable, is_triangular
+from .doubles import is_factorizable, is_triangular
 from .groupschemes import (
     GroupScheme,
     SubgroupScheme,
@@ -31,13 +30,9 @@ from .groupschemes import (
 )
 from .hopf import (
     LinMap,
-    coinvariants,
     convolution,
     defect_complement,
     hopf_algebra_maps,
-    ideal_projection,
-    t2_map,
-    t2_outer,
 )
 from .linalg import (
     echelon_points,
@@ -47,17 +42,14 @@ from .linalg import (
     mat_rank,
     mat_transpose,
     span,
-    subspace_sum,
     unit_vec,
     v_axpy,
     v_scale,
 )
 from .quotients import (
-    QuotientPair,
     Triple,
     build_quotient,
     kept_triple,
-    recognize_triple,
     to_own_coords,
 )
 from .serialize import MAX_DOUBLE_DIM
@@ -74,16 +66,6 @@ def centralizer_triple(t: Triple) -> Triple:
     time it is met."""
     return kept_triple(t.G, t.H, t.K, LinMap(t.K.own.group_algebra,
                                              t.H.own.coordinate_algebra, _bbar(t)))
-
-
-def centralizer_certificate(qp: QuotientPair, qp_bar: QuotientPair) -> bool:
-    """(theta (x) theta_bar)(R21 R) = 1 (x) 1, the exact mutual-centralizing
-    witness in D(K,H,B) (x) D(H,K,Bbar); R21 R is the monodromy of the
-    canonical R that G's D(G) keeps."""
-    F = qp.D.field
-    mono = drinfeld_double(qp.triple.G).qt.monodromy
-    out = t2_map(F, qp.theta.mat, qp_bar.theta.mat, mono)
-    return out == t2_outer(F, qp.D.unit, qp_bar.D.unit)
 
 
 def contains(t: Triple, t2: Triple) -> bool:
@@ -117,64 +99,6 @@ def beta_pairing(t: Triple, t2: Triple) -> LinMap:
             F, restrict, mat_compose(F, mat, inclusion(KK, s.K))))
 
     return convolution(transported(t, mat_transpose(t.B.mat)), transported(t2, _bbar(t2)))
-
-
-def agreement_subgroup(t: Triple, t2: Triple) -> SubgroupScheme:
-    """L with ker(beta_{B,B'}) = k[L]^+ k[K meet K']: the coinvariants of beta
-    corestricted to its image, realized inside G."""
-    G = t.G
-    F = G.field
-    KK = intersect_subgroup(t.K, t2.K)
-    beta = beta_pairing(t, t2)
-    kM = KK.own.group_algebra
-    kerL = coinvariants(kM, beta.mat, beta.apply(kM.unit))
-    amb = span(F, G.order, [KK.iota.apply(row) for row in kerL.basis()])
-    return subgroup_from_subspace(G, amb, name="L")
-
-
-def intersect(t: Triple, t2: Triple) -> Triple:
-    """The triple of the maximal common quotient pair: its kernel is the
-    sum of the two kept kernels (``QuotientPair.kernel``), looked up in
-    ``G.kernels``.  Triples on two group schemes are refused first.
-
-    The lookup.  An entry t0 of ``G.kernels`` has ker(theta_0) = joint, so
-    pi: D(G) ->> D(G)/joint and theta_0, two surjective Hopf maps with one
-    kernel, differ by one Hopf isomorphism alpha of their targets.
-    Recognition reads K from the kernel of phi on O(G), H from
-    phi(1 |><| u) modulo the ideal generated by phi(O(G))^+, and B by
-    solving phi(1 |><| v) = phi(mu_K(b) |><| 1); none of these changes
-    when phi is composed with alpha.  So recognizing pi gives what
-    recognizing theta_0 does, which is t0: theta_0(b |><| 1) = q_K(b) # 1,
-    and theta_0(1 |><| v) = B(v) # 1 for v in k[H].
-
-    On a miss, D(G)/joint is built and its projection recognized, which
-    certifies the projection, and with it D(G)/joint, once (see
-    ``quotient_by_hopf_ideal``); the recognized pair must have kernel
-    joint, and forming it keeps the pair in ``G.kernels``.  The agreement
-    subgroup from beta and the product HH' must match the result, and the
-    result must lie below both triples."""
-    G = t.G
-    if t2.G is not G:
-        raise DimensionMismatch("triples of different group schemes")
-    joint = subspace_sum(build_quotient(t).kernel, build_quotient(t2).kernel)
-    result = G.kernels.get(joint.key())
-    if result is None:
-        qp_int, _ = recognize_triple(G, ideal_projection(drinfeld_double(G).D, joint))
-        if qp_int.kernel.key() != joint.key():
-            raise VerificationFailure("recognized intersection has another kernel")
-        result = qp_int.triple
-
-    L = agreement_subgroup(t, t2)
-    if L is not result.K:
-        raise VerificationFailure(
-            "agreement subgroup disagrees with recognized intersection")
-    HH = product_subgroup(t.H, t2.H, name="HH'")
-    if HH is not result.H:
-        raise VerificationFailure(
-            "product subgroup disagrees with recognized intersection")
-    if not (contains(t, result) and contains(t2, result)):
-        raise VerificationFailure("intersection is not a common lower bound")
-    return result
 
 
 class LatticeNode:

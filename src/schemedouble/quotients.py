@@ -1,8 +1,8 @@
 """Quotient pairs of the Drinfeld double: triples (K, H, B), the actions * and
 ., the cocycle sigma and co-cocycle tau, the quotient Hopf algebra D(K, H, B),
 the surjection theta with its kernel ideal, the induced R-matrix and ribbon
-element (by two independent routes), triple recognition from an arbitrary
-surjection, and induced surjections between quotients.
+element (by two independent routes), and triple recognition from an arbitrary
+surjection.
 """
 
 from __future__ import annotations
@@ -264,11 +264,8 @@ class QuotientPair:
     def kernel(self) -> Echelon:
         """ker(theta).  Two surjections out of D(G) are equivalent exactly
         when their kernels are equal, so its key is the canonical key of the
-        pair: the pair's triple is kept under it in ``G.kernels``, which
-        nothing else writes."""
-        kernel = mat_kernel(self.D.field, self.theta.mat, self.theta.source.dim)
-        self.triple.G.kernels[kernel.key()] = self.triple
-        return kernel
+        pair."""
+        return mat_kernel(self.D.field, self.theta.mat, self.theta.source.dim)
 
     @cached_property
     def lift(self):
@@ -556,13 +553,3 @@ def recognize_triple(G: GroupScheme, phi: LinMap):
         raise VerificationFailure("recognition map is not an isomorphism")
     return qp, qp.factor(phi)
 
-
-def induced_surjection(qp: QuotientPair, qp_src: QuotientPair) -> LinMap:
-    """The unique surjection phi: D(K',H',B') -> D(K,H,B) with
-    theta = phi . theta', which exists exactly when ker(theta') is contained
-    in ker(theta) (``QuotientPair.factor``, whose NoFactorization witness
-    lies in ker(theta') and not in ker(theta)); both pairs must be on the
-    same G."""
-    if qp.triple.G is not qp_src.triple.G:
-        raise DimensionMismatch("quotient pairs of different group schemes")
-    return qp_src.factor(qp.theta)

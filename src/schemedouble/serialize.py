@@ -48,7 +48,9 @@ MAX_GROUP_ORDER = 256
 
 # The largest dimension |G|^2 of a D(G) that drinfeld_double builds: 625
 # admits every group of order 25 (Borel and ga_kernel(2) over GF(5)); a
-# group of order 64 would give a D(G) of dimension 4,096.
+# group of order 64 would give a D(G) of dimension 4,096.  It is also the
+# largest dim of a Hopf document that hopf_from_json reads, so every algebra
+# the CLI writes can be read back.
 MAX_DOUBLE_DIM = 625
 
 
@@ -188,9 +190,14 @@ def hopf_to_json(H: HopfAlgebra):
 
 
 def hopf_from_json(data) -> HopfAlgebra:
+    """The Hopf algebra of a document; a dim above MAX_DOUBLE_DIM raises
+    BudgetExceeded before the labels or tables are read."""
     try:
         F = field_from_json(data["field"])
         dim = _int_entry(data, "dim", "hopf document")
+        if dim > MAX_DOUBLE_DIM:
+            raise BudgetExceeded(f"hopf document of dim {dim} is above the ceiling "
+                                 f"{MAX_DOUBLE_DIM}")
         labels = list(data["labels"])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad hopf document: {exc}")

@@ -75,7 +75,21 @@ certified checks of the package.
   some k lies between them.
 * ``intersect_by_recognition``: the triple of the maximal common quotient
   pair, by quotienting D(G) by the sum of the two kernels of theta, each
-  solved afresh, and recognizing the projection, with no table of kernels.
+  solved afresh, and recognizing the projection, which recognition
+  certifies, and with it D(G)/joint, once.
+* ``intersect``: ``intersect_by_recognition`` after refusing triples on two
+  group schemes, checked against the agreement subgroup
+  (``agreement_subgroup``, the L where the two bicharacters agree, read off
+  the coinvariants of ``lattice.beta_pairing``), the product HH' and
+  ``contains``.  No command prints an intersection, so the package keeps
+  no route of its own.
+* ``centralizer_certificate``: (theta (x) theta_bar)(R21 R) = 1 (x) 1 in
+  D(K,H,B) (x) D(H,K,Bbar), the braiding witness that a triple and its
+  centralizer centralize each other.
+* ``induced_surjection``: the surjection phi with theta = phi . theta'
+  through ``QuotientPair.factor``, refused for pairs on two group schemes.
+* ``primitives``: the primitive subspace of a Hopf algebra, the kernel of
+  the primitive defect on the basis.
 * ``projection_to_group_algebra``: the Hopf surjection D(G) ->> k[G],
   delta_a |><| u_i -> eps(delta_a) u_i, certified by ``certify_hopf_map``
   (a Hopf map, onto) before it is returned.
@@ -100,6 +114,7 @@ import itertools
 from schemedouble.errors import (
     BudgetExceeded,
     ClosureNotHopf,
+    DimensionMismatch,
     FieldMismatch,
     FieldTooLargeForEnumeration,
     NoInvertibleSectionFound,
@@ -117,19 +132,23 @@ from schemedouble.groupschemes import (
     _sub_connectivity,
     ad_l,
     centralize,
+    intersect_subgroup,
     is_normal,
+    product_subgroup,
     quotient_by_normal,
+    subgroup_from_subspace,
 )
 from schemedouble.hopf import (
     LinMap,
     VerificationReport,
+    _primitive_defect,
     certify_hopf_map,
+    coinvariants,
     convolution_inverse,
     grouplikes,
+    ideal_projection,
     induced_hopf,
     is_hopf_morphism,
-    primitives,
-    quotient_by_hopf_ideal,
     span_closure,
     t2_contract,
     t2_coordinates,
@@ -137,7 +156,7 @@ from schemedouble.hopf import (
     t2_outer,
     t2_swap,
 )
-from schemedouble.lattice import contains
+from schemedouble.lattice import beta_pairing, contains
 from schemedouble.linalg import (
     Echelon,
     ParallelEchelon,
@@ -873,9 +892,68 @@ def intersect_by_recognition(t, t2):
     joint = mat_kernel(F, build_quotient(t).theta.mat, D.dim)
     for row in mat_kernel(F, build_quotient(t2).theta.mat, D.dim).basis():
         joint.insert(row)
-    _, pi = quotient_by_hopf_ideal(D, joint)
-    qp, _ = recognize_triple(G, pi)
+    qp, _ = recognize_triple(G, ideal_projection(D, joint))
     return qp.triple
+
+
+def agreement_subgroup(t, t2):
+    """L with ker(beta_{B,B'}) = k[L]^+ k[K meet K']: the coinvariants of beta
+    corestricted to its image, realized inside G."""
+    G = t.G
+    F = G.field
+    KK = intersect_subgroup(t.K, t2.K)
+    beta = beta_pairing(t, t2)
+    kM = KK.own.group_algebra
+    kerL = coinvariants(kM, beta.mat, beta.apply(kM.unit))
+    amb = span(F, G.order, [KK.iota.apply(row) for row in kerL.basis()])
+    return subgroup_from_subspace(G, amb, name="L")
+
+
+def intersect(t, t2):
+    """``intersect_by_recognition`` with its checks: triples on two group
+    schemes are refused before any theta is built, and the agreement
+    subgroup from beta and the product HH' must match the result, which
+    must lie below both triples."""
+    if t2.G is not t.G:
+        raise DimensionMismatch("triples of different group schemes")
+    result = intersect_by_recognition(t, t2)
+    if agreement_subgroup(t, t2) is not result.K:
+        raise VerificationFailure(
+            "agreement subgroup disagrees with recognized intersection")
+    if product_subgroup(t.H, t2.H, name="HH'") is not result.H:
+        raise VerificationFailure(
+            "product subgroup disagrees with recognized intersection")
+    if not (contains(t, result) and contains(t2, result)):
+        raise VerificationFailure("intersection is not a common lower bound")
+    return result
+
+
+def centralizer_certificate(qp, qp_bar):
+    """(theta (x) theta_bar)(R21 R) = 1 (x) 1, the exact mutual-centralizing
+    witness in D(K,H,B) (x) D(H,K,Bbar); R21 R is the monodromy of the
+    canonical R that G's D(G) keeps."""
+    F = qp.D.field
+    mono = drinfeld_double(qp.triple.G).qt.monodromy
+    out = t2_map(F, qp.theta.mat, qp_bar.theta.mat, mono)
+    return out == t2_outer(F, qp.D.unit, qp_bar.D.unit)
+
+
+def induced_surjection(qp, qp_src):
+    """The unique surjection phi: D(K',H',B') -> D(K,H,B) with
+    theta = phi . theta', which exists exactly when ker(theta') is contained
+    in ker(theta) (``QuotientPair.factor``, whose NoFactorization witness
+    lies in ker(theta') and not in ker(theta)); both pairs must be on the
+    same G."""
+    if qp.triple.G is not qp_src.triple.G:
+        raise DimensionMismatch("quotient pairs of different group schemes")
+    return qp_src.factor(qp.theta)
+
+
+def primitives(H):
+    """The subspace of v with Delta(v) = v(x)1 + 1(x)v: the kernel of the
+    map whose column i is ``_primitive_defect(H, e_i)``."""
+    F = H.field
+    return mat_kernel(F, {i: _primitive_defect(H, unit_vec(i, F)) for i in range(H.dim)}, H.dim)
 
 
 def projection_to_group_algebra(G):

@@ -31,13 +31,7 @@ from schemedouble.groupschemes import (
     trivial_subgroup,
 )
 from schemedouble.hopf import t2_outer, verify_hopf
-from schemedouble.lattice import (
-    block_data,
-    centralizer_certificate,
-    centralizer_triple,
-    contains,
-    intersect,
-)
+from schemedouble.lattice import block_data, centralizer_triple, contains
 from schemedouble.linalg import mat_kernel, unit_vec, v_scale, v_sub
 from schemedouble.quotients import (
     Triple,
@@ -49,7 +43,7 @@ from schemedouble.quotients import (
 )
 
 from conftest import make_borel, make_s3, make_v4, make_z2, make_z3
-from oracles import hasse_edges_pairwise
+from oracles import centralizer_certificate, hasse_edges_pairwise, intersect
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)

@@ -340,6 +340,7 @@ def test_enumerate_budget_exits_before_building_the_double(tmp_path, monkeypatch
     the one exception main turns into exit 3."""
     import schemedouble.doubles
     import schemedouble.lattice
+    import schemedouble.quotients
     from schemedouble.errors import BudgetExceeded, FieldTooLargeForEnumeration
 
     assert issubclass(FieldTooLargeForEnumeration, BudgetExceeded)
@@ -348,8 +349,8 @@ def test_enumerate_budget_exits_before_building_the_double(tmp_path, monkeypatch
         raise AssertionError("D(G) or a quotient pair built")
 
     monkeypatch.setattr(schemedouble.doubles, "drinfeld_double", no_double)
-    for name in ("drinfeld_double", "build_quotient"):
-        monkeypatch.setattr(schemedouble.lattice, name, no_double)
+    monkeypatch.setattr(schemedouble.quotients, "drinfeld_double", no_double)
+    monkeypatch.setattr(schemedouble.lattice, "build_quotient", no_double)
     f = write(tmp_path / "z2.json", {"constant": {"elements": ["e", "s"],
                                                   "table": [[0, 1], [1, 0]]}})
     assert main(["enumerate", "--group", f, "--field", "p2500009"]) == 3
@@ -579,6 +580,22 @@ def test_double_above_the_dimension_ceiling_exits_3_before_building(tmp_path, ca
     assert "4096" in capsys.readouterr().err
 
 
+def test_hopf_document_above_the_dimension_ceiling_exits_3_before_verifying(
+        tmp_path, monkeypatch, capsys):
+    """A Hopf document of dim 626, one above MAX_DOUBLE_DIM, exits 3 with one
+    budget line before its labels or tables are read, and verify_hopf is
+    never called."""
+    import schemedouble.cli
+    called = []
+    monkeypatch.setattr(schemedouble.cli, "verify_hopf", lambda H: called.append(H))
+    f = write(tmp_path / "h.json", {"field": {"kind": "prime", "p": 2}, "dim": 626,
+                                    "labels": None, "mult": None})
+    assert main(["verify", "--hopf", f]) == 3
+    assert called == []
+    assert capsys.readouterr().err == (
+        "budget exhausted: hopf document of dim 626 is above the ceiling 625\n")
+
+
 def test_cli_import_loads_no_dataclasses():
     """A fresh interpreter, without site, that imports the command line
     does not load dataclasses (about 11 ms of every process start), nor
@@ -776,6 +793,20 @@ def test_appendix_regenerate_writes_the_committed_golden(tmp_path, monkeypatch, 
                         lambda p: tmp_path / f"appendix_p{p}.json")
     assert main(["appendix", "--p", "2", "--regenerate"]) == 0
     assert (tmp_path / "appendix_p2.json").read_bytes() == golden
+
+
+@pytest.mark.parametrize("p", [7, 4])
+def test_appendix_without_a_golden_exits_1_before_computing(p, monkeypatch, capsys):
+    """appendix --p 7, and --p 4, which is not prime, find no golden file and
+    exit 1 with one line before appendix_report runs."""
+    import schemedouble.cli
+
+    def report(p):
+        raise AssertionError("appendix_report ran")
+
+    monkeypatch.setattr(schemedouble.cli, "appendix_report", report)
+    assert main(["appendix", "--p", str(p)]) == 1
+    assert capsys.readouterr().err == f"no golden file for p={p}\n"
 
 
 def test_a_closed_stdout_exits_1_without_a_traceback():

@@ -19,7 +19,6 @@ from schemedouble.hopf import (
     grouplikes,
     identity_map,
     is_hopf_morphism,
-    primitives,
     tensor_hopf,
     variant,
     verify_hopf,
@@ -27,6 +26,7 @@ from schemedouble.hopf import (
 from schemedouble.linalg import unit_vec
 
 from conftest import make_s3, make_z2, make_z3
+from oracles import primitives
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)

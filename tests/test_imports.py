@@ -1,9 +1,11 @@
 """No module of the package, other than ``__init__`` (which re-exports),
 imports a name it never reads, and no module-level function or class and
 no method or property of a class of the package goes unread, so an import
-or a helper left behind by a deleted code path surfaces here."""
+or a helper left behind by a deleted code path surfaces here; and every
+name the benchmark tracer wraps still exists, so deleting one fails here."""
 
 import ast
+import importlib
 import pathlib
 
 import schemedouble
@@ -131,3 +133,33 @@ def test_an_unread_attribute_is_reported():
                         "        self.counted += 1\n")}
     readers = list(sources.values()) + ["box.kept\n"]
     assert unread_attributes(sources, readers) == [("a.py", "counted"), ("a.py", "stored")]
+
+
+def unresolved_traced_names(tracer_source):
+    """(module, qualified name) for each entry of the ``TRACED`` list of the
+    benchmark tracer's source that does not resolve in the package; the
+    list is read with ``ast``, without importing the tracer."""
+    tree = ast.parse(tracer_source)
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+    missing = []
+    for module, qual in traced:
+        obj = importlib.import_module(f"schemedouble.{module}")
+        for part in qual.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append((module, qual))
+    return missing
+
+
+def test_every_traced_name_resolves_in_the_package():
+    tracer = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    assert unresolved_traced_names(tracer.read_text()) == []
+
+
+def test_an_unresolved_traced_name_is_reported():
+    source = ('TRACED = [\n    ("hopf", "verify_hopf"),\n    ("hopf", "HopfAlgebra.gone"),\n'
+              '    ("lattice", "intersect"),\n]\n')
+    assert unresolved_traced_names(source) == [
+        ("hopf", "HopfAlgebra.gone"), ("lattice", "intersect")]

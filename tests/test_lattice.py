@@ -20,24 +20,28 @@ from schemedouble.groupschemes import (
     trivial_subgroup,
 )
 from schemedouble.lattice import (
-    agreement_subgroup,
     beta_pairing,
     block_data,
-    centralizer_certificate,
     centralizer_triple,
     classify,
     contains,
     enumerate_triples,
     hasse_dot,
-    intersect,
     normal_subgroups,
 )
 from schemedouble.hopf import verify_hopf
 from schemedouble.linalg import unit_vec
 from schemedouble.quotients import Triple, build_quotient, trivial_hopf_map
 
-from conftest import D4_GENS, make_borel, make_s3, make_v4, make_z2, permutation_table
-from oracles import hasse_edges_pairwise, intersect_by_recognition, sub_inclusion_reduced
+from conftest import D4_GENS, make_borel, make_s3, make_v4, make_z2, make_z3, permutation_table
+import oracles
+from oracles import (
+    centralizer_certificate,
+    hasse_edges_pairwise,
+    intersect,
+    intersect_by_recognition,
+    sub_inclusion_reduced,
+)
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)
@@ -131,36 +135,27 @@ def test_beta_pairing_doubles_the_parameter():
 def test_intersect_certifies_each_recognized_pair_once(monkeypatch):
     """Intersecting all 36 ordered pairs of the 6 nodes of Ga_1 over GF(3)
     builds and certifies each recognized D(K,H,B) once on the same D(G):
-    at most 6 verify_hopf calls, one per distinct result.  Each kernel of
-    theta is solved once, at most one per node, and every result is found
-    among the kept kernels, with no recognition.  On a miss, each map,
-    the projection onto D(G)/joint included, is certified once."""
-    import schemedouble.lattice
+    at most 6 verify_hopf calls, one per distinct result.  Each map, the
+    projection onto D(G)/joint of every pair included, is certified once."""
+    import schemedouble.hopf
     import schemedouble.quotients
 
     G = ga_kernel(1, F3)
     nodes, _ = enumerate_triples(G)
     assert len(nodes) == 6
     verify = schemedouble.quotients.verify_hopf
-    kernel = schemedouble.quotients.mat_kernel
-    recognize = schemedouble.lattice.recognize_triple
-    calls, kernels, recognized = [], [], []
+    recognize = oracles.recognize_triple
+    calls, recognized = [], []
     monkeypatch.setattr(schemedouble.quotients, "verify_hopf",
                         lambda D: calls.append(D) or verify(D))
-    monkeypatch.setattr(schemedouble.quotients, "mat_kernel",
-                        lambda *a: kernels.append(1) or kernel(*a))
-    monkeypatch.setattr(schemedouble.lattice, "recognize_triple",
+    monkeypatch.setattr(oracles, "recognize_triple",
                         lambda *a: recognized.append(1) or recognize(*a))
     results = {intersect(a.triple, b.triple).key() for a in nodes for b in nodes}
     assert len(calls) <= len(results) <= 6
-    assert len(kernels) <= len(nodes)
-    assert recognized == []
+    assert len(recognized) == len(nodes) ** 2
 
-    # Visited backwards on Ga_1 over GF(5), the pairs miss once; the
-    # projection onto D(G)/joint is then certified once, as is every other
-    # map: no map object reaches is_hopf_morphism twice.
-    import schemedouble.hopf
-
+    # On Ga_1 over GF(5), visited backwards, no map object reaches
+    # is_hopf_morphism twice, and each pair's projection once.
     nodes5, _ = enumerate_triples(ga_kernel(1, make_field("prime", p=5)))
     morphism = schemedouble.hopf.is_hopf_morphism
     certified = []
@@ -170,32 +165,28 @@ def test_intersect_certifies_each_recognized_pair_once(monkeypatch):
     for a in reversed(nodes5):
         for b in reversed(nodes5):
             intersect(a.triple, b.triple)
-    assert len(recognized) == 1
     assert [(f.source.name, f.target.name) for f in certified].count(
-        ("D(Ga_1)", "D(Ga_1)/I")) == 1
+        ("D(Ga_1)", "D(Ga_1)/I")) == len(nodes5) ** 2
     assert len({id(f) for f in certified}) == len(certified)
 
 
-def test_intersect_equals_recognition_in_both_orders(monkeypatch):
-    """intersect, which looks the joint kernel up among the kept kernels,
-    returns the triple that quotienting D(G) by the joint kernel and
-    recognizing the projection returns, on every ordered pair of nodes of
-    Ga_1 over GF(3) and S3 over GF(7), visited forwards and backwards on a
-    fresh G, so that both the lookup and the recognition on a miss run."""
-    import schemedouble.lattice
-    recognize = schemedouble.lattice.recognize_triple
-    misses = []
-    monkeypatch.setattr(schemedouble.lattice, "recognize_triple",
-                        lambda *a: misses.append(1) or recognize(*a))
-    pairs = 0
+def test_intersect_equals_recognition_in_both_orders():
+    """On every ordered pair of nodes of Ga_1 over GF(3) and S3 over GF(7),
+    the checked intersection of (t, t2) is the triple that recognizing the
+    projection onto D(G)/joint returns for (t2, t), and visiting the pairs
+    forwards and backwards on a fresh G gives the same keys, so no result
+    depends on what G has kept before."""
     for make in (lambda: ga_kernel(1, F3), lambda: make_s3(F7)):
+        seen = []
         for backwards in (False, True):
             nodes, _ = enumerate_triples(make())
             order = [(a.triple, b.triple) for a in nodes for b in nodes]
+            meets = {}
             for t, t2 in reversed(order) if backwards else order:
-                assert intersect(t, t2).key() == intersect_by_recognition(t, t2).key()
-            pairs += len(order)
-    assert 0 < len(misses) < pairs
+                meet = meets[t.key(), t2.key()] = intersect(t, t2)
+                assert meet is intersect_by_recognition(t2, t)
+            seen.append({k: m.key() for k, m in meets.items()})
+        assert seen[0] == seen[1]
 
 
 def test_contains_and_intersect_refuse_two_group_schemes(monkeypatch):
@@ -428,7 +419,16 @@ def _lattice_invariants(G):
     (lambda: constant_group([f"g{i}" for i in range(4)],
                             [[(i + j) % 4 for j in range(4)] for i in range(4)], F2), 9, 12),
     (lambda: direct_product(ga_kernel(2, F2), mu_p_kernel(F2)), 52, 132),
-], ids=["Z4-GF2", "Ga2xmu2-GF2"])
+    (lambda: make_z2(F2), 4, 4),
+    (lambda: ga_kernel(2, F2), 13, 20),
+    (lambda: ga_kernel(2, F3), 17, 28),
+    (lambda: direct_product(make_z2(F2), ga_kernel(1, F2)), 20, 44),
+    (lambda: direct_product(make_z2(F2), ga_kernel(2, F2)), 52, 132),
+    (lambda: direct_product(ga_kernel(1, F3), mu_p_kernel(F3)), 24, 56),
+    (lambda: make_z3(F7), 6, 8),
+    (lambda: ga_kernel(3, F2), 25, 42),
+], ids=["Z4-GF2", "Ga2xmu2-GF2", "Z2-GF2", "Ga2-GF2", "Ga2-GF3", "Z2xGa1-GF2",
+        "Z2xGa2-GF2", "Ga1xmu3-GF3", "Z3-GF7", "Ga3-GF2"])
 def test_cartier_dual_has_the_same_lattice(make, nodes, covers):
     """For a commutative G, O(G) is cocommutative and GroupScheme(O(G)) is
     the Cartier dual G^D.  Rep(G^D) is the dual of Rep(G) with respect to

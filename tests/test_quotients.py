@@ -29,7 +29,6 @@ from schemedouble.quotients import (
     build_sigma,
     build_tau,
     dot_action,
-    induced_surjection,
     quotient_r_and_v,
     recognize_triple,
     theta_kernel_matches_ideal,
@@ -38,7 +37,11 @@ from schemedouble.quotients import (
 )
 
 from conftest import A4_GENS, make_borel, make_s3, make_z2, permutation_table
-from oracles import induced_surjection_by_kernel, projection_to_group_algebra
+from oracles import (
+    induced_surjection,
+    induced_surjection_by_kernel,
+    projection_to_group_algebra,
+)
 
 F2 = make_field("prime", p=2)
 F3 = make_field("prime", p=3)
