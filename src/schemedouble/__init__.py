@@ -13,7 +13,6 @@ from .hopf import (
     hopf_algebra_maps,
     is_hopf_morphism,
     tensor_hopf,
-    variant,
     verify_hopf,
 )
 from .groupschemes import (
@@ -60,7 +59,6 @@ from .lattice import (
     block_data,
     centralizer_triple,
     classify,
-    contains,
     enumerate_triples,
     hasse_dot,
 )

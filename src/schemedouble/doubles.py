@@ -28,7 +28,6 @@ from .hopf import (
     t2_map,
     t2_outer,
     t2_swap,
-    variant,
 )
 from .linalg import (
     mat_apply,
@@ -93,6 +92,12 @@ def _build_double(G: GroupScheme) -> DoubleData:
     as the term-by-term expansion over (x, y) in Delta(u_i), then delta,
     then u.
 
+    O(G)^cop is O(G) with Delta swapped and antipode S^-1 = S: k[G] is
+    cocommutative, so O(G) is commutative, and the antipode of a
+    commutative Hopf algebra is an involution (Sweedler, Hopf Algebras,
+    Prop. 4.0.1; Montgomery, CBMS 82, Cor. 1.5.12).  The embedding of
+    O(G)^cop is certified on every basis vector, antipode included.
+
     D(G) is certified by the two Hopf embeddings and the normality of O(G)
     inside D(G), on all basis tuples (``double`` also runs ``verify_hopf``).
     A double of dimension |G|^2 above MAX_DOUBLE_DIM raises BudgetExceeded
@@ -119,7 +124,10 @@ def _build_double(G: GroupScheme) -> DoubleData:
     tau = {r: times(er, unit2) for r, er in eps.items()}
     D = crossed_product(O, kg, coad, sigma, tau, labels, f"D({G.name})")
 
-    embed_O = LinMap(variant(O, "cop"), D,
+    O_cop = HopfAlgebra(F, O.labels, O.cells, O.unit,
+                        {i: t2_swap(t) for i, t in O.comult.items()}, O.counit, O.antipode,
+                        f"{O.name}^cop" if O.name else "")
+    embed_O = LinMap(O_cop, D,
                      {a: flat_outer(F, unit_vec(a, F), kg.unit, n) for a in range(n)})
     embed_kG = LinMap(kg, D,
                       {i: flat_outer(F, O.unit, unit_vec(i, F), n) for i in range(n)})

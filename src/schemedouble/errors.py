@@ -29,10 +29,6 @@ class FieldMismatch(SchemeDoubleError):
     pass
 
 
-class AntipodeNotInvertible(SchemeDoubleError):
-    pass
-
-
 class NotAGroup(SchemeDoubleError):
     pass
 

@@ -40,49 +40,22 @@ class Field:
     """Common interface for the three supported scalar domains.
 
     ``char`` is the characteristic, ``size`` the number of elements (``None``
-    for the rationals).  Subclasses provide ``add``, ``sub``, ``mul``, ``neg``,
-    ``inv``, ``from_int``, the accumulate kernel ``axpy``, canonical JSON
-    forms ``to_json`` and ``from_json`` (by default the string forms
-    ``to_str`` and ``from_str``), and (finite case) an ``elements()``
-    iterator in a fixed enumeration order.
+    for the rationals).  Subclasses provide ``zero``, ``one``, ``add``,
+    ``sub``, ``mul``, ``neg``, ``inv``, ``from_int``, ``describe``, canonical
+    JSON forms ``to_json`` and ``from_json`` (by default the string forms
+    ``to_str`` and ``from_str``), an ``elements()`` iterator in a fixed
+    enumeration order (finite case), and the accumulate kernel
+    ``axpy(acc, c, vec)``: acc += c * vec in place for sparse vectors (dicts
+    key -> scalar), keys in the order add(acc[k], mul(c, v)) entry by entry
+    would give, dropping the entries that become zero; it returns acc.
     """
 
     char: int
     size: int | None
     kind: str
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def axpy(self, acc, c, vec):
-        """acc += c * vec in place for sparse vectors (dicts key -> scalar),
-        keys in the order add(acc[k], mul(c, v)) entry by entry would give,
-        dropping the entries that become zero; returns acc."""
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
 
     def pow(self, a, n: int):
         if n < 0:
@@ -95,27 +68,12 @@ class Field:
             n >>= 1
         return out
 
-    def elements(self):
-        raise NotImplementedError
-
-    def to_str(self, a) -> str:
-        raise NotImplementedError
-
-    def from_str(self, s: str):
-        raise NotImplementedError
-
     def to_json(self, a):
         return self.to_str(a)
 
     def from_json(self, data):
         """The scalar of its JSON form; ValueError or TypeError if malformed."""
         return self.from_str(str(data))
-
-    def describe(self) -> dict:
-        raise NotImplementedError
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 class PrimeField(Field):

@@ -654,15 +654,11 @@ def centralize(H: SubgroupScheme, K: SubgroupScheme) -> bool:
 
 
 class Quotient:
-    """k[G/H] with the canonical projection pi and the basis indices of k[G]
-    that represent its basis."""
+    """k[G/H] with the canonical projection pi."""
 
-    def __init__(self, G, H_sub, hopf, pi, rep_indices):
-        self.G = G
-        self.H = H_sub
+    def __init__(self, hopf, pi):
         self.hopf = hopf
         self.pi = pi
-        self.rep_indices = rep_indices
 
 
 def coinvariant_subspace(G: GroupScheme, sub: SubgroupScheme) -> Echelon:
@@ -694,7 +690,7 @@ def quotient_by_normal(G: GroupScheme, H_sub: SubgroupScheme) -> Quotient:
                  for s, c in enumerate(coinv.basis())}
     if mat_rank(F, pair_cols, m) != m:
         raise VerificationFailure("coinvariants do not pair perfectly with k[G/H]")
-    return Quotient(G, H_sub, hopf, pi, reps)
+    return Quotient(hopf, pi)
 
 
 class CleavingData:

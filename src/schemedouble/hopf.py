@@ -1,13 +1,12 @@
 """Finite dimensional Hopf algebras as labeled bases with sparse structure
-constants, plus exact axiom verification, duals, variants, tensor
-products, morphism tests, convolution algebra, coinvariants, ideal closures
-and quotients by Hopf ideals, the grouplike search and defect complements.
+constants, plus exact axiom verification, duals, tensor products,
+morphism tests, convolution algebra, coinvariants, ideal closures and
+quotients by Hopf ideals, the grouplike search and defect complements.
 
 Conventions.  A Hopf algebra of dimension n carries
 
 * ``cells``:    list of n rows, cells[i] a dict j -> Vec holding the
                 non-empty products e_i e_j, the one stored product table,
-* ``mult``:     the same table read by pairs, a view (i, j) -> Vec,
 * ``unit``:     Vec, the coordinates of 1,
 * ``comult``:   dict i -> Ten2 (dict (j, k) -> scalar),
 * ``counit``:   Vec viewed as a functional,
@@ -21,11 +20,9 @@ violating tuple found as a witness.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import cached_property
 
 from .errors import (
-    AntipodeNotInvertible,
     BudgetExceeded,
     FieldMismatch,
     FieldTooLargeForEnumeration,
@@ -41,7 +38,6 @@ from .linalg import (
     mat_apply,
     mat_compose,
     mat_identity,
-    mat_inverse,
     mat_key,
     mat_kernel,
     mat_rank,
@@ -105,38 +101,15 @@ def pair_rows(dim, pairs):
     return rows
 
 
-class PairView(Mapping):
-    """A row table read by pairs: view[(i, j)] is rows[i][j].  It keeps
-    only a reference to the rows, and iterates over them row by row, each
-    row in its own order."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __getitem__(self, key):
-        i, j = key
-        if 0 <= i < len(self.rows):
-            return self.rows[i][j]
-        raise KeyError(key)
-
-    def __iter__(self):
-        for i, row in enumerate(self.rows):
-            for j in row:
-                yield i, j
-
-    def __len__(self):
-        return sum(map(len, self.rows))
-
-
 class HopfAlgebra:
     """A Hopf algebra on a labeled basis (see the module conventions).
 
-    ``cells`` is the one stored product table, and ``mult`` reads it by
-    pairs.  Cells are shared: an algebra may hold one dict for many equal
-    cells (``crossed_product``), ``variant`` hands on the rows of its
-    source, and ``column_cells`` holds the same dicts as ``cells``.  So no
-    cell, row or table of an algebra is changed after construction; a
-    caller that needs a changed table copies it first.
+    ``cells`` is the one stored product table.  Cells are shared: an
+    algebra may hold one dict for many equal cells (``crossed_product``),
+    the O(G)^cop of ``doubles`` holds the rows of O(G), and
+    ``column_cells`` holds the same dicts as ``cells``.  So no cell, row or
+    table of an algebra is changed after construction; a caller that needs
+    a changed table copies it first.
     """
 
     def __init__(self, field, labels, cells, unit, comult, counit, antipode, name=""):
@@ -144,7 +117,6 @@ class HopfAlgebra:
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.cells = cells
-        self.mult = PairView(cells)
         self.unit = unit
         self.comult = comult
         self.counit = counit
@@ -216,8 +188,8 @@ class HopfAlgebra:
         (side "right") on H (x) H.
 
         A product of terms (e_a (x) e_b)(e_c (x) e_d) = e_a e_c (x) e_b e_d
-        is zero unless both cells mult[(a, c)] and mult[(b, d)] are
-        non-empty.  Each term of x is filed once under every basis vector
+        is zero unless both cells[a][c] and cells[b][d] are non-empty.
+        Each term of x is filed once under every basis vector
         that its first leg meets in a non-empty cell (from ``cells`` or
         ``column_cells``, on the side of x), with the row of cells of its
         second leg.  A term of y visits only the terms filed under its
@@ -275,6 +247,12 @@ class HopfAlgebra:
                 by_right[k][i] = cell
         return by_right
 
+    @property
+    def mult(self):
+        """The cells by pairs (i, j), in row order, formed on each read; only
+        ``perfbench/tracer.py`` reads it, to key each ``verify_hopf`` input."""
+        return {(i, j): cell for i, row in enumerate(self.cells) for j, cell in row.items()}
+
     def certified(self):
         """True when ``verify_hopf`` has passed on this algebra; its report
         is kept here, so evidence is only what was earned."""
@@ -282,7 +260,7 @@ class HopfAlgebra:
 
     @cached_property
     def is_commutative(self):
-        """mult[(i, k)] = mult[(k, i)] for all i, k, i.e. the non-empty
+        """cells[i][k] = cells[k][i] for all i, k, i.e. the non-empty
         cells with i as left factor are those with i as right factor."""
         return self.cells == self.column_cells
 
@@ -397,9 +375,9 @@ def _light_test(H: HopfAlgebra, gens):
 
     For each (x, a) = (e_i, e_j) the rows (e_i e_j) e_k and e_i (e_j e_k)
     are formed for every k at once: the first sums c cell over c e_l in
-    e_i e_j and the non-empty cells mult[(l, k)] of by_left[l], the second
-    sums c mult[(i, l)] over the terms c e_l of each non-empty cell
-    mult[(j, k)].  A k met by neither sum has both sides {} (every cell
+    e_i e_j and the non-empty cells[l][k] of by_left[l], the second
+    sums c cells[i][l] over the terms c e_l of each non-empty cell
+    cells[j][k].  A k met by neither sum has both sides {} (every cell
     involved is empty), so the rows compared are all that can differ, and
     the smallest differing k is the first failing one of the loop over k.
     """
@@ -584,33 +562,6 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
         counit=dict(H.unit),
         antipode=mat_transpose(H.antipode),
         name=f"{H.name}*" if H.name else "",
-    )
-
-
-def variant(H: HopfAlgebra, which: str) -> HopfAlgebra:
-    """The opposite ("op") or co-opposite ("cop") Hopf algebra; the antipode
-    is replaced by its inverse."""
-    F = H.field
-    s_inv = mat_inverse(F, H.antipode, H.dim)
-    if s_inv is None:
-        raise AntipodeNotInvertible("antipode matrix is singular")
-    if which == "op":
-        cells = H.column_cells
-        comult = H.comult
-    elif which == "cop":
-        cells = H.cells
-        comult = {i: t2_swap(t) for i, t in H.comult.items()}
-    else:
-        raise ValueError("variant must be 'op' or 'cop'")
-    return HopfAlgebra(
-        field=F,
-        labels=list(H.labels),
-        cells=cells,
-        unit=dict(H.unit),
-        comult=comult,
-        counit=dict(H.counit),
-        antipode=s_inv,
-        name=f"{H.name}^{which}" if H.name else "",
     )
 
 
@@ -835,8 +786,8 @@ def is_hopf_morphism(f: LinMap):
 
     The image f(e_i) of each basis vector is formed once.  Multiplicativity
     f(e_i e_j) = f(e_i) f(e_j) is checked on the pairs (i, j) whose source
-    cell mult[(i, j)] is non-empty (from ``cells``) or whose images f(e_i)
-    and f(e_j) are both non-zero, in (i, j) order.  On every other pair
+    cell cells[i][j] is non-empty or whose images f(e_i) and f(e_j) are
+    both non-zero, in (i, j) order.  On every other pair
     both sides are 0: e_i e_j = 0, and f(e_i) or f(e_j) is 0.  So the check
     holds on all n^2 basis pairs exactly when it holds on the visited ones,
     and the witness is the first failing pair in (i, j) order.
@@ -904,8 +855,8 @@ def convolution_unit(source: HopfAlgebra, target: HopfAlgebra) -> LinMap:
 def convolution_inverse(f: LinMap) -> LinMap:
     """Solve f * g = unit.counit = g * f exactly; NotInvertible if impossible.
 
-    The unknown g[k][b] enters f(e_j) g(e_k) through the cells mult[(l, b)]
-    of B and g(e_j) f(e_k) through the cells mult[(b, l)], for l in the
+    The unknown g[k][b] enters f(e_j) g(e_k) through cells[l][b]
+    of B and g(e_j) f(e_k) through cells[b][l], for l in the
     support of the image of f; only the non-empty ones (from ``cells``) are
     visited, as the empty ones add nothing to any row.  ``solve_rows``
     returns the canonical solution of the system, so the order in which the

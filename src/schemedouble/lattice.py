@@ -68,22 +68,6 @@ def centralizer_triple(t: Triple) -> Triple:
                                              t.H.own.coordinate_algebra, _bbar(t)))
 
 
-def contains(t: Triple, t2: Triple) -> bool:
-    """Whether the subcategory of t2 sits inside that of t: K' inside K,
-    H inside H', and restriction of B along K' matches B' along H.  The two
-    subgroup containments are read from the table G keeps (``inclusion``)
-    before B is compared."""
-    k_inc = inclusion(t2.K, t.K)
-    if k_inc is None:
-        return False
-    h_inc = inclusion(t.H, t2.H)
-    if h_inc is None:
-        return False
-    F = t.G.field
-    return (mat_compose(F, mat_transpose(k_inc), t.B.mat)
-            == mat_compose(F, t2.B.mat, h_inc))
-
-
 def beta_pairing(t: Triple, t2: Triple) -> LinMap:
     """beta_{B,B'}: k[K meet K'] -> O(H meet H'), the convolution of the
     transported B^* with the transported B'bar.  Its kernel cuts out the
@@ -229,7 +213,8 @@ def enumerate_triples(G: GroupScheme):
     schemes that centralize each other, with every equivariant B, classified
     and arranged into the containment lattice.
 
-    Returns (nodes, edges) where edges are the Hasse covers of contains.
+    Returns (nodes, edges) where edges are the Hasse covers of the
+    containment order (``hasse_edges``).
     The node (G, 1, 1) has D(K,H,B) of dimension |G|^2; above
     MAX_DOUBLE_DIM, BudgetExceeded is raised before any work.
     """
@@ -266,8 +251,9 @@ def _bits(mask):
 def hasse_edges(nodes):
     """Covers of the containment order (transitive reduction), by i, then j.
 
-    Node i lies below node j when ``contains(nodes[j].triple,
-    nodes[i].triple)``.  The subgroup conditions are read once per pair of
+    Node i lies below node j when the subcategory of node i sits inside
+    that of node j: K_i inside K_j, H_j inside H_i, and B_j restricted
+    along K_i equals B_i restricted along H_j.  The subgroup conditions are read once per pair of
     (K, H) classes from the table G keeps; within a related pair of classes
     the nodes are bucketed on the key of their side of the B condition, so
     each restricted B is formed once per class pair, not once per node

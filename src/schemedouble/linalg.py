@@ -284,18 +284,6 @@ def mat_kernel(F, M, ncols: int) -> Echelon:
     return kernel
 
 
-def mat_inverse(F, M, n):
-    """Inverse of an n x n matrix given as columns; None when singular (a
-    pair conflicts).  Column p is the lift of e_p, read from the
-    ``ParallelEchelon`` of the pairs (M e_j, e_j)."""
-    pe = ParallelEchelon(F, n, n)
-    for j in range(n):
-        pe.insert(M.get(j, {}), unit_vec(j, F))
-    if pe.dim < n:
-        return None
-    return {p: pe.image_of(unit_vec(p, F)) for p in range(n)}
-
-
 def echelon_points(ech: Echelon, F):
     """Every vector of the subspace, coefficients enumerated in field order."""
     basis = ech.basis()

@@ -333,7 +333,7 @@ def group_from_spec(spec, F: Field) -> GroupScheme:
         return direct_product(G1, G2)
     if kind == "restricted_lie":
         try:
-            n = int(body["dim"])
+            n = _int_entry(body, "dim", "restricted_lie")
             bracket = [[_lie_coefficients(cell, n, "bracket") for cell in row]
                        for row in body["bracket"]]
             p_map = [_lie_coefficients(cell, n, "p_map") for cell in body["p_map"]]

@@ -70,6 +70,9 @@ certified checks of the package.
 * ``sub_inclusion_reduced``: the inclusion of one subgroup into another,
   each column the coordinates of an inner basis vector found by reducing
   it against the outer span.
+* ``contains``: whether the subcategory of one triple sits inside that of
+  another, the containment order that ``lattice.hasse_edges`` reduces,
+  decided pair by pair.
 * ``hasse_edges_pairwise``: the covers of the containment order from
   ``contains`` on every ordered pair of nodes, each pair (i, j) kept unless
   some k lies between them.
@@ -132,6 +135,7 @@ from schemedouble.groupschemes import (
     _sub_connectivity,
     ad_l,
     centralize,
+    inclusion,
     intersect_subgroup,
     is_normal,
     product_subgroup,
@@ -156,12 +160,13 @@ from schemedouble.hopf import (
     t2_outer,
     t2_swap,
 )
-from schemedouble.lattice import beta_pairing, contains
+from schemedouble.lattice import beta_pairing
 from schemedouble.linalg import (
     Echelon,
     ParallelEchelon,
     echelon_points,
     mat_apply,
+    mat_compose,
     mat_identity,
     mat_kernel,
     mat_transpose,
@@ -178,7 +183,7 @@ def verify_hopf_exhaustive(H) -> VerificationReport:
     F = H.field
     n = H.dim
     rep = VerificationReport(H.name or f"hopf(dim {n})")
-    mult = H.mult
+    cells = H.cells
 
     ok, wit = light_associativity_dense(H, range(n))
     rep.record("associativity", ok, wit)
@@ -211,7 +216,7 @@ def verify_hopf_exhaustive(H) -> VerificationReport:
         if not ok:
             break
         for j in range(n):
-            lhs = H.coproduct(mult.get((i, j), {}))
+            lhs = H.coproduct(cells[i].get(j, {}))
             rhs = tensor_square_product_pairs(H, H.comult[i], H.comult[j])
             if lhs != rhs:
                 ok, wit = False, f"({H.labels[i]},{H.labels[j]})"
@@ -223,7 +228,7 @@ def verify_hopf_exhaustive(H) -> VerificationReport:
         if not ok:
             break
         for j in range(n):
-            lhs = H.counit_of(mult.get((i, j), {}))
+            lhs = H.counit_of(cells[i].get(j, {}))
             rhs = F.mul(H.counit.get(i, F.zero()), H.counit.get(j, F.zero()))
             if lhs != rhs:
                 ok, wit = False, f"({H.labels[i]},{H.labels[j]})"
@@ -263,19 +268,19 @@ def light_associativity_dense(H, gens):
     a = e_j, j in gens; the first failing triple in (i, j, k) order."""
     F = H.field
     n = H.dim
-    mult = H.mult
+    cells = H.cells
     for i in range(n):
         for j in gens:
-            mij = mult.get((i, j), {})
+            mij = cells[i].get(j, {})
             for k in range(n):
                 lhs = {}
                 for l, c in mij.items():
-                    cell = mult.get((l, k))
+                    cell = cells[l].get(k)
                     if cell:
                         v_axpy(F, lhs, c, cell)
                 rhs = {}
-                for l, c in mult.get((j, k), {}).items():
-                    cell = mult.get((i, l))
+                for l, c in cells[j].get(k, {}).items():
+                    cell = cells[i].get(l)
                     if cell:
                         v_axpy(F, rhs, c, cell)
                 if lhs != rhs:
@@ -286,16 +291,16 @@ def light_associativity_dense(H, gens):
 def tensor_square_product_pairs(H, x, y):
     F = H.field
     mul = F.mul
-    mult = H.mult
+    cells = H.cells
     out = {}
     zero = F.zero()
     add = F.add
     for (a, b), cx in x.items():
         for (c, d), cy in y.items():
-            left = mult.get((a, c))
+            left = cells[a].get(c)
             if not left:
                 continue
-            right = mult.get((b, d))
+            right = cells[b].get(d)
             if not right:
                 continue
             coef = mul(cx, cy)
@@ -316,16 +321,16 @@ def t3_mul(H, x, y):
     out = {}
     zero = F.zero()
     add, mul = F.add, F.mul
-    mult = H.mult
+    cells = H.cells
     for (a, b, c), cx in x.items():
         for (d, e, f), cy in y.items():
-            m1 = mult.get((a, d))
+            m1 = cells[a].get(d)
             if not m1:
                 continue
-            m2 = mult.get((b, e))
+            m2 = cells[b].get(e)
             if not m2:
                 continue
-            m3 = mult.get((c, f))
+            m3 = cells[c].get(f)
             if not m3:
                 continue
             coef = mul(cx, cy)
@@ -373,7 +378,7 @@ def is_hopf_morphism_exhaustive(f):
     A, B, F = f.source, f.target, f.target.field
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = f.apply(A.mult.get((i, j), {}))
+            lhs = f.apply(A.cells[i].get(j, {}))
             rhs = B.product(f.apply(unit_vec(i, F)), f.apply(unit_vec(j, F)))
             if lhs != rhs:
                 return False, f"mult at ({A.labels[i]},{A.labels[j]})"
@@ -747,8 +752,7 @@ def cleaving_gamma_by_tag(G, H_sub, tag):
     m = quotient.hopf.dim
     cand = None
     if tag == "trivial":
-        cand = LinMap(quotient.hopf, kg, {r: unit_vec(i, F)
-                                          for r, i in enumerate(quotient.rep_indices)})
+        cand = LinMap(quotient.hopf, kg, {r: unit_vec(r, F) for r in range(m)})
     elif tag == "full":
         cand = LinMap(quotient.hopf, kg, {0: dict(kg.unit)})
     else:
@@ -867,6 +871,22 @@ def sub_inclusion_reduced(inner, outer):
         if col:
             mat[j] = col
     return mat
+
+
+def contains(t, t2) -> bool:
+    """Whether the subcategory of t2 sits inside that of t: K' inside K,
+    H inside H', and restriction of B along K' matches B' along H.  The two
+    subgroup containments are read from the table G keeps (``inclusion``)
+    before B is compared."""
+    k_inc = inclusion(t2.K, t.K)
+    if k_inc is None:
+        return False
+    h_inc = inclusion(t.H, t2.H)
+    if h_inc is None:
+        return False
+    F = t.G.field
+    return (mat_compose(F, mat_transpose(k_inc), t.B.mat)
+            == mat_compose(F, t2.B.mat, h_inc))
 
 
 def hasse_edges_pairwise(nodes):

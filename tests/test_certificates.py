@@ -71,7 +71,6 @@ from schemedouble.hopf import (
     hopf_algebra_maps,
     identity_map,
     is_hopf_morphism,
-    pair_rows,
     quotient_by_hopf_ideal,
     t2_outer,
     t2_swap,
@@ -153,12 +152,11 @@ def _mult_mutants(H):
     F = H.field
     one = F.one()
     for i, j, k in itertools.product(range(H.dim), repeat=3):
-        mult = {key: dict(cell) for key, cell in H.mult.items()}
-        cell = v_axpy(F, mult.setdefault((i, j), {}), one, {k: one})
+        cells = [{b: dict(cell) for b, cell in row.items()} for row in H.cells]
+        cell = v_axpy(F, cells[i].setdefault(j, {}), one, {k: one})
         if not cell:
-            del mult[(i, j)]
-        yield HopfAlgebra(F, H.labels, pair_rows(H.dim, mult.items()), H.unit, H.comult,
-                          H.counit, H.antipode)
+            del cells[i][j]
+        yield HopfAlgebra(F, H.labels, cells, H.unit, H.comult, H.counit, H.antipode)
 
 
 def _mutants(H):
@@ -170,8 +168,7 @@ def _mutants(H):
     for i, j, k in itertools.product(range(H.dim), repeat=3):
         comult = {key: dict(t) for key, t in H.comult.items()}
         v_axpy(F, comult[i], one, {(j, k): one})
-        yield HopfAlgebra(F, H.labels, pair_rows(H.dim, H.mult.items()), H.unit, comult,
-                          H.counit, H.antipode)
+        yield HopfAlgebra(F, H.labels, H.cells, H.unit, comult, H.counit, H.antipode)
 
 
 MUTATED = {
@@ -213,9 +210,9 @@ LIGHT = dict(MUTATED, **{
 def _skipped_triples(H):
     """The (i, a, k), a in H.certified_generators, where every cell of both
     sides of Light's test is empty."""
-    mult, n, gens = H.mult, H.dim, H.certified_generators
+    cells, n, gens = H.cells, H.dim, H.certified_generators
     return sum(
-        not mult.get((j, k)) and not any(mult.get((l, k)) for l in mult.get((i, j), {}))
+        not cells[j].get(k) and not any(cells[l].get(k) for l in cells[i].get(j, {}))
         for i in range(n) for j in gens for k in range(n))
 
 
@@ -632,10 +629,11 @@ def test_double_structure_constants_equal_the_term_by_term_loop(make):
     with the same keys in the same order in the table and in every cell
     (Borel: a connected group with a non-trivial coadjoint action)."""
     G = make()
-    mult = drinfeld_double(G).D.mult
+    cells = drinfeld_double(G).D.cells
     expected = drinfeld_double_mult_loop(G)
-    assert list(mult) == list(expected)
-    assert all(list(mult[k].items()) == list(cell.items()) for k, cell in expected.items())
+    assert [(i, j) for i, row in enumerate(cells) for j in row] == list(expected)
+    assert all(list(cells[i][j].items()) == list(cell.items())
+               for (i, j), cell in expected.items())
 
 
 def _twists(qp):
@@ -685,7 +683,7 @@ def test_crossed_product_equals_the_term_by_term_loop(make, count, twisted):
                 if (img := dot_action(qp.triple, qp.cleaving, unit_vec(r, F), unit_vec(b, F)))}
                for r in range(Q.dim)]
         mult, comult = crossed_product_loop(OK, Q, dot, qp.sigma, qp.tau)
-        assert qp.D.mult == mult
+        assert {(i, j): c for i, row in enumerate(qp.D.cells) for j, c in row.items()} == mult
         assert qp.D.comult == comult
         assert verify_hopf(qp.D).ok
         assert qp.D.antipode == convolution_inverse(identity_map(qp.D)).mat
@@ -707,7 +705,7 @@ def test_shared_cells_are_left_unchanged():
     changed in place would change every product that reads it."""
     triple = _ga2_triple()
     D = drinfeld_double(triple.G).D
-    assert len({id(c) for row in D.cells for c in row.values()}) < len(D.mult)
+    assert len({id(c) for row in D.cells for c in row.values()}) < sum(map(len, D.cells))
     before = copy.deepcopy(D.cells)
     qp = build_quotient(triple)
     assert qp.theta.rank() == qp.D.dim
@@ -785,7 +783,7 @@ def _subspaces(F, n, through=()):
 
 
 def _structure(H):
-    return (H.labels, H.mult, H.unit, H.comult, H.counit, H.antipode, H.name)
+    return (H.labels, H.cells, H.unit, H.comult, H.counit, H.antipode, H.name)
 
 
 @pytest.mark.parametrize("make", [lambda: make_v4(F2), lambda: ga_kernel(2, F2)],
@@ -1156,8 +1154,8 @@ def test_r_and_v_rows_on_generators_equal_the_sweep_on_perturbations(G, extra):
 
 
 def _blank_labels(H, label):
-    return HopfAlgebra(H.field, [label] * H.dim, pair_rows(H.dim, H.mult.items()), H.unit,
-                       H.comult, H.counit, H.antipode)
+    return HopfAlgebra(H.field, [label] * H.dim, H.cells, H.unit, H.comult, H.counit,
+                       H.antipode)
 
 
 @pytest.mark.parametrize("name", sorted(MUTATED))

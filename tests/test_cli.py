@@ -403,6 +403,7 @@ def test_enumerate_ga2_mu2_gf2_is_complete_and_pinned(tmp_path, capsys):
 
 
 GA2 = {"ga_kernel": {"r": 2}}
+BOREL = json.loads((SAMPLES / "borel.json").read_text())["restricted_lie"]
 
 
 @pytest.mark.parametrize("command", ["quotient", "blocks"])
@@ -505,11 +506,14 @@ def test_ga_kernel_r_not_a_non_negative_integer_is_a_schema_error(tmp_path, r, c
     ({"restricted_lie": {"dim": 2, "bracket": [[{}, {"7": 1}], [{"7": -1}, {}]],
                          "p_map": [{}, {}]}}, "'bracket'"),
     ({"restricted_lie": {"dim": 2, "bracket": [[{}]], "p_map": [{}, {}]}}, "'bracket'"),
+    *[({"restricted_lie": dict(BOREL, dim=dim)}, "restricted_lie 'dim' must be an integer")
+      for dim in (2.9, "2", True)],
     ({"product": [GA2, GA2, GA2]}, "nest"),
 ], ids=["constant-more-elements", "constant-more-rows", "constant-elements-not-list",
         "constant-table-not-square",
         "lie-coefficient-not-number", "lie-coefficient-float", "lie-generator-out-of-range",
-        "lie-bracket-not-square", "product-three-factors"])
+        "lie-bracket-not-square", "lie-dim-float", "lie-dim-string", "lie-dim-bool",
+        "product-three-factors"])
 def test_malformed_group_spec_is_a_schema_error_naming_the_field(tmp_path, spec, field, capsys):
     f = write(tmp_path / "g.json", spec)
     assert main(["build", "--group", f, "--field", "p3"]) == 2

@@ -55,7 +55,7 @@ def test_double_of_commutative_group_is_tensor_product():
         for i in range(n):
             for b in range(n):
                 for j in range(n):
-                    lhs = dd.D.mult.get((dd.index(a, i), dd.index(b, j)), {})
+                    lhs = dd.D.cells[dd.index(a, i)].get(dd.index(b, j), {})
                     o_part = O.product(unit_vec(a, F2), unit_vec(b, F2))
                     k_part = kg.product(unit_vec(i, F2), unit_vec(j, F2))
                     expect = {}

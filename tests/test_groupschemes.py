@@ -332,7 +332,7 @@ def test_quotient_projection_formula():
                 assert col == {}
         # quotient is its own height-one kernel
         G1 = ga_kernel(1, F)
-        assert q.hopf.mult == G1.group_algebra.mult
+        assert q.hopf.cells == G1.group_algebra.cells
         assert q.hopf.comult == G1.group_algebra.comult
 
 

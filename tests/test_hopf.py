@@ -10,7 +10,9 @@ from schemedouble.groupschemes import (
     cleaving_gamma,
     mu_p_kernel,
 )
+from schemedouble.doubles import drinfeld_double
 from schemedouble.hopf import (
+    HopfAlgebra,
     LinMap,
     convolution,
     convolution_inverse,
@@ -20,12 +22,11 @@ from schemedouble.hopf import (
     identity_map,
     is_hopf_morphism,
     tensor_hopf,
-    variant,
     verify_hopf,
 )
-from schemedouble.linalg import unit_vec
+from schemedouble.linalg import mat_identity, unit_vec
 
-from conftest import make_s3, make_z2, make_z3
+from conftest import make_borel, make_s3, make_z2, make_z3
 from oracles import primitives
 
 F2 = make_field("prime", p=2)
@@ -45,11 +46,10 @@ def test_fault_injection_reports_witness():
     G = ga_kernel(1, F3)
     H = G.group_algebra
     import copy
-    bad_mult = {k: dict(v) for k, v in H.mult.items()}
-    bad_mult[(1, 1)] = {2: F3.one()}  # should be 2*d2
-    from schemedouble.hopf import HopfAlgebra, pair_rows
-    bad = HopfAlgebra(F3, H.labels, pair_rows(H.dim, bad_mult.items()), dict(H.unit), H.comult,
-                      dict(H.counit), H.antipode)
+    bad_cells = [{j: dict(v) for j, v in row.items()} for row in H.cells]
+    bad_cells[1][1] = {2: F3.one()}  # should be 2*d2
+    bad = HopfAlgebra(F3, H.labels, bad_cells, dict(H.unit), H.comult, dict(H.counit),
+                      H.antipode)
     rep = verify_hopf(bad)
     assert not rep.ok
     failed = dict((n, w) for n, w in rep.failures())
@@ -61,15 +61,15 @@ def test_dual_of_coordinate_algebra_has_binomial_products():
     G = ga_kernel(1, F3)
     D = dual_hopf(G.coordinate_algebra)
     # dual basis of t^i multiplies with binomial coefficients
-    assert D.mult.get((1, 1)) == {2: 2}
-    assert D.mult.get((1, 2), {}) == {}
+    assert D.cells[1].get(1) == {2: 2}
+    assert D.cells[1].get(2, {}) == {}
 
 
 def test_double_dual_recovers_structure():
     G = make_s3(F7)
     H = G.group_algebra
     DD = dual_hopf(dual_hopf(H))
-    assert DD.mult == H.mult
+    assert DD.cells == H.cells
     assert DD.comult == H.comult
     assert DD.antipode == H.antipode
     assert DD.unit == H.unit and DD.counit == H.counit
@@ -82,26 +82,45 @@ def test_dual_of_group_algebra_is_pointwise_functions():
     for i in range(2):
         for j in range(2):
             expect = {i: one} if i == j else {}
-            assert O.mult.get((i, j), {}) == expect
+            assert O.cells[i].get(j, {}) == expect
 
 
-def test_cop_of_cocommutative_is_identity():
-    G = ga_kernel(1, F3)
-    H = G.group_algebra
-    C = variant(H, "cop")
-    assert C.comult == H.comult and C.mult == H.mult
+COORDINATE_ALGEBRAS = {
+    "S3-GF7": lambda: make_s3(F7),
+    "Ga2-GF3": lambda: ga_kernel(2, F3),
+    "mu3-GF3": lambda: mu_p_kernel(F3),
+    "Borel-GF3": lambda: make_borel(F3),
+    "Z2xmu2-GF2": lambda: direct_product(make_z2(F2), mu_p_kernel(F2)),
+}
 
 
-def test_cop_involution():
-    G = make_s3(F7)
-    H = G.coordinate_algebra
-    CC = variant(variant(H, "cop"), "cop")
-    assert CC.comult == H.comult and CC.antipode == H.antipode
+@pytest.mark.parametrize("name", sorted(COORDINATE_ALGEBRAS))
+def test_antipode_of_coordinate_algebra_is_an_involution(name):
+    """k[G] is cocommutative, so O(G) is commutative and S o S = id on it:
+    the antipode S^-1 of O(G)^cop is S, as drinfeld_double builds it."""
+    G = COORDINATE_ALGEBRAS[name]()
+    O, F = G.coordinate_algebra, G.field
+    assert O.is_commutative
+    for i in range(O.dim):
+        assert O.antipode_of(O.antipode_of(unit_vec(i, F))) == unit_vec(i, F)
 
 
-def test_op_of_coordinate_algebra_unchanged_when_commutative():
-    O = ga_kernel(1, F3).coordinate_algebra
-    assert variant(O, "op").mult == O.mult
+@pytest.mark.parametrize("make", [lambda: make_s3(F7), lambda: ga_kernel(1, F3)],
+                         ids=["S3-GF7", "Ga1-GF3"])
+def test_a_wrong_antipode_on_o_cop_fails_the_embedding(make):
+    """The embedding of O(G)^cop into D(G) is a Hopf map; with the antipode
+    of O(G)^cop replaced by the identity it fails, at the first basis
+    vector that S moves."""
+    G = make()
+    dd = drinfeld_double(G)
+    O_cop, F = dd.embed_O.source, G.field
+    assert O_cop.antipode is G.coordinate_algebra.antipode
+    assert is_hopf_morphism(dd.embed_O) == (True, "")
+    fake = HopfAlgebra(F, O_cop.labels, O_cop.cells, O_cop.unit, O_cop.comult, O_cop.counit,
+                       mat_identity(O_cop.dim, F))
+    moved = next(i for i in range(O_cop.dim) if O_cop.antipode_of(unit_vec(i, F)) != unit_vec(i, F))
+    assert is_hopf_morphism(LinMap(fake, dd.D, dd.embed_O.mat)) == (
+        False, f"antipode at {O_cop.labels[moved]}")
 
 
 def test_tensor_dimensions_and_unit():
@@ -127,7 +146,7 @@ def test_tensor_matches_cayley_oracle():
                     j = a2 * 3 + b2
                     table[i][j] = ((a1 + a2) % 2) * 3 + (b1 + b2) % 3
     Z6 = constant_group([f"g{i}" for i in range(6)], table, QQ)
-    assert T.mult == Z6.group_algebra.mult
+    assert T.cells == Z6.group_algebra.cells
 
 
 def test_hopf_morphism_examples():

@@ -24,19 +24,19 @@ from schemedouble.lattice import (
     block_data,
     centralizer_triple,
     classify,
-    contains,
     enumerate_triples,
     hasse_dot,
     normal_subgroups,
 )
 from schemedouble.hopf import verify_hopf
-from schemedouble.linalg import unit_vec
+from schemedouble.linalg import mat_key, unit_vec
 from schemedouble.quotients import Triple, build_quotient, trivial_hopf_map
 
 from conftest import D4_GENS, make_borel, make_s3, make_v4, make_z2, make_z3, permutation_table
 import oracles
 from oracles import (
     centralizer_certificate,
+    contains,
     hasse_edges_pairwise,
     intersect,
     intersect_by_recognition,
@@ -442,6 +442,86 @@ def test_cartier_dual_has_the_same_lattice(make, nodes, covers):
     mine = _lattice_invariants(G)
     assert mine[:2] == (nodes, covers)
     assert _lattice_invariants(GroupScheme(G.coordinate_algebra)) == mine
+
+
+@pytest.mark.parametrize("make1, make2, p, nodes, covers", [
+    (make_z2, make_z3, 7, 30, 76),
+    (make_z2, lambda F: constant_group(*permutation_table([(1, 2, 3, 4, 0)]), F), 11, 40, 108),
+    (lambda F: ga_kernel(1, F), make_z2, 3, 30, 76),
+    (lambda F: ga_kernel(1, F), make_z3, 2, 20, 44),
+    (mu_p_kernel, make_z2, 3, 20, 44),
+], ids=["Z2xZ3-GF7", "Z2xZ5-GF11", "Ga1xZ2-GF3", "Ga1xZ3-GF2", "mu3xZ2-GF3"])
+def test_coprime_product_has_the_product_lattice(make1, make2, p, nodes, covers):
+    """When |G1| and |G2| are coprime, every normal subgroup of G1 x G2 is
+    a product, every equivariant B pairs factor with factor (the cross
+    pairings are Hopf maps between algebras of coprime dimension, so
+    trivial) and D(G1 x G2) = D(G1) (x) D(G2): the lattice is the product
+    of the two.  So |N| = |N1| |N2|, a cover moves one factor along a
+    cover and keeps the other (|E1| |N2| + |N1| |E2| covers), FP
+    dimensions multiply and each flag is the AND of the two (``classify``
+    checks that triangular and factorizable equal symmetric and
+    nondegenerate)."""
+    F = make_field("prime", p=p)
+    G1, G2 = make1(F), make2(F)
+    n1, e1, v1 = _lattice_invariants(G1)
+    n2, e2, v2 = _lattice_invariants(G2)
+    n, e, v = _lattice_invariants(direct_product(G1, G2))
+    assert (n, e) == (nodes, covers) == (n1 * n2, e1 * n2 + n1 * e2)
+    assert v == sorted((a[0] * b[0],) + tuple(x and y for x, y in zip(a[1:], b[1:]))
+                       for a in v1 for b in v2)
+
+
+def _strictly_above(n, edges):
+    """above[i]: the nodes strictly above node i in the order with these
+    covers."""
+    covers = [[] for _ in range(n)]
+    for i, j in edges:
+        covers[i].append(j)
+    above = [None] * n
+
+    def reach(i):
+        if above[i] is None:
+            above[i] = set()
+            for j in covers[i]:
+                above[i] |= {j} | reach(j)
+        return above[i]
+
+    for i in range(n):
+        reach(i)
+    return above
+
+
+def _entries(t):
+    """The K rows, the H rows and the matrix of B of a triple."""
+    return mat_key(t.K.subspace.rows), mat_key(t.H.subspace.rows), mat_key(t.B.mat)
+
+
+@pytest.mark.parametrize("make", [
+    make_s3, lambda F: direct_product(ga_kernel(1, F), ga_kernel(1, F)), make_z2,
+], ids=["S3", "Ga1xGa1", "Z2"])
+def test_galois_descent_from_gf4_to_gf2(make):
+    """The GF(4) nodes fixed by the Frobenius c -> c^2 are those whose K
+    rows, H rows and B have every entry in GF(2): reduced row echelon form
+    is unique, so a subspace is Frobenius-stable exactly when its RREF rows
+    are fixed.  These nodes are the GF(2) lattice, node for node under
+    c -> (c, 0), with the same flags, FP dimensions and containment
+    order."""
+    F2, F4 = make_field("prime", p=2), make_field("extension", p=2, k=2)
+    nodes2, edges2 = enumerate_triples(make(F2))
+    nodes4, edges4 = enumerate_triples(make(F4))
+    by_entries = {_entries(n.triple): n for n in nodes4}
+    fixed = sorted(n.index for key, n in by_entries.items()
+                   if all(c[1] == 0 for part in key for _, row in part for _, c in row))
+    lift = lambda key: tuple(tuple((j, tuple((i, (c, 0)) for i, c in row)) for j, row in part)
+                             for part in key)
+    match = [by_entries[lift(_entries(n.triple))] for n in nodes2]
+    assert sorted(m.index for m in match) == fixed
+    for a, b in zip(nodes2, match):
+        assert (a.flags, a.fp_dimension) == (b.flags, b.fp_dimension)
+    above2 = _strictly_above(len(nodes2), edges2)
+    above4 = _strictly_above(len(nodes4), edges4)
+    for i, a in enumerate(match):
+        assert {match[j].index for j in above2[i]} == above4[a.index] & set(fixed)
 
 
 def test_enumerate_refuses_above_the_double_ceiling_before_any_subgroup(monkeypatch):

@@ -12,7 +12,6 @@ from schemedouble.linalg import (
     ParallelEchelon,
     annihilator,
     mat_identity,
-    mat_inverse,
     mat_transpose,
     solve_rows,
     span,
@@ -145,11 +144,11 @@ def test_contract_matches_dense_oracle():
     """The structure-constant product against the dense triple sum."""
     G = ga_kernel(2, F3)  # dim 9, well under the dense cap
     n = G.order
-    tensor = G.group_algebra.mult
     dense = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), cell in tensor.items():
-        for k, c in cell.items():
-            dense[i][j][k] = c
+    for i, row in enumerate(G.group_algebra.cells):
+        for j, cell in row.items():
+            for k, c in cell.items():
+                dense[i][j][k] = c
     x = {0: 1, 1: 2, 4: 1}
     y = {2: 2, 3: 1}
     out = G.group_algebra.product(x, y)
@@ -162,15 +161,6 @@ def test_contract_matches_dense_oracle():
                 for k in range(n):
                     expect[k] = (expect[k] + ci * cj * dense[i][j][k]) % 3
     assert out == {k: v for k, v in enumerate(expect) if v}
-
-
-def test_mat_inverse_roundtrip():
-    M = {0: {1: 1}, 1: {0: 1, 1: 1}}
-    inv = mat_inverse(F3, M, 2)
-    from schemedouble.linalg import mat_compose
-    assert mat_compose(F3, inv, M) == mat_identity(2, F3)
-    singular = {0: {0: 1}, 1: {0: 2}}
-    assert mat_inverse(F3, singular, 2) is None
 
 
 def test_parallel_echelon_outcomes():

@@ -234,11 +234,11 @@ def test_canonical_identities_structure_constants():
         one = trivial_subgroup(G)
         full = full_subgroup(G)
         qp = build_quotient(Triple(G, full, one, trivial_hopf_map(one, full)))
-        assert qp.D.mult == dd.D.mult
+        assert qp.D.cells == dd.D.cells
         assert qp.D.comult == dd.D.comult
         assert qp.D.antipode == dd.D.antipode
         qp2 = build_quotient(Triple(G, one, one, trivial_hopf_map(one, one)))
-        assert qp2.D.mult == G.group_algebra.mult
+        assert qp2.D.cells == G.group_algebra.cells
         assert qp2.D.comult == G.group_algebra.comult
         qp3 = build_quotient(Triple(G, one, full, trivial_hopf_map(full, one)))
         assert qp3.D.dim == 1
