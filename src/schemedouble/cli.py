@@ -45,9 +45,9 @@ from .serialize import (
     group_from_spec,
     hopf_from_json,
     hopf_to_json,
-    linmap_to_json,
     load,
     matrix_from_json,
+    matrix_to_json,
     subgroup_from_spec,
     tensor_to_json,
 )
@@ -176,10 +176,9 @@ def cmd_quotient(args):
     }
     ok = qt_rep.ok and rib_rep.ok
     if not args.skip_theta:
-        theta = qp.theta
         quotient_r_and_v(qp)
         kernel_ok = theta_kernel_matches_ideal(qp)
-        data["theta"] = linmap_to_json(F, theta)
+        data["theta"] = matrix_to_json(F, qp.theta_mat)
         data["theta_kernel_matches_ideal"] = kernel_ok
         ok = ok and kernel_ok
     if args.format == "text":

@@ -24,6 +24,7 @@ from .hopf import (
     crossed_product,
     first_failure,
     flat_outer,
+    is_hopf_morphism,
     t2_contract,
     t2_map,
     t2_outer,
@@ -43,47 +44,94 @@ from .serialize import MAX_DOUBLE_DIM
 
 
 class DoubleData:
-    """D(G) with the embeddings of O(G)^cop and k[G], and the canonical
-    (R, V) as the cached property ``qt``.  One per G, kept on it by
-    ``drinfeld_double``."""
+    """D(G) = O(G)^cop |><| k[G] for one G, kept on it by ``drinfeld_double``.
 
-    def __init__(self, G, D, embed_O, embed_kG):
+    What the formulas give is formed at once: O(G)^cop (``O_cop``, O(G)
+    with Delta swapped), the matrices of the embeddings b -> b |><| 1 and
+    u -> 1 |><| u, and the canonical (R, V) (``r_and_v``).  The product
+    table ``D``, its two embedding certificates and the normality check are
+    one cached property, formed on first read (``_build_double``), with
+    ``embed_O``, ``embed_kG`` and ``qt`` over it.  ``quotient`` reads them
+    only in the whole-basis fallback of its kernel check: it certifies
+    theta by the universal property of D(G) (``is_hopf_map_from_double``),
+    on the tables of O(G) and k[G] alone.
+
+    O(G)^cop keeps the antipode S of O(G), as S^-1 = S: k[G] is
+    cocommutative, so O(G) is commutative, and the antipode of a
+    commutative Hopf algebra is an involution (Sweedler, Hopf Algebras,
+    Prop. 4.0.1; Montgomery, CBMS 82, Cor. 1.5.12).
+    """
+
+    def __init__(self, G):
         self.G = G
-        self.D = D
-        self.embed_O = embed_O
-        self.embed_kG = embed_kG
+        F, n = G.field, G.order
+        O, kg = G.coordinate_algebra, G.group_algebra
+        self.O_cop = HopfAlgebra(F, O.labels, O.cells, O.unit,
+                                 {i: t2_swap(t) for i, t in O.comult.items()}, O.counit,
+                                 O.antipode, f"{O.name}^cop" if O.name else "")
+        self.embed_O_mat = {a: flat_outer(F, unit_vec(a, F), kg.unit, n) for a in range(n)}
+        self.embed_kG_mat = {i: flat_outer(F, O.unit, unit_vec(i, F), n) for i in range(n)}
 
     def index(self, a, i):
         return a * self.G.order + i
 
     @cached_property
-    def qt(self) -> "QuasiHopfData":
+    def _table(self):
+        """(D, embed_O, embed_kG), certified (``_build_double``)."""
+        return _build_double(self)
+
+    @property
+    def D(self) -> HopfAlgebra:
+        return self._table[0]
+
+    @property
+    def embed_O(self) -> LinMap:
+        return self._table[1]
+
+    @property
+    def embed_kG(self) -> LinMap:
+        return self._table[2]
+
+    @cached_property
+    def r_and_v(self):
         """R = sum_u (1 |><| u) (x) (delta_u |><| 1) and
-        V = sum_u S(delta_u) |><| u, with what is derived from them."""
+        V = sum_u S(delta_u) |><| u, by these formulas: no product is formed."""
         G = self.G
         F = G.field
         n = G.order
         O = G.coordinate_algebra
-        R = t2_map(F, self.embed_kG.mat, self.embed_O.mat,
+        R = t2_map(F, self.embed_kG_mat, self.embed_O_mat,
                    {(i, i): F.one() for i in range(n)})
         V = {}
         for i in range(n):
             v_axpy(F, V, F.one(), flat_outer(F, O.antipode.get(i, {}), unit_vec(i, F), n))
-        return QuasiHopfData(self.D, R, V)
+        return R, V
+
+    @cached_property
+    def qt(self) -> "QuasiHopfData":
+        """The canonical (R, V) on D, with what is derived from them."""
+        return QuasiHopfData(self.D, *self.r_and_v)
 
 
 def drinfeld_double(G: GroupScheme) -> DoubleData:
-    """D(G), built the first time it is asked for and kept on G, so every
-    caller gets the same DoubleData (and a kept ``verify_hopf`` report on
-    its algebra is seen by all of them)."""
+    """D(G), kept on G the first time it is asked for, so every caller gets
+    the same DoubleData (and a kept ``verify_hopf`` report on its algebra is
+    seen by all of them).  A double of dimension |G|^2 above MAX_DOUBLE_DIM
+    raises BudgetExceeded before anything is formed."""
     if G._double is None:
-        G._double = _build_double(G)
+        n = G.order
+        if n * n > MAX_DOUBLE_DIM:
+            raise BudgetExceeded(f"D({G.name or 'G'}) has dimension {n}^2 = {n * n}, "
+                                 f"above the ceiling {MAX_DOUBLE_DIM}")
+        G._double = DoubleData(G)
     return G._double
 
 
-def _build_double(G: GroupScheme) -> DoubleData:
-    """Build D(G) with product (b |><| u)(b' |><| u') = b(u_1 ->> b') |><| u_2 u'
-    on the tensor coalgebra of O(G)^cop (x) k[G].
+def _build_double(dd: DoubleData):
+    """The table D of D(G), with product (b |><| u)(b' |><| u') =
+    b(u_1 ->> b') |><| u_2 u' on the tensor coalgebra of O(G)^cop (x) k[G],
+    and the embeddings of O(G)^cop and k[G] into it, as (D, embed_O,
+    embed_kG).
 
     This is the K = G, H = 1 case of ``crossed_product``: the dot action is
     the coadjoint action u ->> b, sigma(x, y) = eps(x) eps(y) 1 and
@@ -92,22 +140,15 @@ def _build_double(G: GroupScheme) -> DoubleData:
     as the term-by-term expansion over (x, y) in Delta(u_i), then delta,
     then u.
 
-    O(G)^cop is O(G) with Delta swapped and antipode S^-1 = S: k[G] is
-    cocommutative, so O(G) is commutative, and the antipode of a
-    commutative Hopf algebra is an involution (Sweedler, Hopf Algebras,
-    Prop. 4.0.1; Montgomery, CBMS 82, Cor. 1.5.12).  The embedding of
-    O(G)^cop is certified on every basis vector, antipode included.
-
-    D(G) is certified by the two Hopf embeddings and the normality of O(G)
-    inside D(G), on all basis tuples (``double`` also runs ``verify_hopf``).
-    A double of dimension |G|^2 above MAX_DOUBLE_DIM raises BudgetExceeded
-    before anything is built.
+    D is certified by the two Hopf embeddings, on every basis vector,
+    antipode included, and by the normality of O(G) inside D, on all basis
+    tuples (``double`` also runs ``verify_hopf``).  Only code that prints D
+    or multiplies in it reads it: ``double``, the whole-basis fallback of
+    ``quotients.theta_kernel_matches_ideal``, and ``quotients.QuotientPair.theta``
+    for ``factor`` and ``recognize_triple``.
     """
+    G = dd.G
     n = G.order
-    N = n * n
-    if N > MAX_DOUBLE_DIM:
-        raise BudgetExceeded(
-            f"D({G.name or 'G'}) has dimension {n}^2 = {N}, above the ceiling {MAX_DOUBLE_DIM}")
     kg = G.group_algebra
     O = G.coordinate_algebra
     F = G.field
@@ -124,15 +165,8 @@ def _build_double(G: GroupScheme) -> DoubleData:
     tau = {r: times(er, unit2) for r, er in eps.items()}
     D = crossed_product(O, kg, coad, sigma, tau, labels, f"D({G.name})")
 
-    O_cop = HopfAlgebra(F, O.labels, O.cells, O.unit,
-                        {i: t2_swap(t) for i, t in O.comult.items()}, O.counit, O.antipode,
-                        f"{O.name}^cop" if O.name else "")
-    embed_O = LinMap(O_cop, D,
-                     {a: flat_outer(F, unit_vec(a, F), kg.unit, n) for a in range(n)})
-    embed_kG = LinMap(kg, D,
-                      {i: flat_outer(F, O.unit, unit_vec(i, F), n) for i in range(n)})
-    certify_hopf_map(embed_O, "O(G)^cop embedding")
-    certify_hopf_map(embed_kG, "k[G] embedding")
+    embed_O = certify_hopf_map(LinMap(dd.O_cop, D, dd.embed_O_mat), "O(G)^cop embedding")
+    embed_kG = certify_hopf_map(LinMap(kg, D, dd.embed_kG_mat), "k[G] embedding")
     # normality of O(G): (1|><|u_1)(b|><|1)(1|><|S(u_2)) = (u ->> b) |><| 1,
     # with the embedded basis vectors and antipodes formed once each
     u_img = [embed_kG.apply(unit_vec(x, F)) for x in range(n)]
@@ -147,8 +181,76 @@ def _build_double(G: GroupScheme) -> DoubleData:
             if acc != expect:
                 raise VerificationFailure(
                     f"O(G) not normal in D(G) at ({i},{b})")
+    return D, embed_O, embed_kG
 
-    return DoubleData(G, D, embed_O, embed_kG)
+
+def is_hopf_map_from_double(dd: DoubleData, target: HopfAlgebra, mat):
+    """``is_hopf_morphism`` for the linear map Theta: D(G) -> target with
+    matrix mat (column a * |G| + i the image of delta_a |><| u_i), decided
+    by the universal property of the double (Kassel, Quantum Groups, GTM
+    155, Ch. IX; Majid, Foundations of Quantum Group Theory, Ch. 7) on
+    algebras of dimension |G|, with no product formed in D(G).  target
+    must carry a passing ``verify_hopf`` report, so that it is an
+    associative bialgebra with an antipode.
+
+    With f = Theta o embed_O on O(G)^cop and g = Theta o embed_kG on k[G],
+    Theta is checked by
+    1. f and g pass ``is_hopf_morphism``;
+    2. Theta(b |><| u) = f(b) g(u) for b, u in the bases;
+    3. g(u) f(b) = sum over (u_1, u_2) in Delta(u) of f(u_1 ->> b) g(u_2),
+       the straightening relation, for u, b in the bases (u ->> b is
+       ``G.coadjoint``).  Given (2), the right side is
+       Theta(sum (u_1 ->> b) |><| u_2), which is how it is formed.
+
+    Proof that (1)-(3) hold exactly when Theta is a Hopf map out of D(G).
+    All three are linear in b and u, so they hold on all of O(G) and k[G].
+    (<=) Multiplicativity:
+        Theta((b |><| u)(b' |><| u')) = sum Theta(b (u_1 ->> b') |><| u_2 u')
+        = sum f(b) f(u_1 ->> b') g(u_2) g(u')      by (2) and (1)
+        = f(b) g(u) f(b') g(u')                    by (3)
+        = Theta(b |><| u) Theta(b' |><| u')        by (2).
+    The coproduct: D(G) has the tensor coalgebra of O(G)^cop (x) k[G], and
+    Delta(f(b) g(u)) = Delta f(b) Delta g(u) = sum f(b_2) g(u_1) (x)
+    f(b_1) g(u_2) = (Theta (x) Theta) Delta(b |><| u), by (1) and (2).  The
+    unit and counit follow in the same way, and the antipode from
+    S(b |><| u) = (1 |><| S(u))(S(b) |><| 1), multiplicativity and S_target
+    being anti-multiplicative: Theta S(b |><| u) = g(S u) f(S b)
+    = S g(u) S f(b) = S(f(b) g(u)).
+    (=>) Restricting a Hopf map Theta to the Hopf subalgebras O(G)^cop
+    |><| 1 and 1 |><| k[G] gives (1); applying it to (b |><| 1)(1 |><| u)
+    = b |><| u gives (2), and to (1 |><| u)(b |><| 1)
+    = sum (u_1 ->> b) |><| u_2 gives (3).
+    So the verdict is that of ``is_hopf_morphism`` on every basis tuple of
+    a correct D(G) table; no associativity of D(G) is assumed.  The
+    witness names the first failing check.
+    """
+    G = dd.G
+    F = G.field
+    n = G.order
+    kg = G.group_algebra
+    f = LinMap(dd.O_cop, target, {a: mat_apply(F, mat, col) for a, col in dd.embed_O_mat.items()})
+    g = LinMap(kg, target, {i: mat_apply(F, mat, col) for i, col in dd.embed_kG_mat.items()})
+    for name, m in (("O(G)^cop", f), ("k[G]", g)):
+        ok, wit = is_hopf_morphism(m)
+        if not ok:
+            return False, f"{wit} on {name}"
+    f_img = [f.mat.get(a, {}) for a in range(n)]
+    g_img = [g.mat.get(i, {}) for i in range(n)]
+    O = G.coordinate_algebra
+    for a in range(n):
+        for i in range(n):
+            if mat.get(a * n + i, {}) != target.product(f_img[a], g_img[i]):
+                return False, f"factorization at ({O.labels[a]},{kg.labels[i]})"
+    coad = G.coadjoint
+    for i in range(n):
+        for b in range(n):
+            straight = {}
+            for (x, y), c in kg.comult[i].items():
+                for a, ca in coad[x].get(b, {}).items():
+                    v_axpy(F, straight, F.mul(c, ca), {a * n + y: F.one()})
+            if target.product(g_img[i], f_img[b]) != mat_apply(F, mat, straight):
+                return False, f"straightening at ({kg.labels[i]},{O.labels[b]})"
+    return True, ""
 
 
 class QuasiHopfData:

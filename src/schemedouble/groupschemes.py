@@ -83,7 +83,7 @@ class GroupScheme:
     first into the second, or None (``inclusion``).  ``products`` and
     ``meets`` map a pair of subgroups to their product and intersection
     (``product_subgroup``, ``intersect_subgroup``), and ``_double`` holds
-    D(G) once built (``doubles.drinfeld_double``).
+    the DoubleData of D(G) once asked for (``doubles.drinfeld_double``).
 
     A value derived from one object is a cached property of that object:
     ``coadjoint`` of G, and likewise the derived values of a subgroup, an

@@ -592,8 +592,17 @@ def crossed_product(A: HopfAlgebra, Q: HopfAlgebra, dot, sigma, tau, labels, nam
     A^cop # 1 is a Hopf subalgebra, so S(a # x) = S(1 # x) (S(a) # 1), as S
     is anti-multiplicative.  When tau is trivial, Delta(1 # x) =
     (1 # x_1) (x) (1 # x_2), so j is a coalgebra map and S o j is a
-    convolution inverse of j, hence j^-1, which is unique.  In every other
-    case the antipode row of ``verify_hopf`` decides.  A multiple c 1 of 1
+    convolution inverse of j, hence j^-1, which is unique.  When tau is not
+    trivial, j is no coalgebra map and S o j need not be j^-1.  For A
+    commutative and Q cocommutative, as for every triple, the antipode law
+    on 1 # x reads S(1 # x_1)(omega(x_2) # x_3) = eps(x) 1 with
+    omega(x) = S(tau(x)^1) tau(x)^2, so S(1 # x_1)(omega(x_2) # 1) = j^-1(x),
+    and j^-1(x)(S(a) # 1) is the antipode exactly when omega = eps 1.  The
+    closed form of the antipode of A #_sigma^tau Q in sigma^-1 and tau, for
+    sigma and tau both non-trivial, is Andruskiewitsch and Devoto's
+    (Extensions of Hopf algebras, St. Petersburg Math. J. 7 (1996); also
+    Agore, Comm. Algebra 2013); it is not formed here, and in every case
+    but trivial tau the antipode row of ``verify_hopf`` decides.  A multiple c 1 of 1
     has c = eps(x) eps(y) when eps o sigma = eps (x) eps, as for the sigma
     of a triple, so when every sigma(x, y) is one, sigma is trivial, j is
     an algebra map and j^-1(x) = j(S(x)) = 1 # S(x), formed without
@@ -795,8 +804,9 @@ def is_hopf_morphism(f: LinMap):
     It is not checked on A x basis for a certified generating set A of the
     source, as ``verify_hopf`` does: that argument (N = {a : f(a y) =
     f(a) f(y)} is closed under products) needs the source to be
-    associative, and callers such as ``build_theta`` do not certify the
-    associativity of their source.
+    associative, which no caller certifies beforehand.  A map out of D(G)
+    need not come here at all: ``doubles.is_hopf_map_from_double`` decides
+    it by the universal property of D(G), on sources of dimension |G|.
     """
     A, B, F = f.source, f.target, f.target.field
     img = [f.apply(unit_vec(i, F)) for i in range(A.dim)]
@@ -999,15 +1009,14 @@ def span_closure(ech: Echelon, seeds, images) -> Echelon:
     return ech
 
 
-def ideal_closure(H: HopfAlgebra, ech: Echelon, multipliers=None) -> Echelon:
+def ideal_closure(H: HopfAlgebra, ech: Echelon) -> Echelon:
     """``span_closure`` of the rows of ech under left and right
-    multiplication by ``multipliers`` (default: the basis of H, which gives
-    the two-sided ideal of H the span generates)."""
+    multiplication by the basis of H: the two-sided ideal of H the span
+    generates."""
     F = H.field
-    if multipliers is None:
-        multipliers = [unit_vec(d, F) for d in range(H.dim)]
+    basis = [unit_vec(d, F) for d in range(H.dim)]
     return span_closure(ech, ech.basis(), lambda row: [
-        p for e in multipliers for p in (H.product(e, row), H.product(row, e))])
+        p for e in basis for p in (H.product(e, row), H.product(row, e))])
 
 
 def grouplikes(H: HopfAlgebra):

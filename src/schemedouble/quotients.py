@@ -17,7 +17,7 @@ from .errors import (
     NotSurjective,
     VerificationFailure,
 )
-from .doubles import QuasiHopfData, drinfeld_double
+from .doubles import QuasiHopfData, drinfeld_double, is_hopf_map_from_double
 from .groupschemes import (
     CleavingData,
     GroupScheme,
@@ -38,6 +38,7 @@ from .hopf import (
     flat_outer,
     ideal_closure,
     is_hopf_morphism,
+    span_closure,
     t2_coordinates,
     t2_map,
     t2_outer,
@@ -255,25 +256,31 @@ class QuotientPair:
         return a * self.quotient.hopf.dim + r
 
     @cached_property
-    def theta(self) -> LinMap:
-        """theta: D(G) ->> D(K,H,B) out of the D(G) kept on G, certified
-        (``build_theta``)."""
+    def theta_mat(self):
+        """The matrix of theta: D(G) ->> D(K,H,B), certified (``build_theta``),
+        column a * |G| + i the image of delta_a |><| u_i."""
         return build_theta(self)
+
+    @cached_property
+    def theta(self) -> LinMap:
+        """theta as a map out of the D(G) table kept on G; reading it builds
+        that table, which only ``factor`` and ``recognize_triple`` need."""
+        return LinMap(drinfeld_double(self.triple.G).D, self.D, self.theta_mat)
 
     @cached_property
     def kernel(self) -> Echelon:
         """ker(theta).  Two surjections out of D(G) are equivalent exactly
         when their kernels are equal, so its key is the canonical key of the
         pair."""
-        return mat_kernel(self.D.field, self.theta.mat, self.theta.source.dim)
+        return mat_kernel(self.D.field, self.theta_mat, self.triple.G.order ** 2)
 
     @cached_property
     def lift(self):
         """A right inverse s of theta, as columns: theta(s(e)) = e for each
         basis vector e of D(K,H,B)."""
         F = self.D.field
-        pe = ParallelEchelon(F, self.D.dim, self.theta.source.dim)
-        for d, img in sorted(self.theta.mat.items()):
+        pe = ParallelEchelon(F, self.D.dim, self.triple.G.order ** 2)
+        for d, img in sorted(self.theta_mat.items()):
             pe.insert(img, unit_vec(d, F))
         return {e: pe.image_of(unit_vec(e, F)) for e in range(self.D.dim)}
 
@@ -395,9 +402,26 @@ def _closed_form_r_v(triple: Triple, cleaving: CleavingData):
     return R, V
 
 
-def build_theta(qp: QuotientPair) -> LinMap:
-    """theta(b |><| u) = q_K(b) B(eta_H(u_1)) # pi_H(u_2), out of the D(G)
-    kept on G."""
+def build_theta(qp: QuotientPair):
+    """The matrix of theta(b |><| u) = q_K(b) B(eta_H(u_1)) # pi_H(u_2), on the
+    index a * |G| + i of delta_a |><| u_i, certified without the D(G) table.
+
+    Certificate.  theta is a Hopf map by ``doubles.is_hopf_map_from_double``,
+    the universal property of D(G) checked on the tables of O(G) and k[G]:
+    with f and g its restrictions to O(G)^cop and k[G], it checks that f
+    and g are Hopf maps, theta(b |><| u) = f(b) g(u), and
+    g(u) f(b) = sum f(u_1 ->> b) g(u_2).  Given these and the associativity
+    of D(K,H,B), theta((b |><| u)(b' |><| u')) = sum f(b) f(u_1 ->> b')
+    g(u_2) g(u') = f(b) g(u) f(b') g(u'), and the coalgebra laws and the
+    antipode follow leg by leg (proof there); conversely a Hopf map
+    satisfies all three, so the verdict is that of the sweep over every
+    basis pair of the D(G) table, which is never built.  D(K,H,B) has
+    passed ``verify_hopf`` in ``build_quotient``, as that check asks.
+    theta is onto when its rank is dim D(K,H,B); the columns are inserted
+    until they span.  A failure raises VerificationFailure.
+    ``drinfeld_double`` raises BudgetExceeded first when |G|^2 is above
+    MAX_DOUBLE_DIM.
+    """
     triple = qp.triple
     G = triple.G
     dd = drinfeld_double(G)
@@ -417,19 +441,35 @@ def build_theta(qp: QuotientPair) -> LinMap:
             out = _left_mul_o(OK, mQ, q_col, part_of[i])
             if out:
                 mat[dd.index(a, i)] = out
-    return certify_hopf_map(LinMap(dd.D, qp.D, mat), "theta", onto=True)
+    ok, wit = is_hopf_map_from_double(dd, qp.D, mat)
+    if not ok:
+        raise VerificationFailure(f"theta is not a Hopf morphism: {wit}")
+    image = Echelon(F, qp.D.dim)
+    for col in mat.values():
+        if image.insert(col) and image.dim == qp.D.dim:
+            return mat
+    raise VerificationFailure("theta is not surjective")
 
 
-def _ideal_multipliers(G: GroupScheme):
-    """embed_O and embed_kG of the certified generators of O(G) and of k[G]:
-    elements that generate D(G) as an algebra, since b |><| u is
-    (b |><| 1)(1 |><| u) and both embeddings are algebra maps."""
+def _one_sided_closure(G: GroupScheme, ech: Echelon) -> Echelon:
+    """``span_closure`` of the rows of ech, a subspace of D(G), under the
+    left products by a |><| 1 for a in the certified generators of O(G) and
+    the right products by 1 |><| u for u in those of k[G], formed on the
+    tables of O(G) and k[G] alone: (a |><| 1)(b |><| x) = ab |><| x, as
+    Delta(1) = 1 (x) 1, and (b |><| x)(1 |><| u) = b |><| xu, as
+    x ->> 1 = eps(x) 1.  The multipliers only decide how fast the span
+    grows: the certificate rests on every product lying in the ideal the
+    rows generate, and on a dimension count (``theta_kernel_matches_ideal``)."""
     F = G.field
-    dd = drinfeld_double(G)
-    return ([dd.embed_O.apply(unit_vec(a, F))
-             for a in G.coordinate_algebra.certified_generators]
-            + [dd.embed_kG.apply(unit_vec(i, F))
-               for i in G.group_algebra.certified_generators])
+    n = G.order
+    O, kg = G.coordinate_algebra, G.group_algebra
+    mats = ([{b * n + x: {o * n + x: c for o, c in cell.items()}
+              for b, cell in O.cells[a].items() for x in range(n)}
+             for a in O.certified_generators]
+            + [{b * n + x: {b * n + k: c for k, c in cell.items()}
+                for x, row in enumerate(kg.cells) if (cell := row.get(u)) for b in range(n)}
+               for u in kg.certified_generators])
+    return span_closure(ech, ech.basis(), lambda row: [mat_apply(F, m, row) for m in mats])
 
 
 def theta_kernel_matches_ideal(qp: QuotientPair) -> bool:
@@ -437,53 +477,54 @@ def theta_kernel_matches_ideal(qp: QuotientPair) -> bool:
     {mu_K(B(v)) |><| 1 - 1 |><| v}, as subspaces of D(G).
 
     Certificate.  Every generator is first checked to lie in ker(theta).
-    The span of the generators is then closed under left and right
-    multiplication by the multipliers of ``_ideal_multipliers`` only, giving
-    a subspace S.  ``build_theta`` has checked theta(x y) = theta(x)
-    theta(y) on every basis pair, so ker(theta) is a two-sided ideal of
-    D(G); it contains the generators, so S within I within ker(theta).
-    ``build_theta`` has also checked rank(theta) = dim D(K,H,B), so
-    dim ker(theta) = N - dim D(K,H,B); when dim S reaches it, the three are
-    equal.  No associativity of D(G) is used.  Only when S falls short is
-    the closure continued under the whole basis, which gives I exactly, and
-    compared with the kernel of theta.
+    The span of the generators is then closed under one-sided products only
+    (``_one_sided_closure``), giving a subspace S, with no product formed in
+    D(G).  S lies in I, a two-sided ideal holding the generators.
+    ``build_theta`` has certified theta multiplicative, so ker(theta) is a
+    two-sided ideal of D(G) holding the generators, and I lies in
+    ker(theta).  It has also certified rank(theta) = dim D(K,H,B), so
+    dim ker(theta) = |G|^2 - dim D(K,H,B); when dim S reaches it,
+    S = I = ker(theta).  No associativity of D(G) is used.  Only when S
+    falls short is the D(G) table built, the closure continued under its
+    whole basis, which gives I exactly, and I compared with ker(theta).
     """
     triple = qp.triple
     G = triple.G
     F = G.field
     dd = drinfeld_double(G)
-    D = dd.D
-    N = D.dim
-    theta = qp.theta
+    N = G.order ** 2
+    theta = qp.theta_mat
 
     coinv = coinvariant_subspace(G, triple.K)
-    gens = [dd.embed_O.apply(c)
+    gens = [mat_apply(F, dd.embed_O_mat, c)
             for c in augmentation(G.coordinate_algebra, coinv.basis())]
     for j in range(triple.H.order):
         bv = triple.B.apply(unit_vec(j, F))
         lifted = triple.K.section.apply(bv)
         v_amb = triple.H.iota.apply(unit_vec(j, F))
-        gens.append(v_sub(F, dd.embed_O.apply(lifted), dd.embed_kG.apply(v_amb)))
+        gens.append(v_sub(F, mat_apply(F, dd.embed_O_mat, lifted),
+                          mat_apply(F, dd.embed_kG_mat, v_amb)))
 
     ideal = Echelon(F, N)
     for g in gens:
-        if theta.apply(g):
+        if mat_apply(F, theta, g):
             return False
         ideal.insert(g)
-    ideal_closure(D, ideal, _ideal_multipliers(G))
+    _one_sided_closure(G, ideal)
     if ideal.dim == N - qp.D.dim:
         return True
-    return ideal_closure(D, ideal).key() == qp.kernel.key()
+    return ideal_closure(dd.D, ideal).key() == qp.kernel.key()
 
 
 def quotient_r_and_v(qp: QuotientPair):
     """The closed-form (R, V) and the pushed forward (theta (x) theta)(R)
-    and theta(V) of the canonical (R, V) of D(G); the two routes must agree
-    entrywise."""
-    theta = qp.theta
-    can = drinfeld_double(qp.triple.G).qt
-    pushed_R = t2_map(qp.D.field, theta.mat, theta.mat, can.R)
-    pushed_V = theta.apply(can.V)
+    and theta(V) of the canonical (R, V) of D(G), formed by their formulas
+    (``DoubleData.r_and_v``); the two routes must agree entrywise."""
+    theta = qp.theta_mat
+    F = qp.D.field
+    R, V = drinfeld_double(qp.triple.G).r_and_v
+    pushed_R = t2_map(F, theta, theta, R)
+    pushed_V = mat_apply(F, theta, V)
     if pushed_R != qp.qt.R or pushed_V != qp.qt.V:
         raise VerificationFailure(
             "closed-form R/V disagree with the pushforward along theta")

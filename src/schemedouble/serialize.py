@@ -191,7 +191,9 @@ def hopf_to_json(H: HopfAlgebra):
 
 def hopf_from_json(data) -> HopfAlgebra:
     """The Hopf algebra of a document; a dim above MAX_DOUBLE_DIM raises
-    BudgetExceeded before the labels or tables are read."""
+    BudgetExceeded before the labels or tables are read.  Each of the five
+    tables must be present (an empty list is the zero table): a missing
+    one is a schema error, as a missing dim, labels or field is."""
     try:
         F = field_from_json(data["field"])
         dim = _int_entry(data, "dim", "hopf document")
@@ -199,24 +201,26 @@ def hopf_from_json(data) -> HopfAlgebra:
             raise BudgetExceeded(f"hopf document of dim {dim} is above the ceiling "
                                  f"{MAX_DOUBLE_DIM}")
         labels = list(data["labels"])
+        mult, comult, unit, counit, antipode = (
+            data[k] for k in ("mult", "comult", "unit", "counit", "antipode"))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad hopf document: {exc}")
     if len(labels) != dim:
         raise SchemaError("label count differs from dim")
-    mult3 = tensor_from_json(F, data.get("mult", []), (dim, dim, dim))
+    mult3 = tensor_from_json(F, mult, (dim, dim, dim))
     cells = [{} for _ in range(dim)]
     for (i, j, k), c in mult3.items():
         cells[i].setdefault(j, {})[k] = c
-    comult3 = tensor_from_json(F, data.get("comult", []), (dim, dim, dim))
+    comult3 = tensor_from_json(F, comult, (dim, dim, dim))
     comult = {i: {} for i in range(dim)}
     for (i, j, k), c in comult3.items():
         comult[i][(j, k)] = c
     return HopfAlgebra(
         F, labels, cells,
-        tensor_from_json(F, data.get("unit", []), (dim,)),
+        tensor_from_json(F, unit, (dim,)),
         comult,
-        tensor_from_json(F, data.get("counit", []), (dim,)),
-        matrix_from_json(F, data.get("antipode", []), (dim, dim)),
+        tensor_from_json(F, counit, (dim,)),
+        matrix_from_json(F, antipode, (dim, dim)),
         name=data.get("name", ""),
     )
 

@@ -1,8 +1,9 @@
 """Differential tests of the certified checks against the exhaustive oracles
 in oracles.py: verify_hopf over a certified generating set, grouplikes from
 linear eigen-constraints, the hexagons leg by leg, the worklist ideal
-closure with the generator-first kernel certificate, the morphism check
-with its images formed once, the D(G) structure constants assembled
+closure with the one-sided kernel certificate, the universal-property
+certificate of theta against the morphism sweep on the D(G) table, the
+morphism check with its images formed once, the D(G) structure constants assembled
 from products formed once per (a, x, b), the crossed product of
 D(K, H, B) with non-trivial sigma or tau against the term-by-term loop,
 its equal cells kept once and left unchanged, the pair view of the rows,
@@ -12,9 +13,11 @@ that also run the exhaustive verifier, normal_subgroups by extension
 against the generator-subset sweep, and hopf_algebra_maps against the
 search that closes every pair of recorded pairs and re-checks every map."""
 
+import argparse
 import copy
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +26,12 @@ import schemedouble.hopf
 import schemedouble.linalg
 import schemedouble.quotients
 from schemedouble.appendix import b_lambda
+from schemedouble.cli import _load_triple
 from schemedouble.doubles import (
     QuasiHopfData,
     drinfeld_double,
     hexagon_products,
+    is_hopf_map_from_double,
     verify_quasitriangular,
     verify_ribbon,
 )
@@ -76,7 +81,7 @@ from schemedouble.hopf import (
     t2_swap,
     verify_hopf,
 )
-from schemedouble.lattice import equivariant_maps, normal_subgroups
+from schemedouble.lattice import enumerate_triples, equivariant_maps, normal_subgroups
 from schemedouble.linalg import (
     Echelon,
     mat_apply,
@@ -144,6 +149,7 @@ F4 = make_field("extension", p=2, k=2)
 F5 = make_field("prime", p=5)
 F7 = make_field("prime", p=7)
 F9 = make_field("extension", p=3, k=2)
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def _mult_mutants(H):
@@ -395,9 +401,8 @@ def _ga2_triple():
     return Triple(G, A, A, b_lambda(A, A, F3.one()))
 
 
-def _unit_multipliers(monkeypatch):
-    monkeypatch.setattr(schemedouble.quotients, "_ideal_multipliers",
-                        lambda G: [drinfeld_double(G).D.unit])
+def _no_one_sided_products(monkeypatch):
+    monkeypatch.setattr(schemedouble.quotients, "_one_sided_closure", lambda G, ech: ech)
     return True
 
 
@@ -424,41 +429,46 @@ def _fewer_coinvariants(monkeypatch):
 @pytest.mark.parametrize("make, patch", [
     (_ga2_triple, None),
     (lambda: _a4(F5), None),
-    (_ga2_triple, _unit_multipliers),
+    (_ga2_triple, _no_one_sided_products),
     (_ga2_pair, _fewer_coinvariants),
 ], ids=["ga2-GF3", "A4-GF5", "ga2-GF3-fallback", "ga2-pair-GF3-too-few-generators"])
 def test_ideal_closure_worklist_equals_rounds(make, patch, monkeypatch):
-    """The ideals theta_kernel_matches_ideal closes: every closure it asks
-    for, generator-first or over the whole basis, gives the same subspace
-    as the round-based closure under the whole basis, and its answer is the
-    exhaustive one (the round-based ideal compared with ker theta).  With
-    the unit as the only multiplier the generator phase falls short and the
+    """The ideals theta_kernel_matches_ideal closes: the one-sided closure
+    of its generators, and the whole-basis closure in the D(G) table it
+    falls back to, are the round-based closure of the generators under the
+    whole basis, and its answer is the exhaustive one (the round-based
+    ideal compared with ker theta).  Without one-sided products the
     whole-basis phase still certifies the kernel; with too few generators
+    their ideal falls short of ker theta, the whole-basis phase runs, and
     both answers are False."""
-    seen = []
-    real = schemedouble.quotients.ideal_closure
+    one_sided, whole = [], []
+    real_one = schemedouble.quotients._one_sided_closure
+    real_whole = schemedouble.quotients.ideal_closure
 
-    def recording(H, ech, multipliers=None):
-        seen.append((H, ech.copy(), multipliers))
-        return real(H, ech, multipliers)
+    def recording_one(G, ech):
+        generated = ech.copy()
+        one_sided.append((generated, real_one(G, ech).copy()))
+        return ech
 
-    monkeypatch.setattr(schemedouble.quotients, "ideal_closure", recording)
+    def recording_whole(H, ech):
+        whole.append((H, ech.copy()))
+        return real_whole(H, ech)
+
+    monkeypatch.setattr(schemedouble.quotients, "_one_sided_closure", recording_one)
+    monkeypatch.setattr(schemedouble.quotients, "ideal_closure", recording_whole)
     expected = patch(monkeypatch) if patch else True
-    triple = make()
-    qp = build_quotient(triple)
+    qp = build_quotient(make())
     assert theta_kernel_matches_ideal(qp) is expected
-    assert seen
-    assert [m is None for _, _, m in seen] == ([False] if patch is None else [False, True])
-    H, generated, _ = seen[0]
-    ideal = ideal_closure_rounds(H, generated.copy())
-    kernel = mat_kernel(H.field, qp.theta.mat, H.dim)
+    assert len(whole) == (patch is not None)
+    D = drinfeld_double(qp.triple.G).D
+    generated = one_sided[0][0] if one_sided else whole[0][1]
+    ideal = ideal_closure_rounds(D, generated.copy())
+    kernel = mat_kernel(D.field, qp.theta_mat, D.dim)
     assert (ideal.key() == kernel.key()) is expected
-    for H, ech, multipliers in seen:
-        closed = real(H, ech.copy(), multipliers)
-        if patch is _unit_multipliers and multipliers is not None:
-            assert closed.key() == ech.key()
-            continue
+    for _, closed in one_sided:
         assert closed.key() == ideal.key()
+    for H, ech in whole:
+        assert real_whole(H, ech.copy()).key() == ideal.key()
 
 
 def _perturbed_maps(f):
@@ -471,15 +481,68 @@ def _perturbed_maps(f):
         yield LinMap(f.source, f.target, mat)
 
 
-def _theta_ga2():
-    triple = _ga2_triple()
-    return build_quotient(triple).theta
+def _s3_a3_triple():
+    return _load_triple(argparse.Namespace(triple=str(SAMPLES / "s3_a3_triple.json"),
+                                           field="p7"))
+
+
+def _recombined_maps(qp):
+    """Maps out of D(G) recombined from the restriction f of theta to
+    O(G)^cop, the restriction g to k[G] and the counits, so that both of
+    their restrictions are Hopf maps: f(b) eps(u), which breaks the
+    straightening relation where u ->> (-) moves the image of f;
+    f(S(u) ->> b), which keeps it but breaks theta(b |><| u) = f(b) eps(u)
+    there; and eps(b) g(u), a Hopf map."""
+    G = qp.triple.G
+    F, n = G.field, G.order
+    O, kg = G.coordinate_algebra, G.group_algebra
+    dd = drinfeld_double(G)
+    f = {a: mat_apply(F, qp.theta_mat, col) for a, col in dd.embed_O_mat.items()}
+    g = {i: mat_apply(F, qp.theta_mat, col) for i, col in dd.embed_kG_mat.items()}
+    moved = {}
+    for c in range(n):
+        for w in range(n):
+            s_w = {}
+            for s, cs in kg.antipode.get(w, {}).items():
+                v_axpy(F, s_w, cs, G.coadjoint[s].get(c, {}))
+            moved[dd.index(c, w)] = mat_apply(F, f, s_w)
+    for mat in ({dd.index(a, i): v_scale(F, e, f.get(a, {}))
+                 for a in range(n) for i, e in kg.counit.items()},
+                moved,
+                {dd.index(a, i): v_scale(F, e, g.get(i, {}))
+                 for a, e in O.counit.items() for i in range(n)}):
+        yield LinMap(dd.D, qp.D, mat)
+
+
+@pytest.mark.parametrize("make, recombined", [
+    (_ga2_triple, [True, True, True]),
+    (_s3_a3_triple, [False, False, True]),
+], ids=["theta-ga2-GF3-B1", "theta-s3-a3-GF7"])
+def test_theta_certificate_agrees_with_the_sweep(make, recombined):
+    """On theta, on every single-entry perturbation of its matrix (729 on
+    ga2/GF(3), 216 on S3/GF(7)) and on the three maps of
+    ``_recombined_maps``, the universal-property certificate gives the
+    verdict of the exhaustive morphism check on the D(G) table.  Some
+    perturbations are rejected; of the recombined maps, those that need
+    the straightening relation or the factorization are rejected on S3,
+    where the coadjoint action moves O(A3), and accepted on the
+    commutative ga_kernel(2)."""
+    qp = build_quotient(make())
+    dd = drinfeld_double(qp.triple.G)
+    theta = qp.theta
+    assert is_hopf_map_from_double(dd, qp.D, qp.theta_mat) == (True, "")
+    assert is_hopf_morphism_exhaustive(theta) == (True, "")
+    verdicts = []
+    for g in itertools.chain(_perturbed_maps(theta), _recombined_maps(qp)):
+        verdict = is_hopf_map_from_double(dd, qp.D, g.mat)[0]
+        assert verdict == is_hopf_morphism_exhaustive(g)[0]
+        verdicts.append(verdict)
+    assert not all(verdicts[:-3]) and verdicts[-3:] == recombined
 
 
 @pytest.mark.parametrize("make", [
-    _theta_ga2,
     lambda: projection_to_group_algebra(make_s3(F3)),
-], ids=["theta-ga2-GF3-B1", "proj_kG-D(S3)-GF3"])
+], ids=["proj_kG-D(S3)-GF3"])
 def test_is_hopf_morphism_agrees_with_the_sweep(make):
     """On single-entry perturbations of a Hopf morphism, is_hopf_morphism
     and the exhaustive oracle give the same verdict and the same witness."""
@@ -491,6 +554,36 @@ def test_is_hopf_morphism_agrees_with_the_sweep(make):
         assert verdict == is_hopf_morphism_exhaustive(g)
         rejected += not verdict[0]
     assert rejected > 0
+
+
+KERNEL_LATTICES = {
+    "S3-GF7": lambda: make_s3(F7),
+    "S3-GF2": lambda: make_s3(F2),
+    "S3-GF3": lambda: make_s3(F3),
+    "ga2-GF3": lambda: ga_kernel(2, F3),
+    "D4-GF3": lambda: constant_group(*permutation_table(D4_GENS), F3, name="D4"),
+    "Z2xmu2-GF2": lambda: direct_product(make_z2(F2), mu_p_kernel(F2)),
+    "Borel-GF3": lambda: make_borel(F3),
+    "A4-GF5": lambda: constant_group(*permutation_table(A4_GENS), F5, name="A4"),
+    "Z2-Q": lambda: make_z2(QQ),
+}
+
+
+@pytest.mark.parametrize("make", KERNEL_LATTICES.values(), ids=KERNEL_LATTICES.keys())
+def test_one_sided_closure_reaches_the_kernel_of_theta(make, monkeypatch):
+    """On every node of these lattices the one-sided closure of the kernel
+    generators is ker theta, so no node needs the whole-basis fallback."""
+    closed = []
+    real = schemedouble.quotients._one_sided_closure
+    monkeypatch.setattr(schemedouble.quotients, "_one_sided_closure",
+                        lambda G, ech: closed.append(real(G, ech)) or ech)
+    nodes, _ = enumerate_triples(make())
+    for node in nodes:
+        qp = build_quotient(node.triple)
+        assert theta_kernel_matches_ideal(qp)
+        N = node.triple.G.order ** 2
+        assert closed.pop().key() == mat_kernel(qp.D.field, qp.theta_mat, N).key()
+    assert closed == []
 
 
 def _frobenius_kernels(G):

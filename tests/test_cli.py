@@ -155,6 +155,50 @@ def test_quotient_skip_theta_never_builds_the_double(tmp_path, monkeypatch):
     assert not [key for key in data if key.startswith("theta")]
 
 
+@pytest.mark.parametrize("sample, field", [("ga4_b1_triple.json", "p2"),
+                                           ("a4_v4_triple.json", "p5")])
+def test_quotient_builds_one_crossed_product_and_no_double_table(
+        tmp_path, monkeypatch, sample, field):
+    """quotient with theta calls crossed_product once, for D(K,H,B), and
+    never builds the D(G) table: theta is certified by the universal
+    property of D(G) and its kernel reached by one-sided products."""
+    import schemedouble.doubles
+    import schemedouble.hopf
+    import schemedouble.quotients
+    names = []
+    real = schemedouble.hopf.crossed_product
+
+    def counting(*args):
+        names.append(args[-1])
+        return real(*args)
+
+    def no_table(dd):
+        raise AssertionError("D(G) table built")
+
+    for module in (schemedouble.doubles, schemedouble.quotients):
+        monkeypatch.setattr(module, "crossed_product", counting)
+    monkeypatch.setattr(schemedouble.doubles, "_build_double", no_table)
+    out = tmp_path / "qp.json"
+    assert main(["quotient", "--triple", str(SAMPLES / sample), "--field", field,
+                 "-o", str(out)]) == 0
+    assert len(names) == 1 and names[0].startswith("D(K")
+    data = json.loads(out.read_text())
+    assert data["theta"] and data["theta_kernel_matches_ideal"] is True
+
+
+def test_quotient_above_the_double_ceiling_exits_3(tmp_path, capsys):
+    """K = H = 1 in ga_kernel(3) over GF(3): D(K,H,B) has dimension 27, but
+    theta starts at D(G) of dimension 729, so quotient exits 3, and with
+    --skip-theta it exits 0."""
+    f = write(tmp_path / "triple.json",
+              {"group": {"ga_kernel": {"r": 3}}, "K": "trivial", "H": "trivial"})
+    assert main(["quotient", "--triple", f, "--field", "p3"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: D(Ga_3) has dimension 27^2 = 729, above the ceiling 625\n")
+    assert main(["quotient", "--triple", f, "--field", "p3", "--skip-theta",
+                 "-o", str(tmp_path / "qp.json")]) == 0
+
+
 def test_blocks_command(tmp_path, s3_file):
     triple = {
         "group": {"constant": {"elements": S3_LABELS, "table": s3_cayley()}},
@@ -225,6 +269,21 @@ def test_malformed_document_field_or_dim_is_a_schema_error(tmp_path, entry, valu
     doc[entry] = value
     assert main(["verify", "--hopf", write(tmp_path / "kz2.json", doc)]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", ["mult", "comult", "unit", "counit", "antipode"])
+def test_document_without_a_table_is_a_schema_error(tmp_path, table, monkeypatch, capsys):
+    """A document that lacks one of its five tables exits 2 naming it,
+    before anything is verified, as a missing dim, labels or field does;
+    it is not read as the zero table."""
+    import schemedouble.cli
+    called = []
+    monkeypatch.setattr(schemedouble.cli, "verify_hopf", lambda H: called.append(H))
+    doc = _kz2_document()
+    del doc[table]
+    assert main(["verify", "--hopf", write(tmp_path / "kz2.json", doc)]) == 2
+    assert called == []
+    assert capsys.readouterr().err == f"schema error: bad hopf document: '{table}'\n"
 
 
 @pytest.mark.parametrize("p, k", [(10**18 + 3, 1), (2**31 + 11, 1), (46349, 2), (2, 10**11)],

@@ -496,32 +496,47 @@ def _entries(t):
     return mat_key(t.K.subspace.rows), mat_key(t.H.subspace.rows), mat_key(t.B.mat)
 
 
+def _check_galois_descent(make, p, k):
+    """The GF(p^k) nodes fixed by the Frobenius c -> c^p are those whose K
+    rows, H rows and B have every entry in GF(p): reduced row echelon form
+    is unique, so a subspace is Frobenius-stable exactly when its RREF rows
+    are fixed.  These nodes are the GF(p) lattice, node for node under
+    c -> (c, 0, ..., 0), with the same flags, FP dimensions and containment
+    order."""
+    Fp, Fq = make_field("prime", p=p), make_field("extension", p=p, k=k)
+    nodes_p, edges_p = enumerate_triples(make(Fp))
+    nodes_q, edges_q = enumerate_triples(make(Fq))
+    by_entries = {_entries(n.triple): n for n in nodes_q}
+    fixed = sorted(n.index for key, n in by_entries.items()
+                   if all(not any(c[1:]) for part in key for _, row in part for _, c in row))
+    pad = (0,) * (k - 1)
+    lift = lambda key: tuple(tuple((j, tuple((i, (c,) + pad) for i, c in row)) for j, row in part)
+                             for part in key)
+    match = [by_entries[lift(_entries(n.triple))] for n in nodes_p]
+    assert sorted(m.index for m in match) == fixed
+    for a, b in zip(nodes_p, match):
+        assert (a.flags, a.fp_dimension) == (b.flags, b.fp_dimension)
+    above_p = _strictly_above(len(nodes_p), edges_p)
+    above_q = _strictly_above(len(nodes_q), edges_q)
+    for i, a in enumerate(match):
+        assert {match[j].index for j in above_p[i]} == above_q[a.index] & set(fixed)
+
+
 @pytest.mark.parametrize("make", [
     make_s3, lambda F: direct_product(ga_kernel(1, F), ga_kernel(1, F)), make_z2,
 ], ids=["S3", "Ga1xGa1", "Z2"])
 def test_galois_descent_from_gf4_to_gf2(make):
-    """The GF(4) nodes fixed by the Frobenius c -> c^2 are those whose K
-    rows, H rows and B have every entry in GF(2): reduced row echelon form
-    is unique, so a subspace is Frobenius-stable exactly when its RREF rows
-    are fixed.  These nodes are the GF(2) lattice, node for node under
-    c -> (c, 0), with the same flags, FP dimensions and containment
-    order."""
-    F2, F4 = make_field("prime", p=2), make_field("extension", p=2, k=2)
-    nodes2, edges2 = enumerate_triples(make(F2))
-    nodes4, edges4 = enumerate_triples(make(F4))
-    by_entries = {_entries(n.triple): n for n in nodes4}
-    fixed = sorted(n.index for key, n in by_entries.items()
-                   if all(c[1] == 0 for part in key for _, row in part for _, c in row))
-    lift = lambda key: tuple(tuple((j, tuple((i, (c, 0)) for i, c in row)) for j, row in part)
-                             for part in key)
-    match = [by_entries[lift(_entries(n.triple))] for n in nodes2]
-    assert sorted(m.index for m in match) == fixed
-    for a, b in zip(nodes2, match):
-        assert (a.flags, a.fp_dimension) == (b.flags, b.fp_dimension)
-    above2 = _strictly_above(len(nodes2), edges2)
-    above4 = _strictly_above(len(nodes4), edges4)
-    for i, a in enumerate(match):
-        assert {match[j].index for j in above2[i]} == above4[a.index] & set(fixed)
+    _check_galois_descent(make, 2, 2)
+
+
+@pytest.mark.parametrize("make", [
+    make_s3, make_z2, lambda F: ga_kernel(2, F),
+    lambda F: constant_group(*permutation_table(D4_GENS), F, name="D4"),
+], ids=["S3", "Z2", "ga2", "D4"])
+def test_galois_descent_from_gf9_to_gf3(make):
+    """Ga_1 x Ga_1 is left out here: its GF(9) lattice of 9,104 nodes takes
+    over a minute."""
+    _check_galois_descent(make, 3, 2)
 
 
 def test_enumerate_refuses_above_the_double_ceiling_before_any_subgroup(monkeypatch):
